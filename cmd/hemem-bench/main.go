@@ -30,10 +30,6 @@
 //	hemem-bench -exp fleet -tenants 24 -qos gold
 //	                               size the fleet's per-machine tenant
 //	                               population and pin its QoS class mix
-//	hemem-bench -exp fleet -shards 4
-//	                               step groups of 4 machines in lockstep
-//	                               on the intra-cell shard pool (output
-//	                               is byte-identical to -shards 1)
 //	hemem-bench -exp fig5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                               write pprof profiles of the run
 package main
@@ -86,7 +82,6 @@ func main() {
 		quantum    = flag.Duration("quantum", 0, "override the machine step quantum (e.g. 500us, 2ms); 0 keeps the default 1ms")
 		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop (rejected for golden-pinned experiments)")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
-		shards     = flag.Int("shards", 1, "intra-cell worker pool size: fleet cells step machine groups in lockstep, memmode shards its Monte-Carlo (1 = serial; fleet/tbscale/chaos output is byte-identical at every value)")
 		qos        = flag.String("qos", "", "fleet experiment: pin every tenant to one QoS class (gold, silver, besteffort)")
 		perf       = flag.Bool("perf", false, "run the simulator performance harness")
 		out        = flag.String("out", "", "with -perf: write the JSON report to this file (default stdout)")
@@ -141,14 +136,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hemem-bench: -tenants must be non-negative")
 		os.Exit(2)
 	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "hemem-bench: -shards must be >= 1")
-		os.Exit(2)
-	}
 	opts := bench.Opts{
 		Full: *full, Seed: *seed, Jobs: *jobs, Tracker: *tracker, Policy: *policy,
 		Quantum: quantum.Nanoseconds(), Adaptive: *adaptive,
-		Tenants: *tenants, QoS: *qos, Shards: *shards,
+		Tenants: *tenants, QoS: *qos,
 	}
 	if *verbose {
 		opts.Progress = os.Stderr

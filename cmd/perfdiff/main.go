@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	perfdiff -baseline BENCH_pr8.json -current bench-ci.json [-threshold 0.20]
+//	perfdiff -baseline BENCH_pr10.json -current bench-ci.json [-threshold 0.20]
 package main
 
 import (
@@ -61,6 +61,16 @@ func main() {
 	for _, c := range base.Cases {
 		baseCases[c.ID] = c
 	}
+	curCases := map[string]bool{}
+	for _, c := range cur.Cases {
+		curCases[c.ID] = true
+	}
+	// A dropped case would otherwise vanish from the comparison silently.
+	for _, b := range base.Cases {
+		if !curCases[b.ID] {
+			warn("%s: baseline case missing from current report", b.ID)
+		}
+	}
 	for _, c := range cur.Cases {
 		b, ok := baseCases[c.ID]
 		if !ok {
@@ -91,26 +101,15 @@ func main() {
 		}
 	}
 
-	// The parallel comparisons (sweep worker pool, intra-cell shard pool)
-	// are legitimately skipped on a 1-CPU host — but a multi-CPU host that
-	// skipped or omitted them measured less than it should have: the
-	// speedup and byte-identity evidence is missing from the report.
+	// The sweep comparison is legitimately skipped on a 1-CPU host — but a
+	// multi-CPU host that skipped or omitted it measured less than it
+	// should have: the speedup and byte-identity evidence is missing from
+	// the report.
 	if cur.NumCPU > 1 {
 		if s := cur.Sweep; s == nil {
 			warn("sweep comparison missing from report on a %d-CPU host", cur.NumCPU)
 		} else if s.IdenticalOutput == nil {
 			warn("sweep parallel leg skipped on a %d-CPU host (%s)", cur.NumCPU, s.Note)
-		}
-		if s := cur.Shard; s == nil {
-			warn("shard scaling missing from report on a %d-CPU host", cur.NumCPU)
-		} else if len(s.Legs) == 0 {
-			warn("shard scaling legs skipped on a %d-CPU host (%s)", cur.NumCPU, s.Note)
-		} else {
-			for _, l := range s.Legs {
-				if !l.IdenticalOutput {
-					warn("shard %s: shards=%d result digest differs from serial", s.Case, l.Shards)
-				}
-			}
 		}
 	}
 }

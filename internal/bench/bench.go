@@ -56,12 +56,6 @@ type Opts struct {
 	// Tenants overrides the fleet experiment's tenants per machine; 0
 	// keeps the scale default. Other experiments ignore it.
 	Tenants int
-	// Shards sizes the intra-cell worker pool (internal/shard): fleet
-	// cells step groups of machines in lockstep across it, and each
-	// machine's shard pool (memmode's sharded Monte-Carlo) inherits it.
-	// 0 or 1 keeps the historical serial path bit for bit; fleet,
-	// tbscale, and chaos output is byte-identical at every value.
-	Shards int
 	// QoS restricts the fleet experiment's tenant mix to a single class
 	// ("gold", "silver", "besteffort"); empty keeps the mixed fleet.
 	QoS string
@@ -76,7 +70,6 @@ func (o Opts) machineConfig() machine.Config {
 		mc.Quantum = o.Quantum
 	}
 	mc.AdaptiveQuantum = o.Adaptive
-	mc.Shards = o.Shards
 	return mc
 }
 
@@ -93,14 +86,6 @@ func (o Opts) jobs() int {
 		return o.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// shards resolves the intra-cell worker pool size (1 = serial).
-func (o Opts) shards() int {
-	if o.Shards > 1 {
-		return o.Shards
-	}
-	return 1
 }
 
 // scale returns quick unless Full is set.

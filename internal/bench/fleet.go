@@ -7,7 +7,6 @@ import (
 	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
-	"github.com/tieredmem/hemem/internal/shard"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
@@ -138,20 +137,9 @@ type fleetChurn struct {
 	size  int64
 }
 
-// fleetMachineState is one fleet machine built and ready to advance; the
-// sharded group path keeps states around so a cell's machines step in
-// lockstep across the shard pool.
-type fleetMachineState struct {
-	m  *machine.Machine
-	tr *machine.TenantRuntime
-}
-
-// buildFleetMachine constructs one fleet machine with its initial tenant
-// population and pre-drawn churn schedule. Everything is derived from the
-// machine's seed, so building machines concurrently is trivially
-// deterministic.
-func buildFleetMachine(o Opts, seed uint64, classes []machine.QoSClass, perMachine int, span int64) *fleetMachineState {
-	rng := sim.NewRand(seed)
+// fleetMachine runs one machine of the fleet for span sim-ns.
+func fleetMachine(o Opts, c CellInfo, classes []machine.QoSClass, perMachine int, span int64) fleetMachineResult {
+	rng := sim.NewRand(c.Seed)
 
 	ccfg := core.DefaultConfig()
 	// Tenant regions are a few hundred MB — below the default 1 GB
@@ -162,7 +150,7 @@ func buildFleetMachine(o Opts, seed uint64, classes []machine.QoSClass, perMachi
 	h := core.New(ccfg)
 
 	mcfg := o.machineConfig()
-	mcfg.Seed = seed
+	mcfg.Seed = c.Seed
 	mcfg.Audit = true
 	mcfg.Tiers = []machine.TierDesc{
 		{ID: vm.TierDRAM, Capacity: fleetDRAM},
@@ -215,12 +203,8 @@ func buildFleetMachine(o Opts, seed uint64, classes []machine.QoSClass, perMachi
 		})
 	}
 
-	return &fleetMachineState{m: m, tr: tr}
-}
+	m.Run(span)
 
-// collect reads one finished machine's contribution to the fleet table.
-func (st *fleetMachineState) collect() fleetMachineResult {
-	m, tr := st.m, st.tr
 	var res fleetMachineResult
 	for cl := 0; cl < machine.NumQoSClasses; cl++ {
 		res.hist[cl] = tr.ClassHist(machine.QoSClass(cl))
@@ -238,43 +222,6 @@ func (st *fleetMachineState) collect() fleetMachineResult {
 	return res
 }
 
-// fleetMachine runs one machine of the fleet for span sim-ns — the
-// historical serial cell body, byte for byte.
-func fleetMachine(o Opts, c CellInfo, classes []machine.QoSClass, perMachine int, span int64) fleetMachineResult {
-	st := buildFleetMachine(o, c.Seed, classes, perMachine, span)
-	st.m.Run(span)
-	return st.collect()
-}
-
-// fleetGroup runs one cell's group of machines, fanning the independent
-// per-machine work across the shard pool: builds in parallel, then
-// lockstep quantum stepping — every machine advances one base quantum
-// before any machine starts the next — then collection in fixed machine
-// order. Each machine's seed is its fleet-wide machine index's cell seed,
-// and splitting a machine's span at base-quantum boundaries reproduces
-// its single-Run step schedule exactly, so results are byte-identical to
-// the serial one-machine-per-cell path at every worker count.
-func fleetGroup(o Opts, seeds []uint64, classes []machine.QoSClass, perMachine int, span int64, pool *shard.Pool) []fleetMachineResult {
-	states := make([]*fleetMachineState, len(seeds))
-	pool.Run(len(states), func(i int) {
-		states[i] = buildFleetMachine(o, seeds[i], classes, perMachine, span)
-	})
-	quantum := states[0].m.Cfg.Quantum
-	for off := int64(0); off < span; {
-		dt := quantum
-		if left := span - off; left < dt {
-			dt = left
-		}
-		pool.Run(len(states), func(i int) { states[i].m.Run(dt) })
-		off += dt
-	}
-	out := make([]fleetMachineResult, len(states))
-	for i, st := range states {
-		out[i] = st.collect()
-	}
-	return out
-}
-
 func runFleet(w io.Writer, o Opts) {
 	classes, err := fleetClasses(o)
 	if err != nil {
@@ -288,45 +235,13 @@ func runFleet(w io.Writer, o Opts) {
 	}
 	span := o.scale(8, 60) * sim.Second
 
-	// One machine per cell on the serial path; with -shards N the
-	// machines group into cells of N stepped in lockstep on the shard
-	// pool. Machine i's seed is cellSeed("fleet", i, ...) either way, so
-	// the flattened machine-order results — and the table built from
-	// them — are byte-identical at every shard count.
-	shards := o.shards()
-	pool := shard.NewPool(shards)
 	s := NewSweep("fleet", o)
-	if shards <= 1 {
-		for i := 0; i < machines; i++ {
-			s.Cell(fmt.Sprintf("machine=%d", i), func(c CellInfo) any {
-				return fleetMachine(o, c, classes, perMachine, span)
-			})
-		}
-	} else {
-		for lo := 0; lo < machines; lo += shards {
-			hi := lo + shards
-			if hi > machines {
-				hi = machines
-			}
-			seeds := make([]uint64, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				seeds = append(seeds, cellSeed("fleet", i, o.seed()))
-			}
-			s.Cell(fmt.Sprintf("machines=%d-%d", lo, hi-1), func(c CellInfo) any {
-				return fleetGroup(o, seeds, classes, perMachine, span, pool)
-			})
-		}
+	for i := 0; i < machines; i++ {
+		s.Cell(fmt.Sprintf("machine=%d", i), func(c CellInfo) any {
+			return fleetMachine(o, c, classes, perMachine, span)
+		})
 	}
 	res := s.Gather()
-	flat := make([]fleetMachineResult, 0, machines)
-	for _, v := range res {
-		switch r := v.(type) {
-		case fleetMachineResult:
-			flat = append(flat, r)
-		case []fleetMachineResult:
-			flat = append(flat, r...)
-		}
-	}
 
 	// Fleet-wide aggregation in declaration order: exact histogram
 	// merges per class, summed DRAM bytes, migrations, and lifecycle
@@ -338,7 +253,8 @@ func runFleet(w io.Writer, o Opts) {
 	var dramBytes, tenants, mig [machine.NumQoSClasses]int64
 	var stats machine.TenantStats
 	var audits int64
-	for _, r := range flat {
+	for _, v := range res {
+		r := v.(fleetMachineResult)
 		for cl := 0; cl < machine.NumQoSClasses; cl++ {
 			hist[cl].Merge(r.hist[cl])
 			dramBytes[cl] += r.dramBytes[cl]

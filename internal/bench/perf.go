@@ -14,7 +14,6 @@ import (
 	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/kvs"
 	"github.com/tieredmem/hemem/internal/machine"
-	"github.com/tieredmem/hemem/internal/shard"
 	"github.com/tieredmem/hemem/internal/sim"
 )
 
@@ -25,10 +24,11 @@ import (
 // verifies that repeated seeded runs produce bit-identical simulated
 // results, and times the full experiment suite serially vs on the
 // parallel sweep engine (sweep.go), checking the outputs byte-identical.
-// `make bench` writes the report to BENCH_pr8.json so perf regressions in
-// the hot path (sampling, policy tick, migration queue) and in the
-// harness show up as a diffable artifact; CI compares a fresh run against
-// the committed baseline with cmd/perfdiff and warns on regressions.
+// `make bench` writes the report to $(BENCH_OUT) (BENCH_pr10.json by
+// default) so perf regressions in the hot path (sampling, policy tick,
+// migration queue) and in the harness show up as a diffable artifact; CI
+// compares a fresh run against the committed baseline with cmd/perfdiff
+// and warns on regressions.
 
 // PerfResult is one scenario's measurement.
 type PerfResult struct {
@@ -92,38 +92,6 @@ type SweepPerf struct {
 	Note string `json:"note,omitempty"`
 }
 
-// ShardPerf measures the intra-cell shard engine (internal/shard): one
-// fleet machine group stepped in lockstep on a 1-worker pool, then again
-// at wider shard counts with the result digests compared. Like the sweep
-// comparison, the scaling legs only run on a host with more than one CPU;
-// on a 1-CPU host Legs is empty and Note says why (perfdiff warns when a
-// baseline recorded on a multi-CPU host is missing them).
-type ShardPerf struct {
-	// Case names the scenario ("fleet-group").
-	Case string `json:"case"`
-	// Machines is the group size stepped in lockstep.
-	Machines int `json:"machines"`
-	// NumCPU is runtime.NumCPU() on the measuring host — the context for
-	// interpreting the per-leg speedups.
-	NumCPU int `json:"num_cpu"`
-	// SerialSeconds is the wall clock of the 1-worker leg.
-	SerialSeconds float64 `json:"serial_wall_seconds"`
-	// Legs holds one measurement per shard count.
-	Legs []ShardPerfLeg `json:"legs,omitempty"`
-	// Note explains skipped scaling legs.
-	Note string `json:"note,omitempty"`
-}
-
-// ShardPerfLeg is one shard-count measurement of the group scenario.
-type ShardPerfLeg struct {
-	Shards      int     `json:"shards"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Speedup     float64 `json:"speedup"`
-	// IdenticalOutput reports whether this leg's result digest matched the
-	// serial leg's (it must; see internal/shard).
-	IdenticalOutput bool `json:"identical_output"`
-}
-
 // PerfReport is the full harness output.
 type PerfReport struct {
 	GoVersion string       `json:"go_version"`
@@ -133,7 +101,6 @@ type PerfReport struct {
 	Seed      uint64       `json:"seed"`
 	Cases     []PerfResult `json:"cases"`
 	Sweep     *SweepPerf   `json:"sweep,omitempty"`
-	Shard     *ShardPerf   `json:"shard,omitempty"`
 }
 
 // mix folds v into an FNV-1a style accumulator.
@@ -357,75 +324,7 @@ func RunPerf(o Opts) PerfReport {
 		rep.Cases = append(rep.Cases, res)
 	}
 	rep.Sweep = runSweepPerf(o)
-	rep.Shard = runShardPerf(o)
 	return rep
-}
-
-// fleetResultsDigest fingerprints a machine-ordered fleet result slice
-// with the same fields perfFleet folds.
-func fleetResultsDigest(rs []fleetMachineResult) uint64 {
-	dg := uint64(digestSeed)
-	for _, r := range rs {
-		for cl := 0; cl < machine.NumQoSClasses; cl++ {
-			dg = mix(dg, r.hist[cl].Count())
-			dg = mix(dg, math.Float64bits(r.hist[cl].Quantile(0.99)))
-			dg = mix(dg, uint64(r.dramBytes[cl]))
-			dg = mix(dg, uint64(r.mig[cl]))
-		}
-		dg = mix(dg, uint64(r.stats.Admitted))
-		dg = mix(dg, uint64(r.stats.Queued))
-		dg = mix(dg, uint64(r.stats.Departed))
-		dg = mix(dg, uint64(r.audits))
-	}
-	return dg
-}
-
-// runShardPerf times one fleet machine group on the intra-cell shard
-// pool: serially, then at each scaling shard count, comparing result
-// digests (the group body is fleetGroup — exactly what `-exp fleet
-// -shards N` runs per cell).
-func runShardPerf(o Opts) *ShardPerf {
-	classes, _ := fleetClasses(Opts{})
-	const (
-		groupMachines = 6
-		perMachine    = 12
-		span          = 8 * sim.Second
-	)
-	seeds := make([]uint64, groupMachines)
-	for i := range seeds {
-		seeds[i] = cellSeed("perf-shard", i, o.seed())
-	}
-	run := func(shards int) (uint64, float64) {
-		pool := shard.NewPool(shards)
-		start := time.Now()
-		rs := fleetGroup(Opts{}, seeds, classes, perMachine, span, pool)
-		return fleetResultsDigest(rs), time.Since(start).Seconds()
-	}
-	numCPU := runtime.NumCPU()
-	serialDigest, serialWall := run(1)
-	s := &ShardPerf{
-		Case:          "fleet-group",
-		Machines:      groupMachines,
-		NumCPU:        numCPU,
-		SerialSeconds: serialWall,
-	}
-	if numCPU == 1 {
-		s.Note = "shard scaling skipped: host has 1 CPU, a wider pool cannot speed it up (byte-identity at every shard count is covered by shard_identity_test.go)"
-		return s
-	}
-	for _, shards := range []int{2, 4} {
-		if shards > numCPU || shards > groupMachines {
-			break
-		}
-		dg, wall := run(shards)
-		s.Legs = append(s.Legs, ShardPerfLeg{
-			Shards:          shards,
-			WallSeconds:     wall,
-			Speedup:         serialWall / wall,
-			IdenticalOutput: dg == serialDigest,
-		})
-	}
-	return s
 }
 
 // runSweepPerf times the full experiment suite serially and on the worker
@@ -501,21 +400,6 @@ func WritePerf(jsonOut io.Writer, log io.Writer, o Opts) error {
 			}
 			fmt.Fprintf(log, "sweep    serial %.1fs  jobs=%d/%d cpus %.1fs  speedup %.2fx  %s\n",
 				s.SerialSeconds, s.Jobs, s.NumCPU, s.ParallelSeconds, s.Speedup, ident)
-		}
-	}
-	if s := rep.Shard; s != nil {
-		if len(s.Legs) == 0 {
-			fmt.Fprintf(log, "shard    %s x%d serial %.1fs  (%s)\n", s.Case, s.Machines, s.SerialSeconds, s.Note)
-		} else {
-			fmt.Fprintf(log, "shard    %s x%d serial %.1fs", s.Case, s.Machines, s.SerialSeconds)
-			for _, l := range s.Legs {
-				ident := "identical"
-				if !l.IdenticalOutput {
-					ident = "DIGEST MISMATCH"
-				}
-				fmt.Fprintf(log, "  shards=%d %.1fs %.2fx %s", l.Shards, l.WallSeconds, l.Speedup, ident)
-			}
-			fmt.Fprintln(log)
 		}
 	}
 	enc := json.NewEncoder(jsonOut)

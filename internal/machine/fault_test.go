@@ -200,7 +200,8 @@ func TestNoFaultsWithoutConfig(t *testing.T) {
 	}
 }
 
-// Config validation flags negative parameters and accepts defaults.
+// Config validation flags negative parameters and an empty tier table,
+// and accepts defaults.
 func TestMachineConfigValidate(t *testing.T) {
 	if err := (machine.Config{}).Validate(); err != nil {
 		t.Fatalf("zero config invalid: %v", err)
@@ -218,25 +219,8 @@ func TestMachineConfigValidate(t *testing.T) {
 		t.Error("invalid fault config validated")
 	}
 	bad = machine.DefaultConfig()
-	bad.Shards = -1
+	bad.Tiers = []machine.TierDesc{}
 	if err := bad.Validate(); err == nil {
-		t.Error("negative shard count validated")
-	}
-}
-
-// Shards must survive the historical Config{} defaulting shorthand
-// (field-by-field carry-over, like Audit and AdaptiveQuantum) and size
-// the machine's intra-step pool; the zero value stays serial.
-func TestConfigShardsCarriedAndPooled(t *testing.T) {
-	m := machine.New(machine.Config{Shards: 4}, xmem.NVMOnly())
-	if got := m.Cfg.Shards; got != 4 {
-		t.Fatalf("Shards dropped by defaulting: %d", got)
-	}
-	if got := m.ShardPool().Workers(); got != 4 {
-		t.Fatalf("ShardPool workers = %d, want 4", got)
-	}
-	m = machine.New(machine.Config{}, xmem.NVMOnly())
-	if got := m.ShardPool().Workers(); got != 1 {
-		t.Fatalf("default ShardPool workers = %d, want 1 (serial)", got)
+		t.Error("empty non-nil tier table validated")
 	}
 }

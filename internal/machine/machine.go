@@ -17,7 +17,6 @@ import (
 	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/mem"
 	"github.com/tieredmem/hemem/internal/pebs"
-	"github.com/tieredmem/hemem/internal/shard"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
@@ -292,14 +291,6 @@ type Config struct {
 	// the legacy size fields are synchronized from the table so code
 	// reading Cfg.DRAMSize etc. stays coherent.
 	Tiers []TierDesc
-	// Shards sizes the machine's intra-step worker pool (ShardPool):
-	// managers with shardable per-quantum work (Memory Mode's per-zone
-	// Monte-Carlo) fan it out across this many workers. 0 or 1 (the
-	// default) keeps the historical serial path bit for bit; any value
-	// >= 2 selects the sharded path, whose results are identical for
-	// every worker count >= 2 (work items own SplitStable sub-streams and
-	// reductions run in fixed item order — see internal/shard).
-	Shards int
 }
 
 // Validate reports the first invalid parameter, or nil. Zero values are
@@ -317,8 +308,8 @@ func (c Config) Validate() error {
 	if c.Quantum < 0 {
 		return fmt.Errorf("machine: negative quantum %d", c.Quantum)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("machine: negative shard count %d", c.Shards)
+	if c.Tiers != nil && len(c.Tiers) == 0 {
+		return fmt.Errorf("machine: empty tier table (use nil for the default testbed)")
 	}
 	seen := map[vm.TierID]bool{}
 	for _, td := range c.Tiers {
@@ -355,7 +346,6 @@ func (c Config) withDefaults() Config {
 		def.Tiers = c.Tiers
 		def.Audit = c.Audit
 		def.AdaptiveQuantum = c.AdaptiveQuantum
-		def.Shards = c.Shards
 		if c.Quantum != 0 {
 			def.Quantum = c.Quantum
 		}
@@ -520,10 +510,6 @@ type Machine struct {
 	// single-tenant machines, which therefore skip every tenant branch.
 	tenants *TenantRuntime
 
-	// pool is the intra-step worker pool (Config.Shards); serial unless
-	// the config asked for sharding.
-	pool *shard.Pool
-
 	rates     map[*vm.PageSet]*SetRates
 	rateOrder []*vm.PageSet
 
@@ -565,7 +551,6 @@ func New(cfg Config, mgr Manager) *Machine {
 		Mgr:        mgr,
 		rates:      make(map[*vm.PageSet]*SetRates),
 		sampleEach: 100 * sim.Millisecond,
-		pool:       shard.NewPool(cfg.Shards),
 	}
 	m.devs = make([]*mem.Device, len(cfg.Tiers))
 	for i := range m.tierDev {
@@ -783,12 +768,6 @@ func (m *Machine) TouchRange(r *vm.Region, lo, hi int) int {
 
 // Faults returns the number of page-missing faults taken so far.
 func (m *Machine) Faults() int64 { return m.faults }
-
-// ShardPool returns the machine's intra-step worker pool, sized by
-// Config.Shards (serial by default). Managers with shardable
-// per-quantum work fan it out here under the determinism contract
-// documented in internal/shard.
-func (m *Machine) ShardPool() *shard.Pool { return m.pool }
 
 // AuditsRun returns how many per-quantum invariant audits have executed
 // (0 unless the auditor is enabled).

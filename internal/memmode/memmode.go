@@ -19,7 +19,6 @@ package memmode
 import (
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
-	"github.com/tieredmem/hemem/internal/shard"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
@@ -123,16 +122,6 @@ type MemoryMode struct {
 	// reports.
 	rowsBuilt  int64
 	rowsReused int64
-	// pool is the machine's intra-step worker pool. With >= 2 workers
-	// refreshModel shards target zones across it: each target draws from
-	// its own SplitStable sub-stream of shardRoot keyed by (pass, target
-	// index), so results are identical for every worker count >= 2 — but
-	// they are a different (equally seeded) Monte-Carlo stream than the
-	// serial path, which is pinned bit for bit by the goldens and so
-	// never changes. passes counts sharded refreshes to key the streams.
-	pool      *shard.Pool
-	shardRoot *sim.Rand
-	passes    uint64
 	// ModelRefresh controls how often the Monte-Carlo occupancy model is
 	// recomputed (simulated ns).
 	ModelRefresh int64
@@ -156,8 +145,6 @@ func (mm *MemoryMode) Name() string { return "MM" }
 func (mm *MemoryMode) Attach(m *machine.Machine) {
 	mm.m = m
 	mm.rng = sim.NewRand(m.Cfg.Seed ^ 0x3153)
-	mm.pool = m.ShardPool()
-	mm.shardRoot = sim.NewRand(m.Cfg.Seed ^ 0x3153).SplitLabel("mm-shard")
 	mm.cacheSets = float64(m.Cfg.DRAMSize / lineSize)
 	mm.lastModel = -1
 	var ok bool
@@ -226,11 +213,10 @@ func linesOf(bytes int64) float64 {
 // (steady workloads reuse nearly every row); the cached values are pure
 // functions of the inputs, so reuse is byte-identical to recomputation.
 //
-// The Monte Carlo runs serially on mm.rng when the machine's shard pool is
-// serial — the draw sequence and float summation order are exactly those
+// The Monte Carlo visits target zones in order on the single mm.rng
+// stream: the draw sequence and float summation order are exactly those
 // of the original unflattened model, keeping seeded MM results
-// bit-identical — and shards target zones across the pool otherwise (see
-// the pool field for the stream-splitting contract).
+// bit-identical.
 func (mm *MemoryMode) refreshModel() {
 	zs := mm.scratch[:0]
 	for _, z := range mm.order {
@@ -257,23 +243,13 @@ func (mm *MemoryMode) refreshModel() {
 		}
 	}
 	mm.scratch = zs
-	if mm.pool.Workers() <= 1 {
-		for ti := range zs {
-			mcTarget(zs, ti, mm.rng, mm.MCSamples)
-		}
-		return
+	for ti := range zs {
+		mcTarget(zs, ti, mm.rng, mm.MCSamples)
 	}
-	mm.passes++
-	passRoot := mm.shardRoot.SplitStable(mm.passes)
-	mm.pool.Run(len(zs), func(ti int) {
-		mcTarget(zs, ti, passRoot.SplitStable(uint64(ti)), mm.MCSamples)
-	})
 }
 
 // mcTarget runs the Monte-Carlo sampling loop for one target zone of the
-// scratch table, drawing set compositions from rng. Each call touches only
-// its own row (and the shared read-only table), so sharded passes may run
-// targets concurrently.
+// scratch table, drawing set compositions from rng.
 func mcTarget(zs []zoneModel, ti int, rng *sim.Rand, samples int) {
 	target := &zs[ti]
 	a := target.perLine

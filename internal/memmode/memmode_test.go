@@ -145,31 +145,6 @@ func TestIncrementalModelRowsReused(t *testing.T) {
 	}
 }
 
-// The sharded Monte-Carlo path must produce identical results at every
-// worker count >= 2: each target zone draws from its own sub-stream keyed
-// by (pass, target index), independent of which worker runs it.
-func TestShardedModelIdenticalAcrossWorkerCounts(t *testing.T) {
-	run := func(shards int) (float64, float64) {
-		cfg := machine.DefaultConfig()
-		cfg.Shards = shards
-		mm := memmode.New()
-		m := machine.New(cfg, mm)
-		g := gups.New(m, gups.Config{
-			Threads: 16, WorkingSet: 64 * sim.GB, HotSet: 8 * sim.GB, Seed: 17,
-		})
-		m.Warm()
-		m.Run(2 * sim.Second)
-		return g.Score(), mm.HitRate(g.HotPages())
-	}
-	s2, h2 := run(2)
-	for _, shards := range []int{4, 8} {
-		if s, h := run(shards); s != s2 || h != h2 {
-			t.Fatalf("shards=%d: score %v vs %v, hot hit rate %v vs %v — sharded MC depends on worker count",
-				shards, s, s2, h, h2)
-		}
-	}
-}
-
 // Identically seeded multi-zone runs must reproduce bit-identical scores
 // and hit rates. The occupancy model samples zones in first-observed
 // order; iterating the zones map instead would randomize the RNG draw

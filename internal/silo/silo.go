@@ -178,12 +178,17 @@ func (tx *Tx) Commit() error {
 			r.mu.Unlock()
 		}
 	}
-	// Phase 2: validate the read set.
+	// Phase 2: validate the read set. A read row locked by another
+	// committer fails validation instead of being waited on: that
+	// committer may itself be waiting on a row in our write set.
 	for r, tid := range tx.reads {
 		if _, own := tx.writes[r]; own {
 			continue // already locked by us; check version directly
 		}
-		r.mu.Lock()
+		if !r.mu.TryLock() {
+			unlock()
+			return ErrConflict
+		}
 		cur := r.tid
 		r.mu.Unlock()
 		if cur != tid {

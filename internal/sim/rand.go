@@ -20,44 +20,9 @@ func NewRand(seed uint64) *Rand {
 // Split derives an independent generator from r, keyed by label. The
 // derived stream is stable: it depends only on r's seed history and label.
 // Split consumes one value from r's stream, so successive Split calls
-// with the same label yield distinct streams; use SplitStable when the
-// derivation must not depend on how often r has been consulted.
+// with the same label yield distinct streams.
 func (r *Rand) Split(label uint64) *Rand {
 	return NewRand(r.Uint64() ^ (label * 0x9e3779b97f4a7c15))
-}
-
-// splitFinalize decorrelates a (state, label) pair into a fresh seed with
-// the splitmix64 finalizer, so sibling sub-streams with adjacent labels
-// share no low-bit structure.
-func splitFinalize(state, label uint64) uint64 {
-	z := state + label*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// SplitStable derives an independent generator keyed by label WITHOUT
-// consuming from r's stream: the sub-stream depends only on (r's current
-// seed state, label), never on execution order, so sharded workers that
-// each take their own labelled sub-stream produce identical draws at any
-// worker count and under any scheduling. It is safe to call SplitStable
-// concurrently on a shared parent as long as nothing draws from the
-// parent meanwhile (it only reads the state). Calling it twice with the
-// same label yields the same stream — labels must identify work items.
-func (r *Rand) SplitStable(label uint64) *Rand {
-	return NewRand(splitFinalize(r.state, label))
-}
-
-// SplitLabel is SplitStable keyed by a stable string label (an FNV-1a
-// fold of the label selects the sub-stream). Like SplitStable it does
-// not consume from r's stream.
-func (r *Rand) SplitLabel(label string) *Rand {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	return NewRand(splitFinalize(r.state, h))
 }
 
 // Uint64 returns the next value in the stream.

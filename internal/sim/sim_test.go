@@ -84,56 +84,6 @@ func TestRandSplitIndependence(t *testing.T) {
 	}
 }
 
-// SplitStable must not consume from the parent stream, must depend only
-// on (parent state, label), and must give distinct streams for distinct
-// labels — the contract sharded workers rely on for order-independence.
-func TestRandSplitStableOrderIndependent(t *testing.T) {
-	a, b := NewRand(7), NewRand(7)
-	// Derive in opposite orders: the sub-streams must match pairwise.
-	a1, a2 := a.SplitStable(1), a.SplitStable(2)
-	b2, b1 := b.SplitStable(2), b.SplitStable(1)
-	for i := 0; i < 100; i++ {
-		if a1.Uint64() != b1.Uint64() || a2.Uint64() != b2.Uint64() {
-			t.Fatalf("SplitStable stream depends on derivation order at draw %d", i)
-		}
-	}
-	// The parent stream is untouched: it matches a fresh generator.
-	ref := NewRand(7)
-	if a.Uint64() != ref.Uint64() {
-		t.Fatal("SplitStable consumed from the parent stream")
-	}
-	// Distinct labels give distinct streams; same label reproduces.
-	r := NewRand(7)
-	if r.SplitStable(1).Uint64() == r.SplitStable(2).Uint64() {
-		t.Fatal("SplitStable streams for labels 1 and 2 collide")
-	}
-	if r.SplitStable(3).Uint64() != r.SplitStable(3).Uint64() {
-		t.Fatal("SplitStable not reproducible for equal labels")
-	}
-	// Adjacent labels decorrelate (no shared low-bit structure).
-	x, y := r.SplitStable(0).Uint64(), r.SplitStable(1).Uint64()
-	if x == y || x^y == 1 {
-		t.Fatalf("adjacent SplitStable streams correlated: %x %x", x, y)
-	}
-}
-
-func TestRandSplitLabel(t *testing.T) {
-	r := NewRand(9)
-	a := r.SplitLabel("zone-mc")
-	b := r.SplitLabel("zone-mc")
-	c := r.SplitLabel("fleet")
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("SplitLabel not reproducible for equal labels")
-	}
-	if a.Uint64() == c.Uint64() {
-		t.Fatal("SplitLabel streams for distinct labels collide")
-	}
-	ref := NewRand(9)
-	if r.Uint64() != ref.Uint64() {
-		t.Fatal("SplitLabel consumed from the parent stream")
-	}
-}
-
 func TestRandFloat64Range(t *testing.T) {
 	r := NewRand(1)
 	for i := 0; i < 10000; i++ {
