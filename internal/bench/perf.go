@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/diurnal"
 	"github.com/tieredmem/hemem/internal/gap"
 	"github.com/tieredmem/hemem/internal/gups"
@@ -271,6 +272,32 @@ func perfFleet(seed uint64) perfOutcome {
 	return perfOutcome{simNS: span, score: r.hist[machine.Gold].Quantile(0.99), digest: dg}
 }
 
+// perfTrackersIdlepage runs the trackers experiment's GUPS idlepage+hemem
+// cell shape over a shorter span. A page-table pass completes every
+// quantum, so the case times the idlepage tracker's scan pass: the
+// simulator's hottest code when the tracker is in use.
+func perfTrackersIdlepage(seed uint64) perfOutcome {
+	mc := machine.DefaultConfig()
+	mc.Seed = seed
+	mc.DRAMSize = 6 * sim.GB
+	h := core.New(core.Config{Tracker: "idlepage", Policy: "hemem"})
+	m := machine.New(mc, h)
+	g := gups.New(m, gups.Config{
+		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 8 * sim.GB, Seed: 17,
+	})
+	m.Warm()
+	m.Run(sim.Second)
+	g.ResetScore()
+	m.Run(500 * sim.Millisecond)
+	dg := uint64(digestSeed)
+	dg = mix(dg, math.Float64bits(g.Score()))
+	for _, b := range []byte(fmt.Sprintf("%+v", h.Stats())) {
+		dg = mix(dg, uint64(b))
+	}
+	dg = mix(dg, uint64(m.Migrator.Stats().Pages))
+	return perfOutcome{simNS: m.Clock.Now(), score: g.Score(), digest: dg}
+}
+
 type countingWriter struct{ n int }
 
 func (c *countingWriter) Write(p []byte) (int, error) { c.n += len(p); return len(p), nil }
@@ -282,6 +309,7 @@ var perfCases = []perfCase{
 	{"tbscale-dense", perfTBScale(false)},
 	{"tbscale-adaptive", perfTBScale(true)},
 	{"fleet", perfFleet},
+	{"trackers-idlepage", perfTrackersIdlepage},
 }
 
 // RunPerf executes every perf scenario twice — once to check seeded
@@ -387,7 +415,7 @@ func WritePerf(jsonOut io.Writer, log io.Writer, o Opts) error {
 		if c.ResidentBytes > 0 {
 			extra += fmt.Sprintf("  resident %.2f MiB", float64(c.ResidentBytes)/(1<<20))
 		}
-		fmt.Fprintf(log, "%-16s %6.2fs wall  %8.2e sim-ns/s  %9d allocs  score=%.4g  %s%s\n",
+		fmt.Fprintf(log, "%-17s %6.2fs wall  %8.2e sim-ns/s  %9d allocs  score=%.4g  %s%s\n",
 			c.ID, c.WallSeconds, c.SimNSPerSec, c.Allocs, c.Score, det, extra)
 	}
 	if s := rep.Sweep; s != nil {

@@ -33,6 +33,26 @@ type idlePageTracker struct {
 	// lam maps each traffic set to its (accessed, dirty) per-page access
 	// expectation accumulated over the finished pass (reused).
 	lam map[*vm.PageSet][2]float64
+
+	// combos caches the first nCombos inline set combinations seen in the
+	// current pass; spill holds the result for pages that cannot be
+	// cached (overflow sets, or a full table).
+	combos  [idleComboSlots]idleCombo
+	nCombos int
+	spill   idleCombo
+}
+
+// idleComboSlots bounds the per-pass set-combination table. Workloads
+// partition their pages into a handful of traffic sets, so a few entries
+// cover nearly every page; the rest take the uncached path.
+const idleComboSlots = 8
+
+// idleCombo is one set combination's pass result: the accessed and dirty
+// expectations summed over its sets, and their bit probabilities.
+type idleCombo struct {
+	a, b   *vm.PageSet
+	la, lw float64
+	pa, pw float64 // 1-exp(-la), 1-exp(-lw)
 }
 
 // Name implements Tracker.
@@ -91,14 +111,17 @@ func (t *idlePageTracker) passTime(dt int64) int64 {
 // information, deliberately: a page accessed once and a page accessed a
 // thousand times since the last pass read identically, which is exactly
 // the fidelity gap between bit scanning and sampling.
+//
+// Pages sharing a set combination share its expectations, so they are
+// computed once per combination per pass (combo); the per-page work is
+// the Bernoulli draws and the policy observation.
 func (t *idlePageTracker) completePass() {
 	h := t.h
-	for k := range t.lam {
-		delete(t.lam, k)
-	}
+	clear(t.lam)
 	for _, res := range t.sc.Complete() {
 		t.lam[res.Set] = [2]float64{res.ExpectedReads + res.ExpectedWrites, res.ExpectedWrites}
 	}
+	t.nCombos = 0
 	for _, w := range h.pages {
 		if w == nil {
 			continue
@@ -107,14 +130,9 @@ func (t *idlePageTracker) completePass() {
 			if pi == nil {
 				continue
 			}
-			var la, lw float64
-			pi.Page.EachSet(func(s *vm.PageSet) {
-				d := t.lam[s]
-				la += d[0]
-				lw += d[1]
-			})
-			accessed := la > 0 && t.rng.Bernoulli(1-math.Exp(-la))
-			dirty := lw > 0 && t.rng.Bernoulli(1-math.Exp(-lw))
+			c := t.combo(pi.Page)
+			accessed := c.la > 0 && t.rng.Bernoulli(c.pa)
+			dirty := c.lw > 0 && t.rng.Bernoulli(c.pw)
 			// An accessed bit carries no count, so it delivers a full hot
 			// threshold's worth of evidence — any touched page looks hot to a
 			// bit scanner; untouched pages age.
@@ -131,4 +149,36 @@ func (t *idlePageTracker) completePass() {
 			}
 		}
 	}
+}
+
+// combo returns p's set-combination expectations for the finished pass:
+// a table hit when p's sets are all inline and the combination was seen
+// earlier in this pass, otherwise freshly summed — into a new table entry
+// while there is room, into spill when not.
+func (t *idlePageTracker) combo(p *vm.Page) *idleCombo {
+	a, b, overflow := p.InlineSets()
+	c := &t.spill
+	if !overflow {
+		for i := 0; i < t.nCombos; i++ {
+			if e := &t.combos[i]; e.a == a && e.b == b {
+				return e
+			}
+		}
+		if t.nCombos < idleComboSlots {
+			c = &t.combos[t.nCombos]
+			t.nCombos++
+		}
+	}
+	c.a, c.b = a, b
+	// The sum runs in EachSet order, exactly as an uncached per-page pass
+	// would, so cached and fresh values are bit-identical.
+	var la, lw float64
+	p.EachSet(func(s *vm.PageSet) {
+		d := t.lam[s]
+		la += d[0]
+		lw += d[1]
+	})
+	c.la, c.lw = la, lw
+	c.pa, c.pw = 1-math.Exp(-la), 1-math.Exp(-lw)
+	return c
 }

@@ -47,6 +47,7 @@ type Scanner struct {
 	Model       vm.ScanModel
 
 	snaps map[*vm.PageSet][2]float64 // integral snapshot at last pass
+	out   []SetScan                  // Complete's result, reused
 }
 
 // NewScanner returns a scanner over m's address space.
@@ -71,9 +72,10 @@ func (s *Scanner) PassTime() int64 {
 // Complete finishes a pass: returns per-zone scan results, snapshots the
 // integrals, and charges TLB-shootdown stalls for the scanned range to all
 // running threads (the kernel flushes at a fixed interval as it scans and
-// clears).
+// clears). The returned slice is owned by the scanner and valid only until
+// the next Complete; callers that keep results must copy them.
 func (s *Scanner) Complete() []SetScan {
-	var out []SetScan
+	out := s.out[:0]
 	for _, set := range s.m.RateSets() {
 		r := s.m.Rates(set)
 		snap := s.snaps[set]
@@ -89,6 +91,7 @@ func (s *Scanner) Complete() []SetScan {
 		}
 		out = append(out, res)
 	}
+	s.out = out
 	scanned := s.m.AS.TotalBytes() / s.Granularity
 	s.m.StallAll(s.Model.ShootdownStall(int(scanned)))
 	return out

@@ -160,6 +160,13 @@ func (p *Page) EachSet(f func(*PageSet)) {
 	}
 }
 
+// InlineSets returns the two inline set slots in EachSet order (either may
+// be nil) and whether further memberships spilled past them. Callers that
+// cache per-set-combination results key on (a, b) when overflow is false.
+func (p *Page) InlineSets() (a, b *PageSet, overflow bool) {
+	return p.set0, p.set1, len(p.setsOv) > 0
+}
+
 // InSets returns the page sets this page belongs to. The slice is freshly
 // allocated; hot paths should not call this.
 func (p *Page) InSets() []*PageSet {
