@@ -298,6 +298,35 @@ func perfTrackersIdlepage(seed uint64) perfOutcome {
 	return perfOutcome{simNS: m.Clock.Now(), score: g.Score(), digest: dg}
 }
 
+// perfKVSMemMode runs FlexKVS on Memory Mode in tab3's latency-cell
+// shape over shorter spans: a closed-loop phase scored in Mops, then a
+// phase at 30% offered load whose latency quantiles come from the cost
+// branches. Memory Mode's Monte-Carlo cache model dominates the step
+// time, so the case times the manager the PEBS-based cases never reach.
+func perfKVSMemMode(seed uint64) perfOutcome {
+	mc := machine.DefaultConfig()
+	mc.Seed = seed
+	m := machine.New(mc, newMM())
+	d := kvs.NewDriver(m, kvs.DriverConfig{
+		WorkingSet: 700 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9,
+		NetBase: kvs.NetBaseTAS, Seed: 17,
+	})
+	m.Warm()
+	m.Run(5 * sim.Second)
+	d.ResetScore()
+	m.Run(10 * sim.Second)
+	mops := d.Mops()
+	d.SetTargetRate(0.3 * 8 / (10 * 1000))
+	d.ResetScore()
+	m.Run(10 * sim.Second)
+	dg := uint64(digestSeed)
+	dg = mix(dg, math.Float64bits(mops))
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+		dg = mix(dg, math.Float64bits(d.Latency().Quantile(q)))
+	}
+	return perfOutcome{simNS: m.Clock.Now(), score: mops, digest: dg}
+}
+
 type countingWriter struct{ n int }
 
 func (c *countingWriter) Write(p []byte) (int, error) { c.n += len(p); return len(p), nil }
@@ -310,6 +339,7 @@ var perfCases = []perfCase{
 	{"tbscale-adaptive", perfTBScale(true)},
 	{"fleet", perfFleet},
 	{"trackers-idlepage", perfTrackersIdlepage},
+	{"kvs-memmode", perfKVSMemMode},
 }
 
 // RunPerf executes every perf scenario twice — once to check seeded

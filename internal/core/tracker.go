@@ -94,6 +94,12 @@ type pebsTracker struct {
 	// recScratch is the reusable record batch the reader drains into
 	// each quantum.
 	recScratch []pebs.Record
+	// piScratch holds the PageInfos observeBatch resolves for a batch.
+	piScratch []*PageInfo
+	// touchSink consumes the resolve pass's PageInfo reads; without a
+	// use, the compiler deletes the loads that pull each PageInfo into
+	// cache ahead of Observe.
+	touchSink uint64
 
 	// Adaptive-sampling state: buffer counters at the last policy tick
 	// and the current run of overrunning ticks.
@@ -162,25 +168,39 @@ func (t *pebsTracker) Poll(now, dt int64) {
 	t.reader.Settle(dt)
 }
 
-// observeBatch classifies a drained batch of records. The page-info
-// table lookup and unmanaged-page filter are inlined here so the batch
-// loop amortizes the bounds/nil checks instead of paying a call and a
-// table re-load per record.
+// observeBatch classifies a drained batch of records in two passes. The
+// resolve pass maps every record to its PageInfo through the windowed
+// page table (nil for unmanaged pages) and touches the PageInfo, so the
+// batch's independent table and PageInfo loads are issued back to back
+// instead of one dependent chain per record. The apply pass then calls
+// Observe in record order. Observe never adds or removes a PageInfo, so
+// resolving the whole batch up front yields exactly the PageInfos a
+// per-record lookup would.
 func (t *pebsTracker) observeBatch(recs []pebs.Record) {
 	pages := t.h.pages
-	pol := t.h.pol
-	for i := range recs {
-		rec := &recs[i]
-		wi := int(rec.Page) >> piWindowShift
-		if wi >= len(pages) || pages[wi] == nil {
-			continue // unmanaged page
-		}
-		pi := pages[wi][int(rec.Page)&piWindowMask]
-		if pi == nil {
-			continue // unmanaged page
-		}
-		pol.Observe(pi, rec.Kind == pebs.Store, 1)
+	if cap(t.piScratch) < len(recs) {
+		t.piScratch = make([]*PageInfo, len(recs))
 	}
+	resolved := t.piScratch[:len(recs)]
+	var touch uint64
+	for i := range recs {
+		var pi *PageInfo
+		id := int(recs[i].Page)
+		if wi := id >> piWindowShift; wi < len(pages) && pages[wi] != nil {
+			if pi = pages[wi][id&piWindowMask]; pi != nil {
+				touch ^= pi.CoolClock
+			}
+		}
+		resolved[i] = pi
+	}
+	t.touchSink ^= touch
+	pol := t.h.pol
+	for i, pi := range resolved {
+		if pi != nil {
+			pol.Observe(pi, recs[i].Kind == pebs.Store, 1)
+		}
+	}
+	clear(resolved)
 }
 
 // Tick implements Tracker: adaptive sample-period control, run at the

@@ -122,6 +122,11 @@ type Workload interface {
 	// OnOps reports that the workload completed ops operations in the
 	// quantum, at an average per-op latency of opTime ns. Workloads use
 	// it to track progress and record latency distributions.
+	//
+	// OnOps runs inside the step's commit loop, between the PEBS sample
+	// draws and the step's record flush, so it must not change any
+	// page's Tier or ID (no faulting, migrating or remapping): the
+	// flushed records read both from the drawn pages.
 	OnOps(now int64, ops float64, opTime float64)
 	// Done reports whether the workload has finished its run.
 	Done() bool
@@ -522,6 +527,7 @@ type Machine struct {
 	ws            []wstate
 	obsComps      []Component
 	obsRates      []float64
+	pending       []pendingSample
 	sampleScratch []pebs.Record
 
 	// Metrics
@@ -1157,6 +1163,9 @@ func (m *Machine) stepBody(now, dt int64) {
 		}
 	}
 
+	if len(m.pending) > 0 {
+		m.flushSamples(sampler.Buffer())
+	}
 	if observing {
 		obs.ObserveTraffic(now, obsComps, obsRates)
 	}
@@ -1183,50 +1192,39 @@ func (m *Machine) stepBody(now, dt int64) {
 	m.Clock.Advance(dt)
 }
 
-// feedSamples converts a component's traffic into PEBS records: one load
+// pendingSample is one drawn PEBS sample awaiting its record: the page
+// the sampled access touched and the counter class that fired.
+type pendingSample struct {
+	p     *vm.Page
+	class pebs.Class
+}
+
+// feedSamples converts a component's traffic into PEBS samples: one load
 // event per cache line read and one store event per cache line written,
-// sampled at the manager's configured period. Records are generated in
-// batches (Sampler.Take) and pushed directly, with no closure per sample;
-// the RNG is consumed in exactly the order the per-sample callback API
-// did, so seeded runs stay bit-identical.
+// sampled at the manager's configured period. It only draws: each sampled
+// page is appended to m.pending, and flushSamples builds and pushes the
+// records once the commit loop is done. Splitting the draw from the
+// record build keeps the RNG-bound loop free of page dereferences, so the
+// build loop can issue its per-page loads back to back. The draws, and so
+// the RNG stream, are exactly those of building each record as it is drawn.
 func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
 	// PEBS storm episodes multiply the sample inflow (counter
 	// misconfiguration / interrupt pressure); the factor is 1 outside
 	// storms and the multiply is skipped entirely then, keeping fault-free
 	// arithmetic bit-identical.
 	loadF := m.Injector.PEBSLoadFactor()
-	buf := s.Buffer()
 	pages := c.Set.Pages()
 	setLen := len(pages)
 	rng := m.Rng
-	if m.sampleScratch == nil {
-		m.sampleScratch = make([]pebs.Record, 256)
-	}
-	scratch := m.sampleScratch
+	pending := m.pending
 	if c.ReadBytes > 0 {
 		lines := math.Ceil(float64(c.ReadBytes) / 64)
 		n := occ * lines
 		if loadF != 1 {
 			n *= loadF
 		}
-		for k := s.Take(n, pebs.ClassLoad); k > 0; {
-			batch := k
-			if batch > len(scratch) {
-				batch = len(scratch)
-			}
-			for i := 0; i < batch; i++ {
-				p := pages[rng.Intn(setLen)]
-				// PEBS distinguishes loads served by the top of the
-				// chain from everything below it (local DRAM vs far
-				// memory).
-				kind := pebs.LoadDRAM
-				if p.Tier != m.fastest {
-					kind = pebs.LoadNVM
-				}
-				scratch[i] = pebs.Record{Page: p.ID, Kind: kind}
-			}
-			buf.PushBatch(scratch[:batch])
-			k -= batch
+		for k := s.Take(n, pebs.ClassLoad); k > 0; k-- {
+			pending = append(pending, pendingSample{pages[rng.Intn(setLen)], pebs.ClassLoad})
 		}
 	}
 	if c.WriteBytes > 0 {
@@ -1235,19 +1233,44 @@ func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
 		if loadF != 1 {
 			n *= loadF
 		}
-		for k := s.Take(n, pebs.ClassStore); k > 0; {
-			batch := k
-			if batch > len(scratch) {
-				batch = len(scratch)
-			}
-			for i := 0; i < batch; i++ {
-				p := pages[rng.Intn(setLen)]
-				scratch[i] = pebs.Record{Page: p.ID, Kind: pebs.Store}
-			}
-			buf.PushBatch(scratch[:batch])
-			k -= batch
+		for k := s.Take(n, pebs.ClassStore); k > 0; k-- {
+			pending = append(pending, pendingSample{pages[rng.Intn(setLen)], pebs.ClassStore})
 		}
 	}
+	m.pending = pending
+}
+
+// flushSamples builds the records for the step's pending samples, in draw
+// order, and pushes them into buf in 256-record chunks. Nothing pops buf
+// between the draws and the flush, so pushing the whole sequence here
+// drops exactly the records per-component pushes would have dropped. The
+// records are exact because nothing in the commit loop changes a page's
+// Tier or ID (see Workload.OnOps). The pending slice is cleared so it
+// does not keep unmapped pages alive until the next step.
+func (m *Machine) flushSamples(buf *pebs.Buffer) {
+	if m.sampleScratch == nil {
+		m.sampleScratch = make([]pebs.Record, 256)
+	}
+	scratch := m.sampleScratch
+	for rest := m.pending; len(rest) > 0; {
+		batch := min(len(rest), len(scratch))
+		for i, ps := range rest[:batch] {
+			// PEBS distinguishes loads served by the top of the chain
+			// from everything below it (local DRAM vs far memory).
+			kind := pebs.Store
+			if ps.class == pebs.ClassLoad {
+				kind = pebs.LoadDRAM
+				if ps.p.Tier != m.fastest {
+					kind = pebs.LoadNVM
+				}
+			}
+			scratch[i] = pebs.Record{Page: ps.p.ID, Kind: kind}
+		}
+		buf.PushBatch(scratch[:batch])
+		rest = rest[batch:]
+	}
+	clear(m.pending)
+	m.pending = m.pending[:0]
 }
 
 // costComponent prices one component occurrence, delegating to the

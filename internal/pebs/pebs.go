@@ -195,15 +195,14 @@ func NewSampler(period float64, buf *Buffer) (*Sampler, error) {
 func (s *Sampler) Buffer() *Buffer { return s.buf }
 
 // Take records that n accesses of class c occurred and returns how many
-// samples they produce at the configured period. The caller generates that
-// many records and pushes them into Buffer directly; this is the batch
-// form of Feed, avoiding a closure call per sample on the machine's
-// per-quantum hot path.
+// samples they produce at the configured period. The caller draws that
+// many records (each the page a sampled access touched, with the counter
+// that fired) and pushes them into Buffer.
 //
-// The carry arithmetic is bit-compatible with the historical one-at-a-time
-// decrement loop: for carry < 2^52, subtracting the integer sample count in
-// one step yields the same float64 as repeated unit decrements, so seeded
-// runs are reproducible across both APIs.
+// The carry arithmetic is bit-compatible with a one-at-a-time decrement
+// loop: for carry < 2^52, subtracting the integer sample count in one
+// step yields the same float64 as repeated unit decrements, so long-run
+// sample counts stay exact regardless of how traffic is split.
 func (s *Sampler) Take(n float64, c Class) int {
 	s.carry[c] += n / s.Period
 	k := int(s.carry[c])
@@ -213,20 +212,9 @@ func (s *Sampler) Take(n float64, c Class) int {
 	return k
 }
 
-// Feed records that n accesses of class c occurred, sampling records via
-// pick. pick is called once per emitted sample and must return the page
-// the sampled instruction touched — drawn from the workload's current
-// access distribution — along with the counter that fired (for loads,
-// LoadDRAM vs LoadNVM depending on which memory served it).
-func (s *Sampler) Feed(n float64, c Class, pick func() Record) {
-	for k := s.Take(n, c); k > 0; k-- {
-		s.buf.Push(pick())
-	}
-}
-
 // Reader models HeMem's dedicated PEBS thread: it drains the buffer at a
-// bounded processing rate, handing each record to the classifier. If the
-// sampler outpaces the reader, the buffer fills and samples drop.
+// bounded processing rate, in batches the classifier then consumes. If
+// the sampler outpaces the reader, the buffer fills and samples drop.
 type Reader struct {
 	// RatePerSec is the reader's processing capacity in records per
 	// second of simulated time (classification involves a page lookup and
@@ -252,30 +240,13 @@ func NewReader(ratePerSec float64) (*Reader, error) {
 	return &Reader{RatePerSec: ratePerSec}, nil
 }
 
-// Drain processes up to its rate budget for a quantum of dt nanoseconds,
-// invoking consume for each record, and returns the number processed.
-func (r *Reader) Drain(buf *Buffer, dt int64, consume func(Record)) int {
-	r.carry += r.RatePerSec * float64(dt) / 1e9
-	processed := 0
-	for r.carry >= 1 {
-		rec, ok := buf.Pop()
-		if !ok {
-			break
-		}
-		r.carry--
-		consume(rec)
-		processed++
-	}
-	r.Settle(dt)
-	return processed
-}
-
 // DrainBatch pops up to the rate budget for dt (bounded by len(dst))
 // into dst and returns how many records were copied. Call it with dt for
 // the first batch of a quantum and dt = 0 for follow-up batches when dst
 // filled completely, then Settle(dt) once the quantum's draining is done.
-// The budget arithmetic matches Drain exactly, so seeded runs produce
-// bit-identical results through either API.
+// The budget arithmetic is bit-compatible with popping one record per
+// unit of budget: subtracting the popped count in one step yields the
+// same float64 as repeated unit decrements.
 func (r *Reader) DrainBatch(buf *Buffer, dt int64, dst []Record) int {
 	if dt > 0 {
 		r.carry += r.RatePerSec * float64(dt) / 1e9

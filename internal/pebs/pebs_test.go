@@ -96,15 +96,41 @@ func TestBufferWrapAround(t *testing.T) {
 	}
 }
 
+// feed runs Take for n accesses of class c and pushes one copy of rec per
+// sample, as the machine's feed does, returning the sample count.
+func feed(s *Sampler, n float64, c Class, rec Record) int {
+	k := s.Take(n, c)
+	for i := 0; i < k; i++ {
+		s.Buffer().Push(rec)
+	}
+	return k
+}
+
+// drain runs one quantum of the reader the way the PEBS tracker's poll
+// does: DrainBatch into a small scratch slice until a batch comes back
+// short, then Settle. It returns the records popped, oldest first.
+func drain(r *Reader, b *Buffer, dt int64) []Record {
+	var out []Record
+	dst := make([]Record, 64)
+	for grant := dt; ; grant = 0 {
+		n := r.DrainBatch(b, grant, dst)
+		out = append(out, dst[:n]...)
+		if n < len(dst) {
+			break
+		}
+	}
+	r.Settle(dt)
+	return out
+}
+
 func TestSamplerPeriod(t *testing.T) {
 	b := mustBuffer(t, 1<<20)
 	s := mustSampler(t, 5000, b)
 	picked := 0
-	pick := func() Record { picked++; return Record{Page: 7, Kind: Store} }
 
 	// 1M accesses at period 5000 → exactly 200 samples.
 	for i := 0; i < 100; i++ {
-		s.Feed(10_000, ClassStore, pick)
+		picked += feed(s, 10_000, ClassStore, Record{Page: 7, Kind: Store})
 	}
 	if b.Len() != 200 || picked != 200 {
 		t.Fatalf("samples = %d (picked %d), want 200", b.Len(), picked)
@@ -120,7 +146,7 @@ func TestSamplerFractionalCarry(t *testing.T) {
 	s := mustSampler(t, 1000, b)
 	// Feed 0.1 accesses 20,000 times = 2000 accesses = 2 samples.
 	for i := 0; i < 20000; i++ {
-		s.Feed(0.1, ClassLoad, func() Record { return Record{Page: 1, Kind: LoadNVM} })
+		feed(s, 0.1, ClassLoad, Record{Page: 1, Kind: LoadNVM})
 	}
 	if got := int(b.Pushed()); got < 1 || got > 3 {
 		t.Fatalf("fractional feed produced %d samples, want ~2", got)
@@ -130,14 +156,45 @@ func TestSamplerFractionalCarry(t *testing.T) {
 func TestSamplerKindsIndependent(t *testing.T) {
 	b := mustBuffer(t, 1<<16)
 	s := mustSampler(t, 100, b)
-	s.Feed(99, ClassStore, func() Record { return Record{Page: 1, Kind: Store} })
-	s.Feed(99, ClassLoad, func() Record { return Record{Page: 1, Kind: LoadNVM} })
+	feed(s, 99, ClassStore, Record{Page: 1, Kind: Store})
+	feed(s, 99, ClassLoad, Record{Page: 1, Kind: LoadNVM})
 	if b.Len() != 0 {
 		t.Fatal("kinds should carry independently below one period")
 	}
-	s.Feed(1, ClassStore, func() Record { return Record{Page: 1, Kind: Store} })
+	feed(s, 1, ClassStore, Record{Page: 1, Kind: Store})
 	if b.Len() != 1 {
 		t.Fatal("store carry lost")
+	}
+}
+
+// Take's one-step carry subtraction leaves the same count and the same
+// float64 carry as the unit-decrement loop it stands for, over sequences
+// of fractional and large inflows.
+func TestTakeMatchesUnitDecrementLoop(t *testing.T) {
+	f := func(raw []uint16, periodRaw uint16) bool {
+		period := float64(periodRaw%5000) + 1.5
+		s, err := NewSampler(period, &Buffer{buf: make([]Record, 1)})
+		if err != nil {
+			return false
+		}
+		var carry float64
+		for i, x := range raw {
+			n := float64(x) * 0.37 / float64(1+i%7)
+			// The unit-decrement reference.
+			carry += n / period
+			want := 0
+			for carry >= 1 {
+				carry--
+				want++
+			}
+			if s.Take(n, ClassLoad) != want || s.carry[ClassLoad] != carry {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -147,10 +204,14 @@ func TestReaderBoundedRate(t *testing.T) {
 		b.Push(Record{Page: vm.PageID(i)})
 	}
 	r := mustReader(t, 100_000) // 100k/s
-	var got []Record
-	n := r.Drain(b, 1*sim.Millisecond, func(rec Record) { got = append(got, rec) })
-	if n != 100 {
-		t.Fatalf("drained %d in 1ms at 100k/s, want 100", n)
+	got := drain(r, b, 1*sim.Millisecond)
+	if len(got) != 100 {
+		t.Fatalf("drained %d in 1ms at 100k/s, want 100", len(got))
+	}
+	for i, rec := range got {
+		if rec.Page != vm.PageID(i) {
+			t.Fatalf("record %d is page %d, want FIFO order", i, rec.Page)
+		}
 	}
 	if b.Len() != 900 {
 		t.Fatalf("buffer len = %d, want 900", b.Len())
@@ -158,13 +219,60 @@ func TestReaderBoundedRate(t *testing.T) {
 	// Budget does not bank across idle quanta beyond one quantum.
 	empty := mustBuffer(t, 16)
 	r2 := mustReader(t, 100_000)
-	r2.Drain(empty, 100*sim.Millisecond, func(Record) {})
+	drain(r2, empty, 100*sim.Millisecond)
 	for i := 0; i < 16; i++ {
 		empty.Push(Record{})
 	}
-	n = r2.Drain(empty, 1*sim.Millisecond, func(Record) {})
-	if n > 16 {
+	if n := len(drain(r2, empty, 1*sim.Millisecond)); n > 16 {
 		t.Fatalf("reader banked unbounded budget: %d", n)
+	}
+}
+
+// Batched draining pops the same records, in the same order, and leaves
+// the same float64 budget as the per-record loop it stands for (pop one
+// record per whole unit of budget, then settle), across idle quanta,
+// partial drains and scratch-sized batch boundaries.
+func TestDrainBatchMatchesPerRecordDrain(t *testing.T) {
+	f := func(pushes []uint8, dts []uint16, rateRaw uint32) bool {
+		rate := float64(rateRaw%1_000_000) + 1000
+		ba, bb := &Buffer{buf: make([]Record, 300)}, &Buffer{buf: make([]Record, 300)}
+		ra, rb := &Reader{RatePerSec: rate}, &Reader{RatePerSec: rate}
+		next := vm.PageID(0)
+		for i, dt16 := range dts {
+			if i < len(pushes) {
+				for j := 0; j < int(pushes[i]); j++ {
+					ba.Push(Record{Page: next})
+					bb.Push(Record{Page: next})
+					next++
+				}
+			}
+			dt := int64(dt16) * 1000
+			got := drain(ra, ba, dt)
+			// The per-record reference.
+			rb.carry += rb.RatePerSec * float64(dt) / 1e9
+			var want []Record
+			for rb.carry >= 1 {
+				rec, ok := bb.Pop()
+				if !ok {
+					break
+				}
+				rb.carry--
+				want = append(want, rec)
+			}
+			rb.Settle(dt)
+			if len(got) != len(want) || ra.carry != rb.carry || ba.Len() != bb.Len() {
+				return false
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -177,8 +285,8 @@ func TestDropsOnlyWhenOutpaced(t *testing.T) {
 		r := mustReader(t, DefaultReaderRate)
 		// 0.1 Gops/s for 2 simulated seconds, 1 ms quanta.
 		for i := 0; i < 2000; i++ {
-			s.Feed(100_000, ClassStore, func() Record { return Record{Page: 1, Kind: Store} })
-			r.Drain(b, sim.Millisecond, func(Record) {})
+			feed(s, 100_000, ClassStore, Record{Page: 1, Kind: Store})
+			drain(r, b, sim.Millisecond)
 		}
 		return b.DropFraction()
 	}
