@@ -16,7 +16,7 @@ func faultyGUPSRun(t *testing.T, seed uint64, faults hemem.FaultConfig) (string,
 	t.Helper()
 	cfg := hemem.DefaultMachineConfig()
 	cfg.Seed = seed
-	cfg.DRAMSize = 16 * hemem.GB // force tiering so migrations run
+	cfg.Tiers = hemem.ClassicTiers(16*hemem.GB, 0, 0) // force tiering so migrations run
 	cfg.Faults = faults
 	m := hemem.NewMachine(cfg, hemem.NewHeMem(hemem.DefaultHeMemConfig()))
 	hemem.NewGUPS(m, hemem.GUPSConfig{
@@ -76,7 +76,7 @@ func TestNoFaultSeriesWhenDisabled(t *testing.T) {
 // software-copy fallback, and lose no pages.
 func TestGUPSWithFaultsDegradesGracefully(t *testing.T) {
 	cfg := hemem.DefaultMachineConfig()
-	cfg.DRAMSize = 16 * hemem.GB // force tiering so migrations run
+	cfg.Tiers = hemem.ClassicTiers(16*hemem.GB, 0, 0) // force tiering so migrations run
 	cfg.Faults = hemem.FaultConfig{
 		MigrationAbortProb:   0.3,
 		DMAChannelMTBF:       10 * hemem.Millisecond,

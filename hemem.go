@@ -67,7 +67,7 @@ const (
 type (
 	// Machine is the simulated tiered-memory testbed.
 	Machine = machine.Machine
-	// MachineConfig sets cores, DRAM/NVM sizes, page size and seed.
+	// MachineConfig sets cores, the tier table, page size and seed.
 	MachineConfig = machine.Config
 	// Manager is a tiered memory management system under test.
 	Manager = machine.Manager
@@ -210,6 +210,12 @@ type (
 // DefaultMachineConfig is one socket of the paper's testbed: 24 cores,
 // 192 GB DRAM, 768 GB Optane, 2 MB pages.
 func DefaultMachineConfig() MachineConfig { return machine.DefaultConfig() }
+
+// ClassicTiers is the paper testbed's tier table for MachineConfig.Tiers:
+// DRAM, NVM and a swap disk with the given capacities, where zero keeps a
+// tier's default (192 GB, 768 GB, 4 TB). ClassicTiers(16*GB, 0, 0)
+// shrinks DRAM below a working set so pages migrate.
+func ClassicTiers(dram, nvm, disk int64) []TierDesc { return machine.ClassicTiers(dram, nvm, disk) }
 
 // DefaultHeMemConfig is the paper's prototype parameter set (§3).
 func DefaultHeMemConfig() HeMemConfig { return core.DefaultConfig() }
@@ -386,7 +392,8 @@ func ConnectedComponents(g *Graph) []uint32 { return gap.ConnectedComponents(g) 
 func TriangleCount(g *Graph) int64 { return gap.TriangleCount(g) }
 
 // TierDisk is the optional slowest tier (§3.4 swapping); enable it via
-// HeMemConfig.EnableSwap and MachineConfig.DiskSize.
+// HeMemConfig.EnableSwap, and size it with the third argument of
+// ClassicTiers.
 const TierDisk = vm.TierDisk
 
 // Experiment regenerates one table or figure of the paper.

@@ -146,7 +146,7 @@ func fleetMachine(o Opts, c CellInfo, classes []machine.QoSClass, perMachine int
 	// growth threshold — and must be manager-tracked to migrate; the
 	// default 1 GB free target would otherwise drain the whole tier.
 	ccfg.LargeAllocThreshold = 64 * sim.MB
-	ccfg.FreeDRAMTarget = 64 * sim.MB
+	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 64 * sim.MB}
 	h := core.New(ccfg)
 
 	mcfg := o.machineConfig()

@@ -41,7 +41,7 @@ func TestFleetByteIdenticalAcrossJobs(t *testing.T) {
 func fairnessMachine(seed uint64, dram int64) (*machine.Machine, *machine.TenantRuntime, *sim.Rand) {
 	ccfg := core.DefaultConfig()
 	ccfg.LargeAllocThreshold = 16 * sim.MB
-	ccfg.FreeDRAMTarget = 16 * sim.MB
+	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 16 * sim.MB}
 	h := core.New(ccfg)
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = seed

@@ -200,7 +200,7 @@ func runFig8(w io.Writer, o Opts) {
 				used += ps
 				return vm.TierDRAM
 			}
-			if used+hotLeft*ps+ps <= m.Cfg.DRAMSize {
+			if used+hotLeft*ps+ps <= m.CapacityOf(vm.TierDRAM) {
 				used += ps
 				return vm.TierDRAM
 			}

@@ -279,7 +279,7 @@ func perfFleet(seed uint64) perfOutcome {
 func perfTrackersIdlepage(seed uint64) perfOutcome {
 	mc := machine.DefaultConfig()
 	mc.Seed = seed
-	mc.DRAMSize = 6 * sim.GB
+	mc.Tiers = machine.ClassicTiers(6*sim.GB, 0, 0)
 	h := core.New(core.Config{Tracker: "idlepage", Policy: "hemem"})
 	m := machine.New(mc, h)
 	g := gups.New(m, gups.Config{

@@ -32,10 +32,9 @@ func qosEvacRun(t *testing.T, seed uint64) qosEvacResult {
 	t.Helper()
 	ccfg := core.DefaultConfig()
 	ccfg.LargeAllocThreshold = 16 * sim.MB
-	ccfg.FreeDRAMTarget = 16 * sim.MB
-	// The default 1 GB mid-chain watermark would drain the 256 MB CXL
-	// tier on its own and hide the evacuation ordering.
-	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierCXL: 16 * sim.MB}
+	// The default 1 GB watermarks would drain the 128 MB DRAM and 256 MB
+	// CXL tiers on their own and hide the evacuation ordering.
+	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 16 * sim.MB, vm.TierCXL: 16 * sim.MB}
 	h := core.New(ccfg)
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = seed
@@ -143,8 +142,7 @@ func tenantChaosRun(t *testing.T, seed uint64) (string, string, machine.FaultSta
 	t.Helper()
 	ccfg := core.DefaultConfig()
 	ccfg.LargeAllocThreshold = 16 * sim.MB
-	ccfg.FreeDRAMTarget = 16 * sim.MB
-	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierCXL: 16 * sim.MB}
+	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 16 * sim.MB, vm.TierCXL: 16 * sim.MB}
 	h := core.New(ccfg)
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = seed

@@ -17,8 +17,8 @@ func init() {
 	register("tiers", "Extension: tier descriptor table — DRAM+CXL+NVM chain vs. the two-tier baseline", runTiers)
 }
 
-// tierChain describes one machine configuration cell: nil Tiers uses the
-// classic DRAM+NVM testbed (shrunk DRAM), otherwise the explicit table.
+// tierChain describes one machine configuration cell: a machine tier
+// table, fastest first.
 type tierChain struct {
 	name  string
 	tiers []machine.TierDesc
@@ -38,7 +38,8 @@ func runTiers(w io.Writer, o Opts) {
 	measure := o.scale(20, 60) * sim.Second
 
 	chains := []tierChain{
-		{name: "DRAM+NVM", tiers: nil},
+		// Both chains get the same 16 GB of DRAM.
+		{name: "DRAM+NVM", tiers: machine.ClassicTiers(16*sim.GB, 0, 0)},
 		{name: "DRAM+CXL+NVM", tiers: []machine.TierDesc{
 			{ID: vm.TierDRAM, Capacity: 16 * sim.GB},
 			{ID: vm.TierCXL, Capacity: 32 * sim.GB},
@@ -48,7 +49,6 @@ func runTiers(w io.Writer, o Opts) {
 	}
 	mkMachine := func(c tierChain) (*machine.Machine, *core.HeMem) {
 		mcfg := o.machineConfig()
-		mcfg.DRAMSize = 16 * sim.GB // both chains get the same DRAM
 		mcfg.Tiers = c.tiers
 		h := core.New(core.DefaultConfig())
 		return machine.New(mcfg, h), h

@@ -53,7 +53,7 @@ func runTrackers(w io.Writer, o Opts) {
 
 	mkMachine := func(tracker, policy string) (*machine.Machine, *core.HeMem) {
 		mcfg := o.machineConfig()
-		mcfg.DRAMSize = 6 * sim.GB
+		mcfg.Tiers = machine.ClassicTiers(6*sim.GB, 0, 0)
 		h := core.New(core.Config{Tracker: tracker, Policy: policy})
 		return machine.New(mcfg, h), h
 	}

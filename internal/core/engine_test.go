@@ -16,8 +16,7 @@ func smallMachine(cfg Config) (*machine.Machine, *HeMem, *vm.Region) {
 	cfg.LargeAllocThreshold = 64 * sim.MB
 	h := New(cfg)
 	mcfg := machine.DefaultConfig()
-	mcfg.DRAMSize = 64 * sim.MB
-	mcfg.NVMSize = 256 * sim.MB
+	mcfg.Tiers = machine.ClassicTiers(64*sim.MB, 256*sim.MB, 0)
 	m := machine.New(mcfg, h)
 	r := m.AS.Map("data", 128*sim.MB) // 64 pages; half must live in NVM
 	m.Warm()
@@ -34,7 +33,6 @@ func feed(m *machine.Machine, h *HeMem, id vm.PageID, kind pebs.Kind, n int) {
 
 func TestClassifierHotOnReadThreshold(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FreeDRAMTarget = 0
 	cfg.NoCooling = true
 	m, h, r := smallMachine(cfg)
 	nvmPage := r.PageAt(40) // beyond the 32 DRAM pages

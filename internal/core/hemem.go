@@ -31,10 +31,6 @@ type Config struct {
 	PEBSBufferCap int
 	// ReaderRate is the PEBS thread's record-processing capacity.
 	ReaderRate float64
-	// FreeDRAMTarget is the free-space watermark for the fastest tier
-	// (paper: 1 GB of DRAM kept free for new allocations). It is the
-	// back-compat default for FreeTargets on the machine's fastest tier.
-	FreeDRAMTarget int64
 	// MigRateCap bounds migration bandwidth (paper: 10 GB/s).
 	MigRateCap float64
 	// LargeAllocThreshold: regions at least this large are managed;
@@ -68,14 +64,10 @@ type Config struct {
 	// pages out to the block device, and swaps pages back in when
 	// traffic reaches them again. Off by default, as in the prototype.
 	EnableSwap bool
-	// FreeNVMTarget is the back-compat free-space watermark for every
-	// migratable tier below the fastest (historically: the NVM kept free
-	// when swap is enabled). FreeTargets overrides it per tier.
-	FreeNVMTarget int64
-	// FreeTargets overrides the free-space watermark for individual
-	// tiers, keyed by TierID. Tiers absent from the map fall back to
-	// FreeDRAMTarget (fastest tier) or FreeNVMTarget (the rest), so a
-	// two-tier config needs no entries and longer chains can tune each
+	// FreeTargets sets the free-space watermark of each migratable tier,
+	// keyed by TierID. A tier absent from the map keeps defaultFreeTarget
+	// free (paper: 1 GB of DRAM kept free for new allocations), so a
+	// default config needs no entries and longer chains can tune each
 	// link independently.
 	FreeTargets map[vm.TierID]int64
 	// AdaptiveSampling raises the PEBS sample period when the buffer
@@ -107,6 +99,10 @@ type Config struct {
 	HeatForecaster string
 }
 
+// defaultFreeTarget is the free-space watermark of a tier absent from
+// Config.FreeTargets.
+const defaultFreeTarget = 1 * sim.GB
+
 // DefaultConfig returns the paper's prototype parameters.
 func DefaultConfig() Config {
 	return Config{
@@ -117,12 +113,10 @@ func DefaultConfig() Config {
 		SamplePeriod:        5000,
 		PEBSBufferCap:       1 << 16,
 		ReaderRate:          pebs.DefaultReaderRate,
-		FreeDRAMTarget:      1 * sim.GB,
 		MigRateCap:          sim.GBps(10),
 		LargeAllocThreshold: 1 * sim.GB,
 		CopyThreads:         4,
 		BackgroundThreads:   2.5,
-		FreeNVMTarget:       1 * sim.GB,
 		Tracker:             "pebs",
 		Policy:              "hemem",
 		HeatForecaster:      "ema",
@@ -140,9 +134,6 @@ func (c Config) Validate() error {
 	}
 	if c.SamplePeriod < 0 || c.PEBSBufferCap < 0 || c.ReaderRate < 0 {
 		return fmt.Errorf("core: negative PEBS parameter")
-	}
-	if c.FreeDRAMTarget < 0 || c.FreeNVMTarget < 0 {
-		return fmt.Errorf("core: negative free-memory target")
 	}
 	for t, v := range c.FreeTargets {
 		if v < 0 {
@@ -266,7 +257,7 @@ type HeMem struct {
 	// are charged to their destination at enqueue time).
 	used [vm.MaxTiers]int64
 	// freeTarget is the per-chain-position free-space watermark resolved
-	// from Config.FreeTargets/FreeDRAMTarget/FreeNVMTarget at Attach.
+	// from Config.FreeTargets at Attach.
 	freeTarget []int64
 	// pinned, managed, and released are indexed by Region.ID (dense
 	// per-address-space), replacing pointer-keyed maps on the page-in and
@@ -318,9 +309,6 @@ func New(cfg Config) *HeMem {
 	if cfg.PolicyInterval == 0 {
 		cfg.PolicyInterval = def.PolicyInterval
 	}
-	if cfg.FreeDRAMTarget == 0 {
-		cfg.FreeDRAMTarget = def.FreeDRAMTarget
-	}
 	if cfg.MigRateCap == 0 {
 		cfg.MigRateCap = def.MigRateCap
 	}
@@ -332,9 +320,6 @@ func New(cfg Config) *HeMem {
 	}
 	if cfg.BackgroundThreads == 0 {
 		cfg.BackgroundThreads = def.BackgroundThreads
-	}
-	if cfg.FreeNVMTarget == 0 {
-		cfg.FreeNVMTarget = def.FreeNVMTarget
 	}
 	if cfg.PEBSBufferCap <= 0 {
 		cfg.PEBSBufferCap = def.PEBSBufferCap
@@ -462,11 +447,7 @@ func (h *HeMem) initTiers() {
 		h.cold[i] = List{Name: name + "-cold"}
 		ft, ok := h.cfg.FreeTargets[t]
 		if !ok {
-			if i == 0 {
-				ft = h.cfg.FreeDRAMTarget
-			} else {
-				ft = h.cfg.FreeNVMTarget
-			}
+			ft = defaultFreeTarget
 		}
 		h.freeTarget[i] = ft
 	}

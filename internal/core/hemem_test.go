@@ -22,13 +22,13 @@ func TestAllocationPrefersDRAM(t *testing.T) {
 	m, h := newHeMemMachine(core.DefaultConfig())
 	r := m.AS.Map("big", 256*sim.GB)
 	m.Warm()
-	if got := r.Bytes(vm.TierDRAM); got != m.Cfg.DRAMSize {
-		t.Fatalf("DRAM bytes = %dGB, want all %dGB", got/sim.GB, m.Cfg.DRAMSize/sim.GB)
+	if got := r.Bytes(vm.TierDRAM); got != m.CapacityOf(vm.TierDRAM) {
+		t.Fatalf("DRAM bytes = %dGB, want all %dGB", got/sim.GB, m.CapacityOf(vm.TierDRAM)/sim.GB)
 	}
-	if got := r.Bytes(vm.TierNVM); got != 256*sim.GB-m.Cfg.DRAMSize {
+	if got := r.Bytes(vm.TierNVM); got != 256*sim.GB-m.CapacityOf(vm.TierDRAM) {
 		t.Fatalf("NVM bytes = %dGB", got/sim.GB)
 	}
-	if h.DRAMUsed() != m.Cfg.DRAMSize {
+	if h.DRAMUsed() != m.CapacityOf(vm.TierDRAM) {
 		t.Fatalf("accounting: DRAMUsed = %d", h.DRAMUsed())
 	}
 }
@@ -57,9 +57,11 @@ func TestFreeWatermarkMaintained(t *testing.T) {
 	m.AS.Map("fill", 192*sim.GB) // fills DRAM exactly
 	m.Warm()
 	m.Run(2 * sim.Second) // let policy run
-	free := m.Cfg.DRAMSize - h.DRAMUsed()
-	if free < cfg.FreeDRAMTarget {
-		t.Fatalf("free DRAM = %d MB, watermark is %d MB", free/sim.MB, cfg.FreeDRAMTarget/sim.MB)
+	// DRAM is absent from cfg.FreeTargets, so it keeps the default 1 GB.
+	const watermark = 1 * sim.GB
+	free := m.CapacityOf(vm.TierDRAM) - h.DRAMUsed()
+	if free < watermark {
+		t.Fatalf("free DRAM = %d MB, watermark is %d MB", free/sim.MB, watermark/sim.MB)
 	}
 	// A new small allocation lands in DRAM.
 	late := m.AS.Map("late", 256*sim.MB)
@@ -93,8 +95,8 @@ func TestHotSetIdentificationAndMigration(t *testing.T) {
 	for _, r := range m.AS.Regions {
 		dramBytes += r.Bytes(vm.TierDRAM)
 	}
-	if dramBytes > m.Cfg.DRAMSize {
-		t.Fatalf("DRAM over-committed: %d > %d", dramBytes, m.Cfg.DRAMSize)
+	if dramBytes > m.CapacityOf(vm.TierDRAM) {
+		t.Fatalf("DRAM over-committed: %d > %d", dramBytes, m.CapacityOf(vm.TierDRAM))
 	}
 }
 
@@ -256,8 +258,8 @@ func TestPartialConfigKeepsCallerFields(t *testing.T) {
 	if got.CoolThreshold != def.CoolThreshold {
 		t.Errorf("CoolThreshold = %v, want default %v", got.CoolThreshold, def.CoolThreshold)
 	}
-	if got.FreeDRAMTarget != def.FreeDRAMTarget {
-		t.Errorf("FreeDRAMTarget = %v, want default %v", got.FreeDRAMTarget, def.FreeDRAMTarget)
+	if len(got.FreeTargets) != 0 {
+		t.Errorf("FreeTargets = %v, want default (empty)", got.FreeTargets)
 	}
 	// The ablation switches are inverted so that a partial config keeps
 	// full paper behavior: migration, cooling, write priority, and DMA
@@ -295,7 +297,7 @@ func TestTrackerPolicyConfigDefaulting(t *testing.T) {
 	if got.CoolThreshold != def.CoolThreshold || got.HotReadThreshold != def.HotReadThreshold ||
 		got.HotWriteThreshold != def.HotWriteThreshold || got.PolicyInterval != def.PolicyInterval ||
 		got.SamplePeriod != def.SamplePeriod || got.MigRateCap != def.MigRateCap ||
-		got.FreeDRAMTarget != def.FreeDRAMTarget {
+		len(got.FreeTargets) != 0 {
 		t.Errorf("Config{Tracker: damon} zeroed unrelated defaults: %+v", got)
 	}
 
@@ -356,7 +358,7 @@ func TestReleaseReturnsAccounting(t *testing.T) {
 	m, h := newHeMemMachine(core.DefaultConfig())
 	tenant := m.AS.Map("tenant", 256*sim.GB) // overflows 192 GB DRAM into NVM
 	m.Warm()
-	if h.DRAMUsed() != m.Cfg.DRAMSize || h.NVMUsed() != 256*sim.GB-m.Cfg.DRAMSize {
+	if h.DRAMUsed() != m.CapacityOf(vm.TierDRAM) || h.NVMUsed() != 256*sim.GB-m.CapacityOf(vm.TierDRAM) {
 		t.Fatalf("pre-release accounting: dram=%d nvm=%d", h.DRAMUsed(), h.NVMUsed())
 	}
 	m.Unmap(tenant)

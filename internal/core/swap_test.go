@@ -27,10 +27,10 @@ func TestSwapSpillsToDisk(t *testing.T) {
 	if r.Count(vm.TierDisk) == 0 {
 		t.Fatal("nothing spilled to disk")
 	}
-	if got := r.Bytes(vm.TierDRAM); got > m.Cfg.DRAMSize {
+	if got := r.Bytes(vm.TierDRAM); got > m.CapacityOf(vm.TierDRAM) {
 		t.Fatalf("DRAM overcommitted: %d", got)
 	}
-	if got := r.Bytes(vm.TierNVM); got > m.Cfg.NVMSize {
+	if got := r.Bytes(vm.TierNVM); got > m.CapacityOf(vm.TierNVM) {
 		t.Fatalf("NVM overcommitted: %d", got)
 	}
 	// Conservation.

@@ -17,7 +17,7 @@ func tenantMachine(dram int64) (*machine.Machine, *core.HeMem) {
 	ccfg.LargeAllocThreshold = 16 * sim.MB
 	// The defaults target 1 GB free — more than these test tiers hold,
 	// which would drain DRAM entirely with no traffic to promote.
-	ccfg.FreeDRAMTarget = 8 * sim.MB
+	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 8 * sim.MB}
 	h := core.New(ccfg)
 	mcfg := machine.DefaultConfig()
 	mcfg.Tiers = []machine.TierDesc{

@@ -109,13 +109,13 @@ func newSetMixWorkload(m *machine.Machine, seed uint64) *setMixWorkload {
 }
 
 func newIdlePageTwin(policy string, seed uint64, reference bool) (*machine.Machine, *HeMem) {
-	h := New(Config{Tracker: "idlepage", Policy: policy, FreeDRAMTarget: 64 * sim.MB})
+	h := New(Config{Tracker: "idlepage", Policy: policy, FreeTargets: map[vm.TierID]int64{vm.TierDRAM: 64 * sim.MB}})
 	if reference {
 		h.tracker = refIdlePageTracker{h.tracker.(*idlePageTracker)}
 	}
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = seed
-	mcfg.DRAMSize = 512 * sim.MB
+	mcfg.Tiers = machine.ClassicTiers(512*sim.MB, 0, 0)
 	m := machine.New(mcfg, h)
 	m.AddWorkload(newSetMixWorkload(m, seed))
 	m.Warm()

@@ -59,13 +59,13 @@ type drainTwin struct {
 }
 
 func newDrainTwin(policy string, seed uint64, reference bool) drainTwin {
-	h := New(Config{Policy: policy, SamplePeriod: 1000, FreeDRAMTarget: 64 * sim.MB})
+	h := New(Config{Policy: policy, SamplePeriod: 1000, FreeTargets: map[vm.TierID]int64{vm.TierDRAM: 64 * sim.MB}})
 	if reference {
 		h.tracker = refPEBSTracker{h.tracker.(*pebsTracker)}
 	}
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = seed
-	mcfg.DRAMSize = 1 * sim.GB
+	mcfg.Tiers = machine.ClassicTiers(1*sim.GB, 0, 0)
 	m := machine.New(mcfg, h)
 	d := drainTwin{m: m, h: h}
 	d.gap = m.AS.Map("gap", 2*sim.GB)
@@ -250,7 +250,7 @@ func TestPEBSDrainMatchesOnePassReference(t *testing.T) {
 func TestPEBSStepAllocationFree(t *testing.T) {
 	h := New(Config{})
 	mcfg := machine.DefaultConfig()
-	mcfg.DRAMSize = 4 * sim.GB
+	mcfg.Tiers = machine.ClassicTiers(4*sim.GB, 0, 0)
 	m := machine.New(mcfg, h)
 	gups.New(m, gups.Config{WorkingSet: 16 * sim.GB, HotSet: 2 * sim.GB, Seed: 1})
 	m.Warm()

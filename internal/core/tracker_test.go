@@ -76,7 +76,7 @@ func TestRivalTrackersSmoke(t *testing.T) {
 					t.Fatalf("Policy().Name() = %q, want %q", got, policy)
 				}
 				mcfg := machine.DefaultConfig()
-				mcfg.DRAMSize = 2 * sim.GB
+				mcfg.Tiers = machine.ClassicTiers(2*sim.GB, 0, 0)
 				m := machine.New(mcfg, h)
 				if (h.Sampler() != nil) != (tracker == "pebs") {
 					t.Fatalf("Sampler() non-nil = %v for tracker %s", h.Sampler() != nil, tracker)

@@ -80,7 +80,7 @@ func runOnce(t *testing.T, adaptive bool, seed uint64, span int64) (*machine.Mac
 	// Small DRAM so the 4 GB burst windows overflow it: placement spills
 	// to NVM and the policy migrates during and after bursts, exercising
 	// the non-quiescent paths of the adaptive loop.
-	mc.DRAMSize = 2 * sim.GB
+	mc.Tiers = machine.ClassicTiers(2*sim.GB, 0, 0)
 	mc.Seed = seed
 	mc.AdaptiveQuantum = adaptive
 	m := machine.New(mc, core.New(core.DefaultConfig()))
@@ -140,7 +140,7 @@ func TestAdaptiveMatchesFixed(t *testing.T) {
 // over sparse regions where most pages never materialize.
 func TestAdaptiveAudited(t *testing.T) {
 	mc := machine.DefaultConfig()
-	mc.DRAMSize = 2 * sim.GB
+	mc.Tiers = machine.ClassicTiers(2*sim.GB, 0, 0)
 	mc.AdaptiveQuantum = true
 	mc.Audit = true
 	m := machine.New(mc, core.New(core.DefaultConfig()))

@@ -57,7 +57,7 @@ func refFeedSamples(m *machine.Machine, s *pebs.Sampler, c *machine.Component, o
 func newFeedTwin(seed uint64, storm bool) (*machine.Machine, []machine.Workload, *pebs.Sampler) {
 	cfg := machine.DefaultConfig()
 	cfg.Seed = seed
-	cfg.DRAMSize = 12 * sim.GB
+	cfg.Tiers = machine.ClassicTiers(12*sim.GB, 0, 0)
 	if storm {
 		cfg.Faults = fault.Config{PEBSStormMTBF: 1, PEBSStormDuration: sim.Second, PEBSStormFactor: 2.5}
 	}

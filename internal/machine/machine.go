@@ -47,8 +47,8 @@ const MaxDevs = 6
 type TierDesc struct {
 	// ID is the tier's identity in vm's tier table.
 	ID vm.TierID
-	// Capacity in bytes. Zero falls back to the legacy size field for the
-	// built-in tiers (DRAMSize/NVMSize/DiskSize).
+	// Capacity in bytes. Zero falls back to the default capacity of the
+	// built-in tiers (DRAM, NVM, disk; see ClassicTiers).
 	Capacity int64
 	// Spec optionally overrides the device model registered for ID in
 	// the mem registry.
@@ -263,10 +263,6 @@ type TrafficObserver interface {
 // evaluation platform, §5).
 type Config struct {
 	Cores    int
-	DRAMSize int64
-	NVMSize  int64
-	// DiskSize backs the optional swap tier (§3.4).
-	DiskSize int64
 	PageSize int64
 	Quantum  int64
 	Seed     uint64
@@ -290,12 +286,46 @@ type Config struct {
 	// span. Off by default: the fixed cadence is pinned by the golden
 	// outputs. Direct Step calls are unaffected.
 	AdaptiveQuantum bool
-	// Tiers optionally declares the memory hierarchy explicitly, fastest
-	// first (e.g. DRAM, CXL, NVM, disk). Nil means the classic
-	// DRAM/NVM/disk testbed built from the size fields above. When set,
-	// the legacy size fields are synchronized from the table so code
-	// reading Cfg.DRAMSize etc. stays coherent.
+	// Tiers declares the memory hierarchy, fastest first (e.g. DRAM,
+	// CXL, NVM, disk). It is the only place tier capacities live; nil
+	// means the classic DRAM/NVM/disk testbed at its default capacities
+	// (see ClassicTiers).
 	Tiers []TierDesc
+}
+
+// Default capacities of the built-in tiers: one socket of the paper's
+// testbed (192 GB DRAM, 768 GB Optane) plus a swap disk (§3.4).
+const (
+	defaultDRAM = 192 * sim.GB
+	defaultNVM  = 768 * sim.GB
+	defaultDisk = 4 * sim.TB
+)
+
+// defaultCapacity is the capacity a built-in tier falls back to when its
+// table row leaves Capacity zero; other tiers keep zero (their device
+// model decides).
+func defaultCapacity(t vm.TierID) int64 {
+	switch t {
+	case vm.TierDRAM:
+		return defaultDRAM
+	case vm.TierNVM:
+		return defaultNVM
+	case vm.TierDisk:
+		return defaultDisk
+	}
+	return 0
+}
+
+// ClassicTiers is the tier table of the paper's testbed: DRAM, NVM (the
+// uncorrectable-error victim) and a swap disk. A zero capacity falls
+// back to that tier's default, so ClassicTiers(16*sim.GB, 0, 0) is the
+// default testbed with 16 GB of DRAM.
+func ClassicTiers(dram, nvm, disk int64) []TierDesc {
+	return []TierDesc{
+		{ID: vm.TierDRAM, Capacity: dram},
+		{ID: vm.TierNVM, Capacity: nvm, UEVictim: true},
+		{ID: vm.TierDisk, Capacity: disk, Swap: true},
+	}
 }
 
 // Validate reports the first invalid parameter, or nil. Zero values are
@@ -303,9 +333,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Cores < 0 {
 		return fmt.Errorf("machine: negative core count %d", c.Cores)
-	}
-	if c.DRAMSize < 0 || c.NVMSize < 0 || c.DiskSize < 0 {
-		return fmt.Errorf("machine: negative device size")
 	}
 	if c.PageSize < 0 {
 		return fmt.Errorf("machine: negative page size %d", c.PageSize)
@@ -340,31 +367,12 @@ func (c Config) Validate() error {
 	return c.Faults.Validate()
 }
 
-// withDefaults fills unset fields. A config with Cores == 0 is treated as
-// fully default (the historical Config{} shorthand, including Seed 1);
-// otherwise zero-value sizes fall back field-by-field and Seed is kept
-// as given — 0 is a legitimate seed.
+// withDefaults fills unset fields one by one; Seed is kept as given (0 is
+// a legitimate seed).
 func (c Config) withDefaults() Config {
-	if c.Cores == 0 {
-		def := DefaultConfig()
-		def.Faults = c.Faults
-		def.Tiers = c.Tiers
-		def.Audit = c.Audit
-		def.AdaptiveQuantum = c.AdaptiveQuantum
-		if c.Quantum != 0 {
-			def.Quantum = c.Quantum
-		}
-		return def.resolveTiers()
-	}
 	def := DefaultConfig()
-	if c.DRAMSize == 0 {
-		c.DRAMSize = def.DRAMSize
-	}
-	if c.NVMSize == 0 {
-		c.NVMSize = def.NVMSize
-	}
-	if c.DiskSize == 0 {
-		c.DiskSize = def.DiskSize
+	if c.Cores == 0 {
+		c.Cores = def.Cores
 	}
 	if c.PageSize == 0 {
 		c.PageSize = def.PageSize
@@ -375,18 +383,13 @@ func (c Config) withDefaults() Config {
 	return c.resolveTiers()
 }
 
-// resolveTiers normalizes the tier table: a nil table becomes the
-// classic DRAM/NVM/disk chain, zero capacities of built-in tiers fall
-// back to the legacy size fields, the Swap and UEVictim defaults are
-// applied, and the legacy size fields are synchronized from the table.
+// resolveTiers normalizes the tier table into a private copy: a nil table
+// becomes the classic DRAM/NVM/disk chain, zero capacities of built-in
+// tiers fall back to their defaults, and the Swap and UEVictim defaults
+// are applied.
 func (c Config) resolveTiers() Config {
 	if c.Tiers == nil {
-		c.Tiers = []TierDesc{
-			{ID: vm.TierDRAM, Capacity: c.DRAMSize},
-			{ID: vm.TierNVM, Capacity: c.NVMSize, UEVictim: true},
-			{ID: vm.TierDisk, Capacity: c.DiskSize, Swap: true},
-		}
-		return c
+		c.Tiers = ClassicTiers(0, 0, 0)
 	}
 	tiers := make([]TierDesc, len(c.Tiers))
 	copy(tiers, c.Tiers)
@@ -395,14 +398,7 @@ func (c Config) resolveTiers() Config {
 	for i := range tiers {
 		td := &tiers[i]
 		if td.Capacity == 0 {
-			switch td.ID {
-			case vm.TierDRAM:
-				td.Capacity = c.DRAMSize
-			case vm.TierNVM:
-				td.Capacity = c.NVMSize
-			case vm.TierDisk:
-				td.Capacity = c.DiskSize
-			}
+			td.Capacity = defaultCapacity(td.ID)
 		}
 		anySwap = anySwap || td.Swap
 		anyUE = anyUE || td.UEVictim
@@ -415,15 +411,6 @@ func (c Config) resolveTiers() Config {
 		if !anyUE && td.ID == vm.TierNVM {
 			td.UEVictim = true
 		}
-		// Keep the legacy size fields coherent with the table.
-		switch td.ID {
-		case vm.TierDRAM:
-			c.DRAMSize = td.Capacity
-		case vm.TierNVM:
-			c.NVMSize = td.Capacity
-		case vm.TierDisk:
-			c.DiskSize = td.Capacity
-		}
 	}
 	return c
 }
@@ -433,12 +420,10 @@ func (c Config) resolveTiers() Config {
 func DefaultConfig() Config {
 	return Config{
 		Cores:    24,
-		DRAMSize: 192 * sim.GB,
-		NVMSize:  768 * sim.GB,
-		DiskSize: 4 * sim.TB,
 		PageSize: 2 * sim.MB,
 		Quantum:  sim.Millisecond,
 		Seed:     1,
+		Tiers:    ClassicTiers(defaultDRAM, defaultNVM, defaultDisk),
 	}
 }
 
@@ -821,39 +806,38 @@ func (m *Machine) TotalOps(name string) float64 {
 func (m *Machine) Run(duration int64) {
 	end := m.Clock.Now() + duration
 	for m.Clock.Now() < end {
-		if m.Cfg.AdaptiveQuantum {
-			m.stepAdaptive(end)
-			continue
-		}
-		dt := m.Cfg.Quantum
-		if left := end - m.Clock.Now(); left < dt {
-			dt = left
-		}
-		m.Step(dt)
+		m.stepToward(end)
 	}
 }
 
-// RunUntilDone advances until every workload reports Done (or maxDuration
-// elapses, to bound runaway experiments).
+// RunUntilDone advances until every workload reports Done, or until
+// maxDuration elapses, to bound runaway experiments; it never runs past
+// maxDuration.
 func (m *Machine) RunUntilDone(maxDuration int64) {
 	end := m.Clock.Now() + maxDuration
-	for m.Clock.Now() < end {
-		done := true
-		for _, w := range m.Workloads {
-			if !w.Done() {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
-		if m.Cfg.AdaptiveQuantum {
-			m.stepAdaptive(end)
-			continue
-		}
-		m.Step(m.Cfg.Quantum)
+	for m.Clock.Now() < end && !m.allDone() {
+		m.stepToward(end)
 	}
+}
+
+// stepToward advances one step without passing end: an adaptive step
+// when AdaptiveQuantum is set, otherwise one base quantum, capped at end.
+func (m *Machine) stepToward(end int64) {
+	if m.Cfg.AdaptiveQuantum {
+		m.stepAdaptive(end)
+		return
+	}
+	m.Step(min(m.Cfg.Quantum, end-m.Clock.Now()))
+}
+
+// allDone reports whether every workload has finished its run.
+func (m *Machine) allDone() bool {
+	for _, w := range m.Workloads {
+		if !w.Done() {
+			return false
+		}
+	}
+	return true
 }
 
 // PhaseHinter is an optional Workload interface consumed by the adaptive

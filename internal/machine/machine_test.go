@@ -93,8 +93,8 @@ func TestDRAMCapacityEnforced(t *testing.T) {
 	g := gups.New(m, gups.Config{Threads: 16, WorkingSet: 256 * sim.GB})
 	m.Warm()
 	dramBytes := g.Region().Bytes(vm.TierDRAM)
-	if dramBytes > cfg.DRAMSize {
-		t.Fatalf("placed %d bytes in %d-byte DRAM", dramBytes, cfg.DRAMSize)
+	if dramBytes > m.CapacityOf(vm.TierDRAM) {
+		t.Fatalf("placed %d bytes in %d-byte DRAM", dramBytes, m.CapacityOf(vm.TierDRAM))
 	}
 	if g.Region().Frac(vm.TierNVM) < 0.2 {
 		t.Fatal("overflow did not spill to NVM")
@@ -397,6 +397,46 @@ func TestTelemetry(t *testing.T) {
 	for i, ln := range lines[1:] {
 		if strings.Count(ln, ",") != cols {
 			t.Fatalf("row %d column count mismatch", i+1)
+		}
+	}
+}
+
+// A config that leaves Cores zero keeps every field the caller did set:
+// each zero field falls back to its own default, one by one.
+func TestZeroCoresKeepsCallerFields(t *testing.T) {
+	m := machine.New(machine.Config{
+		Seed:     7,
+		PageSize: 4096,
+		Tiers:    []machine.TierDesc{{ID: vm.TierDRAM, Capacity: 16 * sim.GB}, {ID: vm.TierNVM}},
+	}, xmem.DRAMFirst())
+	if m.Cfg.Seed != 7 || m.Cfg.PageSize != 4096 {
+		t.Errorf("caller's seed/page size lost: seed %d, page size %d", m.Cfg.Seed, m.Cfg.PageSize)
+	}
+	if m.Cfg.Cores != 24 || m.Cfg.Quantum != sim.Millisecond {
+		t.Errorf("unset fields not defaulted: %d cores, quantum %d", m.Cfg.Cores, m.Cfg.Quantum)
+	}
+	if got := m.CapacityOf(vm.TierDRAM); got != 16*sim.GB {
+		t.Errorf("DRAM capacity %d, want the caller's 16 GB", got)
+	}
+	if got := m.CapacityOf(vm.TierNVM); got != 768*sim.GB {
+		t.Errorf("zero NVM capacity resolved to %d, want the 768 GB default", got)
+	}
+}
+
+// RunUntilDone never runs past maxDuration, even when maxDuration is not
+// a whole number of quanta, on either stepping loop.
+func TestRunUntilDoneStopsAtMaxDuration(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		cfg := machine.DefaultConfig()
+		cfg.AdaptiveQuantum = adaptive
+		m := machine.New(cfg, xmem.DRAMFirst())
+		gups.New(m, gups.Config{Threads: 4, WorkingSet: 4 * sim.GB})
+		m.Warm()
+		start := m.Clock.Now()
+		const limit = 5 * sim.Millisecond / 2
+		m.RunUntilDone(limit)
+		if got := m.Clock.Now() - start; got != limit {
+			t.Errorf("adaptive %v: RunUntilDone(%d) advanced the clock %d", adaptive, limit, got)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func (mm *MemoryMode) Name() string { return "MM" }
 func (mm *MemoryMode) Attach(m *machine.Machine) {
 	mm.m = m
 	mm.rng = sim.NewRand(m.Cfg.Seed ^ 0x3153)
-	mm.cacheSets = float64(m.Cfg.DRAMSize / lineSize)
+	mm.cacheSets = float64(m.CapacityOf(vm.TierDRAM) / lineSize)
 	mm.lastModel = -1
 	var ok bool
 	if mm.devDRAM, ok = m.DevOf(vm.TierDRAM); !ok {

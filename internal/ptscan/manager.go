@@ -195,7 +195,7 @@ func (g *Manager) PageIn(p *vm.Page) {
 	if g.opt.PlaceFunc != nil {
 		want = g.opt.PlaceFunc(p)
 	}
-	if want == vm.TierDRAM && g.dramUsed+ps <= g.m.Cfg.DRAMSize {
+	if want == vm.TierDRAM && g.dramUsed+ps <= g.m.CapacityOf(vm.TierDRAM) {
 		g.dramUsed += ps
 		p.SetTier(vm.TierDRAM)
 	} else {
@@ -382,7 +382,7 @@ func (g *Manager) weighted(zones []SetScan, weight func(SetScan) int) *vm.PageSe
 }
 
 // dramFree returns uncommitted DRAM bytes.
-func (g *Manager) dramFree() int64 { return g.m.Cfg.DRAMSize - g.dramUsed }
+func (g *Manager) dramFree() int64 { return g.m.CapacityOf(vm.TierDRAM) - g.dramUsed }
 
 // promoteFrom moves one NVM page of set to DRAM.
 func (g *Manager) promoteFrom(set *vm.PageSet) bool {

@@ -153,7 +153,7 @@ func TestPTScanDRAMCapacity(t *testing.T) {
 		for _, r := range m.AS.Regions {
 			dram += r.Bytes(vm.TierDRAM)
 		}
-		if dram > m.Cfg.DRAMSize {
+		if dram > m.CapacityOf(vm.TierDRAM) {
 			t.Errorf("%s: DRAM over-committed (%d GB)", opt.Name, dram/sim.GB)
 		}
 	}

@@ -89,7 +89,7 @@ func (s *Static) Name() string { return s.name }
 // Attach implements machine.Manager.
 func (s *Static) Attach(m *machine.Machine) {
 	s.m = m
-	s.dramCap = m.Cfg.DRAMSize
+	s.dramCap = m.CapacityOf(vm.TierDRAM)
 }
 
 // PageIn implements machine.Manager: place once, fall back to NVM when

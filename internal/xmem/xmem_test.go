@@ -21,15 +21,15 @@ func TestNVMOnly(t *testing.T) {
 func TestDRAMFirstSpills(t *testing.T) {
 	s := xmem.DRAMFirst()
 	m := machine.New(machine.DefaultConfig(), s)
-	r := m.AS.Map("big", m.Cfg.DRAMSize+10*sim.MB)
+	r := m.AS.Map("big", m.CapacityOf(vm.TierDRAM)+10*sim.MB)
 	m.Warm()
-	if got := r.Bytes(vm.TierDRAM); got != m.Cfg.DRAMSize {
-		t.Fatalf("DRAM bytes = %d, want full %d", got, m.Cfg.DRAMSize)
+	if got := r.Bytes(vm.TierDRAM); got != m.CapacityOf(vm.TierDRAM) {
+		t.Fatalf("DRAM bytes = %d, want full %d", got, m.CapacityOf(vm.TierDRAM))
 	}
 	if r.Count(vm.TierNVM) != 5 {
 		t.Fatalf("spilled pages = %d, want 5", r.Count(vm.TierNVM))
 	}
-	if s.DRAMUsed() != m.Cfg.DRAMSize {
+	if s.DRAMUsed() != m.CapacityOf(vm.TierDRAM) {
 		t.Fatalf("DRAMUsed = %d", s.DRAMUsed())
 	}
 }
@@ -49,7 +49,7 @@ func TestXMemThreshold(t *testing.T) {
 
 func TestOptPinsHotSetAndFillsDRAM(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	cfg.DRAMSize = 10 * sim.MB // 5 pages
+	cfg.Tiers = machine.ClassicTiers(10*sim.MB, 0, 0) // 5 pages
 	boot := machine.New(cfg, xmem.NVMOnly())
 	r := boot.AS.Map("data", 20*sim.MB) // 10 pages
 	// Hot pages sit at the END of the region: first-touch order sees six
