@@ -301,8 +301,9 @@ func perfTrackersIdlepage(seed uint64) perfOutcome {
 // perfKVSMemMode runs FlexKVS on Memory Mode in tab3's latency-cell
 // shape over shorter spans: a closed-loop phase scored in Mops, then a
 // phase at 30% offered load whose latency quantiles come from the cost
-// branches. Memory Mode's Monte-Carlo cache model dominates the step
-// time, so the case times the manager the PEBS-based cases never reach.
+// branches. Memory Mode's traffic observer, closed-form cache model and
+// cost branches make up most of the step time, so the case times the
+// manager the PEBS-based cases never reach.
 func perfKVSMemMode(seed uint64) perfOutcome {
 	mc := machine.DefaultConfig()
 	mc.Seed = seed

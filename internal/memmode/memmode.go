@@ -7,16 +7,19 @@
 // constantly (the wear behaviour of Figure 16).
 //
 // The cache is modelled analytically. Workload traffic decomposes into
-// disjoint zones (one per component page set). Cache-set composition is
-// Poisson per zone (n_z/S lines expected per set), and within a set the
-// cached line is the most recently accessed, so a specific line of zone z
-// is resident with probability E[a_z / (a_z + Σ_j k_j·a_j)], estimated by
-// deterministic Monte Carlo over set compositions. For a single uniform
-// zone this reduces to the closed form (1−e^{−λ})/λ — the unit tests check
-// the estimator against it.
+// disjoint zones (one per component page set) with per-line rates r_j.
+// Cache-set composition is Poisson per zone (K_j ~ Poisson(λ_j), λ_j =
+// n_j/S lines per set), and within a set the cached line is the most
+// recently accessed, so a line of a zone with per-line rate a is resident
+// with probability E[a/(a+Σ_j r_j·K_j)]. Its closed form is the integral
+// ∫₀^∞ a·e^{-at}·Π_j exp(λ_j(e^{-r_j t} − 1)) dt, evaluated by deterministic
+// quadrature (closedForm): the model draws no random numbers. For a single
+// zone it reduces to (1−e^{−λ})/λ, which the unit tests check.
 package memmode
 
 import (
+	"math"
+
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
 	"github.com/tieredmem/hemem/internal/sim"
@@ -27,12 +30,10 @@ const lineSize = 64
 
 // zone is the cache model's view of one component page set.
 type zone struct {
-	set   *vm.PageSet
 	lines float64 // cacheable lines in the zone
 	// readLineRate/writeLineRate are line accesses per ns (smoothed).
 	readLineRate  float64
 	writeLineRate float64
-	pattern       mem.Pattern
 
 	hit   float64 // P(access to a line of this zone hits)
 	wb    float64 // expected dirty-victim writebacks per miss
@@ -46,9 +47,9 @@ type zone struct {
 
 	// Incremental scratch-row cache: modelRead/modelWrite stamp the
 	// traffic inputs the cached row was derived from, so refreshModel
-	// skips recomputing perLineRate/dirtyFrac/NewPoissonPrep (the exp(-λ)
-	// transcendental) for zones whose rates are unchanged since the last
-	// pass. The cached values are pure functions of the inputs, so reuse
+	// skips recomputing perLineRate/dirtyFrac/λ for zones whose rates are
+	// unchanged since the last pass, and skips the whole pass when no row
+	// changed. The cached values are pure functions of the inputs, so reuse
 	// is byte-identical to recomputation.
 	modelCached bool
 	modelActive bool // cached perLineRate > 0: the zone joins the scratch table
@@ -57,17 +58,15 @@ type zone struct {
 	modelRow    zoneModel
 }
 
-// zoneModel is one zone's invariant state for a refreshModel pass,
-// flattened out of the zone structs so the Monte-Carlo inner loop walks a
-// compact slice, touches no maps, and calls no transcendentals: the
-// per-line rate and dirty fraction are hoisted, and the Poisson mean
-// λ = lines/cacheSets is prepped once so each of the zones × MCSamples
-// draws reuses the cached exp(-λ) instead of recomputing it.
+// zoneModel is one zone's row of a refreshModel pass, flattened out of the
+// zone structs so the quadrature walks a compact slice and touches no maps:
+// the closed form's inputs r (perLine), d (dirty) and λ = lines/cacheSets,
+// cached per zone, then the pass's scratch — e^{-r·t} at the current node
+// and the row's three integrals as the target zone.
 type zoneModel struct {
-	z       *zone
-	perLine float64
-	dirty   float64
-	prep    sim.PoissonPrep
+	z                      *zone
+	perLine, dirty, lambda float64
+	decay, hit, miss, wb   float64
 }
 
 // perLineRate is the access rate of one line of the zone.
@@ -96,8 +95,7 @@ func (z *zone) dirtyFrac() float64 {
 
 // MemoryMode is the hardware tiering manager.
 type MemoryMode struct {
-	m   *machine.Machine
-	rng *sim.Rand
+	m *machine.Machine
 
 	// devDRAM and devNVM are the cache and backing device indices,
 	// resolved from the machine's tier table at Attach (memory mode is
@@ -107,12 +105,12 @@ type MemoryMode struct {
 	cacheSets float64
 	zones     map[*vm.PageSet]*zone
 	// order lists zones in first-observed order. The model must never
-	// iterate the zones map: map order would randomize the RNG draw
-	// sequence and float summation order in refreshModel, making MM
-	// results differ run to run.
+	// iterate the zones map: map order would randomize the float
+	// summation order in refreshModel, making MM results differ run to
+	// run.
 	order []*zone
 	// scratch is the reusable flattened zone table refreshModel builds
-	// each pass (see zoneModel).
+	// each pass (see zoneModel); it grows to the zone count and is reused.
 	scratch []zoneModel
 	// gen counts ObserveTraffic passes; see zone.seenGen.
 	gen       uint64
@@ -122,11 +120,11 @@ type MemoryMode struct {
 	// reports.
 	rowsBuilt  int64
 	rowsReused int64
-	// ModelRefresh controls how often the Monte-Carlo occupancy model is
-	// recomputed (simulated ns).
+	// passesRun/passesSkipped count closed-form passes run vs skipped.
+	passesRun, passesSkipped int64
+	// ModelRefresh controls how often the occupancy model is recomputed
+	// (simulated ns).
 	ModelRefresh int64
-	// MCSamples is the number of set compositions sampled per zone.
-	MCSamples int
 }
 
 // New returns a memory-mode manager.
@@ -134,7 +132,6 @@ func New() *MemoryMode {
 	return &MemoryMode{
 		zones:        make(map[*vm.PageSet]*zone),
 		ModelRefresh: 50 * sim.Millisecond,
-		MCSamples:    2000,
 	}
 }
 
@@ -144,7 +141,6 @@ func (mm *MemoryMode) Name() string { return "MM" }
 // Attach implements machine.Manager.
 func (mm *MemoryMode) Attach(m *machine.Machine) {
 	mm.m = m
-	mm.rng = sim.NewRand(m.Cfg.Seed ^ 0x3153)
 	mm.cacheSets = float64(m.CapacityOf(vm.TierDRAM) / lineSize)
 	mm.lastModel = -1
 	var ok bool
@@ -174,11 +170,10 @@ func (mm *MemoryMode) ObserveTraffic(now int64, comps []machine.Component, occRa
 		c := &comps[i]
 		z, ok := mm.zones[c.Set]
 		if !ok {
-			z = &zone{set: c.Set, lines: float64(c.Set.Bytes() / lineSize)}
+			z = &zone{lines: float64(c.Set.Bytes() / lineSize)}
 			mm.zones[c.Set] = z
 			mm.order = append(mm.order, z)
 		}
-		z.pattern = c.Pattern
 		rl := occRates[i] * linesOf(c.ReadBytes)
 		wl := occRates[i] * linesOf(c.WriteBytes)
 		if z.seenGen == mm.gen {
@@ -204,21 +199,14 @@ func linesOf(bytes int64) float64 {
 	return float64(n)
 }
 
-// refreshModel recomputes per-zone hit rates and writeback expectations by
-// Monte Carlo over cache-set compositions. The active zones are flattened
-// into a reusable scratch table with their per-line rate, dirty fraction,
-// and prepped Poisson constants, so the sampling loops below perform only
-// multiplies, divides, and RNG draws. Scratch rows are cached per zone and
-// rebuilt only when the zone's traffic inputs changed since the last pass
-// (steady workloads reuse nearly every row); the cached values are pure
-// functions of the inputs, so reuse is byte-identical to recomputation.
-//
-// The Monte Carlo visits target zones in order on the single mm.rng
-// stream: the draw sequence and float summation order are exactly those
-// of the original unflattened model, keeping seeded MM results
-// bit-identical.
+// refreshModel recomputes per-zone hit rates and writeback expectations
+// from the closed form over a reusable scratch table of the active zones.
+// Rows are cached per zone and rebuilt only when the zone's traffic inputs
+// changed; the model is a pure function of the rows, so a pass in which no
+// row was rebuilt would reproduce the current results and is skipped.
 func (mm *MemoryMode) refreshModel() {
 	zs := mm.scratch[:0]
+	changed := false
 	for _, z := range mm.order {
 		if !z.modelCached || z.readLineRate != z.modelRead || z.writeLineRate != z.modelWrite {
 			pl := z.perLineRate()
@@ -228,13 +216,14 @@ func (mm *MemoryMode) refreshModel() {
 					z:       z,
 					perLine: pl,
 					dirty:   z.dirtyFrac(),
-					prep:    sim.NewPoissonPrep(z.lines / mm.cacheSets),
+					lambda:  z.lines / mm.cacheSets,
 				}
 			}
 			z.modelCached = true
 			z.modelRead = z.readLineRate
 			z.modelWrite = z.writeLineRate
 			mm.rowsBuilt++
+			changed = true
 		} else {
 			mm.rowsReused++
 		}
@@ -243,59 +232,77 @@ func (mm *MemoryMode) refreshModel() {
 		}
 	}
 	mm.scratch = zs
-	for ti := range zs {
-		mcTarget(zs, ti, mm.rng, mm.MCSamples)
+	if !changed {
+		mm.passesSkipped++
+		return
 	}
+	mm.passesRun++
+	closedForm(zs)
 }
 
-// mcTarget runs the Monte-Carlo sampling loop for one target zone of the
-// scratch table, drawing set compositions from rng.
-func mcTarget(zs []zoneModel, ti int, rng *sim.Rand, samples int) {
-	target := &zs[ti]
-	a := target.perLine
-	var hitSum, wbSum, missSum float64
-	for s := 0; s < samples; s++ {
-		// Competing line-rate mass in this cache set.
-		var compete float64
-		var rateByZone [16]float64
+// closedForm sets every row's zone's hit rate and writebacks per miss,
+// taking the row's rate as a and M(t) = Π_j exp(λ_j(e^{-r_j t} − 1)):
+//
+//	hit = ∫ a·e^{-at}·M dt,   miss = ∫ e^{-at}·M·Σ_j r_j λ_j e^{-r_j t} dt,
+//	wb  = ∫ e^{-at}·M·Σ_j d_j r_j λ_j e^{-r_j t} dt / miss   (DESIGN.md §13).
+//
+// miss equals 1 − hit but is integrated itself so wb stays exact when
+// misses are rare. All rows share one composite-Simpson grid in ln t over
+// [1e-6/max r, 60/min r]; its lower end must follow the fastest rate, or a
+// fast zone's mass falls below the grid.
+func closedForm(zs []zoneModel) {
+	const n = 256 // Simpson intervals (even)
+	if len(zs) == 0 {
+		return
+	}
+	lo, hi := zs[0].perLine, zs[0].perLine
+	for i := range zs {
+		r := &zs[i]
+		r.hit, r.miss, r.wb = 0, 0, 0
+		lo, hi = min(lo, r.perLine), max(hi, r.perLine)
+	}
+	t0 := 1e-6 / hi
+	h := math.Log(60/lo/t0) / n
+	step, t := math.Exp(h), t0
+	for k := 0; k <= n; k++ {
+		// Simpson weight 1, 4, 2, …, 4, 1 times the Jacobian dt = t·du; the
+		// first node also carries the head [0, t0], where every integrand
+		// is flat to 1e-6.
+		w := h / 3 * t
+		switch {
+		case k == 0:
+			w += t0
+		case k < n:
+			w *= float64(2 + 2*(k%2))
+		}
+		var logM, missRate, wbRate float64
 		for j := range zs {
-			k := rng.PoissonCached(zs[j].prep)
-			r := float64(k) * zs[j].perLine
-			compete += r
-			if j < len(rateByZone) {
-				rateByZone[j] = r
-			}
+			r := &zs[j]
+			r.decay = math.Exp(-r.perLine * t)
+			logM += r.lambda * (r.decay - 1)
+			c := r.perLine * r.lambda * r.decay
+			missRate += c
+			wbRate += r.dirty * c
 		}
-		// The target line hits iff it was the last access to
-		// its set: probability a/(a+compete). (Poissonization:
-		// the other lines of its own zone are already in
-		// compete.)
-		hit := a / (a + compete)
-		hitSum += hit
-		// On a miss the victim is the currently cached line,
-		// which belongs to zone j with probability ∝ its rate
-		// mass and writes back if dirty. Condition on the miss
-		// actually happening: sets with no competitors produce
-		// (almost) no misses and no victims.
-		if compete > 0 {
-			miss := 1 - hit
-			missSum += miss
-			var wb float64
-			for j := range zs {
-				if j < len(rateByZone) {
-					wb += rateByZone[j] / compete * zs[j].dirty
-				}
-			}
-			wbSum += miss * wb
+		wm := w * math.Exp(logM)
+		for i := range zs {
+			r := &zs[i]
+			x := wm * r.decay
+			r.hit += x * r.perLine
+			r.miss += x * missRate
+			r.wb += x * wbRate
 		}
+		t *= step
 	}
-	target.z.hit = hitSum / float64(samples)
-	if missSum > 0 {
-		target.z.wb = wbSum / missSum
-	} else {
-		target.z.wb = 0
+	for i := range zs {
+		r := &zs[i]
+		r.z.hit = r.hit
+		r.z.wb = 0
+		if r.miss > 0 {
+			r.z.wb = r.wb / r.miss
+		}
+		r.z.valid = true
 	}
-	target.z.valid = true
 }
 
 // ModelRowStats reports how many scratch-table rows refreshModel rebuilt
@@ -303,6 +310,12 @@ func mcTarget(zs []zoneModel, ti int, rng *sim.Rand, samples int) {
 // and reports.
 func (mm *MemoryMode) ModelRowStats() (built, reused int64) {
 	return mm.rowsBuilt, mm.rowsReused
+}
+
+// ModelPasses reports how many refreshModel passes evaluated the closed
+// form vs skipped it because no scratch row changed.
+func (mm *MemoryMode) ModelPasses() (run, skipped int64) {
+	return mm.passesRun, mm.passesSkipped
 }
 
 // HitRate returns the modelled hit rate for the zone backing set, for

@@ -33,7 +33,7 @@ func TestReusedRowsMatchRecomputation(t *testing.T) {
 			z:       z,
 			perLine: z.perLineRate(),
 			dirty:   z.dirtyFrac(),
-			prep:    sim.NewPoissonPrep(z.lines / mm.cacheSets),
+			lambda:  z.lines / mm.cacheSets,
 		}
 		if z.modelRow != want {
 			t.Errorf("zone %d: cached row %+v != recomputed %+v", i, z.modelRow, want)

@@ -85,9 +85,9 @@ func (r *Rand) Poisson(lambda float64) int {
 
 // PoissonPrep caches the λ-dependent constants of a Poisson draw —
 // exp(-λ) for the Knuth path, sqrt(λ) for the normal approximation — so
-// hot loops that sample the same mean repeatedly (the Memory-Mode
-// Monte-Carlo occupancy model draws zones × MCSamples times per refresh)
-// don't pay a transcendental per draw. NewPoissonPrep(λ) followed by
+// callers that sample the same mean repeatedly (the chaos scheduler's
+// correctable-error count, drawn every quantum of a storm) don't pay a
+// transcendental per draw. NewPoissonPrep(λ) followed by
 // Rand.PoissonCached is bit-compatible with Rand.Poisson(λ): the cached
 // constants are the exact float64s Poisson computed inline, and the RNG
 // draw sequence is unchanged, so seeded results are identical.
