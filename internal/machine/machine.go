@@ -13,6 +13,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -172,8 +173,42 @@ type wstate struct {
 	meta  *workloadMeta
 	comps []Component
 	costs []CompCost
-	rate  float64 // ops/ns
-	time  float64 // per-op ns (at achieved rate)
+	keys  []costKey // keys[j] is the key costs[j] was priced under
+	rate  float64   // ops/ns
+	time  float64   // per-op ns (at achieved rate)
+}
+
+// costKey is everything a price reads (DESIGN.md §7): the component with
+// Share zeroed (a price is per occurrence), its set's version and the
+// machine's cost epoch. Equal keys price identically. A caching epoch is
+// never 0, so the zero key matches nothing.
+type costKey struct {
+	c              Component
+	version, epoch uint64
+}
+
+func newCostKey(c *Component, epoch uint64) costKey {
+	k := costKey{c: *c, epoch: epoch}
+	k.c.Share = 0
+	if c.Set != nil {
+		k.version = c.Set.Version()
+	}
+	return k
+}
+
+// epochState is what costEpoch remembers of the manager it last saw.
+type epochState struct {
+	mgr        Manager
+	comparable bool        // mgr's type supports ==
+	epocher    CostEpocher // mgr as a CostEpocher, or nil
+	noCache    bool        // mgr prices itself but is no CostEpocher
+	base, last uint64      // epochs start above base; last was handed out
+}
+
+// branchMemo is one cached AppendBranches result and its key.
+type branchMemo struct {
+	key costKey
+	br  []CostBranch
 }
 
 // workloadMeta is the per-workload bookkeeping (throughput series,
@@ -204,9 +239,17 @@ type Releaser interface {
 
 // CostModeler is implemented by managers that price traffic themselves
 // (Memory Mode's DRAM cache). Managers that don't implement it get the
-// default placement-based model.
+// default placement-based model. It is cached only if also a CostEpocher.
 type CostModeler interface {
 	ComponentCost(c Component) CompCost
+}
+
+// CostEpocher lets the machine cache a CostModeler's prices and a
+// Brancher's branches (see costKey). CostEpoch only grows, and must grow
+// whenever anything they read but the component, its set and the devices'
+// derates changes.
+type CostEpocher interface {
+	CostEpoch() uint64
 }
 
 // SampleSource is implemented by managers that consume PEBS samples; the
@@ -246,7 +289,7 @@ type CostBranch struct {
 
 // Brancher is implemented by managers whose cost model has non-placement
 // branches (Memory Mode's cache hit/miss). Placement managers get the
-// default per-tier split.
+// default per-tier split. It is cached only if also a CostEpocher.
 type Brancher interface {
 	ComponentBranches(c Component) []CostBranch
 }
@@ -516,6 +559,13 @@ type Machine struct {
 	obsRates      []float64
 	pending       []pendingSample
 	sampleScratch []pebs.Record
+
+	// branchMemo caches AppendBranches results, replaced round-robin at
+	// branchNext. costPriced/costReused back CostStats.
+	branchMemo             [8]branchMemo
+	branchNext             int
+	epochs                 epochState
+	costPriced, costReused int64
 
 	// Metrics
 	wmeta      []*workloadMeta // parallel to Workloads
@@ -1030,12 +1080,17 @@ func (m *Machine) stepBody(now, dt int64) {
 	}
 	m.stall -= stallNow
 	stallFrac := float64(stallNow) / float64(dt)
+	// The epoch is resolved at the first component: idle steps have none.
+	var epoch uint64
+	resolved := false
 	for i := range ws {
 		s := &ws[i]
 		if cap(s.costs) < len(s.comps) {
 			s.costs = make([]CompCost, len(s.comps))
+			s.keys = make([]costKey, len(s.comps))
 		} else {
 			s.costs = s.costs[:len(s.comps)]
+			s.keys = s.keys[:len(s.comps)]
 		}
 		var opTime float64
 		if comp, ok := s.w.(Computes); ok {
@@ -1043,9 +1098,17 @@ func (m *Machine) stepBody(now, dt int64) {
 		}
 		for j := range s.comps {
 			c := &s.comps[j]
-			cc := m.costComponent(c)
-			s.costs[j] = cc
-			opTime += c.Share * cc.Time
+			if !resolved {
+				epoch, resolved = m.costEpoch(), true
+			}
+			if k := newCostKey(c, epoch); epoch == 0 || k != s.keys[j] {
+				m.costComponent(c, &s.costs[j])
+				s.keys[j] = k
+				m.costPriced++
+			} else {
+				m.costReused++
+			}
+			opTime += c.Share * s.costs[j].Time
 		}
 		if opTime <= 0 {
 			opTime = 1
@@ -1259,14 +1322,51 @@ func (m *Machine) flushSamples(buf *pebs.Buffer) {
 	m.pending = m.pending[:0]
 }
 
-// costComponent prices one component occurrence, delegating to the
-// manager's cost model if it has one. It takes a pointer so the per-
-// component solver loop doesn't copy the Component struct per call.
-func (m *Machine) costComponent(c *Component) CompCost {
+// costComponent prices one component occurrence into cc, delegating to
+// the manager's cost model if it has one. It takes pointers so the per-
+// component solver loop copies neither the Component nor the CompCost.
+func (m *Machine) costComponent(c *Component, cc *CompCost) {
 	if cm, ok := m.Mgr.(CostModeler); ok {
-		return cm.ComponentCost(*c)
+		*cc = cm.ComponentCost(*c)
+		return
 	}
-	return m.placementCost(c)
+	m.placementCost(c, cc)
+}
+
+// costEpoch is the epoch prices are cached under: 1 + the devices' derate
+// versions + the manager's CostEpoch, counters that only grow. A new Mgr
+// restarts the sum above the last epoch handed out, so no cached price
+// outlives its manager. 0 means "do not cache" (see CostEpocher).
+func (m *Machine) costEpoch() uint64 {
+	s := &m.epochs
+	// == cannot panic: s.mgr's type supports it. A manager of a type
+	// without == is new on every call, so its prices are never reused.
+	if !s.comparable || m.Mgr != s.mgr {
+		s.mgr, s.base = m.Mgr, s.last
+		s.comparable = reflect.TypeOf(m.Mgr).Comparable()
+		s.epocher, _ = m.Mgr.(CostEpocher)
+		_, cm := m.Mgr.(CostModeler)
+		_, br := m.Mgr.(Brancher)
+		s.noCache = s.epocher == nil && (cm || br)
+	}
+	if s.noCache {
+		return 0
+	}
+	e := s.base + 1
+	for _, d := range m.devs {
+		e += d.Version()
+	}
+	if s.epocher != nil {
+		e += s.epocher.CostEpoch()
+	}
+	s.last = e
+	return e
+}
+
+// CostStats reports how many component prices the step's cost solve
+// computed vs reused (see costKey); both are pure functions of the seed.
+func (m *Machine) CostStats() (priced, reused int64) {
+	return m.costPriced, m.costReused
 }
 
 // TLB model constants: a Cascade Lake-class dTLB holds ~1536 entries; a
@@ -1295,16 +1395,16 @@ func (m *Machine) TLBWalkCost(set *vm.PageSet, pattern mem.Pattern) float64 {
 // PlacementCost is the default cost model for placement-based managers:
 // the component's set is split by current tier occupancy, and each side is
 // charged the device's latency and streaming time at media granularity.
-func (m *Machine) PlacementCost(c Component) CompCost { return m.placementCost(&c) }
+func (m *Machine) PlacementCost(c Component) (cc CompCost) { m.placementCost(&c, &cc); return }
 
-// placementCost is PlacementCost without the per-call struct copy; the
-// per-quantum solver loop calls it through costComponent with a pointer
-// into the workload's component slice.
-func (m *Machine) placementCost(c *Component) CompCost {
-	var cc CompCost
+// placementCost is PlacementCost without the per-call struct copies; the
+// per-quantum solver loop calls it through costComponent with pointers
+// into the workload's component and price slices.
+func (m *Machine) placementCost(c *Component, cc *CompCost) {
+	*cc = CompCost{}
 	if c.Set == nil || c.Set.Len() == 0 {
 		cc.Time = 1
-		return cc
+		return
 	}
 	nd := Dev(len(m.devs))
 	var fracs [MaxDevs]float64
@@ -1340,7 +1440,6 @@ func (m *Machine) placementCost(c *Component) CompCost {
 			cc.Util[d][mem.Write] += f * media / dev.PeakFor(mem.Write, c.Pattern, c.WriteBytes)
 		}
 	}
-	return cc
 }
 
 // Branches returns the latency outcomes of one occurrence of c under the
@@ -1354,8 +1453,28 @@ func (m *Machine) Branches(c Component) []CostBranch {
 // AppendBranches is Branches with a caller-supplied buffer: the outcomes
 // are appended to dst and the extended slice returned, so per-op callers
 // (workload OnOps hooks pricing latency distributions every quantum) can
-// reuse a scratch slice instead of allocating on every call.
+// reuse a scratch slice instead of allocating on every call. Results are
+// cached under the component's costKey.
 func (m *Machine) AppendBranches(dst []CostBranch, c Component) []CostBranch {
+	epoch := m.costEpoch()
+	if epoch == 0 {
+		return m.branches(dst, c)
+	}
+	k := newCostKey(&c, epoch)
+	for i := range m.branchMemo {
+		// The set pointer alone rules most entries out cheaply.
+		if e := &m.branchMemo[i]; e.key.c.Set == k.c.Set && e.key == k {
+			return append(dst, e.br...)
+		}
+	}
+	e := &m.branchMemo[m.branchNext]
+	m.branchNext = (m.branchNext + 1) % len(m.branchMemo)
+	e.key, e.br = k, m.branches(e.br[:0], c)
+	return append(dst, e.br...)
+}
+
+// branches appends c's latency outcomes to dst, uncached.
+func (m *Machine) branches(dst []CostBranch, c Component) []CostBranch {
 	if b, ok := m.Mgr.(Brancher); ok {
 		return append(dst, b.ComponentBranches(c)...)
 	}

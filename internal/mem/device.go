@@ -123,7 +123,8 @@ type Device struct {
 	wear Wear
 	// derate scales bandwidth during injected throttle episodes (NVM
 	// thermal throttling); 1 means full speed.
-	derate float64
+	derate  float64
+	version uint64 // see Version
 }
 
 // New returns a device with the given spec.
@@ -137,8 +138,15 @@ func (d *Device) SetDerate(f float64) {
 	if f <= 0 || f > 1 {
 		f = 1
 	}
+	if f != d.Derate() {
+		d.version++
+	}
 	d.derate = f
 }
+
+// Version counts SetDerate's changes of the derate: every derived rate,
+// ceiling and access time is a function of the Spec and the derate.
+func (d *Device) Version() uint64 { return d.version }
 
 // Derate returns the current bandwidth multiplier.
 func (d *Device) Derate() float64 {

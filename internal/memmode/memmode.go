@@ -93,6 +93,8 @@ func (z *zone) dirtyFrac() float64 {
 	return f
 }
 
+var _ machine.CostEpocher = (*MemoryMode)(nil) // else its prices go uncached
+
 // MemoryMode is the hardware tiering manager.
 type MemoryMode struct {
 	m *machine.Machine
@@ -311,6 +313,11 @@ func closedForm(zs []zoneModel) {
 func (mm *MemoryMode) ModelRowStats() (built, reused int64) {
 	return mm.rowsBuilt, mm.rowsReused
 }
+
+// CostEpoch implements machine.CostEpocher. Prices and branches read the
+// zones' hit and writeback figures, which only a closed-form pass changes,
+// so the epoch is the count of passes run.
+func (mm *MemoryMode) CostEpoch() uint64 { return uint64(mm.passesRun) }
 
 // ModelPasses reports how many refreshModel passes evaluated the closed
 // form vs skipped it because no scratch row changed.

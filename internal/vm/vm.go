@@ -224,13 +224,13 @@ func (p *Page) SetTier(t Tier) {
 	}
 	p.Region.counts = bump(p.Region.counts, p.Tier, t)
 	if s := p.set0; s != nil {
-		s.counts = bump(s.counts, p.Tier, t)
+		s.bump(p.Tier, t)
 	}
 	if s := p.set1; s != nil {
-		s.counts = bump(s.counts, p.Tier, t)
+		s.bump(p.Tier, t)
 	}
 	for _, s := range p.setsOv {
-		s.counts = bump(s.counts, p.Tier, t)
+		s.bump(p.Tier, t)
 	}
 	if o := p.Region.owner; o != TenantNone {
 		p.Region.space.bumpTenant(o, p.Tier, t)
@@ -442,7 +442,8 @@ type PageSet struct {
 	Name  string
 	pages []*Page
 	// counts is indexed by TierID and sized by the tier table.
-	counts []int
+	counts  []int
+	version uint64 // see Version
 }
 
 // NewPageSet builds a set over the given pages and registers the
@@ -462,6 +463,7 @@ func (s *PageSet) Add(p *Page) {
 		s.counts = growCounts(s.counts)
 	}
 	s.counts[p.Tier]++
+	s.version++
 	p.addSet(s)
 }
 
@@ -477,9 +479,21 @@ func (s *PageSet) Remove(i int) *Page {
 		s.counts = growCounts(s.counts)
 	}
 	s.counts[p.Tier]--
+	s.version++
 	p.removeSet(s)
 	return p
 }
+
+// bump moves one member page's occupancy from tier from to tier to.
+func (s *PageSet) bump(from, to Tier) {
+	s.counts = bump(s.counts, from, to)
+	s.version++
+}
+
+// Version returns a counter that changes whenever the set's length or any
+// of its tier counts changes (Add, Remove, or a member's SetTier). Anything
+// derived only from Len, Count, Frac and Bytes can be cached under it.
+func (s *PageSet) Version() uint64 { return s.version }
 
 // Len returns the number of pages in the set.
 func (s *PageSet) Len() int { return len(s.pages) }
