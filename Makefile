@@ -2,9 +2,8 @@
 # build, and the test suite under the race detector.
 
 GO ?= go
-BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: check vet build test race bench soak prof
+.PHONY: check vet build test race soak
 
 check: vet build race
 
@@ -19,19 +18,6 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m ./...
-
-# Simulator performance harness: GUPS/KVS/GAP scenarios plus the sweep
-# engine (full suite serial vs parallel, outputs byte-compared),
-# reporting wall clock, simulated-ns per second, allocations, and
-# seeded-determinism checks as JSON.
-bench:
-	$(GO) run ./cmd/hemem-bench -perf -out $(BENCH_OUT)
-
-# Profile the perf harness: CPU + allocation pprof profiles alongside
-# the JSON report (the recipe behind the top-of-profile tables in
-# EXPERIMENTS.md). Inspect with `go tool pprof cpu.pprof`.
-prof:
-	$(GO) run ./cmd/hemem-bench -perf -cpuprofile cpu.pprof -memprofile mem.pprof -out $(BENCH_OUT)
 
 # Bounded chaos soak: the seeded chaos scheduler drives compound fault
 # episodes, correctable-error storms, and CXL offline/online cycles

@@ -13,11 +13,6 @@
 //	hemem-bench -exp all -jobs 8   fan experiment cells out over 8 workers
 //	                               (output is byte-identical to -jobs 1)
 //	hemem-bench -exp all -v        narrate per-cell completion to stderr
-//	hemem-bench -perf -out BENCH_pr3.json
-//	                               measure simulator performance (wall
-//	                               clock, sim-ns/sec, allocations, sweep
-//	                               parallel speedup) and verify seeded
-//	                               determinism
 //	hemem-bench -exp chaos -audit  run with the runtime invariant
 //	                               auditor checking conservation
 //	                               invariants every quantum
@@ -32,6 +27,8 @@
 //	                               population and pin its QoS class mix
 //	hemem-bench -exp fig5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                               write pprof profiles of the run
+//
+// Simulator speed is measured by the benchmark module (benchmark/run.sh).
 package main
 
 import (
@@ -83,8 +80,6 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop (rejected for golden-pinned experiments)")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
 		qos        = flag.String("qos", "", "fleet experiment: pin every tenant to one QoS class (gold, silver, besteffort)")
-		perf       = flag.Bool("perf", false, "run the simulator performance harness")
-		out        = flag.String("out", "", "with -perf: write the JSON report to this file (default stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -147,35 +142,13 @@ func main() {
 
 	if *adaptive {
 		// These experiments' outputs are pinned byte-for-byte to the fixed
-		// 1 ms step schedule (golden files and chaos episode logs), and the
-		// perf harness sweeps them all; -adaptive would just trip the
-		// golden comparison downstream, so refuse it up front.
-		if *perf {
-			fmt.Fprintln(os.Stderr, "hemem-bench: -adaptive cannot combine with -perf (the harness runs the golden-pinned suite; the tbscale-adaptive case covers the adaptive loop)")
-			os.Exit(2)
-		}
+		// 1 ms step schedule (golden files and chaos episode logs);
+		// -adaptive would just trip the golden comparison downstream, so
+		// refuse it up front.
 		if *exp == "all" || goldenPinned[*exp] {
 			fmt.Fprintf(os.Stderr, "hemem-bench: -adaptive cannot run experiment %q: its output is pinned to the fixed step schedule (try tiers, trackers, or tbscale)\n", *exp)
 			os.Exit(2)
 		}
-	}
-
-	if *perf {
-		jsonOut := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			jsonOut = f
-		}
-		if err := bench.WritePerf(jsonOut, os.Stderr, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list || *exp == "" {

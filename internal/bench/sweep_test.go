@@ -137,24 +137,6 @@ func TestParallelOutputByteIdenticalMicro(t *testing.T) {
 	}
 }
 
-// The perf cases stay seeded-deterministic: each run's digest reproduces
-// bit for bit (RunPerf's own doubled runs assert the same; this pins it
-// at the test level alongside the parallel-output guarantee).
-func TestPerfCasesDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated runs")
-	}
-	for _, c := range perfCases {
-		t.Run(c.id, func(t *testing.T) {
-			d0 := c.run(17).digest
-			d1 := c.run(17).digest
-			if d0 != d1 {
-				t.Fatalf("%s: digests differ across identically seeded runs: %016x vs %016x", c.id, d0, d1)
-			}
-		})
-	}
-}
-
 // The tier-table refactor is load-bearing only if the classic two-tier
 // testbed is untouched: every canonical experiment must render byte for
 // byte what the pre-refactor code produced. testdata/golden-*.txt were

@@ -33,7 +33,8 @@ func init() {
 // O(mapped pages), and the idle spans take one step per policy tick
 // instead of one per millisecond. Wall-clock numbers are deliberately
 // absent from the table (the output is byte-compared across sweep worker
-// counts); `make bench` records them in BENCH_pr8.json.
+// counts); the benchmark module's diurnal-idle workload measures the
+// simulator's speed on idle spans.
 func tbscaleConfig(o Opts) (diurnal.Config, int64) {
 	if o.Full {
 		cfg := diurnal.Config{

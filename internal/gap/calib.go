@@ -6,9 +6,10 @@ import "sync"
 // one) generates a small "calibration" Kronecker graph to measure degree
 // skew — a pure function of (Scale, EdgeFactor, Seed), since Kronecker
 // seeds its own RNG from the config and Build/ChunkTraffic are
-// deterministic. Rebuilding it per cell was ~10% of suite CPU
-// (BENCH_pr3 profile), so identical configs share one graph and one
-// traffic summary across cells and across parallel sweep workers.
+// deterministic. Rebuilding it per cell was ~10% of suite CPU (see
+// "Profiling the simulator" in EXPERIMENTS.md), so identical configs
+// share one graph and one traffic summary across cells and across
+// parallel sweep workers.
 //
 // Entries use a sync.Once so concurrent workers requesting the same key
 // build it exactly once; the maps are guarded by a mutex. Cached values

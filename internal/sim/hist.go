@@ -30,18 +30,17 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]uint64, histBuckets), min: math.Inf(1), max: math.Inf(-1)}
 }
 
+// histBucket maps v to its bucket: values below 1 (and NaN) to the
+// first, values past the top octave (and +Inf) to the last. The top clamp
+// is done in float because converting +Inf to int is undefined in Go.
 func histBucket(v float64) int {
-	if v < 1 {
-		v = 1
+	if !(v >= 1) {
+		return 0
 	}
-	b := int(math.Log2(v) * histBucketsPerOctave)
-	if b < 0 {
-		b = 0
+	if f := math.Log2(v) * histBucketsPerOctave; f < histBuckets {
+		return int(f)
 	}
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	return histBuckets - 1
 }
 
 func histBucketValue(b int) float64 {

@@ -237,6 +237,42 @@ func TestHistogramRelativeError(t *testing.T) {
 	}
 }
 
+// +Inf lands in the top bucket, not the bottom one: a histogram whose
+// observations are mostly +Inf must report a median past every finite
+// bucket. Finite values keep their buckets.
+func TestHistogramQuantileInf(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(100)
+	h.ObserveN(math.Inf(1), 99)
+	top := histBucketValue(histBuckets - 1)
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if got := h.Quantile(q); got < top {
+			t.Fatalf("Quantile(%v) with 99%% +Inf observations = %v, want >= top bucket %v", q, got, top)
+		}
+	}
+	if got := h.Quantile(0.001); math.Abs(got-100)/100 > 0.05 {
+		t.Fatalf("Quantile(0.001) = %v, want about the finite observation 100", got)
+	}
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{
+		{math.Inf(1), histBuckets - 1},
+		{1e300, histBuckets - 1},
+		{math.MaxFloat64, histBuckets - 1},
+		{math.NaN(), 0},
+		{-5, 0},
+		{0.5, 0},
+		{1, 0},
+		{2, histBucketsPerOctave},
+		{1 << 20, 20 * histBucketsPerOctave},
+	} {
+		if got := histBucket(c.v); got != c.want {
+			t.Errorf("histBucket(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Append(10, 1.0)
