@@ -18,8 +18,8 @@
 //	                               invariants every quantum
 //	hemem-bench -exp tbscale -adaptive
 //	                               run on the event-driven adaptive-
-//	                               quantum loop (refused for experiments
-//	                               whose goldens pin the fixed schedule)
+//	                               quantum loop (output is byte-identical
+//	                               to the fixed loop)
 //	hemem-bench -exp tiers -quantum 500us
 //	                               override the fixed step quantum
 //	hemem-bench -exp fleet -tenants 24 -qos gold
@@ -45,15 +45,6 @@ import (
 	"github.com/tieredmem/hemem/internal/machine"
 )
 
-// goldenPinned lists the experiments whose output is captured byte for
-// byte under the default fixed-quantum schedule — golden files in
-// internal/bench/testdata plus the chaos episode log — so -adaptive is
-// refused for them (it could only produce a spurious diff).
-var goldenPinned = map[string]bool{
-	"fig1": true, "fig2": true, "fig3": true, "fig8": true,
-	"tab1": true, "tab2": true, "ext-swap": true, "chaos": true,
-}
-
 // flagSet reports whether the named flag was given explicitly.
 func flagSet(name string) bool {
 	set := false
@@ -77,7 +68,7 @@ func main() {
 		policy     = flag.String("policy", "", "restrict the trackers experiment to one registered policy")
 		audit      = flag.Bool("audit", false, "run the invariant auditor every quantum on every machine (panics with a diagnostic dump on a violation)")
 		quantum    = flag.Duration("quantum", 0, "override the machine step quantum (e.g. 500us, 2ms); 0 keeps the default 1ms")
-		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop (rejected for golden-pinned experiments)")
+		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop; output is identical to the fixed loop")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
 		qos        = flag.String("qos", "", "fleet experiment: pin every tenant to one QoS class (gold, silver, besteffort)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -138,17 +129,6 @@ func main() {
 	}
 	if *verbose {
 		opts.Progress = os.Stderr
-	}
-
-	if *adaptive {
-		// These experiments' outputs are pinned byte-for-byte to the fixed
-		// 1 ms step schedule (golden files and chaos episode logs);
-		// -adaptive would just trip the golden comparison downstream, so
-		// refuse it up front.
-		if *exp == "all" || goldenPinned[*exp] {
-			fmt.Fprintf(os.Stderr, "hemem-bench: -adaptive cannot run experiment %q: its output is pinned to the fixed step schedule (try tiers, trackers, or tbscale)\n", *exp)
-			os.Exit(2)
-		}
 	}
 
 	if *list || *exp == "" {

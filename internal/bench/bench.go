@@ -50,8 +50,8 @@ type Opts struct {
 	// machine default (1 ms).
 	Quantum int64
 	// Adaptive runs machines on the event-driven adaptive-quantum loop.
-	// The CLI rejects it for experiments whose goldens pin the fixed
-	// step schedule.
+	// Output is byte-identical to the fixed loop's (TestExperimentGoldens
+	// runs rows with it on).
 	Adaptive bool
 	// Tenants overrides the fleet experiment's tenants per machine; 0
 	// keeps the scale default. Other experiments ignore it.

@@ -1,8 +1,10 @@
 package bench
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,10 +48,7 @@ func TestAllSortedAndTitled(t *testing.T) {
 // The microbenchmark experiments run instantly and produce tables.
 func TestMicroExperimentsProduceOutput(t *testing.T) {
 	for _, id := range []string{"tab1", "fig1", "fig2", "fig3"} {
-		e, _ := ByID(id)
-		var buf bytes.Buffer
-		e.Run(&buf, Opts{})
-		out := buf.String()
+		out := expOutput(t, id)
 		if len(out) < 100 {
 			t.Errorf("%s: output too short:\n%s", id, out)
 		}
@@ -59,38 +58,138 @@ func TestMicroExperimentsProduceOutput(t *testing.T) {
 	}
 }
 
-// A representative heavier experiment runs end to end at quick scale and
-// emits the expected header row.
-func TestFig5RunsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated sweep")
-	}
-	e, _ := ByID("fig5")
-	var buf bytes.Buffer
-	e.Run(&buf, Opts{})
-	out := buf.String()
-	if !strings.Contains(out, "DRAM") || !strings.Contains(out, "HeMem") {
-		t.Fatalf("fig5 output malformed:\n%s", out)
-	}
-	if !strings.Contains(out, "256") {
-		t.Fatal("fig5 missing the 256 GB row")
+// goldenRow is one experiment of the golden table and the point of the
+// output-neutral knob space it runs at. testdata/golden-<id>.txt holds
+// the experiment's quick-scale output at the reference point (Jobs 1,
+// the fixed step loop), so one run at the row's point both pins the
+// output and proves the row's knobs change none of it.
+type goldenRow struct {
+	o Opts // Jobs and Adaptive; every other field stays zero
+	// race marks rows that finish in about a second without the race
+	// detector; only they run under -race or -short.
+	race bool
+	// shape, when set, checks what a re-recorded golden must still show.
+	shape func(t *testing.T, out string)
+}
+
+var (
+	jobs8    = Opts{Jobs: 8}
+	adaptive = Opts{Jobs: 8, Adaptive: true}
+)
+
+// goldenRows assigns every experiment its knob point. Adaptive rows
+// include the four experiments the CLI used to refuse -adaptive for
+// (chaos, fig8, tab2, ext-swap). No row forces the auditor
+// (machine.SetAuditAll): it walks every page every quantum, which makes
+// every machine-backed row over 100× slower. TestChaosAuditorIsPureObserver
+// proves it neutral instead, and chaos and fleet audit every machine.
+var goldenRows = map[string]goldenRow{
+	"tab1":     {o: jobs8, race: true, shape: contains("paper:")},
+	"fig1":     {o: jobs8, race: true, shape: contains("paper:")},
+	"fig2":     {o: jobs8, race: true, shape: contains("paper:")},
+	"fig3":     {o: jobs8, race: true, shape: contains("paper:")},
+	"fig5":     {o: jobs8, shape: contains("DRAM", "HeMem", "256", "paper:")},
+	"fig6":     {o: jobs8, shape: contains("paper:")},
+	"fig7":     {o: adaptive, shape: contains("paper:")},
+	"tab2":     {o: adaptive, race: true, shape: contains("paper:")},
+	"fig8":     {o: adaptive, race: true, shape: contains("paper:")},
+	"fig9":     {o: jobs8, race: true, shape: contains("paper:")},
+	"fig10":    {o: jobs8, shape: contains("paper:")},
+	"fig11":    {o: adaptive, shape: contains("paper:")},
+	"fig12":    {o: jobs8, shape: contains("paper:")},
+	"fig13":    {o: adaptive, shape: contains("paper:")},
+	"tab3":     {o: jobs8, shape: contains("paper:")},
+	"tab4":     {o: jobs8, race: true, shape: contains("paper:")},
+	"fig14":    {o: adaptive, shape: contains("paper:")},
+	"fig15":    {o: jobs8, race: true, shape: contains("paper:")},
+	"fig16":    {o: adaptive, race: true, shape: contains("paper:")},
+	"ext-swap": {o: adaptive},
+	"tiers":    {o: jobs8, race: true},
+	"chaos":    {o: adaptive, shape: contains("auditor: every quantum, zero violations")},
+	"trackers": {o: jobs8, shape: trackersGridCovered},
+	"tbscale":  {o: jobs8, race: true, shape: contains("digests MATCH")},
+	"fleet":    {o: adaptive, race: true, shape: contains("gold", "silver", "besteffort", "lifecycle:", "zero violations")},
+}
+
+// contains returns a shape check that every sub appears in the output.
+func contains(subs ...string) func(t *testing.T, out string) {
+	return func(t *testing.T, out string) {
+		t.Helper()
+		for _, s := range subs {
+			if !strings.Contains(out, s) {
+				t.Errorf("output lacks %q", s)
+			}
+		}
 	}
 }
 
-// Smoke-run a subset of mid-weight experiments end to end (the heavy app
-// sweeps run via cmd/hemem-bench and the root benchmarks).
-func TestExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated sweeps")
+// cachedOutput is one experiment's output, computed once per test
+// binary so every test that inspects it shares a single run.
+type cachedOutput struct {
+	once sync.Once
+	out  string
+}
+
+var outputs = func() map[string]*cachedOutput {
+	m := make(map[string]*cachedOutput, len(goldenRows))
+	for id := range goldenRows {
+		m[id] = new(cachedOutput)
 	}
-	for _, id := range []string{"fig8", "fig11", "fig12", "tab2"} {
-		id := id
+	return m
+}()
+
+// expOutput returns experiment id's output at its golden row's knob
+// point, running it on first use.
+func expOutput(t *testing.T, id string) string {
+	t.Helper()
+	row, ok := goldenRows[id]
+	if !ok {
+		t.Fatalf("experiment %s has no golden row", id)
+	}
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := outputs[id]
+	c.once.Do(func() {
+		var b strings.Builder
+		e.Run(&b, row.o)
+		c.out = b.String()
+	})
+	return c.out
+}
+
+// Every experiment's quick-scale output equals its committed golden.
+// A change that moves any output fails here; one that means to re-records
+// the goldens it moves and shows the diff:
+//
+//	go run ./cmd/hemem-bench -exp X -jobs 1 | sed '1d;/^([0-9.]*s)$/,$d' > internal/bench/testdata/golden-X.txt
+func TestExperimentGoldens(t *testing.T) {
+	for id := range goldenRows {
+		if _, err := ByID(id); err != nil {
+			t.Errorf("golden row for unregistered experiment: %v", err)
+		}
+	}
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			e, _ := ByID(id)
-			var buf bytes.Buffer
-			e.Run(&buf, Opts{})
-			if !strings.Contains(buf.String(), "paper:") {
-				t.Fatalf("%s output missing expectation footer:\n%s", id, buf.String())
+			row, ok := goldenRows[id]
+			if !ok {
+				t.Fatalf("experiment %s has no golden row", id)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "golden-"+id+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !row.race && (raceEnabled || testing.Short()) {
+				t.Skip("over a second without the race detector")
+			}
+			got := expOutput(t, id)
+			if got != string(want) {
+				t.Fatalf("%s (jobs %d, adaptive %v) drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s",
+					id, row.o.Jobs, row.o.Adaptive, got, want)
+			}
+			if row.shape != nil {
+				row.shape(t, got)
 			}
 		})
 	}

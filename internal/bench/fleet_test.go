@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -12,27 +10,6 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
-
-// The fleet table must be byte-identical at any -jobs: every machine is
-// one sweep cell with a declaration-order seed, and aggregation walks
-// Gather's declaration-order results.
-func TestFleetByteIdenticalAcrossJobs(t *testing.T) {
-	run := func(jobs int) string {
-		var buf bytes.Buffer
-		runFleet(&buf, Opts{Jobs: jobs, Tenants: 4})
-		return buf.String()
-	}
-	one := run(1)
-	eight := run(8)
-	if one != eight {
-		t.Fatalf("fleet output differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s", one, eight)
-	}
-	for _, want := range []string{"gold", "silver", "besteffort", "lifecycle:", "zero violations"} {
-		if !strings.Contains(one, want) {
-			t.Errorf("fleet output lacks %q:\n%s", want, one)
-		}
-	}
-}
 
 // fairnessMachine builds the single-machine testbed the fairness
 // property tests run on: a DRAM tier far smaller than the summed tenant

@@ -3,9 +3,9 @@
 package bench
 
 // raceEnabled reports whether the race detector instruments this build.
-// The heavyweight determinism replays skip under it: they assert
-// value-level byte-identity (which instrumentation cannot change), and
-// their concurrency shape is already race-covered by the cheaper
-// TestParallelOutputByteIdentical and TestChaosSoak — running them
-// race-instrumented would only push the race gate past its time budget.
+// Under it, TestExperimentGoldens runs only its cheap rows (several of
+// them on 8 sweep workers, which keeps the sweep engine race-covered)
+// and the tracker chaos runs skip: they check values, which
+// instrumentation cannot change, and would push the race gate past its
+// time budget.
 const raceEnabled = true

@@ -51,6 +51,15 @@ func NewSweep(exp string, o Opts) *Sweep {
 	return &Sweep{exp: exp, o: o}
 }
 
+// mix folds v into an FNV-1a style accumulator started at digestSeed.
+func mix(h, v uint64) uint64 {
+	h ^= v
+	h *= 1099511628211
+	return h
+}
+
+const digestSeed = 14695981039346656037
+
 // cellSeed derives a cell's seed from its declaration-time identity.
 func cellSeed(exp string, index int, base uint64) uint64 {
 	h := uint64(digestSeed)

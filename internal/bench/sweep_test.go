@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -92,75 +90,3 @@ func TestSweepProgress(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// runExp renders one experiment with the given worker count.
-func runExp(t *testing.T, id string, jobs int) string {
-	t.Helper()
-	e, err := ByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	e.Run(&buf, Opts{Jobs: jobs})
-	return buf.String()
-}
-
-// Serial (-jobs 1) and parallel (-jobs 8) runs of the sweep-heavy
-// experiments must produce byte-identical output: cells share no state
-// and derive all randomness from declaration-time identity, so execution
-// order cannot leak into results.
-func TestParallelOutputByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated sweeps")
-	}
-	for _, id := range []string{"fig5", "fig10"} {
-		t.Run(id, func(t *testing.T) {
-			serial := runExp(t, id, 1)
-			parallel := runExp(t, id, 8)
-			if serial != parallel {
-				t.Fatalf("%s output differs between -jobs 1 and -jobs 8:\n--- serial ---\n%s\n--- jobs=8 ---\n%s",
-					id, serial, parallel)
-			}
-			if len(serial) < 100 {
-				t.Fatalf("%s output suspiciously short:\n%s", id, serial)
-			}
-		})
-	}
-}
-
-// The cheap sweeps give the same guarantee instantly, so they always run.
-func TestParallelOutputByteIdenticalMicro(t *testing.T) {
-	for _, id := range []string{"tab1", "fig1", "fig2", "fig3"} {
-		if serial, parallel := runExp(t, id, 1), runExp(t, id, 8); serial != parallel {
-			t.Fatalf("%s output differs between -jobs 1 and -jobs 8", id)
-		}
-	}
-}
-
-// The tier-table refactor is load-bearing only if the classic two-tier
-// testbed is untouched: every canonical experiment must render byte for
-// byte what the pre-refactor code produced. testdata/golden-*.txt were
-// captured from the default config before the tier table landed; a diff
-// here means the default DRAM+NVM(+swap) behavior drifted. fig10 pins
-// the PEBS overrun regime (period 250 drops most samples), which no
-// other golden reaches.
-func TestGoldenOutputsUnchanged(t *testing.T) {
-	micro := []string{"tab1", "fig1", "fig2", "fig3"}
-	full := []string{"ext-swap", "fig8", "fig10", "tab2"}
-	ids := micro
-	if !testing.Short() {
-		ids = append(ids, full...)
-	}
-	for _, id := range ids {
-		t.Run(id, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", "golden-"+id+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runExp(t, id, 0)
-			if got != string(want) {
-				t.Fatalf("%s output drifted from golden capture:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
-			}
-		})
-	}
-}

@@ -1,16 +1,13 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestTBScaleSmoke runs the quick (64 GB) tbscale variant end to end —
 // both the dense fixed-step baseline and the sparse adaptive run — and
 // checks the properties the experiment's table asserts: identical
 // simulated outcomes, and metadata resident bytes that scale with the
-// touched pages rather than the mapping. CI runs it under -race (the
-// parallel sweep engine executes both cells concurrently).
+// touched pages rather than the mapping. The rendered table is pinned,
+// at -jobs 8, by TestExperimentGoldens' tbscale row.
 func TestTBScaleSmoke(t *testing.T) {
 	o := Opts{}
 	dense := tbscaleRun(o, false, true)
@@ -33,26 +30,5 @@ func TestTBScaleSmoke(t *testing.T) {
 	if sparse.metaBytes >= dense.metaBytes/2 {
 		t.Fatalf("sparse metadata %d B is not meaningfully below dense %d B",
 			sparse.metaBytes, dense.metaBytes)
-	}
-
-	// The rendered experiment must be sweep-safe: byte-identical between
-	// serial and parallel cell execution.
-	render := func(jobs int) string {
-		var b strings.Builder
-		ro := o
-		ro.Jobs = jobs
-		e, err := ByID("tbscale")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Run(&b, ro)
-		return b.String()
-	}
-	serial, parallel := render(1), render(4)
-	if serial != parallel {
-		t.Fatalf("tbscale output differs between -jobs 1 and -jobs 4:\n--- serial ---\n%s\n--- jobs=4 ---\n%s", serial, parallel)
-	}
-	if !strings.Contains(serial, "digests MATCH") {
-		t.Fatalf("experiment output does not report matching digests:\n%s", serial)
 	}
 }

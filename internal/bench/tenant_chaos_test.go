@@ -135,10 +135,9 @@ func TestTierOfflineEvacuatesByQoSClass(t *testing.T) {
 
 // tenantChaosRun composes a ChaosConfig (the seeded scheduler drives
 // repeated CXL offline/online cycles) with a tenanted machine under the
-// auditor, and returns the replay-comparison artifacts: the episode
-// log, the telemetry CSV (per-tenant series included), and the fault
-// counters.
-func tenantChaosRun(t *testing.T, seed uint64) (string, string, machine.FaultStats) {
+// auditor, and returns the digest of its episode log, telemetry CSV
+// (per-tenant series included) and fault counters.
+func tenantChaosRun(t *testing.T, seed uint64) string {
 	t.Helper()
 	ccfg := core.DefaultConfig()
 	ccfg.LargeAllocThreshold = 16 * sim.MB
@@ -173,33 +172,25 @@ func tenantChaosRun(t *testing.T, seed uint64) (string, string, machine.FaultSta
 	if m.FaultCounters().TierOfflineEvents == 0 {
 		t.Fatalf("chaos scheduler never took the tier offline; FaultStats %+v", *m.FaultCounters())
 	}
-	var eps, csv strings.Builder
-	if err := fault.WriteEpisodes(&eps, m.Episodes()); err != nil {
-		t.Fatal(err)
-	}
+	var csv strings.Builder
 	if err := tel.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	return eps.String(), csv.String(), *m.FaultCounters()
+	if !strings.Contains(csv.String(), "tenant.1.") {
+		t.Errorf("telemetry CSV missing per-tenant series")
+	}
+	return outcomeDigest(t, m, tel)
 }
 
+// tenantChaosPin is tenantChaosRun's digest at seed 99.
+const tenantChaosPin = "e1527795c041005f"
+
 // Satellite interop: ChaosConfig composed with the tenant table replays
-// byte-identically — same seed, same scheduler-driven outages, same
-// auditor → identical episode log, fault counters, and telemetry CSV
+// the pinned run — same seed, same scheduler-driven outages, same
+// auditor → the same episode log, fault counters, and telemetry CSV
 // (which covers the per-tenant series too).
 func TestTenantChaosReplayByteIdentical(t *testing.T) {
-	eps1, csv1, fs1 := tenantChaosRun(t, 99)
-	eps2, csv2, fs2 := tenantChaosRun(t, 99)
-	if eps1 != eps2 {
-		t.Errorf("episode logs differ:\n%s\nvs\n%s", eps1, eps2)
-	}
-	if fs1 != fs2 {
-		t.Errorf("fault counters differ:\n%+v\nvs\n%+v", fs1, fs2)
-	}
-	if csv1 != csv2 {
-		t.Errorf("telemetry CSVs differ between identical replays")
-	}
-	if len(csv1) == 0 || !strings.Contains(csv1, "tenant.1.") {
-		t.Errorf("telemetry CSV missing per-tenant series")
+	if got := tenantChaosRun(t, 99); got != tenantChaosPin {
+		t.Errorf("tenant chaos run digest %s, pinned %s", got, tenantChaosPin)
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -51,59 +50,34 @@ func TestTrackersFilter(t *testing.T) {
 	}
 }
 
-// Same seed ⇒ byte-identical trackers output at every worker count: the
-// cross-product cells derive all randomness from declaration-time
-// identity, so scheduling order cannot leak into the table.
-func TestTrackersSweepByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated sweeps")
-	}
-	if raceEnabled {
-		// Sweep-engine concurrency is race-covered by the cheaper
-		// TestParallelOutputByteIdentical; this test pins values, which
-		// instrumentation cannot change, and costs ~10 min under -race.
-		t.Skip("value-level determinism check; skipped under the race detector")
-	}
-	serial := runExp(t, "trackers", 1)
-	parallel := runExp(t, "trackers", 8)
-	if serial != parallel {
-		t.Fatalf("trackers output differs between -jobs 1 and -jobs 8:\n--- serial ---\n%s\n--- jobs=8 ---\n%s",
-			serial, parallel)
-	}
-	// The grid covers the full cross-product: every tracker × policy pair
-	// appears on some row (tabwriter pads columns with spaces, so match
-	// both names on one line).
+// trackersGridCovered checks that the trackers table covers the full
+// cross-product: every tracker × policy pair appears on some row
+// (tabwriter pads columns with spaces, so both names are matched on one
+// line).
+func trackersGridCovered(t *testing.T, out string) {
+	t.Helper()
 	for _, tr := range trackerCells(Opts{}) {
 		for _, po := range policyCells(Opts{}) {
 			found := false
-			for _, line := range strings.Split(serial, "\n") {
+			for _, line := range strings.Split(out, "\n") {
 				if strings.Contains(line, tr) && strings.Contains(line, " "+po+" ") {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Errorf("cell %s×%s missing from output:\n%s", tr, po, serial)
+				t.Errorf("cell %s×%s missing from output", tr, po)
 			}
 		}
 	}
 }
 
-// trackerChaosOutcome digests everything a chaos replay can legally
-// differ in for a given tracker.
-type trackerChaosOutcome struct {
-	score uint64
-	ops   uint64
-	stats core.Stats
-	fc    machine.FaultStats
-	moved [3]int64
-}
-
-// chaosTrackerRun replays one short chaos soak — compound episodes, CE
+// chaosTrackerRun runs one short chaos soak — compound episodes, CE
 // storms, CXL offline/online cycles, the invariant auditor checking
 // every quantum — with the given tracker driving the default policy on
-// the chaosMachine testbed.
-func chaosTrackerRun(t *testing.T, tracker string, seed uint64) (trackerChaosOutcome, string) {
+// the chaosMachine testbed, and digests its score, ops, manager stats,
+// fault counters, migrations per edge, episode log and telemetry CSV.
+func chaosTrackerRun(t *testing.T, tracker string, seed uint64) string {
 	t.Helper()
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = seed
@@ -125,50 +99,42 @@ func chaosTrackerRun(t *testing.T, tracker string, seed uint64) (trackerChaosOut
 	m.Run(3 * sim.Second)
 	g.ResetScore()
 	m.Run(5 * sim.Second)
-	var csv strings.Builder
-	if err := tel.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	out := trackerChaosOutcome{
-		score: math.Float64bits(g.Score()),
-		ops:   math.Float64bits(m.TotalOps("gups")),
-		stats: h.Stats(),
-		fc:    *m.FaultCounters(),
-		moved: [3]int64{
-			m.Migrator.Moved(vm.TierDRAM, vm.TierCXL),
-			m.Migrator.Moved(vm.TierCXL, vm.TierNVM),
-			m.Migrator.Moved(vm.TierCXL, vm.TierDRAM),
-		},
-	}
-	if out.fc.Injected() == 0 {
+	if m.FaultCounters().Injected() == 0 {
 		t.Fatalf("%s chaos run injected no faults; scenario lost its coverage", tracker)
 	}
-	return out, csv.String()
+	moved := [3]int64{
+		m.Migrator.Moved(vm.TierDRAM, vm.TierCXL),
+		m.Migrator.Moved(vm.TierCXL, vm.TierNVM),
+		m.Migrator.Moved(vm.TierCXL, vm.TierDRAM),
+	}
+	return outcomeDigest(t, m, tel, g.Score(), m.TotalOps("gups"), h.Stats(), moved)
 }
 
-// The scan-based trackers replay bit-identically under the full chaos
+// trackerChaosPins holds each scan-based tracker's chaos-run digest at
+// seed 23.
+var trackerChaosPins = map[string]string{
+	"damon":    "f99ceee1635c576a",
+	"idlepage": "4e6e61ba4feaf168",
+}
+
+// The scan-based trackers replay their pinned run under the full chaos
 // menagerie with the auditor on: their RNG streams derive from the
 // machine seed, not from scheduling, and an auditor violation panics the
 // run.
 func TestTrackersChaosReplayIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulated chaos replays")
+		t.Skip("simulated chaos runs")
 	}
 	if raceEnabled {
-		// Two serial replays compared for equality — no concurrency beyond
-		// what TestChaosSoak already runs race-instrumented. Under -race this
-		// test alone costs ~9.5 min and would blow the gate's budget.
-		t.Skip("value-level determinism check; skipped under the race detector")
+		// One serial run compared with a pin: no concurrency beyond what
+		// TestChaosSoak already runs race-instrumented, and about 5 min
+		// under -race.
+		t.Skip("value-level check; skipped under the race detector")
 	}
 	for _, tracker := range []string{"damon", "idlepage"} {
 		t.Run(tracker, func(t *testing.T) {
-			a, acsv := chaosTrackerRun(t, tracker, 23)
-			b, bcsv := chaosTrackerRun(t, tracker, 23)
-			if a != b {
-				t.Errorf("replay diverged:\n%+v\nvs\n%+v", a, b)
-			}
-			if acsv != bcsv {
-				t.Errorf("telemetry CSV diverged (%d vs %d bytes)", len(acsv), len(bcsv))
+			if got, want := chaosTrackerRun(t, tracker, 23), trackerChaosPins[tracker]; got != want {
+				t.Errorf("%s chaos run digest %s, pinned %s", tracker, got, want)
 			}
 		})
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 
 	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -406,6 +407,15 @@ func (c Config) Validate() error {
 	}
 	if len(c.Tiers) > MaxDevs {
 		return fmt.Errorf("machine: %d tiers exceed MaxDevs (%d)", len(c.Tiers), MaxDevs)
+	}
+	// Placement never puts a fresh page on a swap tier, and a lone disk
+	// defaults to swap.
+	if c.Tiers != nil && !slices.ContainsFunc(c.resolveTiers().Tiers, func(td TierDesc) bool { return !td.Swap }) {
+		return fmt.Errorf("machine: every tier is swap-only, so fresh pages have nowhere to go")
+	}
+	// The injector derates the NVM device every quantum it is enabled.
+	if c.Tiers != nil && !seen[vm.TierNVM] && c.Faults.Enabled() {
+		return fmt.Errorf("machine: fault injection needs an NVM tier in the table")
 	}
 	return c.Faults.Validate()
 }
