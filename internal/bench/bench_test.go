@@ -68,7 +68,10 @@ type goldenRow struct {
 	// race marks rows that finish in about a second without the race
 	// detector; only they run under -race or -short.
 	race bool
-	// shape, when set, checks what a re-recorded golden must still show.
+	// shape, when set, checks what a re-recorded golden must still show
+	// (TestExperimentSmoke runs it). fig5's rows, fleet's classes and
+	// trackers' grid are checked by TestFig5RunsQuick,
+	// TestFleetByteIdenticalAcrossJobs and TestTrackersSweepByteIdentical.
 	shape func(t *testing.T, out string)
 }
 
@@ -88,7 +91,7 @@ var goldenRows = map[string]goldenRow{
 	"fig1":     {o: jobs8, race: true, shape: contains("paper:")},
 	"fig2":     {o: jobs8, race: true, shape: contains("paper:")},
 	"fig3":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig5":     {o: jobs8, shape: contains("DRAM", "HeMem", "256", "paper:")},
+	"fig5":     {o: jobs8, shape: contains("paper:")},
 	"fig6":     {o: jobs8, shape: contains("paper:")},
 	"fig7":     {o: adaptive, shape: contains("paper:")},
 	"tab2":     {o: adaptive, race: true, shape: contains("paper:")},
@@ -106,9 +109,9 @@ var goldenRows = map[string]goldenRow{
 	"ext-swap": {o: adaptive},
 	"tiers":    {o: jobs8, race: true},
 	"chaos":    {o: adaptive, shape: contains("auditor: every quantum, zero violations")},
-	"trackers": {o: jobs8, shape: trackersGridCovered},
+	"trackers": {o: jobs8},
 	"tbscale":  {o: jobs8, race: true, shape: contains("digests MATCH")},
-	"fleet":    {o: adaptive, race: true, shape: contains("gold", "silver", "besteffort", "lifecycle:", "zero violations")},
+	"fleet":    {o: adaptive, race: true},
 }
 
 // contains returns a shape check that every sub appears in the output.
@@ -123,40 +126,79 @@ func contains(subs ...string) func(t *testing.T, out string) {
 	}
 }
 
-// cachedOutput is one experiment's output, computed once per test
-// binary so every test that inspects it shares a single run.
+// outputKey names one experiment run: the experiment and its options.
+type outputKey struct {
+	id string
+	o  Opts
+}
+
+var (
+	outputsMu sync.Mutex
+	outputs   = map[outputKey]*cachedOutput{}
+)
+
+// cachedOutput is one run's output, computed once per test binary so
+// every test that inspects it shares a single run.
 type cachedOutput struct {
 	once sync.Once
 	out  string
 }
 
-var outputs = func() map[string]*cachedOutput {
-	m := make(map[string]*cachedOutput, len(goldenRows))
-	for id := range goldenRows {
-		m[id] = new(cachedOutput)
+// runOutput returns experiment id's output at o, running it on first use.
+func runOutput(t *testing.T, id string, o Opts) string {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
-}()
+	k := outputKey{id, o}
+	outputsMu.Lock()
+	c, ok := outputs[k]
+	if !ok {
+		c = new(cachedOutput)
+		outputs[k] = c
+	}
+	outputsMu.Unlock()
+	c.once.Do(func() {
+		var b strings.Builder
+		e.Run(&b, o)
+		c.out = b.String()
+	})
+	return c.out
+}
 
 // expOutput returns experiment id's output at its golden row's knob
-// point, running it on first use.
+// point.
 func expOutput(t *testing.T, id string) string {
 	t.Helper()
 	row, ok := goldenRows[id]
 	if !ok {
 		t.Fatalf("experiment %s has no golden row", id)
 	}
-	e, err := ByID(id)
+	return runOutput(t, id, row.o)
+}
+
+// reference is the point every golden is recorded at: one sweep worker,
+// the fixed step loop.
+var reference = Opts{Jobs: 1}
+
+// readGolden returns experiment id's committed golden.
+func readGolden(t *testing.T, id string) string {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden-"+id+".txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := outputs[id]
-	c.once.Do(func() {
-		var b strings.Builder
-		e.Run(&b, row.o)
-		c.out = b.String()
-	})
-	return c.out
+	return string(want)
+}
+
+// skipSlow skips t under -race or -short unless experiment id's golden
+// row finishes in about a second without the race detector.
+func skipSlow(t *testing.T, id string) {
+	t.Helper()
+	if !goldenRows[id].race && (raceEnabled || testing.Short()) {
+		t.Skip("over a second without the race detector")
+	}
 }
 
 // Every experiment's quick-scale output equals its committed golden.
@@ -176,21 +218,88 @@ func TestExperimentGoldens(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %s has no golden row", id)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden-"+id+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !row.race && (raceEnabled || testing.Short()) {
-				t.Skip("over a second without the race detector")
-			}
-			got := expOutput(t, id)
-			if got != string(want) {
+			want := readGolden(t, id)
+			skipSlow(t, id)
+			if got := expOutput(t, id); got != want {
 				t.Fatalf("%s (jobs %d, adaptive %v) drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s",
 					id, row.o.Jobs, row.o.Adaptive, got, want)
 			}
-			if row.shape != nil {
-				row.shape(t, got)
+		})
+	}
+}
+
+// Every experiment still shows what its golden row's shape check asks
+// for, so a re-recorded golden keeps its paper footer and its rows.
+func TestExperimentSmoke(t *testing.T) {
+	for _, id := range IDs() {
+		row := goldenRows[id]
+		if row.shape == nil {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			skipSlow(t, id)
+			row.shape(t, expOutput(t, id))
+		})
+	}
+}
+
+// The golden reference point itself (-jobs 1, fixed step loop) renders
+// the goldens of the classic-testbed experiments: the micro tables,
+// ext-swap, fig8, tab2 (whose TestExperimentGoldens rows run adaptive)
+// and fig10, which pins the PEBS overrun regime (period 250 drops most
+// samples) that no other experiment reaches.
+func TestGoldenOutputsUnchanged(t *testing.T) {
+	for _, id := range []string{"tab1", "fig1", "fig2", "fig3", "ext-swap", "fig8", "fig10", "tab2"} {
+		t.Run(id, func(t *testing.T) {
+			want := readGolden(t, id)
+			skipSlow(t, id)
+			if got := runOutput(t, id, reference); got != want {
+				t.Fatalf("%s output drifted from golden capture:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
 			}
 		})
+	}
+}
+
+// Serial (-jobs 1) and parallel (-jobs 8) runs of the sweep-heavy
+// experiments must produce byte-identical output: cells share no state
+// and derive all randomness from declaration-time identity, so execution
+// order cannot leak into results. Unlike the goldens, this holds without
+// any committed file, so it still tells a scheduling leak from a model
+// change while goldens are being re-recorded.
+func TestParallelOutputByteIdentical(t *testing.T) {
+	for _, id := range []string{"fig5", "fig10"} {
+		t.Run(id, func(t *testing.T) {
+			skipSlow(t, id)
+			serial := runOutput(t, id, reference)
+			if parallel := expOutput(t, id); serial != parallel {
+				t.Fatalf("%s output differs between -jobs 1 and -jobs 8:\n--- serial ---\n%s\n--- jobs=8 ---\n%s",
+					id, serial, parallel)
+			}
+			if len(serial) < 100 {
+				t.Fatalf("%s output suspiciously short:\n%s", id, serial)
+			}
+		})
+	}
+}
+
+// The cheap sweeps give the same guarantee instantly, so they always run.
+func TestParallelOutputByteIdenticalMicro(t *testing.T) {
+	for _, id := range []string{"tab1", "fig1", "fig2", "fig3"} {
+		if runOutput(t, id, reference) != expOutput(t, id) {
+			t.Fatalf("%s output differs between -jobs 1 and -jobs 8", id)
+		}
+	}
+}
+
+// A representative heavier experiment runs end to end at quick scale and
+// emits the expected header row.
+func TestFig5RunsQuick(t *testing.T) {
+	skipSlow(t, "fig5")
+	out := expOutput(t, "fig5")
+	if !strings.Contains(out, "DRAM") || !strings.Contains(out, "HeMem") {
+		t.Fatalf("fig5 output malformed:\n%s", out)
+	}
+	if !strings.Contains(out, "256") {
+		t.Fatal("fig5 missing the 256 GB row")
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -10,6 +11,23 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
+
+// The fleet table must be byte-identical at any -jobs: every machine is
+// one sweep cell with a declaration-order seed, and aggregation walks
+// Gather's declaration-order results. The -jobs 8 side also runs the
+// adaptive loop, the point TestExperimentGoldens' fleet row pins.
+func TestFleetByteIdenticalAcrossJobs(t *testing.T) {
+	one := runOutput(t, "fleet", reference)
+	eight := expOutput(t, "fleet")
+	if one != eight {
+		t.Fatalf("fleet output differs between -jobs 1 and -jobs 8:\n%s\nvs\n%s", one, eight)
+	}
+	for _, want := range []string{"gold", "silver", "besteffort", "lifecycle:", "zero violations"} {
+		if !strings.Contains(one, want) {
+			t.Errorf("fleet output lacks %q:\n%s", want, one)
+		}
+	}
+}
 
 // fairnessMachine builds the single-machine testbed the fairness
 // property tests run on: a DRAM tier far smaller than the summed tenant

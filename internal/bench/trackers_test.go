@@ -50,6 +50,29 @@ func TestTrackersFilter(t *testing.T) {
 	}
 }
 
+// Same seed ⇒ byte-identical trackers output at every worker count: the
+// cross-product cells derive all randomness from declaration-time
+// identity, so scheduling order cannot leak into the table. The -jobs 1
+// side is the golden, recorded at -jobs 1, rather than a second run of
+// the slowest experiment; the -jobs 8 run is the one TestExperimentGoldens
+// shares.
+func TestTrackersSweepByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated sweeps")
+	}
+	if raceEnabled {
+		// This test pins values, which instrumentation cannot change, and
+		// costs several minutes under -race.
+		t.Skip("value-level determinism check; skipped under the race detector")
+	}
+	serial := readGolden(t, "trackers")
+	if parallel := expOutput(t, "trackers"); serial != parallel {
+		t.Fatalf("trackers output differs between -jobs 1 and -jobs 8:\n--- serial ---\n%s\n--- jobs=8 ---\n%s",
+			serial, parallel)
+	}
+	trackersGridCovered(t, serial)
+}
+
 // trackersGridCovered checks that the trackers table covers the full
 // cross-product: every tracker × policy pair appears on some row
 // (tabwriter pads columns with spaces, so both names are matched on one
