@@ -118,13 +118,11 @@ func TestPublicTierTable(t *testing.T) {
 }
 
 // The tracker/policy registry is reachable through the façade: built-in
-// names enumerate, rival selections build working managers, and a custom
-// heat forecaster registers and drives the heat policy by name.
+// names enumerate and rival selections build working managers.
 func TestPublicTrackerPolicyRegistry(t *testing.T) {
 	want := map[string][]string{
-		"trackers":    hemem.TrackerNames(),
-		"policies":    hemem.PolicyNames(),
-		"forecasters": hemem.HeatForecasterNames(),
+		"trackers": hemem.TrackerNames(),
+		"policies": hemem.PolicyNames(),
 	}
 	for _, name := range []string{"pebs", "damon", "idlepage"} {
 		if !containsStr(want["trackers"], name) {
@@ -137,14 +135,7 @@ func TestPublicTrackerPolicyRegistry(t *testing.T) {
 		}
 	}
 
-	hemem.RegisterHeatForecaster("api-test-flat", func(hemem.HeMemConfig) hemem.HeatForecaster {
-		return flatForecast{}
-	})
-	if !containsStr(hemem.HeatForecasterNames(), "api-test-flat") {
-		t.Fatal("custom forecaster not listed after registration")
-	}
-
-	cfg := hemem.HeMemConfig{Tracker: "damon", Policy: "heat", HeatForecaster: "api-test-flat"}
+	cfg := hemem.HeMemConfig{Tracker: "damon", Policy: "heat"}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate rejected registered names: %v", err)
 	}
@@ -162,11 +153,6 @@ func TestPublicTrackerPolicyRegistry(t *testing.T) {
 		t.Fatal("custom-configured manager observed no accesses")
 	}
 }
-
-type flatForecast struct{}
-
-func (flatForecast) Name() string                    { return "api-test-flat" }
-func (flatForecast) Forecast(cur, _ float64) float64 { return cur }
 
 func containsStr(xs []string, want string) bool {
 	for _, x := range xs {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hemem-bench -list              list experiments, registered trackers,
-//	                               policies, and heat forecasters
+//	                               and policies
 //	hemem-bench -exp trackers -tracker damon -policy heat
 //	                               run one cell of the tracker × policy
 //	                               cross-product
@@ -20,8 +20,6 @@
 //	                               run on the event-driven adaptive-
 //	                               quantum loop (output is byte-identical
 //	                               to the fixed loop)
-//	hemem-bench -exp tiers -quantum 500us
-//	                               override the fixed step quantum
 //	hemem-bench -exp fleet -tenants 24 -qos gold
 //	                               size the fleet's per-machine tenant
 //	                               population and pin its QoS class mix
@@ -45,17 +43,6 @@ import (
 	"github.com/tieredmem/hemem/internal/machine"
 )
 
-// flagSet reports whether the named flag was given explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 func main() {
 	var (
 		exp        = flag.String("exp", "", "experiment id (or 'all')")
@@ -63,11 +50,10 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "workload layout seed (0 = default)")
 		jobs       = flag.Int("jobs", 0, "sweep worker pool size (0 = GOMAXPROCS); any value produces identical output")
 		verbose    = flag.Bool("v", false, "narrate per-cell completion to stderr")
-		list       = flag.Bool("list", false, "list experiments, trackers, policies, and heat forecasters")
+		list       = flag.Bool("list", false, "list experiments, trackers, and policies")
 		tracker    = flag.String("tracker", "", "restrict the trackers experiment to one registered tracker")
 		policy     = flag.String("policy", "", "restrict the trackers experiment to one registered policy")
 		audit      = flag.Bool("audit", false, "run the invariant auditor every quantum on every machine (panics with a diagnostic dump on a violation)")
-		quantum    = flag.Duration("quantum", 0, "override the machine step quantum (e.g. 500us, 2ms); 0 keeps the default 1ms")
 		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop; output is identical to the fixed loop")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
 		qos        = flag.String("qos", "", "fleet experiment: pin every tenant to one QoS class (gold, silver, besteffort)")
@@ -75,10 +61,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	if *audit {
-		machine.SetAuditAll(true)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -108,10 +90,6 @@ func main() {
 		}()
 	}
 
-	if flagSet("quantum") && *quantum <= 0 {
-		fmt.Fprintln(os.Stderr, "hemem-bench: -quantum must be a positive duration")
-		os.Exit(2)
-	}
 	if *qos != "" {
 		if _, ok := machine.ParseQoS(*qos); !ok {
 			fmt.Fprintf(os.Stderr, "hemem-bench: unknown -qos class %q (valid: %s)\n", *qos, strings.Join(machine.QoSNames(), ", "))
@@ -124,8 +102,7 @@ func main() {
 	}
 	opts := bench.Opts{
 		Full: *full, Seed: *seed, Jobs: *jobs, Tracker: *tracker, Policy: *policy,
-		Quantum: quantum.Nanoseconds(), Adaptive: *adaptive,
-		Tenants: *tenants, QoS: *qos,
+		Adaptive: *adaptive, Audit: *audit, Tenants: *tenants, QoS: *qos,
 	}
 	if *verbose {
 		opts.Progress = os.Stderr
@@ -145,7 +122,6 @@ func main() {
 		}
 		fmt.Printf("\ntrackers (-tracker):         %s\n", strings.Join(core.TrackerNames(), ", "))
 		fmt.Printf("policies (-policy):          %s\n", strings.Join(core.PolicyNames(), ", "))
-		fmt.Printf("heat forecasters (config):   %s\n", strings.Join(core.HeatForecasterNames(), ", "))
 		if *exp == "" {
 			fmt.Println("\nrun with -exp <id> or -exp all")
 		}

@@ -42,17 +42,17 @@ type Opts struct {
 	Progress io.Writer
 	// Tracker and Policy, when non-empty, restrict the trackers
 	// experiment's cross-product to a single registered tracker/policy
-	// (the CI smoke matrix runs one pair per job). Other experiments
-	// ignore them.
+	// (hemem-bench -tracker/-policy). Other experiments ignore them.
 	Tracker string
 	Policy  string
-	// Quantum overrides the machine step quantum in sim-ns; 0 keeps the
-	// machine default (1 ms).
-	Quantum int64
 	// Adaptive runs machines on the event-driven adaptive-quantum loop.
 	// Output is byte-identical to the fixed loop's (TestExperimentGoldens
 	// runs rows with it on).
 	Adaptive bool
+	// Audit runs the invariant auditor every quantum on every machine
+	// (machine.Config.Audit). It never changes output
+	// (TestChaosAuditorIsPureObserver); chaos and fleet audit regardless.
+	Audit bool
 	// Tenants overrides the fleet experiment's tenants per machine; 0
 	// keeps the scale default. Other experiments ignore it.
 	Tenants int
@@ -61,15 +61,13 @@ type Opts struct {
 	QoS string
 }
 
-// machineConfig is the default machine config with the run's quantum and
-// adaptive-loop overrides applied. With zero-valued overrides it is
-// machine.DefaultConfig() exactly, so default-mode output is untouched.
+// machineConfig is the default machine config with the run's
+// adaptive-loop and audit switches applied. Every experiment machine is
+// built from it, so the switches reach them all.
 func (o Opts) machineConfig() machine.Config {
 	mc := machine.DefaultConfig()
-	if o.Quantum > 0 {
-		mc.Quantum = o.Quantum
-	}
 	mc.AdaptiveQuantum = o.Adaptive
+	mc.Audit = o.Audit
 	return mc
 }
 

@@ -17,14 +17,13 @@ func init() {
 }
 
 // chaosMachine builds the three-tier DRAM+CXL+NVM testbed the chaos
-// experiments run on, with the invariant auditor enabled: the CXL tier
-// is the one taken offline, sized so it holds a meaningful slice of the
+// experiments run on, from o's machine config and seed: the CXL tier is
+// the one taken offline, sized so it holds a meaningful slice of the
 // working set and drains in well under a scripted outage.
-func chaosMachine(seed uint64, faults fault.Config, audit bool) (*machine.Machine, *core.HeMem) {
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = seed
+func chaosMachine(o Opts, faults fault.Config) (*machine.Machine, *core.HeMem) {
+	mcfg := o.machineConfig()
+	mcfg.Seed = o.seed()
 	mcfg.Faults = faults
-	mcfg.Audit = audit
 	mcfg.Tiers = []machine.TierDesc{
 		{ID: vm.TierDRAM, Capacity: 8 * sim.GB},
 		{ID: vm.TierCXL, Capacity: 8 * sim.GB},
@@ -46,7 +45,8 @@ func runChaos(w io.Writer, o Opts) {
 	warm := o.scale(30, 120) * sim.Second
 	phase := o.scale(10, 30) * sim.Second
 
-	m, h := chaosMachine(o.seed(), fault.Config{}, true)
+	o.Audit = true
+	m, h := chaosMachine(o, fault.Config{})
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: o.seed(),
 	})

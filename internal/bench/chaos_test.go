@@ -51,7 +51,7 @@ func soakFaults() fault.Config {
 // soak job well inside its budget.
 func soakRun(t *testing.T, seed uint64, audit bool, warm, run int64) (*machine.Machine, *machine.Telemetry, float64) {
 	t.Helper()
-	m, _ := chaosMachine(seed, soakFaults(), audit)
+	m, _ := chaosMachine(Opts{Seed: seed, Audit: audit}, soakFaults())
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: seed,
 	})
@@ -182,7 +182,7 @@ func TestChaosAuditorIsPureObserver(t *testing.T) {
 func TestChaosZeroConfigNoOp(t *testing.T) {
 	cfg := soakFaults()
 	cfg.Chaos = fault.ChaosConfig{}
-	m, _ := chaosMachine(5, cfg, true)
+	m, _ := chaosMachine(Opts{Seed: 5, Audit: true}, cfg)
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: 5,
 	})
@@ -197,5 +197,19 @@ func TestChaosZeroConfigNoOp(t *testing.T) {
 		if e.Kind == fault.EpTierOffline || e.Kind == fault.EpCompound || e.Kind == fault.EpCEStorm {
 			t.Errorf("zero chaos config logged chaos episode %v", e)
 		}
+	}
+}
+
+// TestOptsReachMachines: the run-wide switches reach every experiment
+// machine. machineConfig carries them, and chaos builds its testbed from
+// it rather than from the machine defaults.
+func TestOptsReachMachines(t *testing.T) {
+	o := Opts{Audit: true, Adaptive: true}
+	if mc := o.machineConfig(); !mc.Audit || !mc.AdaptiveQuantum {
+		t.Errorf("machineConfig: Audit %v, AdaptiveQuantum %v; want both set", mc.Audit, mc.AdaptiveQuantum)
+	}
+	m, _ := chaosMachine(o, fault.Config{})
+	if !m.Cfg.Audit || !m.Cfg.AdaptiveQuantum {
+		t.Errorf("chaosMachine: Audit %v, AdaptiveQuantum %v; want both set", m.Cfg.Audit, m.Cfg.AdaptiveQuantum)
 	}
 }

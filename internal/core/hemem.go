@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/tieredmem/hemem/internal/dma"
@@ -23,27 +24,17 @@ type Config struct {
 	// CoolThreshold is the accumulated sample count on any single page
 	// that advances the global cooling clock (paper: 18).
 	CoolThreshold int
-	// PolicyInterval is the migration policy period (paper: 10 ms).
-	PolicyInterval int64
 	// SamplePeriod is the PEBS sampling period in accesses (paper: 5000).
 	SamplePeriod float64
-	// PEBSBufferCap is the PEBS buffer capacity in records.
-	PEBSBufferCap int
-	// ReaderRate is the PEBS thread's record-processing capacity.
-	ReaderRate float64
-	// MigRateCap bounds migration bandwidth (paper: 10 GB/s).
-	MigRateCap float64
 	// LargeAllocThreshold: regions at least this large are managed;
 	// smaller allocations are forwarded to the kernel and stay in DRAM
 	// (paper: 1 GB).
 	LargeAllocThreshold int64
-	// NoDMA disables the I/OAT engine, copying with CopyThreads copy
+	// NoDMA disables the I/OAT engine, copying with copyThreads copy
 	// threads instead (the paper's Figure 7 ablation). The switches
 	// below are inverted so the zero value is the paper default and a
 	// partially filled Config keeps full paper behavior.
 	NoDMA bool
-	// CopyThreads is the software-copy thread count (paper: 4).
-	CopyThreads int
 	// NoWritePriority disables write-heavy page prioritization (§3.3)
 	// as an ablation.
 	NoWritePriority bool
@@ -52,9 +43,6 @@ type Config struct {
 	// NoMigration stops the policy from moving pages (Figure 8's
 	// "PEBS" bar uses it to isolate sampling overhead).
 	NoMigration bool
-	// BackgroundThreads is the core cost of HeMem's PEBS, policy, and
-	// fault threads while the manager runs.
-	BackgroundThreads float64
 	// PlaceFunc, when set, overrides the default fastest-first placement
 	// on first touch while keeping tracking intact. Figure 8's "Opt" and
 	// "PEBS" bars use it to place the known-hot set manually.
@@ -75,14 +63,6 @@ type Config struct {
 	// silently losing the hot set to drops). Off by default so the
 	// sensitivity experiments measure fixed periods.
 	AdaptiveSampling bool
-	// OverrunDropThreshold is the per-tick drop fraction above which a
-	// policy tick counts as overrunning (default 0.10).
-	OverrunDropThreshold float64
-	// OverrunPatience is how many consecutive overrunning ticks trigger a
-	// period raise (default 5).
-	OverrunPatience int
-	// MaxSamplePeriod caps adaptive raises (default 16× SamplePeriod).
-	MaxSamplePeriod float64
 	// Tracker selects the access-observation mechanism by registered
 	// name (see RegisterTracker): "pebs" (the paper's sampling pipeline),
 	// "damon" (adaptive region sampling), "idlepage" (page-table scan).
@@ -90,18 +70,37 @@ type Config struct {
 	Tracker string
 	// Policy selects the classification/migration policy by registered
 	// name (see RegisterPolicy): "hemem" (the paper's per-page counters)
-	// or "heat" (decaying region heatmap with a forecaster). Empty
-	// selects "hemem".
+	// or "heat" (decaying region heatmap). Empty selects "hemem".
 	Policy string
-	// HeatForecaster selects the heat policy's forecaster by registered
-	// name (see RegisterHeatForecaster): "ema", "trend", or "static".
-	// Empty selects "ema". Ignored by the hemem policy.
-	HeatForecaster string
 }
 
-// defaultFreeTarget is the free-space watermark of a tier absent from
-// Config.FreeTargets.
-const defaultFreeTarget = 1 * sim.GB
+// Fixed prototype parameters: every experiment runs them at one value.
+const (
+	// defaultFreeTarget is the free-space watermark of a tier absent
+	// from Config.FreeTargets.
+	defaultFreeTarget = 1 * sim.GB
+	// policyInterval is the migration policy period (paper: 10 ms).
+	policyInterval = 10 * sim.Millisecond
+	// migRateGBps bounds migration bandwidth in GB/s (paper: 10).
+	migRateGBps = 10
+	// copyThreads is the software-copy thread count under NoDMA
+	// (paper: 4).
+	copyThreads = 4
+	// backgroundThreads is the core cost of HeMem's PEBS, policy, and
+	// fault threads while the manager runs.
+	backgroundThreads = 2.5
+	// pebsBufferCap is the PEBS buffer capacity in records.
+	pebsBufferCap = 1 << 16
+	// overrunDropThreshold is the per-tick drop fraction above which a
+	// policy tick counts as overrunning (AdaptiveSampling).
+	overrunDropThreshold = 0.10
+	// overrunPatience is how many consecutive overrunning ticks trigger
+	// a sample-period raise.
+	overrunPatience = 5
+	// maxPeriodFactor caps adaptive raises at this multiple of
+	// Config.SamplePeriod.
+	maxPeriodFactor = 16
+)
 
 // DefaultConfig returns the paper's prototype parameters.
 func DefaultConfig() Config {
@@ -109,17 +108,10 @@ func DefaultConfig() Config {
 		HotReadThreshold:    8,
 		HotWriteThreshold:   4,
 		CoolThreshold:       18,
-		PolicyInterval:      10 * sim.Millisecond,
 		SamplePeriod:        5000,
-		PEBSBufferCap:       1 << 16,
-		ReaderRate:          pebs.DefaultReaderRate,
-		MigRateCap:          sim.GBps(10),
 		LargeAllocThreshold: 1 * sim.GB,
-		CopyThreads:         4,
-		BackgroundThreads:   2.5,
 		Tracker:             "pebs",
 		Policy:              "hemem",
-		HeatForecaster:      "ema",
 	}
 }
 
@@ -129,37 +121,16 @@ func (c Config) Validate() error {
 	if c.HotReadThreshold < 0 || c.HotWriteThreshold < 0 || c.CoolThreshold < 0 {
 		return fmt.Errorf("core: negative hot/cool threshold")
 	}
-	if c.PolicyInterval < 0 {
-		return fmt.Errorf("core: negative PolicyInterval %d", c.PolicyInterval)
-	}
-	if c.SamplePeriod < 0 || c.PEBSBufferCap < 0 || c.ReaderRate < 0 {
-		return fmt.Errorf("core: negative PEBS parameter")
+	if !(c.SamplePeriod >= 0) || math.IsInf(c.SamplePeriod, 1) {
+		return fmt.Errorf("core: SamplePeriod %v not a finite non-negative number", c.SamplePeriod)
 	}
 	for t, v := range c.FreeTargets {
 		if v < 0 {
 			return fmt.Errorf("core: negative FreeTargets[%v] %d", t, v)
 		}
 	}
-	if c.MigRateCap < 0 {
-		return fmt.Errorf("core: negative MigRateCap %v", c.MigRateCap)
-	}
 	if c.LargeAllocThreshold < 0 {
 		return fmt.Errorf("core: negative LargeAllocThreshold %d", c.LargeAllocThreshold)
-	}
-	if c.CopyThreads < 0 {
-		return fmt.Errorf("core: negative CopyThreads %d", c.CopyThreads)
-	}
-	if c.BackgroundThreads < 0 {
-		return fmt.Errorf("core: negative BackgroundThreads %v", c.BackgroundThreads)
-	}
-	if c.OverrunDropThreshold < 0 || c.OverrunDropThreshold > 1 {
-		return fmt.Errorf("core: OverrunDropThreshold %v outside [0,1]", c.OverrunDropThreshold)
-	}
-	if c.OverrunPatience < 0 {
-		return fmt.Errorf("core: negative OverrunPatience %d", c.OverrunPatience)
-	}
-	if c.MaxSamplePeriod < 0 {
-		return fmt.Errorf("core: negative MaxSamplePeriod %v", c.MaxSamplePeriod)
 	}
 	if c.Tracker != "" {
 		if _, ok := trackerRegistry[c.Tracker]; !ok {
@@ -171,12 +142,6 @@ func (c Config) Validate() error {
 		if _, ok := policyRegistry[c.Policy]; !ok {
 			return fmt.Errorf("core: unknown policy %q (registered: %s)",
 				c.Policy, strings.Join(PolicyNames(), ", "))
-		}
-	}
-	if c.HeatForecaster != "" {
-		if _, ok := forecasterRegistry[c.HeatForecaster]; !ok {
-			return fmt.Errorf("core: unknown heat forecaster %q (registered: %s)",
-				c.HeatForecaster, strings.Join(HeatForecasterNames(), ", "))
 		}
 	}
 	return nil
@@ -287,7 +252,7 @@ type HeMem struct {
 }
 
 // New creates a HeMem manager with cfg (zero value gets defaults; call
-// Config.Validate to detect invalid negative parameters beforehand).
+// Config.Validate to detect invalid parameters beforehand).
 // Unset (zero) fields fall back to DefaultConfig field-by-field, so a
 // caller that sets only the knobs it cares about keeps them:
 // historically HotReadThreshold == 0 silently replaced the entire config
@@ -306,47 +271,17 @@ func New(cfg Config) *HeMem {
 	if cfg.CoolThreshold == 0 {
 		cfg.CoolThreshold = def.CoolThreshold
 	}
-	if cfg.PolicyInterval == 0 {
-		cfg.PolicyInterval = def.PolicyInterval
-	}
-	if cfg.MigRateCap == 0 {
-		cfg.MigRateCap = def.MigRateCap
-	}
 	if cfg.LargeAllocThreshold == 0 {
 		cfg.LargeAllocThreshold = def.LargeAllocThreshold
 	}
-	if cfg.CopyThreads == 0 {
-		cfg.CopyThreads = def.CopyThreads
-	}
-	if cfg.BackgroundThreads == 0 {
-		cfg.BackgroundThreads = def.BackgroundThreads
-	}
-	if cfg.PEBSBufferCap <= 0 {
-		cfg.PEBSBufferCap = def.PEBSBufferCap
-	}
-	if cfg.SamplePeriod <= 0 {
+	if !(cfg.SamplePeriod > 0) || math.IsInf(cfg.SamplePeriod, 1) {
 		cfg.SamplePeriod = def.SamplePeriod
-	}
-	if cfg.ReaderRate <= 0 {
-		cfg.ReaderRate = def.ReaderRate
-	}
-	if cfg.MaxSamplePeriod <= 0 {
-		cfg.MaxSamplePeriod = 16 * cfg.SamplePeriod
-	}
-	if cfg.OverrunDropThreshold <= 0 {
-		cfg.OverrunDropThreshold = 0.10
-	}
-	if cfg.OverrunPatience <= 0 {
-		cfg.OverrunPatience = 5
 	}
 	if cfg.Tracker == "" {
 		cfg.Tracker = def.Tracker
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = def.Policy
-	}
-	if cfg.HeatForecaster == "" {
-		cfg.HeatForecaster = def.HeatForecaster
 	}
 	h := &HeMem{cfg: cfg, swapTier: vm.TierNone}
 	h.tracker = newTracker(cfg)
@@ -395,20 +330,20 @@ func (h *HeMem) Buffer() *pebs.Buffer {
 func (h *HeMem) Attach(m *machine.Machine) {
 	h.m = m
 	h.initTiers()
-	m.Migrator.RateCap = h.cfg.MigRateCap
+	m.Migrator.RateCap = sim.GBps(migRateGBps)
 	if !h.cfg.NoDMA {
 		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New(dma.DefaultConfig())})
 	} else {
-		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(h.cfg.CopyThreads)})
+		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(copyThreads)})
 	}
 	h.tracker.Attach(h)
 	h.pol.Attach(h)
 	var tick func(now int64)
 	tick = func(now int64) {
 		h.tick(now)
-		m.Events.Schedule(now+h.cfg.PolicyInterval, tick)
+		m.Events.Schedule(now+policyInterval, tick)
 	}
-	m.Events.Schedule(m.Clock.Now()+h.cfg.PolicyInterval, tick)
+	m.Events.Schedule(m.Clock.Now()+policyInterval, tick)
 }
 
 // initTiers derives the migration chain, queues, and watermarks from the
@@ -709,7 +644,7 @@ func (h *HeMem) OnQuantum(now, dt int64) {
 }
 
 // ActiveThreads implements machine.Manager.
-func (h *HeMem) ActiveThreads() float64 { return h.cfg.BackgroundThreads }
+func (h *HeMem) ActiveThreads() float64 { return backgroundThreads }
 
 // inHotList reports whether pi currently sits on a hot list.
 func (h *HeMem) inHotList(pi *PageInfo) bool {
@@ -743,7 +678,7 @@ func (h *HeMem) coldList(t vm.Tier) *List {
 // migration decisions.
 func (h *HeMem) tick(now int64) {
 	h.tracker.Tick(now)
-	budget := int64(h.cfg.MigRateCap * float64(h.cfg.PolicyInterval))
+	budget := int64(sim.GBps(migRateGBps) * float64(policyInterval))
 	// Keep the queue bounded: don't outrun the migrator.
 	if backlog := int64(h.m.Migrator.QueuedBytes()); backlog >= budget {
 		return

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -228,6 +229,13 @@ func TestZeroConfigGetsDefaults(t *testing.T) {
 	if h.Config().HotReadThreshold != 8 || h.Config().CoolThreshold != 18 {
 		t.Fatal("zero config did not default")
 	}
+	// A non-finite sample period defaults like a zero one instead of
+	// reaching the PEBS sampler.
+	for _, p := range []float64{math.NaN(), math.Inf(1)} {
+		if got := core.New(core.Config{SamplePeriod: p}).Config().SamplePeriod; got != 5000 {
+			t.Errorf("SamplePeriod %v defaulted to %v, want 5000", p, got)
+		}
+	}
 }
 
 // Regression: a partial Config used to be replaced wholesale by
@@ -237,19 +245,19 @@ func TestZeroConfigGetsDefaults(t *testing.T) {
 func TestPartialConfigKeepsCallerFields(t *testing.T) {
 	def := core.DefaultConfig()
 	cfg := core.Config{
-		SamplePeriod:   def.SamplePeriod * 2,
-		PolicyInterval: 7 * sim.Millisecond,
-		MigRateCap:     sim.GBps(3),
+		SamplePeriod:        def.SamplePeriod * 2,
+		HotWriteThreshold:   6,
+		LargeAllocThreshold: 512 * sim.MB,
 	}
 	got := core.New(cfg).Config()
 	if got.SamplePeriod != def.SamplePeriod*2 {
 		t.Errorf("SamplePeriod = %v, want caller's %v", got.SamplePeriod, def.SamplePeriod*2)
 	}
-	if got.PolicyInterval != 7*sim.Millisecond {
-		t.Errorf("PolicyInterval = %v, want caller's %v", got.PolicyInterval, 7*sim.Millisecond)
+	if got.HotWriteThreshold != 6 {
+		t.Errorf("HotWriteThreshold = %v, want caller's 6", got.HotWriteThreshold)
 	}
-	if got.MigRateCap != sim.GBps(3) {
-		t.Errorf("MigRateCap = %v, want caller's %v", got.MigRateCap, sim.GBps(3))
+	if got.LargeAllocThreshold != 512*sim.MB {
+		t.Errorf("LargeAllocThreshold = %v, want caller's %v", got.LargeAllocThreshold, 512*sim.MB)
 	}
 	// Fields the caller left zero still pick up paper defaults.
 	if got.HotReadThreshold != def.HotReadThreshold {
@@ -280,10 +288,10 @@ func TestPartialConfigKeepsCallerFields(t *testing.T) {
 // The tracker/policy selection knobs ride the same field-by-field
 // defaulting: a partial Config that sets only Tracker must not zero the
 // cooling/threshold defaults, and each unset selection string defaults
-// independently of the others.
+// independently of the other.
 func TestTrackerPolicyConfigDefaulting(t *testing.T) {
 	def := core.DefaultConfig()
-	if def.Tracker != "pebs" || def.Policy != "hemem" || def.HeatForecaster != "ema" {
+	if def.Tracker != "pebs" || def.Policy != "hemem" {
 		t.Fatalf("paper-default selections changed: %+v", def)
 	}
 
@@ -291,19 +299,18 @@ func TestTrackerPolicyConfigDefaulting(t *testing.T) {
 	if got.Tracker != "damon" {
 		t.Errorf("Tracker = %q, want caller's damon", got.Tracker)
 	}
-	if got.Policy != def.Policy || got.HeatForecaster != def.HeatForecaster {
-		t.Errorf("unset selections misdefaulted: policy=%q forecaster=%q", got.Policy, got.HeatForecaster)
+	if got.Policy != def.Policy {
+		t.Errorf("unset policy misdefaulted: %q", got.Policy)
 	}
 	if got.CoolThreshold != def.CoolThreshold || got.HotReadThreshold != def.HotReadThreshold ||
-		got.HotWriteThreshold != def.HotWriteThreshold || got.PolicyInterval != def.PolicyInterval ||
-		got.SamplePeriod != def.SamplePeriod || got.MigRateCap != def.MigRateCap ||
-		len(got.FreeTargets) != 0 {
+		got.HotWriteThreshold != def.HotWriteThreshold || got.SamplePeriod != def.SamplePeriod ||
+		got.LargeAllocThreshold != def.LargeAllocThreshold || len(got.FreeTargets) != 0 {
 		t.Errorf("Config{Tracker: damon} zeroed unrelated defaults: %+v", got)
 	}
 
-	got = core.New(core.Config{Policy: "heat", HeatForecaster: "trend"}).Config()
-	if got.Policy != "heat" || got.HeatForecaster != "trend" {
-		t.Errorf("caller's policy/forecaster lost: %+v", got)
+	got = core.New(core.Config{Policy: "heat"}).Config()
+	if got.Policy != "heat" {
+		t.Errorf("caller's policy lost: %+v", got)
 	}
 	if got.Tracker != def.Tracker {
 		t.Errorf("Tracker = %q, want default %q", got.Tracker, def.Tracker)
@@ -313,20 +320,20 @@ func TestTrackerPolicyConfigDefaulting(t *testing.T) {
 	}
 
 	// And the selections compose with an unrelated caller field.
-	got = core.New(core.Config{Tracker: "idlepage", MigRateCap: sim.GBps(3)}).Config()
-	if got.Tracker != "idlepage" || got.MigRateCap != sim.GBps(3) || got.Policy != def.Policy {
+	got = core.New(core.Config{Tracker: "idlepage", SamplePeriod: 2500}).Config()
+	if got.Tracker != "idlepage" || got.SamplePeriod != 2500 || got.Policy != def.Policy {
 		t.Errorf("mixed partial config misdefaulted: %+v", got)
 	}
 }
 
-// Validate rejects unknown tracker/policy/forecaster names with an error
-// listing what is registered; empty strings stay valid (New defaults
-// them).
+// Validate rejects unknown tracker/policy names with an error listing
+// what is registered; empty strings stay valid (New defaults them). It
+// also rejects a sample period that is negative, NaN or infinite.
 func TestValidateUnknownTrackerPolicy(t *testing.T) {
 	if err := (core.Config{}).Validate(); err != nil {
 		t.Fatalf("zero config: %v", err)
 	}
-	ok := core.Config{Tracker: "damon", Policy: "heat", HeatForecaster: "trend"}
+	ok := core.Config{Tracker: "damon", Policy: "heat"}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("registered names rejected: %v", err)
 	}
@@ -336,7 +343,6 @@ func TestValidateUnknownTrackerPolicy(t *testing.T) {
 	}{
 		{core.Config{Tracker: "nope"}, "unknown tracker"},
 		{core.Config{Policy: "nope"}, "unknown policy"},
-		{core.Config{HeatForecaster: "nope"}, "unknown heat forecaster"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -346,6 +352,11 @@ func TestValidateUnknownTrackerPolicy(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "registered:") {
 			t.Errorf("%+v: error %q should say %q and list registered names", tc.cfg, err, tc.want)
+		}
+	}
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (core.Config{SamplePeriod: p}).Validate(); err == nil || !strings.Contains(err.Error(), "SamplePeriod") {
+			t.Errorf("SamplePeriod %v: Validate returned %v, want a SamplePeriod error", p, err)
 		}
 	}
 }

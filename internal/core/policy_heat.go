@@ -2,16 +2,17 @@
 // of the paper's per-page counters (memtierd's policy_heat +
 // counters_heatmap are the exemplar). Observations accumulate heat into
 // fixed-size buckets of neighbouring pages, heat decays exponentially
-// with simulated time, and a pluggable forecaster (Config.HeatForecaster)
-// turns the bucket's trajectory into the value classified against the
-// hot threshold. The threshold is relative — a multiple of the mean
-// bucket heat, recomputed every tick — so the policy tracks whatever
-// observation density the active tracker produces (sparse PEBS samples
-// and saturated scan bits differ by orders of magnitude). Neighbouring
-// pages share fate — cheaper state and earlier hot-set detection for
-// dense working sets, at the price of false sharing across a bucket that
-// straddles a hot/cold boundary (GUPS's scattered hot set is the
-// worst case, and measuring that is the point).
+// with simulated time, and an exponential moving average over the last
+// two policy ticks turns the bucket's trajectory into the value
+// classified against the hot threshold. The threshold is relative — a
+// multiple of the mean bucket heat, recomputed every tick — so the
+// policy tracks whatever observation density the active tracker
+// produces (sparse PEBS samples and saturated scan bits differ by orders
+// of magnitude). Neighbouring pages share fate — cheaper state and
+// earlier hot-set detection for dense working sets, at the price of
+// false sharing across a bucket that straddles a hot/cold boundary
+// (GUPS's scattered hot set is the worst case, and measuring that is the
+// point).
 package core
 
 import (
@@ -29,32 +30,28 @@ const (
 	// heatWriteWeight scales write observations (writes are costlier to
 	// leave in slow memory, mirroring the paper's lower write threshold).
 	heatWriteWeight = 2.0
-	// heatHotFactor: a bucket classifies hot when its forecast exceeds
-	// this multiple of the mean bucket heat.
+	// heatHotFactor: a bucket classifies hot when its moving average
+	// exceeds this multiple of the mean bucket heat.
 	heatHotFactor = 2.0
 	// heatMinThreshold floors the hot threshold so startup noise (a few
 	// samples into an otherwise cold heatmap) does not classify
 	// everything hot.
 	heatMinThreshold = 1.0
+	// heatEMAAlpha weights a bucket's current heat against its heat one
+	// tick earlier, smoothing single-tick spikes before they trigger
+	// migration traffic.
+	heatEMAAlpha = 0.7
 )
 
 func init() {
-	RegisterPolicy("heat", func(cfg Config) Policy {
-		f, ok := forecasterRegistry[cfg.HeatForecaster]
-		if !ok {
-			// New defaults the name; Validate catches unknown ones
-			// earlier with a better message.
-			f = forecasterRegistry["ema"]
-		}
-		return &heatPolicy{fc: f(cfg)}
-	})
+	RegisterPolicy("heat", func(cfg Config) Policy { return &heatPolicy{} })
 }
 
 // heatBucket is one heatmap cell covering heatBucketPages neighbouring
 // pages of a region.
 type heatBucket struct {
 	heat float64 // decayed accumulated heat
-	prev float64 // heat at the previous policy tick (forecaster input)
+	prev float64 // heat at the previous policy tick
 }
 
 // regionHeat is one tracked region's heatmap.
@@ -65,8 +62,7 @@ type regionHeat struct {
 }
 
 type heatPolicy struct {
-	h  *HeMem
-	fc HeatForecaster
+	h *HeMem
 
 	// regs holds the heatmaps in region-creation order — the decay sweep
 	// and mean computation iterate it so their float arithmetic runs in
@@ -108,10 +104,10 @@ func (pl *heatPolicy) bucket(pi *PageInfo) *heatBucket {
 	return &rh.buckets[pi.Page.Index/heatBucketPages]
 }
 
-// isHot classifies pi through its bucket's forecast.
+// isHot classifies pi through its bucket's moving average.
 func (pl *heatPolicy) isHot(pi *PageInfo) bool {
 	b := pl.bucket(pi)
-	return pl.fc.Forecast(b.heat, b.prev) >= pl.thresh
+	return heatEMAAlpha*b.heat+(1-heatEMAAlpha)*b.prev >= pl.thresh
 }
 
 // Observe implements Policy: fold the observation into the page's bucket
@@ -159,9 +155,9 @@ func (pl *heatPolicy) PageOut(pi *PageInfo) {
 	}
 }
 
-// Tick implements Policy: age every bucket, snapshot the forecaster
-// inputs, refresh the relative hot threshold from the mean heat, then
-// spend the budget through the shared migration loops.
+// Tick implements Policy: age every bucket, snapshot each bucket's heat
+// for the moving average, refresh the relative hot threshold from the
+// mean heat, then spend the budget through the shared migration loops.
 func (pl *heatPolicy) Tick(now, budget int64) {
 	if pl.hasDead {
 		live := pl.regs[:0]

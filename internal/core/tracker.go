@@ -113,14 +113,14 @@ type pebsTracker struct {
 func newPEBSTracker(cfg Config) *pebsTracker {
 	t := &pebsTracker{}
 	var err error
-	if t.buffer, err = pebs.NewBuffer(cfg.PEBSBufferCap); err == nil {
+	if t.buffer, err = pebs.NewBuffer(pebsBufferCap); err == nil {
 		if t.sampler, err = pebs.NewSampler(cfg.SamplePeriod, t.buffer); err == nil {
-			t.reader, err = pebs.NewReader(cfg.ReaderRate)
+			t.reader, err = pebs.NewReader(pebs.DefaultReaderRate)
 		}
 	}
 	if err != nil {
-		// Internal invariant: New normalized the fields to positive
-		// values before constructing the tracker.
+		// Internal invariant: New normalized SamplePeriod to a positive
+		// finite value before constructing the tracker.
 		panic("core: " + err.Error())
 	}
 	return t
@@ -213,11 +213,11 @@ func (t *pebsTracker) Tick(now int64) {
 
 // adaptSampling raises the PEBS sample period when the buffer overruns
 // persistently: each policy tick inspects the drop fraction of the records
-// offered since the last tick, and after OverrunPatience consecutive
-// overrunning ticks the period doubles, up to MaxSamplePeriod. Trading
-// sample resolution for a sustainable inflow keeps the reader tracking the
-// hot set instead of losing a bursty, biased slice of it to buffer
-// overruns (the Figure 10 regime).
+// offered since the last tick, and after overrunPatience consecutive
+// overrunning ticks the period doubles, up to maxPeriodFactor times
+// Config.SamplePeriod. Trading sample resolution for a sustainable inflow
+// keeps the reader tracking the hot set instead of losing a bursty,
+// biased slice of it to buffer overruns (the Figure 10 regime).
 func (t *pebsTracker) adaptSampling() {
 	h := t.h
 	pushed, dropped := t.buffer.Pushed(), t.buffer.Dropped()
@@ -227,21 +227,22 @@ func (t *pebsTracker) adaptSampling() {
 	if total == 0 {
 		return
 	}
-	if float64(dd)/float64(total) <= h.cfg.OverrunDropThreshold {
+	if float64(dd)/float64(total) <= overrunDropThreshold {
 		t.overrunStreak = 0
 		return
 	}
 	t.overrunStreak++
-	if t.overrunStreak < h.cfg.OverrunPatience {
+	if t.overrunStreak < overrunPatience {
 		return
 	}
 	t.overrunStreak = 0
-	if t.sampler.Period >= h.cfg.MaxSamplePeriod {
+	maxPeriod := maxPeriodFactor * h.cfg.SamplePeriod
+	if t.sampler.Period >= maxPeriod {
 		return
 	}
 	p := t.sampler.Period * 2
-	if p > h.cfg.MaxSamplePeriod {
-		p = h.cfg.MaxSamplePeriod
+	if p > maxPeriod {
+		p = maxPeriod
 	}
 	t.sampler.Period = p
 	h.stats.PeriodRaises++

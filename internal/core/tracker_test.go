@@ -20,7 +20,6 @@ func TestTrackerPolicyRegistryNames(t *testing.T) {
 	}{
 		{"trackers", core.TrackerNames(), []string{"damon", "idlepage", "pebs"}},
 		{"policies", core.PolicyNames(), []string{"heat", "hemem"}},
-		{"forecasters", core.HeatForecasterNames(), []string{"ema", "static", "trend"}},
 	}
 	for _, tc := range cases {
 		if len(tc.got) != len(tc.want) {

@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
@@ -98,7 +99,8 @@ func (c Config) Enabled() bool {
 // Validate reports the first invalid parameter, or nil. The zero Config
 // is valid (injection disabled).
 func (c Config) Validate() error {
-	if c.MigrationAbortProb < 0 || c.MigrationAbortProb > 1 {
+	// The float checks are written so that NaN fails them.
+	if !(c.MigrationAbortProb >= 0 && c.MigrationAbortProb <= 1) {
 		return fmt.Errorf("fault: MigrationAbortProb %v outside [0,1]", c.MigrationAbortProb)
 	}
 	if c.MigrationMaxRetries < 0 {
@@ -131,18 +133,19 @@ func (c Config) Validate() error {
 		{"DMADegradedFactor", c.DMADegradedFactor},
 		{"NVMThermalFactor", c.NVMThermalFactor},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) {
 			return fmt.Errorf("fault: %s %v outside [0,1]", f.name, f.v)
 		}
 	}
-	if c.PEBSStormFactor < 0 {
-		return fmt.Errorf("fault: negative PEBSStormFactor %v", c.PEBSStormFactor)
+	if !(c.PEBSStormFactor >= 0) || math.IsInf(c.PEBSStormFactor, 1) {
+		return fmt.Errorf("fault: PEBSStormFactor %v not a finite non-negative number", c.PEBSStormFactor)
 	}
 	return c.Chaos.validate()
 }
 
 // withDefaults fills unset secondary parameters (retry policy, episode
-// durations and severities) with their defaults. Rates are never
+// durations and severities) with their defaults; a NaN severity counts
+// as unset. Rates are never
 // defaulted: a zero rate means the fault is off.
 func (c Config) withDefaults() Config {
 	if c.MigrationMaxRetries <= 0 {
@@ -157,22 +160,22 @@ func (c Config) withDefaults() Config {
 	if c.DMADegradedDuration <= 0 {
 		c.DMADegradedDuration = 50 * sim.Millisecond
 	}
-	if c.DMADegradedFactor <= 0 || c.DMADegradedFactor > 1 {
+	if !(c.DMADegradedFactor > 0 && c.DMADegradedFactor <= 1) {
 		c.DMADegradedFactor = 0.5
 	}
 	if c.NVMThermalDuration <= 0 {
 		c.NVMThermalDuration = 100 * sim.Millisecond
 	}
-	if c.NVMThermalFactor <= 0 || c.NVMThermalFactor > 1 {
+	if !(c.NVMThermalFactor > 0 && c.NVMThermalFactor <= 1) {
 		c.NVMThermalFactor = 0.4
 	}
 	if c.PEBSStormDuration <= 0 {
 		c.PEBSStormDuration = 50 * sim.Millisecond
 	}
-	if c.PEBSStormFactor <= 1 {
+	if !(c.PEBSStormFactor > 1) {
 		c.PEBSStormFactor = 8
 	}
-	if c.MigrationAbortProb < 0 {
+	if !(c.MigrationAbortProb >= 0) {
 		c.MigrationAbortProb = 0
 	}
 	if c.MigrationAbortProb > 1 {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/sim"
@@ -143,6 +144,11 @@ func TestConfigValidate(t *testing.T) {
 		{DMADegradedFactor: 2},
 		{NVMThermalFactor: -0.5},
 		{PEBSStormFactor: -1},
+		{MigrationAbortProb: math.NaN()},
+		{DMADegradedFactor: math.NaN()},
+		{NVMThermalFactor: math.NaN()},
+		{PEBSStormFactor: math.NaN()},
+		{PEBSStormFactor: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -1,6 +1,6 @@
 // Runtime invariant auditor: opt-in conservation checks run once per
-// quantum (Config.Audit, the hemem-bench -audit flag, or SetAuditAll in
-// tests). The auditor is an observer — it draws no randomness and writes
+// quantum (Config.Audit, which the hemem-bench -audit flag sets on every
+// experiment machine). The auditor is an observer — it draws no randomness and writes
 // nothing but its private page mark (vm.Page.AuditMark), which no
 // decision reads and which it clears before it returns, so an audited
 // run is bit-identical to an unaudited one; it exists to turn silent
@@ -16,21 +16,6 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
-
-// auditAll force-enables the auditor on every machine built while set,
-// regardless of Config.Audit. Package tests flip it so the whole
-// existing suite doubles as an invariant soak.
-var auditAll bool
-
-// SetAuditAll toggles force-auditing of every subsequently built
-// machine and returns the previous value. Intended for tests:
-//
-//	defer machine.SetAuditAll(machine.SetAuditAll(true))
-func SetAuditAll(v bool) bool {
-	prev := auditAll
-	auditAll = v
-	return prev
-}
 
 // UsedReporter is implemented by managers that account committed bytes
 // per tier (HeMem's used[]). The auditor cross-checks the report against

@@ -545,7 +545,7 @@ type Machine struct {
 	// sweep can patch End/EvacNs in place.
 	epOpen [vm.MaxTiers]int
 
-	// Invariant auditor (Config.Audit or SetAuditAll). auditTenant is
+	// Invariant auditor (Config.Audit). auditTenant is
 	// Audit's reused per-tenant recount table.
 	auditing    bool
 	auditsRun   int64
@@ -646,7 +646,7 @@ func New(cfg Config, mgr Manager) *Machine {
 		m.noneDev = 0
 	}
 	m.fastest = cfg.Tiers[0].ID
-	m.auditing = cfg.Audit || auditAll
+	m.auditing = cfg.Audit
 	m.Injector = fault.New(cfg.Faults, sim.NewRand(cfg.Seed^injectorSeedSalt))
 	m.Migrator = NewMigrator(m)
 	mgr.Attach(m)

@@ -18,18 +18,11 @@ func Options() ptscan.Options {
 	return ptscan.Options{
 		Name:  "Nimble",
 		Async: false, // one kernel thread: scan, then migrate
-		// Four migration threads maximize copy throughput (§5).
-		UseDMA:      false,
-		CopyThreads: 4,
-		Granularity: 4 * 1024,
-		HotCut:      0.5,
-		ColdCut:     0.5,
+		// Four migration copy threads maximize copy throughput (§5).
+		UseDMA: false,
 		// Kernel NUMA migration is not rate-capped like HeMem; bound it
 		// by the copy threads' own throughput.
-		MigRateCap:     sim.GBps(100),
-		FreeDRAMTarget: sim.GB,
-		PolicyInterval: 10 * sim.Millisecond,
-		MaxCycleBytes:  4 * sim.GB,
+		MigRateCap: sim.GBps(100),
 		// The kernel thread itself.
 		BGThreads:        1,
 		MigrationEnabled: true,

@@ -14,6 +14,7 @@ package pebs
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tieredmem/hemem/internal/vm"
 )
@@ -182,8 +183,8 @@ type Sampler struct {
 // NewSampler creates a sampler with the given period writing into buf.
 // Period must be positive and buf non-nil.
 func NewSampler(period float64, buf *Buffer) (*Sampler, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("pebs: sample period must be positive, got %v", period)
+	if !(period > 0) || math.IsInf(period, 1) {
+		return nil, fmt.Errorf("pebs: sample period must be positive and finite, got %v", period)
 	}
 	if buf == nil {
 		return nil, fmt.Errorf("pebs: sampler needs a buffer")

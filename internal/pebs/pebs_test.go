@@ -1,6 +1,7 @@
 package pebs
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -333,8 +334,10 @@ func TestConstructorErrors(t *testing.T) {
 	if _, err := NewBuffer(-5); err == nil {
 		t.Error("NewBuffer(-5): no error on negative capacity")
 	}
-	if _, err := NewSampler(0, mustBuffer(t, 1)); err == nil {
-		t.Error("NewSampler(0, buf): no error on invalid period")
+	for _, p := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSampler(p, mustBuffer(t, 1)); err == nil {
+			t.Errorf("NewSampler(%v, buf): no error on invalid period", p)
+		}
 	}
 	if _, err := NewSampler(100, nil); err == nil {
 		t.Error("NewSampler(_, nil): no error on nil buffer")

@@ -15,23 +15,11 @@ type Options struct {
 	// migration (the paper's M.Async); otherwise one thread serializes
 	// scan → migrate → scan (M.Sync, and Nimble's kernel thread).
 	Async bool
-	// UseDMA selects the I/OAT copy engine; Nimble uses copy threads.
+	// UseDMA selects the I/OAT copy engine; otherwise copyThreads
+	// software copy threads move pages (Nimble).
 	UseDMA bool
-	// CopyThreads is the software-copy thread count when !UseDMA.
-	CopyThreads int
-	// Granularity is the scanned page-table leaf size (default 4 KB).
-	Granularity int64
-	// HotCut: zones with accessed fraction ≥ HotCut are promotion
-	// candidates; ColdCut: DRAM pages of zones below it are evictable.
-	HotCut, ColdCut float64
 	// MigRateCap bounds migration bandwidth.
 	MigRateCap float64
-	// FreeDRAMTarget keeps DRAM headroom for allocations.
-	FreeDRAMTarget int64
-	// PolicyInterval is the async-mode migration tick.
-	PolicyInterval int64
-	// MaxCycleBytes caps migration enqueued per scan cycle (sync mode).
-	MaxCycleBytes int64
 	// BGThreads is the constant background core consumption (the
 	// scanning/policy threads); migration copy threads are counted by
 	// the migrator while active.
@@ -46,15 +34,30 @@ type Options struct {
 	PlaceFunc func(p *vm.Page) vm.Tier
 }
 
+// Fixed scanning-manager parameters: every preset uses the same value.
+const (
+	// scanGranularity is the scanned page-table leaf size.
+	scanGranularity = 4 * 1024
+	// hotCut: zones with accessed fraction ≥ hotCut are promotion
+	// candidates.
+	hotCut = 0.5
+	// freeDRAMTarget keeps DRAM headroom for allocations.
+	freeDRAMTarget = 1 * sim.GB
+	// policyInterval is the async-mode migration tick.
+	policyInterval = 10 * sim.Millisecond
+	// maxCycleBytes caps migration enqueued per scan cycle (sync mode).
+	maxCycleBytes = 4 * sim.GB
+	// copyThreads is the software-copy thread count when !UseDMA.
+	copyThreads = 4
+)
+
 // HeMemPTAsync returns options for HeMem with asynchronous page-table
 // scanning in place of PEBS (Figures 8, 9, 15, 16).
 func HeMemPTAsync() Options {
 	return Options{
 		Name: "HeMem-PT-Async", Async: true, UseDMA: true,
-		Granularity: 4 * 1024, HotCut: 0.5, ColdCut: 0.5,
-		MigRateCap: sim.GBps(10), FreeDRAMTarget: sim.GB,
-		PolicyInterval: 10 * sim.Millisecond, MaxCycleBytes: 4 * sim.GB,
-		BGThreads: 2.5, MigrationEnabled: true, WritePriority: true,
+		MigRateCap: sim.GBps(10), BGThreads: 2.5,
+		MigrationEnabled: true, WritePriority: true,
 	}
 }
 
@@ -94,9 +97,6 @@ type Manager struct {
 
 // New builds a scanning manager from options.
 func New(opt Options) *Manager {
-	if opt.Granularity == 0 {
-		opt = HeMemPTAsync()
-	}
 	return &Manager{
 		opt:     opt,
 		est:     make(map[*vm.PageSet]SetScan),
@@ -123,7 +123,7 @@ func (g *Manager) EstimatedHotBytes() int64 {
 	var b float64
 	for _, set := range g.estOrder {
 		e := g.est[set]
-		if e.FracAccessed >= g.opt.HotCut {
+		if e.FracAccessed >= hotCut {
 			b += e.FracAccessed * float64(set.Bytes())
 		}
 	}
@@ -134,25 +134,21 @@ func (g *Manager) EstimatedHotBytes() int64 {
 func (g *Manager) Attach(m *machine.Machine) {
 	g.m = m
 	g.rng = sim.NewRand(m.Cfg.Seed ^ 0x9751)
-	g.scanner = NewScanner(m, g.opt.Granularity)
+	g.scanner = NewScanner(m, scanGranularity)
 	m.Migrator.RateCap = g.opt.MigRateCap
 	if g.opt.UseDMA {
 		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New(dma.DefaultConfig())})
 	} else {
-		ct := g.opt.CopyThreads
-		if ct <= 0 {
-			ct = 4
-		}
-		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(ct)})
+		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(copyThreads)})
 	}
 	g.scheduleScan(m.Clock.Now())
 	if g.opt.Async && g.opt.MigrationEnabled {
 		var tick func(now int64)
 		tick = func(now int64) {
 			g.policy(now)
-			m.Events.Schedule(now+g.opt.PolicyInterval, tick)
+			m.Events.Schedule(now+policyInterval, tick)
 		}
-		m.Events.Schedule(m.Clock.Now()+g.opt.PolicyInterval, tick)
+		m.Events.Schedule(m.Clock.Now()+policyInterval, tick)
 	}
 }
 
@@ -228,7 +224,7 @@ func (g *Manager) OnMigrationFailed(p *vm.Page, dst vm.Tier) {
 
 // policy makes one round of migration decisions from the zone estimates
 // and returns the bytes enqueued. Budgeting: async mode uses the rate cap
-// times the elapsed interval; sync mode uses MaxCycleBytes.
+// times the elapsed interval; sync mode uses maxCycleBytes.
 func (g *Manager) policy(now int64) int64 {
 	ps := g.m.Cfg.PageSize
 	var budget int64
@@ -240,7 +236,7 @@ func (g *Manager) policy(now int64) int64 {
 			return 0
 		}
 	} else {
-		budget = g.opt.MaxCycleBytes
+		budget = maxCycleBytes
 		if backlog := int64(g.m.Migrator.QueuedBytes()); backlog >= budget {
 			return 0
 		}
@@ -259,7 +255,7 @@ func (g *Manager) policy(now int64) int64 {
 
 	var enq int64
 	// Maintain free-DRAM headroom by evicting cold-zone pages.
-	for g.dramFree() < g.opt.FreeDRAMTarget && budget > 0 {
+	for g.dramFree() < freeDRAMTarget && budget > 0 {
 		ez := g.chooseEvict(zones, 1<<30)
 		if ez == nil || !g.demoteFrom(ez) {
 			break
@@ -273,7 +269,7 @@ func (g *Manager) policy(now int64) int64 {
 		if pz == nil {
 			break
 		}
-		if g.dramFree() < g.opt.FreeDRAMTarget+ps {
+		if g.dramFree() < freeDRAMTarget+ps {
 			// Swap only against a zone that looks clearly colder
 			// (two quantization levels): with binary accessed bits
 			// saturating under load, a zero-margin swap degenerates
@@ -315,7 +311,7 @@ func (g *Manager) estOf(set *vm.PageSet) SetScan { return g.est[set] }
 func (g *Manager) choosePromote(zones []SetScan) *vm.PageSet {
 	best := -1
 	for _, z := range zones {
-		if z.FracAccessed < g.opt.HotCut || z.Set.Count(vm.TierNVM) == 0 {
+		if z.FracAccessed < hotCut || z.Set.Count(vm.TierNVM) == 0 {
 			continue
 		}
 		if k := g.key(z); k > best {
@@ -326,7 +322,7 @@ func (g *Manager) choosePromote(zones []SetScan) *vm.PageSet {
 		return nil
 	}
 	return g.weighted(zones, func(z SetScan) int {
-		if z.FracAccessed < g.opt.HotCut || g.key(z) != best {
+		if z.FracAccessed < hotCut || g.key(z) != best {
 			return 0
 		}
 		return z.Set.Count(vm.TierNVM)

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Prints the code-size numbers ROADMAP.md tracks: non-test Go lines
-# outside the benchmark/ module, and the share of them under internal/.
+# Prints the size numbers ROADMAP.md tracks: non-test Go lines outside
+# the benchmark/ module, the share of them under internal/, and the count
+# of settable knobs (exported fields of the four config structs plus the
+# hemem-bench flags).
 # Counts physical lines (comments and blanks included) of tracked and untracked, non-ignored files.
 #
 #   bash scripts/loc.sh
@@ -13,3 +15,25 @@ total=$(files | xargs -r cat | wc -l)
 internal=$(files | grep '^internal/' | xargs -r cat | wc -l)
 echo "non-test Go lines outside benchmark/: $total"
 echo "non-test Go lines under internal/:    $internal"
+
+# fields FILE TYPE counts the exported field names declared at the top
+# level of struct TYPE in FILE ("A, B float64" counts two).
+fields() {
+	awk -v t="$2" '
+		$0 ~ "^type " t " struct \\{" { in_struct = 1; next }
+		in_struct && /^}/ { in_struct = 0 }
+		in_struct && match($0, /^\t[A-Z][A-Za-z0-9_]*(, *[A-Z][A-Za-z0-9_]*)* /) {
+			names = substr($0, RSTART, RLENGTH)
+			n += gsub(/,/, ",", names) + 1
+		}
+		END { print n + 0 }
+	' "$1"
+}
+
+machine=$(fields internal/machine/machine.go Config)
+core=$(fields internal/core/hemem.go Config)
+ptscan=$(fields internal/ptscan/manager.go Options)
+opts=$(fields internal/bench/bench.go Opts)
+flags=$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/hemem-bench/main.go)
+echo "settable knobs:                       $((machine + core + ptscan + opts + flags))" \
+	"(machine.Config $machine, core.Config $core, ptscan.Options $ptscan, bench.Opts $opts, hemem-bench flags $flags)"
