@@ -115,29 +115,33 @@ func TestPublicTierTable(t *testing.T) {
 	if id.String() != "hbm" {
 		t.Fatalf("custom tier name = %q", id.String())
 	}
+	// The custom tier's model is its row's Spec: without one the table
+	// is invalid, with one it validates.
+	mcfg.Tiers = append(mcfg.Tiers, hemem.TierDesc{ID: id, Capacity: 4 * hemem.GB})
+	if err := mcfg.Validate(); err == nil {
+		t.Fatal("custom tier without a Spec validated")
+	}
+	spec := m.NVM.Spec
+	mcfg.Tiers[len(mcfg.Tiers)-1].Spec = &spec
+	if err := mcfg.Validate(); err != nil {
+		t.Fatalf("custom tier with a Spec rejected: %v", err)
+	}
 }
 
-// The tracker/policy registry is reachable through the façade: built-in
-// names enumerate and rival selections build working managers.
+// The tracker and policy tables are reachable through the façade: their
+// names enumerate, sorted, and a rival selection builds a working
+// manager.
 func TestPublicTrackerPolicyRegistry(t *testing.T) {
-	want := map[string][]string{
-		"trackers": hemem.TrackerNames(),
-		"policies": hemem.PolicyNames(),
+	if got := strings.Join(hemem.TrackerNames(), ","); got != "damon,idlepage,pebs" {
+		t.Fatalf("TrackerNames = %s", got)
 	}
-	for _, name := range []string{"pebs", "damon", "idlepage"} {
-		if !containsStr(want["trackers"], name) {
-			t.Fatalf("tracker %q missing from %v", name, want["trackers"])
-		}
-	}
-	for _, name := range []string{"hemem", "heat"} {
-		if !containsStr(want["policies"], name) {
-			t.Fatalf("policy %q missing from %v", name, want["policies"])
-		}
+	if got := strings.Join(hemem.PolicyNames(), ","); got != "heat,hemem" {
+		t.Fatalf("PolicyNames = %s", got)
 	}
 
 	cfg := hemem.HeMemConfig{Tracker: "damon", Policy: "heat"}
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Validate rejected registered names: %v", err)
+		t.Fatalf("Validate rejected valid names: %v", err)
 	}
 	mgr := hemem.NewHeMem(cfg)
 	m := hemem.NewMachine(hemem.DefaultMachineConfig(), mgr)
@@ -152,13 +156,4 @@ func TestPublicTrackerPolicyRegistry(t *testing.T) {
 	if mgr.Stats().Samples == 0 {
 		t.Fatal("custom-configured manager observed no accesses")
 	}
-}
-
-func containsStr(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/memmode"
-	"github.com/tieredmem/hemem/internal/nimble"
 	"github.com/tieredmem/hemem/internal/ptscan"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
@@ -43,7 +42,7 @@ func main() {
 	case "mm":
 		mgr = memmode.New()
 	case "nimble":
-		mgr = nimble.New()
+		mgr = ptscan.New(ptscan.Nimble())
 	case "dram":
 		mgr = xmem.DRAMFirst()
 	case "nvm":

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	hemem-bench -list              list experiments, registered trackers,
-//	                               and policies
+//	hemem-bench -list              list experiments, trackers, and
+//	                               policies
 //	hemem-bench -exp trackers -tracker damon -policy heat
 //	                               run one cell of the tracker × policy
 //	                               cross-product
@@ -40,7 +40,6 @@ import (
 
 	"github.com/tieredmem/hemem/internal/bench"
 	"github.com/tieredmem/hemem/internal/core"
-	"github.com/tieredmem/hemem/internal/machine"
 )
 
 func main() {
@@ -51,8 +50,8 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "sweep worker pool size (0 = GOMAXPROCS); any value produces identical output")
 		verbose    = flag.Bool("v", false, "narrate per-cell completion to stderr")
 		list       = flag.Bool("list", false, "list experiments, trackers, and policies")
-		tracker    = flag.String("tracker", "", "restrict the trackers experiment to one registered tracker")
-		policy     = flag.String("policy", "", "restrict the trackers experiment to one registered policy")
+		tracker    = flag.String("tracker", "", "restrict the trackers experiment to one tracker (see -list)")
+		policy     = flag.String("policy", "", "restrict the trackers experiment to one policy (see -list)")
 		audit      = flag.Bool("audit", false, "run the invariant auditor every quantum on every machine (panics with a diagnostic dump on a violation)")
 		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop; output is identical to the fixed loop")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
@@ -90,19 +89,13 @@ func main() {
 		}()
 	}
 
-	if *qos != "" {
-		if _, ok := machine.ParseQoS(*qos); !ok {
-			fmt.Fprintf(os.Stderr, "hemem-bench: unknown -qos class %q (valid: %s)\n", *qos, strings.Join(machine.QoSNames(), ", "))
-			os.Exit(2)
-		}
-	}
-	if *tenants < 0 {
-		fmt.Fprintln(os.Stderr, "hemem-bench: -tenants must be non-negative")
-		os.Exit(2)
-	}
 	opts := bench.Opts{
 		Full: *full, Seed: *seed, Jobs: *jobs, Tracker: *tracker, Policy: *policy,
 		Adaptive: *adaptive, Audit: *audit, Tenants: *tenants, QoS: *qos,
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "hemem-bench:", err)
+		os.Exit(2)
 	}
 	if *verbose {
 		opts.Progress = os.Stderr

@@ -12,15 +12,6 @@ import (
 	"github.com/tieredmem/hemem/internal/tpcc"
 )
 
-func init() {
-	register("fig13", "Figure 13: Silo TPC-C warehouse scalability", runFig13)
-	register("tab3", "Table 3: FlexKVS throughput and latency", runTab3)
-	register("tab4", "Table 4: FlexKVS latency with priority", runTab4)
-	register("fig14", "Figure 14: GAP BC on 2^28 vertices (fits DRAM)", runFig14)
-	register("fig15", "Figure 15: GAP BC on 2^29 vertices (exceeds DRAM)", runFig15)
-	register("fig16", "Figure 16: NVM writes during BC on 2^29", runFig16)
-}
-
 // runFig13: TPC-C throughput over warehouse counts for four systems.
 func runFig13(w io.Writer, o Opts) {
 	warm := o.scale(90, 240) * sim.Second

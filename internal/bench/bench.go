@@ -1,4 +1,4 @@
-// Package bench is the experiment harness: one registered experiment per
+// Package bench is the experiment harness: one experiment per
 // table and figure of the paper's evaluation (§5), each regenerating the
 // same rows or series the paper reports, on the simulated testbed.
 //
@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -21,7 +21,6 @@ import (
 	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/memmode"
-	"github.com/tieredmem/hemem/internal/nimble"
 	"github.com/tieredmem/hemem/internal/ptscan"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/xmem"
@@ -41,8 +40,9 @@ type Opts struct {
 	// experiment's table output, which stays canonical.
 	Progress io.Writer
 	// Tracker and Policy, when non-empty, restrict the trackers
-	// experiment's cross-product to a single registered tracker/policy
-	// (hemem-bench -tracker/-policy). Other experiments ignore them.
+	// experiment's cross-product to one tracker/policy named in
+	// core.TrackerNames/core.PolicyNames (hemem-bench -tracker/-policy).
+	// Other experiments ignore them.
 	Tracker string
 	Policy  string
 	// Adaptive runs machines on the event-driven adaptive-quantum loop.
@@ -59,6 +59,22 @@ type Opts struct {
 	// QoS restricts the fleet experiment's tenant mix to a single class
 	// ("gold", "silver", "besteffort"); empty keeps the mixed fleet.
 	QoS string
+}
+
+// Validate reports the first option no experiment can honour: a
+// Tracker, Policy or QoS name that is not one of the valid values, which
+// the error lists, or a negative Tenants.
+func (o Opts) Validate() error {
+	if err := (core.Config{Tracker: o.Tracker, Policy: o.Policy}).Validate(); err != nil {
+		return err
+	}
+	if _, ok := machine.ParseQoS(o.QoS); o.QoS != "" && !ok {
+		return fmt.Errorf("unknown -qos class %q (valid: %s)", o.QoS, strings.Join(machine.QoSNames(), ", "))
+	}
+	if o.Tenants < 0 {
+		return fmt.Errorf("-tenants must be non-negative")
+	}
+	return nil
 }
 
 // machineConfig is the default machine config with the run's
@@ -101,43 +117,58 @@ type Experiment struct {
 	Run   func(w io.Writer, o Opts)
 }
 
-var registry = map[string]Experiment{}
-
-func register(id, title string, run func(w io.Writer, o Opts)) {
-	if _, dup := registry[id]; dup {
-		panic("bench: duplicate experiment id " + id)
-	}
-	registry[id] = Experiment{ID: id, Title: title, Run: run}
+// experiments is every experiment, in id order: the order -exp all runs
+// them and -list prints them.
+var experiments = []Experiment{
+	{"chaos", "Extension: graceful tier degradation — CXL offline mid-workload, evacuation MTTR and degraded throughput", runChaos},
+	{"ext-swap", "Extension: three-tier swapping (§3.4), working set beyond DRAM+NVM", runExtSwap},
+	{"fig1", "Figure 1: memory access throughput scalability", runFig1},
+	{"fig10", "Figure 10: PEBS sampling period sensitivity", runFig10},
+	{"fig11", "Figure 11: hot memory read threshold sensitivity", runFig11},
+	{"fig12", "Figure 12: memory cooling threshold sensitivity", runFig12},
+	{"fig13", "Figure 13: Silo TPC-C warehouse scalability", runFig13},
+	{"fig14", "Figure 14: GAP BC on 2^28 vertices (fits DRAM)", runFig14},
+	{"fig15", "Figure 15: GAP BC on 2^29 vertices (exceeds DRAM)", runFig15},
+	{"fig16", "Figure 16: NVM writes during BC on 2^29", runFig16},
+	{"fig2", "Figure 2: throughput at 16 threads, varying access size", runFig2},
+	{"fig3", "Figure 3: page table scan time", runFig3},
+	{"fig5", "Figure 5: uniform GUPS vs working set size", runFig5},
+	{"fig6", "Figure 6: GUPS vs hot set size (512 GB working set)", runFig6},
+	{"fig7", "Figure 7: GUPS thread scalability", runFig7},
+	{"fig8", "Figure 8: HeMem overhead breakdown", runFig8},
+	{"fig9", "Figure 9: instantaneous GUPS under a dynamic hot set", runFig9},
+	{"fleet", "Extension: datacenter fleet — machines × churning QoS tenants, per-class p99, DRAM share, migration traffic", runFleet},
+	{"tab1", "Table 1: main memory technology comparison", runTab1},
+	{"tab2", "Table 2: GUPS with skewed read/write pattern", runTab2},
+	{"tab3", "Table 3: FlexKVS throughput and latency", runTab3},
+	{"tab4", "Table 4: FlexKVS latency with priority", runTab4},
+	{"tbscale", "Extension: TB-scale diurnal workload — sparse metadata + adaptive quantum vs dense fixed-step", runTBScale},
+	{"tiers", "Extension: tier descriptor table — DRAM+CXL+NVM chain vs. the two-tier baseline", runTiers},
+	{"trackers", "Extension: tracker × policy cross-product — PEBS vs DAMON vs idlepage under the HeMem and heat policies", runTrackers},
 }
 
-// IDs returns every registered experiment id, sorted. It is the single
-// inventory behind All, ByID's error message, and the CLI's -list.
+// IDs returns every experiment id, sorted. It is the single inventory
+// behind ByID's error message.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for k := range registry {
-		ids = append(ids, k)
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
-// All returns every registered experiment in id order.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, id := range IDs() {
-		out = append(out, registry[id])
-	}
-	return out
-}
+// All returns every experiment in id order.
+func All() []Experiment { return slices.Clone(experiments) }
 
 // ByID returns the experiment with the given id. On a miss the error
 // lists every valid id, sorted.
 func ByID(id string) (Experiment, error) {
-	e, ok := registry[id]
-	if !ok {
-		return Experiment{}, fmt.Errorf("unknown experiment %q; valid ids: %s", id, strings.Join(IDs(), ", "))
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, nil
+		}
 	}
-	return e, nil
+	return Experiment{}, fmt.Errorf("unknown experiment %q; valid ids: %s", id, strings.Join(IDs(), ", "))
 }
 
 // table starts an aligned output table.
@@ -148,7 +179,7 @@ func table(w io.Writer) *tabwriter.Writer {
 // Manager constructors used across experiments, keyed by report label.
 func newHeMem() machine.Manager    { return core.New(core.DefaultConfig()) }
 func newMM() machine.Manager       { return memmode.New() }
-func newNimble() machine.Manager   { return nimble.New() }
+func newNimble() machine.Manager   { return ptscan.New(ptscan.Nimble()) }
 func newDRAM() machine.Manager     { return xmem.DRAMFirst() }
 func newNVM() machine.Manager      { return xmem.NVMOnly() }
 func newPTAsync() machine.Manager  { return ptscan.New(ptscan.HeMemPTAsync()) }

@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"ext-swap", "tiers", "chaos", "trackers", "tbscale", "fleet",
 	}
 	if len(All()) != len(want) {
-		t.Fatalf("registered %d experiments, want %d", len(All()), len(want))
+		t.Fatalf("%d experiments, want %d", len(All()), len(want))
 	}
 	for _, id := range want {
 		if _, err := ByID(id); err != nil {
@@ -209,7 +209,7 @@ func skipSlow(t *testing.T, id string) {
 func TestExperimentGoldens(t *testing.T) {
 	for id := range goldenRows {
 		if _, err := ByID(id); err != nil {
-			t.Errorf("golden row for unregistered experiment: %v", err)
+			t.Errorf("golden row for unknown experiment: %v", err)
 		}
 	}
 	for _, id := range IDs() {

@@ -12,15 +12,12 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	register("chaos", "Extension: graceful tier degradation — CXL offline mid-workload, evacuation MTTR and degraded throughput", runChaos)
-}
-
 // chaosMachine builds the three-tier DRAM+CXL+NVM testbed the chaos
-// experiments run on, from o's machine config and seed: the CXL tier is
-// the one taken offline, sized so it holds a meaningful slice of the
-// working set and drains in well under a scripted outage.
-func chaosMachine(o Opts, faults fault.Config) (*machine.Machine, *core.HeMem) {
+// experiments run on, from o's machine config and seed, managed by HeMem
+// with cfg: the CXL tier is the one taken offline, sized so it holds a
+// meaningful slice of the working set and drains in well under a
+// scripted outage.
+func chaosMachine(o Opts, cfg core.Config, faults fault.Config) (*machine.Machine, *core.HeMem) {
 	mcfg := o.machineConfig()
 	mcfg.Seed = o.seed()
 	mcfg.Faults = faults
@@ -30,7 +27,7 @@ func chaosMachine(o Opts, faults fault.Config) (*machine.Machine, *core.HeMem) {
 		{ID: vm.TierNVM, Capacity: 256 * sim.GB, UEVictim: true},
 		{ID: vm.TierDisk, Capacity: 1 * sim.TB, Swap: true},
 	}
-	h := core.New(core.DefaultConfig())
+	h := core.New(cfg)
 	return machine.New(mcfg, h), h
 }
 
@@ -46,7 +43,7 @@ func runChaos(w io.Writer, o Opts) {
 	phase := o.scale(10, 30) * sim.Second
 
 	o.Audit = true
-	m, h := chaosMachine(o, fault.Config{})
+	m, h := chaosMachine(o, core.DefaultConfig(), fault.Config{})
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: o.seed(),
 	})

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/machine"
@@ -44,14 +45,14 @@ func soakFaults() fault.Config {
 
 // soakRun drives one chaos soak: GUPS on the three-tier testbed with
 // the full fault menagerie, telemetry sampling every 100 ms, and the
-// invariant auditor checking every quantum when audit is set (a
-// violation panics and fails the test). warm and run are simulated
+// invariant auditor checking every quantum (a violation panics and
+// fails the test). warm and run are simulated
 // seconds — the soak proper runs long enough to see several of every
 // episode class; the pinned replays use shorter runs to keep the -race
 // soak job well inside its budget.
-func soakRun(t *testing.T, seed uint64, audit bool, warm, run int64) (*machine.Machine, *machine.Telemetry, float64) {
+func soakRun(t *testing.T, seed uint64, warm, run int64) (*machine.Machine, *machine.Telemetry, float64) {
 	t.Helper()
-	m, _ := chaosMachine(Opts{Seed: seed, Audit: audit}, soakFaults())
+	m, _ := chaosMachine(Opts{Seed: seed, Audit: true}, core.DefaultConfig(), soakFaults())
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: seed,
 	})
@@ -91,7 +92,7 @@ func outcomeDigest(t *testing.T, m *machine.Machine, tel *machine.Telemetry, out
 // (MTTR recorded), and leave the offline tier empty at every completed
 // evacuation. Set CHAOS_LOG to also write the episode-log artifact.
 func TestChaosSoak(t *testing.T) {
-	m, _, score := soakRun(t, 17, true, 10, 40)
+	m, _, score := soakRun(t, 17, 10, 40)
 	if score <= 0 {
 		t.Fatalf("GUPS score %v, want > 0 (workload ran through the chaos)", score)
 	}
@@ -157,7 +158,7 @@ const (
 // TestChaosDeterminism: a seed and a chaos Config replay the pinned run
 // bit for bit — same score, FaultStats, episode log and telemetry CSV.
 func TestChaosDeterminism(t *testing.T) {
-	m, tel, score := soakRun(t, 99, true, 3, 12)
+	m, tel, score := soakRun(t, 99, 3, 12)
 	if got := outcomeDigest(t, m, tel, score); got != chaosSeed99Pin {
 		t.Errorf("chaos run digest %s, pinned %s", got, chaosSeed99Pin)
 	}
@@ -169,7 +170,7 @@ func TestChaosDeterminism(t *testing.T) {
 // on the RNG stream — is pinned by the experiment goldens, which run
 // with chaos disabled.)
 func TestChaosAuditorIsPureObserver(t *testing.T) {
-	m, tel, score := soakRun(t, 7, true, 3, 12)
+	m, tel, score := soakRun(t, 7, 3, 12)
 	if got := outcomeDigest(t, m, tel, score); got != chaosSeed7Pin {
 		t.Errorf("auditor changed the run: digest %s, unaudited pin %s", got, chaosSeed7Pin)
 	}
@@ -182,7 +183,7 @@ func TestChaosAuditorIsPureObserver(t *testing.T) {
 func TestChaosZeroConfigNoOp(t *testing.T) {
 	cfg := soakFaults()
 	cfg.Chaos = fault.ChaosConfig{}
-	m, _ := chaosMachine(Opts{Seed: 5, Audit: true}, cfg)
+	m, _ := chaosMachine(Opts{Seed: 5, Audit: true}, core.DefaultConfig(), cfg)
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: 5,
 	})
@@ -208,7 +209,7 @@ func TestOptsReachMachines(t *testing.T) {
 	if mc := o.machineConfig(); !mc.Audit || !mc.AdaptiveQuantum {
 		t.Errorf("machineConfig: Audit %v, AdaptiveQuantum %v; want both set", mc.Audit, mc.AdaptiveQuantum)
 	}
-	m, _ := chaosMachine(o, fault.Config{})
+	m, _ := chaosMachine(o, core.DefaultConfig(), fault.Config{})
 	if !m.Cfg.Audit || !m.Cfg.AdaptiveQuantum {
 		t.Errorf("chaosMachine: Audit %v, AdaptiveQuantum %v; want both set", m.Cfg.Audit, m.Cfg.AdaptiveQuantum)
 	}

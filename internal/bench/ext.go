@@ -11,10 +11,6 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	register("ext-swap", "Extension: three-tier swapping (§3.4), working set beyond DRAM+NVM", runExtSwap)
-}
-
 // runExtSwap exercises the §3.4 swap tier: a working set larger than
 // DRAM+NVM combined, with HeMem swapping the coldest pages to a block
 // device and swapping pages back in as traffic reaches them. The paper

@@ -11,10 +11,6 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	register("fleet", "Extension: datacenter fleet — machines × churning QoS tenants, per-class p99, DRAM share, migration traffic", runFleet)
-}
-
 // The fleet experiment is the multi-tenant QoS showcase: every machine
 // hosts a churning population of gold/silver/besteffort tenants
 // contending for a DRAM tier sized well below their summed working

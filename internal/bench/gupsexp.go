@@ -13,18 +13,6 @@ import (
 	"github.com/tieredmem/hemem/internal/xmem"
 )
 
-func init() {
-	register("fig5", "Figure 5: uniform GUPS vs working set size", runFig5)
-	register("fig6", "Figure 6: GUPS vs hot set size (512 GB working set)", runFig6)
-	register("fig7", "Figure 7: GUPS thread scalability", runFig7)
-	register("tab2", "Table 2: GUPS with skewed read/write pattern", runTab2)
-	register("fig8", "Figure 8: HeMem overhead breakdown", runFig8)
-	register("fig9", "Figure 9: instantaneous GUPS under a dynamic hot set", runFig9)
-	register("fig10", "Figure 10: PEBS sampling period sensitivity", runFig10)
-	register("fig11", "Figure 11: hot memory read threshold sensitivity", runFig11)
-	register("fig12", "Figure 12: memory cooling threshold sensitivity", runFig12)
-}
-
 // namedMgr pairs a report label with a manager constructor.
 type namedMgr struct {
 	name string

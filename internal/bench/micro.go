@@ -9,13 +9,6 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	register("tab1", "Table 1: main memory technology comparison", runTab1)
-	register("fig1", "Figure 1: memory access throughput scalability", runFig1)
-	register("fig2", "Figure 2: throughput at 16 threads, varying access size", runFig2)
-	register("fig3", "Figure 3: page table scan time", runFig3)
-}
-
 // The microbenchmark sweeps are pure device-model evaluations — no
 // simulation run — but they go through the sweep engine like everything
 // else: one cell per row, devices built inside the cell.

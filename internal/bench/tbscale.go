@@ -10,10 +10,6 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 )
 
-func init() {
-	register("tbscale", "Extension: TB-scale diurnal workload — sparse metadata + adaptive quantum vs dense fixed-step", runTBScale)
-}
-
 // This experiment is the showcase for the event-driven simulation core:
 // a huge mapping (64 GB quick, 1 TB full) sees short bursts over small
 // page windows separated by long idle spans — the diurnal shape of a

@@ -13,10 +13,6 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	register("tiers", "Extension: tier descriptor table — DRAM+CXL+NVM chain vs. the two-tier baseline", runTiers)
-}
-
 // tierChain describes one machine configuration cell: a machine tier
 // table, fastest first.
 type tierChain struct {

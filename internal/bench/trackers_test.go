@@ -6,38 +6,36 @@ import (
 
 	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/gups"
-	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// The trackers cross-product must render every registered tracker and
-// policy (the -tracker/-policy filters narrow it; see TestTrackersFilter)
+// The trackers cross-product must render every tracker and policy (the -tracker/-policy filters narrow it; see TestTrackersFilter)
 // and report the accuracy and traffic columns per cell.
 func TestTrackersGridShape(t *testing.T) {
 	trackers := trackerCells(Opts{})
 	policies := policyCells(Opts{})
 	if len(trackers) < 3 {
-		t.Fatalf("registered trackers %v, want at least pebs, damon, idlepage", trackers)
+		t.Fatalf("trackers %v, want at least pebs, damon, idlepage", trackers)
 	}
 	if len(policies) < 2 {
-		t.Fatalf("registered policies %v, want at least hemem, heat", policies)
+		t.Fatalf("policies %v, want at least hemem, heat", policies)
 	}
 	for _, want := range []string{"pebs", "damon", "idlepage"} {
 		if filterNames(trackers, want) == nil {
-			t.Errorf("tracker %q not registered", want)
+			t.Errorf("tracker %q missing", want)
 		}
 	}
 	for _, want := range []string{"hemem", "heat"} {
 		if filterNames(policies, want) == nil {
-			t.Errorf("policy %q not registered", want)
+			t.Errorf("policy %q missing", want)
 		}
 	}
 }
 
-// The -tracker/-policy filters restrict the cross-product to one
-// registered name and drop unknown names to an empty grid rather than
-// silently running everything.
+// The -tracker/-policy filters restrict the cross-product to one name
+// and drop unknown names to an empty grid rather than silently running
+// everything (hemem-bench rejects them first; see TestOptsValidate).
 func TestTrackersFilter(t *testing.T) {
 	if got := trackerCells(Opts{Tracker: "damon"}); len(got) != 1 || got[0] != "damon" {
 		t.Errorf("tracker filter damon -> %v", got)
@@ -47,6 +45,39 @@ func TestTrackersFilter(t *testing.T) {
 	}
 	if got := trackerCells(Opts{Tracker: "nope"}); got != nil {
 		t.Errorf("unknown tracker filter -> %v, want nil", got)
+	}
+}
+
+// Opts.Validate, which hemem-bench runs on its flags, rejects a tracker,
+// policy or QoS name outside its table and lists the valid values, so an
+// unknown -tracker or -policy exits with an error instead of printing an
+// empty trackers table.
+func TestOptsValidate(t *testing.T) {
+	for _, o := range []Opts{{}, {Tracker: "damon", Policy: "heat", QoS: "gold", Tenants: 4}} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+	cases := []struct {
+		o    Opts
+		want []string
+	}{
+		{Opts{Tracker: "nope"}, []string{"unknown tracker", `"nope"`, "damon, idlepage, pebs"}},
+		{Opts{Policy: "nope"}, []string{"unknown policy", `"nope"`, "heat, hemem"}},
+		{Opts{QoS: "nope"}, []string{"-qos", `"nope"`, "gold, silver, besteffort"}},
+		{Opts{Tenants: -1}, []string{"-tenants"}},
+	}
+	for _, tc := range cases {
+		err := tc.o.Validate()
+		if err == nil {
+			t.Errorf("%+v: Validate accepted it", tc.o)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%+v: error %q should contain %q", tc.o, err, w)
+			}
+		}
 	}
 }
 
@@ -102,18 +133,7 @@ func trackersGridCovered(t *testing.T, out string) {
 // fault counters, migrations per edge, episode log and telemetry CSV.
 func chaosTrackerRun(t *testing.T, tracker string, seed uint64) string {
 	t.Helper()
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = seed
-	mcfg.Faults = soakFaults()
-	mcfg.Audit = true
-	mcfg.Tiers = []machine.TierDesc{
-		{ID: vm.TierDRAM, Capacity: 8 * sim.GB},
-		{ID: vm.TierCXL, Capacity: 8 * sim.GB},
-		{ID: vm.TierNVM, Capacity: 256 * sim.GB, UEVictim: true},
-		{ID: vm.TierDisk, Capacity: 1 * sim.TB, Swap: true},
-	}
-	h := core.New(core.Config{Tracker: tracker})
-	m := machine.New(mcfg, h)
+	m, h := chaosMachine(Opts{Seed: seed, Audit: true}, core.Config{Tracker: tracker}, soakFaults())
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: seed,
 	})

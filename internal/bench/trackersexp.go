@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/gups"
@@ -12,13 +13,10 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	register("trackers", "Extension: tracker × policy cross-product — PEBS vs DAMON vs idlepage under the HeMem and heat policies", runTrackers)
-}
-
-// trackerCells and policyCells enumerate the registered cross-product in
-// canonical (sorted) registry order, optionally filtered by the -tracker
-// and -policy flags.
+// trackerCells and policyCells enumerate the cross-product of core's
+// fixed tracker and policy tables in sorted name order, optionally
+// filtered by the -tracker and -policy flags (Opts.Validate rejects an
+// unknown name; filterNames drops it to an empty grid).
 func trackerCells(o Opts) []string { return filterNames(core.TrackerNames(), o.Tracker) }
 func policyCells(o Opts) []string  { return filterNames(core.PolicyNames(), o.Policy) }
 
@@ -26,17 +24,15 @@ func filterNames(names []string, want string) []string {
 	if want == "" {
 		return names
 	}
-	for _, n := range names {
-		if n == want {
-			return []string{n}
-		}
+	if slices.Contains(names, want) {
+		return []string{want}
 	}
 	return nil
 }
 
 // runTrackers extends the paper's PEBS-vs-PT-scan dichotomy (Figs 8/9/
-// 15/16) to the full tracker × policy cross-product on the pluggable
-// registry: every access-observation mechanism drives every
+// 15/16) to the full tracker × policy cross-product of the pluggable
+// tables: every access-observation mechanism drives every
 // classification policy over GUPS and FlexKVS, on the classic testbed
 // with DRAM shrunk below the hot set so tracking fidelity decides what
 // gets promoted. Reported per cell: throughput score, hot-set

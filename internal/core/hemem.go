@@ -30,10 +30,11 @@ type Config struct {
 	// smaller allocations are forwarded to the kernel and stay in DRAM
 	// (paper: 1 GB).
 	LargeAllocThreshold int64
-	// NoDMA disables the I/OAT engine, copying with copyThreads copy
-	// threads instead (the paper's Figure 7 ablation). The switches
-	// below are inverted so the zero value is the paper default and a
-	// partially filled Config keeps full paper behavior.
+	// NoDMA disables the I/OAT engine, copying with
+	// dma.FallbackCopyThreads copy threads instead (the paper's Figure 7
+	// ablation). The switches below are inverted so the zero value is the
+	// paper default and a partially filled Config keeps full paper
+	// behavior.
 	NoDMA bool
 	// NoWritePriority disables write-heavy page prioritization (§3.3)
 	// as an ablation.
@@ -63,14 +64,14 @@ type Config struct {
 	// silently losing the hot set to drops). Off by default so the
 	// sensitivity experiments measure fixed periods.
 	AdaptiveSampling bool
-	// Tracker selects the access-observation mechanism by registered
-	// name (see RegisterTracker): "pebs" (the paper's sampling pipeline),
-	// "damon" (adaptive region sampling), "idlepage" (page-table scan).
-	// Empty selects "pebs".
+	// Tracker selects the access-observation mechanism by name (see
+	// TrackerNames): "pebs" (the paper's sampling pipeline), "damon"
+	// (adaptive region sampling), "idlepage" (page-table scan). Empty
+	// selects "pebs".
 	Tracker string
-	// Policy selects the classification/migration policy by registered
-	// name (see RegisterPolicy): "hemem" (the paper's per-page counters)
-	// or "heat" (decaying region heatmap). Empty selects "hemem".
+	// Policy selects the classification/migration policy by name (see
+	// PolicyNames): "hemem" (the paper's per-page counters) or "heat"
+	// (decaying region heatmap). Empty selects "hemem".
 	Policy string
 }
 
@@ -83,9 +84,6 @@ const (
 	policyInterval = 10 * sim.Millisecond
 	// migRateGBps bounds migration bandwidth in GB/s (paper: 10).
 	migRateGBps = 10
-	// copyThreads is the software-copy thread count under NoDMA
-	// (paper: 4).
-	copyThreads = 4
 	// backgroundThreads is the core cost of HeMem's PEBS, policy, and
 	// fault threads while the manager runs.
 	backgroundThreads = 2.5
@@ -132,17 +130,11 @@ func (c Config) Validate() error {
 	if c.LargeAllocThreshold < 0 {
 		return fmt.Errorf("core: negative LargeAllocThreshold %d", c.LargeAllocThreshold)
 	}
-	if c.Tracker != "" {
-		if _, ok := trackerRegistry[c.Tracker]; !ok {
-			return fmt.Errorf("core: unknown tracker %q (registered: %s)",
-				c.Tracker, strings.Join(TrackerNames(), ", "))
-		}
+	if _, ok := trackers[c.Tracker]; c.Tracker != "" && !ok {
+		return fmt.Errorf("core: unknown tracker %q (valid: %s)", c.Tracker, strings.Join(TrackerNames(), ", "))
 	}
-	if c.Policy != "" {
-		if _, ok := policyRegistry[c.Policy]; !ok {
-			return fmt.Errorf("core: unknown policy %q (registered: %s)",
-				c.Policy, strings.Join(PolicyNames(), ", "))
-		}
+	if _, ok := policies[c.Policy]; c.Policy != "" && !ok {
+		return fmt.Errorf("core: unknown policy %q (valid: %s)", c.Policy, strings.Join(PolicyNames(), ", "))
 	}
 	return nil
 }
@@ -283,9 +275,12 @@ func New(cfg Config) *HeMem {
 	if cfg.Policy == "" {
 		cfg.Policy = def.Policy
 	}
+	if err := (Config{Tracker: cfg.Tracker, Policy: cfg.Policy}).Validate(); err != nil {
+		panic(err.Error())
+	}
 	h := &HeMem{cfg: cfg, swapTier: vm.TierNone}
-	h.tracker = newTracker(cfg)
-	h.pol = newPolicy(cfg)
+	h.tracker = trackers[cfg.Tracker](cfg)
+	h.pol = policies[cfg.Policy](cfg)
 	return h
 }
 
@@ -334,7 +329,7 @@ func (h *HeMem) Attach(m *machine.Machine) {
 	if !h.cfg.NoDMA {
 		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New(dma.DefaultConfig())})
 	} else {
-		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(copyThreads)})
+		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)})
 	}
 	h.tracker.Attach(h)
 	h.pol.Attach(h)

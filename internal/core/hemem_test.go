@@ -327,7 +327,7 @@ func TestTrackerPolicyConfigDefaulting(t *testing.T) {
 }
 
 // Validate rejects unknown tracker/policy names with an error listing
-// what is registered; empty strings stay valid (New defaults them). It
+// the valid ones; empty strings stay valid (New defaults them). It
 // also rejects a sample period that is negative, NaN or infinite.
 func TestValidateUnknownTrackerPolicy(t *testing.T) {
 	if err := (core.Config{}).Validate(); err != nil {
@@ -335,7 +335,7 @@ func TestValidateUnknownTrackerPolicy(t *testing.T) {
 	}
 	ok := core.Config{Tracker: "damon", Policy: "heat"}
 	if err := ok.Validate(); err != nil {
-		t.Fatalf("registered names rejected: %v", err)
+		t.Fatalf("valid names rejected: %v", err)
 	}
 	cases := []struct {
 		cfg  core.Config
@@ -350,8 +350,8 @@ func TestValidateUnknownTrackerPolicy(t *testing.T) {
 			t.Errorf("%+v: Validate accepted unknown name", tc.cfg)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "registered:") {
-			t.Errorf("%+v: error %q should say %q and list registered names", tc.cfg, err, tc.want)
+		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "valid:") {
+			t.Errorf("%+v: error %q should say %q and list the valid names", tc.cfg, err, tc.want)
 		}
 	}
 	for _, p := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -4,18 +4,12 @@
 // hot/cold queues, and spends each tick's migration budget. The engine
 // retains the mechanism — queues, capacity accounting, the migrator,
 // swap, evacuation — so policies stay small and comparable.
-// Implementations register by name, mirroring mem.RegisterModel, and are
-// selected with Config.Policy.
+// The policies table lists every implementation by name; Config.Policy
+// selects one.
 package core
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // Policy classifies pages and decides migrations. Implementations are
-// registered with RegisterPolicy and selected by Config.Policy.
+// listed in the policies table and selected by Config.Policy.
 type Policy interface {
 	// Name identifies the policy in reports and -list output.
 	Name() string
@@ -45,44 +39,14 @@ type Policy interface {
 	Requeue(pi *PageInfo)
 }
 
-// PolicyFactory builds a policy from the engine configuration.
-type PolicyFactory func(cfg Config) Policy
-
-var policyRegistry = map[string]PolicyFactory{}
-
-// RegisterPolicy installs a policy factory under name, making it
-// selectable via Config.Policy. Registering a duplicate name panics,
-// like mem.RegisterModel.
-func RegisterPolicy(name string, f PolicyFactory) {
-	if _, dup := policyRegistry[name]; dup {
-		panic("core: duplicate policy " + name)
-	}
-	policyRegistry[name] = f
+// policies is every policy Config.Policy can name, with its constructor.
+var policies = map[string]func(cfg Config) Policy{
+	"heat":  func(Config) Policy { return &heatPolicy{} },
+	"hemem": func(Config) Policy { return &heMemPolicy{} },
 }
 
-// PolicyNames returns every registered policy name, sorted.
-func PolicyNames() []string {
-	out := make([]string, 0, len(policyRegistry))
-	for n := range policyRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// newPolicy resolves cfg.Policy (already defaulted) in the registry.
-func newPolicy(cfg Config) Policy {
-	f, ok := policyRegistry[cfg.Policy]
-	if !ok {
-		panic(fmt.Sprintf("core: unknown policy %q (registered: %s)",
-			cfg.Policy, strings.Join(PolicyNames(), ", ")))
-	}
-	return f(cfg)
-}
-
-func init() {
-	RegisterPolicy("hemem", func(cfg Config) Policy { return &heMemPolicy{} })
-}
+// PolicyNames returns every policy name, sorted.
+func PolicyNames() []string { return sortedNames(policies) }
 
 // heMemPolicy is the paper's policy (§3.1, §3.3): per-page read/write
 // sample counters against fixed hot thresholds, a global cooling clock

@@ -43,10 +43,6 @@ const (
 	heatEMAAlpha = 0.7
 )
 
-func init() {
-	RegisterPolicy("heat", func(cfg Config) Policy { return &heatPolicy{} })
-}
-
 // heatBucket is one heatmap cell covering heatBucketPages neighbouring
 // pages of a region.
 type heatBucket struct {

@@ -3,22 +3,19 @@
 // breaks that monopoly so rival observation mechanisms — a DAMON-style
 // adaptive region sampler, an idlepage/soft-dirty page-table scanner —
 // can drive the very same policies on equal footing (the comparison the
-// PEBS-applicability and HM-Keeper papers call for). Implementations
-// register themselves by name, mirroring mem.RegisterModel, and are
-// selected with Config.Tracker.
+// PEBS-applicability and HM-Keeper papers call for). The trackers table
+// lists every implementation by name; Config.Tracker selects one.
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/tieredmem/hemem/internal/pebs"
 )
 
 // Tracker observes memory accesses on behalf of the engine and feeds
 // per-quantum observation batches to the active Policy through
-// HeMem.Observe. Implementations are registered with RegisterTracker and
+// HeMem.Observe. Implementations are listed in the trackers table and
 // selected by Config.Tracker.
 type Tracker interface {
 	// Name identifies the tracker in reports and -list output.
@@ -41,43 +38,25 @@ type Tracker interface {
 	Tick(now int64)
 }
 
-// TrackerFactory builds a tracker from the engine configuration.
-type TrackerFactory func(cfg Config) Tracker
-
-var trackerRegistry = map[string]TrackerFactory{}
-
-// RegisterTracker installs a tracker factory under name, making it
-// selectable via Config.Tracker. Registering a duplicate name panics,
-// like mem.RegisterModel.
-func RegisterTracker(name string, f TrackerFactory) {
-	if _, dup := trackerRegistry[name]; dup {
-		panic("core: duplicate tracker " + name)
-	}
-	trackerRegistry[name] = f
+// trackers is every tracker Config.Tracker can name, with its
+// constructor.
+var trackers = map[string]func(cfg Config) Tracker{
+	"damon":    func(Config) Tracker { return &damonTracker{} },
+	"idlepage": func(Config) Tracker { return &idlePageTracker{} },
+	"pebs":     func(cfg Config) Tracker { return newPEBSTracker(cfg) },
 }
 
-// TrackerNames returns every registered tracker name, sorted.
-func TrackerNames() []string {
-	out := make([]string, 0, len(trackerRegistry))
-	for n := range trackerRegistry {
+// TrackerNames returns every tracker name, sorted.
+func TrackerNames() []string { return sortedNames(trackers) }
+
+// sortedNames returns the names of a constructor table, sorted.
+func sortedNames[F any](table map[string]F) []string {
+	out := make([]string, 0, len(table))
+	for n := range table {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// newTracker resolves cfg.Tracker (already defaulted) in the registry.
-func newTracker(cfg Config) Tracker {
-	f, ok := trackerRegistry[cfg.Tracker]
-	if !ok {
-		panic(fmt.Sprintf("core: unknown tracker %q (registered: %s)",
-			cfg.Tracker, strings.Join(TrackerNames(), ", ")))
-	}
-	return f(cfg)
-}
-
-func init() {
-	RegisterTracker("pebs", func(cfg Config) Tracker { return newPEBSTracker(cfg) })
 }
 
 // pebsTracker is the paper's observation mechanism (§3.1): the CPU writes

@@ -34,10 +34,6 @@ const (
 	damonTouchPages = 128
 )
 
-func init() {
-	RegisterTracker("damon", func(cfg Config) Tracker { return &damonTracker{} })
-}
-
 // damonRegion is one contiguous sampling region within a vm.Region.
 type damonRegion struct {
 	reg        *vm.Region

@@ -17,10 +17,6 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-func init() {
-	RegisterTracker("idlepage", func(cfg Config) Tracker { return &idlePageTracker{} })
-}
-
 type idlePageTracker struct {
 	h   *HeMem
 	sc  *ptscan.Scanner

@@ -10,8 +10,7 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 )
 
-// The registries list every built-in implementation, sorted, mirroring
-// mem.RegisterModel's contract.
+// The tracker and policy tables list every implementation, sorted.
 func TestTrackerPolicyRegistryNames(t *testing.T) {
 	cases := []struct {
 		what string
@@ -35,8 +34,8 @@ func TestTrackerPolicyRegistryNames(t *testing.T) {
 	}
 }
 
-// New panics on an unregistered tracker or policy name, listing what is
-// registered — the same contract as the machine's memory-model registry.
+// New panics on a tracker or policy name outside its table, listing the
+// valid names.
 func TestUnknownTrackerPanics(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{Tracker: "nope"},
@@ -50,8 +49,8 @@ func TestUnknownTrackerPanics(t *testing.T) {
 					return
 				}
 				msg, _ := r.(string)
-				if !strings.Contains(msg, "nope") || !strings.Contains(msg, "registered:") {
-					t.Errorf("panic %q should name the unknown id and list registered ones", msg)
+				if !strings.Contains(msg, "nope") || !strings.Contains(msg, "valid:") {
+					t.Errorf("panic %q should name the unknown id and list the valid ones", msg)
 				}
 			}()
 			core.New(cfg)

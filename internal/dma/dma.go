@@ -103,8 +103,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FallbackCopyThreads is the software-copy pool size engaged when the DMA
-// engine becomes unavailable — the paper's measured optimum of 4 threads.
+// FallbackCopyThreads is the software-copy pool size, the paper's
+// measured optimum of 4 threads: the migrator falls back to it when the
+// DMA engine becomes unavailable, and HeMem under NoDMA and the scanning
+// managers without DMA (Nimble) copy with it.
 const FallbackCopyThreads = 4
 
 // Engine is a DMA engine instance.

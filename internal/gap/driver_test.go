@@ -7,7 +7,6 @@ import (
 	"github.com/tieredmem/hemem/internal/gap"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/memmode"
-	"github.com/tieredmem/hemem/internal/nimble"
 	"github.com/tieredmem/hemem/internal/ptscan"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
@@ -45,7 +44,7 @@ func TestFig14RelativeOrder(t *testing.T) {
 	const scale, iters = 28, 6
 	dram, _ := runBC(t, xmem.DRAMFirst(), scale, iters)
 	hemem, _ := runBC(t, core.New(core.DefaultConfig()), scale, iters)
-	nb, _ := runBC(t, nimble.New(), scale, iters)
+	nb, _ := runBC(t, ptscan.New(ptscan.Nimble()), scale, iters)
 	mm, _ := runBC(t, memmode.New(), scale, iters)
 
 	tD := meanNs(dram.IterationTimes())
@@ -70,7 +69,7 @@ func TestFig15RelativeOrder(t *testing.T) {
 	const scale, iters = 29, 6
 	hemem, _ := runBC(t, core.New(core.DefaultConfig()), scale, iters)
 	pt, _ := runBC(t, ptscan.New(ptscan.HeMemPTAsync()), scale, iters)
-	nb, _ := runBC(t, nimble.New(), scale, iters)
+	nb, _ := runBC(t, ptscan.New(ptscan.Nimble()), scale, iters)
 	mm, _ := runBC(t, memmode.New(), scale, iters)
 
 	tH := meanNs(hemem.IterationTimes())

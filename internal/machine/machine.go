@@ -52,8 +52,9 @@ type TierDesc struct {
 	// Capacity in bytes. Zero falls back to the default capacity of the
 	// built-in tiers (DRAM, NVM, disk; see ClassicTiers).
 	Capacity int64
-	// Spec optionally overrides the device model registered for ID in
-	// the mem registry.
+	// Spec is the tier's device model. Nil selects the built-in model of
+	// DRAM, NVM, Disk or CXL (mem.BuiltinSpec); any other tier must set
+	// it. A non-zero Capacity overrides Spec.Capacity.
 	Spec *mem.Spec
 	// Swap marks a swap-only backing tier (§3.4): placement never puts
 	// fresh pages here and the policy only moves pages in explicitly.
@@ -360,6 +361,20 @@ func defaultCapacity(t vm.TierID) int64 {
 	return 0
 }
 
+// tierSpec is the device spec of a tier row: its explicit Spec or the
+// built-in model of its ID, at the row's capacity. It reports false for a
+// row with neither.
+func tierSpec(td TierDesc) (mem.Spec, bool) {
+	if td.Spec == nil {
+		return mem.BuiltinSpec(td.ID, td.Capacity)
+	}
+	spec := *td.Spec
+	if td.Capacity != 0 {
+		spec.Capacity = td.Capacity
+	}
+	return spec, true
+}
+
 // ClassicTiers is the tier table of the paper's testbed: DRAM, NVM (the
 // uncorrectable-error victim) and a swap disk. A zero capacity falls
 // back to that tier's default, so ClassicTiers(16*sim.GB, 0, 0) is the
@@ -399,10 +414,8 @@ func (c Config) Validate() error {
 		if td.Capacity < 0 {
 			return fmt.Errorf("machine: tier %v has negative capacity", td.ID)
 		}
-		if td.Spec == nil {
-			if _, ok := mem.ModelFor(td.ID); !ok {
-				return fmt.Errorf("machine: tier %v has no registered device model and no explicit spec", td.ID)
-			}
+		if _, ok := tierSpec(td); !ok {
+			return fmt.Errorf("machine: tier %v has no built-in device model and no explicit spec", td.ID)
 		}
 	}
 	if len(c.Tiers) > MaxDevs {
@@ -610,20 +623,11 @@ func New(cfg Config, mgr Manager) *Machine {
 		m.tierDev[i] = -1
 	}
 	for i, td := range cfg.Tiers {
-		var dev *mem.Device
-		if td.Spec != nil {
-			spec := *td.Spec
-			if td.Capacity != 0 {
-				spec.Capacity = td.Capacity
-			}
-			dev = mem.New(spec)
-		} else {
-			var err error
-			dev, err = mem.NewFor(td.ID, td.Capacity)
-			if err != nil {
-				panic(err)
-			}
+		spec, ok := tierSpec(td)
+		if !ok {
+			panic(fmt.Sprintf("machine: tier %v has no built-in device model and no explicit spec", td.ID))
 		}
+		dev := mem.New(spec)
 		m.devs[i] = dev
 		if int(td.ID) < len(m.tierDev) {
 			m.tierDev[td.ID] = int8(i)

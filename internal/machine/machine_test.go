@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -438,5 +439,46 @@ func TestRunUntilDoneStopsAtMaxDuration(t *testing.T) {
 		if got := m.Clock.Now() - start; got != limit {
 			t.Errorf("adaptive %v: RunUntilDone(%d) advanced the clock %d", adaptive, limit, got)
 		}
+	}
+}
+
+// A tier named with vm.RegisterTier is described by its table row alone:
+// the row's Spec builds the tier's device at the row's capacity, and
+// HeMem places pages on it and runs a workload across it. The same row
+// without a Spec fails Validate, since only the built-in tiers have a
+// model of their own.
+func TestCustomTierSpec(t *testing.T) {
+	hbm := vm.RegisterTier("hbm")
+	spec := mem.DRAMSpec(1 * sim.GB)
+	spec.Name = "HBM"
+	spec.ReadLatency, spec.WriteLatency = 110, 110
+	cfg := machine.DefaultConfig()
+	cfg.Tiers = []machine.TierDesc{
+		{ID: vm.TierDRAM, Capacity: 4 * sim.GB},
+		{ID: hbm, Capacity: 8 * sim.GB, Spec: &spec},
+		{ID: vm.TierNVM, Capacity: 64 * sim.GB},
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("custom tier with a Spec rejected: %v", err)
+	}
+	m := machine.New(cfg, core.New(core.DefaultConfig()))
+	want := spec
+	want.Capacity = 8 * sim.GB
+	if got := m.DeviceFor(hbm).Spec; got != want {
+		t.Fatalf("hbm device spec = %+v, want the row's spec at the row's capacity %+v", got, want)
+	}
+	g := gups.New(m, gups.Config{Threads: 8, WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, Seed: 3})
+	m.Warm()
+	if g.Region().Bytes(hbm) == 0 {
+		t.Fatal("no pages landed on the custom tier")
+	}
+	m.Run(1 * sim.Second)
+	if g.Score() <= 0 {
+		t.Fatal("no GUPS progress across the custom tier")
+	}
+
+	cfg.Tiers[1].Spec = nil
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "no built-in device model") {
+		t.Fatalf("custom tier without a Spec: Validate returned %v, want a missing-model error", err)
 	}
 }

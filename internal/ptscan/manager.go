@@ -15,8 +15,8 @@ type Options struct {
 	// migration (the paper's M.Async); otherwise one thread serializes
 	// scan → migrate → scan (M.Sync, and Nimble's kernel thread).
 	Async bool
-	// UseDMA selects the I/OAT copy engine; otherwise copyThreads
-	// software copy threads move pages (Nimble).
+	// UseDMA selects the I/OAT copy engine; otherwise
+	// dma.FallbackCopyThreads software copy threads move pages (Nimble).
 	UseDMA bool
 	// MigRateCap bounds migration bandwidth.
 	MigRateCap float64
@@ -47,8 +47,6 @@ const (
 	policyInterval = 10 * sim.Millisecond
 	// maxCycleBytes caps migration enqueued per scan cycle (sync mode).
 	maxCycleBytes = 4 * sim.GB
-	// copyThreads is the software-copy thread count when !UseDMA.
-	copyThreads = 4
 )
 
 // HeMemPTAsync returns options for HeMem with asynchronous page-table
@@ -78,6 +76,31 @@ func ScanOnly() Options {
 	o.Name = "HeMem-PT-ScanOnly"
 	o.MigrationEnabled = false
 	return o
+}
+
+// Nimble returns options for the Nimble baseline (Yan et al., ASPLOS '19)
+// as the paper deploys it (§2.4, §5): NVM exposed as a far NUMA node,
+// with a single kernel thread that sequentially scans page tables for
+// accessed/dirty bits and then migrates pages, plus four dedicated
+// migration copy threads. Because scanning and migration share one
+// thread, long migrations delay statistics gathering, and long scans over
+// large memories overestimate the hot set — the two effects behind
+// Nimble's losses in Figures 5, 6, 14 and 15.
+func Nimble() Options {
+	return Options{
+		Name:  "Nimble",
+		Async: false, // one kernel thread: scan, then migrate
+		// Four migration copy threads maximize copy throughput (§5).
+		UseDMA: false,
+		// Kernel NUMA migration is not rate-capped like HeMem; bound it
+		// by the copy threads' own throughput.
+		MigRateCap: sim.GBps(100),
+		// The kernel thread itself.
+		BGThreads:        1,
+		MigrationEnabled: true,
+		// Nimble is blind to read/write asymmetry (Table 2).
+		WritePriority: false,
+	}
 }
 
 // Manager is a scanning-based tier manager.
@@ -139,7 +162,7 @@ func (g *Manager) Attach(m *machine.Machine) {
 	if g.opt.UseDMA {
 		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New(dma.DefaultConfig())})
 	} else {
-		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(copyThreads)})
+		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)})
 	}
 	g.scheduleScan(m.Clock.Now())
 	if g.opt.Async && g.opt.MigrationEnabled {

@@ -1,6 +1,6 @@
 // Package ptscan implements page-table-scanning tier management: the
 // HeMem-PT-Sync and HeMem-PT-Async ablations of Figures 8, 9, 15 and 16,
-// and the machinery behind the Nimble baseline (internal/nimble).
+// and the Nimble baseline (the Nimble preset).
 //
 // Scanning managers read page-table accessed/dirty bits instead of PEBS
 // samples. The simulation evaluates bits lazily and statistically: each

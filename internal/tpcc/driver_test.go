@@ -6,7 +6,7 @@ import (
 	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/memmode"
-	"github.com/tieredmem/hemem/internal/nimble"
+	"github.com/tieredmem/hemem/internal/ptscan"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/tpcc"
 	"github.com/tieredmem/hemem/internal/vm"
@@ -32,7 +32,7 @@ func tps(t *testing.T, mgr machine.Manager, warehouses int) (float64, *tpcc.Driv
 func TestFig13SmallWarehouses(t *testing.T) {
 	he, _ := tps(t, core.New(core.DefaultConfig()), 64)
 	mm, _ := tps(t, memmode.New(), 64)
-	nb, _ := tps(t, nimble.New(), 64)
+	nb, _ := tps(t, ptscan.New(ptscan.Nimble()), 64)
 	nvm, _ := tps(t, xmem.NVMOnly(), 64)
 
 	if he < mm {

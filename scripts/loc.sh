@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Prints the size numbers ROADMAP.md tracks: non-test Go lines outside
-# the benchmark/ module, the share of them under internal/, and the count
-# of settable knobs (exported fields of the four config structs plus the
-# hemem-bench flags).
+# the benchmark/ module, the share of them under internal/, the count of
+# non-test init functions there (0: every table is a literal), and the
+# count of settable knobs (exported fields of the four config structs plus
+# the hemem-bench flags).
 # Counts physical lines (comments and blanks included) of tracked and untracked, non-ignored files.
 #
 #   bash scripts/loc.sh
@@ -15,6 +16,8 @@ total=$(files | xargs -r cat | wc -l)
 internal=$(files | grep '^internal/' | xargs -r cat | wc -l)
 echo "non-test Go lines outside benchmark/: $total"
 echo "non-test Go lines under internal/:    $internal"
+inits=$(files | xargs -r cat | grep -c '^func init()' || true)
+echo "non-test init functions:              $inits"
 
 # fields FILE TYPE counts the exported field names declared at the top
 # level of struct TYPE in FILE ("A, B float64" counts two).
