@@ -88,6 +88,16 @@ func TestPublicExperiments(t *testing.T) {
 	if hemem.RunExperiment("bogus", &buf, hemem.ExperimentOpts{}) {
 		t.Fatal("bogus experiment accepted")
 	}
+	// Invalid options are rejected before the experiment writes anything.
+	for _, opts := range []hemem.ExperimentOpts{{Tracker: "nope"}, {Tenants: -1}} {
+		buf.Reset()
+		if hemem.RunExperiment("trackers", &buf, opts) {
+			t.Errorf("RunExperiment accepted invalid options %+v", opts)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("RunExperiment wrote %d bytes for invalid options %+v", buf.Len(), opts)
+		}
+	}
 }
 
 func TestPublicTierTable(t *testing.T) {
@@ -106,25 +116,6 @@ func TestPublicTierTable(t *testing.T) {
 	}
 	if got := mgr.Used(hemem.TierCXL); got != r.Bytes(hemem.TierCXL) {
 		t.Fatalf("manager CXL accounting %d != resident %d", got, r.Bytes(hemem.TierCXL))
-	}
-	// Custom tier registration is idempotent and Stringer-visible.
-	id := hemem.RegisterTier("hbm")
-	if again := hemem.RegisterTier("hbm"); again != id {
-		t.Fatalf("re-registration moved the tier id: %v vs %v", again, id)
-	}
-	if id.String() != "hbm" {
-		t.Fatalf("custom tier name = %q", id.String())
-	}
-	// The custom tier's model is its row's Spec: without one the table
-	// is invalid, with one it validates.
-	mcfg.Tiers = append(mcfg.Tiers, hemem.TierDesc{ID: id, Capacity: 4 * hemem.GB})
-	if err := mcfg.Validate(); err == nil {
-		t.Fatal("custom tier without a Spec validated")
-	}
-	spec := m.NVM.Spec
-	mcfg.Tiers[len(mcfg.Tiers)-1].Spec = &spec
-	if err := mcfg.Validate(); err != nil {
-		t.Fatalf("custom tier with a Spec rejected: %v", err)
 	}
 }
 

@@ -102,9 +102,6 @@ func (a *Arena) Grow(size int64) *vm.Region {
 // Managed reports whether the arena has been adopted.
 func (a *Arena) Managed() bool { return a.managed }
 
-// Allocated returns cumulative arena bytes.
-func (a *Arena) Allocated() int64 { return a.allocated }
-
 // Regions returns the arena's chunks.
 func (a *Arena) Regions() []*vm.Region { return a.regions }
 

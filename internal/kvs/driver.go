@@ -254,9 +254,6 @@ func (d *Driver) branchMean(c machine.Component) float64 {
 // Done implements machine.Workload: the server runs until stopped.
 func (d *Driver) Done() bool { return false }
 
-// Ops returns completed operations.
-func (d *Driver) Ops() float64 { return d.ops }
-
 // Mops returns throughput in million operations per second since the last
 // ResetScore.
 func (d *Driver) Mops() float64 {

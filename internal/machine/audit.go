@@ -134,7 +134,7 @@ func (m *Machine) Audit() []AuditViolation {
 		for t, n := range recount {
 			resident[t] += int64(n) * r.PageSize
 		}
-		for t := vm.Tier(0); int(t) < vm.NumTiers() && int(t) < vm.MaxTiers; t++ {
+		for t := vm.Tier(0); t < vm.MaxTiers; t++ {
 			if got := r.Count(t); got != recount[t] {
 				vs = append(vs, AuditViolation{"region-counts",
 					fmt.Sprintf("%s: counter says %d pages in %v, recount says %d", r.Name, got, t, recount[t])})
@@ -182,7 +182,7 @@ func (m *Machine) Audit() []AuditViolation {
 				recount[t]++
 			}
 		}
-		for t := vm.Tier(0); int(t) < vm.NumTiers() && int(t) < vm.MaxTiers; t++ {
+		for t := vm.Tier(0); t < vm.MaxTiers; t++ {
 			if got := s.Count(t); got != recount[t] {
 				vs = append(vs, AuditViolation{"set-counts",
 					fmt.Sprintf("set %s: counter says %d pages in %v, recount says %d", s.Name, got, t, recount[t])})
@@ -235,7 +235,7 @@ func (m *Machine) Audit() []AuditViolation {
 	if m.tenants != nil {
 		var sum [vm.MaxTiers]int
 		for id := vm.TenantID(1); int(id) <= nt; id++ {
-			for t := vm.Tier(0); int(t) < vm.NumTiers() && int(t) < vm.MaxTiers; t++ {
+			for t := vm.Tier(0); t < vm.MaxTiers; t++ {
 				got := m.AS.TenantPages(id, t)
 				sum[t] += got
 				if got != tally[id-1][t] {
@@ -245,7 +245,7 @@ func (m *Machine) Audit() []AuditViolation {
 				}
 			}
 		}
-		for t := vm.Tier(0); int(t) < vm.NumTiers() && int(t) < vm.MaxTiers; t++ {
+		for t := vm.Tier(0); t < vm.MaxTiers; t++ {
 			if sum[t] != owned[t] {
 				vs = append(vs, AuditViolation{"tenant-conservation",
 					fmt.Sprintf("%v: tenant occupancy sums to %d pages, owned regions hold %d", t, sum[t], owned[t])})

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/fault"
@@ -200,8 +201,8 @@ func TestNoFaultsWithoutConfig(t *testing.T) {
 	}
 }
 
-// Config validation flags negative parameters and an empty tier table,
-// and accepts defaults.
+// Config validation flags negative parameters, an empty tier table and
+// a tier with no capacity, and accepts defaults.
 func TestMachineConfigValidate(t *testing.T) {
 	if err := (machine.Config{}).Validate(); err != nil {
 		t.Fatalf("zero config invalid: %v", err)
@@ -222,5 +223,14 @@ func TestMachineConfigValidate(t *testing.T) {
 	bad.Tiers = []machine.TierDesc{}
 	if err := bad.Validate(); err == nil {
 		t.Error("empty non-nil tier table validated")
+	}
+	// CXL has no default capacity, so a row must give one.
+	bad.Tiers = []machine.TierDesc{
+		{ID: vm.TierDRAM, Capacity: 4 * sim.GB},
+		{ID: vm.TierCXL},
+		{ID: vm.TierNVM, Capacity: 64 * sim.GB},
+	}
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "CXL") {
+		t.Errorf("CXL row without a capacity: Validate returned %v, want an error naming CXL", err)
 	}
 }

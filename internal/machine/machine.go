@@ -42,20 +42,17 @@ const (
 const MaxDevs = 6
 
 // TierDesc is one row of the machine's tier descriptor table: a memory
-// tier with its identity, capacity, and device model. The table is
-// ordered fastest first and doubles as the migration graph — each tier's
-// promotion neighbour is the previous row, its demotion neighbour the
-// next row.
+// tier with its identity and capacity; its device model is the tier's
+// built-in one (mem.Builtin). The table is ordered fastest first and
+// doubles as the migration graph — each tier's promotion neighbour is
+// the previous row, its demotion neighbour the next row.
 type TierDesc struct {
-	// ID is the tier's identity in vm's tier table.
+	// ID is one of the built-in tiers: DRAM, NVM, Disk or CXL.
 	ID vm.TierID
-	// Capacity in bytes. Zero falls back to the default capacity of the
-	// built-in tiers (DRAM, NVM, disk; see ClassicTiers).
+	// Capacity in bytes. Zero falls back to the tier's default (DRAM,
+	// NVM and disk have one; see ClassicTiers); CXL has none and must
+	// set it.
 	Capacity int64
-	// Spec is the tier's device model. Nil selects the built-in model of
-	// DRAM, NVM, Disk or CXL (mem.BuiltinSpec); any other tier must set
-	// it. A non-zero Capacity overrides Spec.Capacity.
-	Spec *mem.Spec
 	// Swap marks a swap-only backing tier (§3.4): placement never puts
 	// fresh pages here and the policy only moves pages in explicitly.
 	// Defaults to true for TierDisk when no tier in the table is marked.
@@ -338,43 +335,6 @@ type Config struct {
 	Tiers []TierDesc
 }
 
-// Default capacities of the built-in tiers: one socket of the paper's
-// testbed (192 GB DRAM, 768 GB Optane) plus a swap disk (§3.4).
-const (
-	defaultDRAM = 192 * sim.GB
-	defaultNVM  = 768 * sim.GB
-	defaultDisk = 4 * sim.TB
-)
-
-// defaultCapacity is the capacity a built-in tier falls back to when its
-// table row leaves Capacity zero; other tiers keep zero (their device
-// model decides).
-func defaultCapacity(t vm.TierID) int64 {
-	switch t {
-	case vm.TierDRAM:
-		return defaultDRAM
-	case vm.TierNVM:
-		return defaultNVM
-	case vm.TierDisk:
-		return defaultDisk
-	}
-	return 0
-}
-
-// tierSpec is the device spec of a tier row: its explicit Spec or the
-// built-in model of its ID, at the row's capacity. It reports false for a
-// row with neither.
-func tierSpec(td TierDesc) (mem.Spec, bool) {
-	if td.Spec == nil {
-		return mem.BuiltinSpec(td.ID, td.Capacity)
-	}
-	spec := *td.Spec
-	if td.Capacity != 0 {
-		spec.Capacity = td.Capacity
-	}
-	return spec, true
-}
-
 // ClassicTiers is the tier table of the paper's testbed: DRAM, NVM (the
 // uncorrectable-error victim) and a swap disk. A zero capacity falls
 // back to that tier's default, so ClassicTiers(16*sim.GB, 0, 0) is the
@@ -414,8 +374,12 @@ func (c Config) Validate() error {
 		if td.Capacity < 0 {
 			return fmt.Errorf("machine: tier %v has negative capacity", td.ID)
 		}
-		if _, ok := tierSpec(td); !ok {
-			return fmt.Errorf("machine: tier %v has no built-in device model and no explicit spec", td.ID)
+		b, ok := mem.Builtin(td.ID)
+		if !ok {
+			return fmt.Errorf("machine: unknown tier %v (valid: DRAM, NVM, disk, CXL)", td.ID)
+		}
+		if td.Capacity == 0 && b.DefaultCapacity == 0 {
+			return fmt.Errorf("machine: tier %v has no default capacity; set Capacity", td.ID)
 		}
 	}
 	if len(c.Tiers) > MaxDevs {
@@ -450,9 +414,8 @@ func (c Config) withDefaults() Config {
 }
 
 // resolveTiers normalizes the tier table into a private copy: a nil table
-// becomes the classic DRAM/NVM/disk chain, zero capacities of built-in
-// tiers fall back to their defaults, and the Swap and UEVictim defaults
-// are applied.
+// becomes the classic DRAM/NVM/disk chain, zero capacities fall back to
+// their tier's default, and the Swap and UEVictim defaults are applied.
 func (c Config) resolveTiers() Config {
 	if c.Tiers == nil {
 		c.Tiers = ClassicTiers(0, 0, 0)
@@ -464,7 +427,8 @@ func (c Config) resolveTiers() Config {
 	for i := range tiers {
 		td := &tiers[i]
 		if td.Capacity == 0 {
-			td.Capacity = defaultCapacity(td.ID)
+			b, _ := mem.Builtin(td.ID)
+			td.Capacity = b.DefaultCapacity
 		}
 		anySwap = anySwap || td.Swap
 		anyUE = anyUE || td.UEVictim
@@ -482,15 +446,15 @@ func (c Config) resolveTiers() Config {
 }
 
 // DefaultConfig is one socket of the paper's dual-socket Cascade Lake
-// testbed: 24 cores, 192 GB DRAM, 768 GB Optane, 2 MB pages.
+// testbed: 24 cores, 192 GB DRAM, 768 GB Optane, 2 MB pages. Its tier
+// table is the classic one with every capacity filled in.
 func DefaultConfig() Config {
 	return Config{
 		Cores:    24,
 		PageSize: 2 * sim.MB,
 		Quantum:  sim.Millisecond,
 		Seed:     1,
-		Tiers:    ClassicTiers(defaultDRAM, defaultNVM, defaultDisk),
-	}
+	}.resolveTiers()
 }
 
 // SetRates tracks the cumulative access integral of one page set, used by
@@ -623,11 +587,8 @@ func New(cfg Config, mgr Manager) *Machine {
 		m.tierDev[i] = -1
 	}
 	for i, td := range cfg.Tiers {
-		spec, ok := tierSpec(td)
-		if !ok {
-			panic(fmt.Sprintf("machine: tier %v has no built-in device model and no explicit spec", td.ID))
-		}
-		dev := mem.New(spec)
+		b, _ := mem.Builtin(td.ID)
+		dev := mem.New(b.Spec(td.Capacity))
 		m.devs[i] = dev
 		if int(td.ID) < len(m.tierDev) {
 			m.tierDev[td.ID] = int8(i)
@@ -716,26 +677,6 @@ func (m *Machine) CapacityOf(t vm.TierID) int64 {
 
 // FastestTier returns the top of the migration chain.
 func (m *Machine) FastestTier() vm.TierID { return m.fastest }
-
-// FasterTier returns the promotion neighbour of tier t — the next
-// faster tier in the chain — or false at the top (or if t is absent).
-func (m *Machine) FasterTier(t vm.TierID) (vm.TierID, bool) {
-	d, ok := m.DevOf(t)
-	if !ok || d == 0 {
-		return vm.TierNone, false
-	}
-	return m.Cfg.Tiers[d-1].ID, true
-}
-
-// SlowerTier returns the demotion neighbour of tier t — the next slower
-// tier in the chain — or false at the bottom (or if t is absent).
-func (m *Machine) SlowerTier(t vm.TierID) (vm.TierID, bool) {
-	d, ok := m.DevOf(t)
-	if !ok || int(d) >= len(m.Cfg.Tiers)-1 {
-		return vm.TierNone, false
-	}
-	return m.Cfg.Tiers[d+1].ID, true
-}
 
 // AddWorkload registers a workload to run. The workload's metric slots
 // (throughput series, ops counter) are resolved here, once, so Step never

@@ -442,43 +442,51 @@ func TestRunUntilDoneStopsAtMaxDuration(t *testing.T) {
 	}
 }
 
-// A tier named with vm.RegisterTier is described by its table row alone:
-// the row's Spec builds the tier's device at the row's capacity, and
-// HeMem places pages on it and runs a workload across it. The same row
-// without a Spec fails Validate, since only the built-in tiers have a
-// model of their own.
-func TestCustomTierSpec(t *testing.T) {
-	hbm := vm.RegisterTier("hbm")
-	spec := mem.DRAMSpec(1 * sim.GB)
-	spec.Name = "HBM"
-	spec.ReadLatency, spec.WriteLatency = 110, 110
-	cfg := machine.DefaultConfig()
-	cfg.Tiers = []machine.TierDesc{
-		{ID: vm.TierDRAM, Capacity: 4 * sim.GB},
-		{ID: hbm, Capacity: 8 * sim.GB, Spec: &spec},
-		{ID: vm.TierNVM, Capacity: 64 * sim.GB},
+// The tier set is one fixed table: each built-in tier's name, device
+// spec and default capacity come from it, a value outside it prints
+// explicitly, and Validate rejects any row whose ID is not a built-in
+// tier (including TierNone and the negative IDs an int8 wraps to).
+func TestBuiltinTierTable(t *testing.T) {
+	rows := []struct {
+		id   vm.TierID
+		name string
+		spec func(int64) mem.Spec
+		def  int64
+	}{
+		{vm.TierDRAM, "DRAM", mem.DRAMSpec, 192 * sim.GB},
+		{vm.TierNVM, "NVM", mem.NVMSpec, 768 * sim.GB},
+		{vm.TierDisk, "disk", mem.DiskSpec, 4 * sim.TB},
+		{vm.TierCXL, "CXL", mem.CXLSpec, 0},
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("custom tier with a Spec rejected: %v", err)
+	m := machine.New(machine.Config{}, core.New(core.DefaultConfig()))
+	for _, r := range rows {
+		if got := r.id.String(); got != r.name {
+			t.Errorf("tier %d prints %q, want %q", int(r.id), got, r.name)
+		}
+		b, ok := mem.Builtin(r.id)
+		if !ok {
+			t.Fatalf("%v has no built-in row", r.id)
+		}
+		if got, want := b.Spec(sim.GB), r.spec(sim.GB); got != want {
+			t.Errorf("%v spec = %+v, want %+v", r.id, got, want)
+		}
+		if b.DefaultCapacity != r.def {
+			t.Errorf("%v default capacity = %d, want %d", r.id, b.DefaultCapacity, r.def)
+		}
+		// The default testbed holds DRAM, NVM and disk at their defaults;
+		// CXL is absent, so its capacity reads as its (zero) default too.
+		if got := m.CapacityOf(r.id); got != r.def {
+			t.Errorf("default machine %v capacity = %d, want %d", r.id, got, r.def)
+		}
 	}
-	m := machine.New(cfg, core.New(core.DefaultConfig()))
-	want := spec
-	want.Capacity = 8 * sim.GB
-	if got := m.DeviceFor(hbm).Spec; got != want {
-		t.Fatalf("hbm device spec = %+v, want the row's spec at the row's capacity %+v", got, want)
+	if s := vm.Tier(11).String(); s != "tier(11)" {
+		t.Errorf("Tier(11) prints %q, want tier(11)", s)
 	}
-	g := gups.New(m, gups.Config{Threads: 8, WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, Seed: 3})
-	m.Warm()
-	if g.Region().Bytes(hbm) == 0 {
-		t.Fatal("no pages landed on the custom tier")
-	}
-	m.Run(1 * sim.Second)
-	if g.Score() <= 0 {
-		t.Fatal("no GUPS progress across the custom tier")
-	}
-
-	cfg.Tiers[1].Spec = nil
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "no built-in device model") {
-		t.Fatalf("custom tier without a Spec: Validate returned %v, want a missing-model error", err)
+	for _, id := range []vm.TierID{0, 5, 7, 8, -1} {
+		cfg := machine.DefaultConfig()
+		cfg.Tiers = append(cfg.Tiers, machine.TierDesc{ID: id, Capacity: sim.GB})
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("tier ID %d validated", int(id))
+		}
 	}
 }

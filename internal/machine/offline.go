@@ -79,11 +79,6 @@ func (m *Machine) OnlineTier(t vm.TierID) bool {
 	return true
 }
 
-// TierIsOffline reports whether tier t is currently offline.
-func (m *Machine) TierIsOffline(t vm.TierID) bool {
-	return int(t) > 0 && int(t) < vm.MaxTiers && m.offline[t]
-}
-
 // Episodes returns the replayable fault-episode log: every episode onset
 // the injector or the tier lifecycle recorded, in order, with scheduled
 // ends and measured evacuation times. Callers must not mutate it.

@@ -379,14 +379,6 @@ func (tr *TenantRuntime) SpecOf(id vm.TenantID) TenantSpec {
 	return tr.tenants[id-1].spec
 }
 
-// Hist returns tenant id's SLO histogram (nil for unknown IDs).
-func (tr *TenantRuntime) Hist(id vm.TenantID) *sim.Histogram {
-	if id <= 0 || int(id) > len(tr.tenants) {
-		return nil
-	}
-	return tr.tenants[id-1].hist
-}
-
 // Migrations returns completed page moves attributed to tenant id.
 func (tr *TenantRuntime) Migrations(id vm.TenantID) int64 {
 	if id <= 0 || int(id) > len(tr.tenants) {

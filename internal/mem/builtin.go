@@ -5,21 +5,34 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// BuiltinSpec returns the calibrated spec of built-in tier t (DRAM, NVM,
-// Disk or CXL) at the given capacity. Any other tier has no built-in
-// model, and reports false: its machine tier table row must carry a Spec.
-func BuiltinSpec(t vm.TierID, capacity int64) (Spec, bool) {
-	switch t {
-	case vm.TierDRAM:
-		return DRAMSpec(capacity), true
-	case vm.TierNVM:
-		return NVMSpec(capacity), true
-	case vm.TierDisk:
-		return DiskSpec(capacity), true
-	case vm.TierCXL:
-		return CXLSpec(capacity), true
+// BuiltinTier is one row of the built-in tier table.
+type BuiltinTier struct {
+	// Spec builds the tier's calibrated device spec at a capacity.
+	Spec func(capacity int64) Spec
+	// DefaultCapacity is the capacity a machine tier row that leaves its
+	// Capacity zero falls back to; zero means the tier has none, so the
+	// row must set one.
+	DefaultCapacity int64
+}
+
+// builtinTiers describes every tier of the fixed set, indexed by TierID
+// (TierNone's row is empty). The default capacities are one socket of
+// the paper's testbed (192 GB DRAM, 768 GB Optane) plus a swap disk
+// (§3.4); the CXL expander has no default.
+var builtinTiers = [...]BuiltinTier{
+	vm.TierDRAM: {DRAMSpec, 192 * sim.GB},
+	vm.TierNVM:  {NVMSpec, 768 * sim.GB},
+	vm.TierDisk: {DiskSpec, 4 * sim.TB},
+	vm.TierCXL:  {CXLSpec, 0},
+}
+
+// Builtin returns tier t's row of the built-in tier table; ok is false
+// for TierNone and any ID outside the tier set.
+func Builtin(t vm.TierID) (BuiltinTier, bool) {
+	if t < 0 || int(t) >= len(builtinTiers) || builtinTiers[t].Spec == nil {
+		return BuiltinTier{}, false
 	}
-	return Spec{}, false
+	return builtinTiers[t], true
 }
 
 // CXLSpec returns a calibrated CXL-attached DRAM expander: DDR behind a
@@ -42,6 +55,3 @@ func CXLSpec(capacity int64) Spec {
 		MediaGranularity: 64,
 	}
 }
-
-// NewCXL returns a calibrated CXL memory device of the given capacity.
-func NewCXL(capacity int64) *Device { return New(CXLSpec(capacity)) }

@@ -6,29 +6,27 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// Each built-in tier has a spec at the requested capacity that matches
-// its direct constructor, and any other tier has none.
+// Each built-in tier builds a spec at the requested capacity that
+// matches its direct constructor, and TierNone has no row.
 func TestBuiltinSpec(t *testing.T) {
 	direct := map[vm.TierID]func(int64) Spec{
 		vm.TierDRAM: DRAMSpec, vm.TierNVM: NVMSpec, vm.TierDisk: DiskSpec, vm.TierCXL: CXLSpec,
 	}
 	for tier, want := range direct {
-		spec, ok := BuiltinSpec(tier, 16)
+		b, ok := Builtin(tier)
 		if !ok {
-			t.Fatalf("BuiltinSpec(%v) has no model", tier)
+			t.Fatalf("Builtin(%v) has no row", tier)
 		}
+		spec := b.Spec(16)
 		if spec != want(16) {
-			t.Fatalf("BuiltinSpec(%v) = %+v, want %+v", tier, spec, want(16))
+			t.Fatalf("Builtin(%v).Spec(16) = %+v, want %+v", tier, spec, want(16))
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%v spec invalid: %v", tier, err)
 		}
 	}
-	custom := vm.RegisterTier("builtin-spec-test")
-	for _, tier := range []vm.TierID{vm.TierNone, custom} {
-		if _, ok := BuiltinSpec(tier, 1); ok {
-			t.Fatalf("BuiltinSpec(%v) should have no model", tier)
-		}
+	if _, ok := Builtin(vm.TierNone); ok {
+		t.Fatal("TierNone has a built-in row")
 	}
 }
 

@@ -206,9 +206,6 @@ func DiskSpec(capacity int64) Spec {
 	}
 }
 
-// NewDisk returns a calibrated swap device of the given capacity.
-func NewDisk(capacity int64) *Device { return New(DiskSpec(capacity)) }
-
 // NewDRAM returns a calibrated DRAM device of the given capacity.
 func NewDRAM(capacity int64) *Device { return New(DRAMSpec(capacity)) }
 

@@ -156,9 +156,6 @@ func (d *Driver) OnOps(now int64, ops float64, opTime float64) {
 // Done implements machine.Workload (open-ended server workload).
 func (d *Driver) Done() bool { return false }
 
-// Txs returns completed transactions.
-func (d *Driver) Txs() float64 { return d.txs }
-
 // TPS returns transactions per second since the last ResetScore.
 func (d *Driver) TPS() float64 {
 	el := float64(d.lastNow - d.obsTime)

@@ -2,11 +2,10 @@ package vm
 
 // Tenant ownership of regions. A TenantID tags a Region with the tenant
 // it is charged to; the AddressSpace mirrors every tier transition of an
-// owned page into a per-tenant, per-tier occupancy table sized by the
-// tier registry (the same idiom as the per-region and per-set counter
-// slices). Untenanted regions — everything created through Map — never
-// touch the table, so the zero-tenant path is byte-identical to a build
-// without tenancy.
+// owned page into a per-tenant, per-tier occupancy table (the same
+// counters as the per-region and per-set ones). Untenanted regions —
+// everything created through Map — never touch the table, so the
+// zero-tenant path is byte-identical to a build without tenancy.
 
 // TenantID identifies a tenant within an AddressSpace. IDs are dense and
 // start at 1; TenantNone (0) marks untenanted regions.
@@ -39,12 +38,12 @@ func (r *Region) Owner() TenantID { return r.owner }
 func (a *AddressSpace) NumTenants() int { return len(a.tenants) }
 
 // TenantPages returns how many pages tenant id currently holds in tier
-// t. Unknown IDs and tiers read as zero.
+// t. Unknown IDs read as zero.
 func (a *AddressSpace) TenantPages(id TenantID, t Tier) int {
 	if id <= 0 || int(id) > len(a.tenants) {
 		return 0
 	}
-	return countOf(a.tenants[id-1], t)
+	return a.tenants[id-1][t]
 }
 
 // TenantBytes returns tenant id's resident bytes in tier t.
@@ -55,26 +54,20 @@ func (a *AddressSpace) TenantBytes(id TenantID, t Tier) int64 {
 // bumpTenant moves one owned page's charge from tier `from` to tier
 // `to`.
 func (a *AddressSpace) bumpTenant(id TenantID, from, to Tier) {
-	c := a.tenantCounts(id)
-	a.tenants[id-1] = bump(c, from, to)
+	a.tenantCounts(id).bump(from, to)
 }
 
 // chargeTenant adds n pages (possibly negative) to tenant id's count in
 // tier t — the bulk entry/exit path used by MapOwned and Unmap.
 func (a *AddressSpace) chargeTenant(id TenantID, t Tier, n int) {
-	c := a.tenantCounts(id)
-	if int(t) >= len(c) {
-		c = growCounts(c)
-		a.tenants[id-1] = c
-	}
-	c[t] += n
+	a.tenantCounts(id)[t] += n
 }
 
-// tenantCounts returns tenant id's counter slice, growing the table for
-// newly seen IDs.
-func (a *AddressSpace) tenantCounts(id TenantID) []int {
+// tenantCounts returns tenant id's counters, growing the table for newly
+// seen IDs.
+func (a *AddressSpace) tenantCounts(id TenantID) *tierCounts {
 	for int(id) > len(a.tenants) {
-		a.tenants = append(a.tenants, make([]int, NumTiers()))
+		a.tenants = append(a.tenants, tierCounts{})
 	}
-	return a.tenants[id-1]
+	return &a.tenants[id-1]
 }

@@ -54,7 +54,7 @@ func TestTenantOccupancyCounters(t *testing.T) {
 
 	// Unmap releases the full charge and detaches the owner.
 	as.Unmap(r1)
-	for tier := Tier(0); int(tier) < NumTiers(); tier++ {
+	for tier := Tier(0); tier < MaxTiers; tier++ {
 		if got := as.TenantPages(1, tier); got != 0 {
 			t.Fatalf("tenant 1 %v after Unmap = %d, want 0", tier, got)
 		}
@@ -84,17 +84,19 @@ func TestMapOwnedNoneIsPlainMap(t *testing.T) {
 	}
 }
 
-// Counter slices grow when a tier is registered after the tenant's first
-// charge (registry-sized idiom shared with region/set counts).
+// The tenant table grows to the largest tenant ID charged: a sparse ID
+// gets zeroed slots below it, and its own counters follow SetTier.
 func TestTenantCountsGrowWithRegistry(t *testing.T) {
 	as := NewAddressSpace(2 << 20)
 	r := as.MapOwned("grow", 2<<21, 7) // sparse ID: table grows to 7 slots
 	if got := as.NumTenants(); got != 7 {
 		t.Fatalf("NumTenants = %d, want 7", got)
 	}
-	tier := RegisterTier("tenant-test-tier")
-	r.PageAt(0).SetTier(tier)
-	if got := as.TenantPages(7, tier); got != 1 {
-		t.Fatalf("tenant 7 in late tier = %d, want 1", got)
+	r.PageAt(0).SetTier(TierCXL)
+	if got := as.TenantPages(7, TierCXL); got != 1 {
+		t.Fatalf("tenant 7 in CXL = %d, want 1", got)
+	}
+	if got := as.TenantPages(6, TierNone); got != 0 {
+		t.Fatalf("sparse tenant 6 holds %d pages, want 0", got)
 	}
 }

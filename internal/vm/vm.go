@@ -17,11 +17,10 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 )
 
-// Tier identifies where a page currently resides. Tier values index the
-// tier descriptor table: the built-in tiers below are pre-registered, and
-// RegisterTier extends the table for machines with additional memory
-// kinds. TierID is the index-flavoured alias used by table-keyed APIs
-// (device-model registry, per-tier fault counters, free targets).
+// Tier identifies where a page currently resides. The tier set is
+// fixed: TierNone plus the four memory kinds below, named by one literal
+// table. TierID is the index-flavoured alias used by table-keyed APIs
+// (built-in device models, per-tier fault counters, free targets).
 type Tier int8
 
 // TierID is an alias for Tier, used where a value is a table index rather
@@ -40,67 +39,27 @@ const (
 	TierCXL
 )
 
-// MaxTiers bounds the tier table. Fixed-size per-tier arrays (fault
-// counters, migration edge counts) are sized by it so the structs that
-// embed them stay comparable.
+// MaxTiers bounds the tier IDs. Fixed-size per-tier arrays (occupancy
+// and fault counters, migration edge counts) are sized by it so the
+// structs that embed them stay comparable.
 const MaxTiers = 8
 
-// tierNames is the descriptor table's name column; the index is the
-// TierID. RegisterTier appends to it.
-var tierNames = []string{"none", "DRAM", "NVM", "disk", "CXL"}
-
-// NumTiers returns the current size of the tier table (including
-// TierNone).
-func NumTiers() int { return len(tierNames) }
-
-// RegisterTier adds a named tier to the table and returns its TierID. If
-// the name is already registered the existing ID is returned, so
-// registration is idempotent and deterministic regardless of how many
-// machines are constructed.
-func RegisterTier(name string) Tier {
-	for i, n := range tierNames {
-		if n == name {
-			return Tier(i)
-		}
-	}
-	if len(tierNames) >= MaxTiers {
-		panic("vm: tier table full (MaxTiers)")
-	}
-	tierNames = append(tierNames, name)
-	return Tier(len(tierNames) - 1)
+// tierNames is the tier set's name column; the index is the TierID.
+var tierNames = [...]string{
+	TierNone: "none",
+	TierDRAM: "DRAM",
+	TierNVM:  "NVM",
+	TierDisk: "disk",
+	TierCXL:  "CXL",
 }
 
-// String returns the tier's registered name. TierNone and values outside
-// the table are reported explicitly — an unknown tier prints as
-// "tier(<n>)" rather than silently aliasing a real one.
+// String returns the tier's name. A value outside the tier set prints
+// as "tier(<n>)" rather than silently aliasing a real one.
 func (t Tier) String() string {
-	switch t {
-	case TierNone:
-		return "none"
-	case TierDRAM:
-		return "DRAM"
-	case TierNVM:
-		return "NVM"
-	case TierDisk:
-		return "disk"
-	case TierCXL:
-		return "CXL"
-	}
-	if int(t) > 0 && int(t) < len(tierNames) {
+	if t >= 0 && int(t) < len(tierNames) {
 		return tierNames[t]
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
-}
-
-// ParseTier maps a registered tier name back to its TierID; ok is false
-// for unknown names.
-func ParseTier(name string) (Tier, bool) {
-	for i, n := range tierNames {
-		if n == name {
-			return Tier(i), true
-		}
-	}
-	return TierNone, false
 }
 
 // PageID is a global page index within an AddressSpace.
@@ -222,7 +181,7 @@ func (p *Page) SetTier(t Tier) {
 	if p.Tier == t {
 		return
 	}
-	p.Region.counts = bump(p.Region.counts, p.Tier, t)
+	p.Region.counts.bump(p.Tier, t)
 	if s := p.set0; s != nil {
 		s.bump(p.Tier, t)
 	}
@@ -238,32 +197,13 @@ func (p *Page) SetTier(t Tier) {
 	p.Tier = t
 }
 
-// bump moves one page's worth of occupancy from tier `from` to tier `to`
-// in a table-sized counter slice, growing the slice if a tier was
-// registered after the slice was allocated.
-func bump(c []int, from, to Tier) []int {
-	if int(to) >= len(c) || int(from) >= len(c) {
-		c = growCounts(c)
-	}
+// tierCounts is a per-tier page count, indexed by TierID.
+type tierCounts [MaxTiers]int
+
+// bump moves one page's worth of occupancy from tier `from` to tier `to`.
+func (c *tierCounts) bump(from, to Tier) {
 	c[from]--
 	c[to]++
-	return c
-}
-
-// growCounts resizes a counter slice to the current tier-table size.
-func growCounts(c []int) []int {
-	n := make([]int, NumTiers())
-	copy(n, c)
-	return n
-}
-
-// countOf reads a counter slice at tier t, tolerating slices allocated
-// before t was registered.
-func countOf(c []int, t Tier) int {
-	if int(t) >= 0 && int(t) < len(c) {
-		return c[t]
-	}
-	return 0
 }
 
 // Page metadata is materialized in fixed-size chunks so that terabyte
@@ -298,9 +238,9 @@ type Region struct {
 	touched int
 	space   *AddressSpace
 
-	// counts is indexed by TierID and sized by the tier table. The
-	// TierNone count includes unmaterialized pages.
-	counts []int
+	// counts holds the region's pages per tier. The TierNone count
+	// includes unmaterialized pages.
+	counts tierCounts
 
 	// owner is the tenant this region is charged to, or TenantNone for
 	// untenanted regions (the default: Map never sets it). Owned regions
@@ -408,22 +348,22 @@ func (r *Region) AllPages() []*Page {
 }
 
 // Count returns how many of the region's pages are in tier t.
-func (r *Region) Count(t Tier) int { return countOf(r.counts, t) }
+func (r *Region) Count(t Tier) int { return r.counts[t] }
 
 // Frac returns the fraction of the region's pages in tier t.
 func (r *Region) Frac(t Tier) float64 {
 	if r.n == 0 {
 		return 0
 	}
-	return float64(countOf(r.counts, t)) / float64(r.n)
+	return float64(r.counts[t]) / float64(r.n)
 }
 
 // Bytes returns the bytes of the region resident in tier t.
-func (r *Region) Bytes(t Tier) int64 { return int64(countOf(r.counts, t)) * r.PageSize }
+func (r *Region) Bytes(t Tier) int64 { return int64(r.counts[t]) * r.PageSize }
 
 // AsSet returns a PageSet covering the whole region (materializing it).
 func (r *Region) AsSet() *PageSet {
-	s := &PageSet{Name: r.Name, pages: make([]*Page, 0, r.n), counts: make([]int, NumTiers())}
+	s := &PageSet{Name: r.Name, pages: make([]*Page, 0, r.n)}
 	for i := 0; i < r.n; i++ {
 		s.Add(r.PageAt(i))
 	}
@@ -439,17 +379,16 @@ func (r *Region) String() string {
 // 512 GB working set. Sets maintain per-tier occupancy so the machine can
 // split a traffic component across devices in O(1).
 type PageSet struct {
-	Name  string
-	pages []*Page
-	// counts is indexed by TierID and sized by the tier table.
-	counts  []int
-	version uint64 // see Version
+	Name    string
+	pages   []*Page
+	counts  tierCounts // the set's pages per tier
+	version uint64     // see Version
 }
 
 // NewPageSet builds a set over the given pages and registers the
 // membership on each page.
 func NewPageSet(name string, pages []*Page) *PageSet {
-	s := &PageSet{Name: name, pages: make([]*Page, 0, len(pages)), counts: make([]int, NumTiers())}
+	s := &PageSet{Name: name, pages: make([]*Page, 0, len(pages))}
 	for _, p := range pages {
 		s.Add(p)
 	}
@@ -459,9 +398,6 @@ func NewPageSet(name string, pages []*Page) *PageSet {
 // Add inserts page p into the set.
 func (s *PageSet) Add(p *Page) {
 	s.pages = append(s.pages, p)
-	if int(p.Tier) >= len(s.counts) {
-		s.counts = growCounts(s.counts)
-	}
 	s.counts[p.Tier]++
 	s.version++
 	p.addSet(s)
@@ -475,9 +411,6 @@ func (s *PageSet) Remove(i int) *Page {
 	s.pages[i] = s.pages[last]
 	s.pages[last] = nil
 	s.pages = s.pages[:last]
-	if int(p.Tier) >= len(s.counts) {
-		s.counts = growCounts(s.counts)
-	}
 	s.counts[p.Tier]--
 	s.version++
 	p.removeSet(s)
@@ -486,7 +419,7 @@ func (s *PageSet) Remove(i int) *Page {
 
 // bump moves one member page's occupancy from tier from to tier to.
 func (s *PageSet) bump(from, to Tier) {
-	s.counts = bump(s.counts, from, to)
+	s.counts.bump(from, to)
 	s.version++
 }
 
@@ -505,7 +438,7 @@ func (s *PageSet) Page(i int) *Page { return s.pages[i] }
 func (s *PageSet) Pages() []*Page { return s.pages }
 
 // Count returns how many pages of the set are in tier t.
-func (s *PageSet) Count(t Tier) int { return countOf(s.counts, t) }
+func (s *PageSet) Count(t Tier) int { return s.counts[t] }
 
 // Frac returns the fraction of the set's pages in tier t. Pages still in
 // TierNone count toward neither.
@@ -513,7 +446,7 @@ func (s *PageSet) Frac(t Tier) float64 {
 	if len(s.pages) == 0 {
 		return 0
 	}
-	return float64(countOf(s.counts, t)) / float64(len(s.pages))
+	return float64(s.counts[t]) / float64(len(s.pages))
 }
 
 // Bytes returns set bytes, assuming a uniform page size.
@@ -540,11 +473,11 @@ type AddressSpace struct {
 	nextRegionID  int
 	retiredFrames int
 
-	// tenants holds one tier-table-sized occupancy counter slice per
-	// tenant ID ever charged in this space (index id-1; see tenant.go).
-	// Like the per-region counts, each slice's TierNone slot includes
-	// unmaterialized pages of owned regions.
-	tenants [][]int
+	// tenants holds one per-tier occupancy count per tenant ID ever
+	// charged in this space (index id-1; see tenant.go). Like the
+	// per-region counts, each TierNone slot includes unmaterialized pages
+	// of owned regions.
+	tenants []tierCounts
 }
 
 // pageSpan is one region's slice of the global PageID space.
@@ -553,10 +486,6 @@ type pageSpan struct {
 	n    int
 	r    *Region
 }
-
-// NumRegions returns how many regions were ever mapped (unmapped regions
-// keep their IDs, so this is also the upper bound on Region.ID + 1).
-func (a *AddressSpace) NumRegions() int { return a.nextRegionID }
 
 // NewAddressSpace creates an empty address space with the given page size
 // (HeMem's prototype uses 2 MB huge pages).
@@ -581,7 +510,6 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 	// mapping a terabyte costs one pointer per chunk window, not a Page
 	// per 2 MB.
 	r.chunks = make([]*pageChunk, (n+chunkPages-1)/chunkPages)
-	r.counts = make([]int, NumTiers())
 	r.counts[TierNone] = n
 	a.spans = append(a.spans, pageSpan{base: r.base, n: n, r: r})
 	a.numPages += n
