@@ -85,7 +85,7 @@ func TestHotSetSeedsDiffer(t *testing.T) {
 	_, a := newGUPS(gups.Config{WorkingSet: 16 * sim.GB, HotSet: 4 * sim.GB, Seed: 1})
 	_, b := newGUPS(gups.Config{WorkingSet: 16 * sim.GB, HotSet: 4 * sim.GB, Seed: 2})
 	same := 0
-	inB := map[int]bool{}
+	inB := map[int32]bool{}
 	for _, p := range b.HotPages().Pages() {
 		inB[p.Index] = true
 	}

@@ -378,8 +378,8 @@ func TestAuditLeavesNoMark(t *testing.T) {
 // A clean audit of a warmed, tenanted machine with migrations in flight
 // allocates nothing, and the audit stamp costs vm.Page no bytes.
 func TestAuditAllocationFree(t *testing.T) {
-	if got := unsafe.Sizeof(vm.Page{}); got != 88 {
-		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 88", got)
+	if got := unsafe.Sizeof(vm.Page{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 48", got)
 	}
 	f := newAuditFixture(t)
 	if f.m.Migrator.QueueLen() == 0 {

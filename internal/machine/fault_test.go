@@ -167,7 +167,7 @@ func TestNVMUncorrectableRetiresFrames(t *testing.T) {
 	}
 	remaps := 0
 	for _, p := range r.AllPages() {
-		remaps += p.Remaps
+		remaps += m.AS.Remaps(p)
 		if p.Tier != vm.TierNVM {
 			t.Fatalf("page %d left NVM under non-FaultHandler manager", p.ID)
 		}

@@ -179,7 +179,7 @@ func (m *Machine) injectUE() {
 // lost and the page stays mapped — but a page accumulating the chaos
 // config's retire threshold is predictively retired: the failing frame is
 // discarded before it can produce an uncorrectable error, the page
-// remaps (RetireFrame zeroes the page's error count with the frame), and
+// remaps (RetireFrame zeroes the frame's error count with the frame), and
 // a FaultHandler manager may queue an emergency promotion exactly as for
 // a UE.
 func (m *Machine) injectCE() {
@@ -188,8 +188,7 @@ func (m *Machine) injectCE() {
 		return
 	}
 	m.faultStats.CorrectableErrors++
-	victim.CorrectableErrors++
-	if victim.CorrectableErrors < m.Injector.CERetireThreshold() {
+	if m.AS.NoteCorrectableError(victim) < m.Injector.CERetireThreshold() {
 		return
 	}
 	m.AS.RetireFrame(victim)

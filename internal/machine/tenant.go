@@ -201,8 +201,16 @@ func (m *Machine) AddWorkloadFor(w Workload, owner vm.TenantID) {
 // assigned, the manager is notified, and start is called to launch the
 // tenant's app. Arrivals that don't fit wait FIFO (head-of-line, so
 // admission order is deterministic) and start on a later departure;
-// reservations no machine state could ever satisfy are rejected.
+// reservations no machine state could ever satisfy are rejected, as are
+// negative caps and reservations (a negative one would lower the sum
+// that later arrivals are admitted against).
 func (tr *TenantRuntime) Admit(spec TenantSpec, start func(id vm.TenantID) TenantApp) (vm.TenantID, AdmitResult) {
+	for t := range spec.Reserve {
+		if spec.Reserve[t] < 0 || spec.Cap[t] < 0 {
+			tr.stats.Rejected++
+			return vm.TenantNone, AdmitRejected
+		}
+	}
 	for _, td := range tr.m.Cfg.Tiers {
 		if spec.Reserve[td.ID] > td.Capacity {
 			tr.stats.Rejected++

@@ -98,6 +98,48 @@ func TestAdmissionControlQueueAndReject(t *testing.T) {
 	}
 }
 
+// A negative reservation or cap is rejected: admitted, a -1 GB DRAM
+// reservation would lower the reserved sum enough to let four 200 MB
+// reservations onto a 256 MB DRAM tier.
+func TestAdmitRejectsNegativeReserve(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tiers = []TierDesc{
+		{ID: vm.TierDRAM, Capacity: 256 * sim.MB},
+		{ID: vm.TierNVM, Capacity: 4 * sim.GB, UEVictim: true},
+	}
+	m := New(cfg, nopManager{})
+	tr := m.EnableTenants()
+
+	var neg TenantSpec
+	neg.Name = "negative"
+	neg.Reserve[vm.TierDRAM] = -sim.GB
+	if _, res := tr.Admit(neg, nil); res != AdmitRejected {
+		t.Fatalf("Reserve[DRAM] = -1 GB admit = %v, want rejected", res)
+	}
+	neg.Reserve[vm.TierDRAM] = 0
+	neg.Cap[vm.TierNVM] = -1
+	if _, res := tr.Admit(neg, nil); res != AdmitRejected {
+		t.Fatalf("Cap[NVM] = -1 admit = %v, want rejected", res)
+	}
+
+	admitted := 0
+	for i := 0; i < 4; i++ {
+		var spec TenantSpec
+		spec.Name = fmt.Sprint("r", i)
+		spec.Reserve[vm.TierDRAM] = 200 * sim.MB
+		if _, res := tr.Admit(spec, func(id vm.TenantID) TenantApp { return startTestTenant(m, id, 16*sim.MB) }); res == Admitted {
+			admitted++
+		}
+	}
+	if admitted != 1 || tr.Reserved(vm.TierDRAM) != 200*sim.MB {
+		t.Fatalf("%d of four 200 MB reservations admitted, %d MB reserved; want 1 and 200 MB on a 256 MB tier",
+			admitted, tr.Reserved(vm.TierDRAM)/sim.MB)
+	}
+	if st := tr.Stats(); st.Rejected != 2 || st.Queued != 3 {
+		t.Fatalf("Stats = %+v, want 2 rejected, 3 queued", st)
+	}
+}
+
 // Satellite regression: per-tenant telemetry series created mid-run (a
 // tenant admitted while the machine is already running) must land in
 // WriteCSV with correct union-of-timestamps alignment — rows before the

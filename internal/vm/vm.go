@@ -1,6 +1,6 @@
 // Package vm is the virtual-memory substrate of the simulator: virtual
-// address regions, per-page metadata (tier placement, accessed/dirty bits,
-// migration and write-protect state), page sets for describing workload
+// address regions, per-page metadata (tier placement, migration and
+// write-protect state, frame health), page sets for describing workload
 // traffic, a page-table scan-time model calibrated to the paper's Figure 3,
 // and a TLB-shootdown cost model.
 //
@@ -12,6 +12,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"github.com/tieredmem/hemem/internal/sim"
@@ -68,18 +69,17 @@ type PageID int32
 // Page is the metadata for one virtual page. HeMem's prototype tracks at
 // huge-page (2 MB) granularity; the page size is a property of the
 // AddressSpace.
+//
+// The struct is packed to 48 bytes, the stride of every whole-region
+// walk (auditor, idlepage pass): state that only faulted pages carry
+// (remaps, correctable errors) lives in the AddressSpace's frame-health
+// table instead, and a third set membership spills behind a pointer.
 type Page struct {
 	ID     PageID
+	Index  int32 // page index within its region
 	Region *Region
-	Index  int // page index within its region
 
 	Tier Tier
-
-	// Accessed and Dirty model the page-table bits that scanning-based
-	// managers (Nimble, HeMem-PT) consume. The machine sets them
-	// statistically from traffic rates; scanners read and clear them.
-	Accessed bool
-	Dirty    bool
 
 	// Migrating marks a page whose contents are being copied between
 	// tiers; writes to it stall (userfaultfd write-protection, §3.2).
@@ -91,23 +91,21 @@ type Page struct {
 	// after Migrating, so it does not grow the page.
 	AuditMark uint32
 
-	// Remaps counts how many times this page was remapped to a fresh
-	// physical frame after an uncorrectable media error retired the frame
-	// backing it (AddressSpace.RetireFrame).
-	Remaps int
-
-	// CorrectableErrors counts ECC-corrected media errors absorbed by the
-	// frame currently backing this page. The fault layer retires frames
-	// predictively once the count crosses its threshold; RetireFrame
-	// zeroes it, since the replacement frame starts with a clean history.
-	CorrectableErrors int
-
 	// Set membership is stored inline for the common case (a page joins
 	// at most two sets: e.g. GUPS hot + write-only partitions) so that
 	// building million-page sets does not allocate a slice header per
-	// page; extra memberships spill to setsOv.
+	// page; extra memberships spill to setsOv, which is nil unless the
+	// page is in three or more sets.
 	set0, set1 *PageSet
-	setsOv     []*PageSet
+	setsOv     *[]*PageSet
+}
+
+// overflow returns the memberships past the two inline slots.
+func (p *Page) overflow() []*PageSet {
+	if p.setsOv == nil {
+		return nil
+	}
+	return *p.setsOv
 }
 
 // EachSet calls f for every page set this page belongs to, without
@@ -120,7 +118,7 @@ func (p *Page) EachSet(f func(*PageSet)) {
 	if p.set1 != nil {
 		f(p.set1)
 	}
-	for _, s := range p.setsOv {
+	for _, s := range p.overflow() {
 		f(s)
 	}
 }
@@ -129,7 +127,7 @@ func (p *Page) EachSet(f func(*PageSet)) {
 // be nil) and whether further memberships spilled past them. Callers that
 // cache per-set-combination results key on (a, b) when overflow is false.
 func (p *Page) InlineSets() (a, b *PageSet, overflow bool) {
-	return p.set0, p.set1, len(p.setsOv) > 0
+	return p.set0, p.set1, p.setsOv != nil
 }
 
 // InSets returns the page sets this page belongs to. The slice is freshly
@@ -142,7 +140,7 @@ func (p *Page) InSets() []*PageSet {
 	if p.set1 != nil {
 		out = append(out, p.set1)
 	}
-	return append(out, p.setsOv...)
+	return append(out, p.overflow()...)
 }
 
 // addSet registers membership of p in s.
@@ -152,8 +150,10 @@ func (p *Page) addSet(s *PageSet) {
 		p.set0 = s
 	case p.set1 == nil:
 		p.set1 = s
+	case p.setsOv == nil:
+		p.setsOv = &[]*PageSet{s}
 	default:
-		p.setsOv = append(p.setsOv, s)
+		*p.setsOv = append(*p.setsOv, s)
 	}
 }
 
@@ -165,10 +165,16 @@ func (p *Page) removeSet(s *PageSet) {
 	case p.set1 == s:
 		p.set1 = nil
 	default:
-		for j, ps := range p.setsOv {
+		ov := p.overflow()
+		for j, ps := range ov {
 			if ps == s {
-				p.setsOv[j] = p.setsOv[len(p.setsOv)-1]
-				p.setsOv = p.setsOv[:len(p.setsOv)-1]
+				last := len(ov) - 1
+				ov[j], ov[last] = ov[last], nil
+				if last == 0 {
+					p.setsOv = nil
+				} else {
+					*p.setsOv = ov[:last]
+				}
 				return
 			}
 		}
@@ -188,7 +194,7 @@ func (p *Page) SetTier(t Tier) {
 	if s := p.set1; s != nil {
 		s.bump(p.Tier, t)
 	}
-	for _, s := range p.setsOv {
+	for _, s := range p.overflow() {
 		s.bump(p.Tier, t)
 	}
 	if o := p.Region.owner; o != TenantNone {
@@ -270,7 +276,7 @@ func (r *Region) PageAt(i int) *Page {
 	}
 	p := &c[i&chunkMask]
 	if p.Region == nil {
-		p.ID, p.Region, p.Index = r.base+PageID(i), r, i
+		p.ID, p.Region, p.Index = r.base+PageID(i), r, int32(i)
 		r.touched++
 		if r.space != nil {
 			r.space.touched++
@@ -478,6 +484,21 @@ type AddressSpace struct {
 	// per-region counts, each TierNone slot includes unmaterialized pages
 	// of owned regions.
 	tenants []tierCounts
+
+	// health is the frame-health table: an entry only for pages that took
+	// a media fault, so a fault-free run keeps it empty and every Page
+	// stays free of the fields.
+	health map[PageID]frameHealth
+}
+
+// frameHealth is one faulted page's error history.
+type frameHealth struct {
+	// remaps counts how many times the page was remapped to a fresh
+	// physical frame after its frame was retired (RetireFrame).
+	remaps int32
+	// ce counts ECC-corrected media errors absorbed by the frame now
+	// backing the page; RetireFrame zeroes it with the frame.
+	ce int32
 }
 
 // pageSpan is one region's slice of the global PageID space.
@@ -499,8 +520,16 @@ func NewAddressSpace(pageSize int64) *AddressSpace {
 // Map creates a region of the given size (rounded up to whole pages),
 // modelling an intercepted mmap of anonymous memory. All pages start in
 // TierNone; the active tier manager places them on first touch.
+//
+// PageIDs and page indices are int32, so Map panics, before allocating
+// anything, if the space would pass math.MaxInt32 pages.
 func (a *AddressSpace) Map(name string, size int64) *Region {
-	n := int((size + a.PageSize - 1) / a.PageSize)
+	pages := (size + a.PageSize - 1) / a.PageSize
+	if pages > math.MaxInt32-int64(a.numPages) {
+		panic(fmt.Sprintf("vm: mapping %q (%d pages) would take the address space past %d pages, the PageID limit",
+			name, pages, math.MaxInt32))
+	}
+	n := int(pages)
 	r := &Region{ID: a.nextRegionID, Name: name, Start: a.nextVA, PageSize: a.PageSize}
 	a.nextRegionID++
 	r.n = n
@@ -532,8 +561,8 @@ func (a *AddressSpace) Unmap(r *Region) {
 		if p.set1 != nil {
 			removePageFromSet(p.set1, p)
 		}
-		for len(p.setsOv) > 0 {
-			removePageFromSet(p.setsOv[0], p)
+		for p.setsOv != nil {
+			removePageFromSet((*p.setsOv)[0], p)
 		}
 		p.SetTier(TierNone)
 	})
@@ -545,6 +574,11 @@ func (a *AddressSpace) Unmap(r *Region) {
 		// never bump tenant counters again.
 		a.chargeTenant(owner, TierNone, -r.n)
 		r.owner = TenantNone
+	}
+	for id := range a.health {
+		if id >= r.base && id < r.base+PageID(r.n) {
+			delete(a.health, id)
+		}
 	}
 	for i, reg := range a.Regions {
 		if reg == r {
@@ -589,15 +623,17 @@ func (a *AddressSpace) NumPages() int { return a.numPages }
 // unmapped ones) have materialized metadata.
 func (a *AddressSpace) TouchedPages() int { return a.touched }
 
-// MetadataBytes returns the deterministic footprint of the page-metadata
-// slabs: materialized chunks plus the per-region chunk-pointer tables.
+// MetadataBytes returns the deterministic footprint of the page metadata:
+// materialized chunks, the per-region chunk-pointer tables, and the
+// frame-health table's entries (key and value; map overhead excluded).
 // It is an accounting figure (what the sparse representation pays for the
 // pages touched so far), not a live heap measurement, so dense-vs-sparse
 // comparisons are reproducible across runs and hosts.
 func (a *AddressSpace) MetadataBytes() int64 {
 	const pageBytes = int64(unsafe.Sizeof(Page{}))
 	const ptrBytes = int64(unsafe.Sizeof((*pageChunk)(nil)))
-	var total int64
+	const healthBytes = int64(unsafe.Sizeof(PageID(0)) + unsafe.Sizeof(frameHealth{}))
+	total := int64(len(a.health)) * healthBytes
 	for _, s := range a.spans {
 		total += int64(len(s.r.chunks)) * ptrBytes
 		for _, c := range s.r.chunks {
@@ -615,9 +651,30 @@ func (a *AddressSpace) MetadataBytes() int64 {
 // (the OS hwpoison/soft-offline path) and keeps its virtual address,
 // tier, and set memberships. The fresh frame has a clean error history.
 func (a *AddressSpace) RetireFrame(p *Page) {
-	p.Remaps++
-	p.CorrectableErrors = 0
+	h := a.health[p.ID]
+	h.remaps++
+	h.ce = 0
+	a.setHealth(p.ID, h)
 	a.retiredFrames++
+}
+
+// NoteCorrectableError records one ECC-corrected media error on the frame
+// backing p and returns the frame's count, which RetireFrame resets.
+func (a *AddressSpace) NoteCorrectableError(p *Page) int {
+	h := a.health[p.ID]
+	h.ce++
+	a.setHealth(p.ID, h)
+	return int(h.ce)
+}
+
+// Remaps returns how many times p was remapped to a fresh frame.
+func (a *AddressSpace) Remaps(p *Page) int { return int(a.health[p.ID].remaps) }
+
+func (a *AddressSpace) setHealth(id PageID, h frameHealth) {
+	if a.health == nil {
+		a.health = make(map[PageID]frameHealth)
+	}
+	a.health[id] = h
 }
 
 // RetiredFrames returns how many physical frames were retired after

@@ -1,8 +1,12 @@
 package vm
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/tieredmem/hemem/internal/sim"
 )
@@ -214,4 +218,176 @@ func TestMapPanicsOnBadPageSize(t *testing.T) {
 		}
 	}()
 	NewAddressSpace(0)
+}
+
+// Page is the stride of every whole-region walk, so its packed size is
+// pinned: ID and Index share a word, Tier, Migrating and AuditMark share
+// another, and the overflow set list is one pointer.
+func TestPageLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 48", got)
+	}
+	if got := unsafe.Offsetof(Page{}.AuditMark); got != 20 {
+		t.Fatalf("AuditMark at offset %d, want 20 (padding after Migrating)", got)
+	}
+}
+
+// The overflow set list exists only while a page is in three or more
+// sets, and every membership, inline or spilled, tracks tier moves.
+func TestPageOverflowSets(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", 4*sim.MB)
+	p := r.PageAt(0)
+	sets := make([]*PageSet, 4)
+	for i := range sets {
+		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{p})
+		if _, _, ov := p.InlineSets(); ov != (i >= 2) || (p.setsOv != nil) != ov {
+			t.Fatalf("after %d sets: overflow = %v, setsOv = %v", i+1, ov, p.setsOv)
+		}
+	}
+	p.SetTier(TierDRAM)
+	n := 0
+	p.EachSet(func(s *PageSet) {
+		n++
+		if s.Count(TierDRAM) != 1 {
+			t.Errorf("set %s misses the move to DRAM", s.Name)
+		}
+	})
+	if n != 4 || len(p.InSets()) != 4 {
+		t.Fatalf("EachSet visited %d sets, InSets %d, want 4", n, len(p.InSets()))
+	}
+	sets[3].Remove(0)
+	sets[2].Remove(0)
+	if _, _, ov := p.InlineSets(); ov || p.setsOv != nil {
+		t.Fatal("overflow list kept after the page left its third set")
+	}
+	NewPageSet("s4", []*Page{p})
+	NewPageSet("s5", []*Page{p})
+	a.Unmap(r)
+	if p.setsOv != nil || len(p.InSets()) != 0 {
+		t.Fatalf("unmapped page keeps sets %v", p.InSets())
+	}
+}
+
+// Map refuses a region that would take PageIDs past MaxInt32, before
+// allocating its chunk table (256 MiB of pointers here) or the region.
+func TestMapPageIDLimit(t *testing.T) {
+	a := NewAddressSpace(4 << 10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("mapping 2^31 pages did not panic")
+			}
+		}()
+		a.Map("huge", (1<<31)*(4<<10))
+	}()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("refused Map allocated %d bytes", got)
+	}
+	if a.NumPages() != 0 || len(a.Regions) != 0 {
+		t.Fatalf("refused Map left %d pages, %d regions", a.NumPages(), len(a.Regions))
+	}
+	// The limit counts pages already mapped.
+	a.Map("small", 4<<10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mapping past MaxInt32 pages in total did not panic")
+		}
+	}()
+	a.Map("rest", math.MaxInt32*(4<<10))
+}
+
+// Correctable errors count up per frame, page by page, until the fault
+// layer's retire threshold.
+func TestFrameHealthCECount(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", 8*sim.MB)
+	p, q := r.PageAt(1), r.PageAt(2)
+	const threshold = 3
+	for want := 1; want <= threshold; want++ {
+		if got := a.NoteCorrectableError(p); got != want {
+			t.Fatalf("CE %d returned count %d", want, got)
+		}
+	}
+	if a.health[p.ID].ce != threshold || a.health[q.ID].ce != 0 {
+		t.Fatalf("CE counts %d/%d, want %d/0", a.health[p.ID].ce, a.health[q.ID].ce, threshold)
+	}
+	if a.Remaps(p) != 0 || len(a.health) != 1 {
+		t.Fatalf("remaps %d, faulted pages %d, want 0/1", a.Remaps(p), len(a.health))
+	}
+}
+
+// RetireFrame gives the page a clean frame: its CE count resets and its
+// remap count grows.
+func TestFrameHealthRetireFrame(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", 8*sim.MB)
+	p := r.PageAt(3)
+	a.NoteCorrectableError(p)
+	a.NoteCorrectableError(p)
+	a.RetireFrame(p)
+	if a.health[p.ID].ce != 0 || a.Remaps(p) != 1 {
+		t.Fatalf("after retire: CE %d, remaps %d, want 0/1", a.health[p.ID].ce, a.Remaps(p))
+	}
+	if a.NoteCorrectableError(p) != 1 {
+		t.Fatal("new frame did not start a clean CE count")
+	}
+	a.RetireFrame(p)
+	a.RetireFrame(r.PageAt(0))
+	if a.Remaps(p) != 2 || a.Remaps(r.PageAt(0)) != 1 || a.RetiredFrames() != 3 {
+		t.Fatalf("remaps %d/%d, retired %d, want 2/1/3", a.Remaps(p), a.Remaps(r.PageAt(0)), a.RetiredFrames())
+	}
+}
+
+// Unmap drops the region's frame-health entries and no other region's.
+func TestFrameHealthUnmap(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r1 := a.Map("a", 8*sim.MB)
+	r2 := a.Map("b", 8*sim.MB)
+	a.RetireFrame(r1.PageAt(0))
+	a.NoteCorrectableError(r1.PageAt(3))
+	a.NoteCorrectableError(r2.PageAt(0))
+	a.Unmap(r1)
+	if len(a.health) != 1 || a.health[r2.PageAt(0).ID].ce != 1 {
+		t.Fatalf("after unmap: %d faulted pages, r2 CE %d, want 1/1", len(a.health), a.health[r2.PageAt(0).ID].ce)
+	}
+	if a.Remaps(r1.PageAt(0)) != 0 || a.health[r1.PageAt(3).ID].ce != 0 {
+		t.Fatal("unmapped region's pages keep their frame health")
+	}
+}
+
+// MetadataBytes counts one key and value per frame-health entry.
+func TestFrameHealthMetadataBytes(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", 8*sim.MB)
+	r.MaterializeAll()
+	base := a.MetadataBytes()
+	a.NoteCorrectableError(r.PageAt(0))
+	a.NoteCorrectableError(r.PageAt(0))
+	a.RetireFrame(r.PageAt(1))
+	if got, want := a.MetadataBytes()-base, int64(2*12); got != want {
+		t.Fatalf("two faulted pages add %d bytes, want %d", got, want)
+	}
+	a.Unmap(r)
+	if got := a.MetadataBytes(); got != base {
+		t.Fatalf("after unmap MetadataBytes = %d, want %d", got, base)
+	}
+}
+
+// Without faults the table is never even allocated.
+func TestFrameHealthEmptyWithoutFaults(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", 64*sim.MB)
+	s := NewPageSet("hot", r.AllPages()[:8])
+	for i, p := range r.AllPages() {
+		p.SetTier(Tier(i%2 + 1))
+	}
+	s.Remove(0)
+	a.Unmap(r)
+	if a.health != nil {
+		t.Fatalf("fault-free space has a frame-health table of %d entries", len(a.health))
+	}
 }
