@@ -56,10 +56,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	m := machine.New(machine.DefaultConfig(), mgr)
-	g := gups.New(m, gups.Config{
-		Threads: *threads, WorkingSet: *ws * sim.GB, HotSet: *hot * sim.GB, Seed: *seed,
-	})
+	mcfg := machine.DefaultConfig()
+	gcfg := gups.Config{Threads: *threads, WorkingSet: *ws * sim.GB, HotSet: *hot * sim.GB, Seed: *seed}
+	if err := gcfg.Validate(mcfg.PageSize); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	m := machine.New(mcfg, mgr)
+	g := gups.New(m, gcfg)
 	fmt.Printf("%s on %s\n", g, m)
 	m.Warm()
 	if *telem != "" {

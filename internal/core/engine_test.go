@@ -79,7 +79,7 @@ func TestCoolingHalvesCounts(t *testing.T) {
 	if st := h.Stats(); st.CoolEpochs == 0 {
 		t.Fatal("cooling clock did not advance")
 	}
-	if pi.Reads >= cfg.CoolThreshold {
+	if int(pi.Reads) >= cfg.CoolThreshold {
 		t.Fatalf("counts not halved: %d", pi.Reads)
 	}
 	// Another page cools lazily on its next sample.

@@ -185,11 +185,9 @@ type HeMem struct {
 	// promotion selector reduces to the historical FIFO pop.
 	tenants *TenantTable
 
-	// pages maps PageID to tracking state through a sparse windowed
-	// index: nil windows (and nil entries) are unmanaged. Window
-	// granularity keeps the index O(touched pages), matching vm's lazy
-	// page slabs, so a terabyte mapping costs nothing until tracked.
-	pages []*piWindow
+	// pages stores every managed page's PageInfo by PageID, and the
+	// table of the hot/cold queues below.
+	pages pageTable
 
 	// chain is the machine's migratable tiers, fastest first — the
 	// migration graph is this linear order (promote = previous entry,
@@ -207,7 +205,7 @@ type HeMem struct {
 	// queue on the slowest migratable tier's hot list so the swap-in
 	// policy moves them up before the promotion scan considers them.
 	hot, cold []List
-	swapCold  List
+	swapCold  *List
 
 	clock uint64 // global cooling clock
 	// used commits bytes per tier (including in-flight migrations, which
@@ -233,12 +231,6 @@ type HeMem struct {
 	offline    []bool
 	numOffline int
 	act        []int
-
-	// piSlabs bulk-allocates PageInfo in chunks: tracking a 512 GB
-	// region means ~260k PageInfos, and allocating each individually is
-	// pure GC scan load. Pointers into a slab stay valid because slabs
-	// are never resized, only appended.
-	piSlab []PageInfo
 
 	stats Stats
 }
@@ -366,15 +358,16 @@ func (h *HeMem) initTiers() {
 	if len(h.chain) == 0 {
 		panic("core: tier table has no migratable tiers")
 	}
-	h.hot = make([]List, len(h.chain))
-	h.cold = make([]List, len(h.chain))
+	n := len(h.chain)
+	lists := h.pages.makeLists(2*n + 1)
+	h.hot, h.cold, h.swapCold = lists[:n], lists[n:2*n], &lists[2*n]
 	h.freeTarget = make([]int64, len(h.chain))
 	h.offline = make([]bool, len(h.chain))
 	h.numOffline = 0
 	for i, t := range h.chain {
 		name := strings.ToLower(t.String())
-		h.hot[i] = List{Name: name + "-hot", hot: true}
-		h.cold[i] = List{Name: name + "-cold"}
+		h.hot[i].Name, h.hot[i].hot = name+"-hot", true
+		h.cold[i].Name = name + "-cold"
 		ft, ok := h.cfg.FreeTargets[t]
 		if !ok {
 			ft = defaultFreeTarget
@@ -382,7 +375,7 @@ func (h *HeMem) initTiers() {
 		h.freeTarget[i] = ft
 	}
 	if h.swapTier != vm.TierNone {
-		h.swapCold = List{Name: strings.ToLower(h.swapTier.String()) + "-cold"}
+		h.swapCold.Name = strings.ToLower(h.swapTier.String()) + "-cold"
 	}
 }
 
@@ -409,53 +402,11 @@ func (h *HeMem) moveUsed(from, to vm.Tier, ps int64) {
 	h.addUsed(to, ps)
 }
 
-// piWindow is one window of the sparse PageID → PageInfo index.
-type piWindow [piWindowSize]*PageInfo
-
-const (
-	piWindowShift = 9
-	piWindowSize  = 1 << piWindowShift
-	piWindowMask  = piWindowSize - 1
-)
-
 // info returns the tracking state for page id, or nil if unmanaged.
-func (h *HeMem) info(id vm.PageID) *PageInfo {
-	wi := int(id) >> piWindowShift
-	if wi >= len(h.pages) || h.pages[wi] == nil {
-		return nil
-	}
-	return h.pages[wi][int(id)&piWindowMask]
-}
+func (h *HeMem) info(id vm.PageID) *PageInfo { return h.pages.get(id) }
 
-// setInfo writes the index entry for page id, growing the window table
-// and materializing the window as needed.
-func (h *HeMem) setInfo(id vm.PageID, pi *PageInfo) {
-	wi := int(id) >> piWindowShift
-	for wi >= len(h.pages) {
-		h.pages = append(h.pages, nil)
-	}
-	if h.pages[wi] == nil {
-		h.pages[wi] = new(piWindow)
-	}
-	h.pages[wi][int(id)&piWindowMask] = pi
-}
-
-// piSlabSize is the PageInfo arena chunk size; see HeMem.piSlab.
-const piSlabSize = 4096
-
-// track creates tracking state for a managed page. PageInfos come from
-// append-only slabs so that tracking hundreds of thousands of pages costs
-// hundreds of allocations, not one per page; a slab is never resized, so
-// pointers into it stay valid.
-func (h *HeMem) track(p *vm.Page) *PageInfo {
-	if len(h.piSlab) == cap(h.piSlab) {
-		h.piSlab = make([]PageInfo, 0, piSlabSize)
-	}
-	h.piSlab = append(h.piSlab, PageInfo{Page: p, CoolClock: h.clock})
-	pi := &h.piSlab[len(h.piSlab)-1]
-	h.setInfo(p.ID, pi)
-	return pi
-}
+// track creates tracking state for a managed page.
+func (h *HeMem) track(p *vm.Page) *PageInfo { return h.pages.track(p, h.clock) }
 
 // regionFlag reads a Region.ID-indexed boolean.
 func regionFlag(flags []bool, id int) bool { return id < len(flags) && flags[id] }
@@ -512,12 +463,13 @@ func (h *HeMem) PinRegion(r *vm.Region) {
 }
 
 // Release undoes all tracking and accounting for region r: its pages
-// leave the FIFO lists, in-flight migrations are cancelled (undoing their
-// enqueue-time commitments), and the committed bytes of every tier return
-// to the free pools. It implements machine.Releaser, backing
-// machine.Machine.Unmap — without it a long-running multi-tenant machine
-// leaks committed bytes on every region teardown and eventually refuses
-// fast-tier placement.
+// leave the FIFO lists and the page table (their slots are zeroed, and a
+// window with no tracked slot left is freed), in-flight migrations are
+// cancelled (undoing their enqueue-time commitments), and the committed
+// bytes of every tier return to the free pools. It implements
+// machine.Releaser, backing machine.Machine.Unmap — without it a
+// long-running multi-tenant machine leaks committed bytes on every region
+// teardown and eventually refuses fast-tier placement.
 func (h *HeMem) Release(r *vm.Region) {
 	if regionFlag(h.released, r.ID) {
 		return
@@ -537,10 +489,7 @@ func (h *HeMem) Release(r *vm.Region) {
 		if pi := h.info(p.ID); pi != nil {
 			h.tracker.PageOut(pi)
 			h.pol.PageOut(pi)
-			if pi.list != nil {
-				pi.list.Remove(pi)
-			}
-			h.setInfo(p.ID, nil)
+			h.pages.release(p.ID)
 		}
 		if p.Tier != vm.TierNone {
 			h.addUsed(p.Tier, -ps)
@@ -643,7 +592,8 @@ func (h *HeMem) ActiveThreads() float64 { return backgroundThreads }
 
 // inHotList reports whether pi currently sits on a hot list.
 func (h *HeMem) inHotList(pi *PageInfo) bool {
-	return pi.list != nil && pi.list.hot
+	l := h.pages.listOf(pi)
+	return l != nil && l.hot
 }
 
 // hotList returns the hot queue for pages resident on tier t. Hot
@@ -663,7 +613,7 @@ func (h *HeMem) coldList(t vm.Tier) *List {
 		return &h.cold[r]
 	}
 	if t == h.swapTier && h.swapTier != vm.TierNone {
-		return &h.swapCold
+		return h.swapCold
 	}
 	return &h.cold[len(h.cold)-1]
 }
@@ -920,9 +870,7 @@ func (h *HeMem) OnNVMUncorrectable(p *vm.Page) {
 		return
 	}
 	dst := h.chain[up]
-	if pi.list != nil {
-		pi.list.Remove(pi)
-	}
+	h.pages.unlink(pi)
 	if h.m.Migrator.EnqueueUrgent(p, dst) {
 		h.moveUsed(p.Tier, dst, h.m.Cfg.PageSize)
 		h.stats.Promotions++

@@ -1,13 +1,123 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"github.com/tieredmem/hemem/internal/machine"
+	"github.com/tieredmem/hemem/internal/pebs"
+	"github.com/tieredmem/hemem/internal/sim"
+	"github.com/tieredmem/hemem/internal/vm"
 )
 
+// testTable returns a page table holding n tracked pages and k queues.
+// The page IDs step by 300, so the pages span several windows.
+func testTable(n, k int) (*pageTable, []*PageInfo, []List) {
+	pt := &pageTable{}
+	lists := pt.makeLists(k)
+	pis := make([]*PageInfo, n)
+	for i := range pis {
+		pis[i] = pt.track(&vm.Page{ID: vm.PageID(300 * i)}, 0)
+	}
+	return pt, pis, lists
+}
+
+// walk returns l's entries front to back, failing unless the backward
+// walk is its mirror image and both agree with Len.
+func walk(t *testing.T, l *List) []*PageInfo {
+	t.Helper()
+	var fwd, back []*PageInfo
+	for pi := l.Front(); pi != nil; pi = l.Next(pi) {
+		fwd = append(fwd, pi)
+	}
+	for pi := l.Back(); pi != nil; pi = l.Prev(pi) {
+		back = append(back, pi)
+	}
+	if len(fwd) != l.Len() || len(back) != l.Len() {
+		t.Fatalf("list %q: walked %d forward, %d backward, Len %d", l.Name, len(fwd), len(back), l.Len())
+	}
+	for i := range fwd {
+		if fwd[i] != back[len(back)-1-i] {
+			t.Fatalf("list %q: backward walk differs at position %d", l.Name, i)
+		}
+	}
+	return fwd
+}
+
+// The tracking record is 40 bytes with this field order; a window is
+// 512 of them, 20 KiB.
+func TestPageInfoLayout(t *testing.T) {
+	var pi PageInfo
+	if got := unsafe.Sizeof(pi); got != 40 {
+		t.Fatalf("PageInfo is %d bytes, want 40", got)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Page", unsafe.Offsetof(pi.Page), 0},
+		{"CoolClock", unsafe.Offsetof(pi.CoolClock), 8},
+		{"prev", unsafe.Offsetof(pi.prev), 16},
+		{"next", unsafe.Offsetof(pi.next), 20},
+		{"Reads", unsafe.Offsetof(pi.Reads), 24},
+		{"Writes", unsafe.Offsetof(pi.Writes), 28},
+		{"list", unsafe.Offsetof(pi.list), 32},
+		{"WriteHeavy", unsafe.Offsetof(pi.WriteHeavy), 33},
+	} {
+		if f.got != f.want {
+			t.Errorf("PageInfo.%s at offset %d, want %d", f.name, f.got, f.want)
+		}
+	}
+	if got := unsafe.Sizeof(piWindow{}); got != 20480 {
+		t.Fatalf("piWindow is %d bytes, want 20480", got)
+	}
+}
+
+// Sample counters saturate at math.MaxInt32 instead of wrapping, both in
+// addCount and through the hemem policy's Observe.
+func TestPageInfoCountersSaturate(t *testing.T) {
+	for _, c := range []struct {
+		c    int32
+		n    int
+		want int32
+	}{
+		{0, 0, 0},
+		{5, 3, 8},
+		{math.MaxInt32 - 3, 2, math.MaxInt32 - 1},
+		{math.MaxInt32 - 3, 3, math.MaxInt32},
+		{math.MaxInt32 - 3, 4, math.MaxInt32},
+		{math.MaxInt32, 1, math.MaxInt32},
+		{0, math.MaxInt, math.MaxInt32},
+	} {
+		if got := addCount(c.c, c.n); got != c.want {
+			t.Errorf("addCount(%d, %d) = %d, want %d", c.c, c.n, got, c.want)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.NoCooling = true
+	_, h, r := smallMachine(cfg)
+	pi := h.info(r.PageAt(40).ID)
+	pi.Reads, pi.Writes = math.MaxInt32-2, math.MaxInt32-1
+	before := h.Stats().Samples
+	h.pol.Observe(pi, false, 10)
+	h.pol.Observe(pi, true, math.MaxInt32)
+	if pi.Reads != math.MaxInt32 || pi.Writes != math.MaxInt32 {
+		t.Fatalf("counters reads=%d writes=%d, want both %d", pi.Reads, pi.Writes, int32(math.MaxInt32))
+	}
+	if got := h.Stats().Samples - before; got != 10+math.MaxInt32 {
+		t.Fatalf("Samples grew by %d, want every observed sample", got)
+	}
+	if !pi.WriteHeavy || h.hotList(r.PageAt(40).Tier).Front() != pi {
+		t.Fatal("saturated write-heavy page not at the front of its hot list")
+	}
+}
+
 func TestListFIFO(t *testing.T) {
-	var l List
-	a, b, c := &PageInfo{}, &PageInfo{}, &PageInfo{}
+	_, p, ls := testTable(3, 1)
+	l := &ls[0]
+	a, b, c := p[0], p[1], p[2]
 	l.PushBack(a)
 	l.PushBack(b)
 	l.PushBack(c)
@@ -29,8 +139,9 @@ func TestListFIFO(t *testing.T) {
 }
 
 func TestListPushFrontPriority(t *testing.T) {
-	var l List
-	a, b, w := &PageInfo{}, &PageInfo{}, &PageInfo{}
+	_, p, ls := testTable(3, 1)
+	l := &ls[0]
+	a, b, w := p[0], p[1], p[2]
 	l.PushBack(a)
 	l.PushBack(b)
 	l.PushFront(w) // write-heavy priority
@@ -40,28 +151,37 @@ func TestListPushFrontPriority(t *testing.T) {
 }
 
 func TestListMoveBetweenLists(t *testing.T) {
-	var hot, cold List
-	p := &PageInfo{}
+	pt, ps, ls := testTable(1, 2)
+	hot, cold := &ls[0], &ls[1]
+	p := ps[0]
 	hot.PushBack(p)
-	if p.InList() != &hot {
+	if pt.listOf(p) != hot {
 		t.Fatal("not on hot")
 	}
 	// Pushing onto another list implicitly removes from the first.
 	cold.PushBack(p)
-	if hot.Len() != 0 || cold.Len() != 1 || p.InList() != &cold {
+	if hot.Len() != 0 || cold.Len() != 1 || pt.listOf(p) != cold {
 		t.Fatal("implicit move failed")
+	}
+	pt.unlink(p)
+	if cold.Len() != 0 || pt.listOf(p) != nil {
+		t.Fatal("unlink left the page listed")
 	}
 }
 
 func TestListRemoveMiddle(t *testing.T) {
-	var l List
-	ps := make([]*PageInfo, 5)
-	for i := range ps {
-		ps[i] = &PageInfo{}
-		l.PushBack(ps[i])
+	_, ps, ls := testTable(5, 1)
+	l := &ls[0]
+	for _, p := range ps {
+		l.PushBack(p)
 	}
 	l.Remove(ps[2])
 	want := []*PageInfo{ps[0], ps[1], ps[3], ps[4]}
+	for i, got := range walk(t, l) {
+		if got != want[i] {
+			t.Fatal("links broken after middle removal")
+		}
+	}
 	for _, w := range want {
 		if got := l.PopFront(); got != w {
 			t.Fatal("order broken after middle removal")
@@ -70,8 +190,9 @@ func TestListRemoveMiddle(t *testing.T) {
 }
 
 func TestListRemoveWrongListPanics(t *testing.T) {
-	var a, b List
-	p := &PageInfo{}
+	_, ps, ls := testTable(1, 2)
+	a, b := &ls[0], &ls[1]
+	p := ps[0]
 	a.PushBack(p)
 	defer func() {
 		if recover() == nil {
@@ -81,67 +202,152 @@ func TestListRemoveWrongListPanics(t *testing.T) {
 	b.Remove(p)
 }
 
-// Property: any sequence of operations keeps Len consistent with an oracle
-// slice and preserves FIFO order.
+// Property: any sequence of operations over two lists keeps each list's
+// Len, forward and backward links consistent with an oracle slice and
+// preserves FIFO order.
 func TestListModelCheck(t *testing.T) {
 	f := func(ops []uint8) bool {
-		var l List
-		var oracle []*PageInfo
-		pool := make([]*PageInfo, 16)
-		for i := range pool {
-			pool[i] = &PageInfo{}
+		pt, pool, ls := testTable(16, 2)
+		oracle := make([][]*PageInfo, len(ls))
+		drop := func(p *PageInfo) {
+			for k := range ls {
+				if pt.listOf(p) == &ls[k] {
+					for i, q := range oracle[k] {
+						if q == p {
+							oracle[k] = append(oracle[k][:i], oracle[k][i+1:]...)
+							break
+						}
+					}
+				}
+			}
 		}
 		for _, op := range ops {
 			p := pool[int(op)%len(pool)]
-			switch (op / 16) % 3 {
+			k := int(op/128) % len(ls)
+			l := &ls[k]
+			switch (op / 16) % 4 {
 			case 0: // PushBack
-				if p.InList() == &l {
-					for i, q := range oracle {
-						if q == p {
-							oracle = append(oracle[:i], oracle[i+1:]...)
-							break
-						}
-					}
-				}
+				drop(p)
 				l.PushBack(p)
-				oracle = append(oracle, p)
+				oracle[k] = append(oracle[k], p)
 			case 1: // PushFront
-				if p.InList() == &l {
-					for i, q := range oracle {
-						if q == p {
-							oracle = append(oracle[:i], oracle[i+1:]...)
-							break
-						}
-					}
-				}
+				drop(p)
 				l.PushFront(p)
-				oracle = append([]*PageInfo{p}, oracle...)
+				oracle[k] = append([]*PageInfo{p}, oracle[k]...)
 			case 2: // PopFront
 				got := l.PopFront()
-				if len(oracle) == 0 {
+				if len(oracle[k]) == 0 {
 					if got != nil {
 						return false
 					}
 				} else {
-					if got != oracle[0] {
+					if got != oracle[k][0] {
 						return false
 					}
-					oracle = oracle[1:]
+					oracle[k] = oracle[k][1:]
 				}
+			case 3: // unlink from whichever list holds it
+				drop(p)
+				pt.unlink(p)
 			}
-			if l.Len() != len(oracle) {
-				return false
+			for k := range ls {
+				got := walk(t, &ls[k])
+				if len(got) != len(oracle[k]) {
+					return false
+				}
+				for i := range got {
+					if got[i] != oracle[k][i] {
+						return false
+					}
+				}
 			}
 		}
 		// Drain and compare.
-		for _, w := range oracle {
-			if l.PopFront() != w {
+		for k := range ls {
+			for _, w := range oracle[k] {
+				if ls[k].PopFront() != w {
+					return false
+				}
+			}
+			if ls[k].Len() != 0 {
 				return false
 			}
 		}
-		return l.Len() == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Releasing a region zeroes its pages' slots, frees every window it
+// filled alone, keeps windows it shares with live regions, and leaves no
+// list holding its pages.
+func TestReleaseFreesPageTable(t *testing.T) {
+	h := New(Config{LargeAllocThreshold: 64 * sim.MB})
+	mcfg := machine.DefaultConfig()
+	mcfg.Tiers = machine.ClassicTiers(1*sim.GB, 0, 0)
+	m := machine.New(mcfg, h)
+	keep1 := m.AS.Map("keep1", 256*sim.MB) // IDs 0..127: window 0
+	victim := m.AS.Map("victim", 2*sim.GB) // IDs 128..1151: windows 0, 1, 2
+	keep2 := m.AS.Map("keep2", 256*sim.MB) // IDs 1152..1279: window 2
+	m.Warm()
+	// Put victim and survivor pages on hot lists, a write-heavy one at
+	// the front, so the release unlinks from both ends and the middle.
+	for _, p := range []*vm.Page{victim.PageAt(0), keep1.PageAt(3), victim.PageAt(700), keep2.PageAt(5), victim.PageAt(1023)} {
+		feed(m, h, p.ID, pebs.LoadNVM, h.cfg.HotReadThreshold)
+	}
+	feed(m, h, victim.PageAt(400).ID, pebs.Store, h.cfg.HotWriteThreshold)
+	if len(h.pages.windows) != 3 || h.pages.live[1] != 512 {
+		t.Fatalf("setup: %d windows, live %v", len(h.pages.windows), h.pages.live)
+	}
+
+	m.Unmap(victim)
+
+	for i := 0; i < victim.NumPages(); i++ {
+		if pi := h.info(victim.PageAt(i).ID); pi != nil {
+			t.Fatalf("victim page %d still tracked: %+v", i, *pi)
+		}
+	}
+	if h.pages.windows[1] != nil {
+		t.Fatal("window 1, filled by the victim alone, was not freed")
+	}
+	if h.pages.windows[0] == nil || h.pages.windows[2] == nil {
+		t.Fatal("a window shared with a live region was freed")
+	}
+	if h.pages.live[0] != 128 || h.pages.live[2] != 128 {
+		t.Fatalf("live slots %v, want 128 in windows 0 and 2", h.pages.live)
+	}
+	for _, w := range []int{0, 2} {
+		for s := range h.pages.windows[w] {
+			id := w*piWindowSize + s
+			if id >= 128 && id < 1152 && h.pages.windows[w][s] != (PageInfo{}) {
+				t.Fatalf("released slot of page %d not zeroed: %+v", id, h.pages.windows[w][s])
+			}
+		}
+	}
+	listed := 0
+	for k := range h.pages.lists[1:] {
+		l := &h.pages.lists[1+k]
+		for _, pi := range walk(t, l) {
+			if pi.Page.Region == victim {
+				t.Fatalf("list %q still holds released page %d", l.Name, pi.Page.ID)
+			}
+			if h.info(pi.Page.ID) != pi {
+				t.Fatalf("list %q links page %d outside the table", l.Name, pi.Page.ID)
+			}
+		}
+		listed += l.Len()
+	}
+	if want := keep1.NumPages() + keep2.NumPages(); listed+m.Migrator.QueueLen() != want {
+		t.Fatalf("listed %d + in flight %d, want %d survivor pages", listed, m.Migrator.QueueLen(), want)
+	}
+
+	// A later mapping tracks into fresh windows.
+	next := m.AS.Map("next", 2*sim.GB)
+	m.Warm()
+	if pi := h.info(next.PageAt(0).ID); pi == nil || pi.Page != next.PageAt(0) {
+		t.Fatal("page of a later mapping not tracked")
+	}
+	m.Run(50 * sim.Millisecond)
 }

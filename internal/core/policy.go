@@ -75,15 +75,15 @@ func (pl *heMemPolicy) Observe(pi *PageInfo, write bool, n int) {
 	}
 
 	if write {
-		pi.Writes += n
+		pi.Writes = addCount(pi.Writes, n)
 	} else {
-		pi.Reads += n
+		pi.Reads = addCount(pi.Reads, n)
 	}
 
 	// Advance the global cooling clock when any page accumulates the
 	// cooling threshold of samples; other pages cool lazily when next
 	// sampled (§3.1).
-	if !h.cfg.NoCooling && pi.Reads+pi.Writes >= h.cfg.CoolThreshold {
+	if !h.cfg.NoCooling && int(pi.Reads)+int(pi.Writes) >= h.cfg.CoolThreshold {
 		h.clock++
 		h.stats.CoolEpochs++
 		pl.cool(pi)
@@ -114,30 +114,30 @@ func (pl *heMemPolicy) cool(pi *PageInfo) {
 	pi.Reads >>= epochs
 	pi.Writes >>= epochs
 	pi.CoolClock = h.clock
-	if pi.WriteHeavy && pi.Writes < h.cfg.HotWriteThreshold {
+	if pi.WriteHeavy && int(pi.Writes) < h.cfg.HotWriteThreshold {
 		pi.WriteHeavy = false
-		if pl.isHot(pi) && pi.list != nil {
+		if pl.isHot(pi) && pi.list != noList {
 			// Second chance: back of the hot list for its tier.
 			h.hotList(pi.Page.Tier).PushBack(pi)
 		}
 	}
-	if !pl.isHot(pi) && pi.list != nil && h.inHotList(pi) {
+	if !pl.isHot(pi) && pi.list != noList && h.inHotList(pi) {
 		h.coldList(pi.Page.Tier).PushBack(pi)
 	}
 }
 
 // isHot reports whether the page's counters meet a hot threshold.
 func (pl *heMemPolicy) isHot(pi *PageInfo) bool {
-	return pi.Reads >= pl.h.cfg.HotReadThreshold || pi.Writes >= pl.h.cfg.HotWriteThreshold
+	return int(pi.Reads) >= pl.h.cfg.HotReadThreshold || int(pi.Writes) >= pl.h.cfg.HotWriteThreshold
 }
 
 // classify moves the page onto the right list after a counter update.
 func (pl *heMemPolicy) classify(pi *PageInfo) {
 	h := pl.h
-	if pi.list == nil {
+	if pi.list == noList {
 		return // in flight; re-listed on migration completion
 	}
-	writeHeavy := !h.cfg.NoWritePriority && pi.Writes >= h.cfg.HotWriteThreshold
+	writeHeavy := !h.cfg.NoWritePriority && int(pi.Writes) >= h.cfg.HotWriteThreshold
 	if writeHeavy && !pi.WriteHeavy {
 		pi.WriteHeavy = true
 		h.hotList(pi.Page.Tier).PushFront(pi)

@@ -118,7 +118,7 @@ func (pl *heatPolicy) Observe(pi *PageInfo, write bool, n int) {
 		}
 		pl.bucket(pi).heat += w
 	}
-	if pi.list == nil {
+	if pi.list == noList {
 		return // in flight; re-listed on migration completion
 	}
 	if pl.isHot(pi) {

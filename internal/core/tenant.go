@@ -194,7 +194,7 @@ func (h *HeMem) placeAllowed(p *vm.Page, t vm.Tier) bool {
 func scanBestFront(l *List, limit int, score func(pi *PageInfo) (int64, bool)) *PageInfo {
 	var best *PageInfo
 	var bestScore int64
-	for pi, i := l.Front(), 0; pi != nil && i < limit; pi, i = pi.next, i+1 {
+	for pi, i := l.Front(), 0; pi != nil && i < limit; pi, i = l.Next(pi), i+1 {
 		if s, ok := score(pi); ok && (best == nil || s > bestScore) {
 			best, bestScore = pi, s
 		}
@@ -207,7 +207,7 @@ func scanBestFront(l *List, limit int, score func(pi *PageInfo) (int64, bool)) *
 func scanBestBack(l *List, limit int, score func(pi *PageInfo) (int64, bool)) *PageInfo {
 	var best *PageInfo
 	var bestScore int64
-	for pi, i := l.Back(), 0; pi != nil && i < limit; pi, i = pi.prev, i+1 {
+	for pi, i := l.Back(), 0; pi != nil && i < limit; pi, i = l.Prev(pi), i+1 {
 		if s, ok := score(pi); ok && (best == nil || s > bestScore) {
 			best, bestScore = pi, s
 		}

@@ -150,13 +150,13 @@ func (t *pebsTracker) Poll(now, dt int64) {
 // observeBatch classifies a drained batch of records in two passes. The
 // resolve pass maps every record to its PageInfo through the windowed
 // page table (nil for unmanaged pages) and touches the PageInfo, so the
-// batch's independent table and PageInfo loads are issued back to back
+// batch's independent window and PageInfo loads are issued back to back
 // instead of one dependent chain per record. The apply pass then calls
 // Observe in record order. Observe never adds or removes a PageInfo, so
 // resolving the whole batch up front yields exactly the PageInfos a
 // per-record lookup would.
 func (t *pebsTracker) observeBatch(recs []pebs.Record) {
-	pages := t.h.pages
+	windows := t.h.pages.windows
 	if cap(t.piScratch) < len(recs) {
 		t.piScratch = make([]*PageInfo, len(recs))
 	}
@@ -165,9 +165,11 @@ func (t *pebsTracker) observeBatch(recs []pebs.Record) {
 	for i := range recs {
 		var pi *PageInfo
 		id := int(recs[i].Page)
-		if wi := id >> piWindowShift; wi < len(pages) && pages[wi] != nil {
-			if pi = pages[wi][id&piWindowMask]; pi != nil {
+		if wi := id >> piWindowShift; wi < len(windows) && windows[wi] != nil {
+			if pi = &windows[wi][id&piWindowMask]; pi.Page != nil {
 				touch ^= pi.CoolClock
+			} else {
+				pi = nil
 			}
 		}
 		resolved[i] = pi

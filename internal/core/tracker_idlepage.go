@@ -118,12 +118,13 @@ func (t *idlePageTracker) completePass() {
 		t.lam[res.Set] = [2]float64{res.ExpectedReads + res.ExpectedWrites, res.ExpectedWrites}
 	}
 	t.nCombos = 0
-	for _, w := range h.pages {
+	for _, w := range h.pages.windows {
 		if w == nil {
 			continue
 		}
-		for _, pi := range w {
-			if pi == nil {
+		for i := range w {
+			pi := &w[i]
+			if pi.Page == nil {
 				continue
 			}
 			c := t.combo(pi.Page)

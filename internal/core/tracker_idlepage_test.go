@@ -31,12 +31,13 @@ func (r refIdlePageTracker) referencePass() {
 	for _, res := range t.sc.Complete() {
 		t.lam[res.Set] = [2]float64{res.ExpectedReads + res.ExpectedWrites, res.ExpectedWrites}
 	}
-	for _, w := range h.pages {
+	for _, w := range h.pages.windows {
 		if w == nil {
 			continue
 		}
-		for _, pi := range w {
-			if pi == nil {
+		for i := range w {
+			pi := &w[i]
+			if pi.Page == nil {
 				continue
 			}
 			var la, lw float64

@@ -34,17 +34,10 @@ func (r refPEBSTracker) Poll(now, dt int64) {
 }
 
 func (r refPEBSTracker) observeBatch(recs []pebs.Record) {
-	pages := r.h.pages
 	for _, rec := range recs {
-		wi := int(rec.Page) >> piWindowShift
-		if wi >= len(pages) || pages[wi] == nil {
-			continue
+		if pi := r.h.info(rec.Page); pi != nil {
+			r.h.pol.Observe(pi, rec.Kind == pebs.Store, 1)
 		}
-		pi := pages[wi][int(rec.Page)&piWindowMask]
-		if pi == nil {
-			continue
-		}
-		r.h.pol.Observe(pi, rec.Kind == pebs.Store, 1)
 	}
 }
 
@@ -118,7 +111,7 @@ func (d drainTwin) craftBatch(rng *sim.Rand, inFlight []vm.PageID) []pebs.Record
 // listIDs returns the page IDs on l, front to back.
 func listIDs(l *List) []vm.PageID {
 	var ids []vm.PageID
-	for pi := l.Front(); pi != nil; pi = pi.next {
+	for pi := l.Front(); pi != nil; pi = l.Next(pi) {
 		ids = append(ids, pi.Page.ID)
 	}
 	return ids
@@ -142,7 +135,7 @@ func compareDrainTwins(t *testing.T, what string, a, b drainTwin) {
 				continue
 			}
 			if ia.Reads != ib.Reads || ia.Writes != ib.Writes || ia.CoolClock != ib.CoolClock ||
-				ia.WriteHeavy != ib.WriteHeavy || (ia.list == nil) != (ib.list == nil) {
+				ia.WriteHeavy != ib.WriteHeavy || (ia.list == noList) != (ib.list == noList) {
 				t.Fatalf("%s: %s page %d: %+v, reference %+v", what, r[0].Name, i, *ia, *ib)
 			}
 		}
@@ -201,9 +194,9 @@ func TestPEBSDrainMatchesOnePassReference(t *testing.T) {
 			var inFlight []vm.PageID
 			for i := 6; i < a.gups.NumPages(); i += 17 {
 				pa, pb := a.h.info(a.gups.PageAt(i).ID), b.h.info(b.gups.PageAt(i).ID)
-				if pa.list != nil {
-					pa.list.Remove(pa)
-					pb.list.Remove(pb)
+				if pa.list != noList {
+					a.h.pages.unlink(pa)
+					b.h.pages.unlink(pb)
 					inFlight = append(inFlight, pa.Page.ID)
 				}
 			}

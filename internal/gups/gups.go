@@ -8,6 +8,7 @@ package gups
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -38,6 +39,44 @@ type Config struct {
 	Seed uint64
 }
 
+// Validate reports the first invalid field of c, or nil. Zero fields
+// mean their defaults (16 threads, 8-byte objects, HotFrac 0.9, uniform
+// access), so only negative, NaN and out-of-range values fail, plus a
+// hot set larger than the working set, an empty working set, and a
+// working set of more than math.MaxInt32 pages of pageSize bytes (the
+// machine's page size; PageIDs are int32).
+func (c Config) Validate(pageSize int64) error {
+	switch {
+	case c.Threads < 0:
+		return fmt.Errorf("gups: negative Threads %d", c.Threads)
+	case c.WorkingSet <= 0:
+		return fmt.Errorf("gups: WorkingSet %d must be positive", c.WorkingSet)
+	case c.HotSet < 0:
+		return fmt.Errorf("gups: negative HotSet %d", c.HotSet)
+	case c.HotSet > c.WorkingSet:
+		return fmt.Errorf("gups: HotSet %d larger than WorkingSet %d", c.HotSet, c.WorkingSet)
+	case !(c.HotFrac >= 0 && c.HotFrac <= 1):
+		return fmt.Errorf("gups: HotFrac %v outside [0, 1]", c.HotFrac)
+	case c.ObjectSize < 0:
+		return fmt.Errorf("gups: negative ObjectSize %d", c.ObjectSize)
+	case !(c.TotalUpdates >= 0):
+		return fmt.Errorf("gups: TotalUpdates %v not a non-negative number", c.TotalUpdates)
+	case c.WriteOnlyHot < 0:
+		return fmt.Errorf("gups: negative WriteOnlyHot %d", c.WriteOnlyHot)
+	case pageSize <= 0:
+		return fmt.Errorf("gups: page size %d must be positive", pageSize)
+	}
+	pages := c.WorkingSet / pageSize
+	if c.WorkingSet%pageSize != 0 {
+		pages++
+	}
+	if pages > math.MaxInt32 {
+		return fmt.Errorf("gups: WorkingSet %d is %d pages of %d bytes, past the %d-page limit",
+			c.WorkingSet, pages, pageSize, math.MaxInt32)
+	}
+	return nil
+}
+
 // GUPS is the workload instance.
 type GUPS struct {
 	cfg    Config
@@ -56,8 +95,13 @@ type GUPS struct {
 
 // New maps the working set on m and builds the access components. The hot
 // set is a random, non-contiguous subset of pages ("a random set of each
-// thread's objects", §5.1) so migration cannot exploit contiguity.
+// thread's objects", §5.1) so migration cannot exploit contiguity. New
+// panics with Validate's message, before mapping anything, on an invalid
+// cfg.
 func New(m *machine.Machine, cfg Config) *GUPS {
+	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
+		panic(err.Error())
+	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 16
 	}

@@ -1,6 +1,8 @@
 package gups_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/gups"
@@ -96,5 +98,68 @@ func TestHotSetSeedsDiffer(t *testing.T) {
 	}
 	if same == a.HotPages().Len() {
 		t.Fatal("different seeds produced identical hot sets")
+	}
+}
+
+// rejects fails unless cfg fails Validate with a message containing
+// want, and gups.New panics with that message without mapping anything.
+func rejects(t *testing.T, cfg gups.Config, want string) {
+	t.Helper()
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	err := cfg.Validate(m.Cfg.PageSize)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
+	}
+	defer func() {
+		if r := recover(); r != err.Error() {
+			t.Fatalf("New panicked with %v, want %q", r, err)
+		}
+		if n := len(m.AS.Regions); n != 0 {
+			t.Fatalf("refused New mapped %d regions", n)
+		}
+	}()
+	gups.New(m, cfg)
+}
+
+func TestValidateRejectsNegativeThreads(t *testing.T) {
+	rejects(t, gups.Config{Threads: -4, WorkingSet: 8 * sim.GB}, "Threads")
+}
+
+func TestValidateRejectsHotFracOutsideUnit(t *testing.T) {
+	for _, f := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		rejects(t, gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, HotFrac: f}, "HotFrac")
+	}
+}
+
+func TestValidateRejectsHotSetOverWorkingSet(t *testing.T) {
+	rejects(t, gups.Config{WorkingSet: 8 * sim.GB, HotSet: 9 * sim.GB}, "HotSet")
+}
+
+func TestValidateRejectsEmptyWorkingSet(t *testing.T) {
+	rejects(t, gups.Config{}, "WorkingSet")
+	rejects(t, gups.Config{WorkingSet: -sim.GB}, "WorkingSet")
+}
+
+func TestValidateRejectsPageIDOverflow(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	ps := m.Cfg.PageSize
+	ok := gups.Config{WorkingSet: math.MaxInt32 * ps}
+	if err := ok.Validate(ps); err != nil {
+		t.Fatalf("MaxInt32 pages rejected: %v", err)
+	}
+	rejects(t, gups.Config{WorkingSet: math.MaxInt32*ps + 1}, "page")
+}
+
+// Zero fields mean defaults, so a config naming only its working set,
+// and every boundary value, is valid.
+func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
+	for _, c := range []gups.Config{
+		{WorkingSet: 1},
+		{WorkingSet: 8 * sim.GB, HotSet: 8 * sim.GB, HotFrac: 1},
+		{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 1 * sim.GB, TotalUpdates: 1e9},
+	} {
+		if err := c.Validate(2 * sim.MB); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", c, err)
+		}
 	}
 }

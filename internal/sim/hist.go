@@ -30,10 +30,36 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]uint64, histBuckets), min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// histBucket maps v to its bucket: values below 1 (and NaN) to the
-// first, values past the top octave (and +Inf) to the last. The top clamp
-// is done in float because converting +Inf to int is undefined in Go.
+// histBucket maps v to its bucket, floor(Log2(v)·36): values below 1
+// (and NaN) to the first, values past the top octave (and +Inf) to the
+// last. It returns exactly what histBucketLog2 returns, without the
+// logarithm: the float's exponent picks the octave and its mantissa
+// m ∈ [1, 2) is placed among the octave's bucket boundaries 2^(k/36).
+// Where m lies within histGuard of a boundary, the rounding of
+// histBucketLog2 decides, so that path runs it instead.
 func histBucket(v float64) int {
+	if !(v >= 1) {
+		return 0
+	}
+	bits := math.Float64bits(v)
+	octave := int(bits>>52) - 1023 // v ∈ [2^octave, 2^(octave+1))
+	if octave >= 64 {
+		return histBuckets - 1 // includes +Inf
+	}
+	m := math.Float64frombits(bits&(1<<52-1) | 1023<<52)
+	k := int(histOctaveStart[bits>>46&63])
+	if m >= histOctaveBounds[k+1] {
+		k++
+	}
+	if m-histOctaveBounds[k] < histGuard || histOctaveBounds[k+1]-m < histGuard {
+		return histBucketLog2(v)
+	}
+	return octave*histBucketsPerOctave + k
+}
+
+// histBucketLog2 is the defining form of histBucket. The top clamp is
+// done in float because converting +Inf to int is undefined in Go.
+func histBucketLog2(v float64) int {
 	if !(v >= 1) {
 		return 0
 	}
@@ -42,6 +68,37 @@ func histBucket(v float64) int {
 	}
 	return histBuckets - 1
 }
+
+// histGuard is the distance from a bucket boundary, in mantissa units,
+// within which histBucket defers to histBucketLog2. Log2(v)·36 carries
+// an absolute error far below 1e-11 for v < 2^64, which moves a
+// boundary by under 1e-12 in the mantissa; the guard leaves a wide
+// margin over that and over histOctaveBounds' own rounding.
+const histGuard = 1e-10
+
+// histOctaveBounds[k] is the k-th bucket boundary 2^(k/36) of an octave's
+// mantissa; histOctaveBounds[36] is 2.
+var histOctaveBounds = func() (b [histBucketsPerOctave + 1]float64) {
+	for k := range b {
+		b[k] = math.Exp2(float64(k) / histBucketsPerOctave)
+	}
+	return b
+}()
+
+// histOctaveStart[j] is the bucket of mantissa 1 + j/64, the low end of
+// the j-th 64th of an octave. A 64th (0.0156) is narrower than the
+// narrowest bucket (2^(1/36) − 1 ≈ 0.0194), so a mantissa lies in
+// bucket histOctaveStart[j] or the next one.
+var histOctaveStart = func() (s [64]uint8) {
+	k := 0
+	for j := range s {
+		for histOctaveBounds[k+1] <= 1+float64(j)/64 {
+			k++
+		}
+		s[j] = uint8(k)
+	}
+	return s
+}()
 
 func histBucketValue(b int) float64 {
 	return math.Exp2((float64(b) + 0.5) / histBucketsPerOctave)
