@@ -51,23 +51,10 @@ func startFleetApp(m *machine.Machine, id vm.TenantID, size int64, rng *sim.Rand
 	a := &fleetApp{name: name}
 	a.region = m.AS.MapOwned(name, size, id)
 	m.TouchRange(a.region, 0, a.region.NumPages())
-	pages := a.region.AllPages()
-	perm := rng.Perm(len(pages))
-	nHot := len(pages) / 4
-	if nHot < 1 {
-		nHot = 1
-	}
-	hotPages := make([]*vm.Page, 0, nHot)
-	coldPages := make([]*vm.Page, 0, len(pages)-nHot)
-	for i, idx := range perm {
-		if i < nHot {
-			hotPages = append(hotPages, pages[idx])
-		} else {
-			coldPages = append(coldPages, pages[idx])
-		}
-	}
-	a.hot = vm.NewPageSet(name+"-hot", hotPages)
-	a.cold = vm.NewPageSet(name+"-cold", coldPages)
+	pages := a.region.ShuffledPages(rng)
+	nHot := max(len(pages)/4, 1)
+	a.hot = vm.NewPageSet(name+"-hot", pages[:nHot])
+	a.cold = vm.NewPageSet(name+"-cold", pages[nHot:])
 	a.comps = []machine.Component{
 		{Set: a.hot, Share: 0.9, ReadBytes: 8, WriteBytes: 8, Pattern: mem.Random},
 		{Set: a.cold, Share: 0.1, ReadBytes: 8, WriteBytes: 8, Pattern: mem.Random},

@@ -68,19 +68,21 @@ const (
 	noPage vm.PageID = -1
 )
 
-// piWindow is one window of the page table: the PageInfos of 512
-// consecutive PageIDs, 20 KiB.
+// piWindow is one window of the page table: the PageInfos of 1024
+// consecutive PageIDs, 40 KiB. That is exactly five 8 KiB runtime pages,
+// so Go serves it as a large object with no size-class slack and no
+// allocation header.
 type piWindow [piWindowSize]PageInfo
 
 const (
-	piWindowShift = 9
+	piWindowShift = 10
 	piWindowSize  = 1 << piWindowShift
 	piWindowMask  = piWindowSize - 1
 )
 
 // pageTable stores every tracked page's PageInfo by PageID, plus the
 // table of queues those PageInfos link into. Windows are materialized on
-// the first tracked page of their 512-ID range and freed when the last
+// the first tracked page of their 1024-ID range and freed when the last
 // one is released, so the table costs O(touched ranges), matching vm's
 // lazy page slabs: a terabyte mapping costs nothing until tracked, and a
 // single tracked page costs a whole window.

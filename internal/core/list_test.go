@@ -47,7 +47,7 @@ func walk(t *testing.T, l *List) []*PageInfo {
 }
 
 // The tracking record is 40 bytes with this field order; a window is
-// 512 of them, 20 KiB.
+// 1024 of them, 40 KiB.
 func TestPageInfoLayout(t *testing.T) {
 	var pi PageInfo
 	if got := unsafe.Sizeof(pi); got != 40 {
@@ -70,8 +70,8 @@ func TestPageInfoLayout(t *testing.T) {
 			t.Errorf("PageInfo.%s at offset %d, want %d", f.name, f.got, f.want)
 		}
 	}
-	if got := unsafe.Sizeof(piWindow{}); got != 20480 {
-		t.Fatalf("piWindow is %d bytes, want 20480", got)
+	if got := unsafe.Sizeof(piWindow{}); got != 40960 {
+		t.Fatalf("piWindow is %d bytes, want 40960", got)
 	}
 }
 
@@ -289,16 +289,16 @@ func TestReleaseFreesPageTable(t *testing.T) {
 	mcfg.Tiers = machine.ClassicTiers(1*sim.GB, 0, 0)
 	m := machine.New(mcfg, h)
 	keep1 := m.AS.Map("keep1", 256*sim.MB) // IDs 0..127: window 0
-	victim := m.AS.Map("victim", 2*sim.GB) // IDs 128..1151: windows 0, 1, 2
-	keep2 := m.AS.Map("keep2", 256*sim.MB) // IDs 1152..1279: window 2
+	victim := m.AS.Map("victim", 4*sim.GB) // IDs 128..2175: windows 0, 1, 2
+	keep2 := m.AS.Map("keep2", 256*sim.MB) // IDs 2176..2303: window 2
 	m.Warm()
 	// Put victim and survivor pages on hot lists, a write-heavy one at
 	// the front, so the release unlinks from both ends and the middle.
-	for _, p := range []*vm.Page{victim.PageAt(0), keep1.PageAt(3), victim.PageAt(700), keep2.PageAt(5), victim.PageAt(1023)} {
+	for _, p := range []*vm.Page{victim.PageAt(0), keep1.PageAt(3), victim.PageAt(1500), keep2.PageAt(5), victim.PageAt(2047)} {
 		feed(m, h, p.ID, pebs.LoadNVM, h.cfg.HotReadThreshold)
 	}
 	feed(m, h, victim.PageAt(400).ID, pebs.Store, h.cfg.HotWriteThreshold)
-	if len(h.pages.windows) != 3 || h.pages.live[1] != 512 {
+	if len(h.pages.windows) != 3 || h.pages.live[1] != piWindowSize {
 		t.Fatalf("setup: %d windows, live %v", len(h.pages.windows), h.pages.live)
 	}
 
@@ -321,7 +321,7 @@ func TestReleaseFreesPageTable(t *testing.T) {
 	for _, w := range []int{0, 2} {
 		for s := range h.pages.windows[w] {
 			id := w*piWindowSize + s
-			if id >= 128 && id < 1152 && h.pages.windows[w][s] != (PageInfo{}) {
+			if id >= 128 && id < 2176 && h.pages.windows[w][s] != (PageInfo{}) {
 				t.Fatalf("released slot of page %d not zeroed: %+v", id, h.pages.windows[w][s])
 			}
 		}

@@ -102,17 +102,16 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	defs := [vertexZones]zoneDef{{0.40}, {0.35}, {1.0}}
 	idx := 0
 	for z := 0; z < vertexZones; z++ {
-		var zonePages []*vm.Page
+		start := idx
 		var zoneTr float64
 		for idx < len(pages) {
-			zonePages = append(zonePages, pages[idx])
 			zoneTr += traffic[idx]
 			idx++
 			if z < vertexZones-1 && zoneTr >= defs[z].target && len(pages)-idx > vertexZones-z {
 				break
 			}
 		}
-		d.vertexSets[z] = vm.NewPageSet(fmt.Sprintf("gap-vertex-z%d", z), zonePages)
+		d.vertexSets[z] = vm.NewPageSet(fmt.Sprintf("gap-vertex-z%d", z), pages[start:idx])
 		d.zoneTraffic[z] = zoneTr
 	}
 

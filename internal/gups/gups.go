@@ -113,34 +113,21 @@ func New(m *machine.Machine, cfg Config) *GUPS {
 	}
 	g := &GUPS{cfg: cfg}
 	g.region = m.AS.Map("gups", cfg.WorkingSet)
-	pages := g.region.AllPages()
 
 	if cfg.HotSet > 0 && cfg.HotSet < cfg.WorkingSet {
-		rng := sim.NewRand(cfg.Seed + 0x9d5)
-		perm := rng.Perm(len(pages))
+		pages := g.region.ShuffledPages(sim.NewRand(cfg.Seed + 0x9d5))
 		nHot := int(cfg.HotSet / m.Cfg.PageSize)
-		hotPages := make([]*vm.Page, 0, nHot)
-		coldPages := make([]*vm.Page, 0, len(pages)-nHot)
-		for i, idx := range perm {
-			if i < nHot {
-				hotPages = append(hotPages, pages[idx])
-			} else {
-				coldPages = append(coldPages, pages[idx])
-			}
-		}
+		hotPages := pages[:nHot]
 		if cfg.WriteOnlyHot > 0 {
-			nWr := int(cfg.WriteOnlyHot / m.Cfg.PageSize)
-			if nWr > len(hotPages) {
-				nWr = len(hotPages)
-			}
+			nWr := min(int(cfg.WriteOnlyHot/m.Cfg.PageSize), nHot)
 			g.hotWr = vm.NewPageSet("gups-hot-wr", hotPages[:nWr])
 			g.hot = vm.NewPageSet("gups-hot-rd", hotPages[nWr:])
 		} else {
 			g.hot = vm.NewPageSet("gups-hot", hotPages)
 		}
-		g.cold = vm.NewPageSet("gups-cold", coldPages)
+		g.cold = vm.NewPageSet("gups-cold", pages[nHot:])
 	} else {
-		g.cold = vm.NewPageSet("gups-all", pages)
+		g.cold = vm.NewPageSet("gups-all", g.region.AllPages())
 	}
 	g.rebuild()
 	m.AddWorkload(g)

@@ -2,6 +2,7 @@ package gups_test
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -161,5 +162,29 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", c, err)
 		}
+	}
+}
+
+// Set-up allocates only what the workload keeps: the working set's page
+// chunks (3,200 bytes per 64 pages) and one member pointer per page in
+// its sets, cut from one shuffled array (here including the write-only
+// sub-split). A construction that copies the pages into intermediate
+// slices, or allocates an index permutation, passes 64 bytes per page.
+func TestNewSetUpAllocation(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	cfg := gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 256 * sim.MB, Seed: 3}
+	pages := cfg.WorkingSet / m.Cfg.PageSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := gups.New(m, cfg)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(64*pages) + 32<<10; got > limit {
+		t.Fatalf("New allocated %d bytes for %d pages (%.1f per page), want ≤ %d",
+			got, pages, float64(got)/float64(pages), limit)
+	}
+	t.Logf("New allocated %d bytes for %d pages (%.1f per page)", got, pages, float64(got)/float64(pages))
+	if n := g.HotPages().Len(); n != int(pages)/8-128 {
+		t.Fatalf("read hot set holds %d pages, want %d", n, pages/8-128)
 	}
 }

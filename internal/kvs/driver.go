@@ -39,6 +39,32 @@ type DriverConfig struct {
 	Seed uint64
 }
 
+// Validate reports the first invalid field of c. Zero fields mean their
+// defaults (8 server threads, 4 KB values, 90% GETs, the TAS service
+// floor, closed-loop load, uniform access), so only negative, NaN and
+// out-of-range values fail, plus an empty working set.
+func (c DriverConfig) Validate() error {
+	switch {
+	case c.ServerThreads < 0:
+		return fmt.Errorf("kvs: negative ServerThreads %d", c.ServerThreads)
+	case c.ValueSize < 0:
+		return fmt.Errorf("kvs: negative ValueSize %d", c.ValueSize)
+	case c.WorkingSet <= 0:
+		return fmt.Errorf("kvs: WorkingSet %d must be positive", c.WorkingSet)
+	case !(c.GetFrac >= 0 && c.GetFrac <= 1):
+		return fmt.Errorf("kvs: GetFrac %v outside [0, 1]", c.GetFrac)
+	case !(c.HotKeyFrac >= 0 && c.HotKeyFrac <= 1):
+		return fmt.Errorf("kvs: HotKeyFrac %v outside [0, 1]", c.HotKeyFrac)
+	case !(c.HotTrafficFrac >= 0 && c.HotTrafficFrac <= 1):
+		return fmt.Errorf("kvs: HotTrafficFrac %v outside [0, 1]", c.HotTrafficFrac)
+	case c.NetBase < 0:
+		return fmt.Errorf("kvs: negative NetBase %d", c.NetBase)
+	case !(c.TargetRate >= 0):
+		return fmt.Errorf("kvs: TargetRate %v not a non-negative number", c.TargetRate)
+	}
+	return nil
+}
+
 // NetBaseTAS and NetBaseLinux are calibrated service-time floors.
 const (
 	NetBaseTAS   = 8 * sim.Microsecond
@@ -69,8 +95,12 @@ type Driver struct {
 
 // NewDriver maps the store's memory on m and registers the workload. The
 // item log is the large, long-lived range HeMem manages; the hash table is
-// sized at ~2% of the log and lives alongside it.
+// sized at ~2% of the log and lives alongside it. NewDriver panics with
+// Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.Name == "" {
 		cfg.Name = "flexkvs"
 	}
@@ -99,24 +129,13 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	d.tableSet = d.tableRegion.AsSet()
 	d.logRegion = m.AS.Map(cfg.Name+"-log", cfg.WorkingSet)
 
-	pages := d.logRegion.AllPages()
 	if cfg.HotKeyFrac > 0 && cfg.HotKeyFrac < 1 {
-		rng := sim.NewRand(cfg.Seed + 0x6b7673)
-		perm := rng.Perm(len(pages))
+		pages := d.logRegion.ShuffledPages(sim.NewRand(cfg.Seed + 0x6b7673))
 		nHot := int(float64(len(pages)) * cfg.HotKeyFrac)
-		hot := make([]*vm.Page, 0, nHot)
-		cold := make([]*vm.Page, 0, len(pages)-nHot)
-		for i, idx := range perm {
-			if i < nHot {
-				hot = append(hot, pages[idx])
-			} else {
-				cold = append(cold, pages[idx])
-			}
-		}
-		d.hotItems = vm.NewPageSet(cfg.Name+"-hot", hot)
-		d.coldItems = vm.NewPageSet(cfg.Name+"-cold", cold)
+		d.hotItems = vm.NewPageSet(cfg.Name+"-hot", pages[:nHot])
+		d.coldItems = vm.NewPageSet(cfg.Name+"-cold", pages[nHot:])
 	} else {
-		d.coldItems = vm.NewPageSet(cfg.Name+"-items", pages)
+		d.coldItems = vm.NewPageSet(cfg.Name+"-items", d.logRegion.AllPages())
 	}
 	d.rebuild()
 	m.AddWorkload(d)

@@ -1,6 +1,9 @@
 package kvs_test
 
 import (
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -153,5 +156,104 @@ func TestPinRegionKeepsDRAM(t *testing.T) {
 	m.Run(30 * sim.Second)
 	if f := d.LogRegion().Frac(vm.TierDRAM); f != 1 {
 		t.Fatalf("pinned log region DRAM frac = %v, want 1", f)
+	}
+}
+
+// rejects fails unless cfg fails Validate with a message containing
+// want, and NewDriver panics with that message without mapping anything.
+func rejects(t *testing.T, cfg kvs.DriverConfig, want string) {
+	t.Helper()
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
+	}
+	defer func() {
+		if r := recover(); r != err.Error() {
+			t.Fatalf("NewDriver panicked with %v, want %q", r, err)
+		}
+		if n := len(m.AS.Regions); n != 0 {
+			t.Fatalf("refused NewDriver mapped %d regions", n)
+		}
+	}()
+	kvs.NewDriver(m, cfg)
+}
+
+func TestValidateRejectsEmptyWorkingSet(t *testing.T) {
+	rejects(t, kvs.DriverConfig{}, "WorkingSet")
+	rejects(t, kvs.DriverConfig{WorkingSet: -sim.GB}, "WorkingSet")
+}
+
+func TestValidateRejectsHotKeyFracOutsideUnit(t *testing.T) {
+	for _, f := range []float64{1.5, -0.2, math.NaN()} {
+		rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, HotKeyFrac: f, HotTrafficFrac: 0.9}, "HotKeyFrac")
+	}
+}
+
+func TestValidateRejectsHotTrafficFracOutsideUnit(t *testing.T) {
+	for _, f := range []float64{2, -0.1, math.NaN()} {
+		rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: f}, "HotTrafficFrac")
+	}
+}
+
+func TestValidateRejectsGetFracOutsideUnit(t *testing.T) {
+	for _, f := range []float64{1.5, -0.5, math.NaN()} {
+		rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, GetFrac: f}, "GetFrac")
+	}
+}
+
+func TestValidateRejectsNegativeServerThreads(t *testing.T) {
+	rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, ServerThreads: -8}, "ServerThreads")
+}
+
+func TestValidateRejectsNegativeValueSize(t *testing.T) {
+	rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, ValueSize: -4096}, "ValueSize")
+}
+
+func TestValidateRejectsNegativeNetBase(t *testing.T) {
+	rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, NetBase: -1}, "NetBase")
+}
+
+func TestValidateRejectsBadTargetRate(t *testing.T) {
+	for _, r := range []float64{-1, math.NaN()} {
+		rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, TargetRate: r}, "TargetRate")
+	}
+}
+
+// Zero fields mean defaults, so a config naming only its working set,
+// and every boundary value, is valid.
+func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
+	for _, c := range []kvs.DriverConfig{
+		{WorkingSet: 1},
+		{WorkingSet: 8 * sim.GB, GetFrac: 1, HotKeyFrac: 1, HotTrafficFrac: 1},
+		{WorkingSet: 8 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9, TargetRate: 1e-3, NetBase: kvs.NetBaseLinux},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", c, err)
+		}
+	}
+}
+
+// Set-up allocates only what the driver keeps: the log's page chunks
+// (3,200 bytes per 64 pages) and one member pointer per page in its
+// hot/cold sets, cut from one shuffled array. A construction that copies
+// the pages into intermediate slices, or allocates an index permutation,
+// passes 64 bytes per page.
+func TestNewDriverSetUpAllocation(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	cfg := kvs.DriverConfig{WorkingSet: 8 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9, Seed: 3}
+	pages := cfg.WorkingSet / m.Cfg.PageSize
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := kvs.NewDriver(m, cfg)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(64*pages) + 32<<10; got > limit {
+		t.Fatalf("NewDriver allocated %d bytes for %d log pages (%.1f per page), want ≤ %d",
+			got, pages, float64(got)/float64(pages), limit)
+	}
+	t.Logf("NewDriver allocated %d bytes for %d log pages (%.1f per page)", got, pages, float64(got)/float64(pages))
+	if n := d.HotItemPages().Len(); n != int(pages)/5 {
+		t.Fatalf("hot set holds %d pages, want %d", n, pages/5)
 	}
 }

@@ -85,37 +85,16 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	total := int64(cfg.Warehouses) * cfg.WarehouseBytes
 	d.dbRegion = m.AS.Map("tpcc-db", total)
 
-	pages := d.dbRegion.AllPages()
+	pages := d.dbRegion.ShuffledPages(sim.NewRand(cfg.Seed + 0x7bcc))
 	// Warehouse and district rows are ~0.5% of bytes but are touched by
 	// every transaction — the small always-hot core.
-	nHot := len(pages) / 200
-	if nHot < 1 {
-		nHot = 1
-	}
+	nHot := max(len(pages)/200, 1)
 	// Orders and order lines are appended, not revisited: give the
 	// insert stream its own tail slice (~10%).
-	nInsert := len(pages) / 10
-	if nInsert < 1 {
-		nInsert = 1
-	}
-	rng := sim.NewRand(cfg.Seed + 0x7bcc)
-	perm := rng.Perm(len(pages))
-	hot := make([]*vm.Page, 0, nHot)
-	ins := make([]*vm.Page, 0, nInsert)
-	bulk := make([]*vm.Page, 0, len(pages)-nHot-nInsert)
-	for i, idx := range perm {
-		switch {
-		case i < nHot:
-			hot = append(hot, pages[idx])
-		case i < nHot+nInsert:
-			ins = append(ins, pages[idx])
-		default:
-			bulk = append(bulk, pages[idx])
-		}
-	}
-	d.hotSet = vm.NewPageSet("tpcc-hot", hot)
-	d.insertSet = vm.NewPageSet("tpcc-insert", ins)
-	d.bulkSet = vm.NewPageSet("tpcc-bulk", bulk)
+	nInsert := max(len(pages)/10, 1)
+	d.hotSet = vm.NewPageSet("tpcc-hot", pages[:nHot])
+	d.insertSet = vm.NewPageSet("tpcc-insert", pages[nHot:nHot+nInsert])
+	d.bulkSet = vm.NewPageSet("tpcc-bulk", pages[nHot+nInsert:])
 
 	rb, wb := d.cfg.RowBytes, d.cfg.RowBytes
 	d.comps = []machine.Component{

@@ -343,8 +343,9 @@ func (r *Region) MaterializeAll() {
 
 // AllPages returns a fresh slice of every page in index order,
 // materializing the whole region. Workloads that address their entire
-// mapping (perm-based hot/cold splits) use this; sparse-friendly
-// workloads should address windows through PageAt instead.
+// mapping in order use this (random splits use ShuffledPages);
+// sparse-friendly workloads should address windows through PageAt
+// instead.
 func (r *Region) AllPages() []*Page {
 	out := make([]*Page, r.n)
 	for i := 0; i < r.n; i++ {
@@ -367,14 +368,25 @@ func (r *Region) Frac(t Tier) float64 {
 // Bytes returns the bytes of the region resident in tier t.
 func (r *Region) Bytes(t Tier) int64 { return int64(r.counts[t]) * r.PageSize }
 
-// AsSet returns a PageSet covering the whole region (materializing it).
-func (r *Region) AsSet() *PageSet {
-	s := &PageSet{Name: r.Name, pages: make([]*Page, 0, r.n)}
-	for i := 0; i < r.n; i++ {
-		s.Add(r.PageAt(i))
+// ShuffledPages returns every page of the region in a random order,
+// materializing the whole region in index order as AllPages does. It runs
+// rng.Perm's inside-out shuffle over the pages themselves, so with the
+// same draws out[k] == r.PageAt(perm[k]) for perm = rng.Perm(r.NumPages()),
+// and no index permutation is allocated. Workloads cut their random
+// hot/cold splits as consecutive sub-slices of the result, each handed to
+// NewPageSet.
+func (r *Region) ShuffledPages(rng *sim.Rand) []*Page {
+	out := make([]*Page, r.n)
+	for i := range out {
+		j := rng.Intn(i + 1)
+		out[i] = out[j]
+		out[j] = r.PageAt(i)
 	}
-	return s
+	return out
 }
+
+// AsSet returns a PageSet covering the whole region (materializing it).
+func (r *Region) AsSet() *PageSet { return NewPageSet(r.Name, r.AllPages()) }
 
 func (r *Region) String() string {
 	return fmt.Sprintf("%s[%d pages × %d]", r.Name, r.n, r.PageSize)
@@ -392,11 +404,18 @@ type PageSet struct {
 }
 
 // NewPageSet builds a set over the given pages and registers the
-// membership on each page.
+// membership on each page. The set adopts the slice as its member array,
+// without copying, so the caller must neither use nor mutate it
+// afterwards. Its capacity is clipped to its length: the first Add past
+// the end reallocates instead of writing into whatever follows in the
+// caller's array, so sets cut as consecutive sub-slices of one array
+// (ShuffledPages) stay independent.
 func NewPageSet(name string, pages []*Page) *PageSet {
-	s := &PageSet{Name: name, pages: make([]*Page, 0, len(pages))}
+	n := len(pages)
+	s := &PageSet{Name: name, pages: pages[:n:n], version: uint64(n)}
 	for _, p := range pages {
-		s.Add(p)
+		s.counts[p.Tier]++
+		p.addSet(s)
 	}
 	return s
 }

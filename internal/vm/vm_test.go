@@ -391,3 +391,91 @@ func TestFrameHealthEmptyWithoutFaults(t *testing.T) {
 		t.Fatalf("fault-free space has a frame-health table of %d entries", len(a.health))
 	}
 }
+
+// ShuffledPages is rng.Perm applied to AllPages, with the same draws:
+// out[k] == AllPages()[perm[k]], and both generators end in step.
+func TestShuffledPagesMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
+		for _, seed := range []uint64{0, 1, 17, 0x9d5} {
+			a := NewAddressSpace(2 * sim.MB)
+			r := a.Map("heap", int64(n)*2*sim.MB)
+			got := r.ShuffledPages(sim.NewRand(seed))
+			ref := sim.NewRand(seed)
+			perm := ref.Perm(n)
+			all := r.AllPages()
+			if len(got) != n {
+				t.Fatalf("n=%d seed=%d: %d pages", n, seed, len(got))
+			}
+			for k, i := range perm {
+				if got[k] != all[i] {
+					t.Fatalf("n=%d seed=%d: out[%d] is page %d, want page %d", n, seed, k, got[k].Index, i)
+				}
+			}
+			rng := sim.NewRand(seed)
+			r.ShuffledPages(rng)
+			if a, b := rng.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("n=%d seed=%d: next draw %d after ShuffledPages, %d after Perm", n, seed, a, b)
+			}
+		}
+	}
+}
+
+// NewPageSet keeps the caller's array instead of copying it, and clips
+// its capacity: an Add to a set cut from the front of a shared array
+// reallocates rather than overwriting the next set's members. Counts
+// and back-pointers stay right through Remove and Add.
+func TestNewPageSetAdoptsSlice(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", 16*2*sim.MB)
+	pages := r.AllPages()
+	for i, p := range pages {
+		p.SetTier(Tier(i%2 + 1))
+	}
+	front := NewPageSet("front", pages[:6])
+	back := NewPageSet("back", pages[6:])
+	if &front.Pages()[0] != &pages[0] || &back.Pages()[0] != &pages[6] {
+		t.Fatal("NewPageSet copied its slice")
+	}
+	if cap(front.Pages()) != 6 {
+		t.Fatalf("front capacity %d, want 6", cap(front.Pages()))
+	}
+	want := append([]*Page(nil), pages[6:]...)
+	extra := r.PageAt(10)
+	front.Add(extra)
+	for i, p := range back.Pages() {
+		if p != want[i] {
+			t.Fatalf("Add to front overwrote back member %d", i)
+		}
+	}
+	if front.Len() != 7 || front.Page(6) != extra {
+		t.Fatalf("front after Add: len %d", front.Len())
+	}
+	// The sets own pages now, so name the pages through the region.
+	p0, p9 := r.PageAt(0), r.PageAt(9)
+	front.Remove(0) // p0; extra moves into its slot
+	back.Remove(3)  // p9
+	back.Add(p0)
+	p9.SetTier(TierDRAM)   // in no set now
+	p0.SetTier(TierNVM)    // in back only
+	extra.SetTier(TierNVM) // in both
+	for _, s := range []*PageSet{front, back} {
+		var counts tierCounts
+		for _, p := range s.Pages() {
+			counts[p.Tier]++
+			in := false
+			p.EachSet(func(ps *PageSet) { in = in || ps == s })
+			if !in {
+				t.Fatalf("set %s member %d lacks its back-pointer", s.Name, p.Index)
+			}
+		}
+		if counts != s.counts {
+			t.Fatalf("set %s counts %v, recount %v", s.Name, s.counts, counts)
+		}
+	}
+	if sets := p9.InSets(); len(sets) != 0 {
+		t.Fatalf("removed page still in %d sets", len(sets))
+	}
+	if sets := p0.InSets(); len(sets) != 1 || sets[0] != back {
+		t.Fatalf("page moved from front to back is in %v", sets)
+	}
+}
