@@ -171,29 +171,12 @@ func runFig8(w io.Writer, o Opts) {
 	measure := o.scale(15, 60) * sim.Second
 	gcfg := gups.Config{Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: o.seed()}
 
-	// Manual placement puts the known hot set in DRAM at first touch and
-	// fills remaining DRAM with cold pages (reserving room for hot pages
-	// not yet touched), matching the Opt baseline's placement.
+	// Manual placement is the Opt baseline's rule: the known hot set in
+	// DRAM at first touch, remaining DRAM filled with cold pages
+	// (reserving room for hot pages not yet touched).
 	manual := func(m *machine.Machine, g *gups.GUPS) func(p *vm.Page) vm.Tier {
-		hot := make(map[vm.PageID]bool, g.HotPages().Len())
-		for _, p := range g.HotPages().Pages() {
-			hot[p.ID] = true
-		}
-		hotLeft := int64(g.HotPages().Len())
-		var used int64
-		return func(p *vm.Page) vm.Tier {
-			ps := p.Region.PageSize
-			if hot[p.ID] {
-				hotLeft--
-				used += ps
-				return vm.TierDRAM
-			}
-			if used+hotLeft*ps+ps <= m.CapacityOf(vm.TierDRAM) {
-				used += ps
-				return vm.TierDRAM
-			}
-			return vm.TierNVM
-		}
+		place := xmem.OptPlacement(g.HotPages())
+		return func(p *vm.Page) vm.Tier { return place(m, p) }
 	}
 
 	type cfgFn func(m *machine.Machine, g *gups.GUPS) machine.Manager

@@ -87,7 +87,7 @@ func (h *HeMem) activePositions() []int {
 // the page queued and retries next tick).
 func (h *HeMem) evacDst(i int, hotPage bool, ps int64) int {
 	try := func(j int) bool {
-		return !h.offlineAt(j) && h.used[h.chain[j]]+ps <= h.caps[j]
+		return !h.offlineAt(j) && h.free(j) >= ps
 	}
 	if hotPage {
 		for j := i - 1; j >= 0; j-- {
@@ -159,7 +159,6 @@ func (h *HeMem) evacuate(budget int64) int64 {
 				}
 				return budget
 			}
-			h.moveUsed(pi.Page.Tier, dst, ps)
 			h.stats.Evacuations++
 			if dst == h.swapTier {
 				h.stats.SwapOuts++

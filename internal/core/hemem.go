@@ -163,8 +163,9 @@ type Stats struct {
 }
 
 // HeMem is the manager: it implements machine.Manager, owning the shared
-// tiering fabric — per-tier hot/cold FIFO queues, capacity accounting,
-// the migration chain, swap, and offline-tier evacuation — while
+// tiering fabric — per-tier hot/cold FIFO queues, the migration chain,
+// swap, and offline-tier evacuation, all deciding from the machine's
+// committed ledger (machine.Machine.Committed) — while
 // delegating access observation to a pluggable Tracker and
 // classification/migration decisions to a pluggable Policy (both
 // selected by Config; the defaults reproduce the paper's PEBS pipeline
@@ -208,9 +209,6 @@ type HeMem struct {
 	swapCold  *List
 
 	clock uint64 // global cooling clock
-	// used commits bytes per tier (including in-flight migrations, which
-	// are charged to their destination at enqueue time).
-	used [vm.MaxTiers]int64
 	// freeTarget is the per-chain-position free-space watermark resolved
 	// from Config.FreeTargets at Attach.
 	freeTarget []int64
@@ -319,7 +317,7 @@ func (h *HeMem) Attach(m *machine.Machine) {
 	h.initTiers()
 	m.Migrator.RateCap = sim.GBps(migRateGBps)
 	if !h.cfg.NoDMA {
-		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New(dma.DefaultConfig())})
+		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New()})
 	} else {
 		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)})
 	}
@@ -387,21 +385,6 @@ func (h *HeMem) rankOf(t vm.Tier) int {
 	return -1
 }
 
-// addUsed adjusts the committed-byte counter for tier t.
-func (h *HeMem) addUsed(t vm.Tier, delta int64) {
-	if int(t) >= 0 && int(t) < vm.MaxTiers {
-		h.used[t] += delta
-	}
-}
-
-// moveUsed transfers a page's committed bytes from tier `from` to tier
-// `to` — the single accounting rule behind placement, promotion, demotion,
-// swap, and their unwinding (Release, OnMigrationFailed).
-func (h *HeMem) moveUsed(from, to vm.Tier, ps int64) {
-	h.addUsed(from, -ps)
-	h.addUsed(to, ps)
-}
-
 // info returns the tracking state for page id, or nil if unmanaged.
 func (h *HeMem) info(id vm.PageID) *PageInfo { return h.pages.get(id) }
 
@@ -462,37 +445,24 @@ func (h *HeMem) PinRegion(r *vm.Region) {
 	setRegionFlag(&h.pinned, r.ID, true)
 }
 
-// Release undoes all tracking and accounting for region r: its pages
-// leave the FIFO lists and the page table (their slots are zeroed, and a
-// window with no tracked slot left is freed), in-flight migrations are
-// cancelled (undoing their enqueue-time commitments), and the committed
-// bytes of every tier return to the free pools. It implements
-// machine.Releaser, backing machine.Machine.Unmap — without it a
-// long-running multi-tenant machine leaks committed bytes on every region
-// teardown and eventually refuses fast-tier placement.
+// Release undoes all tracking for region r: its pages leave the FIFO
+// lists and the page table (their slots are zeroed, and a window with no
+// tracked slot left is freed). It implements machine.Releaser, backing
+// machine.Machine.Unmap, which has already cancelled the region's
+// in-flight migrations and whose vm teardown then returns the committed
+// bytes of every tier to the free pools.
 func (h *HeMem) Release(r *vm.Region) {
 	if regionFlag(h.released, r.ID) {
 		return
 	}
 	setRegionFlag(&h.released, r.ID, true)
-	ps := h.m.Cfg.PageSize
-	// Untouched pages were never tracked, never placed, never migrating —
-	// the sparse walk covers everything Release must undo.
+	// Untouched pages were never tracked — the sparse walk covers
+	// everything Release must undo.
 	r.EachPage(func(p *vm.Page) {
-		if p.Migrating {
-			if dst, ok := h.m.Migrator.Cancel(p); ok {
-				// Undo the enqueue-time accounting exactly as
-				// OnMigrationFailed would.
-				h.moveUsed(dst, p.Tier, ps)
-			}
-		}
 		if pi := h.info(p.ID); pi != nil {
 			h.tracker.PageOut(pi)
 			h.pol.PageOut(pi)
 			h.pages.release(p.ID)
-		}
-		if p.Tier != vm.TierNone {
-			h.addUsed(p.Tier, -ps)
 		}
 	})
 	setRegionFlag(&h.pinned, r.ID, false)
@@ -503,13 +473,8 @@ func (h *HeMem) Release(r *vm.Region) {
 func (h *HeMem) NVMUsed() int64 { return h.Used(vm.TierNVM) }
 
 // Used returns the committed bytes on tier t (including in-flight
-// migrations charged to their destination).
-func (h *HeMem) Used(t vm.Tier) int64 {
-	if int(t) >= 0 && int(t) < vm.MaxTiers {
-		return h.used[t]
-	}
-	return 0
-}
+// migrations charged to their destination): the machine's ledger.
+func (h *HeMem) Used(t vm.Tier) int64 { return h.m.Committed(t) }
 
 // PageIn implements machine.Manager: the userfaultfd page-missing path.
 // Pinned and small regions stay in the fastest tier untracked; large
@@ -524,7 +489,6 @@ func (h *HeMem) PageIn(p *vm.Page) {
 	ps := h.m.Cfg.PageSize
 	fastest := h.chain[h.firstOnline()]
 	if regionFlag(h.pinned, p.Region.ID) {
-		h.addUsed(fastest, ps)
 		p.SetTier(fastest)
 		return
 	}
@@ -535,13 +499,11 @@ func (h *HeMem) PageIn(p *vm.Page) {
 		// tier takes the page unconditionally (the kernel path never
 		// swaps).
 		for i := 0; i < last; i++ {
-			if !h.offlineAt(i) && h.used[h.chain[i]]+ps <= h.caps[i] && h.placeAllowed(p, h.chain[i]) {
-				h.addUsed(h.chain[i], ps)
+			if !h.offlineAt(i) && h.free(i) >= ps && h.placeAllowed(p, h.chain[i]) {
 				p.SetTier(h.chain[i])
 				return
 			}
 		}
-		h.addUsed(h.chain[last], ps)
 		p.SetTier(h.chain[last])
 		return
 	}
@@ -558,8 +520,7 @@ func (h *HeMem) PageIn(p *vm.Page) {
 		start = r
 	}
 	for i := start; i < last; i++ {
-		if !h.offlineAt(i) && h.used[h.chain[i]]+ps <= h.caps[i] && h.placeAllowed(p, h.chain[i]) {
-			h.addUsed(h.chain[i], ps)
+		if !h.offlineAt(i) && h.free(i) >= ps && h.placeAllowed(p, h.chain[i]) {
 			p.SetTier(h.chain[i])
 			h.pol.PagePlaced(pi)
 			h.tracker.PageIn(pi)
@@ -567,14 +528,12 @@ func (h *HeMem) PageIn(p *vm.Page) {
 		}
 	}
 	slowest := h.chain[last]
-	if !h.cfg.EnableSwap || h.swapTier == vm.TierNone || h.used[slowest]+ps <= h.caps[last] {
-		h.addUsed(slowest, ps)
+	if !h.cfg.EnableSwap || h.swapTier == vm.TierNone || h.free(last) >= ps {
 		p.SetTier(slowest)
 		h.pol.PagePlaced(pi)
 		h.tracker.PageIn(pi)
 		return
 	}
-	h.addUsed(h.swapTier, ps)
 	p.SetTier(h.swapTier)
 	h.pol.PagePlaced(pi)
 	h.tracker.PageIn(pi)
@@ -716,7 +675,7 @@ func (h *HeMem) migrateTick(budget int64) {
 }
 
 // free returns uncommitted bytes at chain position i.
-func (h *HeMem) free(i int) int64 { return h.caps[i] - h.used[h.chain[i]] }
+func (h *HeMem) free(i int) int64 { return h.caps[i] - h.m.Committed(h.chain[i]) }
 
 // dramFree returns uncommitted bytes on the fastest tier.
 func (h *HeMem) dramFree() int64 { return h.free(0) }
@@ -746,7 +705,6 @@ func (h *HeMem) swapPolicy(budget int64, last int) int64 {
 					}
 					break
 				}
-				h.moveUsed(victim.Page.Tier, h.swapTier, ps)
 				h.stats.SwapOuts++
 				budget -= ps
 			}
@@ -755,7 +713,6 @@ func (h *HeMem) swapPolicy(budget int64, last int) int64 {
 				break
 			}
 			if h.m.Migrator.Enqueue(p, slowest) {
-				h.moveUsed(p.Tier, slowest, ps)
 				h.stats.SwapIns++
 				budget -= ps
 			} else {
@@ -771,7 +728,6 @@ func (h *HeMem) swapPolicy(budget int64, last int) int64 {
 			break
 		}
 		if h.m.Migrator.Enqueue(victim.Page, h.swapTier) {
-			h.moveUsed(victim.Page.Tier, h.swapTier, ps)
 			h.stats.SwapOuts++
 			budget -= ps
 		} else {
@@ -801,21 +757,20 @@ func (h *HeMem) pickSwapped(si int, set *vm.PageSet) *vm.Page {
 	return nil
 }
 
-// promote enqueues a move to the faster tier dst and commits its space.
+// promote enqueues a move to the faster tier dst, which commits its space
+// there.
 func (h *HeMem) promote(pi *PageInfo, dst vm.Tier) {
 	if h.m.Migrator.Enqueue(pi.Page, dst) {
-		h.moveUsed(pi.Page.Tier, dst, h.m.Cfg.PageSize)
 		h.stats.Promotions++
 	} else {
 		h.hotList(pi.Page.Tier).PushBack(pi)
 	}
 }
 
-// demote enqueues a move to the slower tier dst and releases the faster
+// demote enqueues a move to the slower tier dst, which releases the faster
 // tier's space.
 func (h *HeMem) demote(pi *PageInfo, dst vm.Tier) {
 	if h.m.Migrator.Enqueue(pi.Page, dst) {
-		h.moveUsed(pi.Page.Tier, dst, h.m.Cfg.PageSize)
 		h.stats.Demotions++
 	} else {
 		h.coldList(pi.Page.Tier).PushBack(pi)
@@ -834,10 +789,10 @@ func (h *HeMem) OnMigrated(p *vm.Page) {
 
 // OnMigrationFailed implements machine.MigrationFailureObserver: a
 // migration abandoned after exhausting its retries leaves the page in its
-// source tier, so the space committed at enqueue time is returned and the
-// page goes back on the list matching its current state.
+// source tier (the machine has already returned the space committed at
+// enqueue time), so the page goes back on the list matching its current
+// state.
 func (h *HeMem) OnMigrationFailed(p *vm.Page, dst vm.Tier) {
-	h.moveUsed(dst, p.Tier, h.m.Cfg.PageSize)
 	pi := h.info(p.ID)
 	if pi == nil {
 		return
@@ -872,7 +827,6 @@ func (h *HeMem) OnNVMUncorrectable(p *vm.Page) {
 	dst := h.chain[up]
 	h.pages.unlink(pi)
 	if h.m.Migrator.EnqueueUrgent(p, dst) {
-		h.moveUsed(p.Tier, dst, h.m.Cfg.PageSize)
 		h.stats.Promotions++
 		h.stats.EmergencyPromotions++
 		h.m.FaultCounters().EmergencyPromotions++

@@ -361,8 +361,8 @@ func TestValidateUnknownTrackerPolicy(t *testing.T) {
 	}
 }
 
-// Releasing a region must return its committed bytes: dramUsed/nvmUsed
-// previously only ever grew, so a multi-tenant machine that unmapped a
+// Releasing a region must return its committed bytes: committed DRAM and
+// NVM once only ever grew, so a multi-tenant machine that unmapped a
 // tenant leaked its footprint forever and later tenants were refused
 // DRAM placement.
 func TestReleaseReturnsAccounting(t *testing.T) {

@@ -4,9 +4,9 @@
 // The queues stay shared — policies keep pushing through
 // hotList/coldList untouched — and tenancy only changes *which* entry a
 // bounded deterministic scan picks instead of the FIFO head. A manager
-// that never sees OnTenantAdmit keeps h.tenants nil and every selector
-// degrades to the exact historical pop, so the zero-tenant path is
-// byte-identical (pinned by the PR-4 goldens).
+// that never sees OnTenantAdmit keeps h.tenants nil: every page then
+// scores as untenanted, the scan window is one entry, and each selector
+// picks exactly the historical FIFO pop.
 package core
 
 import (
@@ -40,9 +40,9 @@ func (tt *TenantTable) depart(id vm.TenantID) {
 }
 
 // SpecOf returns tenant id's spec; ok is false for unknown or departed
-// tenants.
+// tenants, and on a nil table.
 func (tt *TenantTable) SpecOf(id vm.TenantID) (machine.TenantSpec, bool) {
-	if id <= 0 || int(id) > len(tt.specs) || !tt.active[id-1] {
+	if tt == nil || id <= 0 || int(id) > len(tt.specs) || !tt.active[id-1] {
 		return machine.TenantSpec{}, false
 	}
 	return tt.specs[id-1], true
@@ -87,6 +87,16 @@ func (h *HeMem) Tenants() *TenantTable { return h.tenants }
 // regardless of list length. The FIFO head still wins all ties, so the
 // historical eviction order survives within a score class.
 const tenantScanLimit = 256
+
+// scanLimit is the selectors' scan window: tenantScanLimit once a tenant
+// was admitted, one entry (the FIFO end) before, when every page would
+// tie anyway.
+func (h *HeMem) scanLimit() int {
+	if h.tenants == nil {
+		return 1
+	}
+	return tenantScanLimit
+}
 
 // Demotion-victim score bands. Bands are spaced wider than the maximum
 // class term so pressure order is strict: over-hard-cap pages first,
@@ -168,9 +178,6 @@ func (h *HeMem) promoteScore(o vm.TenantID, dst vm.Tier) int64 {
 // under its hard cap (always true for untenanted pages, capless specs,
 // and machines without tenants).
 func (h *HeMem) capAllows(o vm.TenantID, t vm.Tier) bool {
-	if h.tenants == nil || o == vm.TenantNone {
-		return true
-	}
 	spec, ok := h.tenants.SpecOf(o)
 	if !ok || spec.Cap[t] <= 0 {
 		return true
@@ -182,9 +189,6 @@ func (h *HeMem) capAllows(o vm.TenantID, t vm.Tier) bool {
 // owner's hard cap. The slowest tier still accepts overflow
 // unconditionally — a page must land somewhere.
 func (h *HeMem) placeAllowed(p *vm.Page, t vm.Tier) bool {
-	if h.tenants == nil {
-		return true
-	}
 	return h.capAllows(p.Region.Owner(), t)
 }
 
@@ -216,14 +220,11 @@ func scanBestBack(l *List, limit int, score func(pi *PageInfo) (int64, bool)) *P
 }
 
 // popColdVictim removes and returns the next demotion victim from chain
-// position i's cold list: the FIFO head without tenants, the highest
-// demotion score within the scan window with them.
+// position i's cold list: the highest demotion score within the scan
+// window (the FIFO head without tenants).
 func (h *HeMem) popColdVictim(i int) *PageInfo {
-	if h.tenants == nil {
-		return h.cold[i].PopFront()
-	}
 	t := h.chain[i]
-	best := scanBestFront(&h.cold[i], tenantScanLimit, func(pi *PageInfo) (int64, bool) {
+	best := scanBestFront(&h.cold[i], h.scanLimit(), func(pi *PageInfo) (int64, bool) {
 		return h.demoteScore(pi.Page.Region.Owner(), t), true
 	})
 	if best != nil {
@@ -233,19 +234,12 @@ func (h *HeMem) popColdVictim(i int) *PageInfo {
 }
 
 // popHotBackVictim removes and returns the watermark loop's fallback
-// victim from chain position i's hot list: the FIFO tail without
-// tenants ("HeMem migrates random data to NVM", §3.3), the highest
-// demotion score within the tail-side scan window with them.
+// victim from chain position i's hot list: the highest demotion score
+// within the tail-side scan window (the FIFO tail without tenants: "HeMem
+// migrates random data to NVM", §3.3).
 func (h *HeMem) popHotBackVictim(i int) *PageInfo {
-	if h.tenants == nil {
-		pi := h.hot[i].Back()
-		if pi != nil {
-			h.hot[i].Remove(pi)
-		}
-		return pi
-	}
 	t := h.chain[i]
-	best := scanBestBack(&h.hot[i], tenantScanLimit, func(pi *PageInfo) (int64, bool) {
+	best := scanBestBack(&h.hot[i], h.scanLimit(), func(pi *PageInfo) (int64, bool) {
 		return h.demoteScore(pi.Page.Region.Owner(), t), true
 	})
 	if best != nil {
@@ -256,14 +250,11 @@ func (h *HeMem) popHotBackVictim(i int) *PageInfo {
 
 // promoteCandidate returns (without removing) the next promotion
 // candidate from chain position down's hot list, destined for tier dst:
-// the FIFO head without tenants; with them, the highest promotion score
-// within the scan window among owners whose hard cap on dst allows
-// another page. Nil means nothing (eligible) to promote.
+// the highest promotion score within the scan window (the FIFO head
+// without tenants) among owners whose hard cap on dst allows another
+// page. Nil means nothing (eligible) to promote.
 func (h *HeMem) promoteCandidate(down int, dst vm.Tier) *PageInfo {
-	if h.tenants == nil {
-		return h.hot[down].Front()
-	}
-	return scanBestFront(&h.hot[down], tenantScanLimit, func(pi *PageInfo) (int64, bool) {
+	return scanBestFront(&h.hot[down], h.scanLimit(), func(pi *PageInfo) (int64, bool) {
 		o := pi.Page.Region.Owner()
 		if !h.capAllows(o, dst) {
 			return 0, false
@@ -296,23 +287,18 @@ func (h *HeMem) evacRank(o vm.TenantID) int64 {
 }
 
 // popEvacVictim removes and returns the next page to drain off offline
-// chain position i, reporting whether it came from the hot list.
-// Without tenants it is the historical hot-then-cold FIFO pop; with
-// them, the lowest QoS class in either scan window goes first
-// (besteffort before untenanted before silver before gold), hot
-// preferred on ties since hot pages throttle the application hardest.
+// chain position i, reporting whether it came from the hot list: the
+// lowest QoS class in either scan window goes first (besteffort before
+// untenanted before silver before gold), hot preferred on ties since hot
+// pages throttle the application hardest. Without tenants every page
+// ties, so it is the historical hot-then-cold FIFO pop.
 func (h *HeMem) popEvacVictim(i int) (*PageInfo, bool) {
-	if h.tenants == nil {
-		if pi := h.hot[i].PopFront(); pi != nil {
-			return pi, true
-		}
-		return h.cold[i].PopFront(), false
-	}
 	score := func(pi *PageInfo) (int64, bool) {
 		return -h.evacRank(pi.Page.Region.Owner()), true
 	}
-	hotBest := scanBestFront(&h.hot[i], tenantScanLimit, score)
-	coldBest := scanBestFront(&h.cold[i], tenantScanLimit, score)
+	limit := h.scanLimit()
+	hotBest := scanBestFront(&h.hot[i], limit, score)
+	coldBest := scanBestFront(&h.cold[i], limit, score)
 	switch {
 	case hotBest == nil && coldBest == nil:
 		return nil, false

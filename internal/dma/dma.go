@@ -12,96 +12,31 @@
 // saturate.
 package dma
 
-import (
-	"fmt"
+import "github.com/tieredmem/hemem/internal/sim"
 
-	"github.com/tieredmem/hemem/internal/sim"
-)
-
-// Config holds the engine cost model parameters.
-type Config struct {
-	// ChannelBW is per-channel copy bandwidth in bytes/ns.
-	ChannelBW float64
-	// EngineCap is the shared ceiling across channels in bytes/ns.
-	EngineCap float64
-	// SyscallBase is the fixed cost of one copy ioctl (ns).
-	SyscallBase int64
-	// PerRequest is the kernel descriptor setup cost per request (ns).
-	PerRequest int64
-	// PerRequestSlope scales extra per-request cost with batch size
-	// (descriptor-ring and completion-tracking pressure).
-	PerRequestSlope float64
-	// ChannelSetup is the per-request cost of engaging one channel (ns).
-	ChannelSetup int64
-	// MaxBatch is the largest batch one ioctl accepts (the paper's
+// The calibrated engine cost model.
+const (
+	// channelBW is per-channel copy bandwidth in bytes/ns (3.3 GB/s).
+	channelBW = 3.3 * float64(sim.GB) / float64(sim.Second)
+	// engineCap is the shared ceiling across channels in bytes/ns
+	// (6.6 GB/s).
+	engineCap = 6.6 * float64(sim.GB) / float64(sim.Second)
+	// syscallBase is the fixed cost of one copy ioctl (ns).
+	syscallBase = 1800
+	// perRequest is the kernel descriptor setup cost per request (ns).
+	perRequest = 400
+	// perRequestSlope scales extra per-request cost with batch size
+	// (descriptor-ring and completion-tracking pressure): +25% of
+	// perRequest per extra batched request.
+	perRequestSlope = 0.25
+	// channelSetup is the per-request cost of engaging one channel (ns).
+	channelSetup = 500
+	// maxBatch is the largest batch one ioctl accepts (the paper's
 	// extension allows 32).
-	MaxBatch int
-	// MaxChannels is how many channels the allocator may hand out.
-	MaxChannels int
-}
-
-// DefaultConfig returns the calibrated I/OAT model.
-func DefaultConfig() Config {
-	return Config{
-		ChannelBW:       sim.GBps(3.3),
-		EngineCap:       sim.GBps(6.6),
-		SyscallBase:     1800,
-		PerRequest:      400,
-		PerRequestSlope: 0.25, // +25% of PerRequest per extra batched request
-		ChannelSetup:    500,
-		MaxBatch:        32,
-		MaxChannels:     8,
-	}
-}
-
-// Validate reports the first invalid parameter, or nil. Zero values are
-// valid (they fall back to defaults in New).
-func (c Config) Validate() error {
-	if c.ChannelBW < 0 || c.EngineCap < 0 {
-		return fmt.Errorf("dma: negative bandwidth (channel %v, cap %v)", c.ChannelBW, c.EngineCap)
-	}
-	if c.SyscallBase < 0 || c.PerRequest < 0 || c.ChannelSetup < 0 {
-		return fmt.Errorf("dma: negative per-request cost")
-	}
-	if c.PerRequestSlope < 0 {
-		return fmt.Errorf("dma: negative PerRequestSlope %v", c.PerRequestSlope)
-	}
-	if c.MaxBatch < 0 || c.MaxChannels < 0 {
-		return fmt.Errorf("dma: negative batch/channel limit")
-	}
-	return nil
-}
-
-// withDefaults fills zero-value fields field-by-field, so a caller that
-// overrides only some parameters keeps the rest calibrated.
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.ChannelBW == 0 {
-		c.ChannelBW = def.ChannelBW
-	}
-	if c.EngineCap == 0 {
-		c.EngineCap = def.EngineCap
-	}
-	if c.SyscallBase == 0 {
-		c.SyscallBase = def.SyscallBase
-	}
-	if c.PerRequest == 0 {
-		c.PerRequest = def.PerRequest
-	}
-	if c.PerRequestSlope == 0 {
-		c.PerRequestSlope = def.PerRequestSlope
-	}
-	if c.ChannelSetup == 0 {
-		c.ChannelSetup = def.ChannelSetup
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = def.MaxBatch
-	}
-	if c.MaxChannels == 0 {
-		c.MaxChannels = def.MaxChannels
-	}
-	return c
-}
+	maxBatch = 32
+	// maxChannels is how many channels the allocator may hand out.
+	maxChannels = 8
+)
 
 // FallbackCopyThreads is the software-copy pool size, the paper's
 // measured optimum of 4 threads: the migrator falls back to it when the
@@ -111,7 +46,6 @@ const FallbackCopyThreads = 4
 
 // Engine is a DMA engine instance.
 type Engine struct {
-	cfg Config
 	// copiedBytes accounts total bytes moved, for reporting.
 	copiedBytes float64
 	// failed counts permanently failed channels (fault injection).
@@ -121,24 +55,20 @@ type Engine struct {
 	derate float64
 }
 
-// New returns an engine with cfg; zero-value fields fall back to defaults
-// field-by-field, so partially specified configs keep the remaining
-// parameters calibrated.
-func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), derate: 1}
-}
+// New returns an engine with every channel live, at full speed.
+func New() *Engine { return &Engine{derate: 1} }
 
 // FailChannel permanently removes one channel (a hardware fault) and
 // returns how many remain live.
 func (e *Engine) FailChannel() int {
-	if e.failed < e.cfg.MaxChannels {
+	if e.failed < maxChannels {
 		e.failed++
 	}
 	return e.LiveChannels()
 }
 
 // LiveChannels returns the number of channels still operational.
-func (e *Engine) LiveChannels() int { return e.cfg.MaxChannels - e.failed }
+func (e *Engine) LiveChannels() int { return maxChannels - e.failed }
 
 // SetDerate scales the engine's bandwidth by f in (0, 1]; out-of-range
 // values restore full speed. Degraded-channel episodes use this.
@@ -152,9 +82,6 @@ func (e *Engine) SetDerate(f float64) {
 // Derate returns the current bandwidth multiplier.
 func (e *Engine) Derate() float64 { return e.derate }
 
-// Config returns the engine's parameters.
-func (e *Engine) Config() Config { return e.cfg }
-
 // BatchTime returns the time in ns to complete one ioctl carrying batch
 // requests of reqSize bytes each, striped over channels.
 func (e *Engine) BatchTime(batch, channels int, reqSize int64) int64 {
@@ -162,14 +89,14 @@ func (e *Engine) BatchTime(batch, channels int, reqSize int64) int64 {
 	if channels == 0 {
 		return 0 // no live channels: the engine cannot copy at all
 	}
-	bw := e.cfg.ChannelBW * float64(channels)
-	if bw > e.cfg.EngineCap {
-		bw = e.cfg.EngineCap
+	bw := channelBW * float64(channels)
+	if bw > engineCap {
+		bw = engineCap
 	}
 	bw *= e.derate
-	perReq := float64(e.cfg.PerRequest) * (1 + e.cfg.PerRequestSlope*float64(batch-1))
-	setup := float64(e.cfg.SyscallBase) +
-		float64(batch)*(perReq+float64(e.cfg.ChannelSetup)*float64(channels))
+	perReq := float64(perRequest) * (1 + perRequestSlope*float64(batch-1))
+	setup := float64(syscallBase) +
+		float64(batch)*(perReq+float64(channelSetup)*float64(channels))
 	transfer := float64(batch) * float64(reqSize) / bw
 	return int64(setup + transfer)
 }
@@ -180,8 +107,8 @@ func (e *Engine) clamp(batch, channels int) (int, int) {
 	if batch < 1 {
 		batch = 1
 	}
-	if batch > e.cfg.MaxBatch {
-		batch = e.cfg.MaxBatch
+	if batch > maxBatch {
+		batch = maxBatch
 	}
 	if channels < 1 {
 		channels = 1
@@ -210,8 +137,8 @@ func (e *Engine) Throughput(batch, channels int, reqSize int64) float64 {
 func (e *Engine) BestConfig(reqSize int64) (batch, channels int) {
 	best := 0.0
 	batch, channels = 1, 1
-	for b := 1; b <= e.cfg.MaxBatch; b++ {
-		for c := 1; c <= e.cfg.MaxChannels; c++ {
+	for b := 1; b <= maxBatch; b++ {
+		for c := 1; c <= maxChannels; c++ {
 			if tp := e.Throughput(b, c, reqSize); tp > best {
 				best, batch, channels = tp, b, c
 			}

@@ -12,7 +12,7 @@ import (
 // system." (§3.2). The search optimum of the calibrated model must agree
 // at the 4 KB request size where ioctl overheads matter.
 func TestBestConfigMatchesPaper(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	batch, channels := e.BestConfig(4 * sim.KB)
 	if batch != 4 || channels != 2 {
 		t.Fatalf("BestConfig(4KB) = batch %d × %d channels, paper says 4 × 2", batch, channels)
@@ -20,7 +20,7 @@ func TestBestConfigMatchesPaper(t *testing.T) {
 }
 
 func TestTwoChannelsSaturateEngine(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	t2 := e.Throughput(4, 2, 2*sim.MB)
 	t4 := e.Throughput(4, 4, 2*sim.MB)
 	if t4 > t2 {
@@ -34,7 +34,7 @@ func TestTwoChannelsSaturateEngine(t *testing.T) {
 }
 
 func TestBatchingAmortizesSyscall(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	one := e.Throughput(1, 2, 4*sim.KB)
 	four := e.Throughput(4, 2, 4*sim.KB)
 	if four <= one {
@@ -50,7 +50,7 @@ func TestBatchingAmortizesSyscall(t *testing.T) {
 }
 
 func TestBatchTimeClamps(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	if e.BatchTime(0, 0, 4*sim.KB) != e.BatchTime(1, 1, 4*sim.KB) {
 		t.Fatal("out-of-range batch/channels not clamped low")
 	}
@@ -60,7 +60,7 @@ func TestBatchTimeClamps(t *testing.T) {
 }
 
 func TestCopyAccounting(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	d := e.Copy(64 * sim.MB)
 	if d <= 0 {
 		t.Fatal("copy duration must be positive")
@@ -93,7 +93,7 @@ func TestThreadCopierSaturatesAtFour(t *testing.T) {
 
 // DMA beats thread copy in throughput and uses no cores.
 func TestDMABeatsThreads(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	dma := e.Throughput(4, 2, 2*sim.MB)
 	threads := NewThreadCopier(4).Throughput()
 	if dma <= threads {
@@ -105,19 +105,21 @@ func TestDMABeatsThreads(t *testing.T) {
 // Property: throughput is positive and bounded by the engine cap for all
 // configurations.
 func TestThroughputBounds(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	f := func(b, c uint8, sz uint16) bool {
 		tp := e.Throughput(int(b%40), int(c%10), int64(sz)+1)
-		return tp > 0 && tp <= e.Config().EngineCap
+		return tp > 0 && tp <= engineCap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestZeroConfigFallsBack(t *testing.T) {
-	e := New(Config{})
-	if e.Config().ChannelBW == 0 {
-		t.Fatal("zero config did not fall back to defaults")
+// The bandwidth constants are the calibrated GB/s figures converted
+// exactly as sim.GBps converts them, bit for bit.
+func TestBandwidthConstantsMatchGBps(t *testing.T) {
+	if channelBW != sim.GBps(3.3) || engineCap != sim.GBps(6.6) {
+		t.Fatalf("channel %v, cap %v bytes/ns; sim.GBps gives %v, %v",
+			channelBW, engineCap, sim.GBps(3.3), sim.GBps(6.6))
 	}
 }

@@ -4,7 +4,8 @@
 // nothing but its private page mark (vm.Page.AuditMark), which no
 // decision reads and which it clears before it returns, so an audited
 // run is bit-identical to an unaudited one; it exists to turn silent
-// accounting drift (a leaked page charge, a double-resident page, a
+// accounting drift (a leaked page charge in the committed ledger that
+// every manager's placement reads, a double-resident page, a
 // migration-queue ghost) into an immediate, diagnosable failure instead
 // of a subtly wrong experiment.
 package machine
@@ -16,14 +17,6 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
-
-// UsedReporter is implemented by managers that account committed bytes
-// per tier (HeMem's used[]). The auditor cross-checks the report against
-// the bytes actually resident in vm, adjusted for in-flight migrations
-// (which managers charge to the destination at enqueue time).
-type UsedReporter interface {
-	Used(t vm.Tier) int64
-}
 
 // AuditViolation is one failed invariant.
 type AuditViolation struct {
@@ -47,9 +40,10 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //     bijection — every flagged page appears exactly once in the queue,
 //     every queued request's page is flagged, and no request targets the
 //     page's current tier.
-//   - used-conservation: a UsedReporter manager's per-tier committed
-//     bytes equal the resident bytes per tier, adjusted by in-flight
-//     migrations (charged to the destination at enqueue).
+//   - used-conservation: the machine's committed ledger (Committed, the
+//     figure every manager's placement reads) equals, per tier, the
+//     recounted resident bytes adjusted by the queued migrations (charged
+//     to the destination at enqueue).
 //   - edge-counters: the migration graph's per-edge completion counters
 //     sum to the total completed pages, and promotions + demotions
 //     equal that total.
@@ -65,7 +59,9 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //
 // The tenant rules run only on machines with a tenant runtime.
 //
-// Every rule is checked against ground truth on every call, in one read
+// Every rule is checked on every call, and every rule but evac-done (which
+// reads the address space's resident count, itself audited by
+// used-conservation) compares a counter against ground truth, in one read
 // of each materialized page: the queue pass counts each queued page's
 // entries in its AuditMark, then a single walk over each region's
 // chunks recounts tiers (the region's recount is also its owner's tenant
@@ -190,27 +186,25 @@ func (m *Machine) Audit() []AuditViolation {
 		}
 	}
 
-	// Manager committed-bytes conservation. In-flight migrations are
-	// charged to the destination at enqueue, so the expected figure
-	// moves each queued page's bytes from its (still-resident) source
-	// to its destination before comparing.
-	if ur, ok := m.Mgr.(UsedReporter); ok {
-		expected := resident
-		ps := m.Cfg.PageSize
-		for _, req := range queue {
-			if int(req.page.Tier) > 0 && int(req.page.Tier) < vm.MaxTiers {
-				expected[req.page.Tier] -= ps
-			}
-			if int(req.dst) > 0 && int(req.dst) < vm.MaxTiers {
-				expected[req.dst] += ps
-			}
+	// Committed-ledger conservation. In-flight migrations are charged to
+	// the destination at enqueue, so the expected figure moves each queued
+	// page's bytes from its (still-resident) source to its destination
+	// before comparing.
+	expected := resident
+	ps := m.Cfg.PageSize
+	for _, req := range queue {
+		if int(req.page.Tier) > 0 && int(req.page.Tier) < vm.MaxTiers {
+			expected[req.page.Tier] -= ps
 		}
-		for _, td := range m.Cfg.Tiers {
-			if got := ur.Used(td.ID); got != expected[td.ID] {
-				vs = append(vs, AuditViolation{"used-conservation",
-					fmt.Sprintf("%v: manager reports %d bytes used, resident+in-flight is %d (Δ %+d pages)",
-						td.ID, got, expected[td.ID], (got-expected[td.ID])/ps)})
-			}
+		if int(req.dst) > 0 && int(req.dst) < vm.MaxTiers {
+			expected[req.dst] += ps
+		}
+	}
+	for _, td := range m.Cfg.Tiers {
+		if got := m.Committed(td.ID); got != expected[td.ID] {
+			vs = append(vs, AuditViolation{"used-conservation",
+				fmt.Sprintf("%v: manager reports %d bytes used, resident+in-flight is %d (Δ %+d pages)",
+					td.ID, got, expected[td.ID], (got-expected[td.ID])/ps)})
 		}
 	}
 
@@ -259,11 +253,7 @@ func (m *Machine) Audit() []AuditViolation {
 		if !m.offline[t] || !m.evacDone[t] {
 			continue
 		}
-		res := 0
-		for _, r := range m.AS.Regions {
-			res += r.Count(t)
-		}
-		if res != 0 {
+		if res := m.AS.Count(t); res != 0 {
 			vs = append(vs, AuditViolation{"evac-done",
 				fmt.Sprintf("%v evacuated but %d pages resident", t, res)})
 		}
@@ -375,19 +365,12 @@ func (m *Machine) auditDump(vs []AuditViolation) string {
 	}
 	b.WriteString("state:\n")
 	for _, td := range m.Cfg.Tiers {
-		res := 0
-		for _, r := range m.AS.Regions {
-			res += r.Count(td.ID)
-		}
 		status := "online"
 		if m.offline[td.ID] {
 			status = "OFFLINE"
 		}
-		fmt.Fprintf(&b, "  %-6v %s: %d pages resident, cap %d", td.ID, status, res, td.Capacity)
-		if ur, ok := m.Mgr.(UsedReporter); ok {
-			fmt.Fprintf(&b, ", mgr used %d", ur.Used(td.ID))
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "  %-6v %s: %d pages resident, cap %d, committed %d\n",
+			td.ID, status, m.AS.Count(td.ID), td.Capacity, m.Committed(td.ID))
 	}
 	fmt.Fprintf(&b, "  migration queue: %d pages, stats %+v\n", m.Migrator.QueueLen(), m.Migrator.Stats())
 	fmt.Fprintf(&b, "  faults: %+v\n", m.faultStats)

@@ -20,9 +20,9 @@ type FaultHandler interface {
 
 // MigrationFailureObserver is implemented by managers that want a callback
 // when a migration they enqueued is abandoned after exhausting its
-// retries. The page stays in its source tier with Migrating cleared; the
-// manager must undo any space accounting it committed at enqueue time and
-// return the page to its bookkeeping.
+// retries. The page stays in its source tier with Migrating cleared and
+// its bytes already committed to that tier again (Machine.Committed); the
+// manager returns the page to its own bookkeeping, such as a queue.
 type MigrationFailureObserver interface {
 	OnMigrationFailed(p *vm.Page, dst vm.Tier)
 }

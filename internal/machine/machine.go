@@ -229,9 +229,10 @@ type workloadMeta struct {
 }
 
 // Releaser is implemented by managers that support region teardown:
-// Release must drop all tracking state for the region and return its
-// committed memory to the free pools. Machine.Unmap calls it before
-// removing the region from the address space.
+// Release must drop all tracking state for the region. Machine.Unmap
+// calls it once the region's queued moves are cancelled and before
+// removing the region from the address space, which returns the pages'
+// committed bytes.
 type Releaser interface {
 	Release(r *vm.Region)
 }
@@ -313,7 +314,7 @@ type Config struct {
 	Faults fault.Config
 	// Audit enables the runtime invariant auditor: every quantum the
 	// machine verifies conservation invariants (occupancy counters vs
-	// page state, manager used[] vs resident bytes, migration-queue
+	// page state, the committed ledger vs resident bytes, migration-queue
 	// consistency) and panics with a diagnostic dump on the first
 	// violation. A pure observer — it draws no randomness and changes no
 	// behavior, so audited runs are bit-identical to unaudited ones.
@@ -675,6 +676,19 @@ func (m *Machine) CapacityOf(t vm.TierID) int64 {
 	return 0
 }
 
+// Committed returns the bytes committed to tier t: the pages resident
+// there, plus queued moves into it, less queued moves out of it (a move is
+// charged to its destination from Enqueue until it ends). It is the one
+// occupancy ledger every manager's placement and watermark decisions read,
+// kept incrementally by Page.SetTier and the Migrator; TierNone and
+// out-of-range tiers read 0.
+func (m *Machine) Committed(t vm.Tier) int64 {
+	if t <= vm.TierNone || t >= vm.MaxTiers {
+		return 0
+	}
+	return int64(m.AS.Count(t)+m.Migrator.inflight[t]) * m.Cfg.PageSize
+}
+
 // FastestTier returns the top of the migration chain.
 func (m *Machine) FastestTier() vm.TierID { return m.fastest }
 
@@ -771,12 +785,13 @@ func (m *Machine) Faults() int64 { return m.faults }
 // (0 unless the auditor is enabled).
 func (m *Machine) AuditsRun() int64 { return m.auditsRun }
 
-// Unmap tears down region r (munmap): the manager releases its tracking
-// and accounting (if it implements Releaser), the pages leave every page
-// set they were in, and the region is removed from the address space.
-// Without this path, committed DRAM/NVM bytes leak on every region
-// teardown in a long-running multi-tenant machine.
+// Unmap tears down region r (munmap): the region's queued moves are
+// cancelled, the manager releases its tracking (if it implements
+// Releaser), the pages leave every page set they were in and every tier,
+// which returns their committed bytes, and the region is removed from
+// the address space.
 func (m *Machine) Unmap(r *vm.Region) {
+	m.Migrator.cancelRegion(r)
 	if rel, ok := m.Mgr.(Releaser); ok {
 		rel.Release(r)
 	}

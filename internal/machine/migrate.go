@@ -95,6 +95,11 @@ type Migrator struct {
 
 	lastMoved [MaxDevs]moved // per direction (index: dst device)
 	stats     MigStats
+	// inflight is the queue's net page charge per tier: a queued move
+	// counts +1 on its destination and -1 on its source from Enqueue until
+	// it completes, is abandoned or is cancelled. With the address space's
+	// resident counts it makes the committed ledger (Machine.Committed).
+	inflight [vm.MaxTiers]int
 	// edges counts completed page moves per (src, dst) tier pair — the
 	// traversal counts of the migration graph.
 	edges [vm.MaxTiers][vm.MaxTiers]int64
@@ -105,7 +110,7 @@ type Migrator struct {
 func NewMigrator(m *Machine) *Migrator {
 	return &Migrator{
 		m:       m,
-		backend: DMABackend{Engine: dma.New(dma.DefaultConfig())},
+		backend: DMABackend{Engine: dma.New()},
 		RateCap: sim.GBps(10),
 	}
 }
@@ -132,44 +137,65 @@ func (g *Migrator) newReq(p *vm.Page, dst vm.Tier, urgent bool) *migReq {
 	return req
 }
 
-// release returns a finished request to the freelist.
+// release returns a finished request to the freelist and moves its
+// charge back to the page's source tier. A completing move releases its
+// request before the page lands, so the charge and the page cross over
+// together.
 func (g *Migrator) release(req *migReq) {
+	g.shift(req.dst, req.page.Tier)
 	req.page = nil
 	g.free = append(g.free, req)
 }
 
+// shift moves one page's in-flight charge from tier from to tier to.
+func (g *Migrator) shift(from, to vm.Tier) {
+	g.inflight[from]--
+	g.inflight[to]++
+}
+
 // Enqueue schedules page p to move to tier dst. Pages already migrating or
-// already in dst are ignored. The page is write-protected for the duration
-// of the copy (userfaultfd WP), which the simulation marks via
-// p.Migrating.
+// already in dst are ignored, and so are moves into an offline tier
+// (admission control: a tier being drained takes no pages). The page is
+// write-protected for the duration of the copy (userfaultfd WP), which the
+// simulation marks via p.Migrating. Until the move ends, the page's bytes
+// are committed to dst.
 func (g *Migrator) Enqueue(p *vm.Page, dst vm.Tier) bool {
-	if p.Migrating || p.Tier == dst || dst == vm.TierNone {
+	if !g.admits(p, dst) {
 		return false
 	}
 	p.Migrating = true
+	g.shift(p.Tier, dst)
 	g.queue = append(g.queue, g.newReq(p, dst, false))
 	return true
 }
 
 // EnqueueUrgent schedules an emergency migration (e.g. evacuating a page
 // whose NVM frame took an uncorrectable error) at the head of the queue.
-// Urgent moves are never aborted by fault injection.
+// Urgent moves are never aborted by fault injection; they are admitted as
+// Enqueue admits them.
 func (g *Migrator) EnqueueUrgent(p *vm.Page, dst vm.Tier) bool {
-	if p.Migrating || p.Tier == dst || dst == vm.TierNone {
+	if !g.admits(p, dst) {
 		return false
 	}
 	p.Migrating = true
+	g.shift(p.Tier, dst)
 	g.queue = append(g.queue, nil)
 	copy(g.queue[1:], g.queue)
 	g.queue[0] = g.newReq(p, dst, true)
 	return true
 }
 
+// admits reports whether p may be queued to move to dst: it is not
+// already migrating or in dst, and dst is a placed tier that is online.
+func (g *Migrator) admits(p *vm.Page, dst vm.Tier) bool {
+	return !p.Migrating && p.Tier != dst && dst != vm.TierNone && !g.m.offline[dst]
+}
+
 // Cancel removes any queued migration of p without completing it: the
-// page stays in its source tier and its write protection is lifted. The
-// bytes of a partial copy attempt are discarded (wear stays charged — the
-// traffic really hit the media). It returns the destination tier of the
-// cancelled request so the manager can unwind enqueue-time accounting.
+// page stays in its source tier, its write protection is lifted and its
+// bytes are committed to the source again. The bytes of a partial copy
+// attempt are discarded (wear stays charged — the traffic really hit the
+// media). It returns the destination tier of the cancelled request.
 func (g *Migrator) Cancel(p *vm.Page) (dst vm.Tier, cancelled bool) {
 	for i, req := range g.queue {
 		if req.page == p {
@@ -182,6 +208,23 @@ func (g *Migrator) Cancel(p *vm.Page) (dst vm.Tier, cancelled bool) {
 		}
 	}
 	return vm.TierNone, false
+}
+
+// cancelRegion cancels every queued move of region r's pages, as Cancel
+// does for one page, keeping the rest of the queue in order.
+func (g *Migrator) cancelRegion(r *vm.Region) {
+	w := 0
+	for _, req := range g.queue {
+		if req.page.Region != r {
+			g.queue[w] = req
+			w++
+			continue
+		}
+		req.page.Migrating = false
+		g.release(req)
+	}
+	clear(g.queue[w:])
+	g.queue = g.queue[:w]
 }
 
 // QueueLen returns the number of pages waiting to move.
@@ -300,7 +343,8 @@ func (g *Migrator) finish(req *migReq, now int64) {
 // wear stays charged, since the traffic really hit the media — and the
 // source page remains intact in place. The request retries after a capped
 // exponential backoff, or is abandoned once it exhausts its retries (the
-// page stays put and the manager is told to undo its accounting).
+// page stays put, its bytes committed to the source again, and the
+// manager is told).
 func (g *Migrator) abort(req *migReq, now int64) {
 	st := g.m.FaultCounters()
 	st.MigrationAborts++
@@ -345,15 +389,15 @@ func (g *Migrator) complete(req *migReq) {
 		g.m.faultStats.TierEvacuatedPages++
 	}
 	g.stats.Pages++
-	page := req.page
+	page, dst := req.page, req.dst
 	if tr := g.m.tenants; tr != nil {
 		if o := page.Region.Owner(); o != vm.TenantNone {
 			tr.noteMigration(o)
 		}
 	}
-	page.SetTier(req.dst)
-	page.Migrating = false
 	g.release(req)
+	page.SetTier(dst)
+	page.Migrating = false
 	if obs, ok := g.m.Mgr.(MigrationObserver); ok {
 		obs.OnMigrated(page)
 	}

@@ -10,9 +10,9 @@ import (
 // offline tier through their own policy with admission control and
 // backpressure, rebalance when the tier returns). Managers without the
 // interface get the machine's best-effort fallback — a direct evacuation
-// of every resident page to the nearest online neighbour — which does not
-// consult manager-internal space accounting and is therefore only
-// suitable for managers that derive occupancy from vm state.
+// of every resident page to the nearest online neighbour, which such a
+// manager sees only through the committed ledger (Committed) its
+// placement reads.
 type TierEventHandler interface {
 	OnTierOffline(t vm.TierID)
 	OnTierOnline(t vm.TierID)
@@ -96,10 +96,6 @@ func (m *Machine) offlineSweep(now int64) {
 		if !m.offline[t] || m.evacDone[t] {
 			continue
 		}
-		resident := 0
-		for _, r := range m.AS.Regions {
-			resident += r.Count(t)
-		}
 		inbound := false
 		for _, req := range m.Migrator.queue {
 			if req.dst == t {
@@ -107,7 +103,7 @@ func (m *Machine) offlineSweep(now int64) {
 				break
 			}
 		}
-		if resident == 0 && !inbound {
+		if m.AS.Count(t) == 0 && !inbound {
 			m.evacDone[t] = true
 			mttr := now - m.offlineSince[t]
 			m.faultStats.TierEvacuations++

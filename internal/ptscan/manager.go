@@ -113,7 +113,6 @@ type Manager struct {
 	est        map[*vm.PageSet]SetScan
 	estOrder   []*vm.PageSet
 	cursors    map[*vm.PageSet]int
-	dramUsed   int64
 	lastPolicy int64
 	scans      int64
 }
@@ -160,7 +159,7 @@ func (g *Manager) Attach(m *machine.Machine) {
 	g.scanner = NewScanner(m, scanGranularity)
 	m.Migrator.RateCap = g.opt.MigRateCap
 	if g.opt.UseDMA {
-		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New(dma.DefaultConfig())})
+		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New()})
 	} else {
 		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)})
 	}
@@ -209,13 +208,11 @@ func (g *Manager) scanDone(now int64) {
 // PageIn implements machine.Manager: DRAM-first allocation, like the
 // kernel would do for a NUMA node ordering local before far memory.
 func (g *Manager) PageIn(p *vm.Page) {
-	ps := g.m.Cfg.PageSize
 	want := vm.TierDRAM
 	if g.opt.PlaceFunc != nil {
 		want = g.opt.PlaceFunc(p)
 	}
-	if want == vm.TierDRAM && g.dramUsed+ps <= g.m.CapacityOf(vm.TierDRAM) {
-		g.dramUsed += ps
+	if want == vm.TierDRAM && g.dramFree() >= g.m.Cfg.PageSize {
 		p.SetTier(vm.TierDRAM)
 	} else {
 		p.SetTier(vm.TierNVM)
@@ -227,23 +224,6 @@ func (g *Manager) OnQuantum(now, dt int64) {}
 
 // ActiveThreads implements machine.Manager.
 func (g *Manager) ActiveThreads() float64 { return g.opt.BGThreads }
-
-// OnMigrated implements machine.MigrationObserver (placement bookkeeping
-// happens eagerly at enqueue time; nothing to do on completion).
-func (g *Manager) OnMigrated(p *vm.Page) {}
-
-// OnMigrationFailed implements machine.MigrationFailureObserver: undo the
-// DRAM space committed (or released) at enqueue time when a migration is
-// abandoned after exhausting its retries.
-func (g *Manager) OnMigrationFailed(p *vm.Page, dst vm.Tier) {
-	ps := g.m.Cfg.PageSize
-	switch {
-	case dst == vm.TierDRAM:
-		g.dramUsed -= ps // failed promotion
-	case dst == vm.TierNVM && p.Tier == vm.TierDRAM:
-		g.dramUsed += ps // failed demotion
-	}
-}
 
 // policy makes one round of migration decisions from the zone estimates
 // and returns the bytes enqueued. Budgeting: async mode uses the rate cap
@@ -400,27 +380,21 @@ func (g *Manager) weighted(zones []SetScan, weight func(SetScan) int) *vm.PageSe
 	return nil
 }
 
-// dramFree returns uncommitted DRAM bytes.
-func (g *Manager) dramFree() int64 { return g.m.CapacityOf(vm.TierDRAM) - g.dramUsed }
+// dramFree returns uncommitted DRAM bytes, read from the machine's ledger.
+func (g *Manager) dramFree() int64 {
+	return g.m.CapacityOf(vm.TierDRAM) - g.m.Committed(vm.TierDRAM)
+}
 
 // promoteFrom moves one NVM page of set to DRAM.
 func (g *Manager) promoteFrom(set *vm.PageSet) bool {
 	p := g.pick(set, vm.TierNVM)
-	if p == nil || !g.m.Migrator.Enqueue(p, vm.TierDRAM) {
-		return false
-	}
-	g.dramUsed += g.m.Cfg.PageSize
-	return true
+	return p != nil && g.m.Migrator.Enqueue(p, vm.TierDRAM)
 }
 
 // demoteFrom moves one DRAM page of set to NVM.
 func (g *Manager) demoteFrom(set *vm.PageSet) bool {
 	p := g.pick(set, vm.TierDRAM)
-	if p == nil || !g.m.Migrator.Enqueue(p, vm.TierNVM) {
-		return false
-	}
-	g.dramUsed -= g.m.Cfg.PageSize
-	return true
+	return p != nil && g.m.Migrator.Enqueue(p, vm.TierNVM)
 }
 
 // pick returns a non-migrating page of set in tier t, walking a persistent

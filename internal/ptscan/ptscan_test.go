@@ -217,3 +217,50 @@ func TestSyncDelaysScanning(t *testing.T) {
 		t.Errorf("sync scans (%d) should be < async scans (%d)", syncm.Scans(), async.Scans())
 	}
 }
+
+// A scanning manager has no tier-event handler, so when its DRAM goes
+// offline the machine evacuates every DRAM page to NVM behind its back.
+// Once DRAM is back online the manager must fill it again: it places and
+// promotes from the machine's committed ledger, which the evacuation
+// emptied. A private count of DRAM bytes would still read the evacuated
+// pages, keep free DRAM under the watermark and never promote.
+func TestScanManagerReusesDRAMAfterOffline(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Tiers = machine.ClassicTiers(8*sim.GB, 64*sim.GB, 0)
+	m := machine.New(cfg, ptscan.New(ptscan.Nimble()))
+	gups.New(m, gups.Config{Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 4 * sim.GB, Seed: 3})
+	m.Warm()
+	m.Run(2 * sim.Second)
+	if !m.OfflineTier(vm.TierDRAM) {
+		t.Fatal("DRAM did not go offline")
+	}
+	for m.FaultCounters().TierEvacuations == 0 {
+		if m.Clock.Now() > 30*sim.Second {
+			t.Fatalf("DRAM still holds %d pages 28 s after going offline", m.AS.Count(vm.TierDRAM))
+		}
+		m.Run(100 * sim.Millisecond)
+	}
+	m.OnlineTier(vm.TierDRAM)
+	m.Run(20 * sim.Second)
+
+	// With two tiers a migrating page is headed for the other one, so the
+	// DRAM commitment is the settled DRAM pages plus the NVM pages in
+	// flight.
+	var resident, committed int64
+	for _, r := range m.AS.Regions {
+		r.EachPage(func(p *vm.Page) {
+			if p.Tier == vm.TierDRAM {
+				resident++
+			}
+			if (p.Tier == vm.TierDRAM) != p.Migrating {
+				committed++
+			}
+		})
+	}
+	if resident == 0 {
+		t.Fatal("DRAM holds no pages 20 s after coming back online")
+	}
+	if got, want := m.Committed(vm.TierDRAM), committed*m.Cfg.PageSize; got != want {
+		t.Fatalf("Committed(DRAM) = %d, recount %d", got, want)
+	}
+}

@@ -182,12 +182,13 @@ func (p *Page) removeSet(s *PageSet) {
 }
 
 // SetTier moves the page to tier t, maintaining the occupancy counters of
-// its region and of every page set that contains it.
+// its region, of its address space and of every page set that contains it.
 func (p *Page) SetTier(t Tier) {
 	if p.Tier == t {
 		return
 	}
 	p.Region.counts.bump(p.Tier, t)
+	p.Region.space.counts.bump(p.Tier, t)
 	if s := p.set0; s != nil {
 		s.bump(p.Tier, t)
 	}
@@ -278,9 +279,7 @@ func (r *Region) PageAt(i int) *Page {
 	if p.Region == nil {
 		p.ID, p.Region, p.Index = r.base+PageID(i), r, int32(i)
 		r.touched++
-		if r.space != nil {
-			r.space.touched++
-		}
+		r.space.touched++
 	}
 	return p
 }
@@ -487,6 +486,11 @@ type AddressSpace struct {
 	PageSize int64
 	Regions  []*Region
 
+	// counts holds the pages of every span per tier, kept by SetTier:
+	// one add per transition, so a tier's resident pages are an O(1)
+	// read. The TierNone count includes unmaterialized and unmapped pages.
+	counts tierCounts
+
 	// spans maps global PageID ranges back to their regions. Entries are
 	// append-only: an unmapped region keeps its span so stale PageIDs in
 	// flight still resolve (to a TierNone page with no sets), matching the
@@ -559,6 +563,7 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 	// per 2 MB.
 	r.chunks = make([]*pageChunk, (n+chunkPages-1)/chunkPages)
 	r.counts[TierNone] = n
+	a.counts[TierNone] += n
 	a.spans = append(a.spans, pageSpan{base: r.base, n: n, r: r})
 	a.numPages += n
 	a.nextVA += int64(n) * a.PageSize
@@ -633,6 +638,10 @@ func (a *AddressSpace) Page(id PageID) *Page {
 	s := &a.spans[lo]
 	return s.r.PageAt(int(id - s.base))
 }
+
+// Count returns how many pages of the address space are resident in tier
+// t: the sum of every mapped region's Count(t), kept incrementally.
+func (a *AddressSpace) Count(t Tier) int { return a.counts[t] }
 
 // NumPages returns the total number of pages ever mapped (unmapped
 // regions keep their IDs, so this never shrinks).

@@ -131,6 +131,39 @@ func TestSetCountConservation(t *testing.T) {
 	}
 }
 
+// Property: under any sequence of tier moves across two regions, then
+// the unmapping of one, the address space's per-tier count equals the sum
+// of its mapped regions' counts for every placed tier, and the TierNone
+// count covers every other page ever mapped.
+func TestAddressSpaceCountConservation(t *testing.T) {
+	f := func(moves []uint16, unmapFirst bool) bool {
+		a := NewAddressSpace(2 * sim.MB)
+		rs := []*Region{a.Map("a", 64*sim.MB), a.Map("b", 32*sim.MB)} // 32 + 16 pages
+		for _, mv := range moves {
+			r := rs[int(mv)%2]
+			r.PageAt(int(mv/2) % r.NumPages()).SetTier(Tier(int(mv/128) % 3)) // TierNone..TierNVM
+		}
+		if unmapFirst {
+			a.Unmap(rs[0])
+		}
+		placed := 0
+		for tier := TierDRAM; tier < MaxTiers; tier++ {
+			sum := 0
+			for _, r := range a.Regions {
+				sum += r.Count(tier)
+			}
+			if a.Count(tier) != sum {
+				return false
+			}
+			placed += sum
+		}
+		return a.Count(TierNone) == a.NumPages()-placed
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Figure 3: scanning terabytes of base pages takes seconds; huge pages
 // milliseconds; gigantic pages microseconds. Small capacities are fast for
 // all page sizes.

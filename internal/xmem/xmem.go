@@ -14,17 +14,13 @@ import (
 )
 
 // Static is a Manager whose placement function runs once per page at first
-// touch. It enforces DRAM capacity: if the placement function asks for
-// DRAM but none is left, the page falls to NVM.
+// touch. It enforces DRAM capacity against the machine's committed ledger:
+// if the placement function asks for DRAM but none is left, the page falls
+// to NVM.
 type Static struct {
 	name  string
 	place func(p *vm.Page) vm.Tier
-
-	m         *machine.Machine
-	dramUsed  int64
-	dramCap   int64
-	nvmUsed   int64
-	reserveGB int64
+	m     *machine.Machine
 }
 
 // New builds a static manager with the given placement function.
@@ -49,26 +45,35 @@ func DRAMFirst() *Static {
 // other pages as they are touched (reserving room for hot pages not yet
 // seen), with no scanning or migration: the oracle of Figure 8.
 func Opt(hot *vm.PageSet) *Static {
+	s := New("Opt", nil)
+	place := OptPlacement(hot)
+	s.place = func(p *vm.Page) vm.Tier { return place(s.m, p) }
+	return s
+}
+
+// OptPlacement is the oracle's first-touch rule, for Opt and for any
+// manager given it as a placement hook: a page of hot goes to DRAM; any
+// other page takes DRAM only if room remains on machine m's committed
+// ledger after reserving space for every hot page not yet placed. Each
+// call counts a hot page as placed, so the rule must see every page
+// exactly once.
+func OptPlacement(hot *vm.PageSet) func(m *machine.Machine, p *vm.Page) vm.Tier {
 	inHot := make(map[vm.PageID]bool, hot.Len())
 	for _, p := range hot.Pages() {
 		inHot[p.ID] = true
 	}
-	s := New("Opt", nil)
 	hotLeft := int64(hot.Len())
-	s.place = func(p *vm.Page) vm.Tier {
+	return func(m *machine.Machine, p *vm.Page) vm.Tier {
 		ps := p.Region.PageSize
 		if inHot[p.ID] {
 			hotLeft--
 			return vm.TierDRAM
 		}
-		// Cold page: take DRAM only if room remains after reserving
-		// space for every unplaced hot page.
-		if s.dramUsed+hotLeft*ps+ps <= s.dramCap {
+		if m.Committed(vm.TierDRAM)+hotLeft*ps+ps <= m.CapacityOf(vm.TierDRAM) {
 			return vm.TierDRAM
 		}
 		return vm.TierNVM
 	}
-	return s
 }
 
 // XMem emulates X-Mem's static data tiering: regions at or above the size
@@ -87,22 +92,14 @@ func XMem(threshold int64) *Static {
 func (s *Static) Name() string { return s.name }
 
 // Attach implements machine.Manager.
-func (s *Static) Attach(m *machine.Machine) {
-	s.m = m
-	s.dramCap = m.CapacityOf(vm.TierDRAM)
-}
+func (s *Static) Attach(m *machine.Machine) { s.m = m }
 
 // PageIn implements machine.Manager: place once, fall back to NVM when
 // DRAM is exhausted.
 func (s *Static) PageIn(p *vm.Page) {
 	t := s.place(p)
-	if t == vm.TierDRAM && s.dramUsed+s.m.Cfg.PageSize > s.dramCap {
+	if t == vm.TierDRAM && s.DRAMUsed()+s.m.Cfg.PageSize > s.m.CapacityOf(vm.TierDRAM) {
 		t = vm.TierNVM
-	}
-	if t == vm.TierDRAM {
-		s.dramUsed += s.m.Cfg.PageSize
-	} else {
-		s.nvmUsed += s.m.Cfg.PageSize
 	}
 	p.SetTier(t)
 }
@@ -115,8 +112,8 @@ func (s *Static) OnQuantum(now, dt int64) {}
 // cores.
 func (s *Static) ActiveThreads() float64 { return 0 }
 
-// DRAMUsed returns bytes placed in DRAM.
-func (s *Static) DRAMUsed() int64 { return s.dramUsed }
+// DRAMUsed returns the bytes committed to DRAM: the machine's ledger.
+func (s *Static) DRAMUsed() int64 { return s.m.Committed(vm.TierDRAM) }
 
 // DefaultXMemThreshold matches HeMem's large-allocation threshold (1 GB):
 // ranges this large are the ones X-Mem tiers into NVM.
