@@ -1,48 +1,27 @@
 // Graceful tier degradation: HeMem's response to whole-tier offline
-// events (a CXL expander link-down, a DIMM hot-remove). The manager
-// implements machine.TierEventHandler, so the machine's best-effort
-// fallback never runs — instead the policy tick drains the offline
-// tier's pages through the normal migration machinery, under the same
-// bandwidth budget as ordinary promotions (backpressure: a survivor
-// with no capacity this tick is retried next tick, never overcommitted),
-// while placement stops targeting the tier (admission control). When
-// the tier comes back online the ordinary watermark and promotion loops
-// rebalance onto it; no special rebuild pass is needed.
+// events (a CXL expander link-down, a DIMM hot-remove). The manager reads
+// tier liveness from the machine (Machine.TierOffline) and reports that
+// it drains offline tiers itself (machine.TierEventHandler), so the
+// machine's best-effort fallback never runs — instead the policy tick
+// drains the offline tier's pages through the normal migration
+// machinery, under the same bandwidth budget as ordinary promotions
+// (backpressure: a survivor with no capacity this tick is retried next
+// tick, never overcommitted), while placement stops targeting the tier
+// (admission control). When the tier comes back online the ordinary
+// watermark and promotion loops rebalance onto it; no special rebuild
+// pass is needed.
 package core
 
 import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// OnTierOffline implements machine.TierEventHandler: chain position
-// bookkeeping only — the actual drain happens in evacuate, called from
-// each policy tick while any tier is offline.
-func (h *HeMem) OnTierOffline(t vm.TierID) {
-	r := h.rankOf(t)
-	if r < 0 || h.offline[r] {
-		return
-	}
-	h.offline[r] = true
-	h.numOffline++
-	h.stats.TierOfflines++
-}
-
-// OnTierOnline implements machine.TierEventHandler: the tier rejoins the
-// chain and the regular policy loops rebalance onto it.
-func (h *HeMem) OnTierOnline(t vm.TierID) {
-	r := h.rankOf(t)
-	if r < 0 || !h.offline[r] {
-		return
-	}
-	h.offline[r] = false
-	h.numOffline--
-	h.stats.TierOnlines++
-}
+// DrainsOfflineTiers implements machine.TierEventHandler: evacuate,
+// called from each policy tick while any tier is offline, drains them.
+func (h *HeMem) DrainsOfflineTiers() bool { return true }
 
 // offlineAt reports whether chain position i is offline.
-func (h *HeMem) offlineAt(i int) bool {
-	return i >= 0 && i < len(h.offline) && h.offline[i]
-}
+func (h *HeMem) offlineAt(i int) bool { return h.m.TierOffline(h.chain[i]) }
 
 // firstOnline returns the fastest online chain position. The machine
 // never offlines its last migratable tier, so one always exists.

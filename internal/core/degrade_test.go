@@ -1,0 +1,41 @@
+package core_test
+
+import (
+	"testing"
+
+	"github.com/tieredmem/hemem/internal/core"
+	"github.com/tieredmem/hemem/internal/machine"
+	"github.com/tieredmem/hemem/internal/sim"
+	"github.com/tieredmem/hemem/internal/vm"
+)
+
+// A HeMem attached after a tier went offline (the manager swap fig8
+// makes) reads liveness from the machine: it places none of a fresh
+// region's pages on the offline tier, none arrive there while it stays
+// offline, and its lifecycle counters are the machine's.
+func TestAttachAfterOfflineAvoidsOfflineTier(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Tiers = machine.ClassicTiers(4*sim.GB, 16*sim.GB, 0)
+	m := machine.New(cfg, core.New(core.DefaultConfig()))
+	if !m.OfflineTier(vm.TierDRAM) {
+		t.Fatal("DRAM did not go offline")
+	}
+	h := core.New(core.DefaultConfig())
+	m.Mgr = h
+	h.Attach(m)
+	r := m.AS.Map("fresh", 2*sim.GB)
+	m.Warm()
+	// HeMem's own lists, not the machine's re-placement, show where it
+	// put each page.
+	if n := h.HotBytes(vm.TierDRAM) + h.ColdBytes(vm.TierDRAM); n != 0 {
+		t.Fatalf("HeMem placed %d MB on offline DRAM", n/sim.MB)
+	}
+	m.Run(sim.Second)
+	if n := r.Count(vm.TierDRAM); n != 0 {
+		t.Fatalf("%d of %d pages on offline DRAM 1 s after first touch", n, r.NumPages())
+	}
+	m.OnlineTier(vm.TierDRAM)
+	if st := h.Stats(); st.TierOfflines != 1 || st.TierOnlines != 1 {
+		t.Fatalf("Stats: %d offline / %d online events, want 1 / 1", st.TierOfflines, st.TierOnlines)
+	}
+}

@@ -153,10 +153,10 @@ type Stats struct {
 	EmergencyPromotions int64
 	// PeriodRaises counts adaptive sample-period increases.
 	PeriodRaises int64
-	// TierOfflines and TierOnlines count whole-tier lifecycle events the
-	// manager handled; Evacuations counts pages drained off offline
-	// tiers (also included in Promotions/Demotions/SwapOuts by
-	// direction).
+	// TierOfflines and TierOnlines count the machine's whole-tier
+	// lifecycle events; Evacuations counts pages HeMem queued to drain
+	// off offline tiers (also included in Promotions/Demotions/SwapOuts
+	// by direction).
 	TierOfflines int64
 	TierOnlines  int64
 	Evacuations  int64
@@ -180,11 +180,6 @@ type HeMem struct {
 
 	tracker Tracker
 	pol     Policy
-
-	// tenants is the QoS quota table (tenant.go), nil until the machine
-	// runtime reports the first admission. While nil, every victim and
-	// promotion selector reduces to the historical FIFO pop.
-	tenants *TenantTable
 
 	// pages stores every managed page's PageInfo by PageID, and the
 	// table of the hot/cold queues below.
@@ -222,13 +217,9 @@ type HeMem struct {
 	// index swapPolicy iterates), replacing a map keyed by *vm.PageSet.
 	diskCursor []int
 
-	// offline marks chain positions taken out of service by a tier
-	// offline event (see degrade.go); numOffline is the count of set
-	// entries and act the reusable online-position scratch the policy
-	// loops walk.
-	offline    []bool
-	numOffline int
-	act        []int
+	// act is the reusable online-position scratch the policy loops walk
+	// (see degrade.go).
+	act []int
 
 	stats Stats
 }
@@ -280,8 +271,19 @@ func (h *HeMem) Name() string { return "HeMem" }
 // Config returns the active configuration.
 func (h *HeMem) Config() Config { return h.cfg }
 
-// Stats returns a copy of the engine counters.
-func (h *HeMem) Stats() Stats { return h.stats }
+// Stats returns a copy of the engine counters. The tier lifecycle,
+// sample-period and emergency-promotion counts are the machine's own
+// (FaultCounters), which only HeMem's tracker and fault handler raise.
+func (h *HeMem) Stats() Stats {
+	st := h.stats
+	if h.m != nil {
+		fc := h.m.FaultCounters()
+		st.EmergencyPromotions = fc.EmergencyPromotions
+		st.PeriodRaises = fc.SamplePeriodRaises
+		st.TierOfflines, st.TierOnlines = fc.TierOfflineEvents, fc.TierOnlineEvents
+	}
+	return st
+}
 
 // Tracker returns the active access tracker.
 func (h *HeMem) Tracker() Tracker { return h.tracker }
@@ -360,8 +362,6 @@ func (h *HeMem) initTiers() {
 	lists := h.pages.makeLists(2*n + 1)
 	h.hot, h.cold, h.swapCold = lists[:n], lists[n:2*n], &lists[2*n]
 	h.freeTarget = make([]int64, len(h.chain))
-	h.offline = make([]bool, len(h.chain))
-	h.numOffline = 0
 	for i, t := range h.chain {
 		name := strings.ToLower(t.String())
 		h.hot[i].Name, h.hot[i].hot = name+"-hot", true
@@ -590,7 +590,7 @@ func (h *HeMem) tick(now int64) {
 	// Offline-tier evacuation runs first and even under the NoMigration
 	// ablation: an offline tier's pages are unreachable, so draining
 	// them is correctness, not placement optimization.
-	if h.numOffline > 0 {
+	if h.m.AnyTierOffline() {
 		budget = h.evacuate(budget)
 	}
 	if h.cfg.NoMigration {
@@ -828,7 +828,6 @@ func (h *HeMem) OnNVMUncorrectable(p *vm.Page) {
 	h.pages.unlink(pi)
 	if h.m.Migrator.EnqueueUrgent(p, dst) {
 		h.stats.Promotions++
-		h.stats.EmergencyPromotions++
 		h.m.FaultCounters().EmergencyPromotions++
 		return
 	}

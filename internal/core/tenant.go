@@ -1,12 +1,12 @@
-// Multi-tenant QoS: the TenantTable mirrors the machine runtime's
-// lifecycle callbacks into the manager, and the weighted-fair selectors
-// below layer tenant awareness over the shared hot/cold FIFO fabric.
-// The queues stay shared — policies keep pushing through
-// hotList/coldList untouched — and tenancy only changes *which* entry a
-// bounded deterministic scan picks instead of the FIFO head. A manager
-// that never sees OnTenantAdmit keeps h.tenants nil: every page then
-// scores as untenanted, the scan window is one entry, and each selector
-// picks exactly the historical FIFO pop.
+// Multi-tenant QoS: the weighted-fair selectors below layer tenant
+// awareness over the shared hot/cold FIFO fabric, reading each tenant's
+// QoS class and per-tier quota from the machine's tenant runtime
+// (Machine.Tenants), the one record of admissions. The queues stay
+// shared — policies keep pushing through hotList/coldList untouched —
+// and tenancy only changes *which* entry a bounded deterministic scan
+// picks instead of the FIFO head. Until the runtime has admitted a
+// tenant every page scores as untenanted, the scan window is one entry,
+// and each selector picks exactly the historical FIFO pop.
 package core
 
 import (
@@ -14,85 +14,17 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// TenantTable is the manager's view of admitted tenants: QoS class and
-// per-tier quota (soft reservation + hard cap) per TenantID, dense like
-// the vm occupancy table. Departed tenants keep their slot, inactive.
-type TenantTable struct {
-	specs  []machine.TenantSpec
-	active []bool
-}
-
-// set records an admission.
-func (tt *TenantTable) set(id vm.TenantID, spec machine.TenantSpec) {
-	for int(id) > len(tt.specs) {
-		tt.specs = append(tt.specs, machine.TenantSpec{})
-		tt.active = append(tt.active, false)
-	}
-	tt.specs[id-1] = spec
-	tt.active[id-1] = true
-}
-
-// depart deactivates a tenant.
-func (tt *TenantTable) depart(id vm.TenantID) {
-	if id > 0 && int(id) <= len(tt.active) {
-		tt.active[id-1] = false
-	}
-}
-
-// SpecOf returns tenant id's spec; ok is false for unknown or departed
-// tenants, and on a nil table.
-func (tt *TenantTable) SpecOf(id vm.TenantID) (machine.TenantSpec, bool) {
-	if tt == nil || id <= 0 || int(id) > len(tt.specs) || !tt.active[id-1] {
-		return machine.TenantSpec{}, false
-	}
-	return tt.specs[id-1], true
-}
-
-// NumTenants returns how many tenant IDs the table has seen.
-func (tt *TenantTable) NumTenants() int { return len(tt.specs) }
-
-// ActiveCount returns how many tenants are currently active.
-func (tt *TenantTable) ActiveCount() int {
-	n := 0
-	for _, a := range tt.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-// OnTenantAdmit implements machine.TenantManager: the first admission
-// materializes the table and flips every selector into QoS mode.
-func (h *HeMem) OnTenantAdmit(id vm.TenantID, spec machine.TenantSpec) {
-	if h.tenants == nil {
-		h.tenants = &TenantTable{}
-	}
-	h.tenants.set(id, spec)
-}
-
-// OnTenantDepart implements machine.TenantManager.
-func (h *HeMem) OnTenantDepart(id vm.TenantID) {
-	if h.tenants != nil {
-		h.tenants.depart(id)
-	}
-}
-
-// Tenants returns the manager's tenant table (nil when no tenant was
-// ever admitted).
-func (h *HeMem) Tenants() *TenantTable { return h.tenants }
-
 // tenantScanLimit bounds the selector scans: a pick considers at most
 // this many FIFO entries, keeping the policy tick O(limit) per move
 // regardless of list length. The FIFO head still wins all ties, so the
 // historical eviction order survives within a score class.
 const tenantScanLimit = 256
 
-// scanLimit is the selectors' scan window: tenantScanLimit once a tenant
-// was admitted, one entry (the FIFO end) before, when every page would
-// tie anyway.
+// scanLimit is the selectors' scan window: tenantScanLimit once the
+// machine's runtime has admitted a tenant, one entry (the FIFO end)
+// before, when every page would tie anyway.
 func (h *HeMem) scanLimit() int {
-	if h.tenants == nil {
+	if h.m.Tenants().NumTenants() == 0 {
 		return 1
 	}
 	return tenantScanLimit
@@ -125,7 +57,7 @@ func (h *HeMem) demoteScore(o vm.TenantID, t vm.Tier) int64 {
 	if o == vm.TenantNone {
 		return bandUntenanted
 	}
-	spec, ok := h.tenants.SpecOf(o)
+	spec, ok := h.m.Tenants().Admission(o)
 	if !ok {
 		// Departed-tenant residue drains like untenanted pages.
 		return bandUntenanted
@@ -157,7 +89,7 @@ func (h *HeMem) promoteScore(o vm.TenantID, dst vm.Tier) int64 {
 	if o == vm.TenantNone {
 		return 1_500_000
 	}
-	spec, ok := h.tenants.SpecOf(o)
+	spec, ok := h.m.Tenants().Admission(o)
 	if !ok {
 		return 1_500_000
 	}
@@ -178,7 +110,7 @@ func (h *HeMem) promoteScore(o vm.TenantID, dst vm.Tier) int64 {
 // under its hard cap (always true for untenanted pages, capless specs,
 // and machines without tenants).
 func (h *HeMem) capAllows(o vm.TenantID, t vm.Tier) bool {
-	spec, ok := h.tenants.SpecOf(o)
+	spec, ok := h.m.Tenants().Admission(o)
 	if !ok || spec.Cap[t] <= 0 {
 		return true
 	}
@@ -272,7 +204,7 @@ func (h *HeMem) evacRank(o vm.TenantID) int64 {
 	if o == vm.TenantNone {
 		return 1
 	}
-	spec, ok := h.tenants.SpecOf(o)
+	spec, ok := h.m.Tenants().Admission(o)
 	if !ok {
 		return 1
 	}

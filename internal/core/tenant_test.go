@@ -27,58 +27,129 @@ func tenantMachine(dram int64) (*machine.Machine, *core.HeMem) {
 	return machine.New(mcfg, h), h
 }
 
+// regionApp is a tenant app that owns one untouched region and
+// generates no traffic.
+type regionApp struct{ r *vm.Region }
+
+func (a regionApp) Stop()                 {}
+func (a regionApp) Regions() []*vm.Region { return []*vm.Region{a.r} }
+
+// admitRegion admits spec through the machine's tenant runtime; the
+// tenant's app maps a size-byte region named after it and touches
+// nothing.
+func admitRegion(t *testing.T, m *machine.Machine, spec machine.TenantSpec, size int64) (vm.TenantID, *vm.Region) {
+	t.Helper()
+	var r *vm.Region
+	id, res := m.EnableTenants().Admit(spec, func(id vm.TenantID) machine.TenantApp {
+		r = m.AS.MapOwned(spec.Name+"-data", size, id)
+		return regionApp{r}
+	})
+	if res != machine.Admitted {
+		t.Fatalf("admit %s = %v", spec.Name, res)
+	}
+	return id, r
+}
+
+// The manager's tenant view is the machine runtime's: a spec counts from
+// admission, through the drain window after Depart (the app has stopped
+// but a page of the tenant is still mid-migration), until the departure
+// completes; never-admitted and departed IDs have none.
 func TestTenantTableLifecycle(t *testing.T) {
-	_, h := tenantMachine(64 * sim.MB)
-	if h.Tenants() != nil {
-		t.Fatal("tenant table materialized before any admission")
+	m, _ := tenantMachine(64 * sim.MB)
+	tr := m.EnableTenants()
+	if _, ok := tr.Admission(1); ok || tr.NumTenants() != 0 {
+		t.Fatal("an admission exists before any Admit")
 	}
 	spec := machine.TenantSpec{Name: "a", Class: machine.Gold}
-	h.OnTenantAdmit(1, spec)
-	tt := h.Tenants()
-	if tt == nil || tt.NumTenants() != 1 || tt.ActiveCount() != 1 {
-		t.Fatalf("admission not recorded: %+v", tt)
+	spec.Cap[vm.TierDRAM] = 32 * sim.MB
+	a, ra := admitRegion(t, m, spec, 32*sim.MB)
+	if got, ok := tr.Admission(a); !ok || got != spec {
+		t.Fatalf("Admission(%d) = %+v, %v", a, got, ok)
 	}
-	if got, ok := tt.SpecOf(1); !ok || got != spec {
-		t.Fatalf("SpecOf(1) = %+v, %v", got, ok)
+	c, _ := admitRegion(t, m, machine.TenantSpec{Name: "c", Class: machine.BestEffort}, 32*sim.MB)
+	if tr.NumTenants() != 2 {
+		t.Fatalf("NumTenants = %d after two admissions", tr.NumTenants())
 	}
-	// Sparse admission grows the table; gaps stay inactive.
-	h.OnTenantAdmit(3, machine.TenantSpec{Name: "c", Class: machine.BestEffort})
-	if tt.NumTenants() != 3 || tt.ActiveCount() != 2 {
-		t.Fatalf("sparse admit: tenants=%d active=%d", tt.NumTenants(), tt.ActiveCount())
+	if _, ok := tr.Admission(c + 1); ok {
+		t.Fatalf("never-admitted id %d has an admission", c+1)
 	}
-	if _, ok := tt.SpecOf(2); ok {
-		t.Fatal("never-admitted id 2 reported active")
+	m.Warm()
+
+	// Drain window: one of a's pages is queued to move when it departs.
+	p := ra.PageAt(0)
+	dst := vm.TierNVM
+	if p.Tier == vm.TierNVM {
+		dst = vm.TierDRAM
 	}
-	h.OnTenantDepart(1)
-	if _, ok := tt.SpecOf(1); ok {
-		t.Fatal("departed tenant still reported active")
+	if !m.Migrator.Enqueue(p, dst) {
+		t.Fatalf("could not queue page %d %v→%v", p.ID, p.Tier, dst)
 	}
-	if tt.ActiveCount() != 1 {
-		t.Fatalf("ActiveCount after depart = %d", tt.ActiveCount())
+	tr.Depart(a)
+	if tr.Active(a) || tr.Departed(a) {
+		t.Fatalf("after Depart: active=%v departed=%v, want draining", tr.Active(a), tr.Departed(a))
+	}
+	if got, ok := tr.Admission(a); !ok || got != spec {
+		t.Fatalf("draining tenant lost its admission: %+v, %v", got, ok)
+	}
+	for !tr.Departed(a) {
+		if m.Clock.Now() > sim.Second {
+			t.Fatal("departure never completed")
+		}
+		m.Run(10 * sim.Millisecond)
+	}
+	if _, ok := tr.Admission(a); ok {
+		t.Fatal("departed tenant still has an admission")
+	}
+	if _, ok := tr.Admission(c); !ok {
+		t.Fatal("tenant c lost its admission when a departed")
+	}
+}
+
+// A HeMem attached after the runtime admitted a tenant (the manager swap
+// fig8 makes) still enforces that tenant's hard cap: its selectors read
+// the runtime, not admissions they were told about.
+func TestTenantAdmittedBeforeAttach(t *testing.T) {
+	m, _ := tenantMachine(256 * sim.MB)
+	cap := int64(32 * sim.MB)
+	spec := machine.TenantSpec{Name: "capped", Class: machine.Gold}
+	spec.Cap[vm.TierDRAM] = cap
+	id, _ := admitRegion(t, m, spec, 128*sim.MB)
+
+	ccfg := core.DefaultConfig()
+	ccfg.LargeAllocThreshold = 16 * sim.MB
+	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 8 * sim.MB}
+	h := core.New(ccfg)
+	m.Mgr = h
+	h.Attach(m)
+	m.Warm()
+	if got := m.AS.TenantBytes(id, vm.TierDRAM); got > cap {
+		t.Fatalf("capped tenant holds %d bytes of DRAM, cap %d", got, cap)
+	}
+	if got := m.AS.TenantBytes(id, vm.TierNVM); got == 0 {
+		t.Fatal("capped tenant's overflow never reached NVM")
 	}
 }
 
 // A hard DRAM cap must bound first-touch placement: the capped tenant's
 // overflow lands on NVM even while DRAM has free space.
 func TestTenantHardCapBoundsPlacement(t *testing.T) {
-	m, h := tenantMachine(256 * sim.MB)
+	m, _ := tenantMachine(256 * sim.MB)
 	cap := int64(32 * sim.MB)
 	spec := machine.TenantSpec{Name: "capped", Class: machine.Gold}
 	spec.Cap[vm.TierDRAM] = cap
-	h.OnTenantAdmit(1, spec)
-	m.AS.MapOwned("capped-data", 128*sim.MB, 1)
+	id, _ := admitRegion(t, m, spec, 128*sim.MB)
 	m.Warm()
 
-	if got := m.AS.TenantBytes(1, vm.TierDRAM); got > cap {
+	if got := m.AS.TenantBytes(id, vm.TierDRAM); got > cap {
 		t.Fatalf("capped tenant holds %d bytes of DRAM, cap %d", got, cap)
 	}
-	if got := m.AS.TenantBytes(1, vm.TierNVM); got == 0 {
+	if got := m.AS.TenantBytes(id, vm.TierNVM); got == 0 {
 		t.Fatal("capped tenant's overflow never reached NVM")
 	}
 	// The cap must hold under migration pressure too, not just at
 	// first touch.
 	m.Run(50 * sim.Millisecond)
-	if got := m.AS.TenantBytes(1, vm.TierDRAM); got > cap {
+	if got := m.AS.TenantBytes(id, vm.TierDRAM); got > cap {
 		t.Fatalf("migration pushed capped tenant to %d bytes of DRAM, cap %d", got, cap)
 	}
 }
@@ -88,26 +159,24 @@ func TestTenantHardCapBoundsPlacement(t *testing.T) {
 // gold tenant's resident set alone, even though besteffort's pages sit
 // at the front of the cold FIFO (it mapped and faulted first).
 func TestTenantDemotionPrefersBestEffort(t *testing.T) {
-	m, h := tenantMachine(64 * sim.MB)
+	m, _ := tenantMachine(64 * sim.MB)
 	gold := machine.TenantSpec{Name: "gold", Class: machine.Gold}
 	gold.Reserve[vm.TierDRAM] = 48 * sim.MB
 	be := machine.TenantSpec{Name: "be", Class: machine.BestEffort}
-	h.OnTenantAdmit(1, be)
-	h.OnTenantAdmit(2, gold)
 	// Besteffort faults first and grabs most of DRAM; gold's region
 	// mostly lands on NVM behind it.
-	m.AS.MapOwned("be-data", 48*sim.MB, 1)
-	m.AS.MapOwned("gold-data", 48*sim.MB, 2)
+	beID, _ := admitRegion(t, m, be, 48*sim.MB)
+	goldID, _ := admitRegion(t, m, gold, 48*sim.MB)
 	m.Warm()
-	beBefore := m.AS.TenantBytes(1, vm.TierDRAM)
-	goldBefore := m.AS.TenantBytes(2, vm.TierDRAM)
+	beBefore := m.AS.TenantBytes(beID, vm.TierDRAM)
+	goldBefore := m.AS.TenantBytes(goldID, vm.TierDRAM)
 	if beBefore == 0 || goldBefore == 0 {
 		t.Fatalf("setup: be=%d gold=%d bytes in DRAM after warm", beBefore, goldBefore)
 	}
 	m.Run(100 * sim.Millisecond)
 
-	bd := m.AS.TenantBytes(1, vm.TierDRAM)
-	gd := m.AS.TenantBytes(2, vm.TierDRAM)
+	bd := m.AS.TenantBytes(beID, vm.TierDRAM)
+	gd := m.AS.TenantBytes(goldID, vm.TierDRAM)
 	if bd >= beBefore {
 		t.Fatalf("watermark pressure never demoted besteffort (still %d of %d bytes)", bd, beBefore)
 	}

@@ -226,6 +226,5 @@ func (t *pebsTracker) adaptSampling() {
 		p = maxPeriod
 	}
 	t.sampler.Period = p
-	h.stats.PeriodRaises++
 	h.m.FaultCounters().SamplePeriodRaises++
 }

@@ -56,12 +56,16 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //     tenant that isn't resident, nothing owned that isn't charged).
 //   - tenant-orphan: no region owned by a departed tenant remains
 //     mapped (teardown bugs leak here first).
+//   - reservation-fit: per tier, the reservations of tenants not yet
+//     departed sum to at most the tier's capacity, and to the runtime's
+//     reservation ledger that admission control reads.
 //
 // The tenant rules run only on machines with a tenant runtime.
 //
 // Every rule is checked on every call, and every rule but evac-done (which
 // reads the address space's resident count, itself audited by
-// used-conservation) compares a counter against ground truth, in one read
+// used-conservation) and reservation-fit's capacity bound compares a
+// counter against ground truth, in one read
 // of each materialized page: the queue pass counts each queued page's
 // entries in its AuditMark, then a single walk over each region's
 // chunks recounts tiers (the region's recount is also its owner's tenant
@@ -243,6 +247,29 @@ func (m *Machine) Audit() []AuditViolation {
 			if sum[t] != owned[t] {
 				vs = append(vs, AuditViolation{"tenant-conservation",
 					fmt.Sprintf("%v: tenant occupancy sums to %d pages, owned regions hold %d", t, sum[t], owned[t])})
+			}
+		}
+	}
+
+	// Admission control's books: the reservations still held fit each
+	// tier and match the ledger new arrivals are admitted against.
+	if tr := m.tenants; tr != nil {
+		var held [vm.MaxTiers]int64
+		for i := range tr.tenants {
+			if ts := &tr.tenants[i]; !ts.departed {
+				for t, b := range ts.spec.Reserve {
+					held[t] += b
+				}
+			}
+		}
+		for _, td := range m.Cfg.Tiers {
+			if held[td.ID] > td.Capacity {
+				vs = append(vs, AuditViolation{"reservation-fit",
+					fmt.Sprintf("%v: active reservations sum to %d bytes, capacity %d", td.ID, held[td.ID], td.Capacity)})
+			}
+			if got := tr.Reserved(td.ID); got != held[td.ID] {
+				vs = append(vs, AuditViolation{"reservation-fit",
+					fmt.Sprintf("%v: reservation ledger says %d bytes, active tenants reserve %d", td.ID, got, held[td.ID])})
 			}
 		}
 	}

@@ -285,6 +285,23 @@ func TestAuditCatalogue(t *testing.T) {
 			want:  []string{"tenant-counts: region foreign owned by tenant 5 beyond the occupancy table (2 tenants)"},
 		},
 		{
+			// A reservation that outgrew DRAM, with the ledger agreeing.
+			name: "reservation-fit/over-capacity",
+			corrupt: func(f *auditFixture) {
+				f.m.tenants.tenants[0].spec.Reserve[vm.TierDRAM] = 300 * sim.MB
+				f.m.tenants.reserved[vm.TierDRAM] = 300 * sim.MB
+			},
+			rules: []string{"reservation-fit"},
+			want:  []string{fmt.Sprintf("reservation-fit: DRAM: active reservations sum to %d bytes, capacity %d", 300*sim.MB, 256*sim.MB)},
+		},
+		{
+			// The ledger admission reads drifts from the held specs.
+			name:    "reservation-fit/ledger-drift",
+			corrupt: func(f *auditFixture) { f.m.tenants.reserved[vm.TierNVM] -= ps },
+			rules:   []string{"reservation-fit"},
+			want:    []string{fmt.Sprintf("reservation-fit: NVM: reservation ledger says %d bytes, active tenants reserve 0", -ps)},
+		},
+		{
 			name:    "tenant-orphan",
 			corrupt: func(f *auditFixture) { f.m.tenants.tenants[1].departed = true },
 			rules:   []string{"tenant-orphan"},

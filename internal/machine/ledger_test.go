@@ -5,6 +5,7 @@ import (
 
 	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/machine"
+	"github.com/tieredmem/hemem/internal/ptscan"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 	"github.com/tieredmem/hemem/internal/xmem"
@@ -134,5 +135,39 @@ func TestOfflineTierAdmitsNoMoves(t *testing.T) {
 	m.OnlineTier(vm.TierDRAM)
 	if !m.Migrator.Enqueue(p, vm.TierDRAM) {
 		t.Fatal("a move into DRAM was refused after it came back online")
+	}
+}
+
+// No manager's first touch lands on an offline tier: Nimble and the
+// static DRAM-first preset place without reading liveness, and the
+// machine's page-in path re-places their picks on the nearest online
+// tier, so the fallback sweep has nothing to move.
+func TestFirstTouchSkipsOfflineTier(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mgr  machine.Manager
+	}{
+		{"nimble", ptscan.New(ptscan.Nimble())},
+		{"dram-first", xmem.DRAMFirst()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := machine.DefaultConfig()
+			cfg.Tiers = machine.ClassicTiers(4*sim.GB, 16*sim.GB, 0)
+			m := machine.New(cfg, tc.mgr)
+			if !m.OfflineTier(vm.TierDRAM) {
+				t.Fatal("DRAM did not go offline")
+			}
+			r := m.AS.Map("fresh", 2*sim.GB)
+			m.Warm()
+			if n := r.Count(vm.TierDRAM); n != 0 {
+				t.Fatalf("%d of %d fresh pages on offline DRAM", n, r.NumPages())
+			}
+			if n := r.Count(vm.TierNVM); n != r.NumPages() {
+				t.Fatalf("%d of %d fresh pages on NVM", n, r.NumPages())
+			}
+			if q := m.Migrator.QueueLen(); q != 0 {
+				t.Fatalf("%d evacuation moves queued for fresh pages", q)
+			}
+		})
 	}
 }

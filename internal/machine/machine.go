@@ -515,6 +515,7 @@ type Machine struct {
 	// Tier offline/online lifecycle (chaos tier faults or programmatic
 	// OfflineTier calls) and the replayable episode log.
 	offline      [vm.MaxTiers]bool
+	numOffline   int // set entries of offline
 	offlineSince [vm.MaxTiers]int64
 	evacDone     [vm.MaxTiers]bool
 	episodes     []fault.Episode
@@ -731,13 +732,9 @@ func (m *Machine) Warm() {
 	n := 0
 	for _, r := range m.AS.Regions {
 		for i, np := 0, r.NumPages(); i < np; i++ {
-			p := r.PageAt(i)
-			if p.Tier == vm.TierNone {
-				m.Mgr.PageIn(p)
+			if p := r.PageAt(i); p.Tier == vm.TierNone {
+				m.pageIn(p)
 				n++
-				if p.Tier == vm.TierNone {
-					panic("machine: manager did not place page on PageIn")
-				}
 			}
 		}
 	}
@@ -765,10 +762,7 @@ func (m *Machine) TouchRange(r *vm.Region, lo, hi int) int {
 		if p.Tier != vm.TierNone {
 			continue
 		}
-		m.Mgr.PageIn(p)
-		if p.Tier == vm.TierNone {
-			panic("machine: manager did not place page on PageIn")
-		}
+		m.pageIn(p)
 		faulted++
 	}
 	if faulted > 0 {
@@ -776,6 +770,22 @@ func (m *Machine) TouchRange(r *vm.Region, lo, hi int) int {
 		m.StallAll(int64(faulted) * vm.FaultCost)
 	}
 	return faulted
+}
+
+// pageIn lets the manager place freshly touched page p. A page placed on
+// an offline tier is re-placed on the nearest online one, the rule the
+// fallback evacuation follows, so no manager's first touch lands on a
+// tier being drained, whether or not its placement reads liveness.
+func (m *Machine) pageIn(p *vm.Page) {
+	m.Mgr.PageIn(p)
+	if p.Tier == vm.TierNone {
+		panic("machine: manager did not place page on PageIn")
+	}
+	if m.TierOffline(p.Tier) {
+		if dst, ok := m.nearestOnline(p.Tier); ok {
+			p.SetTier(dst)
+		}
+	}
 }
 
 // Faults returns the number of page-missing faults taken so far.
@@ -878,15 +888,7 @@ type PhaseHinter interface {
 // stall residue is draining, fault injection is off, and no tier is
 // offline (the offline sweep polls evacuation per quantum).
 func (m *Machine) quiescent() bool {
-	if len(m.Migrator.queue) != 0 || m.stall != 0 || m.Injector.Enabled() {
-		return false
-	}
-	for _, off := range m.offline {
-		if off {
-			return false
-		}
-	}
-	return true
+	return len(m.Migrator.queue) == 0 && m.stall == 0 && !m.Injector.Enabled() && m.numOffline == 0
 }
 
 // trafficIdle reports whether no workload component can generate device

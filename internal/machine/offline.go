@@ -5,18 +5,34 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// TierEventHandler is implemented by managers that handle whole-tier
-// offline/online events themselves (graceful degradation: drain the
-// offline tier through their own policy with admission control and
-// backpressure, rebalance when the tier returns). Managers without the
-// interface get the machine's best-effort fallback — a direct evacuation
-// of every resident page to the nearest online neighbour, which such a
-// manager sees only through the committed ledger (Committed) its
-// placement reads.
+// TierEventHandler is implemented by managers that drain offline tiers
+// themselves (graceful degradation: their own policy moves the offline
+// tier's pages with admission control and backpressure, and rebalances
+// when the tier returns), reading liveness from TierOffline. Managers
+// without the interface, or whose DrainsOfflineTiers reports false, get
+// the machine's best-effort fallback — a direct evacuation of every
+// resident page to the nearest online neighbour, which such a manager
+// sees only through the committed ledger (Committed) its placement
+// reads.
 type TierEventHandler interface {
-	OnTierOffline(t vm.TierID)
-	OnTierOnline(t vm.TierID)
+	DrainsOfflineTiers() bool
 }
+
+// mgrDrainsOffline reports whether the attached manager drains offline
+// tiers itself.
+func (m *Machine) mgrDrainsOffline() bool {
+	h, ok := m.Mgr.(TierEventHandler)
+	return ok && h.DrainsOfflineTiers()
+}
+
+// TierOffline reports whether tier t is out of service: placement must
+// not target it, and its pages are being (or have been) evacuated.
+func (m *Machine) TierOffline(t vm.TierID) bool {
+	return int(t) > 0 && int(t) < vm.MaxTiers && m.offline[t]
+}
+
+// AnyTierOffline reports whether some tier is offline, in O(1).
+func (m *Machine) AnyTierOffline() bool { return m.numOffline > 0 }
 
 // OfflineTier takes tier t out of service (a CXL expander link-down, a
 // DIMM hot-remove): placement must stop targeting it and its resident
@@ -45,6 +61,7 @@ func (m *Machine) offlineTier(t vm.TierID, until int64) bool {
 	}
 	now := m.Clock.Now()
 	m.offline[t] = true
+	m.numOffline++
 	m.offlineSince[t] = now
 	m.evacDone[t] = false
 	m.faultStats.TierOfflineEvents++
@@ -52,9 +69,7 @@ func (m *Machine) offlineTier(t vm.TierID, until int64) bool {
 		Kind: fault.EpTierOffline, Tier: t, Start: now, End: until, EvacNs: -1,
 	})
 	m.epOpen[t] = len(m.episodes)
-	if h, ok := m.Mgr.(TierEventHandler); ok {
-		h.OnTierOffline(t)
-	} else {
+	if !m.mgrDrainsOffline() {
 		m.fallbackEvacuate(t)
 	}
 	return true
@@ -68,13 +83,11 @@ func (m *Machine) OnlineTier(t vm.TierID) bool {
 		return false
 	}
 	m.offline[t] = false
+	m.numOffline--
 	m.faultStats.TierOnlineEvents++
 	if i := m.epOpen[t]; i > 0 {
 		m.episodes[i-1].End = m.Clock.Now()
 		m.epOpen[t] = 0
-	}
-	if h, ok := m.Mgr.(TierEventHandler); ok {
-		h.OnTierOnline(t)
 	}
 	return true
 }
@@ -87,9 +100,9 @@ func (m *Machine) Episodes() []fault.Episode { return m.episodes }
 // offlineSweep tracks evacuation progress of offline tiers once per
 // quantum: when the last resident page has left (and nothing in the
 // migration queue still targets the tier), the drain is complete and its
-// duration — the tier's MTTR — is recorded. Managers without their own
-// TierEventHandler are re-kicked each quantum so aborted evacuation
-// migrations are re-enqueued.
+// duration — the tier's MTTR — is recorded. Managers that do not drain
+// offline tiers themselves are re-kicked each quantum so aborted
+// evacuation migrations are re-enqueued.
 func (m *Machine) offlineSweep(now int64) {
 	for _, td := range m.Cfg.Tiers {
 		t := td.ID
@@ -113,7 +126,7 @@ func (m *Machine) offlineSweep(now int64) {
 			}
 			continue
 		}
-		if _, ok := m.Mgr.(TierEventHandler); !ok {
+		if !m.mgrDrainsOffline() {
 			m.fallbackEvacuate(t)
 		}
 	}
@@ -121,7 +134,8 @@ func (m *Machine) offlineSweep(now int64) {
 
 // fallbackEvacuate enqueues every page resident on offline tier t to the
 // nearest online migratable neighbour (faster preferred). Best-effort
-// path for managers without TierEventHandler; see the interface comment.
+// path for managers that do not drain offline tiers themselves; see
+// TierEventHandler.
 func (m *Machine) fallbackEvacuate(t vm.TierID) {
 	dst, ok := m.nearestOnline(t)
 	if !ok {

@@ -1,10 +1,10 @@
 // Multi-tenant lifecycle: QoS classes, per-tier quota specs, admission
 // control, and drain-on-departure, all on the simulated timeline. The
-// runtime lives in machine (below the managers, like TierEventHandler)
-// so a QoS-aware manager can observe tenant arrivals and departures
-// without machine importing it; a machine that never calls
-// EnableTenants carries no tenant state and runs byte-identically to a
-// build without this file.
+// runtime lives in machine (below the managers) and is the one record of
+// which tenants hold an admission: a QoS-aware manager reads it through
+// Machine.Tenants and Admission rather than keeping its own copy; a
+// machine that never calls EnableTenants carries no tenant state and
+// runs byte-identically to a build without this file.
 package machine
 
 import (
@@ -85,13 +85,22 @@ type TenantSpec struct {
 	Cap [vm.MaxTiers]int64
 }
 
-// TenantManager is implemented by managers that want tenant lifecycle
-// callbacks (the QoS-aware selector in core). Admit fires after the
-// tenant is admitted and before its app starts; Depart fires after its
-// regions are drained and unmapped.
-type TenantManager interface {
-	OnTenantAdmit(id vm.TenantID, spec TenantSpec)
-	OnTenantDepart(id vm.TenantID)
+// Validate reports the first invalid field, or nil: a class outside
+// [0, NumQoSClasses), or a negative reservation or cap (a negative
+// reservation would lower the sum later arrivals are admitted against).
+func (s TenantSpec) Validate() error {
+	if s.Class < 0 || s.Class >= NumQoSClasses {
+		return fmt.Errorf("machine: tenant %q: QoS class %d outside [0, %d)", s.Name, s.Class, NumQoSClasses)
+	}
+	for t := range s.Reserve {
+		if s.Reserve[t] < 0 {
+			return fmt.Errorf("machine: tenant %q: negative Reserve[%v] %d", s.Name, vm.Tier(t), s.Reserve[t])
+		}
+		if s.Cap[t] < 0 {
+			return fmt.Errorf("machine: tenant %q: negative Cap[%v] %d", s.Name, vm.Tier(t), s.Cap[t])
+		}
+	}
+	return nil
 }
 
 // TenantApp is the running side of a tenant: the workload(s) and
@@ -112,8 +121,8 @@ const (
 	// AdmitQueued: reservations don't fit right now; the arrival waits
 	// FIFO and starts when departures free enough reservation.
 	AdmitQueued
-	// AdmitRejected: the reservation exceeds a tier's total capacity and
-	// can never be met.
+	// AdmitRejected: the spec fails Validate, or its reservation exceeds
+	// a tier's total capacity and can never be met.
 	AdmitRejected
 )
 
@@ -197,19 +206,15 @@ func (m *Machine) AddWorkloadFor(w Workload, owner vm.TenantID) {
 }
 
 // Admit runs admission control for spec: if the sum of active
-// reservations plus spec's fits every tier, a dense TenantID is
-// assigned, the manager is notified, and start is called to launch the
-// tenant's app. Arrivals that don't fit wait FIFO (head-of-line, so
-// admission order is deterministic) and start on a later departure;
-// reservations no machine state could ever satisfy are rejected, as are
-// negative caps and reservations (a negative one would lower the sum
-// that later arrivals are admitted against).
+// reservations plus spec's fits every tier, a dense TenantID is assigned
+// and start is called to launch the tenant's app. Arrivals that don't
+// fit wait FIFO (head-of-line, so admission order is deterministic) and
+// start on a later departure; specs that fail Validate and reservations
+// no machine state could ever satisfy are rejected.
 func (tr *TenantRuntime) Admit(spec TenantSpec, start func(id vm.TenantID) TenantApp) (vm.TenantID, AdmitResult) {
-	for t := range spec.Reserve {
-		if spec.Reserve[t] < 0 || spec.Cap[t] < 0 {
-			tr.stats.Rejected++
-			return vm.TenantNone, AdmitRejected
-		}
+	if spec.Validate() != nil {
+		tr.stats.Rejected++
+		return vm.TenantNone, AdmitRejected
 	}
 	for _, td := range tr.m.Cfg.Tiers {
 		if spec.Reserve[td.ID] > td.Capacity {
@@ -243,9 +248,6 @@ func (tr *TenantRuntime) admit(spec TenantSpec, start func(id vm.TenantID) Tenan
 		tr.reserved[td.ID] += spec.Reserve[td.ID]
 	}
 	tr.stats.Admitted++
-	if tm, ok := tr.m.Mgr.(TenantManager); ok {
-		tm.OnTenantAdmit(id, spec)
-	}
 	tr.tenants[id-1].app = start(id)
 	return id
 }
@@ -255,8 +257,8 @@ func (tr *TenantRuntime) admit(spec TenantSpec, start func(id vm.TenantID) Tenan
 // runtime polls once per quantum (an event on the sim timeline, so
 // adaptive horizons see it) until no page of the tenant is still
 // write-protected by an in-flight migration, then unmaps the regions,
-// releases the reservation, notifies the manager, and retries queued
-// arrivals. Unknown, departed, or still-launching IDs are no-ops.
+// releases the reservation, marks the tenant departed, and retries
+// queued arrivals. Unknown, departed, or still-launching IDs are no-ops.
 func (tr *TenantRuntime) Depart(id vm.TenantID) {
 	if id <= 0 || int(id) > len(tr.tenants) {
 		return
@@ -287,9 +289,6 @@ func (tr *TenantRuntime) pollDrain(id vm.TenantID, now int64) {
 	ts.app = nil
 	ts.departed = true
 	tr.stats.Departed++
-	if tm, ok := tr.m.Mgr.(TenantManager); ok {
-		tm.OnTenantDepart(id)
-	}
 	tr.retryPending()
 }
 
@@ -365,8 +364,13 @@ func (tr *TenantRuntime) sampleTelemetry(t *Telemetry, m *Machine, now int64) {
 }
 
 // NumTenants returns how many tenants were ever admitted (IDs run
-// 1..NumTenants).
-func (tr *TenantRuntime) NumTenants() int { return len(tr.tenants) }
+// 1..NumTenants); 0 on a nil runtime.
+func (tr *TenantRuntime) NumTenants() int {
+	if tr == nil {
+		return 0
+	}
+	return len(tr.tenants)
+}
 
 // Active reports whether tenant id is admitted and not departing.
 func (tr *TenantRuntime) Active(id vm.TenantID) bool {
@@ -377,6 +381,18 @@ func (tr *TenantRuntime) Active(id vm.TenantID) bool {
 // unmapped, reservation released).
 func (tr *TenantRuntime) Departed(id vm.TenantID) bool {
 	return id > 0 && int(id) <= len(tr.tenants) && tr.tenants[id-1].departed
+}
+
+// Admission returns the spec tenant id was admitted with while its
+// admission holds: from Admit until its departure completes (regions
+// unmapped, reservation released), so a departing tenant still counts
+// while it drains. ok is false for unknown and departed tenants and on a
+// nil runtime.
+func (tr *TenantRuntime) Admission(id vm.TenantID) (spec TenantSpec, ok bool) {
+	if tr == nil || id <= 0 || int(id) > len(tr.tenants) || tr.tenants[id-1].departed {
+		return TenantSpec{}, false
+	}
+	return tr.tenants[id-1].spec, true
 }
 
 // SpecOf returns tenant id's spec (zero value for unknown IDs).

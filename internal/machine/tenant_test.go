@@ -98,9 +98,10 @@ func TestAdmissionControlQueueAndReject(t *testing.T) {
 	}
 }
 
-// A negative reservation or cap is rejected: admitted, a -1 GB DRAM
+// A spec that fails Validate is rejected: admitted, a -1 GB DRAM
 // reservation would lower the reserved sum enough to let four 200 MB
-// reservations onto a 256 MB DRAM tier.
+// reservations onto a 256 MB DRAM tier, and a class outside the QoS
+// table would index past the per-class histograms on the first step.
 func TestAdmitRejectsNegativeReserve(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Tiers = []TierDesc{
@@ -121,6 +122,19 @@ func TestAdmitRejectsNegativeReserve(t *testing.T) {
 	if _, res := tr.Admit(neg, nil); res != AdmitRejected {
 		t.Fatalf("Cap[NVM] = -1 admit = %v, want rejected", res)
 	}
+	for _, c := range []QoSClass{NumQoSClasses + 2, -1} {
+		bad := TenantSpec{Name: "class", Class: c}
+		want := fmt.Sprintf("QoS class %d outside [0, 3)", c)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Class %d: Validate = %v, want %q", c, err, want)
+		}
+		if _, res := tr.Admit(bad, nil); res != AdmitRejected {
+			t.Fatalf("Class %d admit = %v, want rejected", c, res)
+		}
+	}
+	if err := (TenantSpec{Class: Gold}).Validate(); err != nil {
+		t.Fatalf("a zero gold spec fails Validate: %v", err)
+	}
 
 	admitted := 0
 	for i := 0; i < 4; i++ {
@@ -135,8 +149,8 @@ func TestAdmitRejectsNegativeReserve(t *testing.T) {
 		t.Fatalf("%d of four 200 MB reservations admitted, %d MB reserved; want 1 and 200 MB on a 256 MB tier",
 			admitted, tr.Reserved(vm.TierDRAM)/sim.MB)
 	}
-	if st := tr.Stats(); st.Rejected != 2 || st.Queued != 3 {
-		t.Fatalf("Stats = %+v, want 2 rejected, 3 queued", st)
+	if st := tr.Stats(); st.Rejected != 4 || st.Queued != 3 {
+		t.Fatalf("Stats = %+v, want 4 rejected, 3 queued", st)
 	}
 }
 
