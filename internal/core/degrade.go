@@ -1,10 +1,11 @@
 // Graceful tier degradation: HeMem's response to whole-tier offline
 // events (a CXL expander link-down, a DIMM hot-remove). The manager reads
 // tier liveness from the machine (Machine.TierOffline) and reports that
-// it drains offline tiers itself (machine.TierEventHandler), so the
-// machine's best-effort fallback never runs — instead the policy tick
-// drains the offline tier's pages through the normal migration
-// machinery, under the same bandwidth budget as ordinary promotions
+// it drains the regions it manages itself (machine.TierEventHandler), so
+// the machine's best-effort fallback sweeps only the rest (pinned
+// regions and small, kernel-path allocations, whose pages never enter
+// the FIFO lists) — the policy tick drains the managed pages off the
+// offline tier through the normal migration machinery, under the same bandwidth budget as ordinary promotions
 // (backpressure: a survivor with no capacity this tick is retried next
 // tick, never overcommitted), while placement stops targeting the tier
 // (admission control). When the tier comes back online the ordinary
@@ -16,9 +17,10 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// DrainsOfflineTiers implements machine.TierEventHandler: evacuate,
-// called from each policy tick while any tier is offline, drains them.
-func (h *HeMem) DrainsOfflineTiers() bool { return true }
+// DrainsOffline implements machine.TierEventHandler: evacuate, called
+// from each policy tick while any tier is offline, drains the FIFO lists,
+// which hold exactly the pages of managed regions.
+func (h *HeMem) DrainsOffline(r *vm.Region) bool { return h.Managed(r) }
 
 // offlineAt reports whether chain position i is offline.
 func (h *HeMem) offlineAt(i int) bool { return h.m.TierOffline(h.chain[i]) }

@@ -39,3 +39,39 @@ func TestAttachAfterOfflineAvoidsOfflineTier(t *testing.T) {
 		t.Fatalf("Stats: %d offline / %d online events, want 1 / 1", st.TierOfflines, st.TierOnlines)
 	}
 }
+
+// Every page leaves an offline tier, not only the ones HeMem's FIFO
+// lists hold: HeMem drains its managed region, and the machine's sweep
+// evacuates the small (kernel-path) and pinned regions it does not
+// track, so the drain completes and its time is recorded.
+func TestOfflineTierEvacuatesUntrackedRegions(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Tiers = machine.ClassicTiers(4*sim.GB, 16*sim.GB, 0)
+	h := core.New(core.DefaultConfig())
+	m := machine.New(cfg, h)
+	small := m.AS.Map("small", 512*sim.MB)
+	managed := m.AS.Map("managed", 2*sim.GB)
+	pinned := m.AS.Map("pinned", 1*sim.GB)
+	h.PinRegion(pinned)
+	m.Warm()
+	for _, r := range []*vm.Region{small, managed, pinned} {
+		if n := r.Count(vm.TierDRAM); n != r.NumPages() {
+			t.Fatalf("%s: %d of %d pages on DRAM before the outage", r.Name, n, r.NumPages())
+		}
+	}
+	if !m.OfflineTier(vm.TierDRAM) {
+		t.Fatal("DRAM did not go offline")
+	}
+	m.Run(5 * sim.Second)
+	for _, r := range []*vm.Region{small, managed, pinned} {
+		if n := r.Count(vm.TierDRAM); n != 0 {
+			t.Errorf("%s: %d of %d pages still on offline DRAM", r.Name, n, r.NumPages())
+		}
+	}
+	if n := m.AS.Count(vm.TierDRAM); n != 0 {
+		t.Errorf("%d pages still on offline DRAM", n)
+	}
+	if n := m.FaultCounters().TierEvacuations; n != 1 {
+		t.Errorf("%d evacuations recorded, want 1", n)
+	}
+}

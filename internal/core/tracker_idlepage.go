@@ -30,9 +30,10 @@ type idlePageTracker struct {
 	// expectation accumulated over the finished pass (reused).
 	lam map[*vm.PageSet][2]float64
 
-	// combos caches the first nCombos inline set combinations seen in the
-	// current pass; spill holds the result for pages that cannot be
-	// cached (overflow sets, or a full table).
+	// combos caches the first nCombos set combinations seen in the
+	// current pass, keyed by region and set slots; spill holds the result
+	// for pages that cannot be cached (spilled memberships, or a full
+	// table).
 	combos  [idleComboSlots]idleCombo
 	nCombos int
 	spill   idleCombo
@@ -44,9 +45,12 @@ type idlePageTracker struct {
 const idleComboSlots = 8
 
 // idleCombo is one set combination's pass result: the accessed and dirty
-// expectations summed over its sets, and their bit probabilities.
+// expectations summed over its sets, and their bit probabilities. A
+// combination is a region and a pair of set slots, which name the same
+// sets for every page of that region.
 type idleCombo struct {
-	a, b   *vm.PageSet
+	r      *vm.Region
+	slots  uint16
 	la, lw float64
 	pa, pw float64 // 1-exp(-la), 1-exp(-lw)
 }
@@ -149,15 +153,15 @@ func (t *idlePageTracker) completePass() {
 }
 
 // combo returns p's set-combination expectations for the finished pass:
-// a table hit when p's sets are all inline and the combination was seen
-// earlier in this pass, otherwise freshly summed — into a new table entry
-// while there is room, into spill when not.
+// a table hit when p's memberships fit its set slots and the combination
+// was seen earlier in this pass, otherwise freshly summed — into a new
+// table entry while there is room, into spill when not.
 func (t *idlePageTracker) combo(p *vm.Page) *idleCombo {
-	a, b, overflow := p.InlineSets()
+	r, slots := p.Region, p.SetSlots()
 	c := &t.spill
-	if !overflow {
+	if slots&0xff != vm.SlotSpill {
 		for i := 0; i < t.nCombos; i++ {
-			if e := &t.combos[i]; e.a == a && e.b == b {
+			if e := &t.combos[i]; e.r == r && e.slots == slots {
 				return e
 			}
 		}
@@ -166,7 +170,7 @@ func (t *idlePageTracker) combo(p *vm.Page) *idleCombo {
 			t.nCombos++
 		}
 	}
-	c.a, c.b = a, b
+	c.r, c.slots = r, slots
 	// The sum runs in EachSet order, exactly as an uncached per-page pass
 	// would, so cached and fresh values are bit-identical.
 	var la, lw float64

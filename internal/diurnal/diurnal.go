@@ -42,8 +42,8 @@ type Config struct {
 	WorkingSet int64
 	// Threads is the application thread count (default 16).
 	Threads int
-	// ReadBytes and WriteBytes are moved per op during a burst (default
-	// 64 read, 64 written — a GUPS-like random read-modify-write).
+	// ReadBytes and WriteBytes are moved per op during a burst: reads
+	// default to 64 bytes, and a zero WriteBytes writes nothing.
 	ReadBytes, WriteBytes int64
 	// Phases is the repeating schedule; it must contain at least one
 	// phase with positive duration.
@@ -74,31 +74,49 @@ type Workload struct {
 	faulted   int
 }
 
+// Validate reports the first invalid field of c. Zero Threads and
+// ReadBytes mean their defaults, so only negative values fail, plus an
+// empty working set or schedule, a phase of no duration, and a window
+// that is not a sub-range of [0, 1] (NaN bounds included).
+func (c Config) Validate() error {
+	switch {
+	case c.WorkingSet <= 0:
+		return fmt.Errorf("diurnal: WorkingSet %d must be positive", c.WorkingSet)
+	case c.Threads < 0:
+		return fmt.Errorf("diurnal: negative Threads %d", c.Threads)
+	case c.ReadBytes < 0:
+		return fmt.Errorf("diurnal: negative ReadBytes %d", c.ReadBytes)
+	case c.WriteBytes < 0:
+		return fmt.Errorf("diurnal: negative WriteBytes %d", c.WriteBytes)
+	case len(c.Phases) == 0:
+		return fmt.Errorf("diurnal: empty phase schedule")
+	}
+	for i, ph := range c.Phases {
+		if ph.Duration <= 0 {
+			return fmt.Errorf("diurnal: phase %d Duration %d must be positive", i, ph.Duration)
+		}
+		if !(0 <= ph.WindowLo && ph.WindowLo <= ph.WindowHi && ph.WindowHi <= 1) {
+			return fmt.Errorf("diurnal: phase %d window [%v, %v) is not inside [0, 1]", i, ph.WindowLo, ph.WindowHi)
+		}
+	}
+	return nil
+}
+
 // New maps the working set on m and registers the workload. No pages are
-// touched until the first burst phase begins.
+// touched until the first burst phase begins. It panics with Validate's
+// message, before mapping anything, on an invalid cfg.
 func New(m *machine.Machine, cfg Config) *Workload {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.Name == "" {
 		cfg.Name = "diurnal"
 	}
-	if cfg.Threads <= 0 {
+	if cfg.Threads == 0 {
 		cfg.Threads = 16
 	}
-	if cfg.ReadBytes <= 0 {
+	if cfg.ReadBytes == 0 {
 		cfg.ReadBytes = 64
-	}
-	if cfg.WriteBytes < 0 {
-		cfg.WriteBytes = 64
-	}
-	if len(cfg.Phases) == 0 {
-		panic("diurnal: empty phase schedule")
-	}
-	for _, ph := range cfg.Phases {
-		if ph.Duration <= 0 {
-			panic("diurnal: phase duration must be positive")
-		}
-		if ph.WindowLo < 0 || ph.WindowHi > 1 || ph.WindowLo > ph.WindowHi {
-			panic(fmt.Sprintf("diurnal: bad window [%v,%v)", ph.WindowLo, ph.WindowHi))
-		}
 	}
 	d := &Workload{cfg: cfg, m: m}
 	d.region = m.AS.Map(cfg.Name, cfg.WorkingSet)

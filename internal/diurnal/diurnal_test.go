@@ -147,3 +147,66 @@ func TestAdaptiveAudited(t *testing.T) {
 	diurnal.New(m, testSchedule(16*sim.GB))
 	m.Run(20 * sim.Second) // panics on any invariant violation
 }
+
+// rejects fails unless cfg fails Validate with a message containing
+// want, and New panics with that message without mapping anything.
+func rejects(t *testing.T, cfg diurnal.Config, want string) {
+	t.Helper()
+	m := machine.New(machine.DefaultConfig(), core.New(core.DefaultConfig()))
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
+	}
+	defer func() {
+		if r := recover(); r != err.Error() {
+			t.Fatalf("New panicked with %v, want %q", r, err)
+		}
+		if n := len(m.AS.Regions); n != 0 {
+			t.Fatalf("refused New mapped %d regions", n)
+		}
+	}()
+	diurnal.New(m, cfg)
+}
+
+func TestValidateRejectsBadWindow(t *testing.T) {
+	for _, w := range [][2]float64{{0.5, 0.2}, {-0.1, 0.2}, {0.5, 1.5}, {math.NaN(), 0.2}, {0.1, math.NaN()}} {
+		cfg := testSchedule(16 * sim.GB)
+		cfg.Phases[1].WindowLo, cfg.Phases[1].WindowHi = w[0], w[1]
+		rejects(t, cfg, "window")
+	}
+}
+
+func TestValidateRejectsBadSchedule(t *testing.T) {
+	cfg := testSchedule(16 * sim.GB)
+	cfg.Phases = nil
+	rejects(t, cfg, "schedule")
+	cfg = testSchedule(16 * sim.GB)
+	cfg.Phases[2].Duration = 0
+	rejects(t, cfg, "Duration")
+}
+
+func TestValidateRejectsNegativeFields(t *testing.T) {
+	cfg := testSchedule(16 * sim.GB)
+	cfg.Threads = -4
+	rejects(t, cfg, "Threads")
+	cfg = testSchedule(16 * sim.GB)
+	cfg.ReadBytes = -64
+	rejects(t, cfg, "ReadBytes")
+	cfg = testSchedule(16 * sim.GB)
+	cfg.WriteBytes = -64
+	rejects(t, cfg, "WriteBytes")
+	rejects(t, testSchedule(0), "WorkingSet")
+}
+
+// Zero Threads and ReadBytes mean defaults; an idle-only schedule and a
+// window spanning the whole region are valid.
+func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
+	cfg := testSchedule(16 * sim.GB)
+	cfg.Threads = 0
+	cfg.Phases = append(cfg.Phases, diurnal.Phase{Duration: sim.Second, WindowLo: 0, WindowHi: 1})
+	for _, c := range []diurnal.Config{cfg, {WorkingSet: 1, Phases: []diurnal.Phase{{Duration: 1}}}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", c, err)
+		}
+	}
+}

@@ -37,6 +37,15 @@ type DriverConfig struct {
 // ~200 GB (exceeds it), matching the paper's framing.
 const BytesPerVertex = 400
 
+// MaxScale bounds DriverConfig.Scale: 2^40 vertices already model
+// 400 TiB, far past any simulated machine.
+const MaxScale = 40
+
+// maxEdgeFactor is the largest edge factor whose neighbour arrays (two
+// directions of 8-byte entries) leave room in BytesPerVertex for the
+// vertex data.
+const maxEdgeFactor = (BytesPerVertex - 1) / 16
+
 // vertexZones is how many degree-ordered zones the vertex arrays are split
 // into for traffic modelling.
 const vertexZones = 3
@@ -59,10 +68,40 @@ type Driver struct {
 	startWear float64
 }
 
+// Validate reports the first invalid field of c. Zero fields mean their
+// defaults (16 edges per vertex, 16 threads, 15 iterations, full edge
+// visits, calibration at scale 18), so only negative values fail, plus
+// a Scale past MaxScale, an EdgeVisitScale outside [0, 1] or NaN, and an
+// EdgeFactor whose neighbour arrays leave no room for the vertex data in
+// BytesPerVertex.
+func (c DriverConfig) Validate() error {
+	switch {
+	case c.Scale < 0 || c.Scale > MaxScale:
+		return fmt.Errorf("gap: Scale %d outside [0, %d]", c.Scale, MaxScale)
+	case c.EdgeFactor < 0:
+		return fmt.Errorf("gap: negative EdgeFactor %d", c.EdgeFactor)
+	case c.EdgeFactor > maxEdgeFactor:
+		return fmt.Errorf("gap: EdgeFactor %d leaves no vertex bytes (at most %d)", c.EdgeFactor, maxEdgeFactor)
+	case c.Threads < 0:
+		return fmt.Errorf("gap: negative Threads %d", c.Threads)
+	case c.Iterations < 0:
+		return fmt.Errorf("gap: negative Iterations %d", c.Iterations)
+	case !(c.EdgeVisitScale >= 0 && c.EdgeVisitScale <= 1):
+		return fmt.Errorf("gap: EdgeVisitScale %v outside [0, 1]", c.EdgeVisitScale)
+	case c.CalibrationScale < 0:
+		return fmt.Errorf("gap: negative CalibrationScale %d", c.CalibrationScale)
+	}
+	return nil
+}
+
 // NewDriver maps the graph's memory on m and registers the workload. A
 // real Kronecker graph at CalibrationScale measures the degree skew used
-// to split the vertex arrays into hot/warm/cold zones.
+// to split the vertex arrays into hot/warm/cold zones. It panics with
+// Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.EdgeFactor == 0 {
 		cfg.EdgeFactor = 16
 	}

@@ -1,6 +1,8 @@
 package gap_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -134,5 +136,60 @@ func TestNVMOnlyFarWorse(t *testing.T) {
 	tN := meanNs(nvm.IterationTimes())
 	if tN < tH*3 {
 		t.Errorf("NVM-only (%.1fs) should be ≫ HeMem (%.1fs); paper: 16×", tN/1e9, tH/1e9)
+	}
+}
+
+// rejects fails unless cfg fails Validate with a message containing
+// want, and NewDriver panics with that message without mapping anything.
+func rejects(t *testing.T, cfg gap.DriverConfig, want string) {
+	t.Helper()
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
+	}
+	defer func() {
+		if r := recover(); r != err.Error() {
+			t.Fatalf("NewDriver panicked with %v, want %q", r, err)
+		}
+		if n := len(m.AS.Regions); n != 0 {
+			t.Fatalf("refused NewDriver mapped %d regions", n)
+		}
+	}()
+	gap.NewDriver(m, cfg)
+}
+
+func TestValidateRejectsNegativeThreads(t *testing.T) {
+	rejects(t, gap.DriverConfig{Scale: 20, Threads: -4}, "Threads")
+}
+
+func TestValidateRejectsBadEdgeVisitScale(t *testing.T) {
+	for _, v := range []float64{-1, 1.5, math.NaN()} {
+		rejects(t, gap.DriverConfig{Scale: 20, EdgeVisitScale: v}, "EdgeVisitScale")
+	}
+}
+
+func TestValidateRejectsNegativeIterations(t *testing.T) {
+	rejects(t, gap.DriverConfig{Scale: 20, Iterations: -2}, "Iterations")
+}
+
+func TestValidateRejectsBadShape(t *testing.T) {
+	rejects(t, gap.DriverConfig{Scale: -1}, "Scale")
+	rejects(t, gap.DriverConfig{Scale: gap.MaxScale + 1}, "Scale")
+	rejects(t, gap.DriverConfig{Scale: 20, EdgeFactor: -16}, "EdgeFactor")
+	rejects(t, gap.DriverConfig{Scale: 20, EdgeFactor: 25}, "EdgeFactor")
+	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: -18}, "CalibrationScale")
+}
+
+// Zero fields mean defaults, and every boundary value is valid.
+func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
+	for _, c := range []gap.DriverConfig{
+		{},
+		{Scale: gap.MaxScale, EdgeFactor: 24, EdgeVisitScale: 1},
+		{Scale: 28, Iterations: 15, EdgeVisitScale: 0.05, Seed: 2},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", c, err)
+		}
 	}
 }

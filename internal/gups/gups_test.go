@@ -166,10 +166,11 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 }
 
 // Set-up allocates only what the workload keeps: the working set's page
-// chunks (3,200 bytes per 64 pages) and one member pointer per page in
+// chunks (1,536 bytes per 64 pages) and one member pointer per page in
 // its sets, cut from one shuffled array (here including the write-only
 // sub-split). A construction that copies the pages into intermediate
-// slices, or allocates an index permutation, passes 64 bytes per page.
+// slices, allocates an index permutation, or keeps set pointers in the
+// page passes 40 bytes per page.
 func TestNewSetUpAllocation(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
 	cfg := gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 256 * sim.MB, Seed: 3}
@@ -179,7 +180,7 @@ func TestNewSetUpAllocation(t *testing.T) {
 	g := gups.New(m, cfg)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(64*pages) + 32<<10; got > limit {
+	if limit := uint64(40*pages) + 32<<10; got > limit {
 		t.Fatalf("New allocated %d bytes for %d pages (%.1f per page), want ≤ %d",
 			got, pages, float64(got)/float64(pages), limit)
 	}

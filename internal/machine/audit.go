@@ -1,8 +1,9 @@
 // Runtime invariant auditor: opt-in conservation checks run once per
 // quantum (Config.Audit, which the hemem-bench -audit flag sets on every
 // experiment machine). The auditor is an observer — it draws no randomness and writes
-// nothing but its private page mark (vm.Page.AuditMark), which no
-// decision reads and which it clears before it returns, so an audited
+// nothing but its private page and set marks (vm.Page.AuditMark,
+// vm.PageSet.AuditMark), which no decision reads and which it clears
+// before it returns, so an audited
 // run is bit-identical to an unaudited one; it exists to turn silent
 // accounting drift (a leaked page charge in the committed ledger that
 // every manager's placement reads, a double-resident page, a
@@ -35,7 +36,9 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //     recount of its pages' Tier fields (no page resident in two tiers,
 //     no lost pages).
 //   - set-counts: each rate-tracked page set's per-tier counters equal a
-//     recount of its members.
+//     recount of the pages whose set slots name it, and so does its
+//     member count; each region's set table counts, per row, the page
+//     slots that name it, and no slot names a row past the table.
 //   - migrating-queue: the Migrating flag and the migration queue are a
 //     bijection — every flagged page appears exactly once in the queue,
 //     every queued request's page is flagged, and no request targets the
@@ -69,11 +72,14 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 // of each materialized page: the queue pass counts each queued page's
 // entries in its AuditMark, then a single walk over each region's
 // chunks recounts tiers (the region's recount is also its owner's tenant
-// recount) and checks each Migrating flag against the mark, and a
-// closing queue pass reports duplicates and clears the marks, so no
-// mark outlives the audit. Rate-tracked sets are recounted over their
-// own member lists. A clean audit allocates nothing. The auditor writes
-// only its private mark, draws no randomness, and changes no decision;
+// recount), tallies tiers per set slot, and checks each Migrating flag
+// against the mark, and a closing queue pass reports duplicates and
+// clears the marks, so no mark outlives the audit. Each region's slot
+// tally is folded into its set table's rows, which name the sets, so
+// rate-tracked sets (marked with their recount's index for the audit)
+// are recounted through their pages' back-pointers, never over their own
+// member lists. A clean audit allocates nothing. The auditor writes
+// only its private marks, draws no randomness, and changes no decision;
 // Step panics with auditDump on the first non-empty return.
 func (m *Machine) Audit() []AuditViolation {
 	var vs []AuditViolation
@@ -103,31 +109,12 @@ func (m *Machine) Audit() []AuditViolation {
 	var resident [vm.MaxTiers]int64
 	var owned [vm.MaxTiers]int
 	tally := m.auditTenantTable(nt)
+	sets := m.auditSetTables()
 	for _, r := range m.AS.Regions {
 		var recount [vm.MaxTiers]int
-		for ci, nc := 0, r.NumChunks(); ci < nc; ci++ {
-			c := r.Chunk(ci)
-			if tallyChunk(c, &recount) {
-				continue
-			}
-			// Some page in this chunk breaks a rule: recount it page by
-			// page to report which.
-			for j := range c {
-				p := &c[j]
-				if p.Region == nil {
-					continue
-				}
-				if t := uint8(p.Tier); t < vm.MaxTiers {
-					recount[t]++
-				} else {
-					vs = append(vs, AuditViolation{"region-counts",
-						fmt.Sprintf("%s: page %d has out-of-range tier %d", r.Name, p.ID, p.Tier)})
-				}
-				if p.Migrating && p.AuditMark == 0 {
-					vs = append(vs, AuditViolation{"migrating-queue",
-						fmt.Sprintf("page %d has Migrating flag but no queue entry", p.ID)})
-				}
-			}
+		var ok bool
+		if vs, ok = m.tallyRegion(vs, r, &recount, sets); !ok {
+			vs = m.recountRegion(vs, r, &recount, sets)
 		}
 		// Unmaterialized pages are TierNone by construction.
 		recount[vm.TierNone] += r.NumPages() - r.TouchedPages()
@@ -173,20 +160,20 @@ func (m *Machine) Audit() []AuditViolation {
 		p.AuditMark = 0
 	}
 
-	// Rate-tracked page sets (the workloads' traffic sets), recounted
-	// over their own member lists.
-	for _, s := range m.rateOrder {
-		var recount [vm.MaxTiers]int
-		for _, p := range s.Pages() {
-			if t := uint8(p.Tier); t < vm.MaxTiers {
-				recount[t]++
+	// Rate-tracked page sets (the workloads' traffic sets), against the
+	// recount the region walk made through their pages' set slots.
+	for i, s := range m.rateOrder {
+		s.AuditMark = 0
+		a := &sets[i]
+		for t := vm.Tier(0); t < vm.MaxTiers; t++ {
+			if got := s.Count(t); got != a.tiers[t] {
+				vs = append(vs, AuditViolation{"set-counts",
+					fmt.Sprintf("set %s: counter says %d pages in %v, recount says %d", s.Name, got, t, a.tiers[t])})
 			}
 		}
-		for t := vm.Tier(0); t < vm.MaxTiers; t++ {
-			if got := s.Count(t); got != recount[t] {
-				vs = append(vs, AuditViolation{"set-counts",
-					fmt.Sprintf("set %s: counter says %d pages in %v, recount says %d", s.Name, got, t, recount[t])})
-			}
+		if a.pages != s.Len() {
+			vs = append(vs, AuditViolation{"set-counts",
+				fmt.Sprintf("set %s: %d pages point at it, its member list holds %d", s.Name, a.pages, s.Len())})
 		}
 	}
 
@@ -307,50 +294,246 @@ func (m *Machine) auditTenantTable(nt int) [][vm.MaxTiers]int {
 	return t
 }
 
-// tallyChunk is the region pass's fast path. It adds the tiers of chunk
-// c's materialized pages to rc and returns true, unless some page needs
-// a violation report (an out-of-range tier, or a Migrating flag with no
-// queue mark): then it returns false and leaves rc alone, and Audit
-// walks the chunk again page by page to report it. Two histograms take
-// alternate pages (c is a whole 64-page chunk, so they pair up
-// exactly), so a run of pages in one tier does not serialize on a
-// single counter; out-of-range tiers are caught by OR-ing every tier
-// rather than by a branch per page. This path made -exp chaos 1.18×
-// faster than the page-by-page loop alone (EXPERIMENTS.md, "The
-// invariant auditor's cost").
-func tallyChunk(c []vm.Page, rc *[vm.MaxTiers]int) bool {
-	var h0, h1 [vm.MaxTiers]int
-	var or vm.Tier
+// comboSlots bounds the slot values the region pass's fast path
+// indexes: a region with comboSlots or more set-table rows, or with
+// spilled pages, takes the page-by-page path. Workloads put each region's
+// pages in at most three sets.
+const comboSlots = 4
+
+// comboTally counts a region's pages per (slot 0, slot 1, tier)
+// combination, row k0+k1*comboSlots. Its two halves take alternate
+// pages (a chunk is 64 pages, so they pair up exactly), so a run of pages
+// in one combination does not serialize on a single counter: with a
+// combination's two counters adjacent in one word instead, a load waited
+// on the neighbouring store and the walk ran about 1.3× slower on such
+// runs.
+type comboTally [2][comboSlots * comboSlots][vm.MaxTiers]int32
+
+// slotRow is one set-table row's page-by-page recount: the page slots
+// naming the row, and their pages' tiers.
+type slotRow struct {
+	tiers [vm.MaxTiers]int
+	named int
+}
+
+// auditSet is one rate-tracked set's recount: its pages per tier and in
+// all, counted through the pages' set slots.
+type auditSet struct {
+	tiers [vm.MaxTiers]int
+	pages int
+}
+
+// auditSetTables returns the machine's per-rate-set recount table, sized
+// for every rate-tracked set (indexed like rateOrder) and zeroed, and
+// marks each rate-tracked set with 1 + its index, so the region walk
+// finds a set's recount without a map lookup. The closing set-counts
+// loop clears the marks.
+func (m *Machine) auditSetTables() []auditSet {
+	n := len(m.rateOrder)
+	if cap(m.auditSets) < n {
+		m.auditSets = make([]auditSet, n)
+	}
+	sets := m.auditSets[:n]
+	clear(sets)
+	for i, s := range m.rateOrder {
+		s.AuditMark = int32(i + 1)
+	}
+	return sets
+}
+
+// tallyRegion is the region pass's fast path: one counter increment per
+// materialized page, into the combination tally (tallyChunk), from which
+// a fold derives the region's tier recount rc, each set-table row's slot
+// count (checked against the table's), and each rate-tracked set's tier
+// recount — no per-page branch on which set a page is in. It returns
+// false, having changed nothing but the tally (zeroed again), when the
+// region has spilled pages or more rows than the tally indexes, or some
+// page needs a report (an out-of-range tier, a Migrating flag with no
+// queue mark, a slot naming a row past the table): recountRegion then
+// walks the region page by page.
+func (m *Machine) tallyRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTiers]int, sets []auditSet) ([]AuditViolation, bool) {
+	n := r.NumSlots()
+	if n >= comboSlots || r.NumSpilled() > 0 {
+		return vs, false
+	}
+	ct := &m.auditCombos
 	ok := true
+	var slotOr uint16
+	var tierOr vm.Tier
+	for ci, nc := 0, r.NumChunks(); ci < nc && ok; ci++ {
+		chunkOk, so, to := tallyChunk(r.Chunk(ci), ct)
+		ok, slotOr, tierOr = chunkOk, slotOr|so, tierOr|to
+	}
+	// A slot value past the tally's range was folded into range by the
+	// mask, into any row; the OR shows it.
+	if slotOr&^(comboSlots-1|(comboSlots-1)<<8) != 0 {
+		*ct = comboTally{}
+		return vs, false
+	}
+	// Every page's slots and tier are submasks of the ORs, so the rows
+	// and tiers up to them hold every count the walk made.
+	tierHi := vm.MaxTiers - 1
+	if uint8(tierOr) < vm.MaxTiers {
+		tierHi = int(tierOr)
+	} else {
+		ok = false // an out-of-range tier, which the mask folded into range
+	}
+	var recount [vm.MaxTiers]int
+	var named [comboSlots]int
+	var tiers [comboSlots][vm.MaxTiers]int
+	for k1 := range int(slotOr>>8) + 1 {
+		for k0 := range int(slotOr)&(comboSlots-1) + 1 {
+			a, b := &ct[0][k0+k1*comboSlots], &ct[1][k0+k1*comboSlots]
+			for t := range tierHi + 1 {
+				c := int(a[t] + b[t])
+				recount[t] += c
+				named[k0] += c
+				named[k1] += c
+				tiers[k0][t] += c
+				tiers[k1][t] += c
+			}
+			*a, *b = [vm.MaxTiers]int32{}, [vm.MaxTiers]int32{}
+		}
+	}
+	if !ok {
+		return vs, false
+	}
+	// A slot in range but past the table names no row.
+	for k := n + 1; k < comboSlots; k++ {
+		if named[k] > 0 {
+			return vs, false
+		}
+	}
+	for t, c := range recount {
+		rc[t] += c
+	}
+	for k := 1; k <= n; k++ {
+		vs = m.foldRow(vs, r, k, named[k], &tiers[k], sets)
+	}
+	return vs, true
+}
+
+// recountRegion is the region pass's page-by-page path, taken when
+// tallyRegion declines: it adds each materialized page's tier to rc and
+// its slots to a per-row recount, reports every page that breaks a rule,
+// folds the rows into the set recount as tallyRegion does, and adds the
+// spilled pages' memberships through their spill lists.
+func (m *Machine) recountRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTiers]int, sets []auditSet) []AuditViolation {
+	var rows [vm.SlotSpill + 1]slotRow
+	for ci, nc := 0, r.NumChunks(); ci < nc; ci++ {
+		c := r.Chunk(ci)
+		for j := range c {
+			p := &c[j]
+			if p.Region == nil {
+				continue
+			}
+			t := uint8(p.Tier)
+			if t < vm.MaxTiers {
+				rc[t]++
+			} else {
+				vs = append(vs, AuditViolation{"region-counts",
+					fmt.Sprintf("%s: page %d has out-of-range tier %d", r.Name, p.ID, p.Tier)})
+			}
+			if p.Migrating && p.AuditMark == 0 {
+				vs = append(vs, AuditViolation{"migrating-queue",
+					fmt.Sprintf("page %d has Migrating flag but no queue entry", p.ID)})
+			}
+			if k := p.SetSlots(); k&0xff != vm.SlotSpill {
+				for _, k := range [2]uint16{k & 0xff, k >> 8} {
+					if row := &rows[k]; k != 0 && k != vm.SlotSpill {
+						row.named++
+						if t < vm.MaxTiers {
+							row.tiers[t]++
+						}
+					}
+				}
+			}
+		}
+	}
+	n := r.NumSlots()
+	for k := 1; k < vm.SlotSpill; k++ {
+		row := &rows[k]
+		switch {
+		case k <= n:
+			vs = m.foldRow(vs, r, k, row.named, &row.tiers, sets)
+		case row.named > 0:
+			vs = append(vs, AuditViolation{"set-counts",
+				fmt.Sprintf("%s: %d page slots name row %d of a %d-row set table", r.Name, row.named, k, n)})
+		}
+	}
+	r.EachSpilled(func(p *vm.Page) {
+		p.EachSet(func(s *vm.PageSet) {
+			if s.AuditMark > 0 {
+				a := &sets[s.AuditMark-1]
+				if t := uint8(p.Tier); t < vm.MaxTiers {
+					a.tiers[t]++
+				}
+				a.pages++
+			}
+		})
+	})
+	return vs
+}
+
+// foldRow checks set-table row k of region r against the named page
+// slots the walk counted, and adds their tiers to the recount of the set
+// the row names, if it is rate-tracked.
+func (m *Machine) foldRow(vs []AuditViolation, r *vm.Region, k, named int, tiers *[vm.MaxTiers]int, sets []auditSet) []AuditViolation {
+	s, refs := r.SlotSet(uint8(k))
+	if named != refs {
+		vs = append(vs, AuditViolation{"set-counts",
+			fmt.Sprintf("%s: %d page slots name set-table row %d, the table counts %d", r.Name, named, k, refs)})
+	}
+	if s != nil && s.AuditMark > 0 {
+		a := &sets[s.AuditMark-1]
+		for t, c := range tiers {
+			a.tiers[t] += c
+		}
+		a.pages += named
+	}
+	return vs
+}
+
+// tallyChunk adds each materialized page of chunk c to the combination
+// tally and returns the OR of every page's packed slots and of every
+// tier, with ok false if some page has a Migrating flag with no queue
+// mark. Slot values and tiers are masked into the tally's range; one
+// past it shows in an OR instead of a branch per page. (A running
+// maximum of the slots compiled to a compare-and-branch per slot, which
+// depends on which set each page is in.) The tier histograms this
+// replaced made -exp chaos 1.18× faster than a page-by-page loop
+// (EXPERIMENTS.md, "The invariant auditor's cost").
+func tallyChunk(c []vm.Page, ct *comboTally) (ok bool, slotOr uint16, tierOr vm.Tier) {
+	ok = true
+	// Slot 1's low bits land next to slot 0's: row k0 + k1*comboSlots.
+	row := func(k uint16) uint16 { return (k | k>>6) & (comboSlots*comboSlots - 1) }
 	for j := 0; j+1 < len(c); j += 2 {
 		if p := &c[j]; p.Region != nil {
-			or |= p.Tier
-			h0[p.Tier&(vm.MaxTiers-1)]++
+			k := p.SetSlots()
+			tierOr |= p.Tier
+			slotOr |= k
+			ct[0][row(k)][p.Tier&(vm.MaxTiers-1)]++
 			if p.Migrating && p.AuditMark == 0 {
 				ok = false
 			}
 		}
 		if p := &c[j+1]; p.Region != nil {
-			or |= p.Tier
-			h1[p.Tier&(vm.MaxTiers-1)]++
+			k := p.SetSlots()
+			tierOr |= p.Tier
+			slotOr |= k
+			ct[1][row(k)][p.Tier&(vm.MaxTiers-1)]++
 			if p.Migrating && p.AuditMark == 0 {
 				ok = false
 			}
 		}
 	}
-	if !ok || uint8(or) >= vm.MaxTiers {
-		return false
-	}
-	for t := range rc {
-		rc[t] += h0[t] + h1[t]
-	}
-	return true
+	return ok, slotOr, tierOr
 }
 
-// The OR test in tallyChunk finds every tier ≥ MaxTiers, and its mask
-// keeps the histogram index in range, only when MaxTiers is a power of
-// two; this fails to compile otherwise.
-const _ uint = -(vm.MaxTiers & (vm.MaxTiers - 1))
+// The OR tests in tallyChunk find every tier ≥ MaxTiers and every slot
+// value ≥ comboSlots, and its masks keep the tally's indexes in range,
+// only when both are powers of two; this fails to compile otherwise.
+const _ uint = -(vm.MaxTiers&(vm.MaxTiers-1) | comboSlots&(comboSlots-1))
 
 // auditUnmap verifies that tearing down region r left no residue: every
 // page unplaced, no lingering write protection or queued migration, no
@@ -362,7 +545,7 @@ func (m *Machine) auditUnmap(r *vm.Region) []AuditViolation {
 			vs = append(vs, AuditViolation{"unmap-residue",
 				fmt.Sprintf("%s: page %d still resident in %v after unmap", r.Name, p.ID, p.Tier)})
 		}
-		if a, b, ov := p.InlineSets(); a != nil || b != nil || ov {
+		if p.SetSlots() != 0 {
 			vs = append(vs, AuditViolation{"unmap-residue",
 				fmt.Sprintf("%s: page %d still in %d sets after unmap", r.Name, p.ID, len(p.InSets()))})
 		}

@@ -176,6 +176,46 @@ func TestAuditCatalogue(t *testing.T) {
 			},
 		},
 		{
+			// The same swap with tt1's first pages in a third set each,
+			// so their memberships spilled: the page-by-page recount
+			// finds hot's members through the spill lists.
+			name: "set-counts/spilled-members",
+			corrupt: func(f *auditFixture) {
+				third := make([]*vm.Page, 4)
+				for i := range third {
+					third[i] = f.t1.Peek(i)
+				}
+				vm.NewPageSet("third", third)
+				if f.t1.NumSpilled() != 4 {
+					panic("tt1's first pages did not spill")
+				}
+				f.t1.Peek(2).Tier = vm.TierNVM
+				f.t1.Peek(25).Tier = vm.TierDRAM
+			},
+			rules: []string{"set-counts"},
+			want: []string{
+				"set-counts: set hot: counter says 16 pages in DRAM, recount says 15",
+				"set-counts: set hot: counter says 0 pages in NVM, recount says 1",
+			},
+		},
+		{
+			// A page's record is rebuilt without its set slots while the
+			// set's member list still holds it: the list and the
+			// back-pointers disagree. The recount through the slots
+			// misses the page, and so does the table row's slot count.
+			name: "set-counts/lost-back-pointer",
+			corrupt: func(f *auditFixture) {
+				p := f.t1.Peek(3)
+				*p = vm.Page{ID: p.ID, Index: p.Index, Region: p.Region, Tier: p.Tier}
+			},
+			rules: []string{"set-counts"},
+			want: []string{
+				"set-counts: set hot: counter says 16 pages in DRAM, recount says 15",
+				"set-counts: set hot: 15 pages point at it, its member list holds 16",
+				"set-counts: tt1: 15 page slots name set-table row 2, the table counts 16",
+			},
+		},
+		{
 			name:    "migrating-queue/queued-unflagged",
 			corrupt: func(f *auditFixture) { f.promo.Migrating = false },
 			rules:   []string{"migrating-queue"},
@@ -328,6 +368,32 @@ func TestAuditCleanMachine(t *testing.T) {
 	}
 }
 
+// A region with spilled memberships takes the page-by-page path, which
+// recounts a clean machine as clean, rate-tracked spilled sets included,
+// and so does a region whose set table outgrows the fast path's tally.
+func TestAuditCleanSlowPath(t *testing.T) {
+	f := newAuditFixture(t)
+	third := make([]*vm.Page, 4)
+	for i := range third {
+		third[i] = f.t1.Peek(i)
+	}
+	f.m.Rates(vm.NewPageSet("third", third))
+	for i := 0; i < comboSlots; i++ {
+		f.m.Rates(vm.NewPageSet(fmt.Sprint("row", i), []*vm.Page{f.t2.Peek(i)}))
+	}
+	if f.t1.NumSpilled() != 4 || f.t2.NumSlots() < comboSlots {
+		t.Fatalf("fixture: %d spilled pages in tt1, %d set-table rows in tt2", f.t1.NumSpilled(), f.t2.NumSlots())
+	}
+	f.t1.Peek(1).SetTier(vm.TierNVM)
+	f.t2.Peek(3).SetTier(vm.TierNVM)
+	if vs := f.m.Audit(); vs != nil {
+		t.Fatalf("clean audit through the page-by-page path: %v", vs)
+	}
+	f.t2.Peek(3).Tier = vm.TierDRAM
+	checkViolations(t, f.m.Audit(), []string{"set-counts", "region-counts", "used-conservation", "tenant-counts", "tenant-conservation"},
+		[]string{"set-counts: set row3: counter says 1 pages in NVM, recount says 0"})
+}
+
 // The auditor's page mark does not outlive an audit: after a clean
 // audit and after one that finds a page queued three times, every
 // mapped and every queued page is unmarked, so no count can leak into
@@ -348,6 +414,11 @@ func TestAuditLeavesNoMark(t *testing.T) {
 				t.Errorf("%s: queued page %d keeps audit mark %d", when, req.page.ID, req.page.AuditMark)
 			}
 		}
+		for _, s := range f.m.RateSets() {
+			if s.AuditMark != 0 {
+				t.Errorf("%s: set %s keeps audit mark %d", when, s.Name, s.AuditMark)
+			}
+		}
 	}
 	if vs := f.m.Audit(); vs != nil {
 		t.Fatalf("clean audit: %v", vs)
@@ -364,8 +435,8 @@ func TestAuditLeavesNoMark(t *testing.T) {
 // A clean audit of a warmed, tenanted machine with migrations in flight
 // allocates nothing, and the audit stamp costs vm.Page no bytes.
 func TestAuditAllocationFree(t *testing.T) {
-	if got := unsafe.Sizeof(vm.Page{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(vm.Page{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 24", got)
 	}
 	f := newAuditFixture(t)
 	if f.m.Migrator.QueueLen() == 0 {

@@ -524,11 +524,14 @@ type Machine struct {
 	// sweep can patch End/EvacNs in place.
 	epOpen [vm.MaxTiers]int
 
-	// Invariant auditor (Config.Audit). auditTenant is
-	// Audit's reused per-tenant recount table.
+	// Invariant auditor (Config.Audit). auditTenant, auditCombos and
+	// auditSets are Audit's reused per-tenant, per-set-combination and
+	// per-rate-set recount tables.
 	auditing    bool
 	auditsRun   int64
 	auditTenant [][vm.MaxTiers]int
+	auditCombos comboTally
+	auditSets   []auditSet
 
 	// tenants is the multi-tenant runtime (EnableTenants); nil on
 	// single-tenant machines, which therefore skip every tenant branch.

@@ -5,24 +5,24 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// TierEventHandler is implemented by managers that drain offline tiers
-// themselves (graceful degradation: their own policy moves the offline
-// tier's pages with admission control and backpressure, and rebalances
-// when the tier returns), reading liveness from TierOffline. Managers
-// without the interface, or whose DrainsOfflineTiers reports false, get
-// the machine's best-effort fallback — a direct evacuation of every
-// resident page to the nearest online neighbour, which such a manager
-// sees only through the committed ledger (Committed) its placement
-// reads.
+// TierEventHandler is implemented by managers that drain some regions'
+// pages off offline tiers themselves (graceful degradation: their own
+// policy moves those pages with admission control and backpressure, and
+// rebalances when the tier returns), reading liveness from TierOffline.
+// Every region a manager does not drain — all of them for a manager
+// without the interface — gets the machine's best-effort fallback: a
+// direct evacuation of each resident page to the nearest online
+// neighbour, which the manager sees only through the committed ledger
+// (Committed) its placement reads.
 type TierEventHandler interface {
-	DrainsOfflineTiers() bool
+	DrainsOffline(r *vm.Region) bool
 }
 
-// mgrDrainsOffline reports whether the attached manager drains offline
-// tiers itself.
-func (m *Machine) mgrDrainsOffline() bool {
+// mgrDrains reports whether the attached manager drains region r's pages
+// off offline tiers itself.
+func (m *Machine) mgrDrains(r *vm.Region) bool {
 	h, ok := m.Mgr.(TierEventHandler)
-	return ok && h.DrainsOfflineTiers()
+	return ok && h.DrainsOffline(r)
 }
 
 // TierOffline reports whether tier t is out of service: placement must
@@ -69,9 +69,7 @@ func (m *Machine) offlineTier(t vm.TierID, until int64) bool {
 		Kind: fault.EpTierOffline, Tier: t, Start: now, End: until, EvacNs: -1,
 	})
 	m.epOpen[t] = len(m.episodes)
-	if !m.mgrDrainsOffline() {
-		m.fallbackEvacuate(t)
-	}
+	m.fallbackEvacuate(t)
 	return true
 }
 
@@ -100,9 +98,9 @@ func (m *Machine) Episodes() []fault.Episode { return m.episodes }
 // offlineSweep tracks evacuation progress of offline tiers once per
 // quantum: when the last resident page has left (and nothing in the
 // migration queue still targets the tier), the drain is complete and its
-// duration — the tier's MTTR — is recorded. Managers that do not drain
-// offline tiers themselves are re-kicked each quantum so aborted
-// evacuation migrations are re-enqueued.
+// duration — the tier's MTTR — is recorded. The regions no manager
+// drains are re-swept each quantum so aborted evacuation migrations are
+// re-enqueued.
 func (m *Machine) offlineSweep(now int64) {
 	for _, td := range m.Cfg.Tiers {
 		t := td.ID
@@ -126,15 +124,13 @@ func (m *Machine) offlineSweep(now int64) {
 			}
 			continue
 		}
-		if !m.mgrDrainsOffline() {
-			m.fallbackEvacuate(t)
-		}
+		m.fallbackEvacuate(t)
 	}
 }
 
-// fallbackEvacuate enqueues every page resident on offline tier t to the
-// nearest online migratable neighbour (faster preferred). Best-effort
-// path for managers that do not drain offline tiers themselves; see
+// fallbackEvacuate enqueues every page resident on offline tier t, in
+// the regions the manager does not drain itself, to the nearest online
+// migratable neighbour (faster preferred). Best-effort path; see
 // TierEventHandler.
 func (m *Machine) fallbackEvacuate(t vm.TierID) {
 	dst, ok := m.nearestOnline(t)
@@ -142,7 +138,7 @@ func (m *Machine) fallbackEvacuate(t vm.TierID) {
 		return
 	}
 	for _, r := range m.AS.Regions {
-		if r.Count(t) == 0 {
+		if r.Count(t) == 0 || m.mgrDrains(r) {
 			continue
 		}
 		r.EachPage(func(p *vm.Page) {

@@ -37,6 +37,32 @@ type DriverConfig struct {
 	Seed uint64
 }
 
+// Validate reports the first invalid field of c. Zero fields mean their
+// defaults (16 threads, 222 MB per warehouse, 4 µs of compute, 18 rows
+// read and 9 written per transaction, 192-byte rows, 3 index hops), so
+// only negative values fail, plus a database of no warehouses.
+func (c DriverConfig) Validate() error {
+	switch {
+	case c.Threads < 0:
+		return fmt.Errorf("tpcc: negative Threads %d", c.Threads)
+	case c.Warehouses <= 0:
+		return fmt.Errorf("tpcc: Warehouses %d must be positive", c.Warehouses)
+	case c.WarehouseBytes < 0:
+		return fmt.Errorf("tpcc: negative WarehouseBytes %d", c.WarehouseBytes)
+	case c.ComputePerTx < 0:
+		return fmt.Errorf("tpcc: negative ComputePerTx %d", c.ComputePerTx)
+	case c.RowsRead < 0:
+		return fmt.Errorf("tpcc: negative RowsRead %d", c.RowsRead)
+	case c.RowsWritten < 0:
+		return fmt.Errorf("tpcc: negative RowsWritten %d", c.RowsWritten)
+	case c.RowBytes < 0:
+		return fmt.Errorf("tpcc: negative RowBytes %d", c.RowBytes)
+	case c.IndexDepth < 0:
+		return fmt.Errorf("tpcc: negative IndexDepth %d", c.IndexDepth)
+	}
+	return nil
+}
+
 func (c DriverConfig) withDefaults() DriverConfig {
 	if c.Threads == 0 {
 		c.Threads = 16
@@ -78,8 +104,12 @@ type Driver struct {
 	obsTime int64
 }
 
-// NewDriver maps the database on m and registers the workload.
+// NewDriver maps the database on m and registers the workload. It panics
+// with Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.withDefaults()
 	d := &Driver{cfg: cfg}
 	total := int64(cfg.Warehouses) * cfg.WarehouseBytes

@@ -1,6 +1,7 @@
 package tpcc_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -78,5 +79,57 @@ func TestFig13BeyondCapacity(t *testing.T) {
 	}
 	if heOver <= nvmOver {
 		t.Errorf("HeMem (%.0f) should stay above NVM-only (%.0f) even beyond DRAM", heOver, nvmOver)
+	}
+}
+
+// rejects fails unless cfg fails Validate with a message containing
+// want, and NewDriver panics with that message without mapping anything.
+func rejects(t *testing.T, cfg tpcc.DriverConfig, want string) {
+	t.Helper()
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
+	}
+	defer func() {
+		if r := recover(); r != err.Error() {
+			t.Fatalf("NewDriver panicked with %v, want %q", r, err)
+		}
+		if n := len(m.AS.Regions); n != 0 {
+			t.Fatalf("refused NewDriver mapped %d regions", n)
+		}
+	}()
+	tpcc.NewDriver(m, cfg)
+}
+
+func TestValidateRejectsNoWarehouses(t *testing.T) {
+	for _, w := range []int{0, -4} {
+		rejects(t, tpcc.DriverConfig{Warehouses: w}, "Warehouses")
+	}
+}
+
+func TestValidateRejectsNegativeThreads(t *testing.T) {
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, Threads: -8}, "Threads")
+}
+
+func TestValidateRejectsNegativeRowsRead(t *testing.T) {
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, RowsRead: -5}, "RowsRead")
+}
+
+func TestValidateRejectsNegativeSizes(t *testing.T) {
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, RowsWritten: -1}, "RowsWritten")
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, RowBytes: -192}, "RowBytes")
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, WarehouseBytes: -1}, "WarehouseBytes")
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, ComputePerTx: -1}, "ComputePerTx")
+	rejects(t, tpcc.DriverConfig{Warehouses: 8, IndexDepth: -3}, "IndexDepth")
+}
+
+// Zero fields mean defaults, so a config naming only its warehouses is
+// valid.
+func TestValidateAcceptsDefaults(t *testing.T) {
+	for _, c := range []tpcc.DriverConfig{{Warehouses: 1}, {Warehouses: 864, Threads: 16, RowsRead: 18}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", c, err)
+		}
 	}
 }

@@ -70,10 +70,11 @@ type PageID int32
 // huge-page (2 MB) granularity; the page size is a property of the
 // AddressSpace.
 //
-// The struct is packed to 48 bytes, the stride of every whole-region
+// The struct is packed to 24 bytes, the stride of every whole-region
 // walk (auditor, idlepage pass): state that only faulted pages carry
 // (remaps, correctable errors) lives in the AddressSpace's frame-health
-// table instead, and a third set membership spills behind a pointer.
+// table instead, and set memberships are one-byte slots into the
+// region's set table.
 type Page struct {
 	ID     PageID
 	Index  int32 // page index within its region
@@ -85,100 +86,193 @@ type Page struct {
 	// tiers; writes to it stall (userfaultfd write-protection, §3.2).
 	Migrating bool
 
+	// slots record the page's first two set memberships, in EachSet
+	// order: slot value k names entry k-1 of the region's set table, 0
+	// names no set. A page in three or more sets, or in a set the table
+	// cannot name, has SlotSpill in both slots and its memberships in the
+	// region's spill table. Building million-page sets thus allocates
+	// nothing per page.
+	slots [2]uint8
+
 	// AuditMark is the invariant auditor's private mark: during an audit,
 	// the number of migration-queue entries for this page; zero at all
-	// other times. Nothing else reads or writes it. It sits in the padding
-	// after Migrating, so it does not grow the page.
+	// other times. Nothing else reads or writes it. It sits after the
+	// slots, in what would otherwise be padding.
 	AuditMark uint32
-
-	// Set membership is stored inline for the common case (a page joins
-	// at most two sets: e.g. GUPS hot + write-only partitions) so that
-	// building million-page sets does not allocate a slice header per
-	// page; extra memberships spill to setsOv, which is nil unless the
-	// page is in three or more sets.
-	set0, set1 *PageSet
-	setsOv     *[]*PageSet
 }
 
-// overflow returns the memberships past the two inline slots.
-func (p *Page) overflow() []*PageSet {
-	if p.setsOv == nil {
-		return nil
-	}
-	return *p.setsOv
+// SlotSpill is the set-slot value marking a page whose memberships live
+// in its region's spill table (see Page.SetSlots).
+const SlotSpill = math.MaxUint8
+
+// maxSlots is how many set-table entries a slot value can name.
+const maxSlots = SlotSpill - 1
+
+// setEntry is one row of a region's set table: a set some of the
+// region's pages belong to, and how many page slots name it. A row whose
+// last slot is cleared is freed (set nil) for reuse.
+type setEntry struct {
+	set  *PageSet
+	refs int32
 }
+
+// SetSlots returns the page's two set slots in EachSet order, packed as
+// slot 0 | slot 1<<8 (one 16-bit load for the auditor's walk): each is 0
+// for an empty slot, k for Region.SlotSet(k), or SlotSpill in both when
+// the page's memberships spilled (three or more sets). Callers that cache
+// per-set-combination results key on (Region, SetSlots()) when not
+// spilled.
+func (p *Page) SetSlots() uint16 { return uint16(p.slots[0]) | uint16(p.slots[1])<<8 }
+
+// spilled reports whether p's memberships live in its region's spill
+// table.
+func (p *Page) spilled() bool { return p.slots[0] == SlotSpill }
 
 // EachSet calls f for every page set this page belongs to, without
 // allocating — the accessor for hot paths (e.g. per-page scan and
-// region-sampling loops) that InSets is too expensive for.
+// region-sampling loops) that InSets is too expensive for. The order is
+// the order of joining, except that a set joined after an earlier one
+// was left takes the first free position: the first two positions keep
+// their holes, and further memberships are a list that a removal
+// reorders by swapping its last entry into the gap.
 func (p *Page) EachSet(f func(*PageSet)) {
-	if p.set0 != nil {
-		f(p.set0)
+	k0, k1 := p.slots[0], p.slots[1]
+	if k0 == SlotSpill {
+		for _, s := range p.Region.spill[p.Index] {
+			if s != nil {
+				f(s)
+			}
+		}
+		return
 	}
-	if p.set1 != nil {
-		f(p.set1)
+	if k0 != 0 {
+		f(p.Region.sets[k0-1].set)
 	}
-	for _, s := range p.overflow() {
-		f(s)
+	if k1 != 0 {
+		f(p.Region.sets[k1-1].set)
 	}
-}
-
-// InlineSets returns the two inline set slots in EachSet order (either may
-// be nil) and whether further memberships spilled past them. Callers that
-// cache per-set-combination results key on (a, b) when overflow is false.
-func (p *Page) InlineSets() (a, b *PageSet, overflow bool) {
-	return p.set0, p.set1, p.setsOv != nil
 }
 
 // InSets returns the page sets this page belongs to. The slice is freshly
 // allocated; hot paths should not call this.
 func (p *Page) InSets() []*PageSet {
 	var out []*PageSet
-	if p.set0 != nil {
-		out = append(out, p.set0)
-	}
-	if p.set1 != nil {
-		out = append(out, p.set1)
-	}
-	return append(out, p.overflow()...)
+	p.EachSet(func(s *PageSet) { out = append(out, s) })
+	return out
 }
 
-// addSet registers membership of p in s.
+// firstSet returns the first set in EachSet order, or nil.
+func (p *Page) firstSet() *PageSet {
+	if p.spilled() {
+		for _, s := range p.Region.spill[p.Index] {
+			if s != nil {
+				return s
+			}
+		}
+		return nil
+	}
+	for _, k := range p.slots {
+		if k != 0 {
+			return p.Region.sets[k-1].set
+		}
+	}
+	return nil
+}
+
+// addSet registers membership of p in s: in the first empty slot if the
+// region's table can name s, otherwise (both slots taken, or a full
+// table) in the spill table.
 func (p *Page) addSet(s *PageSet) {
-	switch {
-	case p.set0 == nil:
-		p.set0 = s
-	case p.set1 == nil:
-		p.set1 = s
-	case p.setsOv == nil:
-		p.setsOv = &[]*PageSet{s}
-	default:
-		*p.setsOv = append(*p.setsOv, s)
+	r := p.Region
+	if p.spilled() {
+		r.spill[p.Index] = spillAdd(r.spill[p.Index], s)
+		return
 	}
+	k := r.slotOf(s)
+	for i := range p.slots {
+		if p.slots[i] == 0 && k != SlotSpill {
+			p.slots[i] = k
+			r.sets[k-1].refs++
+			return
+		}
+	}
+	// Spill: the slots' sets keep their positions, s joins after them.
+	r.release(k)
+	list := make([]*PageSet, 2, 3)
+	for i, k := range p.slots {
+		if k != 0 {
+			list[i] = r.sets[k-1].set
+			r.unref(k)
+		}
+	}
+	if r.spill == nil {
+		r.spill = make(map[int32][]*PageSet)
+	}
+	r.spill[p.Index] = spillAdd(list, s)
+	p.slots = [2]uint8{SlotSpill, SlotSpill}
 }
 
-// removeSet unregisters membership of p in s.
+// spillAdd adds s to a spilled membership list: into the first of the
+// two leading positions that is empty, else at the end.
+func spillAdd(list []*PageSet, s *PageSet) []*PageSet {
+	for i := 0; i < 2; i++ {
+		if list[i] == nil {
+			list[i] = s
+			return list
+		}
+	}
+	return append(list, s)
+}
+
+// removeSet unregisters membership of p in s. A spilled page returns to
+// its slots once its memberships fit them again.
 func (p *Page) removeSet(s *PageSet) {
-	switch {
-	case p.set0 == s:
-		p.set0 = nil
-	case p.set1 == s:
-		p.set1 = nil
-	default:
-		ov := p.overflow()
-		for j, ps := range ov {
-			if ps == s {
-				last := len(ov) - 1
-				ov[j], ov[last] = ov[last], nil
-				if last == 0 {
-					p.setsOv = nil
-				} else {
-					*p.setsOv = ov[:last]
-				}
+	r := p.Region
+	if !p.spilled() {
+		for i, k := range p.slots {
+			if k != 0 && r.sets[k-1].set == s {
+				p.slots[i] = 0
+				r.unref(k)
 				return
 			}
 		}
+		return
 	}
+	list := r.spill[p.Index]
+	switch {
+	case list[0] == s:
+		list[0] = nil
+	case list[1] == s:
+		list[1] = nil
+	default:
+		for j := 2; j < len(list); j++ {
+			if list[j] == s {
+				last := len(list) - 1
+				list[j], list[last] = list[last], nil
+				list = list[:last]
+				break
+			}
+		}
+	}
+	r.spill[p.Index] = list
+	if len(list) > 2 {
+		return
+	}
+	var slots [2]uint8
+	for i, s := range list {
+		if s == nil {
+			continue
+		}
+		k := r.slotOf(s)
+		if k == SlotSpill {
+			r.unref(slots[0])
+			return // the table is full: stay spilled
+		}
+		slots[i] = k
+		r.sets[k-1].refs++
+	}
+	p.slots = slots
+	delete(r.spill, p.Index)
 }
 
 // SetTier moves the page to tier t, maintaining the occupancy counters of
@@ -187,19 +281,25 @@ func (p *Page) SetTier(t Tier) {
 	if p.Tier == t {
 		return
 	}
-	p.Region.counts.bump(p.Tier, t)
-	p.Region.space.counts.bump(p.Tier, t)
-	if s := p.set0; s != nil {
-		s.bump(p.Tier, t)
+	r := p.Region
+	r.counts.bump(p.Tier, t)
+	r.space.counts.bump(p.Tier, t)
+	if k0, k1 := p.slots[0], p.slots[1]; k0 == SlotSpill {
+		for _, s := range r.spill[p.Index] {
+			if s != nil {
+				s.bump(p.Tier, t)
+			}
+		}
+	} else {
+		if k0 != 0 {
+			r.sets[k0-1].set.bump(p.Tier, t)
+		}
+		if k1 != 0 {
+			r.sets[k1-1].set.bump(p.Tier, t)
+		}
 	}
-	if s := p.set1; s != nil {
-		s.bump(p.Tier, t)
-	}
-	for _, s := range p.overflow() {
-		s.bump(p.Tier, t)
-	}
-	if o := p.Region.owner; o != TenantNone {
-		p.Region.space.bumpTenant(o, p.Tier, t)
+	if o := r.owner; o != TenantNone {
+		r.space.bumpTenant(o, p.Tier, t)
 	}
 	p.Tier = t
 }
@@ -254,6 +354,108 @@ type Region struct {
 	// mirror every tier transition into the address space's per-tenant
 	// occupancy table (see tenant.go).
 	owner TenantID
+
+	// sets is the set table that page slots index (see Page): row k-1
+	// is the set slot value k names. A set spanning regions has a row in
+	// each. Rows are freed when their last slot is cleared, and free
+	// rows at the end are trimmed, so the table holds only live sets.
+	sets []setEntry
+	// spill holds the memberships of spilled pages (slots SlotSpill),
+	// keyed by page index, in EachSet order with any hole in the first
+	// two positions kept as nil; nil while no page spilled.
+	spill map[int32][]*PageSet
+}
+
+// slotOf returns the slot value that names s in r's set table,
+// registering s in a free row (with no slot naming it yet) on first use,
+// or SlotSpill when all maxSlots rows are taken. The set remembers its
+// last (region, slot) pair, so building a large set searches the table
+// once, not per page.
+func (r *Region) slotOf(s *PageSet) uint8 {
+	if k := s.slot; s.slotRegion == r && int(k) <= len(r.sets) && r.sets[k-1].set == s {
+		return k
+	}
+	free := -1
+	for i := range r.sets {
+		switch r.sets[i].set {
+		case s:
+			s.slotRegion, s.slot = r, uint8(i+1)
+			return s.slot
+		case nil:
+			if free < 0 {
+				free = i
+			}
+		}
+	}
+	if free < 0 {
+		if len(r.sets) == maxSlots {
+			return SlotSpill
+		}
+		r.sets = append(r.sets, setEntry{})
+		free = len(r.sets) - 1
+	}
+	r.sets[free].set = s
+	s.slotRegion, s.slot = r, uint8(free+1)
+	return s.slot
+}
+
+// unref clears one page slot's reference to row k (a no-op for k 0),
+// freeing the row when it was the last.
+func (r *Region) unref(k uint8) {
+	if k == 0 {
+		return
+	}
+	if e := &r.sets[k-1]; e.refs > 1 {
+		e.refs--
+		return
+	}
+	r.freeRow(k)
+}
+
+// release frees row k if slotOf registered it but no slot took it (the
+// membership spilled instead).
+func (r *Region) release(k uint8) {
+	if k != SlotSpill && r.sets[k-1].refs == 0 {
+		r.freeRow(k)
+	}
+}
+
+// freeRow empties row k and trims the table's free tail.
+func (r *Region) freeRow(k uint8) {
+	r.sets[k-1] = setEntry{}
+	n := len(r.sets)
+	for n > 0 && r.sets[n-1].set == nil {
+		n--
+	}
+	r.sets = r.sets[:n]
+}
+
+// NumSlots returns the length of the region's set table: the slot values
+// 1..NumSlots() may name a set (see SlotSet).
+func (r *Region) NumSlots() int { return len(r.sets) }
+
+// SlotSet returns the set that slot value k names in this region's
+// table, and how many of the region's page slots the table records as
+// naming it; nil and 0 for a free row, for 0, for SlotSpill, and for any
+// k past the table.
+func (r *Region) SlotSet(k uint8) (*PageSet, int) {
+	if k == 0 || int(k) > len(r.sets) {
+		return nil, 0
+	}
+	e := r.sets[k-1]
+	return e.set, int(e.refs)
+}
+
+// NumSpilled returns how many of the region's pages have spilled
+// memberships.
+func (r *Region) NumSpilled() int { return len(r.spill) }
+
+// EachSpilled calls f for every page of the region whose memberships
+// spilled out of its slots, in no particular order.
+func (r *Region) EachSpilled(f func(*Page)) {
+	for i := range r.spill {
+		f(r.PageAt(int(i)))
+	}
 }
 
 // Size returns the region length in bytes.
@@ -400,6 +602,17 @@ type PageSet struct {
 	pages   []*Page
 	counts  tierCounts // the set's pages per tier
 	version uint64     // see Version
+
+	// AuditMark is the invariant auditor's private mark: during an
+	// audit, 1 + the set's index in the auditor's recount table if the
+	// set is rate-tracked; zero at all other times. Nothing else reads or
+	// writes it.
+	AuditMark int32
+
+	// slotRegion and slot cache the set's row in the last region whose
+	// set table slotOf looked it up in.
+	slotRegion *Region
+	slot       uint8
 }
 
 // NewPageSet builds a set over the given pages and registers the
@@ -579,17 +792,14 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 func (a *AddressSpace) Unmap(r *Region) {
 	owner := r.owner
 	r.EachPage(func(p *Page) {
-		if p.set0 != nil {
-			removePageFromSet(p.set0, p)
-		}
-		if p.set1 != nil {
-			removePageFromSet(p.set1, p)
-		}
-		for p.setsOv != nil {
-			removePageFromSet((*p.setsOv)[0], p)
+		for s := p.firstSet(); s != nil; s = p.firstSet() {
+			removePageFromSet(s, p)
 		}
 		p.SetTier(TierNone)
 	})
+	// Every slot is clear and every spill entry gone; drop the empty
+	// table and map themselves.
+	r.sets, r.spill = nil, nil
 	if owner != TenantNone {
 		// Every page is back in TierNone now (touched pages just moved
 		// there, untouched ones never left), so the tenant's whole charge
@@ -612,7 +822,9 @@ func (a *AddressSpace) Unmap(r *Region) {
 	}
 }
 
-// removePageFromSet removes p from s by scanning for its index.
+// removePageFromSet removes p from s by scanning for its index. A page
+// missing from the member list it points at still loses the
+// back-pointer, so Unmap always terminates.
 func removePageFromSet(s *PageSet, p *Page) {
 	for i, q := range s.pages {
 		if q == p {
@@ -620,6 +832,7 @@ func removePageFromSet(s *PageSet, p *Page) {
 			return
 		}
 	}
+	p.removeSet(s)
 }
 
 // Page returns the page with the given global ID, materializing its
@@ -652,18 +865,24 @@ func (a *AddressSpace) NumPages() int { return a.numPages }
 func (a *AddressSpace) TouchedPages() int { return a.touched }
 
 // MetadataBytes returns the deterministic footprint of the page metadata:
-// materialized chunks, the per-region chunk-pointer tables, and the
-// frame-health table's entries (key and value; map overhead excluded).
+// materialized chunks, the per-region chunk-pointer and set tables, the
+// set spill table's entries (key, list header and list) and the
+// frame-health table's entries (key and value); map overhead excluded.
 // It is an accounting figure (what the sparse representation pays for the
 // pages touched so far), not a live heap measurement, so dense-vs-sparse
 // comparisons are reproducible across runs and hosts.
 func (a *AddressSpace) MetadataBytes() int64 {
 	const pageBytes = int64(unsafe.Sizeof(Page{}))
 	const ptrBytes = int64(unsafe.Sizeof((*pageChunk)(nil)))
+	const rowBytes = int64(unsafe.Sizeof(setEntry{}))
+	const spillBytes = int64(unsafe.Sizeof(int32(0)) + unsafe.Sizeof([]*PageSet(nil)))
 	const healthBytes = int64(unsafe.Sizeof(PageID(0)) + unsafe.Sizeof(frameHealth{}))
 	total := int64(len(a.health)) * healthBytes
 	for _, s := range a.spans {
-		total += int64(len(s.r.chunks)) * ptrBytes
+		total += int64(len(s.r.chunks))*ptrBytes + int64(cap(s.r.sets))*rowBytes
+		for _, l := range s.r.spill {
+			total += spillBytes + int64(cap(l))*ptrBytes
+		}
 		for _, c := range s.r.chunks {
 			if c != nil {
 				total += chunkPages * pageBytes

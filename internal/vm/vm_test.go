@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -254,19 +255,68 @@ func TestMapPanicsOnBadPageSize(t *testing.T) {
 }
 
 // Page is the stride of every whole-region walk, so its packed size is
-// pinned: ID and Index share a word, Tier, Migrating and AuditMark share
-// another, and the overflow set list is one pointer.
+// pinned: ID and Index share a word, and Tier, Migrating, the two set
+// slots and AuditMark share another.
 func TestPageLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got != 48 {
-		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(Page{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 24", got)
 	}
 	if got := unsafe.Offsetof(Page{}.AuditMark); got != 20 {
-		t.Fatalf("AuditMark at offset %d, want 20 (padding after Migrating)", got)
+		t.Fatalf("AuditMark at offset %d, want 20 (after the set slots)", got)
+	}
+	if got := unsafe.Sizeof(pageChunk{}); got != 1536 {
+		t.Fatalf("a 64-page chunk is %d bytes, want 1536 (a size class, no slack)", got)
 	}
 }
 
-// The overflow set list exists only while a page is in three or more
-// sets, and every membership, inline or spilled, tracks tier moves.
+// checkRegionTable verifies r's set table and spill table against its
+// pages: every row's reference count equals the page slots naming it, no
+// slot names a free row, every spilled page has a spill entry and every
+// spill entry a spilled page.
+func checkRegionTable(t *testing.T, r *Region) {
+	t.Helper()
+	refs := make([]int32, len(r.sets))
+	spilled := 0
+	r.EachPage(func(p *Page) {
+		if p.spilled() {
+			spilled++
+			if p.slots[1] != SlotSpill {
+				t.Fatalf("page %d: spilled with slots %v", p.Index, p.slots)
+			}
+			if _, ok := r.spill[p.Index]; !ok {
+				t.Fatalf("page %d: spilled without a spill entry", p.Index)
+			}
+			return
+		}
+		for _, k := range p.slots {
+			if k == 0 {
+				continue
+			}
+			if int(k) > len(r.sets) || r.sets[k-1].set == nil {
+				t.Fatalf("page %d: slot %d names no row (table of %d)", p.Index, k, len(r.sets))
+			}
+			refs[k-1]++
+		}
+	})
+	for i, e := range r.sets {
+		if e.refs != refs[i] {
+			t.Fatalf("row %d (%v): refs %d, %d slots name it", i+1, e.set, e.refs, refs[i])
+		}
+		if (e.set == nil) != (e.refs == 0) {
+			t.Fatalf("row %d: set %v with %d refs", i+1, e.set, e.refs)
+		}
+	}
+	if n := len(r.sets); n > 0 && r.sets[n-1].set == nil {
+		t.Fatalf("table keeps a free row at its end (%d rows)", n)
+	}
+	if spilled != len(r.spill) {
+		t.Fatalf("%d spilled pages, %d spill entries", spilled, len(r.spill))
+	}
+}
+
+// The spill table holds a page's memberships only while it is in three
+// or more sets, every membership, in its slots or spilled, tracks tier
+// moves, and the page returns to its slots once two sets are left.
 func TestPageOverflowSets(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r := a.Map("heap", 4*sim.MB)
@@ -274,13 +324,21 @@ func TestPageOverflowSets(t *testing.T) {
 	sets := make([]*PageSet, 4)
 	for i := range sets {
 		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{p})
-		if _, _, ov := p.InlineSets(); ov != (i >= 2) || (p.setsOv != nil) != ov {
-			t.Fatalf("after %d sets: overflow = %v, setsOv = %v", i+1, ov, p.setsOv)
+		if sp := p.slots[0] == SlotSpill; sp != (i >= 2) || (len(r.spill) == 1) != sp {
+			t.Fatalf("after %d sets: slots %v, %d spill entries", i+1, p.slots, len(r.spill))
 		}
+		checkRegionTable(t, r)
+	}
+	// Spilling moved the slotted memberships out: no row stays live.
+	if len(r.sets) != 0 {
+		t.Fatalf("spilled page leaves %d table rows", len(r.sets))
 	}
 	p.SetTier(TierDRAM)
 	n := 0
 	p.EachSet(func(s *PageSet) {
+		if s != sets[n] {
+			t.Errorf("EachSet position %d is %s, want %s", n, s.Name, sets[n].Name)
+		}
 		n++
 		if s.Count(TierDRAM) != 1 {
 			t.Errorf("set %s misses the move to DRAM", s.Name)
@@ -289,16 +347,266 @@ func TestPageOverflowSets(t *testing.T) {
 	if n != 4 || len(p.InSets()) != 4 {
 		t.Fatalf("EachSet visited %d sets, InSets %d, want 4", n, len(p.InSets()))
 	}
+	// Leaving the first set keeps its hole while spilled and after the
+	// return to the slots: s4 fills it.
+	sets[0].Remove(0)
 	sets[3].Remove(0)
-	sets[2].Remove(0)
-	if _, _, ov := p.InlineSets(); ov || p.setsOv != nil {
-		t.Fatal("overflow list kept after the page left its third set")
+	if !p.spilled() {
+		t.Fatal("page left the spill table with three sets")
 	}
-	NewPageSet("s4", []*Page{p})
+	sets[2].Remove(0)
+	if p.spilled() || len(r.spill) != 0 || p.slots[0] != 0 || p.slots[1] == 0 {
+		t.Fatalf("one set left: slots %v, %d spill entries", p.slots, len(r.spill))
+	}
+	checkRegionTable(t, r)
+	s4 := NewPageSet("s4", []*Page{p})
+	if got := p.InSets(); len(got) != 2 || got[0] != s4 || got[1] != sets[1] {
+		t.Fatalf("after refilling the hole: %v", got)
+	}
 	NewPageSet("s5", []*Page{p})
 	a.Unmap(r)
-	if p.setsOv != nil || len(p.InSets()) != 0 {
+	if p.slots != [2]uint8{} || len(p.InSets()) != 0 {
 		t.Fatalf("unmapped page keeps sets %v", p.InSets())
+	}
+	if r.sets != nil || r.spill != nil {
+		t.Fatalf("unmapped region keeps %d table rows, %d spill entries", len(r.sets), len(r.spill))
+	}
+}
+
+// A region with more live sets than a slot byte can name spills the
+// memberships past the table's last row, and takes them back into the
+// slots once a row is free again.
+func TestPageSlotTableFull(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r := a.Map("heap", (maxSlots+1)*2*sim.MB)
+	pages := r.AllPages()
+	sets := make([]*PageSet, len(pages))
+	for i, p := range pages {
+		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{p})
+	}
+	last := pages[maxSlots]
+	if len(r.sets) != maxSlots || !last.spilled() || len(r.spill) != 1 {
+		t.Fatalf("table of %d rows, last page slots %v, %d spill entries", len(r.sets), last.slots, len(r.spill))
+	}
+	checkRegionTable(t, r)
+	last.SetTier(TierNVM)
+	if sets[maxSlots].Count(TierNVM) != 1 {
+		t.Fatal("spilled membership misses a tier move")
+	}
+	if got := last.InSets(); len(got) != 1 || got[0] != sets[maxSlots] {
+		t.Fatalf("spilled page is in %v", got)
+	}
+	// A second set on a spilled page spills too; freeing a row lets the
+	// page return once its sets fit the slots.
+	extra := NewPageSet("extra", []*Page{last})
+	sets[0].Remove(0)
+	extra.Remove(0)
+	if last.spilled() || len(r.spill) != 0 {
+		t.Fatalf("page stays spilled with a free row: slots %v", last.slots)
+	}
+	checkRegionTable(t, r)
+	want := a.MetadataBytes()
+	a.Unmap(r)
+	if r.sets != nil || r.spill != nil {
+		t.Fatalf("unmapped region keeps %d table rows, %d spill entries", len(r.sets), len(r.spill))
+	}
+	if got := a.MetadataBytes(); got >= want {
+		t.Fatalf("MetadataBytes %d after unmap, %d before", got, want)
+	}
+}
+
+// refPage is the pointer-based membership model the slots replace: two
+// positions that keep their holes and an overflow list that a removal
+// reorders by swapping its last entry into the gap.
+type refPage struct {
+	set0, set1 *PageSet
+	ov         []*PageSet
+}
+
+func (rp *refPage) add(s *PageSet) {
+	switch {
+	case rp.set0 == nil:
+		rp.set0 = s
+	case rp.set1 == nil:
+		rp.set1 = s
+	default:
+		rp.ov = append(rp.ov, s)
+	}
+}
+
+func (rp *refPage) remove(s *PageSet) {
+	switch {
+	case rp.set0 == s:
+		rp.set0 = nil
+	case rp.set1 == s:
+		rp.set1 = nil
+	default:
+		for j, q := range rp.ov {
+			if q == s {
+				last := len(rp.ov) - 1
+				rp.ov[j] = rp.ov[last]
+				rp.ov = rp.ov[:last]
+				return
+			}
+		}
+	}
+}
+
+func (rp *refPage) sets() []*PageSet {
+	var out []*PageSet
+	for _, s := range append([]*PageSet{rp.set0, rp.set1}, rp.ov...) {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// setNames lists the sets' names in order.
+func setNames(sets []*PageSet) string {
+	var b strings.Builder
+	for _, s := range sets {
+		b.WriteString(s.Name + " ")
+	}
+	return b.String()
+}
+
+// TestPageSetSlotsMatchPointerModel applies seeded random Add, Remove,
+// SetTier and NewPageSet sequences over two regions, with sets that span
+// both and a few with a page twice, to the slot representation and to
+// the pointer model. After every step each touched page's EachSet order
+// matches the model's, and every set's tier counts match a recount of
+// its members.
+func TestPageSetSlotsMatchPointerModel(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := sim.NewRand(seed)
+		a := NewAddressSpace(2 * sim.MB)
+		regions := []*Region{a.Map("r0", 24*2*sim.MB), a.Map("r1", 24*2*sim.MB)}
+		var pages []*Page
+		for _, r := range regions {
+			pages = append(pages, r.AllPages()...)
+		}
+		model := make(map[*Page]*refPage, len(pages))
+		for _, p := range pages {
+			model[p] = &refPage{}
+		}
+		var sets []*PageSet
+		check := func(step int, what string) {
+			t.Helper()
+			for _, p := range pages {
+				want := model[p].sets()
+				var got []*PageSet
+				p.EachSet(func(s *PageSet) { got = append(got, s) })
+				if setNames(got) != setNames(want) {
+					t.Fatalf("seed %d step %d (%s): page %d EachSet %s, model %s", seed, step, what, p.ID, setNames(got), setNames(want))
+				}
+			}
+			for _, s := range sets {
+				var c tierCounts
+				for _, p := range s.Pages() {
+					c[p.Tier]++
+				}
+				if c != s.counts {
+					t.Fatalf("seed %d step %d (%s): set %s counts %v, recount %v", seed, step, what, s.Name, s.counts, c)
+				}
+			}
+			for _, r := range regions {
+				checkRegionTable(t, r)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			var what string
+			switch op := rng.Intn(10); {
+			case op == 0 || len(sets) == 0:
+				n := rng.Intn(6)
+				members := make([]*Page, n)
+				for i := range members {
+					members[i] = pages[rng.Intn(len(pages))]
+				}
+				s := NewPageSet(fmt.Sprint("s", len(sets)), members)
+				for _, p := range members {
+					model[p].add(s)
+				}
+				sets = append(sets, s)
+				what = "new " + s.Name
+			case op <= 4:
+				s := sets[rng.Intn(len(sets))]
+				p := pages[rng.Intn(len(pages))]
+				s.Add(p)
+				model[p].add(s)
+				what = "add to " + s.Name
+			case op <= 8:
+				s := sets[rng.Intn(len(sets))]
+				if s.Len() == 0 {
+					continue
+				}
+				p := s.Remove(rng.Intn(s.Len()))
+				model[p].remove(s)
+				what = "remove from " + s.Name
+			default:
+				p := pages[rng.Intn(len(pages))]
+				p.SetTier(Tier(1 + rng.Intn(3)))
+				what = "set tier"
+			}
+			check(step, what)
+		}
+		a.Unmap(regions[0])
+		for _, p := range regions[0].AllPages() {
+			model[p] = &refPage{}
+		}
+		for _, s := range sets {
+			for _, p := range s.Pages() {
+				if p.Region == regions[0] {
+					t.Fatalf("seed %d: set %s keeps unmapped page %d", seed, s.Name, p.ID)
+				}
+			}
+		}
+		check(-1, "unmap")
+		if regions[0].sets != nil || regions[0].spill != nil {
+			t.Fatalf("seed %d: unmapped region keeps %d rows, %d spill entries", seed, len(regions[0].sets), len(regions[0].spill))
+		}
+	}
+}
+
+// A set cut from two regions takes a row in each region's table, its
+// counts follow moves in both, and unmapping one region drops its row and
+// its members while the other region's stay.
+func TestPageSetSpansRegions(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	r0, r1 := a.Map("r0", 8*2*sim.MB), a.Map("r1", 8*2*sim.MB)
+	s := NewPageSet("both", append(r0.AllPages()[:4], r1.AllPages()[:4]...))
+	for _, r := range []*Region{r0, r1} {
+		if got, refs := r.SlotSet(1); got != s || refs != 4 || r.NumSlots() != 1 {
+			t.Fatalf("%s: row 1 = %v with %d refs, %d rows", r.Name, got, refs, r.NumSlots())
+		}
+		if k := r.PageAt(2).SetSlots(); k != 1 {
+			t.Fatalf("%s: page 2 slots %#04x, want slot 0 naming row 1", r.Name, k)
+		}
+	}
+	r0.PageAt(1).SetTier(TierDRAM)
+	r1.PageAt(3).SetTier(TierNVM)
+	if s.Count(TierDRAM) != 1 || s.Count(TierNVM) != 1 || s.Count(TierNone) != 6 {
+		t.Fatalf("counts after moves in both regions: %v", s.counts)
+	}
+	before := a.MetadataBytes()
+	a.Unmap(r0)
+	if s.Len() != 4 || s.Count(TierDRAM) != 0 || s.Count(TierNVM) != 1 {
+		t.Fatalf("after unmapping r0: len %d, counts %v", s.Len(), s.counts)
+	}
+	for _, p := range s.Pages() {
+		if p.Region != r1 {
+			t.Fatalf("set keeps page %d of %s", p.ID, p.Region.Name)
+		}
+	}
+	if r0.NumSlots() != 0 || r0.sets != nil || r0.spill != nil || r1.NumSlots() != 1 {
+		t.Fatalf("rows after unmap: r0 %d, r1 %d", r0.NumSlots(), r1.NumSlots())
+	}
+	if got, want := before-a.MetadataBytes(), int64(unsafe.Sizeof(setEntry{})); got != want {
+		t.Fatalf("unmap freed %d metadata bytes, want the %d of r0's table row", got, want)
+	}
+	s.Add(r0.PageAt(5)) // a stale page rejoining takes a fresh row
+	if r0.NumSlots() != 1 || s.Len() != 5 {
+		t.Fatalf("stale page rejoined: %d rows, len %d", r0.NumSlots(), s.Len())
 	}
 }
 
