@@ -67,6 +67,11 @@ type Arena struct {
 	allocated int64
 	managed   bool
 	chunks    int
+
+	// pages is the set Pages returns, covering the first covered
+	// chunks; nil until the first call.
+	pages   *vm.PageSet
+	covered int
 }
 
 // NewArena creates an empty growing arena.
@@ -105,16 +110,20 @@ func (a *Arena) Managed() bool { return a.managed }
 // Regions returns the arena's chunks.
 func (a *Arena) Regions() []*vm.Region { return a.regions }
 
-// Pages returns a PageSet over every arena page (for building workload
-// traffic over a grown arena).
+// Pages returns the arena's one PageSet, over every arena page (for
+// building workload traffic over a grown arena). Each call adds the
+// pages of the chunks grown since the last one to the same set.
 func (a *Arena) Pages() *vm.PageSet {
-	var pages []*vm.Page
-	for _, r := range a.regions {
+	if a.pages == nil {
+		a.pages = vm.NewPageSet(a.name, nil)
+	}
+	for _, r := range a.regions[a.covered:] {
 		for i, n := 0, r.NumPages(); i < n; i++ {
-			pages = append(pages, r.PageAt(i))
+			a.pages.Add(r.PageAt(i))
 		}
 	}
-	return vm.NewPageSet(a.name, pages)
+	a.covered = len(a.regions)
+	return a.pages
 }
 
 // Stats returns (total mmaps, small mmaps forwarded to the kernel, arenas

@@ -109,3 +109,26 @@ func TestAdoptedArenaPagesAreDemotable(t *testing.T) {
 	}
 	_ = g
 }
+
+// An arena has one page set: a later Pages call returns the same set,
+// grown by the chunks allocated since, instead of a second set over the
+// same pages.
+func TestArenaPagesIsOneGrowingSet(t *testing.T) {
+	_, _, i := setup()
+	a := i.NewArena("buffers")
+	a.Grow(64 * sim.MB)
+	a.Grow(64 * sim.MB)
+	s := a.Pages()
+	if s.Len() != 64 || a.Pages() != s || s.Len() != 64 {
+		t.Fatalf("two chunks: set of %d pages, want 64 and the same set twice", s.Len())
+	}
+	r := a.Grow(32 * sim.MB)
+	if a.Pages() != s || s.Len() != 80 {
+		t.Fatalf("after a third chunk: set of %d pages, want the same set with 80", s.Len())
+	}
+	for j := 0; j < r.NumPages(); j++ {
+		if r.PageAt(j).Set() != s {
+			t.Fatalf("page %d of the new chunk is not in the arena's set", j)
+		}
+	}
+}

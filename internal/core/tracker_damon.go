@@ -164,11 +164,10 @@ func (t *damonTracker) samplePass() {
 			continue // not faulted in yet: reads as untouched
 		}
 		var lr, lw float64
-		p.EachSet(func(s *vm.PageSet) {
+		if s := p.Set(); s != nil {
 			d := t.deltas[s]
-			lr += d[0]
-			lw += d[1]
-		})
+			lr, lw = d[0], d[1]
+		}
 		if t.rng.Bernoulli(1 - math.Exp(-(lr + lw))) {
 			r.accesses++
 		}

@@ -30,27 +30,26 @@ type idlePageTracker struct {
 	// expectation accumulated over the finished pass (reused).
 	lam map[*vm.PageSet][2]float64
 
-	// combos caches the first nCombos set combinations seen in the
-	// current pass, keyed by region and set slots; spill holds the result
-	// for pages that cannot be cached (spilled memberships, or a full
-	// table).
-	combos  [idleComboSlots]idleCombo
-	nCombos int
-	spill   idleCombo
+	// combos caches the first nCombos (region, set slot) combinations
+	// seen in the current pass; uncached holds the result for pages past
+	// a full table.
+	combos   [idleComboSlots]idleCombo
+	nCombos  int
+	uncached idleCombo
 }
 
-// idleComboSlots bounds the per-pass set-combination table. Workloads
+// idleComboSlots bounds the per-pass combination table. Workloads
 // partition their pages into a handful of traffic sets, so a few entries
 // cover nearly every page; the rest take the uncached path.
 const idleComboSlots = 8
 
-// idleCombo is one set combination's pass result: the accessed and dirty
-// expectations summed over its sets, and their bit probabilities. A
-// combination is a region and a pair of set slots, which name the same
-// sets for every page of that region.
+// idleCombo is one combination's pass result: the accessed and dirty
+// expectations of its set, and their bit probabilities. A combination is
+// a region and a set slot, which names the same set for every page of
+// that region.
 type idleCombo struct {
 	r      *vm.Region
-	slots  uint16
+	slot   uint8
 	la, lw float64
 	pa, pw float64 // 1-exp(-la), 1-exp(-lw)
 }
@@ -112,7 +111,7 @@ func (t *idlePageTracker) passTime(dt int64) int64 {
 // thousand times since the last pass read identically, which is exactly
 // the fidelity gap between bit scanning and sampling.
 //
-// Pages sharing a set combination share its expectations, so they are
+// Pages sharing a region and set share its expectations, so they are
 // computed once per combination per pass (combo); the per-page work is
 // the Bernoulli draws and the policy observation.
 func (t *idlePageTracker) completePass() {
@@ -152,33 +151,28 @@ func (t *idlePageTracker) completePass() {
 	}
 }
 
-// combo returns p's set-combination expectations for the finished pass:
-// a table hit when p's memberships fit its set slots and the combination
-// was seen earlier in this pass, otherwise freshly summed — into a new
-// table entry while there is room, into spill when not.
+// combo returns the expectations of p's set for the finished pass: a
+// table hit when p's (region, slot) combination was seen earlier in this
+// pass, otherwise freshly computed — into a new table entry while there
+// is room, into uncached when not.
 func (t *idlePageTracker) combo(p *vm.Page) *idleCombo {
-	r, slots := p.Region, p.SetSlots()
-	c := &t.spill
-	if slots&0xff != vm.SlotSpill {
-		for i := 0; i < t.nCombos; i++ {
-			if e := &t.combos[i]; e.r == r && e.slots == slots {
-				return e
-			}
-		}
-		if t.nCombos < idleComboSlots {
-			c = &t.combos[t.nCombos]
-			t.nCombos++
+	r, slot := p.Region, p.Slot()
+	for i := 0; i < t.nCombos; i++ {
+		if e := &t.combos[i]; e.r == r && e.slot == slot {
+			return e
 		}
 	}
-	c.r, c.slots = r, slots
-	// The sum runs in EachSet order, exactly as an uncached per-page pass
-	// would, so cached and fresh values are bit-identical.
+	c := &t.uncached
+	if t.nCombos < idleComboSlots {
+		c = &t.combos[t.nCombos]
+		t.nCombos++
+	}
+	c.r, c.slot = r, slot
 	var la, lw float64
-	p.EachSet(func(s *vm.PageSet) {
+	if s := p.Set(); s != nil {
 		d := t.lam[s]
-		la += d[0]
-		lw += d[1]
-	})
+		la, lw = d[0], d[1]
+	}
 	c.la, c.lw = la, lw
 	c.pa, c.pw = 1-math.Exp(-la), 1-math.Exp(-lw)
 	return c

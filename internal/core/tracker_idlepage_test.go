@@ -11,7 +11,7 @@ import (
 )
 
 // refIdlePageTracker is the idlepage tracker with its pass replaced by
-// the uncached reference loop: every page sums its sets' λ through the
+// the uncached reference loop: every page looks its set's λ up in the
 // map and draws on 1-exp(-λ) computed afresh.
 type refIdlePageTracker struct{ *idlePageTracker }
 
@@ -41,11 +41,9 @@ func (r refIdlePageTracker) referencePass() {
 				continue
 			}
 			var la, lw float64
-			pi.Page.EachSet(func(s *vm.PageSet) {
-				d := t.lam[s]
-				la += d[0]
-				lw += d[1]
-			})
+			if s := pi.Page.Set(); s != nil {
+				la, lw = t.lam[s][0], t.lam[s][1]
+			}
 			accessed := la > 0 && t.rng.Bernoulli(1-math.Exp(-la))
 			dirty := lw > 0 && t.rng.Bernoulli(1-math.Exp(-lw))
 			switch {
@@ -63,10 +61,9 @@ func (r refIdlePageTracker) referencePass() {
 	}
 }
 
-// setMixWorkload drives traffic over page sets whose memberships overlap:
-// page i belongs to i%5 distinct sets (0 to 4), so the run covers pages
-// in no set, one set, two inline sets, and overflow sets, and far more
-// distinct combinations than the pass's combination table holds.
+// setMixWorkload drives traffic over ten page sets cut at random from one
+// region, with some pages in no set: eleven (region, slot) combinations,
+// more than the pass's combination table holds.
 type setMixWorkload struct{ comps []machine.Component }
 
 func (w *setMixWorkload) Name() string                    { return "setmix" }
@@ -80,11 +77,10 @@ const setMixSets = 10
 func newSetMixWorkload(m *machine.Machine, seed uint64) *setMixWorkload {
 	r := m.AS.Map("setmix", 2*sim.GB)
 	rng := sim.NewRand(seed)
-	members := make([][]*vm.Page, setMixSets)
-	for i, p := range r.AllPages() {
-		for _, j := range rng.Perm(setMixSets)[:i%5] {
-			members[j] = append(members[j], p)
-		}
+	members := make([][]*vm.Page, setMixSets+1) // the last is in no set
+	for _, p := range r.AllPages() {
+		j := rng.Intn(setMixSets + 1)
+		members[j] = append(members[j], p)
 	}
 	w := &setMixWorkload{}
 	// Shares span seven decades so per-page λ ranges from saturated to

@@ -15,7 +15,9 @@
 package diurnal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -30,8 +32,22 @@ type Phase struct {
 	// step starts.
 	Duration int64
 	// WindowLo and WindowHi bound the page window touched by the phase,
-	// as fractions of the region [0, 1). Lo == Hi means idle.
+	// as fractions of the region [0, 1). Lo == Hi means idle. Phases
+	// whose windows cover the same pages share one traffic set; windows
+	// that overlap otherwise are invalid, since a page is in at most one
+	// set.
 	WindowLo, WindowHi float64
+}
+
+// pageWindow returns the burst's page window [lo, hi) in a region of n
+// pages: the fractions scaled down to whole pages, at least one page.
+func (ph Phase) pageWindow(n int) (lo, hi int) {
+	lo = int(ph.WindowLo * float64(n))
+	hi = int(ph.WindowHi * float64(n))
+	if hi <= lo {
+		hi = lo + 1
+	}
+	return lo, hi
 }
 
 // Config describes the workload.
@@ -60,9 +76,10 @@ type Workload struct {
 	phaseEnd int64
 	comps    []machine.Component
 
-	// sets caches each phase's window set: a window is faulted in and
-	// its PageSet built once, on first entry; later days reuse it.
-	sets []*vm.PageSet
+	// windows caches each burst window's set: a window is faulted in
+	// and its PageSet built once, on the first entry to a phase over it;
+	// later phases over the same window and later days reuse it.
+	windows []window
 
 	// activeOps counts ops completed during burst phases only (idle
 	// "ops" are compute spins, not memory work); obsStart/obsTime give
@@ -74,11 +91,21 @@ type Workload struct {
 	faulted   int
 }
 
+// window is one burst window's pages and the set over them.
+type window struct {
+	lo, hi int
+	set    *vm.PageSet
+}
+
 // Validate reports the first invalid field of c. Zero Threads and
 // ReadBytes mean their defaults, so only negative values fail, plus an
-// empty working set or schedule, a phase of no duration, and a window
-// that is not a sub-range of [0, 1] (NaN bounds included).
-func (c Config) Validate() error {
+// empty working set or schedule, a phase of no duration, a window that
+// is not a sub-range of [0, 1] (NaN bounds included), a working set of
+// more than math.MaxInt32 pages of pageSize bytes (the machine's page
+// size; PageIDs are int32), two burst windows whose pages overlap
+// without being the same, and more distinct burst windows than a region
+// has page sets (vm.MaxRegionSets).
+func (c Config) Validate(pageSize int64) error {
 	switch {
 	case c.WorkingSet <= 0:
 		return fmt.Errorf("diurnal: WorkingSet %d must be positive", c.WorkingSet)
@@ -99,6 +126,42 @@ func (c Config) Validate() error {
 			return fmt.Errorf("diurnal: phase %d window [%v, %v) is not inside [0, 1]", i, ph.WindowLo, ph.WindowHi)
 		}
 	}
+	if err := vm.CheckMapping(pageSize, c.WorkingSet); err != nil {
+		return fmt.Errorf("diurnal: %w", err)
+	}
+	return c.checkWindows(int(vm.PagesFor(c.WorkingSet, pageSize)))
+}
+
+// checkWindows reports two burst windows of a region of n pages that
+// overlap without being the same, or more distinct windows than the
+// region has page sets.
+func (c Config) checkWindows(n int) error {
+	type burst struct{ lo, hi, phase int }
+	var bursts []burst
+	for i, ph := range c.Phases {
+		if ph.WindowHi > ph.WindowLo {
+			lo, hi := ph.pageWindow(n)
+			bursts = append(bursts, burst{lo, hi, i})
+		}
+	}
+	slices.SortFunc(bursts, func(a, b burst) int {
+		return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi), cmp.Compare(a.phase, b.phase))
+	})
+	distinct := 0
+	for i, b := range bursts {
+		if i > 0 {
+			if p := bursts[i-1]; p.lo == b.lo && p.hi == b.hi {
+				continue
+			} else if p.hi > b.lo {
+				return fmt.Errorf("diurnal: phases %d and %d have burst windows over pages [%d, %d) and [%d, %d), which overlap without being the same",
+					p.phase, b.phase, p.lo, p.hi, b.lo, b.hi)
+			}
+		}
+		distinct++
+	}
+	if distinct > vm.MaxRegionSets {
+		return fmt.Errorf("diurnal: %d distinct burst windows, more than the %d page sets a region holds", distinct, vm.MaxRegionSets)
+	}
 	return nil
 }
 
@@ -106,7 +169,7 @@ func (c Config) Validate() error {
 // touched until the first burst phase begins. It panics with Validate's
 // message, before mapping anything, on an invalid cfg.
 func New(m *machine.Machine, cfg Config) *Workload {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
 		panic(err.Error())
 	}
 	if cfg.Name == "" {
@@ -120,7 +183,6 @@ func New(m *machine.Machine, cfg Config) *Workload {
 	}
 	d := &Workload{cfg: cfg, m: m}
 	d.region = m.AS.Map(cfg.Name, cfg.WorkingSet)
-	d.sets = make([]*vm.PageSet, len(cfg.Phases))
 	d.phaseIdx = 0
 	d.phaseEnd = m.Clock.Now() + cfg.Phases[0].Duration
 	d.lastNow = m.Clock.Now()
@@ -150,29 +212,32 @@ func (d *Workload) enterPhase(i int) {
 		d.comps = d.comps[:0]
 		return
 	}
-	set := d.sets[i]
-	if set == nil {
-		n := d.region.NumPages()
-		lo := int(ph.WindowLo * float64(n))
-		hi := int(ph.WindowHi * float64(n))
-		if hi <= lo {
-			hi = lo + 1
-		}
-		d.faulted += d.m.TouchRange(d.region, lo, hi)
-		pages := make([]*vm.Page, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			pages = append(pages, d.region.PageAt(j))
-		}
-		set = vm.NewPageSet(fmt.Sprintf("%s-w%d", d.cfg.Name, i), pages)
-		d.sets[i] = set
-	}
 	d.comps = append(d.comps[:0], machine.Component{
-		Set:        set,
+		Set:        d.windowSet(i),
 		Share:      1,
 		ReadBytes:  d.cfg.ReadBytes,
 		WriteBytes: d.cfg.WriteBytes,
 		Pattern:    mem.Random,
 	})
+}
+
+// windowSet returns the set over phase i's burst window, faulting the
+// window in and building the set, named after phase i, on first use.
+func (d *Workload) windowSet(i int) *vm.PageSet {
+	lo, hi := d.cfg.Phases[i].pageWindow(d.region.NumPages())
+	for _, w := range d.windows {
+		if w.lo == lo && w.hi == hi {
+			return w.set
+		}
+	}
+	d.faulted += d.m.TouchRange(d.region, lo, hi)
+	pages := make([]*vm.Page, 0, hi-lo)
+	for j := lo; j < hi; j++ {
+		pages = append(pages, d.region.PageAt(j))
+	}
+	set := vm.NewPageSet(fmt.Sprintf("%s-w%d", d.cfg.Name, i), pages)
+	d.windows = append(d.windows, window{lo, hi, set})
+	return set
 }
 
 // Name implements machine.Workload.

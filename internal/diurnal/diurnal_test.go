@@ -153,7 +153,7 @@ func TestAdaptiveAudited(t *testing.T) {
 func rejects(t *testing.T, cfg diurnal.Config, want string) {
 	t.Helper()
 	m := machine.New(machine.DefaultConfig(), core.New(core.DefaultConfig()))
-	err := cfg.Validate()
+	err := cfg.Validate(m.Cfg.PageSize)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
 	}
@@ -198,14 +198,67 @@ func TestValidateRejectsNegativeFields(t *testing.T) {
 	rejects(t, testSchedule(0), "WorkingSet")
 }
 
-// Zero Threads and ReadBytes mean defaults; an idle-only schedule and a
-// window spanning the whole region are valid.
+func TestValidateRejectsPageIDOverflow(t *testing.T) {
+	rejects(t, testSchedule((math.MaxInt32+1)*2*sim.MB), "PageID")
+}
+
+// Two burst windows may cover the same pages or disjoint ones, but not
+// overlap otherwise: a page is in at most one set. Windows disjoint as
+// fractions still overlap when both round to a shared page.
+func TestValidateRejectsOverlappingWindows(t *testing.T) {
+	cfg := testSchedule(16 * sim.GB)
+	cfg.Phases[3].WindowLo = 0.2
+	rejects(t, cfg, "overlap")
+	cfg = testSchedule(16 * sim.GB) // 8,192 pages
+	cfg.Phases[1].WindowLo, cfg.Phases[1].WindowHi = 0.5, 0.5+1e-9
+	cfg.Phases[3].WindowLo = 0.5 + 2e-9
+	rejects(t, cfg, "overlap")
+}
+
+// A region holds at most vm.MaxRegionSets sets, so a schedule has at
+// most that many distinct burst windows.
+func TestValidateRejectsTooManyWindows(t *testing.T) {
+	cfg := diurnal.Config{WorkingSet: 16 * sim.GB}
+	for i := 0; i <= vm.MaxRegionSets; i++ {
+		lo := float64(i) / (vm.MaxRegionSets + 1)
+		cfg.Phases = append(cfg.Phases, diurnal.Phase{Duration: sim.Millisecond, WindowLo: lo, WindowHi: lo + 0.5/(vm.MaxRegionSets+1)})
+	}
+	rejects(t, cfg, "distinct burst windows")
+	cfg.Phases = cfg.Phases[:vm.MaxRegionSets]
+	if err := cfg.Validate(2 * sim.MB); err != nil {
+		t.Fatalf("%d distinct windows rejected: %v", vm.MaxRegionSets, err)
+	}
+}
+
+// Phases over the same window share one set, faulted in once and named
+// after the first of them.
+func TestRepeatedWindowSharesOneSet(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(), core.New(core.DefaultConfig()))
+	cfg := testSchedule(16 * sim.GB)
+	cfg.Phases[3].WindowLo, cfg.Phases[3].WindowHi = cfg.Phases[1].WindowLo, cfg.Phases[1].WindowHi
+	d := diurnal.New(m, cfg)
+	m.Run(2*sim.Second + sim.Millisecond) // into phase 1
+	first := d.Components()[0].Set
+	m.Run(4 * sim.Second) // into phase 3
+	again := d.Components()[0].Set
+	if again != first || first.Name != "diurnal-w1" {
+		t.Fatalf("phase 3 runs over set %q, phase 1 over %q, want one set named diurnal-w1", again.Name, first.Name)
+	}
+	if quarter := d.Region().NumPages() / 4; d.FaultedPages() != quarter || first.Len() != quarter {
+		t.Fatalf("faulted %d pages into a set of %d, want one window of %d", d.FaultedPages(), first.Len(), quarter)
+	}
+}
+
+// Zero Threads and ReadBytes mean defaults; an idle-only schedule, a
+// window repeated by a later phase and a window spanning the whole
+// region are valid.
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 	cfg := testSchedule(16 * sim.GB)
 	cfg.Threads = 0
-	cfg.Phases = append(cfg.Phases, diurnal.Phase{Duration: sim.Second, WindowLo: 0, WindowHi: 1})
-	for _, c := range []diurnal.Config{cfg, {WorkingSet: 1, Phases: []diurnal.Phase{{Duration: 1}}}} {
-		if err := c.Validate(); err != nil {
+	cfg.Phases = append(cfg.Phases, cfg.Phases[1])
+	whole := diurnal.Config{WorkingSet: 16 * sim.GB, Phases: []diurnal.Phase{{Duration: sim.Second}, {Duration: sim.Second, WindowLo: 0, WindowHi: 1}}}
+	for _, c := range []diurnal.Config{cfg, whole, {WorkingSet: 1, Phases: []diurnal.Phase{{Duration: 1}}}} {
+		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v", c, err)
 		}
 	}

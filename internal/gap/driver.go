@@ -71,10 +71,11 @@ type Driver struct {
 // Validate reports the first invalid field of c. Zero fields mean their
 // defaults (16 edges per vertex, 16 threads, 15 iterations, full edge
 // visits, calibration at scale 18), so only negative values fail, plus
-// a Scale past MaxScale, an EdgeVisitScale outside [0, 1] or NaN, and an
+// a Scale past MaxScale, an EdgeVisitScale outside [0, 1] or NaN, an
 // EdgeFactor whose neighbour arrays leave no room for the vertex data in
-// BytesPerVertex.
-func (c DriverConfig) Validate() error {
+// BytesPerVertex, and a graph of more than math.MaxInt32 pages of
+// pageSize bytes (the machine's page size; PageIDs are int32).
+func (c DriverConfig) Validate(pageSize int64) error {
 	switch {
 	case c.Scale < 0 || c.Scale > MaxScale:
 		return fmt.Errorf("gap: Scale %d outside [0, %d]", c.Scale, MaxScale)
@@ -91,7 +92,23 @@ func (c DriverConfig) Validate() error {
 	case c.CalibrationScale < 0:
 		return fmt.Errorf("gap: negative CalibrationScale %d", c.CalibrationScale)
 	}
+	ef := c.EdgeFactor
+	if ef == 0 {
+		ef = 16
+	}
+	if err := vm.CheckMapping(pageSize, graphBytes(c.Scale, ef)...); err != nil {
+		return fmt.Errorf("gap: %w", err)
+	}
 	return nil
+}
+
+// graphBytes returns the sizes of the neighbour and vertex arrays of a
+// graph of 2^scale vertices with ef edges each.
+func graphBytes(scale, ef int) []int64 {
+	v := int64(1) << scale
+	// Neighbor arrays: 2 directions × ef entries × 8 B.
+	neighbors := 2 * int64(ef) * v * 8
+	return []int64{neighbors, v*BytesPerVertex - neighbors}
 }
 
 // NewDriver maps the graph's memory on m and registers the workload. A
@@ -99,7 +116,7 @@ func (c DriverConfig) Validate() error {
 // to split the vertex arrays into hot/warm/cold zones. It panics with
 // Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
 		panic(err.Error())
 	}
 	if cfg.EdgeFactor == 0 {
@@ -119,12 +136,9 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	}
 	d := &Driver{cfg: cfg, m: m}
 
-	v := int64(1) << cfg.Scale
-	// Neighbor arrays: 2 directions × EdgeFactor entries × 8 B.
-	neighborBytes := 2 * int64(cfg.EdgeFactor) * v * 8
-	vertexBytes := v*BytesPerVertex - neighborBytes
-	d.neighborsRegion = m.AS.Map("gap-neighbors", neighborBytes)
-	d.vertexRegion = m.AS.Map("gap-vertex", vertexBytes)
+	sizes := graphBytes(cfg.Scale, cfg.EdgeFactor)
+	d.neighborsRegion = m.AS.Map("gap-neighbors", sizes[0])
+	d.vertexRegion = m.AS.Map("gap-vertex", sizes[1])
 
 	// Measure page-level degree concentration on a real (small) graph:
 	// chunk the vertex range as the full-scale pages chunk it. The graph
@@ -172,7 +186,7 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 		)
 	}
 
-	d.opsPerIt = 2 * float64(cfg.EdgeFactor) * float64(v) * cfg.EdgeVisitScale
+	d.opsPerIt = 2 * float64(cfg.EdgeFactor) * float64(int64(1)<<cfg.Scale) * cfg.EdgeVisitScale
 	m.AddWorkload(d)
 	d.startWear = m.NVM.Wear().WriteBytes
 	return d

@@ -140,11 +140,20 @@ func TestNVMOnlyFarWorse(t *testing.T) {
 }
 
 // rejects fails unless cfg fails Validate with a message containing
-// want, and NewDriver panics with that message without mapping anything.
+// want, and NewDriver panics with that message without mapping anything,
+// on a machine of the default page size.
 func rejects(t *testing.T, cfg gap.DriverConfig, want string) {
 	t.Helper()
-	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
-	err := cfg.Validate()
+	rejectsAt(t, machine.DefaultConfig().PageSize, cfg, want)
+}
+
+// rejectsAt is rejects on a machine of pageSize-byte pages.
+func rejectsAt(t *testing.T, pageSize int64, cfg gap.DriverConfig, want string) {
+	t.Helper()
+	mc := machine.DefaultConfig()
+	mc.PageSize = pageSize
+	m := machine.New(mc, xmem.DRAMFirst())
+	err := cfg.Validate(pageSize)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
 	}
@@ -181,6 +190,15 @@ func TestValidateRejectsBadShape(t *testing.T) {
 	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: -18}, "CalibrationScale")
 }
 
+// A graph of more pages than PageIDs can number is refused: 2^36
+// vertices fit 2 MB pages but not 4 KB ones.
+func TestValidateRejectsPageIDOverflow(t *testing.T) {
+	if err := (gap.DriverConfig{Scale: 36}).Validate(2 * sim.MB); err != nil {
+		t.Fatalf("2^36 vertices in 2 MB pages rejected: %v", err)
+	}
+	rejectsAt(t, 4*sim.KB, gap.DriverConfig{Scale: 36}, "PageID")
+}
+
 // Zero fields mean defaults, and every boundary value is valid.
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 	for _, c := range []gap.DriverConfig{
@@ -188,7 +206,7 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 		{Scale: gap.MaxScale, EdgeFactor: 24, EdgeVisitScale: 1},
 		{Scale: 28, Iterations: 15, EdgeVisitScale: 0.05, Seed: 2},
 	} {
-		if err := c.Validate(); err != nil {
+		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v", c, err)
 		}
 	}

@@ -8,7 +8,6 @@ package gups
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -63,16 +62,9 @@ func (c Config) Validate(pageSize int64) error {
 		return fmt.Errorf("gups: TotalUpdates %v not a non-negative number", c.TotalUpdates)
 	case c.WriteOnlyHot < 0:
 		return fmt.Errorf("gups: negative WriteOnlyHot %d", c.WriteOnlyHot)
-	case pageSize <= 0:
-		return fmt.Errorf("gups: page size %d must be positive", pageSize)
 	}
-	pages := c.WorkingSet / pageSize
-	if c.WorkingSet%pageSize != 0 {
-		pages++
-	}
-	if pages > math.MaxInt32 {
-		return fmt.Errorf("gups: WorkingSet %d is %d pages of %d bytes, past the %d-page limit",
-			c.WorkingSet, pages, pageSize, math.MaxInt32)
+	if err := vm.CheckMapping(pageSize, c.WorkingSet); err != nil {
+		return fmt.Errorf("gups: %w", err)
 	}
 	return nil
 }

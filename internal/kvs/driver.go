@@ -42,8 +42,10 @@ type DriverConfig struct {
 // Validate reports the first invalid field of c. Zero fields mean their
 // defaults (8 server threads, 4 KB values, 90% GETs, the TAS service
 // floor, closed-loop load, uniform access), so only negative, NaN and
-// out-of-range values fail, plus an empty working set.
-func (c DriverConfig) Validate() error {
+// out-of-range values fail, plus an empty working set and a log and hash
+// table of more than math.MaxInt32 pages of pageSize bytes (the
+// machine's page size; PageIDs are int32).
+func (c DriverConfig) Validate(pageSize int64) error {
 	switch {
 	case c.ServerThreads < 0:
 		return fmt.Errorf("kvs: negative ServerThreads %d", c.ServerThreads)
@@ -62,8 +64,16 @@ func (c DriverConfig) Validate() error {
 	case !(c.TargetRate >= 0):
 		return fmt.Errorf("kvs: TargetRate %v not a non-negative number", c.TargetRate)
 	}
+	if err := vm.CheckMapping(pageSize, tableBytes(c.WorkingSet), c.WorkingSet); err != nil {
+		return fmt.Errorf("kvs: %w", err)
+	}
 	return nil
 }
+
+// tableBytes sizes the hash table for a log of ws item bytes.
+// Block-chain table sizing: ~4 buckets per item at 64 B blocks comes to
+// roughly 1/128 of the item bytes for 4 KB values.
+func tableBytes(ws int64) int64 { return max(ws/128, 2*sim.MB) }
 
 // NetBaseTAS and NetBaseLinux are calibrated service-time floors.
 const (
@@ -98,7 +108,7 @@ type Driver struct {
 // sized at ~2% of the log and lives alongside it. NewDriver panics with
 // Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
 		panic(err.Error())
 	}
 	if cfg.Name == "" {
@@ -119,13 +129,7 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	d := &Driver{cfg: cfg, m: m, latency: sim.NewHistogram()}
 	// The hash table is allocated at server startup, before items stream
 	// in, so first-touch placement puts it in DRAM.
-	// Block-chain table sizing: ~4 buckets per item at 64 B blocks comes
-	// to roughly 1/128 of the item bytes for 4 KB values.
-	tableBytes := cfg.WorkingSet / 128
-	if tableBytes < 2*sim.MB {
-		tableBytes = 2 * sim.MB
-	}
-	d.tableRegion = m.AS.Map(cfg.Name+"-table", tableBytes)
+	d.tableRegion = m.AS.Map(cfg.Name+"-table", tableBytes(cfg.WorkingSet))
 	d.tableSet = d.tableRegion.AsSet()
 	d.logRegion = m.AS.Map(cfg.Name+"-log", cfg.WorkingSet)
 

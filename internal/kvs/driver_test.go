@@ -164,7 +164,7 @@ func TestPinRegionKeepsDRAM(t *testing.T) {
 func rejects(t *testing.T, cfg kvs.DriverConfig, want string) {
 	t.Helper()
 	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
-	err := cfg.Validate()
+	err := cfg.Validate(m.Cfg.PageSize)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
 	}
@@ -220,6 +220,12 @@ func TestValidateRejectsBadTargetRate(t *testing.T) {
 	}
 }
 
+// The log and the hash table count together against the PageID limit: a
+// log of exactly math.MaxInt32 pages leaves no room for the table.
+func TestValidateRejectsPageIDOverflow(t *testing.T) {
+	rejects(t, kvs.DriverConfig{WorkingSet: math.MaxInt32 * 2 * sim.MB}, "PageID")
+}
+
 // Zero fields mean defaults, so a config naming only its working set,
 // and every boundary value, is valid.
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
@@ -228,7 +234,7 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 		{WorkingSet: 8 * sim.GB, GetFrac: 1, HotKeyFrac: 1, HotTrafficFrac: 1},
 		{WorkingSet: 8 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9, TargetRate: 1e-3, NetBase: kvs.NetBaseLinux},
 	} {
-		if err := c.Validate(); err != nil {
+		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", c, err)
 		}
 	}

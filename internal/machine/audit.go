@@ -36,7 +36,7 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //     recount of its pages' Tier fields (no page resident in two tiers,
 //     no lost pages).
 //   - set-counts: each rate-tracked page set's per-tier counters equal a
-//     recount of the pages whose set slots name it, and so does its
+//     recount of the pages whose set slot names it, and so does its
 //     member count; each region's set table counts, per row, the page
 //     slots that name it, and no slot names a row past the table.
 //   - migrating-queue: the Migrating flag and the migration queue are a
@@ -295,19 +295,18 @@ func (m *Machine) auditTenantTable(nt int) [][vm.MaxTiers]int {
 }
 
 // comboSlots bounds the slot values the region pass's fast path
-// indexes: a region with comboSlots or more set-table rows, or with
-// spilled pages, takes the page-by-page path. Workloads put each region's
-// pages in at most three sets.
+// indexes: a region with comboSlots or more set-table rows takes the
+// page-by-page path. Workloads split each region's pages into at most
+// three sets.
 const comboSlots = 4
 
-// comboTally counts a region's pages per (slot 0, slot 1, tier)
-// combination, row k0+k1*comboSlots. Its two halves take alternate
-// pages (a chunk is 64 pages, so they pair up exactly), so a run of pages
-// in one combination does not serialize on a single counter: with a
-// combination's two counters adjacent in one word instead, a load waited
-// on the neighbouring store and the walk ran about 1.3× slower on such
-// runs.
-type comboTally [2][comboSlots * comboSlots][vm.MaxTiers]int32
+// comboTally counts a region's pages per (slot, tier) combination. Its
+// two halves take alternate pages (a chunk is 64 pages, so they pair up
+// exactly), so a run of pages in one combination does not serialize on a
+// single counter: with a combination's two counters adjacent in one word
+// instead, a load waited on the neighbouring store and the walk ran about
+// 1.3× slower on such runs.
+type comboTally [2][comboSlots][vm.MaxTiers]int32
 
 // slotRow is one set-table row's page-by-page recount: the page slots
 // naming the row, and their pages' tiers.
@@ -347,18 +346,18 @@ func (m *Machine) auditSetTables() []auditSet {
 // count (checked against the table's), and each rate-tracked set's tier
 // recount — no per-page branch on which set a page is in. It returns
 // false, having changed nothing but the tally (zeroed again), when the
-// region has spilled pages or more rows than the tally indexes, or some
-// page needs a report (an out-of-range tier, a Migrating flag with no
-// queue mark, a slot naming a row past the table): recountRegion then
-// walks the region page by page.
+// region has more rows than the tally indexes, or some page needs a
+// report (an out-of-range tier, a Migrating flag with no queue mark, a
+// slot naming a row past the table): recountRegion then walks the region
+// page by page.
 func (m *Machine) tallyRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTiers]int, sets []auditSet) ([]AuditViolation, bool) {
 	n := r.NumSlots()
-	if n >= comboSlots || r.NumSpilled() > 0 {
+	if n >= comboSlots {
 		return vs, false
 	}
 	ct := &m.auditCombos
 	ok := true
-	var slotOr uint16
+	var slotOr uint8
 	var tierOr vm.Tier
 	for ci, nc := 0, r.NumChunks(); ci < nc && ok; ci++ {
 		chunkOk, so, to := tallyChunk(r.Chunk(ci), ct)
@@ -366,11 +365,11 @@ func (m *Machine) tallyRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTier
 	}
 	// A slot value past the tally's range was folded into range by the
 	// mask, into any row; the OR shows it.
-	if slotOr&^(comboSlots-1|(comboSlots-1)<<8) != 0 {
+	if slotOr&^(comboSlots-1) != 0 {
 		*ct = comboTally{}
 		return vs, false
 	}
-	// Every page's slots and tier are submasks of the ORs, so the rows
+	// Every page's slot and tier are submasks of the ORs, so the rows
 	// and tiers up to them hold every count the walk made.
 	tierHi := vm.MaxTiers - 1
 	if uint8(tierOr) < vm.MaxTiers {
@@ -381,19 +380,15 @@ func (m *Machine) tallyRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTier
 	var recount [vm.MaxTiers]int
 	var named [comboSlots]int
 	var tiers [comboSlots][vm.MaxTiers]int
-	for k1 := range int(slotOr>>8) + 1 {
-		for k0 := range int(slotOr)&(comboSlots-1) + 1 {
-			a, b := &ct[0][k0+k1*comboSlots], &ct[1][k0+k1*comboSlots]
-			for t := range tierHi + 1 {
-				c := int(a[t] + b[t])
-				recount[t] += c
-				named[k0] += c
-				named[k1] += c
-				tiers[k0][t] += c
-				tiers[k1][t] += c
-			}
-			*a, *b = [vm.MaxTiers]int32{}, [vm.MaxTiers]int32{}
+	for k := range int(slotOr) + 1 {
+		a, b := &ct[0][k], &ct[1][k]
+		for t := range tierHi + 1 {
+			c := int(a[t] + b[t])
+			recount[t] += c
+			named[k] += c
+			tiers[k][t] += c
 		}
+		*a, *b = [vm.MaxTiers]int32{}, [vm.MaxTiers]int32{}
 	}
 	if !ok {
 		return vs, false
@@ -415,11 +410,10 @@ func (m *Machine) tallyRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTier
 
 // recountRegion is the region pass's page-by-page path, taken when
 // tallyRegion declines: it adds each materialized page's tier to rc and
-// its slots to a per-row recount, reports every page that breaks a rule,
-// folds the rows into the set recount as tallyRegion does, and adds the
-// spilled pages' memberships through their spill lists.
+// its slot to a per-row recount, reports every page that breaks a rule,
+// and folds the rows into the set recount as tallyRegion does.
 func (m *Machine) recountRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTiers]int, sets []auditSet) []AuditViolation {
-	var rows [vm.SlotSpill + 1]slotRow
+	var rows [vm.MaxRegionSets + 1]slotRow
 	for ci, nc := 0, r.NumChunks(); ci < nc; ci++ {
 		c := r.Chunk(ci)
 		for j := range c {
@@ -438,20 +432,17 @@ func (m *Machine) recountRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTi
 				vs = append(vs, AuditViolation{"migrating-queue",
 					fmt.Sprintf("page %d has Migrating flag but no queue entry", p.ID)})
 			}
-			if k := p.SetSlots(); k&0xff != vm.SlotSpill {
-				for _, k := range [2]uint16{k & 0xff, k >> 8} {
-					if row := &rows[k]; k != 0 && k != vm.SlotSpill {
-						row.named++
-						if t < vm.MaxTiers {
-							row.tiers[t]++
-						}
-					}
+			if k := p.Slot(); k != 0 {
+				row := &rows[k]
+				row.named++
+				if t < vm.MaxTiers {
+					row.tiers[t]++
 				}
 			}
 		}
 	}
 	n := r.NumSlots()
-	for k := 1; k < vm.SlotSpill; k++ {
+	for k := 1; k < len(rows); k++ {
 		row := &rows[k]
 		switch {
 		case k <= n:
@@ -461,17 +452,6 @@ func (m *Machine) recountRegion(vs []AuditViolation, r *vm.Region, rc *[vm.MaxTi
 				fmt.Sprintf("%s: %d page slots name row %d of a %d-row set table", r.Name, row.named, k, n)})
 		}
 	}
-	r.EachSpilled(func(p *vm.Page) {
-		p.EachSet(func(s *vm.PageSet) {
-			if s.AuditMark > 0 {
-				a := &sets[s.AuditMark-1]
-				if t := uint8(p.Tier); t < vm.MaxTiers {
-					a.tiers[t]++
-				}
-				a.pages++
-			}
-		})
-	})
 	return vs
 }
 
@@ -495,33 +475,31 @@ func (m *Machine) foldRow(vs []AuditViolation, r *vm.Region, k, named int, tiers
 }
 
 // tallyChunk adds each materialized page of chunk c to the combination
-// tally and returns the OR of every page's packed slots and of every
-// tier, with ok false if some page has a Migrating flag with no queue
-// mark. Slot values and tiers are masked into the tally's range; one
-// past it shows in an OR instead of a branch per page. (A running
-// maximum of the slots compiled to a compare-and-branch per slot, which
-// depends on which set each page is in.) The tier histograms this
-// replaced made -exp chaos 1.18× faster than a page-by-page loop
-// (EXPERIMENTS.md, "The invariant auditor's cost").
-func tallyChunk(c []vm.Page, ct *comboTally) (ok bool, slotOr uint16, tierOr vm.Tier) {
+// tally and returns the OR of every page's slot and of every tier, with
+// ok false if some page has a Migrating flag with no queue mark. Slot
+// values and tiers are masked into the tally's range; one past it shows
+// in an OR instead of a branch per page. (A running maximum of the slots
+// compiled to a compare-and-branch per page, which depends on which set
+// each page is in.) The tier histograms this replaced made -exp chaos
+// 1.18× faster than a page-by-page loop (EXPERIMENTS.md, "The invariant
+// auditor's cost").
+func tallyChunk(c []vm.Page, ct *comboTally) (ok bool, slotOr uint8, tierOr vm.Tier) {
 	ok = true
-	// Slot 1's low bits land next to slot 0's: row k0 + k1*comboSlots.
-	row := func(k uint16) uint16 { return (k | k>>6) & (comboSlots*comboSlots - 1) }
 	for j := 0; j+1 < len(c); j += 2 {
 		if p := &c[j]; p.Region != nil {
-			k := p.SetSlots()
+			k := p.Slot()
 			tierOr |= p.Tier
 			slotOr |= k
-			ct[0][row(k)][p.Tier&(vm.MaxTiers-1)]++
+			ct[0][k&(comboSlots-1)][p.Tier&(vm.MaxTiers-1)]++
 			if p.Migrating && p.AuditMark == 0 {
 				ok = false
 			}
 		}
 		if p := &c[j+1]; p.Region != nil {
-			k := p.SetSlots()
+			k := p.Slot()
 			tierOr |= p.Tier
 			slotOr |= k
-			ct[1][row(k)][p.Tier&(vm.MaxTiers-1)]++
+			ct[1][k&(comboSlots-1)][p.Tier&(vm.MaxTiers-1)]++
 			if p.Migrating && p.AuditMark == 0 {
 				ok = false
 			}
@@ -545,9 +523,9 @@ func (m *Machine) auditUnmap(r *vm.Region) []AuditViolation {
 			vs = append(vs, AuditViolation{"unmap-residue",
 				fmt.Sprintf("%s: page %d still resident in %v after unmap", r.Name, p.ID, p.Tier)})
 		}
-		if p.SetSlots() != 0 {
+		if k := p.Slot(); k != 0 {
 			vs = append(vs, AuditViolation{"unmap-residue",
-				fmt.Sprintf("%s: page %d still in %d sets after unmap", r.Name, p.ID, len(p.InSets()))})
+				fmt.Sprintf("%s: page %d still names set-table row %d after unmap", r.Name, p.ID, k)})
 		}
 		if p.Migrating {
 			vs = append(vs, AuditViolation{"unmap-residue",

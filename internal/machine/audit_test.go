@@ -15,7 +15,8 @@ import (
 // table: two admitted tenants owning fully faulted 32-page regions
 // (tt1, tt2), an untenanted 128-page region with only its first 8 pages
 // materialized (plain, so one chunk is nil), a rate-tracked set over
-// tt1's first 16 pages (hot), a mix of DRAM and NVM residency, and two
+// tt1's first 16 pages (hot), which leave the tenant's own set for it, a
+// mix of DRAM and NVM residency, and two
 // in-flight migrations: tt1 page 30 promoting and tt2 page 20 demoting.
 type auditFixture struct {
 	m          *Machine
@@ -35,26 +36,29 @@ func newAuditFixture(t *testing.T) *auditFixture {
 	f := &auditFixture{}
 	f.m = New(cfg, nopManager{})
 	tr := f.m.EnableTenants()
-	var regions []*vm.Region
+	var apps []*testTenantApp
 	for i := 1; i <= 2; i++ {
 		var spec TenantSpec
 		spec.Name, spec.Class = fmt.Sprintf("tt%d", i), Gold
 		_, res := tr.Admit(spec, func(id vm.TenantID) TenantApp {
-			a := startTestTenant(f.m, id, 64*sim.MB)
-			regions = append(regions, a.Regions()[0])
+			a := startTestTenant(f.m, id, 64*sim.MB).(*testTenantApp)
+			apps = append(apps, a)
 			return a
 		})
 		if res != Admitted {
 			t.Fatalf("admit tt%d = %v", i, res)
 		}
 	}
-	f.t1, f.t2 = regions[0], regions[1]
+	f.t1, f.t2 = apps[0].region, apps[1].region
 	f.plain = f.m.AS.Map("plain", 256*sim.MB)
 	f.m.TouchRange(f.plain, 0, 8)
 
-	hot := make([]*vm.Page, 16)
-	for i := range hot {
-		hot[i] = f.t1.Peek(i)
+	var hot []*vm.Page
+	all := apps[0].comps[0].Set
+	for i := all.Len() - 1; i >= 0; i-- {
+		if all.Page(i).Index < 16 {
+			hot = append(hot, all.Remove(i))
+		}
 	}
 	f.hot = vm.NewPageSet("hot", hot)
 	f.m.Rates(f.hot)
@@ -166,29 +170,6 @@ func TestAuditCatalogue(t *testing.T) {
 			// balances, but the set holds only one of them.
 			name: "set-counts",
 			corrupt: func(f *auditFixture) {
-				f.t1.Peek(2).Tier = vm.TierNVM
-				f.t1.Peek(25).Tier = vm.TierDRAM
-			},
-			rules: []string{"set-counts"},
-			want: []string{
-				"set-counts: set hot: counter says 16 pages in DRAM, recount says 15",
-				"set-counts: set hot: counter says 0 pages in NVM, recount says 1",
-			},
-		},
-		{
-			// The same swap with tt1's first pages in a third set each,
-			// so their memberships spilled: the page-by-page recount
-			// finds hot's members through the spill lists.
-			name: "set-counts/spilled-members",
-			corrupt: func(f *auditFixture) {
-				third := make([]*vm.Page, 4)
-				for i := range third {
-					third[i] = f.t1.Peek(i)
-				}
-				vm.NewPageSet("third", third)
-				if f.t1.NumSpilled() != 4 {
-					panic("tt1's first pages did not spill")
-				}
 				f.t1.Peek(2).Tier = vm.TierNVM
 				f.t1.Peek(25).Tier = vm.TierDRAM
 			},
@@ -368,29 +349,25 @@ func TestAuditCleanMachine(t *testing.T) {
 	}
 }
 
-// A region with spilled memberships takes the page-by-page path, which
-// recounts a clean machine as clean, rate-tracked spilled sets included,
-// and so does a region whose set table outgrows the fast path's tally.
+// A region whose set table outgrows the fast path's tally takes the
+// page-by-page path, which recounts a clean machine as clean, its
+// rate-tracked sets included, and finds a member moved behind its set's
+// counters.
 func TestAuditCleanSlowPath(t *testing.T) {
 	f := newAuditFixture(t)
-	third := make([]*vm.Page, 4)
-	for i := range third {
-		third[i] = f.t1.Peek(i)
-	}
-	f.m.Rates(vm.NewPageSet("third", third))
 	for i := 0; i < comboSlots; i++ {
-		f.m.Rates(vm.NewPageSet(fmt.Sprint("row", i), []*vm.Page{f.t2.Peek(i)}))
+		f.m.Rates(vm.NewPageSet(fmt.Sprint("row", i), []*vm.Page{f.plain.Peek(i)}))
 	}
-	if f.t1.NumSpilled() != 4 || f.t2.NumSlots() < comboSlots {
-		t.Fatalf("fixture: %d spilled pages in tt1, %d set-table rows in tt2", f.t1.NumSpilled(), f.t2.NumSlots())
+	if f.plain.NumSlots() < comboSlots {
+		t.Fatalf("fixture: %d set-table rows in plain", f.plain.NumSlots())
 	}
-	f.t1.Peek(1).SetTier(vm.TierNVM)
-	f.t2.Peek(3).SetTier(vm.TierNVM)
+	f.plain.Peek(1).SetTier(vm.TierNVM)
+	f.plain.Peek(3).SetTier(vm.TierNVM)
 	if vs := f.m.Audit(); vs != nil {
 		t.Fatalf("clean audit through the page-by-page path: %v", vs)
 	}
-	f.t2.Peek(3).Tier = vm.TierDRAM
-	checkViolations(t, f.m.Audit(), []string{"set-counts", "region-counts", "used-conservation", "tenant-counts", "tenant-conservation"},
+	f.plain.Peek(3).Tier = vm.TierDRAM
+	checkViolations(t, f.m.Audit(), []string{"set-counts", "region-counts", "used-conservation"},
 		[]string{"set-counts: set row3: counter says 1 pages in NVM, recount says 0"})
 }
 
@@ -472,7 +449,7 @@ func TestAuditUnmapResidue(t *testing.T) {
 	f.enqueueRaw(p, vm.TierNVM)
 	checkViolations(t, f.m.auditUnmap(f.plain), []string{"unmap-residue"}, []string{
 		fmt.Sprintf("unmap-residue: plain: page %d still resident in DRAM after unmap", p.ID),
-		fmt.Sprintf("unmap-residue: plain: page %d still in 1 sets after unmap", p.ID),
+		fmt.Sprintf("unmap-residue: plain: page %d still names set-table row 1 after unmap", p.ID),
 		fmt.Sprintf("unmap-residue: plain: page %d still write-protected (migrating) after unmap", p.ID),
 		fmt.Sprintf("unmap-residue: plain: page %d still queued for migration after unmap", p.ID),
 	})

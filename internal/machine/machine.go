@@ -525,7 +525,7 @@ type Machine struct {
 	epOpen [vm.MaxTiers]int
 
 	// Invariant auditor (Config.Audit). auditTenant, auditCombos and
-	// auditSets are Audit's reused per-tenant, per-set-combination and
+	// auditSets are Audit's reused per-tenant, per-(slot, tier) and
 	// per-rate-set recount tables.
 	auditing    bool
 	auditsRun   int64

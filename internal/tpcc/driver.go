@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/mem"
@@ -40,8 +41,10 @@ type DriverConfig struct {
 // Validate reports the first invalid field of c. Zero fields mean their
 // defaults (16 threads, 222 MB per warehouse, 4 µs of compute, 18 rows
 // read and 9 written per transaction, 192-byte rows, 3 index hops), so
-// only negative values fail, plus a database of no warehouses.
-func (c DriverConfig) Validate() error {
+// only negative values fail, plus a database of no warehouses and one of
+// more than math.MaxInt32 pages of pageSize bytes (the machine's page
+// size; PageIDs are int32).
+func (c DriverConfig) Validate(pageSize int64) error {
 	switch {
 	case c.Threads < 0:
 		return fmt.Errorf("tpcc: negative Threads %d", c.Threads)
@@ -59,6 +62,13 @@ func (c DriverConfig) Validate() error {
 		return fmt.Errorf("tpcc: negative RowBytes %d", c.RowBytes)
 	case c.IndexDepth < 0:
 		return fmt.Errorf("tpcc: negative IndexDepth %d", c.IndexDepth)
+	}
+	wb := c.withDefaults().WarehouseBytes
+	if int64(c.Warehouses) > math.MaxInt64/wb {
+		return fmt.Errorf("tpcc: %d warehouses of %d bytes overflow a byte count", c.Warehouses, wb)
+	}
+	if err := vm.CheckMapping(pageSize, int64(c.Warehouses)*wb); err != nil {
+		return fmt.Errorf("tpcc: %w", err)
 	}
 	return nil
 }
@@ -107,7 +117,7 @@ type Driver struct {
 // NewDriver maps the database on m and registers the workload. It panics
 // with Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
 		panic(err.Error())
 	}
 	cfg = cfg.withDefaults()

@@ -1,6 +1,7 @@
 package tpcc_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestFig13BeyondCapacity(t *testing.T) {
 func rejects(t *testing.T, cfg tpcc.DriverConfig, want string) {
 	t.Helper()
 	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
-	err := cfg.Validate()
+	err := cfg.Validate(m.Cfg.PageSize)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
 	}
@@ -124,11 +125,18 @@ func TestValidateRejectsNegativeSizes(t *testing.T) {
 	rejects(t, tpcc.DriverConfig{Warehouses: 8, IndexDepth: -3}, "IndexDepth")
 }
 
+// A database of more pages than PageIDs can number, or of more bytes
+// than an int64 counts, is refused.
+func TestValidateRejectsPageIDOverflow(t *testing.T) {
+	rejects(t, tpcc.DriverConfig{Warehouses: 1 << 20, WarehouseBytes: 8 * sim.GB}, "PageID")
+	rejects(t, tpcc.DriverConfig{Warehouses: math.MaxInt32, WarehouseBytes: math.MaxInt64 / 2}, "overflow")
+}
+
 // Zero fields mean defaults, so a config naming only its warehouses is
 // valid.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	for _, c := range []tpcc.DriverConfig{{Warehouses: 1}, {Warehouses: 864, Threads: 16, RowsRead: 18}} {
-		if err := c.Validate(); err != nil {
+		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v", c, err)
 		}
 	}

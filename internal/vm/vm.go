@@ -73,8 +73,8 @@ type PageID int32
 // The struct is packed to 24 bytes, the stride of every whole-region
 // walk (auditor, idlepage pass): state that only faulted pages carry
 // (remaps, correctable errors) lives in the AddressSpace's frame-health
-// table instead, and set memberships are one-byte slots into the
-// region's set table.
+// table instead, and the page's one set membership is a one-byte slot
+// into the region's set table.
 type Page struct {
 	ID     PageID
 	Index  int32 // page index within its region
@@ -86,27 +86,22 @@ type Page struct {
 	// tiers; writes to it stall (userfaultfd write-protection, §3.2).
 	Migrating bool
 
-	// slots record the page's first two set memberships, in EachSet
-	// order: slot value k names entry k-1 of the region's set table, 0
-	// names no set. A page in three or more sets, or in a set the table
-	// cannot name, has SlotSpill in both slots and its memberships in the
-	// region's spill table. Building million-page sets thus allocates
-	// nothing per page.
-	slots [2]uint8
+	// slot names the page set the page belongs to: value k names row k-1
+	// of the region's set table, 0 names no set. A page is in at most one
+	// set (NewPageSet and Add panic on a second), so building
+	// million-page sets allocates nothing per page.
+	slot uint8
 
 	// AuditMark is the invariant auditor's private mark: during an audit,
 	// the number of migration-queue entries for this page; zero at all
 	// other times. Nothing else reads or writes it. It sits after the
-	// slots, in what would otherwise be padding.
+	// slot, in what would otherwise be padding.
 	AuditMark uint32
 }
 
-// SlotSpill is the set-slot value marking a page whose memberships live
-// in its region's spill table (see Page.SetSlots).
-const SlotSpill = math.MaxUint8
-
-// maxSlots is how many set-table entries a slot value can name.
-const maxSlots = SlotSpill - 1
+// MaxRegionSets is how many page sets can hold pages of one region: the
+// rows of its set table that a one-byte slot value can name.
+const MaxRegionSets = math.MaxUint8
 
 // setEntry is one row of a region's set table: a set some of the
 // region's pages belong to, and how many page slots name it. A row whose
@@ -116,167 +111,54 @@ type setEntry struct {
 	refs int32
 }
 
-// SetSlots returns the page's two set slots in EachSet order, packed as
-// slot 0 | slot 1<<8 (one 16-bit load for the auditor's walk): each is 0
-// for an empty slot, k for Region.SlotSet(k), or SlotSpill in both when
-// the page's memberships spilled (three or more sets). Callers that cache
-// per-set-combination results key on (Region, SetSlots()) when not
-// spilled.
-func (p *Page) SetSlots() uint16 { return uint16(p.slots[0]) | uint16(p.slots[1])<<8 }
+// Slot returns the page's set slot: 0 for no set, k for
+// Region.SlotSet(k). Callers that cache per-set results key on
+// (Region, Slot()).
+func (p *Page) Slot() uint8 { return p.slot }
 
-// spilled reports whether p's memberships live in its region's spill
-// table.
-func (p *Page) spilled() bool { return p.slots[0] == SlotSpill }
-
-// EachSet calls f for every page set this page belongs to, without
-// allocating — the accessor for hot paths (e.g. per-page scan and
-// region-sampling loops) that InSets is too expensive for. The order is
-// the order of joining, except that a set joined after an earlier one
-// was left takes the first free position: the first two positions keep
-// their holes, and further memberships are a list that a removal
-// reorders by swapping its last entry into the gap.
-func (p *Page) EachSet(f func(*PageSet)) {
-	k0, k1 := p.slots[0], p.slots[1]
-	if k0 == SlotSpill {
-		for _, s := range p.Region.spill[p.Index] {
-			if s != nil {
-				f(s)
-			}
-		}
-		return
-	}
-	if k0 != 0 {
-		f(p.Region.sets[k0-1].set)
-	}
-	if k1 != 0 {
-		f(p.Region.sets[k1-1].set)
-	}
-}
-
-// InSets returns the page sets this page belongs to. The slice is freshly
-// allocated; hot paths should not call this.
-func (p *Page) InSets() []*PageSet {
-	var out []*PageSet
-	p.EachSet(func(s *PageSet) { out = append(out, s) })
-	return out
-}
-
-// firstSet returns the first set in EachSet order, or nil.
-func (p *Page) firstSet() *PageSet {
-	if p.spilled() {
-		for _, s := range p.Region.spill[p.Index] {
-			if s != nil {
-				return s
-			}
-		}
-		return nil
-	}
-	for _, k := range p.slots {
-		if k != 0 {
-			return p.Region.sets[k-1].set
-		}
+// Set returns the page set this page belongs to, or nil.
+func (p *Page) Set() *PageSet {
+	if k := p.slot; k != 0 {
+		return p.Region.sets[k-1].set
 	}
 	return nil
 }
 
-// addSet registers membership of p in s: in the first empty slot if the
-// region's table can name s, otherwise (both slots taken, or a full
-// table) in the spill table.
+// checkJoin panics unless p may join s: p must be in no set, and its
+// region's set table must be able to name s. It changes nothing.
+func (p *Page) checkJoin(s *PageSet) {
+	if q := p.Set(); q != nil {
+		panic(joinTwice(p, q, s))
+	}
+	if r := p.Region; !r.canName(s) {
+		panic(fmt.Sprintf("vm: set %q cannot join the set table of %s: all %d rows name other sets",
+			s.Name, r.Name, MaxRegionSets))
+	}
+}
+
+// joinTwice is the panic message for page p, a member of q, joining s.
+func joinTwice(p *Page, q, s *PageSet) string {
+	return fmt.Sprintf("vm: page %d of %s is in set %q, cannot join set %q (a page is in at most one set)",
+		p.ID, p.Region.Name, q.Name, s.Name)
+}
+
+// addSet records p's membership in s; checkJoin has passed.
 func (p *Page) addSet(s *PageSet) {
-	r := p.Region
-	if p.spilled() {
-		r.spill[p.Index] = spillAdd(r.spill[p.Index], s)
-		return
-	}
-	k := r.slotOf(s)
-	for i := range p.slots {
-		if p.slots[i] == 0 && k != SlotSpill {
-			p.slots[i] = k
-			r.sets[k-1].refs++
-			return
-		}
-	}
-	// Spill: the slots' sets keep their positions, s joins after them.
-	r.release(k)
-	list := make([]*PageSet, 2, 3)
-	for i, k := range p.slots {
-		if k != 0 {
-			list[i] = r.sets[k-1].set
-			r.unref(k)
-		}
-	}
-	if r.spill == nil {
-		r.spill = make(map[int32][]*PageSet)
-	}
-	r.spill[p.Index] = spillAdd(list, s)
-	p.slots = [2]uint8{SlotSpill, SlotSpill}
+	k := p.Region.slotOf(s)
+	p.slot = k
+	p.Region.sets[k-1].refs++
 }
 
-// spillAdd adds s to a spilled membership list: into the first of the
-// two leading positions that is empty, else at the end.
-func spillAdd(list []*PageSet, s *PageSet) []*PageSet {
-	for i := 0; i < 2; i++ {
-		if list[i] == nil {
-			list[i] = s
-			return list
-		}
-	}
-	return append(list, s)
-}
-
-// removeSet unregisters membership of p in s. A spilled page returns to
-// its slots once its memberships fit them again.
+// removeSet clears p's membership in s.
 func (p *Page) removeSet(s *PageSet) {
-	r := p.Region
-	if !p.spilled() {
-		for i, k := range p.slots {
-			if k != 0 && r.sets[k-1].set == s {
-				p.slots[i] = 0
-				r.unref(k)
-				return
-			}
-		}
-		return
+	if k := p.slot; k != 0 && p.Region.sets[k-1].set == s {
+		p.slot = 0
+		p.Region.unref(k)
 	}
-	list := r.spill[p.Index]
-	switch {
-	case list[0] == s:
-		list[0] = nil
-	case list[1] == s:
-		list[1] = nil
-	default:
-		for j := 2; j < len(list); j++ {
-			if list[j] == s {
-				last := len(list) - 1
-				list[j], list[last] = list[last], nil
-				list = list[:last]
-				break
-			}
-		}
-	}
-	r.spill[p.Index] = list
-	if len(list) > 2 {
-		return
-	}
-	var slots [2]uint8
-	for i, s := range list {
-		if s == nil {
-			continue
-		}
-		k := r.slotOf(s)
-		if k == SlotSpill {
-			r.unref(slots[0])
-			return // the table is full: stay spilled
-		}
-		slots[i] = k
-		r.sets[k-1].refs++
-	}
-	p.slots = slots
-	delete(r.spill, p.Index)
 }
 
 // SetTier moves the page to tier t, maintaining the occupancy counters of
-// its region, of its address space and of every page set that contains it.
+// its region, of its address space and of the page set that contains it.
 func (p *Page) SetTier(t Tier) {
 	if p.Tier == t {
 		return
@@ -284,19 +166,8 @@ func (p *Page) SetTier(t Tier) {
 	r := p.Region
 	r.counts.bump(p.Tier, t)
 	r.space.counts.bump(p.Tier, t)
-	if k0, k1 := p.slots[0], p.slots[1]; k0 == SlotSpill {
-		for _, s := range r.spill[p.Index] {
-			if s != nil {
-				s.bump(p.Tier, t)
-			}
-		}
-	} else {
-		if k0 != 0 {
-			r.sets[k0-1].set.bump(p.Tier, t)
-		}
-		if k1 != 0 {
-			r.sets[k1-1].set.bump(p.Tier, t)
-		}
+	if k := p.slot; k != 0 {
+		r.sets[k-1].set.bump(p.Tier, t)
 	}
 	if o := r.owner; o != TenantNone {
 		r.space.bumpTenant(o, p.Tier, t)
@@ -360,17 +231,26 @@ type Region struct {
 	// each. Rows are freed when their last slot is cleared, and free
 	// rows at the end are trimmed, so the table holds only live sets.
 	sets []setEntry
-	// spill holds the memberships of spilled pages (slots SlotSpill),
-	// keyed by page index, in EachSet order with any hole in the first
-	// two positions kept as nil; nil while no page spilled.
-	spill map[int32][]*PageSet
+}
+
+// canName reports whether r's set table names s or has a row free for
+// it.
+func (r *Region) canName(s *PageSet) bool {
+	if len(r.sets) < MaxRegionSets {
+		return true
+	}
+	for _, e := range r.sets {
+		if e.set == nil || e.set == s {
+			return true
+		}
+	}
+	return false
 }
 
 // slotOf returns the slot value that names s in r's set table,
-// registering s in a free row (with no slot naming it yet) on first use,
-// or SlotSpill when all maxSlots rows are taken. The set remembers its
-// last (region, slot) pair, so building a large set searches the table
-// once, not per page.
+// registering s in a free row (with no slot naming it yet) on first use;
+// canName(s) must hold. The set remembers its last (region, slot) pair,
+// so building a large set searches the table once, not per page.
 func (r *Region) slotOf(s *PageSet) uint8 {
 	if k := s.slot; s.slotRegion == r && int(k) <= len(r.sets) && r.sets[k-1].set == s {
 		return k
@@ -388,9 +268,6 @@ func (r *Region) slotOf(s *PageSet) uint8 {
 		}
 	}
 	if free < 0 {
-		if len(r.sets) == maxSlots {
-			return SlotSpill
-		}
 		r.sets = append(r.sets, setEntry{})
 		free = len(r.sets) - 1
 	}
@@ -399,25 +276,14 @@ func (r *Region) slotOf(s *PageSet) uint8 {
 	return s.slot
 }
 
-// unref clears one page slot's reference to row k (a no-op for k 0),
-// freeing the row when it was the last.
+// unref clears one page slot's reference to row k, freeing the row
+// when it was the last.
 func (r *Region) unref(k uint8) {
-	if k == 0 {
-		return
-	}
 	if e := &r.sets[k-1]; e.refs > 1 {
 		e.refs--
 		return
 	}
 	r.freeRow(k)
-}
-
-// release frees row k if slotOf registered it but no slot took it (the
-// membership spilled instead).
-func (r *Region) release(k uint8) {
-	if k != SlotSpill && r.sets[k-1].refs == 0 {
-		r.freeRow(k)
-	}
 }
 
 // freeRow empties row k and trims the table's free tail.
@@ -436,26 +302,14 @@ func (r *Region) NumSlots() int { return len(r.sets) }
 
 // SlotSet returns the set that slot value k names in this region's
 // table, and how many of the region's page slots the table records as
-// naming it; nil and 0 for a free row, for 0, for SlotSpill, and for any
-// k past the table.
+// naming it; nil and 0 for a free row, for 0, and for any k past the
+// table.
 func (r *Region) SlotSet(k uint8) (*PageSet, int) {
 	if k == 0 || int(k) > len(r.sets) {
 		return nil, 0
 	}
 	e := r.sets[k-1]
 	return e.set, int(e.refs)
-}
-
-// NumSpilled returns how many of the region's pages have spilled
-// memberships.
-func (r *Region) NumSpilled() int { return len(r.spill) }
-
-// EachSpilled calls f for every page of the region whose memberships
-// spilled out of its slots, in no particular order.
-func (r *Region) EachSpilled(f func(*Page)) {
-	for i := range r.spill {
-		f(r.PageAt(int(i)))
-	}
 }
 
 // Size returns the region length in bytes.
@@ -622,18 +476,35 @@ type PageSet struct {
 // the end reallocates instead of writing into whatever follows in the
 // caller's array, so sets cut as consecutive sub-slices of one array
 // (ShuffledPages) stay independent.
+//
+// NewPageSet panics, changing nothing, if a page is already in a set or
+// a page's region cannot name one more set (all of its set table's 255
+// rows name other sets). A page listed twice panics too, after its
+// earlier memberships are undone.
 func NewPageSet(name string, pages []*Page) *PageSet {
 	n := len(pages)
 	s := &PageSet{Name: name, pages: pages[:n:n], version: uint64(n)}
 	for _, p := range pages {
+		p.checkJoin(s)
+	}
+	for i, p := range pages {
+		if p.slot != 0 {
+			for _, q := range pages[:i] {
+				q.removeSet(s)
+			}
+			panic(joinTwice(p, s, s))
+		}
 		s.counts[p.Tier]++
 		p.addSet(s)
 	}
 	return s
 }
 
-// Add inserts page p into the set.
+// Add inserts page p into the set. It panics, as NewPageSet does and
+// before changing anything, if p is already in a set or its region's
+// set table cannot name s.
 func (s *PageSet) Add(p *Page) {
+	p.checkJoin(s)
 	s.pages = append(s.pages, p)
 	s.counts[p.Tier]++
 	s.version++
@@ -784,6 +655,36 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 	return r
 }
 
+// PagesFor returns how many pages of pageSize bytes Map gives a region
+// of size bytes: size rounded up to whole pages.
+func PagesFor(size, pageSize int64) int64 {
+	n := size / pageSize
+	if size%pageSize != 0 {
+		n++
+	}
+	return n
+}
+
+// CheckMapping returns an error if pageSize is not positive, or if
+// regions of the given sizes, mapped into one address space of pageSize
+// pages, would take it past math.MaxInt32 pages, the PageID limit at
+// which Map panics. Workload configs validate their mappings with it.
+func CheckMapping(pageSize int64, sizes ...int64) error {
+	if pageSize <= 0 {
+		return fmt.Errorf("page size %d must be positive", pageSize)
+	}
+	var total int64
+	for _, size := range sizes {
+		n := PagesFor(size, pageSize)
+		if n > math.MaxInt32-total {
+			return fmt.Errorf("mapping %v bytes takes more than %d pages of %d bytes, the PageID limit",
+				sizes, math.MaxInt32, pageSize)
+		}
+		total += n
+	}
+	return nil
+}
+
 // Unmap removes region r from the address space, modelling munmap of the
 // whole range. The pages keep their IDs (stale PageIDs in flight resolve
 // to a page in TierNone with no sets) but leave every page set they were
@@ -791,15 +692,18 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 // (see machine.Machine.Unmap).
 func (a *AddressSpace) Unmap(r *Region) {
 	owner := r.owner
-	r.EachPage(func(p *Page) {
-		for s := p.firstSet(); s != nil; s = p.firstSet() {
-			removePageFromSet(s, p)
+	// Every set holding some of r's pages has a row in r's table: drop
+	// r's pages from each one's member list in a single pass.
+	for _, e := range r.sets {
+		if e.set != nil {
+			e.set.dropRegion(r)
 		}
+	}
+	r.sets = nil
+	r.EachPage(func(p *Page) {
+		p.slot = 0
 		p.SetTier(TierNone)
 	})
-	// Every slot is clear and every spill entry gone; drop the empty
-	// table and map themselves.
-	r.sets, r.spill = nil, nil
 	if owner != TenantNone {
 		// Every page is back in TierNone now (touched pages just moved
 		// there, untouched ones never left), so the tenant's whole charge
@@ -822,17 +726,21 @@ func (a *AddressSpace) Unmap(r *Region) {
 	}
 }
 
-// removePageFromSet removes p from s by scanning for its index. A page
-// missing from the member list it points at still loses the
-// back-pointer, so Unmap always terminates.
-func removePageFromSet(s *PageSet, p *Page) {
-	for i, q := range s.pages {
-		if q == p {
-			s.Remove(i)
-			return
+// dropRegion removes every page of r from the set, keeping the order of
+// the rest, with the counts and Version that removing them one by one
+// would leave. The pages' slots are the caller's to clear.
+func (s *PageSet) dropRegion(r *Region) {
+	kept := s.pages[:0]
+	for _, p := range s.pages {
+		if p.Region == r {
+			s.counts[p.Tier]--
+			s.version++
+		} else {
+			kept = append(kept, p)
 		}
 	}
-	p.removeSet(s)
+	clear(s.pages[len(kept):])
+	s.pages = kept
 }
 
 // Page returns the page with the given global ID, materializing its
@@ -865,9 +773,9 @@ func (a *AddressSpace) NumPages() int { return a.numPages }
 func (a *AddressSpace) TouchedPages() int { return a.touched }
 
 // MetadataBytes returns the deterministic footprint of the page metadata:
-// materialized chunks, the per-region chunk-pointer and set tables, the
-// set spill table's entries (key, list header and list) and the
-// frame-health table's entries (key and value); map overhead excluded.
+// materialized chunks, the per-region chunk-pointer and set tables, and
+// the frame-health table's entries (key and value); map overhead
+// excluded.
 // It is an accounting figure (what the sparse representation pays for the
 // pages touched so far), not a live heap measurement, so dense-vs-sparse
 // comparisons are reproducible across runs and hosts.
@@ -875,14 +783,10 @@ func (a *AddressSpace) MetadataBytes() int64 {
 	const pageBytes = int64(unsafe.Sizeof(Page{}))
 	const ptrBytes = int64(unsafe.Sizeof((*pageChunk)(nil)))
 	const rowBytes = int64(unsafe.Sizeof(setEntry{}))
-	const spillBytes = int64(unsafe.Sizeof(int32(0)) + unsafe.Sizeof([]*PageSet(nil)))
 	const healthBytes = int64(unsafe.Sizeof(PageID(0)) + unsafe.Sizeof(frameHealth{}))
 	total := int64(len(a.health)) * healthBytes
 	for _, s := range a.spans {
 		total += int64(len(s.r.chunks))*ptrBytes + int64(cap(s.r.sets))*rowBytes
-		for _, l := range s.r.spill {
-			total += spillBytes + int64(cap(l))*ptrBytes
-		}
 		for _, c := range s.r.chunks {
 			if c != nil {
 				total += chunkPages * pageBytes

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -255,43 +255,28 @@ func TestMapPanicsOnBadPageSize(t *testing.T) {
 }
 
 // Page is the stride of every whole-region walk, so its packed size is
-// pinned: ID and Index share a word, and Tier, Migrating, the two set
-// slots and AuditMark share another.
+// pinned: ID and Index share a word, and Tier, Migrating, the set slot
+// and AuditMark share another.
 func TestPageLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Page{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 24", got)
 	}
 	if got := unsafe.Offsetof(Page{}.AuditMark); got != 20 {
-		t.Fatalf("AuditMark at offset %d, want 20 (after the set slots)", got)
+		t.Fatalf("AuditMark at offset %d, want 20 (after the set slot)", got)
 	}
 	if got := unsafe.Sizeof(pageChunk{}); got != 1536 {
 		t.Fatalf("a 64-page chunk is %d bytes, want 1536 (a size class, no slack)", got)
 	}
 }
 
-// checkRegionTable verifies r's set table and spill table against its
-// pages: every row's reference count equals the page slots naming it, no
-// slot names a free row, every spilled page has a spill entry and every
-// spill entry a spilled page.
+// checkRegionTable verifies r's set table against its pages: every row's
+// reference count equals the page slots naming it, no slot names a free
+// row, and no free row ends the table.
 func checkRegionTable(t *testing.T, r *Region) {
 	t.Helper()
 	refs := make([]int32, len(r.sets))
-	spilled := 0
 	r.EachPage(func(p *Page) {
-		if p.spilled() {
-			spilled++
-			if p.slots[1] != SlotSpill {
-				t.Fatalf("page %d: spilled with slots %v", p.Index, p.slots)
-			}
-			if _, ok := r.spill[p.Index]; !ok {
-				t.Fatalf("page %d: spilled without a spill entry", p.Index)
-			}
-			return
-		}
-		for _, k := range p.slots {
-			if k == 0 {
-				continue
-			}
+		if k := p.slot; k != 0 {
 			if int(k) > len(r.sets) || r.sets[k-1].set == nil {
 				t.Fatalf("page %d: slot %d names no row (table of %d)", p.Index, k, len(r.sets))
 			}
@@ -309,174 +294,108 @@ func checkRegionTable(t *testing.T, r *Region) {
 	if n := len(r.sets); n > 0 && r.sets[n-1].set == nil {
 		t.Fatalf("table keeps a free row at its end (%d rows)", n)
 	}
-	if spilled != len(r.spill) {
-		t.Fatalf("%d spilled pages, %d spill entries", spilled, len(r.spill))
-	}
 }
 
-// The spill table holds a page's memberships only while it is in three
-// or more sets, every membership, in its slots or spilled, tracks tier
-// moves, and the page returns to its slots once two sets are left.
-func TestPageOverflowSets(t *testing.T) {
-	a := NewAddressSpace(2 * sim.MB)
-	r := a.Map("heap", 4*sim.MB)
-	p := r.PageAt(0)
-	sets := make([]*PageSet, 4)
-	for i := range sets {
-		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{p})
-		if sp := p.slots[0] == SlotSpill; sp != (i >= 2) || (len(r.spill) == 1) != sp {
-			t.Fatalf("after %d sets: slots %v, %d spill entries", i+1, p.slots, len(r.spill))
-		}
-		checkRegionTable(t, r)
-	}
-	// Spilling moved the slotted memberships out: no row stays live.
-	if len(r.sets) != 0 {
-		t.Fatalf("spilled page leaves %d table rows", len(r.sets))
-	}
-	p.SetTier(TierDRAM)
-	n := 0
-	p.EachSet(func(s *PageSet) {
-		if s != sets[n] {
-			t.Errorf("EachSet position %d is %s, want %s", n, s.Name, sets[n].Name)
-		}
-		n++
-		if s.Count(TierDRAM) != 1 {
-			t.Errorf("set %s misses the move to DRAM", s.Name)
-		}
-	})
-	if n != 4 || len(p.InSets()) != 4 {
-		t.Fatalf("EachSet visited %d sets, InSets %d, want 4", n, len(p.InSets()))
-	}
-	// Leaving the first set keeps its hole while spilled and after the
-	// return to the slots: s4 fills it.
-	sets[0].Remove(0)
-	sets[3].Remove(0)
-	if !p.spilled() {
-		t.Fatal("page left the spill table with three sets")
-	}
-	sets[2].Remove(0)
-	if p.spilled() || len(r.spill) != 0 || p.slots[0] != 0 || p.slots[1] == 0 {
-		t.Fatalf("one set left: slots %v, %d spill entries", p.slots, len(r.spill))
-	}
-	checkRegionTable(t, r)
-	s4 := NewPageSet("s4", []*Page{p})
-	if got := p.InSets(); len(got) != 2 || got[0] != s4 || got[1] != sets[1] {
-		t.Fatalf("after refilling the hole: %v", got)
-	}
-	NewPageSet("s5", []*Page{p})
-	a.Unmap(r)
-	if p.slots != [2]uint8{} || len(p.InSets()) != 0 {
-		t.Fatalf("unmapped page keeps sets %v", p.InSets())
-	}
-	if r.sets != nil || r.spill != nil {
-		t.Fatalf("unmapped region keeps %d table rows, %d spill entries", len(r.sets), len(r.spill))
-	}
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
-// A region with more live sets than a slot byte can name spills the
-// memberships past the table's last row, and takes them back into the
-// slots once a row is free again.
+// A region names at most 255 sets: the 256th panics without touching the
+// page or the table, and joins once a row is free again.
 func TestPageSlotTableFull(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
-	r := a.Map("heap", (maxSlots+1)*2*sim.MB)
+	r := a.Map("heap", (MaxRegionSets+1)*2*sim.MB)
 	pages := r.AllPages()
-	sets := make([]*PageSet, len(pages))
-	for i, p := range pages {
-		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{p})
+	sets := make([]*PageSet, MaxRegionSets)
+	for i := range sets {
+		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{pages[i]})
 	}
-	last := pages[maxSlots]
-	if len(r.sets) != maxSlots || !last.spilled() || len(r.spill) != 1 {
-		t.Fatalf("table of %d rows, last page slots %v, %d spill entries", len(r.sets), last.slots, len(r.spill))
+	last := pages[MaxRegionSets]
+	if len(r.sets) != MaxRegionSets || last.slot != 0 {
+		t.Fatalf("table of %d rows, last page slot %d", len(r.sets), last.slot)
+	}
+	if !panics(func() { NewPageSet("extra", []*Page{last}) }) {
+		t.Fatal("a 256th set joined a full table")
+	}
+	extra := NewPageSet("extra", nil)
+	if !panics(func() { extra.Add(last) }) {
+		t.Fatal("Add put a 256th set in a full table")
+	}
+	if len(r.sets) != MaxRegionSets || last.slot != 0 || extra.Len() != 0 || extra.Version() != 0 {
+		t.Fatalf("refused joins left a %d-row table, slot %d, set of %d (version %d)",
+			len(r.sets), last.slot, extra.Len(), extra.Version())
 	}
 	checkRegionTable(t, r)
-	last.SetTier(TierNVM)
-	if sets[maxSlots].Count(TierNVM) != 1 {
-		t.Fatal("spilled membership misses a tier move")
-	}
-	if got := last.InSets(); len(got) != 1 || got[0] != sets[maxSlots] {
-		t.Fatalf("spilled page is in %v", got)
-	}
-	// A second set on a spilled page spills too; freeing a row lets the
-	// page return once its sets fit the slots.
-	extra := NewPageSet("extra", []*Page{last})
+	// The sets already in the table still take pages; the first free
+	// row takes the new set.
+	sets[2].Remove(0)
+	sets[1].Add(pages[2])
+	checkRegionTable(t, r)
 	sets[0].Remove(0)
-	extra.Remove(0)
-	if last.spilled() || len(r.spill) != 0 {
-		t.Fatalf("page stays spilled with a free row: slots %v", last.slots)
+	extra.Add(last)
+	last.SetTier(TierNVM)
+	if last.Set() != extra || extra.Count(TierNVM) != 1 || last.Slot() != 1 {
+		t.Fatalf("after a row freed: page in %v (slot %d), extra counts %v", last.Set(), last.Slot(), extra.counts)
 	}
 	checkRegionTable(t, r)
 	want := a.MetadataBytes()
 	a.Unmap(r)
-	if r.sets != nil || r.spill != nil {
-		t.Fatalf("unmapped region keeps %d table rows, %d spill entries", len(r.sets), len(r.spill))
+	if r.sets != nil {
+		t.Fatalf("unmapped region keeps %d table rows", len(r.sets))
 	}
 	if got := a.MetadataBytes(); got >= want {
 		t.Fatalf("MetadataBytes %d after unmap, %d before", got, want)
 	}
 }
 
-// refPage is the pointer-based membership model the slots replace: two
-// positions that keep their holes and an overflow list that a removal
-// reorders by swapping its last entry into the gap.
-type refPage struct {
-	set0, set1 *PageSet
-	ov         []*PageSet
+// vmState is a copy of everything a set operation may change: each
+// page's slot and tier, each region's set table, and each set's members,
+// counts and Version.
+type vmState struct {
+	slots    []uint8
+	tiers    []Tier
+	rows     [][]setEntry
+	members  [][]*Page
+	counts   []tierCounts
+	versions []uint64
 }
 
-func (rp *refPage) add(s *PageSet) {
-	switch {
-	case rp.set0 == nil:
-		rp.set0 = s
-	case rp.set1 == nil:
-		rp.set1 = s
-	default:
-		rp.ov = append(rp.ov, s)
+func snapshot(pages []*Page, regions []*Region, sets []*PageSet) vmState {
+	var st vmState
+	for _, p := range pages {
+		st.slots = append(st.slots, p.slot)
+		st.tiers = append(st.tiers, p.Tier)
 	}
-}
-
-func (rp *refPage) remove(s *PageSet) {
-	switch {
-	case rp.set0 == s:
-		rp.set0 = nil
-	case rp.set1 == s:
-		rp.set1 = nil
-	default:
-		for j, q := range rp.ov {
-			if q == s {
-				last := len(rp.ov) - 1
-				rp.ov[j] = rp.ov[last]
-				rp.ov = rp.ov[:last]
-				return
-			}
-		}
+	for _, r := range regions {
+		st.rows = append(st.rows, slices.Clone(r.sets))
 	}
-}
-
-func (rp *refPage) sets() []*PageSet {
-	var out []*PageSet
-	for _, s := range append([]*PageSet{rp.set0, rp.set1}, rp.ov...) {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// setNames lists the sets' names in order.
-func setNames(sets []*PageSet) string {
-	var b strings.Builder
 	for _, s := range sets {
-		b.WriteString(s.Name + " ")
+		st.members = append(st.members, slices.Clone(s.pages))
+		st.counts = append(st.counts, s.counts)
+		st.versions = append(st.versions, s.version)
 	}
-	return b.String()
+	return st
 }
 
-// TestPageSetSlotsMatchPointerModel applies seeded random Add, Remove,
-// SetTier and NewPageSet sequences over two regions, with sets that span
-// both and a few with a page twice, to the slot representation and to
-// the pointer model. After every step each touched page's EachSet order
-// matches the model's, and every set's tier counts match a recount of
-// its members.
+func (st vmState) equal(o vmState) bool {
+	return slices.Equal(st.slots, o.slots) && slices.Equal(st.tiers, o.tiers) &&
+		slices.EqualFunc(st.rows, o.rows, slices.Equal) &&
+		slices.EqualFunc(st.members, o.members, slices.Equal) &&
+		slices.Equal(st.counts, o.counts) && slices.Equal(st.versions, o.versions)
+}
+
+// TestPageSetSlotsMatchPointerModel applies seeded random NewPageSet,
+// Add, Remove and SetTier sequences over two regions, with sets that
+// span both, to the slot representation and to a pointer model (each
+// page's one set, or nil). A NewPageSet or Add that would put a page in
+// a second set, including a page listed twice, must panic and leave
+// every page, table and set as it was. After every step each page's Set
+// matches the model and every set's tier counts match a recount of its
+// members; after one region is unmapped every set holds exactly its
+// members in the other.
 func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRand(seed)
@@ -486,19 +405,13 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 		for _, r := range regions {
 			pages = append(pages, r.AllPages()...)
 		}
-		model := make(map[*Page]*refPage, len(pages))
-		for _, p := range pages {
-			model[p] = &refPage{}
-		}
+		model := make(map[*Page]*PageSet, len(pages))
 		var sets []*PageSet
 		check := func(step int, what string) {
 			t.Helper()
 			for _, p := range pages {
-				want := model[p].sets()
-				var got []*PageSet
-				p.EachSet(func(s *PageSet) { got = append(got, s) })
-				if setNames(got) != setNames(want) {
-					t.Fatalf("seed %d step %d (%s): page %d EachSet %s, model %s", seed, step, what, p.ID, setNames(got), setNames(want))
+				if got, want := p.Set(), model[p]; got != want {
+					t.Fatalf("seed %d step %d (%s): page %d in %v, model %v", seed, step, what, p.ID, got, want)
 				}
 			}
 			for _, s := range sets {
@@ -514,34 +427,68 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 				checkRegionTable(t, r)
 			}
 		}
+		// refused runs op, which the model says must panic, and checks
+		// that it did and changed nothing.
+		refused := func(step int, what string, op func()) {
+			t.Helper()
+			before := snapshot(pages, regions, sets)
+			if !panics(op) {
+				t.Fatalf("seed %d step %d (%s): a second membership did not panic", seed, step, what)
+			}
+			if !before.equal(snapshot(pages, regions, sets)) {
+				t.Fatalf("seed %d step %d (%s): the refused operation changed state", seed, step, what)
+			}
+		}
+		free := func() *Page {
+			for {
+				if p := pages[rng.Intn(len(pages))]; model[p] == nil {
+					return p
+				}
+			}
+		}
 		for step := 0; step < 400; step++ {
 			var what string
 			switch op := rng.Intn(10); {
 			case op == 0 || len(sets) == 0:
 				n := rng.Intn(6)
 				members := make([]*Page, n)
+				twice := false
+				seen := map[*Page]bool{}
 				for i := range members {
-					members[i] = pages[rng.Intn(len(pages))]
+					p := free()
+					if rng.Intn(8) == 0 { // any page: maybe in a set, maybe listed twice
+						p = pages[rng.Intn(len(pages))]
+					}
+					twice = twice || seen[p] || model[p] != nil
+					seen[p] = true
+					members[i] = p
 				}
-				s := NewPageSet(fmt.Sprint("s", len(sets)), members)
+				name := fmt.Sprint("s", len(sets))
+				if what = "new " + name; twice {
+					refused(step, what, func() { NewPageSet(name, members) })
+					continue
+				}
+				s := NewPageSet(name, members)
 				for _, p := range members {
-					model[p].add(s)
+					model[p] = s
 				}
 				sets = append(sets, s)
-				what = "new " + s.Name
 			case op <= 4:
 				s := sets[rng.Intn(len(sets))]
 				p := pages[rng.Intn(len(pages))]
+				if what = "add to " + s.Name; model[p] != nil {
+					refused(step, what, func() { s.Add(p) })
+					continue
+				}
 				s.Add(p)
-				model[p].add(s)
-				what = "add to " + s.Name
+				model[p] = s
 			case op <= 8:
 				s := sets[rng.Intn(len(sets))]
 				if s.Len() == 0 {
 					continue
 				}
 				p := s.Remove(rng.Intn(s.Len()))
-				model[p].remove(s)
+				model[p] = nil
 				what = "remove from " + s.Name
 			default:
 				p := pages[rng.Intn(len(pages))]
@@ -550,27 +497,33 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 			}
 			check(step, what)
 		}
-		a.Unmap(regions[0])
-		for _, p := range regions[0].AllPages() {
-			model[p] = &refPage{}
-		}
+		want := make(map[*PageSet][]*Page)
 		for _, s := range sets {
 			for _, p := range s.Pages() {
-				if p.Region == regions[0] {
-					t.Fatalf("seed %d: set %s keeps unmapped page %d", seed, s.Name, p.ID)
+				if p.Region == regions[1] {
+					want[s] = append(want[s], p)
 				}
 			}
 		}
+		a.Unmap(regions[0])
+		for _, p := range regions[0].AllPages() {
+			model[p] = nil
+		}
+		for _, s := range sets {
+			if !slices.Equal(s.Pages(), want[s]) {
+				t.Fatalf("seed %d: set %s holds %d pages after unmap, want its %d in r1", seed, s.Name, s.Len(), len(want[s]))
+			}
+		}
 		check(-1, "unmap")
-		if regions[0].sets != nil || regions[0].spill != nil {
-			t.Fatalf("seed %d: unmapped region keeps %d rows, %d spill entries", seed, len(regions[0].sets), len(regions[0].spill))
+		if regions[0].sets != nil {
+			t.Fatalf("seed %d: unmapped region keeps %d rows", seed, len(regions[0].sets))
 		}
 	}
 }
 
 // A set cut from two regions takes a row in each region's table, its
 // counts follow moves in both, and unmapping one region drops its row and
-// its members while the other region's stay.
+// its members while the other region's stay, with their tiers counted.
 func TestPageSetSpansRegions(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r0, r1 := a.Map("r0", 8*2*sim.MB), a.Map("r1", 8*2*sim.MB)
@@ -579,26 +532,28 @@ func TestPageSetSpansRegions(t *testing.T) {
 		if got, refs := r.SlotSet(1); got != s || refs != 4 || r.NumSlots() != 1 {
 			t.Fatalf("%s: row 1 = %v with %d refs, %d rows", r.Name, got, refs, r.NumSlots())
 		}
-		if k := r.PageAt(2).SetSlots(); k != 1 {
-			t.Fatalf("%s: page 2 slots %#04x, want slot 0 naming row 1", r.Name, k)
+		if k := r.PageAt(2).Slot(); k != 1 {
+			t.Fatalf("%s: page 2 slot %d, want 1", r.Name, k)
 		}
 	}
 	r0.PageAt(1).SetTier(TierDRAM)
 	r1.PageAt(3).SetTier(TierNVM)
-	if s.Count(TierDRAM) != 1 || s.Count(TierNVM) != 1 || s.Count(TierNone) != 6 {
+	r1.PageAt(0).SetTier(TierDRAM)
+	if s.Count(TierDRAM) != 2 || s.Count(TierNVM) != 1 || s.Count(TierNone) != 5 {
 		t.Fatalf("counts after moves in both regions: %v", s.counts)
 	}
-	before := a.MetadataBytes()
+	before, version := a.MetadataBytes(), s.Version()
 	a.Unmap(r0)
-	if s.Len() != 4 || s.Count(TierDRAM) != 0 || s.Count(TierNVM) != 1 {
-		t.Fatalf("after unmapping r0: len %d, counts %v", s.Len(), s.counts)
+	if !slices.Equal(s.Pages(), r1.AllPages()[:4]) {
+		t.Fatalf("after unmapping r0 the set holds %d pages, want r1's first 4 in order", s.Len())
 	}
-	for _, p := range s.Pages() {
-		if p.Region != r1 {
-			t.Fatalf("set keeps page %d of %s", p.ID, p.Region.Name)
-		}
+	if s.Count(TierDRAM) != 1 || s.Count(TierNVM) != 1 || s.Count(TierNone) != 2 {
+		t.Fatalf("after unmapping r0: counts %v", s.counts)
 	}
-	if r0.NumSlots() != 0 || r0.sets != nil || r0.spill != nil || r1.NumSlots() != 1 {
+	if s.Version() != version+4 {
+		t.Fatalf("unmap moved Version by %d, want 4 (one per page dropped)", s.Version()-version)
+	}
+	if r0.NumSlots() != 0 || r0.sets != nil || r1.NumSlots() != 1 {
 		t.Fatalf("rows after unmap: r0 %d, r1 %d", r0.NumSlots(), r1.NumSlots())
 	}
 	if got, want := before-a.MetadataBytes(), int64(unsafe.Sizeof(setEntry{})); got != want {
@@ -767,21 +722,21 @@ func TestShuffledPagesMatchesPerm(t *testing.T) {
 // and back-pointers stay right through Remove and Add.
 func TestNewPageSetAdoptsSlice(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
-	r := a.Map("heap", 16*2*sim.MB)
+	r := a.Map("heap", 17*2*sim.MB)
 	pages := r.AllPages()
 	for i, p := range pages {
 		p.SetTier(Tier(i%2 + 1))
 	}
 	front := NewPageSet("front", pages[:6])
-	back := NewPageSet("back", pages[6:])
+	back := NewPageSet("back", pages[6:16])
 	if &front.Pages()[0] != &pages[0] || &back.Pages()[0] != &pages[6] {
 		t.Fatal("NewPageSet copied its slice")
 	}
 	if cap(front.Pages()) != 6 {
 		t.Fatalf("front capacity %d, want 6", cap(front.Pages()))
 	}
-	want := append([]*Page(nil), pages[6:]...)
-	extra := r.PageAt(10)
+	want := append([]*Page(nil), pages[6:16]...)
+	extra := r.PageAt(16)
 	front.Add(extra)
 	for i, p := range back.Pages() {
 		if p != want[i] {
@@ -798,14 +753,12 @@ func TestNewPageSetAdoptsSlice(t *testing.T) {
 	back.Add(p0)
 	p9.SetTier(TierDRAM)   // in no set now
 	p0.SetTier(TierNVM)    // in back only
-	extra.SetTier(TierNVM) // in both
+	extra.SetTier(TierNVM) // in front
 	for _, s := range []*PageSet{front, back} {
 		var counts tierCounts
 		for _, p := range s.Pages() {
 			counts[p.Tier]++
-			in := false
-			p.EachSet(func(ps *PageSet) { in = in || ps == s })
-			if !in {
+			if p.Set() != s {
 				t.Fatalf("set %s member %d lacks its back-pointer", s.Name, p.Index)
 			}
 		}
@@ -813,10 +766,10 @@ func TestNewPageSetAdoptsSlice(t *testing.T) {
 			t.Fatalf("set %s counts %v, recount %v", s.Name, s.counts, counts)
 		}
 	}
-	if sets := p9.InSets(); len(sets) != 0 {
-		t.Fatalf("removed page still in %d sets", len(sets))
+	if s := p9.Set(); s != nil {
+		t.Fatalf("removed page still in set %s", s.Name)
 	}
-	if sets := p0.InSets(); len(sets) != 1 || sets[0] != back {
-		t.Fatalf("page moved from front to back is in %v", sets)
+	if s := p0.Set(); s != back {
+		t.Fatalf("page moved from front to back is in %v", s)
 	}
 }
