@@ -91,13 +91,13 @@ func (a *Arena) Grow(size int64) *vm.Region {
 	if !a.managed && a.allocated >= a.i.Threshold {
 		a.managed = true
 		a.i.adopts++
-		if gm, ok := a.i.m.Mgr.(GrowthManager); ok {
+		if gm, ok := a.i.m.Manager().(GrowthManager); ok {
 			for _, reg := range a.regions {
 				gm.Manage(reg)
 			}
 		}
 	} else if a.managed {
-		if gm, ok := a.i.m.Mgr.(GrowthManager); ok {
+		if gm, ok := a.i.m.Manager().(GrowthManager); ok {
 			gm.Manage(r)
 		}
 	}

@@ -207,9 +207,7 @@ func runFig8(w io.Writer, o Opts) {
 			// hot set, which needs the machine.
 			boot := machine.New(o.machineConfig(), xmem.NVMOnly())
 			g := gups.New(boot, gcfg)
-			mgr := b.mk(boot, g)
-			boot.Mgr = mgr
-			mgr.Attach(boot)
+			boot.SetManager(b.mk(boot, g))
 			boot.Warm()
 			boot.Run(warm)
 			g.ResetScore()

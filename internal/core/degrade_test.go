@@ -21,8 +21,7 @@ func TestAttachAfterOfflineAvoidsOfflineTier(t *testing.T) {
 		t.Fatal("DRAM did not go offline")
 	}
 	h := core.New(core.DefaultConfig())
-	m.Mgr = h
-	h.Attach(m)
+	m.SetManager(h)
 	r := m.AS.Map("fresh", 2*sim.GB)
 	m.Warm()
 	// HeMem's own lists, not the machine's re-placement, show where it

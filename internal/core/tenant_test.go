@@ -119,8 +119,7 @@ func TestTenantAdmittedBeforeAttach(t *testing.T) {
 	ccfg.LargeAllocThreshold = 16 * sim.MB
 	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 8 * sim.MB}
 	h := core.New(ccfg)
-	m.Mgr = h
-	h.Attach(m)
+	m.SetManager(h)
 	m.Warm()
 	if got := m.AS.TenantBytes(id, vm.TierDRAM); got > cap {
 		t.Fatalf("capped tenant holds %d bytes of DRAM, cap %d", got, cap)

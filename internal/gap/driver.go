@@ -41,6 +41,11 @@ const BytesPerVertex = 400
 // 400 TiB, far past any simulated machine.
 const MaxScale = 40
 
+// MaxCalibrationScale bounds DriverConfig.CalibrationScale: the
+// calibration graph is generated and kept in memory, and at 2^24 vertices
+// its edge list alone takes 2 GiB at the default edge factor.
+const MaxCalibrationScale = 24
+
 // maxEdgeFactor is the largest edge factor whose neighbour arrays (two
 // directions of 8-byte entries) leave room in BytesPerVertex for the
 // vertex data.
@@ -71,7 +76,8 @@ type Driver struct {
 // Validate reports the first invalid field of c. Zero fields mean their
 // defaults (16 edges per vertex, 16 threads, 15 iterations, full edge
 // visits, calibration at scale 18), so only negative values fail, plus
-// a Scale past MaxScale, an EdgeVisitScale outside [0, 1] or NaN, an
+// a Scale past MaxScale, a CalibrationScale past MaxCalibrationScale,
+// an EdgeVisitScale outside [0, 1] or NaN, an
 // EdgeFactor whose neighbour arrays leave no room for the vertex data in
 // BytesPerVertex, and a graph of more than math.MaxInt32 pages of
 // pageSize bytes (the machine's page size; PageIDs are int32).
@@ -89,8 +95,8 @@ func (c DriverConfig) Validate(pageSize int64) error {
 		return fmt.Errorf("gap: negative Iterations %d", c.Iterations)
 	case !(c.EdgeVisitScale >= 0 && c.EdgeVisitScale <= 1):
 		return fmt.Errorf("gap: EdgeVisitScale %v outside [0, 1]", c.EdgeVisitScale)
-	case c.CalibrationScale < 0:
-		return fmt.Errorf("gap: negative CalibrationScale %d", c.CalibrationScale)
+	case c.CalibrationScale < 0 || c.CalibrationScale > MaxCalibrationScale:
+		return fmt.Errorf("gap: CalibrationScale %d outside [0, %d]", c.CalibrationScale, MaxCalibrationScale)
 	}
 	ef := c.EdgeFactor
 	if ef == 0 {

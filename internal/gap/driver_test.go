@@ -188,6 +188,8 @@ func TestValidateRejectsBadShape(t *testing.T) {
 	rejects(t, gap.DriverConfig{Scale: 20, EdgeFactor: -16}, "EdgeFactor")
 	rejects(t, gap.DriverConfig{Scale: 20, EdgeFactor: 25}, "EdgeFactor")
 	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: -18}, "CalibrationScale")
+	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: gap.MaxCalibrationScale + 1}, "CalibrationScale")
+	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: 64}, "CalibrationScale")
 }
 
 // A graph of more pages than PageIDs can number is refused: 2^36

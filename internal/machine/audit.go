@@ -52,6 +52,10 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //     equal that total.
 //   - evac-done: an offline tier whose evacuation is recorded complete
 //     has no resident pages and no inbound queued migration.
+//   - offline-sweep: on an offline tier with an online migratable tier
+//     to evacuate to, every resident page of a region the manager does
+//     not drain itself is queued to move (the fallback sweep re-enqueues
+//     them every quantum; see offlineSweep).
 //   - tenant-counts: the address space's per-tenant occupancy table
 //     equals a recount over owned regions, per tenant and tier.
 //   - tenant-conservation: per tier, the tenant occupancy sums to the
@@ -63,10 +67,12 @@ func (v AuditViolation) String() string { return v.Rule + ": " + v.Detail }
 //     departed sum to at most the tier's capacity, and to the runtime's
 //     reservation ledger that admission control reads.
 //
-// The tenant rules run only on machines with a tenant runtime.
+// The tenant rules run only on machines with a tenant runtime, and
+// offline-sweep, which walks the regions with pages on an offline tier
+// once more, only while a tier is offline.
 //
-// Every rule is checked on every call, and every rule but evac-done (which
-// reads the address space's resident count, itself audited by
+// Every other rule is checked on every call, and every rule but evac-done
+// (which reads the address space's resident count, itself audited by
 // used-conservation) and reservation-fit's capacity bound compares a
 // counter against ground truth, in one read
 // of each materialized page: the queue pass counts each queued page's
@@ -261,25 +267,45 @@ func (m *Machine) Audit() []AuditViolation {
 		}
 	}
 
-	// Completed evacuations stay drained while the tier is offline.
+	// Offline tiers: a completed evacuation stays drained, and on a tier
+	// the fallback sweep can evacuate, every page it owns is queued.
 	for _, td := range m.Cfg.Tiers {
 		t := td.ID
-		if !m.offline[t] || !m.evacDone[t] {
+		if !m.offline[t] {
 			continue
 		}
-		if res := m.AS.Count(t); res != 0 {
+		if res := m.AS.Count(t); m.evacDone[t] && res != 0 {
 			vs = append(vs, AuditViolation{"evac-done",
 				fmt.Sprintf("%v evacuated but %d pages resident", t, res)})
 		}
 		for _, req := range queue {
-			if req.dst == t {
+			if req.dst == t && m.evacDone[t] {
 				vs = append(vs, AuditViolation{"evac-done",
 					fmt.Sprintf("%v evacuated but page %d queued into it", t, req.page.ID)})
 				break
 			}
 		}
+		if _, ok := m.nearestOnline(t); !ok || m.numOffline == 0 {
+			continue
+		}
+		for _, r := range m.AS.Regions {
+			if r.Count(t) == 0 || m.mgrDrains(r) {
+				continue
+			}
+			n, first := 0, vm.PageID(0)
+			r.EachPage(func(p *vm.Page) {
+				if p.Tier == t && !p.Migrating {
+					if n++; n == 1 {
+						first = p.ID
+					}
+				}
+			})
+			if n > 0 {
+				vs = append(vs, AuditViolation{"offline-sweep",
+					fmt.Sprintf("%v offline: %d pages of %s resident and not queued to leave (first page %d)", t, n, r.Name, first)})
+			}
+		}
 	}
-
 	return vs
 }
 

@@ -276,6 +276,21 @@ func TestAuditCatalogue(t *testing.T) {
 			},
 		},
 		{
+			// NVM goes offline and the fallback sweep queues its pages to
+			// DRAM, but one of tt2's swept moves is dropped.
+			name: "offline-sweep",
+			corrupt: func(f *auditFixture) {
+				if !f.m.OfflineTier(vm.TierNVM) {
+					panic("NVM offline refused")
+				}
+				if _, ok := f.m.Migrator.Cancel(f.t2.Peek(3)); !ok {
+					panic("tt2 page 3 was not swept")
+				}
+			},
+			rules: []string{"offline-sweep"},
+			want:  []string{fmt.Sprintf("offline-sweep: NVM offline: 1 pages of tt2 resident and not queued to leave (first page %d)", ref.t2.Peek(3).ID)},
+		},
+		{
 			// tt2's region drops out of the address space without its
 			// teardown: the tenant table still charges it.
 			name: "tenant-counts/leaked-region",

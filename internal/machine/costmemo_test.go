@@ -238,7 +238,7 @@ func TestCostMemoMatchesRecompute(t *testing.T) {
 				for _, w := range m.Workloads {
 					if !w.Done() {
 						for _, c := range w.Components() {
-							m.Branches(c)
+							m.AppendBranches(nil, c)
 						}
 					}
 				}
@@ -272,12 +272,16 @@ func TestMemoryModeKVSStepAllocationFree(t *testing.T) {
 }
 
 // pricer is an NVM-first manager with a cost model of its own: every
-// component costs time ns, as one branch. It is no CostEpocher, so the
-// machine must reprice it on every call.
+// component costs time ns, as one branch, and its cost epoch never moves.
 type pricer struct {
 	stubMgr
 	time float64
 }
+
+var _ machine.CostModel = (*pricer)(nil)
+
+func (p *pricer) ObserveTraffic(int64, []machine.Component, []float64) {}
+func (p *pricer) CostEpoch() uint64                                    { return 0 }
 
 func (p *pricer) ComponentCost(machine.Component) machine.CompCost {
 	return machine.CompCost{Time: p.time}
@@ -287,11 +291,6 @@ func (p *pricer) ComponentBranches(machine.Component) []machine.CostBranch {
 	return []machine.CostBranch{{Prob: 1, Time: p.time}}
 }
 
-// epochPricer is a pricer whose cost epoch never moves.
-type epochPricer struct{ pricer }
-
-func (*epochPricer) CostEpoch() uint64 { return 0 }
-
 func newPricerMachine(mgr machine.Manager) (*machine.Machine, machine.Component) {
 	m := machine.New(machine.DefaultConfig(), mgr)
 	g := gups.New(m, gups.Config{Threads: 4, WorkingSet: 1 * sim.GB, Seed: 3})
@@ -299,19 +298,19 @@ func newPricerMachine(mgr machine.Manager) (*machine.Machine, machine.Component)
 	return m, g.Components()[0]
 }
 
-// Replacing Mgr between steps drops every cached price and branch list,
+// SetManager between steps drops every cached price and branch list,
 // even when the new manager's epoch equals the old one's.
 func TestCostMemoManagerSwap(t *testing.T) {
-	m, c := newPricerMachine(&epochPricer{pricer{time: 5}})
+	m, c := newPricerMachine(&pricer{time: 5})
 	for i := 0; i < 10; i++ {
 		m.Step(m.Cfg.Quantum)
-		m.Branches(c)
+		m.AppendBranches(nil, c)
 	}
 	if _, reused := m.CostStats(); reused == 0 {
 		t.Fatal("no price reused before the swap")
 	}
-	m.Mgr = &epochPricer{pricer{time: 7}}
-	if br := m.Branches(c); br[0].Time != 7 {
+	m.SetManager(&pricer{time: 7})
+	if br := m.AppendBranches(nil, c); br[0].Time != 7 {
 		t.Errorf("branches after the swap = %v, want the new manager's time 7", br)
 	}
 	m.Step(m.Cfg.Quantum)
@@ -324,44 +323,31 @@ func TestCostMemoManagerSwap(t *testing.T) {
 	}
 }
 
-// A CostModeler and Brancher that is no CostEpocher is repriced on every
-// step and every Branches call, so a change only it knows of shows at once.
-func TestCostMemoWithoutEpoch(t *testing.T) {
-	p := &pricer{time: 5}
-	m, c := newPricerMachine(p)
-	const steps = 10
-	for i := 0; i < steps; i++ {
-		p.time = float64(5 + i)
+// sliceManager is an NVM-first placement manager of a type == cannot
+// compare (it holds a slice), passed by value.
+type sliceManager struct{ tiers []vm.Tier }
+
+func (sliceManager) Name() string            { return "slice" }
+func (sliceManager) Attach(*machine.Machine) {}
+func (sliceManager) PageIn(p *vm.Page)       { p.SetTier(vm.TierNVM) }
+func (sliceManager) OnQuantum(now, dt int64) {}
+func (sliceManager) ActiveThreads() float64  { return 0 }
+
+// A manager that == cannot compare is set and stepped without a panic,
+// and its placement prices are reused like any other manager's.
+func TestCostMemoUncomparableManager(t *testing.T) {
+	m, c := newPricerMachine(sliceManager{tiers: []vm.Tier{vm.TierNVM}})
+	for i := 0; i < 20; i++ {
+		if i == 10 {
+			m.SetManager(sliceManager{tiers: []vm.Tier{vm.TierNVM}})
+		}
 		m.Step(m.Cfg.Quantum)
-		if br := m.Branches(c); br[0].Time != p.time {
-			t.Fatalf("step %d: branches %v, want time %v", i, br, p.time)
+		m.AppendBranches(nil, c)
+		if _, err := m.CheckCostMemo(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	if priced, reused := m.CostStats(); priced != steps || reused != 0 {
-		t.Errorf("priced %d, reused %d; want %d and 0", priced, reused, steps)
-	}
-}
-
-// slicePricer is an NVM-first manager of a type == cannot compare (it
-// holds a slice), passed by value.
-type slicePricer struct{ tiers []vm.Tier }
-
-func (slicePricer) Name() string            { return "slice" }
-func (slicePricer) Attach(*machine.Machine) {}
-func (slicePricer) PageIn(p *vm.Page)       { p.SetTier(vm.TierNVM) }
-func (slicePricer) OnQuantum(now, dt int64) {}
-func (slicePricer) ActiveThreads() float64  { return 0 }
-func (slicePricer) CostEpoch() uint64       { return 0 }
-
-// A manager that cannot be told apart from its successor by == steps
-// without a panic, and nothing it prices is reused.
-func TestCostMemoUncomparableManager(t *testing.T) {
-	m, c := newPricerMachine(slicePricer{tiers: []vm.Tier{vm.TierNVM}})
-	for i := 0; i < 10; i++ {
-		m.Step(m.Cfg.Quantum)
-		m.Branches(c)
-	}
-	if priced, reused := m.CostStats(); priced == 0 || reused != 0 {
-		t.Errorf("priced %d, reused %d; want every price computed", priced, reused)
+	if priced, reused := m.CostStats(); priced == 0 || reused == 0 {
+		t.Errorf("priced %d, reused %d; want placement prices reused", priced, reused)
 	}
 }

@@ -31,9 +31,6 @@ func (m *Machine) PendingRetained() int {
 // returns how many cached entries it checked and the first mismatch.
 func (m *Machine) CheckCostMemo() (checked int, err error) {
 	epoch := m.costEpoch()
-	if epoch == 0 {
-		return 0, nil // nothing is reused
-	}
 	for i := range m.ws {
 		s := &m.ws[i]
 		for j := range s.comps {
@@ -54,7 +51,7 @@ func (m *Machine) CheckCostMemo() (checked int, err error) {
 	for i := range m.branchMemo {
 		e := &m.branchMemo[i]
 		c := e.key.c
-		if e.key.epoch == 0 || newCostKey(&c, epoch) != e.key {
+		if newCostKey(&c, epoch) != e.key {
 			continue
 		}
 		fresh := m.branches(nil, c)

@@ -169,7 +169,7 @@ func (m *Machine) injectUE() {
 		m.faultStats.UncorrectableByTier[victim.Tier]++
 	}
 	m.faultStats.PagesRetired++
-	if h, ok := m.Mgr.(FaultHandler); ok {
+	if h, ok := m.mgr.(FaultHandler); ok {
 		h.OnNVMUncorrectable(victim)
 	}
 }
@@ -194,7 +194,7 @@ func (m *Machine) injectCE() {
 	m.AS.RetireFrame(victim)
 	m.faultStats.PagesPredictivelyRetired++
 	m.faultStats.PagesRetired++
-	if h, ok := m.Mgr.(FaultHandler); ok {
+	if h, ok := m.mgr.(FaultHandler); ok {
 		h.OnNVMUncorrectable(victim)
 	}
 }

@@ -13,7 +13,6 @@ package machine
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 
 	"github.com/tieredmem/hemem/internal/fault"
@@ -23,17 +22,9 @@ import (
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// Dev indexes the memory devices in tier-table order (fastest first).
-// The named constants are the indices of the classic DRAM/NVM/disk
-// testbed; machines built from an explicit Config.Tiers table may lay
-// devices out differently — resolve indices through Machine.DevOf.
+// Dev indexes the memory devices in tier-table order (fastest first);
+// resolve a tier's index through Machine.DevOf.
 type Dev int
-
-const (
-	DevDRAM Dev = iota
-	DevNVM
-	DevDisk
-)
 
 // MaxDevs bounds the per-device arrays threaded through the contention
 // solver (CompCost, utilization, wear snapshots). It is deliberately a
@@ -179,8 +170,8 @@ type wstate struct {
 
 // costKey is everything a price reads (DESIGN.md §7): the component with
 // Share zeroed (a price is per occurrence), its set's version and the
-// machine's cost epoch. Equal keys price identically. A caching epoch is
-// never 0, so the zero key matches nothing.
+// machine's cost epoch. Equal keys price identically. An epoch is never
+// 0, so the zero key matches nothing.
 type costKey struct {
 	c              Component
 	version, epoch uint64
@@ -193,15 +184,6 @@ func newCostKey(c *Component, epoch uint64) costKey {
 		k.version = c.Set.Version()
 	}
 	return k
-}
-
-// epochState is what costEpoch remembers of the manager it last saw.
-type epochState struct {
-	mgr        Manager
-	comparable bool        // mgr's type supports ==
-	epocher    CostEpocher // mgr as a CostEpocher, or nil
-	noCache    bool        // mgr prices itself but is no CostEpocher
-	base, last uint64      // epochs start above base; last was handed out
 }
 
 // branchMemo is one cached AppendBranches result and its key.
@@ -237,18 +219,23 @@ type Releaser interface {
 	Release(r *vm.Region)
 }
 
-// CostModeler is implemented by managers that price traffic themselves
-// (Memory Mode's DRAM cache). Managers that don't implement it get the
-// default placement-based model. It is cached only if also a CostEpocher.
-type CostModeler interface {
+// CostModel is implemented by managers that price traffic themselves
+// (Memory Mode's DRAM cache) instead of by page placement; every other
+// manager gets the placement model (PlacementCost and the per-tier
+// branch split).
+type CostModel interface {
+	// ObserveTraffic is called once per step with each active component
+	// and its achieved occurrence rate in occurrences/ns: a cache model
+	// needs every stream's line rates to compute its occupancy.
+	ObserveTraffic(now int64, comps []Component, occRates []float64)
+	// ComponentCost prices one occurrence of c.
 	ComponentCost(c Component) CompCost
-}
-
-// CostEpocher lets the machine cache a CostModeler's prices and a
-// Brancher's branches (see costKey). CostEpoch only grows, and must grow
-// whenever anything they read but the component, its set and the devices'
-// derates changes.
-type CostEpocher interface {
+	// ComponentBranches returns the latency outcomes of one occurrence
+	// of c (Memory Mode's cache hit and miss).
+	ComponentBranches(c Component) []CostBranch
+	// CostEpoch lets the machine cache the two above (see costKey). It
+	// only grows, and must grow whenever anything they read but the
+	// component, its set and the devices' derates changes.
 	CostEpoch() uint64
 }
 
@@ -285,21 +272,6 @@ type RateLimited interface {
 type CostBranch struct {
 	Prob float64
 	Time float64 // ns
-}
-
-// Brancher is implemented by managers whose cost model has non-placement
-// branches (Memory Mode's cache hit/miss). Placement managers get the
-// default per-tier split. It is cached only if also a CostEpocher.
-type Brancher interface {
-	ComponentBranches(c Component) []CostBranch
-}
-
-// TrafficObserver is implemented by managers that model traffic globally
-// (Memory Mode's cache needs every stream's line rates to compute
-// steady-state occupancy). The machine calls it once per quantum with each
-// active component and its achieved occurrence rate in occurrences/ns.
-type TrafficObserver interface {
-	ObserveTraffic(now int64, comps []Component, occRates []float64)
 }
 
 // Config holds the testbed parameters (defaults mirror the paper's
@@ -503,7 +475,10 @@ type Machine struct {
 	// fastest is the chain's top tier (DRAM on the classic testbed).
 	fastest vm.TierID
 
-	Mgr       Manager
+	// mgr is the manager under test and cost its CostModel, or nil;
+	// both change only through SetManager.
+	mgr       Manager
+	cost      CostModel
 	Workloads []Workload
 	Migrator  *Migrator
 
@@ -553,10 +528,11 @@ type Machine struct {
 	sampleScratch []pebs.Record
 
 	// branchMemo caches AppendBranches results, replaced round-robin at
-	// branchNext. costPriced/costReused back CostStats.
+	// branchNext. Cost epochs start above epochBase; epochLast is the
+	// last one handed out. costPriced/costReused back CostStats.
 	branchMemo             [8]branchMemo
 	branchNext             int
-	epochs                 epochState
+	epochBase, epochLast   uint64
 	costPriced, costReused int64
 
 	// Metrics
@@ -583,7 +559,6 @@ func New(cfg Config, mgr Manager) *Machine {
 		Events:     sim.NewEventQueue(),
 		Rng:        sim.NewRand(cfg.Seed),
 		AS:         vm.NewAddressSpace(cfg.PageSize),
-		Mgr:        mgr,
 		rates:      make(map[*vm.PageSet]*SetRates),
 		sampleEach: 100 * sim.Millisecond,
 	}
@@ -619,9 +594,22 @@ func New(cfg Config, mgr Manager) *Machine {
 	m.auditing = cfg.Audit
 	m.Injector = fault.New(cfg.Faults, sim.NewRand(cfg.Seed^injectorSeedSalt))
 	m.Migrator = NewMigrator(m)
-	mgr.Attach(m)
+	m.SetManager(mgr)
 	return m
 }
+
+// SetManager makes mgr the machine's manager and attaches it. Every cost
+// epoch it is priced under lies above the last one handed out, so no
+// cached price or branch list outlives the manager it came from.
+func (m *Machine) SetManager(mgr Manager) {
+	m.mgr = mgr
+	m.cost, _ = mgr.(CostModel)
+	m.epochBase = m.epochLast
+	mgr.Attach(m)
+}
+
+// Manager returns the manager under test.
+func (m *Machine) Manager() Manager { return m.mgr }
 
 // seqBandwidth returns the sequential media-bandwidth ceiling for device
 // d from the hoisted tier-table column, applying the runtime throttle
@@ -667,10 +655,6 @@ func (m *Machine) DevOf(t vm.TierID) (Dev, bool) {
 	}
 	return 0, false
 }
-
-// DeviceFor returns the device backing tier t (the conservative charge
-// device for TierNone and absent tiers).
-func (m *Machine) DeviceFor(t vm.TierID) *mem.Device { return m.devs[m.TierDev(t)] }
 
 // CapacityOf returns the capacity of tier t, or 0 if absent.
 func (m *Machine) CapacityOf(t vm.TierID) int64 {
@@ -780,7 +764,7 @@ func (m *Machine) TouchRange(r *vm.Region, lo, hi int) int {
 // fallback evacuation follows, so no manager's first touch lands on a
 // tier being drained, whether or not its placement reads liveness.
 func (m *Machine) pageIn(p *vm.Page) {
-	m.Mgr.PageIn(p)
+	m.mgr.PageIn(p)
 	if p.Tier == vm.TierNone {
 		panic("machine: manager did not place page on PageIn")
 	}
@@ -805,7 +789,7 @@ func (m *Machine) AuditsRun() int64 { return m.auditsRun }
 // the address space.
 func (m *Machine) Unmap(r *vm.Region) {
 	m.Migrator.cancelRegion(r)
-	if rel, ok := m.Mgr.(Releaser); ok {
+	if rel, ok := m.mgr.(Releaser); ok {
 		rel.Release(r)
 	}
 	m.AS.Unmap(r)
@@ -1017,7 +1001,7 @@ func (m *Machine) stepBody(now, dt int64) {
 
 	// CPU share: application threads contend with manager background
 	// threads and migration copy threads for cores.
-	bg := m.Mgr.ActiveThreads() + m.Migrator.activeThreads()
+	bg := m.mgr.ActiveThreads() + m.Migrator.activeThreads()
 	cpuShare := 1.0
 	if total := float64(appThreads) + bg; total > float64(m.Cfg.Cores) {
 		cpuShare = float64(m.Cfg.Cores) / total
@@ -1055,9 +1039,7 @@ func (m *Machine) stepBody(now, dt int64) {
 	}
 	m.stall -= stallNow
 	stallFrac := float64(stallNow) / float64(dt)
-	// The epoch is resolved at the first component: idle steps have none.
-	var epoch uint64
-	resolved := false
+	epoch := m.costEpoch()
 	for i := range ws {
 		s := &ws[i]
 		if cap(s.costs) < len(s.comps) {
@@ -1073,10 +1055,7 @@ func (m *Machine) stepBody(now, dt int64) {
 		}
 		for j := range s.comps {
 			c := &s.comps[j]
-			if !resolved {
-				epoch, resolved = m.costEpoch(), true
-			}
-			if k := newCostKey(c, epoch); epoch == 0 || k != s.keys[j] {
+			if k := newCostKey(c, epoch); k != s.keys[j] {
 				m.costComponent(c, &s.costs[j])
 				s.keys[j] = k
 				m.costPriced++
@@ -1136,12 +1115,11 @@ func (m *Machine) stepBody(now, dt int64) {
 	// sampler (a scan- or region-based tracker is active), which must
 	// disable sample feeding rather than dereference nil per component.
 	var sampler *pebs.Sampler
-	if ss, ok := m.Mgr.(SampleSource); ok {
+	if ss, ok := m.mgr.(SampleSource); ok {
 		sampler = ss.Sampler()
 	}
 	obsComps := m.obsComps[:0]
 	obsRates := m.obsRates[:0]
-	obs, observing := m.Mgr.(TrafficObserver)
 	for i := range ws {
 		s := &ws[i]
 		ops := s.rate * float64(dt)
@@ -1156,7 +1134,7 @@ func (m *Machine) stepBody(now, dt int64) {
 			if occ <= 0 || c.Set == nil || c.Set.Len() == 0 {
 				continue
 			}
-			if observing {
+			if m.cost != nil {
 				obsComps = append(obsComps, *c)
 				obsRates = append(obsRates, s.rate*c.Share)
 			}
@@ -1190,11 +1168,11 @@ func (m *Machine) stepBody(now, dt int64) {
 	if len(m.pending) > 0 {
 		m.flushSamples(sampler.Buffer())
 	}
-	if observing {
-		obs.ObserveTraffic(now, obsComps, obsRates)
+	if m.cost != nil {
+		m.cost.ObserveTraffic(now, obsComps, obsRates)
 	}
 	m.obsComps, m.obsRates = obsComps, obsRates
-	m.Mgr.OnQuantum(now, dt)
+	m.mgr.OnQuantum(now, dt)
 
 	// Record instantaneous throughput periodically.
 	if now-m.lastSample >= m.sampleEach {
@@ -1301,40 +1279,25 @@ func (m *Machine) flushSamples(buf *pebs.Buffer) {
 // the manager's cost model if it has one. It takes pointers so the per-
 // component solver loop copies neither the Component nor the CompCost.
 func (m *Machine) costComponent(c *Component, cc *CompCost) {
-	if cm, ok := m.Mgr.(CostModeler); ok {
-		*cc = cm.ComponentCost(*c)
+	if m.cost != nil {
+		*cc = m.cost.ComponentCost(*c)
 		return
 	}
 	m.placementCost(c, cc)
 }
 
-// costEpoch is the epoch prices are cached under: 1 + the devices' derate
-// versions + the manager's CostEpoch, counters that only grow. A new Mgr
-// restarts the sum above the last epoch handed out, so no cached price
-// outlives its manager. 0 means "do not cache" (see CostEpocher).
+// costEpoch is the epoch prices are cached under: the base SetManager
+// chose + 1 + the devices' derate versions + the cost model's CostEpoch,
+// counters that only grow.
 func (m *Machine) costEpoch() uint64 {
-	s := &m.epochs
-	// == cannot panic: s.mgr's type supports it. A manager of a type
-	// without == is new on every call, so its prices are never reused.
-	if !s.comparable || m.Mgr != s.mgr {
-		s.mgr, s.base = m.Mgr, s.last
-		s.comparable = reflect.TypeOf(m.Mgr).Comparable()
-		s.epocher, _ = m.Mgr.(CostEpocher)
-		_, cm := m.Mgr.(CostModeler)
-		_, br := m.Mgr.(Brancher)
-		s.noCache = s.epocher == nil && (cm || br)
-	}
-	if s.noCache {
-		return 0
-	}
-	e := s.base + 1
+	e := m.epochBase + 1
 	for _, d := range m.devs {
 		e += d.Version()
 	}
-	if s.epocher != nil {
-		e += s.epocher.CostEpoch()
+	if m.cost != nil {
+		e += m.cost.CostEpoch()
 	}
-	s.last = e
+	m.epochLast = e
 	return e
 }
 
@@ -1417,25 +1380,15 @@ func (m *Machine) placementCost(c *Component, cc *CompCost) {
 	}
 }
 
-// Branches returns the latency outcomes of one occurrence of c under the
-// active manager: the manager's own branches if it is a Brancher,
-// otherwise the placement split — the DRAM-resident fraction of the set at
-// the DRAM cost and the rest at the NVM cost.
-func (m *Machine) Branches(c Component) []CostBranch {
-	return m.AppendBranches(nil, c)
-}
-
-// AppendBranches is Branches with a caller-supplied buffer: the outcomes
-// are appended to dst and the extended slice returned, so per-op callers
-// (workload OnOps hooks pricing latency distributions every quantum) can
-// reuse a scratch slice instead of allocating on every call. Results are
-// cached under the component's costKey.
+// AppendBranches appends the latency outcomes of one occurrence of c under
+// the active manager to dst and returns the extended slice: the cost
+// model's own branches if it has one, otherwise the placement split, each
+// tier's resident fraction of the set at that tier's cost. Per-op callers
+// (workload OnOps hooks pricing latency distributions every quantum) reuse
+// a scratch slice for dst. Results are cached under the component's
+// costKey.
 func (m *Machine) AppendBranches(dst []CostBranch, c Component) []CostBranch {
-	epoch := m.costEpoch()
-	if epoch == 0 {
-		return m.branches(dst, c)
-	}
-	k := newCostKey(&c, epoch)
+	k := newCostKey(&c, m.costEpoch())
 	for i := range m.branchMemo {
 		// The set pointer alone rules most entries out cheaply.
 		if e := &m.branchMemo[i]; e.key.c.Set == k.c.Set && e.key == k {
@@ -1450,8 +1403,8 @@ func (m *Machine) AppendBranches(dst []CostBranch, c Component) []CostBranch {
 
 // branches appends c's latency outcomes to dst, uncached.
 func (m *Machine) branches(dst []CostBranch, c Component) []CostBranch {
-	if b, ok := m.Mgr.(Brancher); ok {
-		return append(dst, b.ComponentBranches(c)...)
+	if m.cost != nil {
+		return append(dst, m.cost.ComponentBranches(c)...)
 	}
 	if c.Set == nil || c.Set.Len() == 0 {
 		return append(dst, CostBranch{Prob: 1, Time: 1})
@@ -1497,5 +1450,5 @@ func (m *Machine) String() string {
 	for _, d := range m.devs {
 		s += fmt.Sprintf(", %s", d)
 	}
-	return s + fmt.Sprintf(", mgr=%s}", m.Mgr.Name())
+	return s + fmt.Sprintf(", mgr=%s}", m.mgr.Name())
 }

@@ -123,8 +123,7 @@ func TestOptPlacement(t *testing.T) {
 	mOpt := machine.New(machine.DefaultConfig(), xmem.NVMOnly())
 	gOpt := gups.New(mOpt, gups.Config{Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: 7})
 	opt := xmem.Opt(gOpt.HotPages())
-	mOpt.Mgr = opt
-	opt.Attach(mOpt)
+	mOpt.SetManager(opt)
 	mOpt.Warm()
 	mOpt.Run(2 * sim.Second)
 	optScore := gOpt.Score()
@@ -332,11 +331,13 @@ func TestPlacementCostTierSplit(t *testing.T) {
 	if half.Time >= allNVM.Time {
 		t.Fatalf("half-DRAM cost %v not below all-NVM %v", half.Time, allNVM.Time)
 	}
-	if half.Bytes[machine.DevDRAM][mem.Read] == 0 || half.Bytes[machine.DevNVM][mem.Read] == 0 {
+	dram, _ := m.DevOf(vm.TierDRAM)
+	nvm, _ := m.DevOf(vm.TierNVM)
+	if half.Bytes[dram][mem.Read] == 0 || half.Bytes[nvm][mem.Read] == 0 {
 		t.Fatal("split bytes missing a device")
 	}
 	// NVM side uses media granularity (256B per 8B read).
-	if got := allNVM.Bytes[machine.DevNVM][mem.Read]; got != 256 {
+	if got := allNVM.Bytes[nvm][mem.Read]; got != 256 {
 		t.Fatalf("NVM media bytes per 8B read = %v, want 256", got)
 	}
 }

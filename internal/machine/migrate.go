@@ -360,7 +360,7 @@ func (g *Migrator) abort(req *migReq, now int64) {
 		page := req.page
 		page.Migrating = false
 		g.release(req)
-		if obs, ok := g.m.Mgr.(MigrationFailureObserver); ok {
+		if obs, ok := g.m.mgr.(MigrationFailureObserver); ok {
 			obs.OnMigrationFailed(page, dst)
 		}
 		return
@@ -398,7 +398,7 @@ func (g *Migrator) complete(req *migReq) {
 	g.release(req)
 	page.SetTier(dst)
 	page.Migrating = false
-	if obs, ok := g.m.Mgr.(MigrationObserver); ok {
+	if obs, ok := g.m.mgr.(MigrationObserver); ok {
 		obs.OnMigrated(page)
 	}
 }

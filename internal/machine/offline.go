@@ -21,7 +21,7 @@ type TierEventHandler interface {
 // mgrDrains reports whether the attached manager drains region r's pages
 // off offline tiers itself.
 func (m *Machine) mgrDrains(r *vm.Region) bool {
-	h, ok := m.Mgr.(TierEventHandler)
+	h, ok := m.mgr.(TierEventHandler)
 	return ok && h.DrainsOffline(r)
 }
 

@@ -93,7 +93,7 @@ func (z *zone) dirtyFrac() float64 {
 	return f
 }
 
-var _ machine.CostEpocher = (*MemoryMode)(nil) // else its prices go uncached
+var _ machine.CostModel = (*MemoryMode)(nil)
 
 // MemoryMode is the hardware tiering manager.
 type MemoryMode struct {
@@ -124,17 +124,14 @@ type MemoryMode struct {
 	rowsReused int64
 	// passesRun/passesSkipped count closed-form passes run vs skipped.
 	passesRun, passesSkipped int64
-	// ModelRefresh controls how often the occupancy model is recomputed
-	// (simulated ns).
-	ModelRefresh int64
 }
+
+// modelRefresh is how often the occupancy model is recomputed.
+const modelRefresh = 50 * sim.Millisecond
 
 // New returns a memory-mode manager.
 func New() *MemoryMode {
-	return &MemoryMode{
-		zones:        make(map[*vm.PageSet]*zone),
-		ModelRefresh: 50 * sim.Millisecond,
-	}
+	return &MemoryMode{zones: make(map[*vm.PageSet]*zone)}
 }
 
 // Name implements machine.Manager.
@@ -164,7 +161,7 @@ func (mm *MemoryMode) OnQuantum(now, dt int64) {}
 // ActiveThreads implements machine.Manager: pure hardware, zero cores.
 func (mm *MemoryMode) ActiveThreads() float64 { return 0 }
 
-// ObserveTraffic implements machine.TrafficObserver: update zone rates and
+// ObserveTraffic implements machine.CostModel: update zone rates and
 // periodically refresh the occupancy model.
 func (mm *MemoryMode) ObserveTraffic(now int64, comps []machine.Component, occRates []float64) {
 	mm.gen++
@@ -187,7 +184,7 @@ func (mm *MemoryMode) ObserveTraffic(now int64, comps []machine.Component, occRa
 			z.seenGen = mm.gen
 		}
 	}
-	if mm.lastModel < 0 || now-mm.lastModel >= mm.ModelRefresh {
+	if mm.lastModel < 0 || now-mm.lastModel >= modelRefresh {
 		mm.refreshModel()
 		mm.lastModel = now
 	}
@@ -314,7 +311,7 @@ func (mm *MemoryMode) ModelRowStats() (built, reused int64) {
 	return mm.rowsBuilt, mm.rowsReused
 }
 
-// CostEpoch implements machine.CostEpocher. Prices and branches read the
+// CostEpoch implements machine.CostModel. Prices and branches read the
 // zones' hit and writeback figures, which only a closed-form pass changes,
 // so the epoch is the count of passes run.
 func (mm *MemoryMode) CostEpoch() uint64 { return uint64(mm.passesRun) }
@@ -334,7 +331,7 @@ func (mm *MemoryMode) HitRate(set *vm.PageSet) float64 {
 	return 1
 }
 
-// ComponentBranches implements machine.Brancher: an access either hits the
+// ComponentBranches implements machine.CostModel: an access either hits the
 // DRAM cache or misses to NVM (plus the fill), which is what spreads MM's
 // latency tail in Tables 3 and 4.
 func (mm *MemoryMode) ComponentBranches(c machine.Component) []machine.CostBranch {
@@ -350,7 +347,7 @@ func (mm *MemoryMode) ComponentBranches(c machine.Component) []machine.CostBranc
 	}
 }
 
-// ComponentCost implements machine.CostModeler: price accesses through the
+// ComponentCost implements machine.CostModel: price accesses through the
 // DRAM cache.
 func (mm *MemoryMode) ComponentCost(c machine.Component) machine.CompCost {
 	var cc machine.CompCost

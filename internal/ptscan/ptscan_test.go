@@ -87,9 +87,7 @@ func TestScanOnlyOverhead(t *testing.T) {
 			}
 			return vm.TierNVM
 		}
-		mgr := mk(place)
-		boot.Mgr = mgr
-		mgr.Attach(boot)
+		boot.SetManager(mk(place))
 		boot.Warm()
 		boot.Run(30 * sim.Second)
 		return g.Score()

@@ -43,7 +43,7 @@ type DriverConfig struct {
 // read and 9 written per transaction, 192-byte rows, 3 index hops), so
 // only negative values fail, plus a database of no warehouses and one of
 // more than math.MaxInt32 pages of pageSize bytes (the machine's page
-// size; PageIDs are int32).
+// size; PageIDs are int32) or of fewer than three.
 func (c DriverConfig) Validate(pageSize int64) error {
 	switch {
 	case c.Threads < 0:
@@ -69,6 +69,9 @@ func (c DriverConfig) Validate(pageSize int64) error {
 	}
 	if err := vm.CheckMapping(pageSize, int64(c.Warehouses)*wb); err != nil {
 		return fmt.Errorf("tpcc: %w", err)
+	}
+	if n := vm.PagesFor(int64(c.Warehouses)*wb, pageSize); n < 3 {
+		return fmt.Errorf("tpcc: a database of %d pages of %d bytes; the hot, insert and bulk row sets need one page each", n, pageSize)
 	}
 	return nil
 }

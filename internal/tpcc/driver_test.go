@@ -132,6 +132,17 @@ func TestValidateRejectsPageIDOverflow(t *testing.T) {
 	rejects(t, tpcc.DriverConfig{Warehouses: math.MaxInt32, WarehouseBytes: math.MaxInt64 / 2}, "overflow")
 }
 
+// The hot, insert and bulk row sets take one page each at least, so a
+// database of fewer than three pages is refused; three are enough.
+func TestValidateRejectsTinyDatabase(t *testing.T) {
+	rejects(t, tpcc.DriverConfig{Warehouses: 2, WarehouseBytes: 2 * sim.MB}, "2 pages")
+	rejects(t, tpcc.DriverConfig{Warehouses: 18, WarehouseBytes: 64 * sim.KB}, "1 pages")
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	tpcc.NewDriver(m, tpcc.DriverConfig{Warehouses: 3, WarehouseBytes: 2 * sim.MB})
+	m.Warm()
+	m.Run(10 * sim.Millisecond)
+}
+
 // Zero fields mean defaults, so a config naming only its warehouses is
 // valid.
 func TestValidateAcceptsDefaults(t *testing.T) {

@@ -56,8 +56,7 @@ func TestOptPinsHotSetAndFillsDRAM(t *testing.T) {
 	// cold pages first and must reserve DRAM for the hot ones.
 	hot := vm.NewPageSet("hot", r.AllPages()[6:])
 	opt := xmem.Opt(hot)
-	boot.Mgr = opt
-	opt.Attach(boot)
+	boot.SetManager(opt)
 	boot.Warm()
 	if hot.Frac(vm.TierDRAM) != 1 {
 		t.Fatal("Opt did not place hot set in DRAM despite cold pages arriving first")
