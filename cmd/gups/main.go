@@ -42,15 +42,15 @@ func main() {
 	case "mm":
 		mgr = memmode.New()
 	case "nimble":
-		mgr = ptscan.New(ptscan.Nimble())
+		mgr = ptscan.Nimble()
 	case "dram":
 		mgr = xmem.DRAMFirst()
 	case "nvm":
 		mgr = xmem.NVMOnly()
 	case "pt-async":
-		mgr = ptscan.New(ptscan.HeMemPTAsync())
+		mgr = ptscan.HeMemPTAsync()
 	case "pt-sync":
-		mgr = ptscan.New(ptscan.HeMemPTSync())
+		mgr = ptscan.HeMemPTSync()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown manager %q\n", *mgrName)
 		os.Exit(1)

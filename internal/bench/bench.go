@@ -179,12 +179,12 @@ func table(w io.Writer) *tabwriter.Writer {
 // Manager constructors used across experiments, keyed by report label.
 func newHeMem() machine.Manager    { return core.New(core.DefaultConfig()) }
 func newMM() machine.Manager       { return memmode.New() }
-func newNimble() machine.Manager   { return ptscan.New(ptscan.Nimble()) }
+func newNimble() machine.Manager   { return ptscan.Nimble() }
 func newDRAM() machine.Manager     { return xmem.DRAMFirst() }
 func newNVM() machine.Manager      { return xmem.NVMOnly() }
-func newPTAsync() machine.Manager  { return ptscan.New(ptscan.HeMemPTAsync()) }
-func newPTSync() machine.Manager   { return ptscan.New(ptscan.HeMemPTSync()) }
-func newScanOnly() machine.Manager { return ptscan.New(ptscan.ScanOnly()) }
+func newPTAsync() machine.Manager  { return ptscan.HeMemPTAsync() }
+func newPTSync() machine.Manager   { return ptscan.HeMemPTSync() }
+func newScanOnly() machine.Manager { return ptscan.ScanOnly(nil) }
 
 // gupsRun builds a machine+GUPS pair, warms, runs, and returns the
 // steady-window score in GUPS.

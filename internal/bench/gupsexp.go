@@ -191,14 +191,10 @@ func runFig8(w io.Writer, o Opts) {
 			cfg.PlaceFunc = manual(m, g)
 			return core.New(cfg)
 		}},
-		{"PT Scan", func(m *machine.Machine, g *gups.GUPS) machine.Manager {
-			opt := ptscan.ScanOnly()
-			opt.PlaceFunc = manual(m, g)
-			return ptscan.New(opt)
-		}},
+		{"PT Scan", func(m *machine.Machine, g *gups.GUPS) machine.Manager { return ptscan.ScanOnly(manual(m, g)) }},
 		{"PEBS + Migrate", func(m *machine.Machine, g *gups.GUPS) machine.Manager { return core.New(core.DefaultConfig()) }},
-		{"PT Scan + M. Sync", func(m *machine.Machine, g *gups.GUPS) machine.Manager { return ptscan.New(ptscan.HeMemPTSync()) }},
-		{"PT Scan + M. Async", func(m *machine.Machine, g *gups.GUPS) machine.Manager { return ptscan.New(ptscan.HeMemPTAsync()) }},
+		{"PT Scan + M. Sync", func(m *machine.Machine, g *gups.GUPS) machine.Manager { return ptscan.HeMemPTSync() }},
+		{"PT Scan + M. Async", func(m *machine.Machine, g *gups.GUPS) machine.Manager { return ptscan.HeMemPTAsync() }},
 	}
 	s := NewSweep("fig8", o)
 	for _, b := range bars {

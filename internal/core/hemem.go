@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"github.com/tieredmem/hemem/internal/dma"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/pebs"
 	"github.com/tieredmem/hemem/internal/sim"
@@ -30,9 +29,8 @@ type Config struct {
 	// smaller allocations are forwarded to the kernel and stay in DRAM
 	// (paper: 1 GB).
 	LargeAllocThreshold int64
-	// NoDMA disables the I/OAT engine, copying with
-	// dma.FallbackCopyThreads copy threads instead (the paper's Figure 7
-	// ablation). The switches below are inverted so the zero value is the
+	// NoDMA disables the I/OAT engine, copying with the migrator's 4 copy
+	// threads instead (the paper's Figure 7 ablation). The switches below are inverted so the zero value is the
 	// paper default and a partially filled Config keeps full paper
 	// behavior.
 	NoDMA bool
@@ -312,17 +310,13 @@ func (h *HeMem) Buffer() *pebs.Buffer {
 }
 
 // Attach implements machine.Manager: build the per-tier queues from the
-// machine's tier table, wire the migrator backend, attach the tracker
-// and policy, and start the policy timer.
+// machine's tier table, choose the migrator's copy engine, attach the
+// tracker and policy, and start the policy timer.
 func (h *HeMem) Attach(m *machine.Machine) {
 	h.m = m
 	h.initTiers()
 	m.Migrator.RateCap = sim.GBps(migRateGBps)
-	if !h.cfg.NoDMA {
-		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New()})
-	} else {
-		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)})
-	}
+	m.Migrator.UseCopyThreads(h.cfg.NoDMA)
 	h.tracker.Attach(h)
 	h.pol.Attach(h)
 	var tick func(now int64)

@@ -46,7 +46,7 @@ func TestFig14RelativeOrder(t *testing.T) {
 	const scale, iters = 28, 6
 	dram, _ := runBC(t, xmem.DRAMFirst(), scale, iters)
 	hemem, _ := runBC(t, core.New(core.DefaultConfig()), scale, iters)
-	nb, _ := runBC(t, ptscan.New(ptscan.Nimble()), scale, iters)
+	nb, _ := runBC(t, ptscan.Nimble(), scale, iters)
 	mm, _ := runBC(t, memmode.New(), scale, iters)
 
 	tD := meanNs(dram.IterationTimes())
@@ -70,8 +70,8 @@ func TestFig14RelativeOrder(t *testing.T) {
 func TestFig15RelativeOrder(t *testing.T) {
 	const scale, iters = 29, 6
 	hemem, _ := runBC(t, core.New(core.DefaultConfig()), scale, iters)
-	pt, _ := runBC(t, ptscan.New(ptscan.HeMemPTAsync()), scale, iters)
-	nb, _ := runBC(t, ptscan.New(ptscan.Nimble()), scale, iters)
+	pt, _ := runBC(t, ptscan.HeMemPTAsync(), scale, iters)
+	nb, _ := runBC(t, ptscan.Nimble(), scale, iters)
 	mm, _ := runBC(t, memmode.New(), scale, iters)
 
 	tH := meanNs(hemem.IterationTimes())

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tieredmem/hemem/internal/core"
 	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/sim"
@@ -130,12 +131,8 @@ func TestDMAChannelExhaustionFallsBackToThreads(t *testing.T) {
 	if fs.SoftwareCopyFallbacks != 1 {
 		t.Fatalf("software fallbacks = %d, want 1", fs.SoftwareCopyFallbacks)
 	}
-	tb, ok := m.Migrator.Backend().(machine.ThreadBackend)
-	if !ok {
-		t.Fatalf("backend is %T, want ThreadBackend", m.Migrator.Backend())
-	}
-	if tb.Copier.Threads != 4 {
-		t.Fatalf("fallback threads = %d, want 4", tb.Copier.Threads)
+	if n := m.Migrator.CopyThreads(); n != 4 {
+		t.Fatalf("fallback copy threads = %d, want 4", n)
 	}
 	// The fallback still moves pages.
 	for _, p := range r.AllPages() {
@@ -144,6 +141,43 @@ func TestDMAChannelExhaustionFallsBackToThreads(t *testing.T) {
 	m.Run(100 * sim.Millisecond)
 	if got := r.Frac(vm.TierDRAM); got != 1 {
 		t.Fatalf("post-fallback migration incomplete: DRAM frac = %v", got)
+	}
+}
+
+// DMA channel health is machine state: a manager attached after channels
+// failed finds the engine as the faults left it. A swap to a manager that
+// asks for DMA keeps the lost channels lost, and one after the engine died
+// keeps copying with threads, so channel failures stay dropped and the
+// fault counters stop at one engine's worth.
+func TestDMAChannelHealthSurvivesSetManager(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	cfg.Faults = fault.Config{DMAChannelMTBF: sim.Millisecond} // one failure per quantum
+	m := machine.New(cfg, xmem.NVMOnly())
+	m.AS.Map("data", 64*sim.MB)
+	m.Warm()
+
+	for m.FaultCounters().DMAChannelFailures < 7 {
+		m.Run(sim.Millisecond)
+	}
+	oneChannel := m.Migrator.CopyThroughput()
+	m.SetManager(core.New(core.DefaultConfig()))
+	if n, tp := m.Migrator.CopyThreads(), m.Migrator.CopyThroughput(); n != 0 || tp != oneChannel {
+		t.Fatalf("after swap at 1 live channel: %d copy threads, %v bytes/ns; want DMA at %v", n, tp, oneChannel)
+	}
+
+	m.Run(20 * sim.Millisecond)
+	if n := m.Migrator.CopyThreads(); n != 4 {
+		t.Fatalf("copy threads = %d after the engine died, want 4", n)
+	}
+	threads := m.Migrator.CopyThroughput()
+	m.SetManager(core.New(core.DefaultConfig()))
+	if n, tp := m.Migrator.CopyThreads(), m.Migrator.CopyThroughput(); n != 4 || tp != threads {
+		t.Fatalf("after swap on a dead engine: %d copy threads, %v bytes/ns; want 4 at %v", n, tp, threads)
+	}
+	m.Run(20 * sim.Millisecond)
+	if fs := m.FaultCounters(); fs.DMAChannelFailures != 8 || fs.SoftwareCopyFallbacks != 1 {
+		t.Fatalf("%d channel failures, %d fallbacks on an 8-channel engine; want 8, 1",
+			fs.DMAChannelFailures, fs.SoftwareCopyFallbacks)
 	}
 }
 

@@ -84,9 +84,7 @@ func (m *Machine) applyFaults(now, dt int64) {
 		}
 	}
 	m.NVM.SetDerate(inj.NVMDerate())
-	if db, ok := m.Migrator.Backend().(DMABackend); ok {
-		db.Engine.SetDerate(inj.DMADerate())
-	}
+	m.Migrator.setDMADerate(inj.DMADerate())
 	for i := 0; i < ev.NVMUncorrectable; i++ {
 		m.injectUE()
 	}

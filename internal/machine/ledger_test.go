@@ -147,7 +147,7 @@ func TestFirstTouchSkipsOfflineTier(t *testing.T) {
 		name string
 		mgr  machine.Manager
 	}{
-		{"nimble", ptscan.New(ptscan.Nimble())},
+		{"nimble", ptscan.Nimble()},
 		{"dram-first", xmem.DRAMFirst()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,48 +1,10 @@
 package machine
 
 import (
-	"github.com/tieredmem/hemem/internal/dma"
 	"github.com/tieredmem/hemem/internal/mem"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
-
-// CopyBackend moves page contents between tiers: either the I/OAT DMA
-// engine (no CPU cost) or a pool of copy threads (à la Nimble).
-type CopyBackend interface {
-	// Throughput is sustained copy bandwidth in bytes/ns.
-	Throughput() float64
-	// Threads is the number of CPU cores consumed while copying.
-	Threads() float64
-}
-
-// DMABackend adapts dma.Engine as a CopyBackend.
-type DMABackend struct{ Engine *dma.Engine }
-
-// Throughput returns the engine's sustained page-copy bandwidth.
-func (b DMABackend) Throughput() float64 {
-	return b.Engine.Throughput(4, 2, 2*sim.MB)
-}
-
-// Threads is zero: DMA offload frees the CPU entirely.
-func (b DMABackend) Threads() float64 { return 0 }
-
-// ThreadBackend adapts dma.ThreadCopier as a CopyBackend. The copy pool is
-// dedicated — like Nimble's migration kthreads, the workers hold their
-// cores whether or not a migration is in flight, which is why the paper
-// measures a persistent throughput cost for the no-DMA configuration at
-// high thread counts (Figure 7).
-type ThreadBackend struct{ Copier *dma.ThreadCopier }
-
-// Throughput returns aggregate memcpy bandwidth.
-func (b ThreadBackend) Throughput() float64 { return b.Copier.Throughput() }
-
-// Threads is the copy thread count; the pool occupies its cores
-// continuously.
-func (b ThreadBackend) Threads() float64 { return float64(b.Copier.Threads) }
-
-// Dedicated marks the pool as holding cores even while idle.
-func (b ThreadBackend) Dedicated() bool { return true }
 
 // MigStats aggregates migration activity. Promotions move pages up the
 // chain (toward faster tiers), demotions down it.
@@ -80,15 +42,20 @@ type moved struct {
 
 // Migrator executes page migrations asynchronously against a bandwidth
 // budget: the policy's rate cap (the paper sets 10 GB/s so migration never
-// disturbs the application) and the copy backend's own throughput.
+// disturbs the application) and the copy engine's own throughput
+// (copy.go).
 type Migrator struct {
-	m       *Machine
-	backend CopyBackend
+	m *Machine
 	// RateCap bounds migration bandwidth in bytes/ns.
 	RateCap float64
 
+	// The copy engine. Channel health and the derate are machine state:
+	// they survive a manager swap.
+	failedChannels int     // DMA channels lost to injected faults
+	dmaDerate      float64 // DMA bandwidth multiplier; 1 is full speed
+	threads        int     // copy threads; 0 while the DMA engine copies
+
 	queue []*migReq
-	busy  bool
 	// free recycles completed migReq structs; sustained migration at
 	// policy-tick rates would otherwise allocate one per page move.
 	free []*migReq
@@ -105,21 +72,11 @@ type Migrator struct {
 	edges [vm.MaxTiers][vm.MaxTiers]int64
 }
 
-// NewMigrator returns a migrator using the DMA engine backend and the
-// paper's 10 GB/s cap.
+// NewMigrator returns a migrator copying with a healthy DMA engine under
+// the paper's 10 GB/s cap.
 func NewMigrator(m *Machine) *Migrator {
-	return &Migrator{
-		m:       m,
-		backend: DMABackend{Engine: dma.New()},
-		RateCap: sim.GBps(10),
-	}
+	return &Migrator{m: m, RateCap: sim.GBps(10), dmaDerate: 1}
 }
-
-// SetBackend switches the copy backend (e.g., to 4 copy threads).
-func (g *Migrator) SetBackend(b CopyBackend) { g.backend = b }
-
-// Backend returns the current copy backend.
-func (g *Migrator) Backend() CopyBackend { return g.backend }
 
 // newReq takes a request from the freelist (or allocates one) and
 // initializes it.
@@ -240,24 +197,6 @@ func (g *Migrator) QueuedBytes() float64 {
 	return total
 }
 
-// FailDMAChannel removes one DMA channel after an injected hardware fault.
-// It returns the number of channels still live and whether this failure
-// exhausted the engine, triggering the fall back to the paper's 4-thread
-// software-copy pool. A migrator already on a non-DMA backend returns
-// (-1, false).
-func (g *Migrator) FailDMAChannel() (live int, fellBack bool) {
-	db, ok := g.backend.(DMABackend)
-	if !ok {
-		return -1, false
-	}
-	live = db.Engine.FailChannel()
-	if live == 0 {
-		g.backend = ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)}
-		return 0, true
-	}
-	return live, false
-}
-
 // Stats returns cumulative migration statistics.
 func (g *Migrator) Stats() MigStats { return g.stats }
 
@@ -269,12 +208,10 @@ func (g *Migrator) Stats() MigStats { return g.stats }
 func (g *Migrator) advance(now, dt int64) {
 	g.lastMoved = [MaxDevs]moved{}
 	if len(g.queue) == 0 {
-		g.busy = false
 		return
 	}
-	g.busy = true
 	rate := g.RateCap
-	if bt := g.backend.Throughput(); bt < rate {
+	if bt := g.CopyThroughput(); bt < rate {
 		rate = bt
 	}
 	budget := rate * float64(dt)
@@ -311,9 +248,6 @@ func (g *Migrator) advance(now, dt int64) {
 		g.queue[j] = nil
 	}
 	g.queue = g.queue[:w]
-	if len(g.queue) == 0 {
-		g.busy = false
-	}
 }
 
 // charge accounts one chunk of copy traffic on devices and in the
@@ -416,16 +350,6 @@ func (g *Migrator) Moved(src, dst vm.TierID) int64 {
 // contention solver.
 func (g *Migrator) planned(dt int64) [MaxDevs]moved { return g.lastMoved }
 
-// activeThreads reports copy-thread core consumption for the CPU model.
-// Dedicated pools (copy threads) hold their cores always; the DMA engine
-// costs nothing either way.
-func (g *Migrator) activeThreads() float64 {
-	type dedicated interface{ Dedicated() bool }
-	if d, ok := g.backend.(dedicated); ok && d.Dedicated() {
-		return g.backend.Threads()
-	}
-	if !g.busy {
-		return 0
-	}
-	return g.backend.Threads()
-}
+// activeThreads reports copy-thread core consumption for the CPU model:
+// the dedicated thread pool holds its cores always, the DMA engine none.
+func (g *Migrator) activeThreads() float64 { return float64(g.threads) }

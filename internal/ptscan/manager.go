@@ -1,37 +1,32 @@
 package ptscan
 
 import (
-	"github.com/tieredmem/hemem/internal/dma"
 	"github.com/tieredmem/hemem/internal/machine"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
-// Options configures a scanning tier manager.
-type Options struct {
-	// Name labels the manager in reports ("HeMem-PT-Async", "Nimble").
-	Name string
-	// Async runs scanning on its own thread so passes are not delayed by
+// preset is one of the four fixed scanning-manager configurations the
+// constructors below build.
+type preset struct {
+	// name labels the manager in reports ("HeMem-PT-Async", "Nimble").
+	name string
+	// async runs scanning on its own thread so passes are not delayed by
 	// migration (the paper's M.Async); otherwise one thread serializes
 	// scan → migrate → scan (M.Sync, and Nimble's kernel thread).
-	Async bool
-	// UseDMA selects the I/OAT copy engine; otherwise
-	// dma.FallbackCopyThreads software copy threads move pages (Nimble).
-	UseDMA bool
-	// MigRateCap bounds migration bandwidth.
-	MigRateCap float64
-	// BGThreads is the constant background core consumption (the
-	// scanning/policy threads); migration copy threads are counted by
-	// the migrator while active.
-	BGThreads float64
-	// MigrationEnabled disables all movement when false (Figure 8's
-	// "PT Scan" bar: scanning overhead in isolation).
-	MigrationEnabled bool
-	// WritePriority promotes dirty zones first.
-	WritePriority bool
-	// PlaceFunc, when set, overrides DRAM-first placement on first touch
-	// (Figure 8's manual-placement configurations).
-	PlaceFunc func(p *vm.Page) vm.Tier
+	async bool
+	// nimble selects Nimble's kernel mechanisms: the migrator's copy
+	// threads instead of the DMA engine, kernel NUMA migration bounded
+	// only by those threads (nimbleRateGBps) rather than HeMem's rate cap,
+	// and no write priority (Table 2: Nimble is blind to read/write
+	// asymmetry). Otherwise dirty zones are promoted first.
+	nimble bool
+	// bgThreads is the constant background core consumption (the
+	// scanning/policy threads); copy threads are counted by the migrator.
+	bgThreads float64
+	// migrate is false for Figure 8's "PT Scan" bar: scanning overhead in
+	// isolation, nothing moves.
+	migrate bool
 }
 
 // Fixed scanning-manager parameters: every preset uses the same value.
@@ -47,65 +42,51 @@ const (
 	policyInterval = 10 * sim.Millisecond
 	// maxCycleBytes caps migration enqueued per scan cycle (sync mode).
 	maxCycleBytes = 4 * sim.GB
+	// migRateGBps is HeMem's migration rate cap (GB/s).
+	migRateGBps = 10
+	// nimbleRateGBps bounds Nimble's migration (GB/s): far above what its
+	// copy threads sustain, so they set the pace.
+	nimbleRateGBps = 100
 )
 
-// HeMemPTAsync returns options for HeMem with asynchronous page-table
-// scanning in place of PEBS (Figures 8, 9, 15, 16).
-func HeMemPTAsync() Options {
-	return Options{
-		Name: "HeMem-PT-Async", Async: true, UseDMA: true,
-		MigRateCap: sim.GBps(10), BGThreads: 2.5,
-		MigrationEnabled: true, WritePriority: true,
-	}
+// HeMemPTAsync returns HeMem with asynchronous page-table scanning in
+// place of PEBS (Figures 8, 9, 15, 16).
+func HeMemPTAsync() *Manager {
+	return newManager(preset{name: "HeMem-PT-Async", async: true, bgThreads: 2.5, migrate: true}, nil)
 }
 
-// HeMemPTSync returns options for the fully serialized variant: one thread
-// scans and migrates in turn (Figure 8's M.Sync).
-func HeMemPTSync() Options {
-	o := HeMemPTAsync()
-	o.Name = "HeMem-PT-Sync"
-	o.Async = false
-	o.BGThreads = 1.5
-	return o
+// HeMemPTSync returns the fully serialized variant: one thread scans and
+// migrates in turn (Figure 8's M.Sync).
+func HeMemPTSync() *Manager {
+	return newManager(preset{name: "HeMem-PT-Sync", bgThreads: 1.5, migrate: true}, nil)
 }
 
-// ScanOnly returns options for Figure 8's "PT Scan" bar: page-table
-// scanning runs (with its shootdown cost) but nothing migrates.
-func ScanOnly() Options {
-	o := HeMemPTAsync()
-	o.Name = "HeMem-PT-ScanOnly"
-	o.MigrationEnabled = false
-	return o
+// ScanOnly returns Figure 8's "PT Scan" bar: page-table scanning runs
+// (with its shootdown cost) but nothing migrates. place chooses each
+// page's tier on first touch (Figure 8's manual placement); nil means
+// DRAM-first.
+func ScanOnly(place func(*vm.Page) vm.Tier) *Manager {
+	return newManager(preset{name: "HeMem-PT-ScanOnly", async: true, bgThreads: 2.5}, place)
 }
 
-// Nimble returns options for the Nimble baseline (Yan et al., ASPLOS '19)
-// as the paper deploys it (§2.4, §5): NVM exposed as a far NUMA node,
-// with a single kernel thread that sequentially scans page tables for
+// Nimble returns the Nimble baseline (Yan et al., ASPLOS '19) as the
+// paper deploys it (§2.4, §5): NVM exposed as a far NUMA node, with a
+// single kernel thread that sequentially scans page tables for
 // accessed/dirty bits and then migrates pages, plus four dedicated
-// migration copy threads. Because scanning and migration share one
-// thread, long migrations delay statistics gathering, and long scans over
-// large memories overestimate the hot set — the two effects behind
-// Nimble's losses in Figures 5, 6, 14 and 15.
-func Nimble() Options {
-	return Options{
-		Name:  "Nimble",
-		Async: false, // one kernel thread: scan, then migrate
-		// Four migration copy threads maximize copy throughput (§5).
-		UseDMA: false,
-		// Kernel NUMA migration is not rate-capped like HeMem; bound it
-		// by the copy threads' own throughput.
-		MigRateCap: sim.GBps(100),
-		// The kernel thread itself.
-		BGThreads:        1,
-		MigrationEnabled: true,
-		// Nimble is blind to read/write asymmetry (Table 2).
-		WritePriority: false,
-	}
+// migration copy threads (§5: four maximize copy throughput). Because
+// scanning and migration share one thread, long migrations delay
+// statistics gathering, and long scans over large memories overestimate
+// the hot set — the two effects behind Nimble's losses in Figures 5, 6,
+// 14 and 15.
+func Nimble() *Manager {
+	return newManager(preset{name: "Nimble", nimble: true, bgThreads: 1, migrate: true}, nil)
 }
 
 // Manager is a scanning-based tier manager.
 type Manager struct {
-	opt     Options
+	preset
+	// place, when set, overrides DRAM-first placement on first touch.
+	place   func(*vm.Page) vm.Tier
 	m       *machine.Machine
 	scanner *Scanner
 
@@ -117,17 +98,19 @@ type Manager struct {
 	scans      int64
 }
 
-// New builds a scanning manager from options.
-func New(opt Options) *Manager {
+// newManager builds a scanning manager from a preset and a first-touch
+// placement (nil: DRAM-first).
+func newManager(p preset, place func(*vm.Page) vm.Tier) *Manager {
 	return &Manager{
-		opt:     opt,
+		preset:  p,
+		place:   place,
 		est:     make(map[*vm.PageSet]SetScan),
 		cursors: make(map[*vm.PageSet]int),
 	}
 }
 
 // Name implements machine.Manager.
-func (g *Manager) Name() string { return g.opt.Name }
+func (g *Manager) Name() string { return g.name }
 
 // Scans returns the number of completed scan passes.
 func (g *Manager) Scans() int64 { return g.scans }
@@ -157,14 +140,13 @@ func (g *Manager) Attach(m *machine.Machine) {
 	g.m = m
 	g.rng = sim.NewRand(m.Cfg.Seed ^ 0x9751)
 	g.scanner = NewScanner(m, scanGranularity)
-	m.Migrator.RateCap = g.opt.MigRateCap
-	if g.opt.UseDMA {
-		m.Migrator.SetBackend(machine.DMABackend{Engine: dma.New()})
-	} else {
-		m.Migrator.SetBackend(machine.ThreadBackend{Copier: dma.NewThreadCopier(dma.FallbackCopyThreads)})
+	m.Migrator.RateCap = sim.GBps(migRateGBps)
+	if g.nimble {
+		m.Migrator.RateCap = sim.GBps(nimbleRateGBps)
 	}
+	m.Migrator.UseCopyThreads(g.nimble)
 	g.scheduleScan(m.Clock.Now())
-	if g.opt.Async && g.opt.MigrationEnabled {
+	if g.async && g.migrate {
 		var tick func(now int64)
 		tick = func(now int64) {
 			g.policy(now)
@@ -196,9 +178,9 @@ func (g *Manager) scanDone(now int64) {
 		g.est[res.Set] = res
 	}
 	delay := int64(0)
-	if !g.opt.Async && g.opt.MigrationEnabled {
+	if !g.async && g.migrate {
 		enq := g.policy(now)
-		if tp := g.m.Migrator.Backend().Throughput(); tp > 0 {
+		if tp := g.m.Migrator.CopyThroughput(); tp > 0 {
 			delay = int64(float64(enq) / tp)
 		}
 	}
@@ -209,8 +191,8 @@ func (g *Manager) scanDone(now int64) {
 // kernel would do for a NUMA node ordering local before far memory.
 func (g *Manager) PageIn(p *vm.Page) {
 	want := vm.TierDRAM
-	if g.opt.PlaceFunc != nil {
-		want = g.opt.PlaceFunc(p)
+	if g.place != nil {
+		want = g.place(p)
 	}
 	if want == vm.TierDRAM && g.dramFree() >= g.m.Cfg.PageSize {
 		p.SetTier(vm.TierDRAM)
@@ -223,7 +205,7 @@ func (g *Manager) PageIn(p *vm.Page) {
 func (g *Manager) OnQuantum(now, dt int64) {}
 
 // ActiveThreads implements machine.Manager.
-func (g *Manager) ActiveThreads() float64 { return g.opt.BGThreads }
+func (g *Manager) ActiveThreads() float64 { return g.bgThreads }
 
 // policy makes one round of migration decisions from the zone estimates
 // and returns the bytes enqueued. Budgeting: async mode uses the rate cap
@@ -231,10 +213,10 @@ func (g *Manager) ActiveThreads() float64 { return g.opt.BGThreads }
 func (g *Manager) policy(now int64) int64 {
 	ps := g.m.Cfg.PageSize
 	var budget int64
-	if g.opt.Async {
+	if g.async {
 		elapsed := now - g.lastPolicy
 		g.lastPolicy = now
-		budget = int64(g.opt.MigRateCap * float64(elapsed))
+		budget = int64(g.m.Migrator.RateCap * float64(elapsed))
 		if backlog := int64(g.m.Migrator.QueuedBytes()); backlog >= budget {
 			return 0
 		}
@@ -299,7 +281,7 @@ func (g *Manager) policy(now int64) int64 {
 // when write priority is on, coarsened to what binary bits can resolve.
 func (g *Manager) key(e SetScan) int {
 	acc := int(e.FracAccessed*8 + 0.5)
-	if !g.opt.WritePriority {
+	if g.nimble {
 		return acc
 	}
 	return int(e.FracDirty*8+0.5)*16 + acc

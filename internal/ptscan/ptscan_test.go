@@ -23,7 +23,7 @@ func run(mgr machine.Manager, cfg gups.Config, dur int64) (float64, *machine.Mac
 // per pass; within one pass even the cold zone is touched, so the scanner
 // sees everything as accessed — the over-estimation of §5.1.
 func TestScannerOverestimatesHotSet(t *testing.T) {
-	mgr := ptscan.New(ptscan.HeMemPTAsync())
+	mgr := ptscan.HeMemPTAsync()
 	_, _, g := run(mgr, gups.Config{
 		Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: 1,
 	}, 20*sim.Second)
@@ -51,8 +51,8 @@ func TestPEBSBeatsPTScan(t *testing.T) {
 	cfg := gups.Config{Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: 9}
 	const dur = 120 * sim.Second
 	pebsScore, _, _ := run(core.New(core.DefaultConfig()), cfg, dur)
-	asyncScore, _, _ := run(ptscan.New(ptscan.HeMemPTAsync()), cfg, dur)
-	syncScore, _, _ := run(ptscan.New(ptscan.HeMemPTSync()), cfg, dur)
+	asyncScore, _, _ := run(ptscan.HeMemPTAsync(), cfg, dur)
+	syncScore, _, _ := run(ptscan.HeMemPTSync(), cfg, dur)
 
 	if pebsScore <= asyncScore {
 		t.Errorf("PEBS (%.4f) should beat PT-Async (%.4f)", pebsScore, asyncScore)
@@ -75,7 +75,7 @@ func TestScanOnlyOverhead(t *testing.T) {
 	gcfg := gups.Config{Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: 4}
 
 	runWithOptPlacement := func(mk func(place func(*vm.Page) vm.Tier) machine.Manager) float64 {
-		boot := machine.New(machine.DefaultConfig(), ptscan.New(ptscan.ScanOnly()))
+		boot := machine.New(machine.DefaultConfig(), ptscan.ScanOnly(nil))
 		g := gups.New(boot, gcfg)
 		hot := make(map[vm.PageID]bool)
 		for _, p := range g.HotPages().Pages() {
@@ -100,9 +100,7 @@ func TestScanOnlyOverhead(t *testing.T) {
 		return core.New(cfg)
 	})
 	scanScore := runWithOptPlacement(func(place func(*vm.Page) vm.Tier) machine.Manager {
-		opt := ptscan.ScanOnly()
-		opt.PlaceFunc = place
-		return ptscan.New(opt)
+		return ptscan.ScanOnly(place)
 	})
 	loss := 1 - scanScore/pebsScore
 	if loss < 0.05 || loss > 0.40 {
@@ -117,29 +115,12 @@ func TestNimbleTrailsHeMem(t *testing.T) {
 	cfg := gups.Config{Threads: 16, WorkingSet: 256 * sim.GB, HotSet: 16 * sim.GB, Seed: 8}
 	const dur = 90 * sim.Second
 	he, _, _ := run(core.New(core.DefaultConfig()), cfg, dur)
-	nb, _, _ := run(ptscan.New(ptscan.Nimble()), cfg, dur)
+	nb, _, _ := run(ptscan.Nimble(), cfg, dur)
 	if nb >= he {
 		t.Errorf("Nimble (%.4f) should trail HeMem (%.4f)", nb, he)
 	}
 	if nb < he*0.05 {
 		t.Errorf("Nimble (%.4f) implausibly bad vs HeMem (%.4f)", nb, he)
-	}
-}
-
-// Nimble's configuration matches the paper's description: one kernel
-// thread serializing scan and migration, no DMA, blind to read/write
-// asymmetry. Its four copy threads are checked on the running machine by
-// TestNimbleUsesCopyThreads.
-func TestOptionsMatchPaper(t *testing.T) {
-	o := ptscan.Nimble()
-	if o.Async {
-		t.Error("Nimble must serialize scan and migration on one thread")
-	}
-	if o.UseDMA {
-		t.Error("Nimble copies with threads, not DMA")
-	}
-	if o.WritePriority {
-		t.Error("Nimble is blind to read/write asymmetry (Table 2)")
 	}
 }
 
@@ -149,7 +130,7 @@ func TestOptionsMatchPaper(t *testing.T) {
 // catastrophic churn, but no improvement either — while the watermark
 // keeps free DRAM available.
 func TestNimbleBlindOnSaturatedBits(t *testing.T) {
-	m := machine.New(machine.DefaultConfig(), ptscan.New(ptscan.Nimble()))
+	m := machine.New(machine.DefaultConfig(), ptscan.Nimble())
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 256 * sim.GB, HotSet: 8 * sim.GB, Seed: 4,
 	})
@@ -166,24 +147,27 @@ func TestNimbleBlindOnSaturatedBits(t *testing.T) {
 	}
 }
 
-// Nimble uses migration copy threads, which consume cores while busy.
+// Nimble copies with the migrator's four copy threads, not the DMA engine.
 func TestNimbleUsesCopyThreads(t *testing.T) {
-	m := machine.New(machine.DefaultConfig(), ptscan.New(ptscan.Nimble()))
+	m := machine.New(machine.DefaultConfig(), ptscan.Nimble())
 	gups.New(m, gups.Config{Threads: 16, WorkingSet: 256 * sim.GB, HotSet: 16 * sim.GB, Seed: 2})
 	m.Warm()
 	m.Run(20 * sim.Second)
 	if m.Migrator.Stats().Pages == 0 {
 		t.Fatal("Nimble never migrated")
 	}
-	if m.Migrator.Backend().Threads() != 4 {
-		t.Fatalf("Nimble backend threads = %v, want 4", m.Migrator.Backend().Threads())
+	if n := m.Migrator.CopyThreads(); n != 4 {
+		t.Fatalf("Nimble copy threads = %d, want 4", n)
 	}
 }
 
-// DRAM accounting: scanning managers never over-commit DRAM.
+// DRAM accounting: scanning managers never over-commit DRAM. Each also
+// leaves the migrator on the copy engine its preset names: the DMA engine
+// for the HeMem variants, four copy threads for Nimble.
 func TestPTScanDRAMCapacity(t *testing.T) {
-	for _, opt := range []ptscan.Options{ptscan.HeMemPTAsync(), ptscan.HeMemPTSync(), ptscan.Nimble()} {
-		_, m, _ := run(ptscan.New(opt), gups.Config{
+	for _, mk := range []func() *ptscan.Manager{ptscan.HeMemPTAsync, ptscan.HeMemPTSync, ptscan.Nimble} {
+		mgr := mk()
+		_, m, _ := run(mgr, gups.Config{
 			Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: 5,
 		}, 30*sim.Second)
 		var dram int64
@@ -191,7 +175,14 @@ func TestPTScanDRAMCapacity(t *testing.T) {
 			dram += r.Bytes(vm.TierDRAM)
 		}
 		if dram > m.CapacityOf(vm.TierDRAM) {
-			t.Errorf("%s: DRAM over-committed (%d GB)", opt.Name, dram/sim.GB)
+			t.Errorf("%s: DRAM over-committed (%d GB)", mgr.Name(), dram/sim.GB)
+		}
+		want := 0
+		if mgr.Name() == "Nimble" {
+			want = 4
+		}
+		if n := m.Migrator.CopyThreads(); n != want {
+			t.Errorf("%s: %d copy threads, want %d", mgr.Name(), n, want)
 		}
 	}
 }
@@ -207,9 +198,9 @@ func TestSyncDelaysScanning(t *testing.T) {
 		Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 256 * sim.GB,
 		WriteOnlyHot: 128 * sim.GB, Seed: 6,
 	}
-	async := ptscan.New(ptscan.HeMemPTAsync())
+	async := ptscan.HeMemPTAsync()
 	run(async, cfg, 60*sim.Second)
-	syncm := ptscan.New(ptscan.HeMemPTSync())
+	syncm := ptscan.HeMemPTSync()
 	run(syncm, cfg, 60*sim.Second)
 	if syncm.Scans() >= async.Scans() {
 		t.Errorf("sync scans (%d) should be < async scans (%d)", syncm.Scans(), async.Scans())
@@ -225,7 +216,7 @@ func TestSyncDelaysScanning(t *testing.T) {
 func TestScanManagerReusesDRAMAfterOffline(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.Tiers = machine.ClassicTiers(8*sim.GB, 64*sim.GB, 0)
-	m := machine.New(cfg, ptscan.New(ptscan.Nimble()))
+	m := machine.New(cfg, ptscan.Nimble())
 	gups.New(m, gups.Config{Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 4 * sim.GB, Seed: 3})
 	m.Warm()
 	m.Run(2 * sim.Second)

@@ -34,7 +34,7 @@ func tps(t *testing.T, mgr machine.Manager, warehouses int) (float64, *tpcc.Driv
 func TestFig13SmallWarehouses(t *testing.T) {
 	he, _ := tps(t, core.New(core.DefaultConfig()), 64)
 	mm, _ := tps(t, memmode.New(), 64)
-	nb, _ := tps(t, ptscan.New(ptscan.Nimble()), 64)
+	nb, _ := tps(t, ptscan.Nimble(), 64)
 	nvm, _ := tps(t, xmem.NVMOnly(), 64)
 
 	if he < mm {

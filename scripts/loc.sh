@@ -2,9 +2,9 @@
 # Prints the size numbers ROADMAP.md tracks: non-test Go lines outside
 # the benchmark/ module, the share of them under internal/, the count of
 # non-test init functions there (0: every table is a literal), and the
-# count of settable knobs (exported fields of the four config structs and
-# of machine.TierDesc, whose fields every tier table row sets, plus the
-# hemem-bench flags).
+# count of settable knobs (exported fields of the three config structs
+# and of machine.TierDesc, whose fields every tier table row sets, plus
+# the hemem-bench flags).
 # Counts physical lines (comments and blanks included) of tracked and untracked, non-ignored files.
 #
 #   bash scripts/loc.sh
@@ -37,9 +37,8 @@ fields() {
 machine=$(fields internal/machine/machine.go Config)
 tierdesc=$(fields internal/machine/machine.go TierDesc)
 core=$(fields internal/core/hemem.go Config)
-ptscan=$(fields internal/ptscan/manager.go Options)
 opts=$(fields internal/bench/bench.go Opts)
 flags=$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/hemem-bench/main.go)
-echo "settable knobs:                       $((machine + tierdesc + core + ptscan + opts + flags))" \
-	"(machine.Config $machine, machine.TierDesc $tierdesc, core.Config $core, ptscan.Options $ptscan," \
+echo "settable knobs:                       $((machine + tierdesc + core + opts + flags))" \
+	"(machine.Config $machine, machine.TierDesc $tierdesc, core.Config $core," \
 	"bench.Opts $opts, hemem-bench flags $flags)"
