@@ -9,6 +9,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"github.com/tieredmem/hemem/internal/core"
@@ -21,19 +23,43 @@ import (
 	"github.com/tieredmem/hemem/internal/xmem"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs GUPS and reports to stdout, and returns the exit
+// code: 1 for an unknown manager or an unwritable telemetry file, 2 for
+// a bad flag or a configuration that gups.Config.Validate rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gups", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mgrName = flag.String("mgr", "hemem", "manager: hemem, mm, nimble, dram, nvm, pt-async, pt-sync")
-		ws      = flag.Int64("ws", 512, "working set (GB)")
-		hot     = flag.Int64("hot", 16, "hot set (GB); 0 = uniform")
-		threads = flag.Int("threads", 16, "update threads")
-		warm    = flag.Int64("warm", 60, "warm-up (simulated seconds)")
-		dur     = flag.Int64("dur", 30, "measurement (simulated seconds)")
-		shift   = flag.Int64("shift", 0, "shift this many GB of hot set after warm-up")
-		seed    = flag.Uint64("seed", 17, "layout seed")
-		telem   = flag.String("telemetry", "", "write machine telemetry CSV to this file")
+		mgrName = fs.String("mgr", "hemem", "manager: hemem, mm, nimble, dram, nvm, pt-async, pt-sync")
+		ws      = fs.Int64("ws", 512, "working set (GB)")
+		hot     = fs.Int64("hot", 16, "hot set (GB); 0 = uniform")
+		threads = fs.Int("threads", 16, "update threads")
+		warm    = fs.Int64("warm", 60, "warm-up (simulated seconds)")
+		dur     = fs.Int64("dur", 30, "measurement (simulated seconds)")
+		shift   = fs.Int64("shift", 0, "shift this many GB of hot set after warm-up")
+		seed    = fs.Uint64("seed", 17, "layout seed")
+		telem   = fs.String("telemetry", "", "write machine telemetry CSV to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	// Every sized flag is scaled to bytes or sim-ns; a value whose
+	// product leaves int64 is refused rather than wrapped.
+	for _, f := range []struct {
+		name string
+		v    *int64
+		unit int64
+	}{{"ws", ws, sim.GB}, {"hot", hot, sim.GB}, {"shift", shift, sim.GB}, {"warm", warm, sim.Second}, {"dur", dur, sim.Second}} {
+		if *f.v > math.MaxInt64/f.unit || *f.v < math.MinInt64/f.unit {
+			fmt.Fprintf(stderr, "gups: -%s %d overflows a 64-bit count\n", f.name, *f.v)
+			return 2
+		}
+		*f.v *= f.unit
+	}
 
 	var mgr machine.Manager
 	switch *mgrName {
@@ -52,50 +78,51 @@ func main() {
 	case "pt-sync":
 		mgr = ptscan.HeMemPTSync()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown manager %q\n", *mgrName)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown manager %q\n", *mgrName)
+		return 1
 	}
 
 	mcfg := machine.DefaultConfig()
-	gcfg := gups.Config{Threads: *threads, WorkingSet: *ws * sim.GB, HotSet: *hot * sim.GB, Seed: *seed}
+	gcfg := gups.Config{Threads: *threads, WorkingSet: *ws, HotSet: *hot, Seed: *seed}
 	if err := gcfg.Validate(mcfg.PageSize); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	m := machine.New(mcfg, mgr)
 	g := gups.New(m, gcfg)
-	fmt.Printf("%s on %s\n", g, m)
+	fmt.Fprintf(stdout, "%s on %s\n", g, m)
 	m.Warm()
 	if *telem != "" {
 		m.EnableTelemetry(0)
 	}
-	m.Run(*warm * sim.Second)
+	m.Run(*warm)
 	if *shift > 0 {
-		g.ShiftHotSet(*shift*sim.GB, *seed+1)
-		fmt.Printf("shifted %d GB of the hot set\n", *shift)
+		g.ShiftHotSet(*shift, *seed+1)
+		fmt.Fprintf(stdout, "shifted %d GB of the hot set\n", *shift/sim.GB)
 	}
 	g.ResetScore()
-	m.Run(*dur * sim.Second)
+	m.Run(*dur)
 
-	fmt.Printf("GUPS: %.4f\n", g.Score())
+	fmt.Fprintf(stdout, "GUPS: %.4f\n", g.Score())
 	if hp := g.HotPages(); hp != nil {
-		fmt.Printf("hot set in DRAM: %.1f%%\n", hp.Frac(vm.TierDRAM)*100)
+		fmt.Fprintf(stdout, "hot set in DRAM: %.1f%%\n", hp.Frac(vm.TierDRAM)*100)
 	}
-	fmt.Printf("NVM writes: %.2f GB, migrations: %d pages (%.2f GB)\n",
+	fmt.Fprintf(stdout, "NVM writes: %.2f GB, migrations: %d pages (%.2f GB)\n",
 		m.NVM.Wear().WriteBytes/float64(sim.GB),
 		m.Migrator.Stats().Pages, m.Migrator.Stats().Bytes/float64(sim.GB))
 
 	if *telem != "" {
 		f, err := os.Create(*telem)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
 		if err := m.Telemetry().WriteCSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("telemetry written to %s\n", *telem)
+		fmt.Fprintf(stdout, "telemetry written to %s\n", *telem)
 	}
+	return 0
 }

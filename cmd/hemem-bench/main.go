@@ -13,9 +13,6 @@
 //	hemem-bench -exp all -jobs 8   fan experiment cells out over 8 workers
 //	                               (output is byte-identical to -jobs 1)
 //	hemem-bench -exp all -v        narrate per-cell completion to stderr
-//	hemem-bench -exp chaos -audit  run with the runtime invariant
-//	                               auditor checking conservation
-//	                               invariants every quantum
 //	hemem-bench -exp tbscale -adaptive
 //	                               run on the event-driven adaptive-
 //	                               quantum loop (output is byte-identical
@@ -52,7 +49,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments, trackers, and policies")
 		tracker    = flag.String("tracker", "", "restrict the trackers experiment to one tracker (see -list)")
 		policy     = flag.String("policy", "", "restrict the trackers experiment to one policy (see -list)")
-		audit      = flag.Bool("audit", false, "run the invariant auditor every quantum on every machine (panics with a diagnostic dump on a violation)")
 		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop; output is identical to the fixed loop")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
 		qos        = flag.String("qos", "", "fleet experiment: pin every tenant to one QoS class (gold, silver, besteffort)")
@@ -91,7 +87,7 @@ func main() {
 
 	opts := bench.Opts{
 		Full: *full, Seed: *seed, Jobs: *jobs, Tracker: *tracker, Policy: *policy,
-		Adaptive: *adaptive, Audit: *audit, Tenants: *tenants, QoS: *qos,
+		Adaptive: *adaptive, Tenants: *tenants, QoS: *qos,
 	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hemem-bench:", err)

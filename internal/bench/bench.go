@@ -49,10 +49,6 @@ type Opts struct {
 	// Output is byte-identical to the fixed loop's (TestExperimentGoldens
 	// runs rows with it on).
 	Adaptive bool
-	// Audit runs the invariant auditor every quantum on every machine
-	// (machine.Config.Audit). It never changes output
-	// (TestChaosAuditorIsPureObserver); chaos and fleet audit regardless.
-	Audit bool
 	// Tenants overrides the fleet experiment's tenants per machine; 0
 	// keeps the scale default. Other experiments ignore it.
 	Tenants int
@@ -78,12 +74,11 @@ func (o Opts) Validate() error {
 }
 
 // machineConfig is the default machine config with the run's
-// adaptive-loop and audit switches applied. Every experiment machine is
-// built from it, so the switches reach them all.
+// adaptive-loop switch applied. Every experiment machine is built from
+// it, so the switch reaches them all.
 func (o Opts) machineConfig() machine.Config {
 	mc := machine.DefaultConfig()
 	mc.AdaptiveQuantum = o.Adaptive
-	mc.Audit = o.Audit
 	return mc
 }
 

@@ -82,10 +82,9 @@ var (
 
 // goldenRows assigns every experiment its knob point. Adaptive rows
 // include the four experiments the CLI used to refuse -adaptive for
-// (chaos, fig8, tab2, ext-swap). No row sets Opts.Audit: the auditor
-// walks every page every quantum, which makes every machine-backed row
-// over 100× slower. TestChaosAuditorIsPureObserver proves it neutral
-// instead, and chaos and fleet audit every machine.
+// (chaos, fig8, tab2, ext-swap). Chaos and fleet audit every machine
+// every quantum; TestChaosAuditorIsPureObserver proves the auditor
+// neutral.
 var goldenRows = map[string]goldenRow{
 	"tab1":     {o: jobs8, race: true, shape: contains("paper:")},
 	"fig1":     {o: jobs8, race: true, shape: contains("paper:")},

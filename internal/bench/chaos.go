@@ -14,11 +14,12 @@ import (
 
 // chaosMachine builds the three-tier DRAM+CXL+NVM testbed the chaos
 // experiments run on, from o's machine config and seed, managed by HeMem
-// with cfg: the CXL tier is the one taken offline, sized so it holds a
-// meaningful slice of the working set and drains in well under a
-// scripted outage.
+// with cfg and audited every quantum: the CXL tier is the one taken
+// offline, sized so it holds a meaningful slice of the working set and
+// drains in well under a scripted outage.
 func chaosMachine(o Opts, cfg core.Config, faults fault.Config) (*machine.Machine, *core.HeMem) {
 	mcfg := o.machineConfig()
+	mcfg.Audit = true
 	mcfg.Seed = o.seed()
 	mcfg.Faults = faults
 	mcfg.Tiers = []machine.TierDesc{
@@ -42,7 +43,6 @@ func runChaos(w io.Writer, o Opts) {
 	warm := o.scale(30, 120) * sim.Second
 	phase := o.scale(10, 30) * sim.Second
 
-	o.Audit = true
 	m, h := chaosMachine(o, core.DefaultConfig(), fault.Config{})
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: o.seed(),

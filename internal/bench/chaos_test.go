@@ -52,7 +52,7 @@ func soakFaults() fault.Config {
 // soak job well inside its budget.
 func soakRun(t *testing.T, seed uint64, warm, run int64) (*machine.Machine, *machine.Telemetry, float64) {
 	t.Helper()
-	m, _ := chaosMachine(Opts{Seed: seed, Audit: true}, core.DefaultConfig(), soakFaults())
+	m, _ := chaosMachine(Opts{Seed: seed}, core.DefaultConfig(), soakFaults())
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: seed,
 	})
@@ -183,7 +183,7 @@ func TestChaosAuditorIsPureObserver(t *testing.T) {
 func TestChaosZeroConfigNoOp(t *testing.T) {
 	cfg := soakFaults()
 	cfg.Chaos = fault.ChaosConfig{}
-	m, _ := chaosMachine(Opts{Seed: 5, Audit: true}, core.DefaultConfig(), cfg)
+	m, _ := chaosMachine(Opts{Seed: 5}, core.DefaultConfig(), cfg)
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: 5,
 	})
@@ -201,16 +201,16 @@ func TestChaosZeroConfigNoOp(t *testing.T) {
 	}
 }
 
-// TestOptsReachMachines: the run-wide switches reach every experiment
-// machine. machineConfig carries them, and chaos builds its testbed from
-// it rather than from the machine defaults.
+// TestOptsReachMachines: the run-wide adaptive switch reaches every
+// experiment machine. machineConfig carries it, and chaos builds its
+// testbed from it rather than from the machine defaults.
 func TestOptsReachMachines(t *testing.T) {
-	o := Opts{Audit: true, Adaptive: true}
-	if mc := o.machineConfig(); !mc.Audit || !mc.AdaptiveQuantum {
-		t.Errorf("machineConfig: Audit %v, AdaptiveQuantum %v; want both set", mc.Audit, mc.AdaptiveQuantum)
+	o := Opts{Adaptive: true}
+	if mc := o.machineConfig(); !mc.AdaptiveQuantum {
+		t.Errorf("machineConfig: AdaptiveQuantum %v, want set", mc.AdaptiveQuantum)
 	}
 	m, _ := chaosMachine(o, core.DefaultConfig(), fault.Config{})
-	if !m.Cfg.Audit || !m.Cfg.AdaptiveQuantum {
-		t.Errorf("chaosMachine: Audit %v, AdaptiveQuantum %v; want both set", m.Cfg.Audit, m.Cfg.AdaptiveQuantum)
+	if !m.Cfg.AdaptiveQuantum {
+		t.Errorf("chaosMachine: AdaptiveQuantum %v, want set", m.Cfg.AdaptiveQuantum)
 	}
 }

@@ -91,11 +91,11 @@ func qosEvacRun(t *testing.T, seed uint64) qosEvacResult {
 			r.sawBEDry = true
 			r.goldWhenBEDry = g
 		}
-		if now+mcfg.Quantum < m.Clock.Now()+drain && g+b > 0 {
-			m.Events.Schedule(now+mcfg.Quantum, watch)
+		if now+machine.Quantum < m.Clock.Now()+drain && g+b > 0 {
+			m.Events.Schedule(now+machine.Quantum, watch)
 		}
 	}
-	m.Events.Schedule(m.Clock.Now()+mcfg.Quantum, watch)
+	m.Events.Schedule(m.Clock.Now()+machine.Quantum, watch)
 	m.Run(drain)
 
 	for _, reg := range m.AS.Regions {

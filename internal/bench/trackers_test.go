@@ -133,7 +133,7 @@ func trackersGridCovered(t *testing.T, out string) {
 // fault counters, migrations per edge, episode log and telemetry CSV.
 func chaosTrackerRun(t *testing.T, tracker string, seed uint64) string {
 	t.Helper()
-	m, h := chaosMachine(Opts{Seed: seed, Audit: true}, core.Config{Tracker: tracker}, soakFaults())
+	m, h := chaosMachine(Opts{Seed: seed}, core.Config{Tracker: tracker}, soakFaults())
 	g := gups.New(m, gups.Config{
 		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: seed,
 	})

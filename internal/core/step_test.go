@@ -41,7 +41,7 @@ func busyRun(seed uint64, fixed bool) busyOutcome {
 	// 1.5 quanta past a whole second, so the last step is a capped one.
 	span := 5*sim.Second + 3*sim.Millisecond/2
 	if fixed {
-		q := m.Cfg.Quantum
+		q := machine.Quantum
 		for now, end := m.Clock.Now(), m.Clock.Now()+span; now < end; now = m.Clock.Now() {
 			m.Step(min(q, end-now))
 		}

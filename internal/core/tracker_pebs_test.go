@@ -248,7 +248,7 @@ func TestPEBSStepAllocationFree(t *testing.T) {
 	gups.New(m, gups.Config{WorkingSet: 16 * sim.GB, HotSet: 2 * sim.GB, Seed: 1})
 	m.Warm()
 	m.Run(200 * sim.Millisecond)
-	step := func() { m.Step(m.Cfg.Quantum) }
+	step := func() { m.Step(machine.Quantum) }
 	if n := testing.AllocsPerRun(50, step); n != 0 {
 		t.Fatalf("Step allocates %v times per step, want 0", n)
 	}

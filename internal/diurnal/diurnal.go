@@ -58,13 +58,14 @@ type Config struct {
 	WorkingSet int64
 	// Threads is the application thread count (default 16).
 	Threads int
-	// ReadBytes and WriteBytes are moved per op during a burst: reads
-	// default to 64 bytes, and a zero WriteBytes writes nothing.
-	ReadBytes, WriteBytes int64
 	// Phases is the repeating schedule; it must contain at least one
 	// phase with positive duration.
 	Phases []Phase
 }
+
+// readBytes is what one burst op reads: a 64-byte cache line. A burst
+// writes nothing.
+const readBytes = 64
 
 // Workload runs the schedule on a machine.
 type Workload struct {
@@ -97,10 +98,10 @@ type window struct {
 	set    *vm.PageSet
 }
 
-// Validate reports the first invalid field of c. Zero Threads and
-// ReadBytes mean their defaults, so only negative values fail, plus an
-// empty working set or schedule, a phase of no duration, a window that
-// is not a sub-range of [0, 1] (NaN bounds included), a working set of
+// Validate reports the first invalid field of c. Zero Threads means its
+// default, so only a negative count fails, plus an empty working set or
+// schedule, a phase of no duration, a window that is not a sub-range of
+// [0, 1] (NaN bounds included), a working set of
 // more than math.MaxInt32 pages of pageSize bytes (the machine's page
 // size; PageIDs are int32), two burst windows whose pages overlap
 // without being the same, and more distinct burst windows than a region
@@ -111,10 +112,6 @@ func (c Config) Validate(pageSize int64) error {
 		return fmt.Errorf("diurnal: WorkingSet %d must be positive", c.WorkingSet)
 	case c.Threads < 0:
 		return fmt.Errorf("diurnal: negative Threads %d", c.Threads)
-	case c.ReadBytes < 0:
-		return fmt.Errorf("diurnal: negative ReadBytes %d", c.ReadBytes)
-	case c.WriteBytes < 0:
-		return fmt.Errorf("diurnal: negative WriteBytes %d", c.WriteBytes)
 	case len(c.Phases) == 0:
 		return fmt.Errorf("diurnal: empty phase schedule")
 	}
@@ -178,9 +175,6 @@ func New(m *machine.Machine, cfg Config) *Workload {
 	if cfg.Threads == 0 {
 		cfg.Threads = 16
 	}
-	if cfg.ReadBytes == 0 {
-		cfg.ReadBytes = 64
-	}
 	d := &Workload{cfg: cfg, m: m}
 	d.region = m.AS.Map(cfg.Name, cfg.WorkingSet)
 	d.phaseIdx = 0
@@ -213,11 +207,10 @@ func (d *Workload) enterPhase(i int) {
 		return
 	}
 	d.comps = append(d.comps[:0], machine.Component{
-		Set:        d.windowSet(i),
-		Share:      1,
-		ReadBytes:  d.cfg.ReadBytes,
-		WriteBytes: d.cfg.WriteBytes,
-		Pattern:    mem.Random,
+		Set:       d.windowSet(i),
+		Share:     1,
+		ReadBytes: readBytes,
+		Pattern:   mem.Random,
 	})
 }
 

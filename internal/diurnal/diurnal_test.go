@@ -189,12 +189,6 @@ func TestValidateRejectsNegativeFields(t *testing.T) {
 	cfg := testSchedule(16 * sim.GB)
 	cfg.Threads = -4
 	rejects(t, cfg, "Threads")
-	cfg = testSchedule(16 * sim.GB)
-	cfg.ReadBytes = -64
-	rejects(t, cfg, "ReadBytes")
-	cfg = testSchedule(16 * sim.GB)
-	cfg.WriteBytes = -64
-	rejects(t, cfg, "WriteBytes")
 	rejects(t, testSchedule(0), "WorkingSet")
 }
 
@@ -249,7 +243,7 @@ func TestRepeatedWindowSharesOneSet(t *testing.T) {
 	}
 }
 
-// Zero Threads and ReadBytes mean defaults; an idle-only schedule, a
+// Zero Threads means its default; an idle-only schedule, a
 // window repeated by a later phase and a window spanning the whole
 // region are valid.
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {

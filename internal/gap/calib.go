@@ -4,26 +4,22 @@ import "sync"
 
 // Calibration-graph cache. Every BC driver (and every sweep cell running
 // one) generates a small "calibration" Kronecker graph to measure degree
-// skew — a pure function of (Scale, EdgeFactor, Seed), since Kronecker
-// seeds its own RNG from the config and Build/ChunkTraffic are
-// deterministic. Rebuilding it per cell was ~10% of suite CPU (see
-// "Profiling the simulator" in EXPERIMENTS.md), so identical configs
-// share one graph and one traffic summary across cells and across
-// parallel sweep workers.
+// skew — a pure function of the seed, since Kronecker seeds its own RNG
+// from the config and Build/ChunkTraffic are deterministic. Rebuilding it
+// per cell was ~10% of suite CPU (see "Profiling the simulator" in
+// EXPERIMENTS.md), so drivers of one seed share one graph and one traffic
+// summary across cells and across parallel sweep workers.
 //
-// Entries use a sync.Once so concurrent workers requesting the same key
+// Entries use a sync.Once so concurrent workers requesting the same seed
 // build it exactly once; the maps are guarded by a mutex. Cached values
 // are treated as immutable by all callers (Graph is read-only after
 // Build; traffic slices are never written after ChunkTraffic).
 
-type calibKey struct {
-	scale      int
-	edgeFactor int
-	seed       uint64
-}
+// calibrationScale is log2 of the calibration graph's vertex count.
+const calibrationScale = 18
 
 type trafficKey struct {
-	calibKey
+	seed   uint64
 	chunks int
 }
 
@@ -34,52 +30,46 @@ type calibEntry struct {
 
 var (
 	calibMu      sync.Mutex
-	calibGraphs  = map[calibKey]*calibEntry{}
+	calibGraphs  = map[uint64]*calibEntry{}
 	trafficCache = map[trafficKey][]float64{}
 )
 
-// normCalibKey applies the same defaulting Kronecker does, so callers
-// that spell EdgeFactor 0 and 16 share an entry.
-func normCalibKey(cfg KroneckerConfig) calibKey {
-	ef := cfg.EdgeFactor
-	if ef == 0 {
-		ef = 16
-	}
-	return calibKey{scale: cfg.Scale, edgeFactor: ef, seed: cfg.Seed}
+// calibrationConfig is the generator config of seed's calibration graph.
+func calibrationConfig(seed uint64) KroneckerConfig {
+	return KroneckerConfig{Scale: calibrationScale, EdgeFactor: edgeFactor, Seed: seed}
 }
 
-// CalibrationGraph returns the built (symmetrized CSR) Kronecker graph
-// for cfg, generating it on first use and caching it for the life of the
-// process. The result is shared and must not be mutated. Safe for
-// concurrent use; concurrent first calls build the graph exactly once.
-func CalibrationGraph(cfg KroneckerConfig) *Graph {
-	key := normCalibKey(cfg)
+// calibrationGraph returns the built (symmetrized CSR) Kronecker graph
+// of calibrationConfig(seed), generating it on first use and caching it
+// for the life of the process. The result is shared and must not be
+// mutated. Safe for concurrent use; concurrent first calls build the
+// graph exactly once.
+func calibrationGraph(seed uint64) *Graph {
 	calibMu.Lock()
-	e := calibGraphs[key]
+	e := calibGraphs[seed]
 	if e == nil {
 		e = &calibEntry{}
-		calibGraphs[key] = e
+		calibGraphs[seed] = e
 	}
 	calibMu.Unlock()
 	e.once.Do(func() {
-		edges := Kronecker(KroneckerConfig{Scale: key.scale, EdgeFactor: key.edgeFactor, Seed: key.seed})
-		e.g = Build(1<<key.scale, edges)
+		e.g = Build(1<<calibrationScale, Kronecker(calibrationConfig(seed)))
 	})
 	return e.g
 }
 
-// CalibrationTraffic returns CalibrationGraph(cfg).ChunkTraffic(chunks),
-// cached per (cfg, chunks). The returned slice is shared and must not be
+// calibrationTraffic returns calibrationGraph(seed).ChunkTraffic(chunks),
+// cached per (seed, chunks). The returned slice is shared and must not be
 // mutated. Safe for concurrent use.
-func CalibrationTraffic(cfg KroneckerConfig, chunks int) []float64 {
-	key := trafficKey{calibKey: normCalibKey(cfg), chunks: chunks}
+func calibrationTraffic(seed uint64, chunks int) []float64 {
+	key := trafficKey{seed, chunks}
 	calibMu.Lock()
 	if t, ok := trafficCache[key]; ok {
 		calibMu.Unlock()
 		return t
 	}
 	calibMu.Unlock()
-	t := CalibrationGraph(cfg).ChunkTraffic(chunks)
+	t := calibrationGraph(seed).ChunkTraffic(chunks)
 	calibMu.Lock()
 	if prev, ok := trafficCache[key]; ok {
 		t = prev

@@ -7,11 +7,12 @@ import (
 
 // TestCalibrationCacheMatchesDirect pins the cache's transparency: the
 // cached graph and traffic summary must equal a direct (uncached)
-// generation, including across the EdgeFactor 0 → 16 normalization.
+// generation.
 func TestCalibrationCacheMatchesDirect(t *testing.T) {
-	cfg := KroneckerConfig{Scale: 10, EdgeFactor: 16, Seed: 99}
+	const seed = 99
+	cfg := calibrationConfig(seed)
 	direct := Build(1<<cfg.Scale, Kronecker(cfg))
-	cached := CalibrationGraph(cfg)
+	cached := calibrationGraph(seed)
 	if cached.N != direct.N || len(cached.Neighbors) != len(direct.Neighbors) {
 		t.Fatalf("cached graph shape (%d, %d) != direct (%d, %d)",
 			cached.N, len(cached.Neighbors), direct.N, len(direct.Neighbors))
@@ -21,12 +22,12 @@ func TestCalibrationCacheMatchesDirect(t *testing.T) {
 			t.Fatalf("neighbor %d: cached %d != direct %d", i, cached.Neighbors[i], direct.Neighbors[i])
 		}
 	}
-	if def := CalibrationGraph(KroneckerConfig{Scale: 10, Seed: 99}); def != cached {
-		t.Fatal("EdgeFactor 0 did not normalize to the EdgeFactor 16 entry")
+	if again := calibrationGraph(seed); again != cached {
+		t.Fatal("a second lookup built a second graph")
 	}
 	const chunks = 37
 	want := direct.ChunkTraffic(chunks)
-	got := CalibrationTraffic(cfg, chunks)
+	got := calibrationTraffic(seed, chunks)
 	if len(got) != len(want) {
 		t.Fatalf("traffic length %d, want %d", len(got), len(want))
 	}
@@ -39,27 +40,30 @@ func TestCalibrationCacheMatchesDirect(t *testing.T) {
 
 // TestCalibrationCacheConcurrent hammers the cache from concurrent
 // workers (as parallel sweep cells do) and checks every worker saw the
-// identical summary. Run under -race this also proves the build-once
-// synchronization is sound.
+// one graph and the identical summary. Run under -race this also proves
+// the build-once synchronization is sound. (TestCalibrationCacheMatchesDirect
+// checks the cached graph against a direct build.)
 func TestCalibrationCacheConcurrent(t *testing.T) {
-	cfg := KroneckerConfig{Scale: 11, EdgeFactor: 16, Seed: 7}
-	const chunks = 53
-	want := Build(1<<cfg.Scale, Kronecker(cfg)).ChunkTraffic(chunks)
-
+	const seed, chunks = 7, 53
 	const workers = 8
+	graphs := make([]*Graph, workers)
 	results := make([][]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g := CalibrationGraph(cfg)
-			_ = g.DegreeSkew(0.1)
-			results[w] = CalibrationTraffic(cfg, chunks)
+			graphs[w] = calibrationGraph(seed)
+			_ = graphs[w].DegreeSkew(0.1)
+			results[w] = calibrationTraffic(seed, chunks)
 		}(w)
 	}
 	wg.Wait()
+	want := graphs[0].ChunkTraffic(chunks)
 	for w, got := range results {
+		if graphs[w] != graphs[0] {
+			t.Fatalf("worker %d got a second graph", w)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("worker %d: traffic length %d, want %d", w, len(got), len(want))
 		}

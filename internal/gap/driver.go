@@ -13,22 +13,21 @@ type DriverConfig struct {
 	// Scale is log2 of the vertex count (the paper runs 2^28, which fits
 	// the 192 GB DRAM, and 2^29, which exceeds it).
 	Scale int
-	// EdgeFactor is directed edges per vertex (16).
-	EdgeFactor int
-	// Threads is the worker count.
-	Threads int
 	// Iterations is the number of BC source iterations (paper: 15).
 	Iterations int
 	// EdgeVisitScale shortens iterations for tests: the fraction of the
 	// full 2·E edge visits each iteration performs (default 1).
 	EdgeVisitScale float64
-	// CalibrationScale is the (small) scale at which a real Kronecker
-	// graph is generated to measure the page-level degree skew that
-	// parameterizes the traffic zones (default 18).
-	CalibrationScale int
 	// Seed drives generation and source choice.
 	Seed uint64
 }
+
+// edgeFactor is directed edges per vertex and threads the worker count
+// (§5.2.3: edge factor 16 on 16 threads).
+const (
+	edgeFactor = 16
+	threads    = 16
+)
 
 // BytesPerVertex is the modelled in-memory footprint per vertex: both
 // CSR directions (2×16 neighbor entries × 8 B), offsets, and the BC arrays
@@ -40,16 +39,6 @@ const BytesPerVertex = 400
 // MaxScale bounds DriverConfig.Scale: 2^40 vertices already model
 // 400 TiB, far past any simulated machine.
 const MaxScale = 40
-
-// MaxCalibrationScale bounds DriverConfig.CalibrationScale: the
-// calibration graph is generated and kept in memory, and at 2^24 vertices
-// its edge list alone takes 2 GiB at the default edge factor.
-const MaxCalibrationScale = 24
-
-// maxEdgeFactor is the largest edge factor whose neighbour arrays (two
-// directions of 8-byte entries) leave room in BytesPerVertex for the
-// vertex data.
-const maxEdgeFactor = (BytesPerVertex - 1) / 16
 
 // vertexZones is how many degree-ordered zones the vertex arrays are split
 // into for traffic modelling.
@@ -74,62 +63,41 @@ type Driver struct {
 }
 
 // Validate reports the first invalid field of c. Zero fields mean their
-// defaults (16 edges per vertex, 16 threads, 15 iterations, full edge
-// visits, calibration at scale 18), so only negative values fail, plus
-// a Scale past MaxScale, a CalibrationScale past MaxCalibrationScale,
-// an EdgeVisitScale outside [0, 1] or NaN, an
-// EdgeFactor whose neighbour arrays leave no room for the vertex data in
-// BytesPerVertex, and a graph of more than math.MaxInt32 pages of
-// pageSize bytes (the machine's page size; PageIDs are int32).
+// defaults (15 iterations, full edge visits), so only negative values
+// fail, plus a Scale past MaxScale, an EdgeVisitScale outside [0, 1] or
+// NaN, and a graph of more than math.MaxInt32 pages of pageSize bytes
+// (the machine's page size; PageIDs are int32).
 func (c DriverConfig) Validate(pageSize int64) error {
 	switch {
 	case c.Scale < 0 || c.Scale > MaxScale:
 		return fmt.Errorf("gap: Scale %d outside [0, %d]", c.Scale, MaxScale)
-	case c.EdgeFactor < 0:
-		return fmt.Errorf("gap: negative EdgeFactor %d", c.EdgeFactor)
-	case c.EdgeFactor > maxEdgeFactor:
-		return fmt.Errorf("gap: EdgeFactor %d leaves no vertex bytes (at most %d)", c.EdgeFactor, maxEdgeFactor)
-	case c.Threads < 0:
-		return fmt.Errorf("gap: negative Threads %d", c.Threads)
 	case c.Iterations < 0:
 		return fmt.Errorf("gap: negative Iterations %d", c.Iterations)
 	case !(c.EdgeVisitScale >= 0 && c.EdgeVisitScale <= 1):
 		return fmt.Errorf("gap: EdgeVisitScale %v outside [0, 1]", c.EdgeVisitScale)
-	case c.CalibrationScale < 0 || c.CalibrationScale > MaxCalibrationScale:
-		return fmt.Errorf("gap: CalibrationScale %d outside [0, %d]", c.CalibrationScale, MaxCalibrationScale)
 	}
-	ef := c.EdgeFactor
-	if ef == 0 {
-		ef = 16
-	}
-	if err := vm.CheckMapping(pageSize, graphBytes(c.Scale, ef)...); err != nil {
+	if err := vm.CheckMapping(pageSize, graphBytes(c.Scale)...); err != nil {
 		return fmt.Errorf("gap: %w", err)
 	}
 	return nil
 }
 
 // graphBytes returns the sizes of the neighbour and vertex arrays of a
-// graph of 2^scale vertices with ef edges each.
-func graphBytes(scale, ef int) []int64 {
+// graph of 2^scale vertices.
+func graphBytes(scale int) []int64 {
 	v := int64(1) << scale
-	// Neighbor arrays: 2 directions × ef entries × 8 B.
-	neighbors := 2 * int64(ef) * v * 8
+	// Neighbor arrays: 2 directions × edgeFactor entries × 8 B.
+	neighbors := 2 * edgeFactor * v * 8
 	return []int64{neighbors, v*BytesPerVertex - neighbors}
 }
 
 // NewDriver maps the graph's memory on m and registers the workload. A
-// real Kronecker graph at CalibrationScale measures the degree skew used
+// real Kronecker graph at calibrationScale measures the degree skew used
 // to split the vertex arrays into hot/warm/cold zones. It panics with
 // Validate's message, before mapping anything, on an invalid cfg.
 func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
 		panic(err.Error())
-	}
-	if cfg.EdgeFactor == 0 {
-		cfg.EdgeFactor = 16
-	}
-	if cfg.Threads == 0 {
-		cfg.Threads = 16
 	}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 15
@@ -137,22 +105,19 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	if cfg.EdgeVisitScale == 0 {
 		cfg.EdgeVisitScale = 1
 	}
-	if cfg.CalibrationScale == 0 {
-		cfg.CalibrationScale = 18
-	}
 	d := &Driver{cfg: cfg, m: m}
 
-	sizes := graphBytes(cfg.Scale, cfg.EdgeFactor)
+	sizes := graphBytes(cfg.Scale)
 	d.neighborsRegion = m.AS.Map("gap-neighbors", sizes[0])
 	d.vertexRegion = m.AS.Map("gap-vertex", sizes[1])
 
 	// Measure page-level degree concentration on a real (small) graph:
 	// chunk the vertex range as the full-scale pages chunk it. The graph
-	// and summary are pure functions of (scale, edge factor, seed), so
-	// they come from the process-wide calibration cache instead of being
-	// rebuilt per driver/sweep cell.
+	// and summary are pure functions of the seed, so they come from the
+	// process-wide calibration cache instead of being rebuilt per
+	// driver/sweep cell.
 	pages := d.vertexRegion.AllPages()
-	traffic := CalibrationTraffic(KroneckerConfig{Scale: cfg.CalibrationScale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed}, len(pages))
+	traffic := calibrationTraffic(cfg.Seed, len(pages))
 
 	// Split pages into three zones: the hottest pages covering ~40% of
 	// vertex traffic, the next ~35%, and the tail. Pages are taken in id
@@ -192,7 +157,7 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 		)
 	}
 
-	d.opsPerIt = 2 * float64(cfg.EdgeFactor) * float64(int64(1)<<cfg.Scale) * cfg.EdgeVisitScale
+	d.opsPerIt = 2 * float64(edgeFactor) * float64(int64(1)<<cfg.Scale) * cfg.EdgeVisitScale
 	m.AddWorkload(d)
 	d.startWear = m.NVM.Wear().WriteBytes
 	return d
@@ -202,7 +167,7 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 func (d *Driver) Name() string { return "gap-bc" }
 
 // Threads implements machine.Workload.
-func (d *Driver) Threads() int { return d.cfg.Threads }
+func (d *Driver) Threads() int { return threads }
 
 // Components implements machine.Workload.
 func (d *Driver) Components() []machine.Component { return d.comps }

@@ -168,10 +168,6 @@ func rejectsAt(t *testing.T, pageSize int64, cfg gap.DriverConfig, want string) 
 	gap.NewDriver(m, cfg)
 }
 
-func TestValidateRejectsNegativeThreads(t *testing.T) {
-	rejects(t, gap.DriverConfig{Scale: 20, Threads: -4}, "Threads")
-}
-
 func TestValidateRejectsBadEdgeVisitScale(t *testing.T) {
 	for _, v := range []float64{-1, 1.5, math.NaN()} {
 		rejects(t, gap.DriverConfig{Scale: 20, EdgeVisitScale: v}, "EdgeVisitScale")
@@ -185,11 +181,6 @@ func TestValidateRejectsNegativeIterations(t *testing.T) {
 func TestValidateRejectsBadShape(t *testing.T) {
 	rejects(t, gap.DriverConfig{Scale: -1}, "Scale")
 	rejects(t, gap.DriverConfig{Scale: gap.MaxScale + 1}, "Scale")
-	rejects(t, gap.DriverConfig{Scale: 20, EdgeFactor: -16}, "EdgeFactor")
-	rejects(t, gap.DriverConfig{Scale: 20, EdgeFactor: 25}, "EdgeFactor")
-	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: -18}, "CalibrationScale")
-	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: gap.MaxCalibrationScale + 1}, "CalibrationScale")
-	rejects(t, gap.DriverConfig{Scale: 20, CalibrationScale: 64}, "CalibrationScale")
 }
 
 // A graph of more pages than PageIDs can number is refused: 2^36
@@ -205,7 +196,7 @@ func TestValidateRejectsPageIDOverflow(t *testing.T) {
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 	for _, c := range []gap.DriverConfig{
 		{},
-		{Scale: gap.MaxScale, EdgeFactor: 24, EdgeVisitScale: 1},
+		{Scale: gap.MaxScale, EdgeVisitScale: 1},
 		{Scale: 28, Iterations: 15, EdgeVisitScale: 0.05, Seed: 2},
 	} {
 		if err := c.Validate(2 * sim.MB); err != nil {

@@ -1,9 +1,9 @@
 // Package gups implements the GUPS (giga-updates-per-second)
 // microbenchmark the paper uses throughout §5.1: parallel read-modify-write
-// operations on fixed-size objects over a configurable working set, with an
-// optional skewed hot set, an optional write-only partition (the asymmetric
-// experiment of Table 2), and support for shifting the hot set mid-run
-// (the dynamic experiment of Figure 9).
+// operations on 8-byte objects over a configurable working set, with an
+// optional hot set taking 90% of the updates, an optional write-only
+// partition (the asymmetric experiment of Table 2), and support for
+// shifting the hot set mid-run (the dynamic experiment of Figure 9).
 package gups
 
 import (
@@ -23,13 +23,6 @@ type Config struct {
 	WorkingSet int64
 	// HotSet is the aggregate hot set in bytes; 0 means uniform access.
 	HotSet int64
-	// HotFrac is the fraction of operations that touch the hot set
-	// (paper: 0.9).
-	HotFrac float64
-	// ObjectSize is bytes per update (paper: 8).
-	ObjectSize int64
-	// TotalUpdates ends the run after this many updates; 0 = unbounded.
-	TotalUpdates float64
 	// WriteOnlyHot makes this many bytes of the hot set write-only while
 	// the rest of all memory is read-only (Table 2's skewed R/W
 	// pattern). 0 disables.
@@ -38,12 +31,20 @@ type Config struct {
 	Seed uint64
 }
 
+// hotFrac is the fraction of updates that touch the hot set, and
+// objectSize the bytes each update reads and writes (§5.1: 90% of
+// updates on 8-byte objects). hotFrac is typed so that 1-hotFrac rounds
+// as float64 arithmetic does.
+const (
+	hotFrac    float64 = 0.9
+	objectSize         = 8
+)
+
 // Validate reports the first invalid field of c, or nil. Zero fields
-// mean their defaults (16 threads, 8-byte objects, HotFrac 0.9, uniform
-// access), so only negative, NaN and out-of-range values fail, plus a
-// hot set larger than the working set, an empty working set, and a
-// working set of more than math.MaxInt32 pages of pageSize bytes (the
-// machine's page size; PageIDs are int32).
+// mean their defaults (16 threads, uniform access), so only negative
+// values fail, plus a hot set larger than the working set, an empty
+// working set, and a working set of more than math.MaxInt32 pages of
+// pageSize bytes (the machine's page size; PageIDs are int32).
 func (c Config) Validate(pageSize int64) error {
 	switch {
 	case c.Threads < 0:
@@ -54,12 +55,6 @@ func (c Config) Validate(pageSize int64) error {
 		return fmt.Errorf("gups: negative HotSet %d", c.HotSet)
 	case c.HotSet > c.WorkingSet:
 		return fmt.Errorf("gups: HotSet %d larger than WorkingSet %d", c.HotSet, c.WorkingSet)
-	case !(c.HotFrac >= 0 && c.HotFrac <= 1):
-		return fmt.Errorf("gups: HotFrac %v outside [0, 1]", c.HotFrac)
-	case c.ObjectSize < 0:
-		return fmt.Errorf("gups: negative ObjectSize %d", c.ObjectSize)
-	case !(c.TotalUpdates >= 0):
-		return fmt.Errorf("gups: TotalUpdates %v not a non-negative number", c.TotalUpdates)
 	case c.WriteOnlyHot < 0:
 		return fmt.Errorf("gups: negative WriteOnlyHot %d", c.WriteOnlyHot)
 	}
@@ -97,12 +92,6 @@ func New(m *machine.Machine, cfg Config) *GUPS {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 16
 	}
-	if cfg.ObjectSize <= 0 {
-		cfg.ObjectSize = 8
-	}
-	if cfg.HotFrac == 0 {
-		cfg.HotFrac = 0.9
-	}
 	g := &GUPS{cfg: cfg}
 	g.region = m.AS.Map("gups", cfg.WorkingSet)
 
@@ -129,11 +118,10 @@ func New(m *machine.Machine, cfg Config) *GUPS {
 
 // rebuild recomputes the component list from current set sizes.
 func (g *GUPS) rebuild() {
-	c := g.cfg
 	rw := func(set *vm.PageSet, share float64) machine.Component {
 		return machine.Component{
 			Set: set, Share: share,
-			ReadBytes: c.ObjectSize, WriteBytes: c.ObjectSize,
+			ReadBytes: objectSize, WriteBytes: objectSize,
 			Pattern: mem.Random,
 		}
 	}
@@ -145,31 +133,32 @@ func (g *GUPS) rebuild() {
 		// Table 2: hot split into write-only and read-only halves;
 		// the cold remainder is read-only.
 		hotBytes := float64(g.hot.Len() + g.hotWr.Len())
-		wrShare := c.HotFrac * float64(g.hotWr.Len()) / hotBytes
-		rdShare := c.HotFrac * float64(g.hot.Len()) / hotBytes
+		wrShare := hotFrac * float64(g.hotWr.Len()) / hotBytes
+		rdShare := hotFrac * float64(g.hot.Len()) / hotBytes
 		g.comps = []machine.Component{
-			{Set: g.hotWr, Share: wrShare, WriteBytes: c.ObjectSize, Pattern: mem.Random},
-			{Set: g.hot, Share: rdShare, ReadBytes: c.ObjectSize, Pattern: mem.Random},
-			{Set: g.cold, Share: 1 - c.HotFrac, ReadBytes: c.ObjectSize, Pattern: mem.Random},
+			{Set: g.hotWr, Share: wrShare, WriteBytes: objectSize, Pattern: mem.Random},
+			{Set: g.hot, Share: rdShare, ReadBytes: objectSize, Pattern: mem.Random},
+			{Set: g.cold, Share: 1 - hotFrac, ReadBytes: objectSize, Pattern: mem.Random},
 		}
 	default:
-		// HotFrac of ops hit the hot set; the rest are uniform over
+		// hotFrac of ops hit the hot set; the rest are uniform over
 		// the whole working set, which decomposes into disjoint
 		// hot/cold components by size.
 		total := float64(g.hot.Len() + g.cold.Len())
-		uniformHot := (1 - c.HotFrac) * float64(g.hot.Len()) / total
-		uniformCold := (1 - c.HotFrac) * float64(g.cold.Len()) / total
+		uniformHot := (1 - hotFrac) * float64(g.hot.Len()) / total
+		uniformCold := (1 - hotFrac) * float64(g.cold.Len()) / total
 		g.comps = []machine.Component{
-			rw(g.hot, c.HotFrac+uniformHot),
+			rw(g.hot, hotFrac+uniformHot),
 			rw(g.cold, uniformCold),
 		}
 	}
 }
 
 // ShiftHotSet makes bytes of the hot set cold and an equal amount of the
-// cold set hot (Figure 9's dynamic hot set), preserving set sizes.
+// cold set hot (Figure 9's dynamic hot set), preserving set sizes. A
+// non-positive shift, or one on a uniform run, changes nothing.
 func (g *GUPS) ShiftHotSet(bytes int64, seed uint64) {
-	if g.hot == nil || g.cold == nil {
+	if g.hot == nil || g.cold == nil || bytes <= 0 {
 		return
 	}
 	n := int(bytes / g.region.PageSize)
@@ -210,10 +199,8 @@ func (g *GUPS) OnOps(now int64, ops float64, opTime float64) {
 	g.lastNow = now
 }
 
-// Done implements machine.Workload.
-func (g *GUPS) Done() bool {
-	return g.cfg.TotalUpdates > 0 && g.updates >= g.cfg.TotalUpdates
-}
+// Done implements machine.Workload: GUPS runs until stopped.
+func (g *GUPS) Done() bool { return false }
 
 // Updates returns completed update operations.
 func (g *GUPS) Updates() float64 { return g.updates }

@@ -3,6 +3,7 @@ package gups_test
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,15 +56,30 @@ func TestHotColdDecomposition(t *testing.T) {
 	_ = m
 }
 
-func TestDoneAfterTotalUpdates(t *testing.T) {
-	m, g := newGUPS(gups.Config{WorkingSet: 8 * sim.GB, TotalUpdates: 1e6})
-	m.Warm()
-	m.RunUntilDone(60 * sim.Second)
-	if !g.Done() {
-		t.Fatal("workload never finished")
+// A shift moves pages between the hot and cold sets without changing
+// their sizes; a non-positive shift, of any size, changes nothing.
+func TestShiftHotSet(t *testing.T) {
+	_, g := newGUPS(gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, Seed: 1})
+	hot := g.HotPages()
+	before := slices.Clone(hot.Pages())
+	for _, b := range []int64{0, -1, -4 * sim.MB, math.MinInt64} {
+		g.ShiftHotSet(b, 1)
+		if !slices.Equal(hot.Pages(), before) {
+			t.Fatalf("ShiftHotSet(%d) changed the hot set", b)
+		}
 	}
-	if g.Updates() < 1e6 {
-		t.Fatalf("updates = %v, want >= 1e6", g.Updates())
+	g.ShiftHotSet(4*sim.MB, 1)
+	if hot.Len() != len(before) {
+		t.Fatalf("hot set holds %d pages after a shift, want %d", hot.Len(), len(before))
+	}
+	moved := 0
+	for _, p := range before {
+		if p.Set() != hot {
+			moved++
+		}
+	}
+	if moved != 2 {
+		t.Fatalf("a 4 MB shift moved %d pages out of the hot set, want 2", moved)
 	}
 }
 
@@ -126,12 +142,6 @@ func TestValidateRejectsNegativeThreads(t *testing.T) {
 	rejects(t, gups.Config{Threads: -4, WorkingSet: 8 * sim.GB}, "Threads")
 }
 
-func TestValidateRejectsHotFracOutsideUnit(t *testing.T) {
-	for _, f := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
-		rejects(t, gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, HotFrac: f}, "HotFrac")
-	}
-}
-
 func TestValidateRejectsHotSetOverWorkingSet(t *testing.T) {
 	rejects(t, gups.Config{WorkingSet: 8 * sim.GB, HotSet: 9 * sim.GB}, "HotSet")
 }
@@ -156,8 +166,8 @@ func TestValidateRejectsPageIDOverflow(t *testing.T) {
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 	for _, c := range []gups.Config{
 		{WorkingSet: 1},
-		{WorkingSet: 8 * sim.GB, HotSet: 8 * sim.GB, HotFrac: 1},
-		{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 1 * sim.GB, TotalUpdates: 1e9},
+		{WorkingSet: 8 * sim.GB, HotSet: 8 * sim.GB},
+		{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 1 * sim.GB},
 	} {
 		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", c, err)

@@ -17,12 +17,8 @@ type DriverConfig struct {
 	Name string
 	// ServerThreads is the number of serving threads (paper: 8).
 	ServerThreads int
-	// ValueSize is bytes per value (paper: 4 KB).
-	ValueSize int64
 	// WorkingSet is the aggregate item bytes (keys × value size).
 	WorkingSet int64
-	// GetFrac is the GET share of operations (paper: 0.9).
-	GetFrac float64
 	// HotKeyFrac of the keys are hot (paper: 0.2); HotTrafficFrac of
 	// key accesses go to them (paper: 0.9). HotKeyFrac = 0 disables the
 	// skew (uniform access).
@@ -39,9 +35,17 @@ type DriverConfig struct {
 	Seed uint64
 }
 
+// valueSize is bytes per value and getFrac the GET share of operations
+// (§5.2.2: 4 KB values, 90% GETs). getFrac is typed so that 1-getFrac
+// rounds as float64 arithmetic does.
+const (
+	valueSize         = 4 * sim.KB
+	getFrac   float64 = 0.9
+)
+
 // Validate reports the first invalid field of c. Zero fields mean their
-// defaults (8 server threads, 4 KB values, 90% GETs, the TAS service
-// floor, closed-loop load, uniform access), so only negative, NaN and
+// defaults (8 server threads, the TAS service floor, closed-loop load,
+// uniform access), so only negative, NaN and
 // out-of-range values fail, plus an empty working set and a log and hash
 // table of more than math.MaxInt32 pages of pageSize bytes (the
 // machine's page size; PageIDs are int32).
@@ -49,12 +53,8 @@ func (c DriverConfig) Validate(pageSize int64) error {
 	switch {
 	case c.ServerThreads < 0:
 		return fmt.Errorf("kvs: negative ServerThreads %d", c.ServerThreads)
-	case c.ValueSize < 0:
-		return fmt.Errorf("kvs: negative ValueSize %d", c.ValueSize)
 	case c.WorkingSet <= 0:
 		return fmt.Errorf("kvs: WorkingSet %d must be positive", c.WorkingSet)
-	case !(c.GetFrac >= 0 && c.GetFrac <= 1):
-		return fmt.Errorf("kvs: GetFrac %v outside [0, 1]", c.GetFrac)
 	case !(c.HotKeyFrac >= 0 && c.HotKeyFrac <= 1):
 		return fmt.Errorf("kvs: HotKeyFrac %v outside [0, 1]", c.HotKeyFrac)
 	case !(c.HotTrafficFrac >= 0 && c.HotTrafficFrac <= 1):
@@ -117,12 +117,6 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	if cfg.ServerThreads == 0 {
 		cfg.ServerThreads = 8
 	}
-	if cfg.ValueSize == 0 {
-		cfg.ValueSize = 4 * sim.KB
-	}
-	if cfg.GetFrac == 0 {
-		cfg.GetFrac = 0.9
-	}
 	if cfg.NetBase == 0 {
 		cfg.NetBase = NetBaseTAS
 	}
@@ -164,7 +158,7 @@ func (d *Driver) rebuild() {
 	})
 	// Table update on SETs.
 	comps = append(comps, machine.Component{
-		Set: d.tableSet, Share: 1 - c.GetFrac, WriteBytes: 64, Pattern: mem.Random,
+		Set: d.tableSet, Share: 1 - getFrac, WriteBytes: 64, Pattern: mem.Random,
 	})
 	value := func(set *vm.PageSet, share float64) {
 		if set == nil || share == 0 {
@@ -175,12 +169,12 @@ func (d *Driver) rebuild() {
 		// keys are rewritten into the log head which stays hot.
 		comps = append(comps,
 			machine.Component{
-				Set: set, Share: share * c.GetFrac,
-				ReadBytes: c.ValueSize, Pattern: mem.Random,
+				Set: set, Share: share * getFrac,
+				ReadBytes: valueSize, Pattern: mem.Random,
 			},
 			machine.Component{
-				Set: set, Share: share * (1 - c.GetFrac),
-				WriteBytes: c.ValueSize, Pattern: mem.Sequential,
+				Set: set, Share: share * (1 - getFrac),
+				WriteBytes: valueSize, Pattern: mem.Sequential,
 			},
 		)
 	}
@@ -242,9 +236,9 @@ func (d *Driver) OnOps(now int64, ops float64, opTime float64) {
 		}
 		var comp machine.Component
 		if read {
-			comp = machine.Component{Set: set, ReadBytes: d.cfg.ValueSize, Pattern: mem.Random}
+			comp = machine.Component{Set: set, ReadBytes: valueSize, Pattern: mem.Random}
 		} else {
-			comp = machine.Component{Set: set, WriteBytes: d.cfg.ValueSize, Pattern: mem.Sequential}
+			comp = machine.Component{Set: set, WriteBytes: valueSize, Pattern: mem.Sequential}
 		}
 		d.branchBuf = d.m.AppendBranches(d.branchBuf[:0], comp)
 		for _, br := range d.branchBuf {
@@ -258,10 +252,10 @@ func (d *Driver) OnOps(now int64, ops float64, opTime float64) {
 	if d.hotItems != nil {
 		hotShare, coldShare = d.cfg.HotTrafficFrac, 1-d.cfg.HotTrafficFrac
 	}
-	record(d.hotItems, hotShare*d.cfg.GetFrac, true)
-	record(d.coldItems, coldShare*d.cfg.GetFrac, true)
-	record(d.hotItems, hotShare*(1-d.cfg.GetFrac), false)
-	record(d.coldItems, coldShare*(1-d.cfg.GetFrac), false)
+	record(d.hotItems, hotShare*getFrac, true)
+	record(d.coldItems, coldShare*getFrac, true)
+	record(d.hotItems, hotShare*(1-getFrac), false)
+	record(d.coldItems, coldShare*(1-getFrac), false)
 }
 
 // branchMean returns the expected cost of one occurrence of c.

@@ -196,18 +196,8 @@ func TestValidateRejectsHotTrafficFracOutsideUnit(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsGetFracOutsideUnit(t *testing.T) {
-	for _, f := range []float64{1.5, -0.5, math.NaN()} {
-		rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, GetFrac: f}, "GetFrac")
-	}
-}
-
 func TestValidateRejectsNegativeServerThreads(t *testing.T) {
 	rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, ServerThreads: -8}, "ServerThreads")
-}
-
-func TestValidateRejectsNegativeValueSize(t *testing.T) {
-	rejects(t, kvs.DriverConfig{WorkingSet: 8 * sim.GB, ValueSize: -4096}, "ValueSize")
 }
 
 func TestValidateRejectsNegativeNetBase(t *testing.T) {
@@ -231,7 +221,7 @@ func TestValidateRejectsPageIDOverflow(t *testing.T) {
 func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 	for _, c := range []kvs.DriverConfig{
 		{WorkingSet: 1},
-		{WorkingSet: 8 * sim.GB, GetFrac: 1, HotKeyFrac: 1, HotTrafficFrac: 1},
+		{WorkingSet: 8 * sim.GB, HotKeyFrac: 1, HotTrafficFrac: 1},
 		{WorkingSet: 8 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9, TargetRate: 1e-3, NetBase: kvs.NetBaseLinux},
 	} {
 		if err := c.Validate(2 * sim.MB); err != nil {

@@ -1,6 +1,6 @@
 // Runtime invariant auditor: opt-in conservation checks run once per
-// quantum (Config.Audit, which the hemem-bench -audit flag sets on every
-// experiment machine). The auditor is an observer — it draws no randomness and writes
+// quantum (Config.Audit, which the chaos and fleet experiments set on
+// every machine they build). The auditor is an observer — it draws no randomness and writes
 // nothing but its private page and set marks (vm.Page.AuditMark,
 // vm.PageSet.AuditMark), which no decision reads and which it clears
 // before it returns, so an audited

@@ -226,7 +226,7 @@ func TestCostMemoMatchesRecompute(t *testing.T) {
 			m, checked := r.m, 0
 			for i := 0; i < r.steps; i++ {
 				r.before(i)
-				m.Step(m.Cfg.Quantum)
+				m.Step(machine.Quantum)
 				n, err := m.CheckCostMemo()
 				if err != nil {
 					t.Fatalf("after step %d: %v", i, err)
@@ -265,7 +265,7 @@ func TestMemoryModeKVSStepAllocationFree(t *testing.T) {
 	m.Run(500 * sim.Millisecond)
 	d.SetTargetRate(0.3 * 8 / (10 * 1000))
 	m.Run(500 * sim.Millisecond)
-	allocs := testing.AllocsPerRun(200, func() { m.Step(m.Cfg.Quantum) })
+	allocs := testing.AllocsPerRun(200, func() { m.Step(machine.Quantum) })
 	if allocs != 0 {
 		t.Errorf("Step allocates %v times per call, want 0", allocs)
 	}
@@ -303,7 +303,7 @@ func newPricerMachine(mgr machine.Manager) (*machine.Machine, machine.Component)
 func TestCostMemoManagerSwap(t *testing.T) {
 	m, c := newPricerMachine(&pricer{time: 5})
 	for i := 0; i < 10; i++ {
-		m.Step(m.Cfg.Quantum)
+		m.Step(machine.Quantum)
 		m.AppendBranches(nil, c)
 	}
 	if _, reused := m.CostStats(); reused == 0 {
@@ -313,7 +313,7 @@ func TestCostMemoManagerSwap(t *testing.T) {
 	if br := m.AppendBranches(nil, c); br[0].Time != 7 {
 		t.Errorf("branches after the swap = %v, want the new manager's time 7", br)
 	}
-	m.Step(m.Cfg.Quantum)
+	m.Step(machine.Quantum)
 	n, err := m.CheckCostMemo()
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestCostMemoUncomparableManager(t *testing.T) {
 		if i == 10 {
 			m.SetManager(sliceManager{tiers: []vm.Tier{vm.TierNVM}})
 		}
-		m.Step(m.Cfg.Quantum)
+		m.Step(machine.Quantum)
 		m.AppendBranches(nil, c)
 		if _, err := m.CheckCostMemo(); err != nil {
 			t.Fatalf("step %d: %v", i, err)

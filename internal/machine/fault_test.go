@@ -244,9 +244,9 @@ func TestMachineConfigValidate(t *testing.T) {
 	if err := machine.DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := machine.Config{Cores: -1}
+	bad := machine.Config{PageSize: -1}
 	if err := bad.Validate(); err == nil {
-		t.Error("negative cores validated")
+		t.Error("negative page size validated")
 	}
 	bad = machine.DefaultConfig()
 	bad.Faults.MigrationAbortProb = 2

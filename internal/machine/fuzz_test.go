@@ -44,9 +44,11 @@ func fuzzTiers(b []byte) []machine.TierDesc {
 // Times are fuzzed in coarse units (milliseconds, microseconds for the
 // CE interval) and capacities in GiB, so an accepted input stays a
 // short run; Validate checks only signs and ranges, which the scaling
-// keeps. The seed corpus is testdata/fuzz/FuzzMachineConfig.
+// keeps. The seed corpus is testdata/fuzz/FuzzMachineConfig. The second
+// input, once the machine quantum in milliseconds, is unused: the
+// quantum is the constant machine.Quantum.
 func FuzzMachineConfig(f *testing.F) {
-	f.Fuzz(func(t *testing.T, tiers []byte, quantumMS int64,
+	f.Fuzz(func(t *testing.T, tiers []byte, _ int64,
 		abortProb float64, maxRetries int, backoffMS, dmaMTBF, dmaDegMTBF int32, dmaDegFactor float64,
 		ueMTBF, thermMTBF int32, thermFactor float64, stormMTBF, stormDur int32, stormFactor float64,
 		compMTBF, compDur, offMTBF, offDur int32, offTier uint8, ceMTBF, ceDur, ceIntervalUS int32, ceThresh int,
@@ -54,7 +56,6 @@ func FuzzMachineConfig(f *testing.F) {
 	) {
 		ms := func(v int32) int64 { return int64(v) * sim.Millisecond }
 		cfg := machine.DefaultConfig()
-		cfg.Quantum = quantumMS * sim.Millisecond
 		cfg.Audit = true
 		cfg.Tiers = fuzzTiers(tiers)
 		cfg.Faults = fault.Config{
@@ -115,13 +116,13 @@ func fuzzPhases(b []byte) []diurnal.Phase {
 // HeMem or Memory Mode on a 1 GB-DRAM testbed. Every input must either
 // fail the config's Validate or run a short audited workload to the end:
 // a config Validate accepts must never panic in the driver or the run.
-// Sizes are fuzzed in coarse units (MiB, 64 KiB per warehouse) and a few
-// fields are narrowed so that an accepted input stays a short run in
-// little memory: GAP's Scale mod 24, CalibrationScale mod 11 and Seed
-// mod 4 (the calibration graph is built in memory and cached for the
-// process per scale, edge factor and seed), TPC-C's warehouse count to
-// int8. Validate's bounds past those ranges are the drivers' TestValidate
-// cases.
+// Sizes are fuzzed in coarse units (MiB) and a few fields are narrowed so
+// that an accepted input stays a short run in little memory: GAP's Scale
+// mod 24 and Seed mod 4 (the calibration graph is built in memory and
+// cached for the process per seed), TPC-C's warehouse count to int8.
+// Validate's bounds past those ranges are the drivers' TestValidate
+// cases. The tenth input, once TPC-C's row counts and GAP's calibration
+// scale, is unused.
 func FuzzWorkloadConfig(f *testing.F) {
 	f.Add(uint8(0), false, int8(4), int16(512), int16(128), int16(8), int16(0), int16(0), int16(0), 0.9, 0.0, 0.0, 0.0, uint64(1), []byte(nil))
 	f.Add(uint8(1), true, int8(8), int16(2048), int16(0), int16(4096), int16(8), int16(0), int16(0), 0.9, 0.2, 0.9, 0.0, uint64(1), []byte(nil))
@@ -131,7 +132,7 @@ func FuzzWorkloadConfig(f *testing.F) {
 		[]byte{20, 0, 0, 30, 10, 30, 20, 0, 0, 30, 10, 30})
 	f.Add(uint8(4), false, int8(0), int16(64), int16(0), int16(0), int16(0), int16(0), int16(0), 0.0, 0.0, 0.0, 0.0, uint64(0),
 		[]byte{10, 0, 50, 10, 40, 90})
-	f.Fuzz(func(t *testing.T, kind uint8, memMode bool, threads int8, size, hot, a, b, c, d int16,
+	f.Fuzz(func(t *testing.T, kind uint8, memMode bool, threads int8, size, hot, a, b, c, _ int16,
 		f1, f2, f3, f4 float64, seed uint64, phases []byte,
 	) {
 		mb := func(v int16) int64 { return int64(v) * sim.MB }
@@ -143,30 +144,26 @@ func FuzzWorkloadConfig(f *testing.F) {
 		var err error
 		switch kind % 5 {
 		case 0:
-			gc := gups.Config{Threads: int(threads), WorkingSet: mb(size), HotSet: mb(hot), HotFrac: f1,
-				ObjectSize: int64(a), TotalUpdates: f2, WriteOnlyHot: mb(b), Seed: seed}
+			gc := gups.Config{Threads: int(threads), WorkingSet: mb(size), HotSet: mb(hot),
+				WriteOnlyHot: mb(b), Seed: seed}
 			err = gc.Validate(ps)
 			start = func(m *machine.Machine) { gups.New(m, gc); m.Warm() }
 		case 1:
-			kc := kvs.DriverConfig{ServerThreads: int(threads), ValueSize: int64(a), WorkingSet: mb(size),
-				GetFrac: f1, HotKeyFrac: f2, HotTrafficFrac: f3, NetBase: int64(b) * sim.Microsecond,
+			kc := kvs.DriverConfig{ServerThreads: int(threads), WorkingSet: mb(size),
+				HotKeyFrac: f2, HotTrafficFrac: f3, NetBase: int64(b) * sim.Microsecond,
 				TargetRate: f4, Seed: seed}
 			err = kc.Validate(ps)
 			start = func(m *machine.Machine) { kvs.NewDriver(m, kc); m.Warm() }
 		case 2:
-			tc := tpcc.DriverConfig{Threads: int(threads), Warehouses: int(int8(a)),
-				WarehouseBytes: int64(b) * 64 * sim.KB, ComputePerTx: int64(c), RowsRead: int(int8(d)),
-				RowsWritten: int(d >> 8), RowBytes: int64(hot), IndexDepth: int(int8(size)), Seed: seed}
+			tc := tpcc.DriverConfig{Warehouses: int(int8(a)), Seed: seed}
 			err = tc.Validate(ps)
 			start = func(m *machine.Machine) { tpcc.NewDriver(m, tc); m.Warm() }
 		case 3:
-			gcfg := gap.DriverConfig{Scale: int(a % 24), EdgeFactor: int(int8(b)), Threads: int(threads),
-				Iterations: int(int8(c)), EdgeVisitScale: f1, CalibrationScale: int(d % 11), Seed: seed % 4}
+			gcfg := gap.DriverConfig{Scale: int(a % 24), Iterations: int(int8(c)), EdgeVisitScale: f1, Seed: seed % 4}
 			err = gcfg.Validate(ps)
 			start = func(m *machine.Machine) { gap.NewDriver(m, gcfg); m.Warm() }
 		case 4:
-			dc := diurnal.Config{WorkingSet: mb(size), Threads: int(threads), ReadBytes: int64(a),
-				WriteBytes: int64(b), Phases: fuzzPhases(phases)}
+			dc := diurnal.Config{WorkingSet: mb(size), Threads: int(threads), Phases: fuzzPhases(phases)}
 			err = dc.Validate(ps)
 			start = func(m *machine.Machine) { diurnal.New(m, dc) }
 		}
@@ -220,9 +217,9 @@ func FuzzTenants(f *testing.F) {
 			case 1:
 				tr.Depart(vm.TenantID(int(op[1]) % (tr.NumTenants() + 2)))
 			case 2:
-				m.Run(int64(op[1]%16) * m.Cfg.Quantum)
+				m.Run(int64(op[1]%16) * machine.Quantum)
 			}
 		}
-		m.Run(100 * m.Cfg.Quantum)
+		m.Run(100 * machine.Quantum)
 	})
 }

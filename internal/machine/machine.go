@@ -274,12 +274,21 @@ type CostBranch struct {
 	Time float64 // ns
 }
 
+// cores is the testbed's core count: one socket of the paper's
+// dual-socket Cascade Lake evaluation platform (§5). Application,
+// manager and copy threads beyond it share the cores.
+const cores = 24
+
+// Quantum is the machine's base step in sim-ns. Run and RunUntilDone
+// advance one quantum at a time (the adaptive loop stretches quiescent
+// steps past it), and background work that polls, such as page-table
+// scans and tenant departure drains, polls at most once per quantum.
+const Quantum = sim.Millisecond
+
 // Config holds the testbed parameters (defaults mirror the paper's
 // evaluation platform, §5).
 type Config struct {
-	Cores    int
 	PageSize int64
-	Quantum  int64
 	Seed     uint64
 	// Faults configures deterministic fault injection. The zero value
 	// disables it entirely; see internal/fault.
@@ -323,14 +332,8 @@ func ClassicTiers(dram, nvm, disk int64) []TierDesc {
 // Validate reports the first invalid parameter, or nil. Zero values are
 // valid (they fall back to defaults in New).
 func (c Config) Validate() error {
-	if c.Cores < 0 {
-		return fmt.Errorf("machine: negative core count %d", c.Cores)
-	}
 	if c.PageSize < 0 {
 		return fmt.Errorf("machine: negative page size %d", c.PageSize)
-	}
-	if c.Quantum < 0 {
-		return fmt.Errorf("machine: negative quantum %d", c.Quantum)
 	}
 	if c.Tiers != nil && len(c.Tiers) == 0 {
 		return fmt.Errorf("machine: empty tier table (use nil for the default testbed)")
@@ -373,15 +376,8 @@ func (c Config) Validate() error {
 // withDefaults fills unset fields one by one; Seed is kept as given (0 is
 // a legitimate seed).
 func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.Cores == 0 {
-		c.Cores = def.Cores
-	}
 	if c.PageSize == 0 {
-		c.PageSize = def.PageSize
-	}
-	if c.Quantum == 0 {
-		c.Quantum = def.Quantum
+		c.PageSize = DefaultConfig().PageSize
 	}
 	return c.resolveTiers()
 }
@@ -423,9 +419,7 @@ func (c Config) resolveTiers() Config {
 // table is the classic one with every capacity filled in.
 func DefaultConfig() Config {
 	return Config{
-		Cores:    24,
 		PageSize: 2 * sim.MB,
-		Quantum:  sim.Millisecond,
 		Seed:     1,
 	}.resolveTiers()
 }
@@ -846,7 +840,7 @@ func (m *Machine) stepToward(end int64) {
 		m.stepAdaptive(end)
 		return
 	}
-	m.Step(min(m.Cfg.Quantum, end-m.Clock.Now()))
+	m.Step(min(Quantum, end-m.Clock.Now()))
 }
 
 // allDone reports whether every workload has finished its run.
@@ -937,10 +931,7 @@ func (m *Machine) nextEventHorizon(now, end int64) int64 {
 func (m *Machine) stepAdaptive(end int64) {
 	now := m.Clock.Now()
 	m.Events.RunDue(now)
-	dt := m.Cfg.Quantum
-	if left := end - now; left < dt {
-		dt = left
-	}
+	dt := min(Quantum, end-now)
 	if m.quiescent() && !m.sampleDue(now) && m.trafficIdle() {
 		if h := m.nextEventHorizon(now, end); h-now > dt {
 			dt = h - now
@@ -1003,8 +994,8 @@ func (m *Machine) stepBody(now, dt int64) {
 	// threads and migration copy threads for cores.
 	bg := m.mgr.ActiveThreads() + m.Migrator.activeThreads()
 	cpuShare := 1.0
-	if total := float64(appThreads) + bg; total > float64(m.Cfg.Cores) {
-		cpuShare = float64(m.Cfg.Cores) / total
+	if total := float64(appThreads) + bg; total > cores {
+		cpuShare = cores / total
 	}
 
 	// Cost each component and compute unconstrained rates.
@@ -1446,7 +1437,7 @@ func (m *Machine) CostIn(c Component, t vm.Tier) float64 {
 
 // String describes the machine configuration.
 func (m *Machine) String() string {
-	s := fmt.Sprintf("machine{%d cores", m.Cfg.Cores)
+	s := fmt.Sprintf("machine{%d cores", cores)
 	for _, d := range m.devs {
 		s += fmt.Sprintf(", %s", d)
 	}

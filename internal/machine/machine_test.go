@@ -302,9 +302,9 @@ func TestStallSlowsApps(t *testing.T) {
 		m.Warm()
 		for i := 0; i < 1000; i++ {
 			if stall {
-				m.StallAll(m.Cfg.Quantum / 2) // 50% stall
+				m.StallAll(machine.Quantum / 2) // 50% stall
 			}
-			m.Step(m.Cfg.Quantum)
+			m.Step(machine.Quantum)
 		}
 		return g.Score()
 	}
@@ -403,8 +403,8 @@ func TestTelemetry(t *testing.T) {
 	}
 }
 
-// A config that leaves Cores zero keeps every field the caller did set:
-// each zero field falls back to its own default, one by one.
+// A partial config keeps every field the caller did set: each zero
+// field falls back to its own default, one by one.
 func TestZeroCoresKeepsCallerFields(t *testing.T) {
 	m := machine.New(machine.Config{
 		Seed:     7,
@@ -413,9 +413,6 @@ func TestZeroCoresKeepsCallerFields(t *testing.T) {
 	}, xmem.DRAMFirst())
 	if m.Cfg.Seed != 7 || m.Cfg.PageSize != 4096 {
 		t.Errorf("caller's seed/page size lost: seed %d, page size %d", m.Cfg.Seed, m.Cfg.PageSize)
-	}
-	if m.Cfg.Cores != 24 || m.Cfg.Quantum != sim.Millisecond {
-		t.Errorf("unset fields not defaulted: %d cores, quantum %d", m.Cfg.Cores, m.Cfg.Quantum)
 	}
 	if got := m.CapacityOf(vm.TierDRAM); got != 16*sim.GB {
 		t.Errorf("DRAM capacity %d, want the caller's 16 GB", got)

@@ -277,7 +277,7 @@ func (tr *TenantRuntime) Depart(id vm.TenantID) {
 func (tr *TenantRuntime) pollDrain(id vm.TenantID, now int64) {
 	ts := &tr.tenants[id-1]
 	if tr.draining(ts) {
-		tr.m.Events.Schedule(now+tr.m.Cfg.Quantum, func(at int64) { tr.pollDrain(id, at) })
+		tr.m.Events.Schedule(now+Quantum, func(at int64) { tr.pollDrain(id, at) })
 		return
 	}
 	for _, r := range ts.app.Regions() {

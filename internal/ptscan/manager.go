@@ -159,10 +159,7 @@ func (g *Manager) Attach(m *machine.Machine) {
 // scheduleScan queues the completion of the next scan pass. Passes take at
 // least one quantum so an empty address space cannot spin the event loop.
 func (g *Manager) scheduleScan(now int64) {
-	pass := g.scanner.PassTime()
-	if pass < g.m.Cfg.Quantum {
-		pass = g.m.Cfg.Quantum
-	}
+	pass := max(g.scanner.PassTime(), machine.Quantum)
 	g.m.Events.Schedule(now+pass, g.scanDone)
 }
 

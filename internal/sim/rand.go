@@ -17,14 +17,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// Split derives an independent generator from r, keyed by label. The
-// derived stream is stable: it depends only on r's seed history and label.
-// Split consumes one value from r's stream, so successive Split calls
-// with the same label yield distinct streams.
-func (r *Rand) Split(label uint64) *Rand {
-	return NewRand(r.Uint64() ^ (label * 0x9e3779b97f4a7c15))
-}
-
 // Uint64 returns the next value in the stream.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -145,53 +137,4 @@ func (r *Rand) PoissonCached(prep PoissonPrep) int {
 		}
 		k++
 	}
-}
-
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent s > 0
-// using inverse-CDF approximation. It is used by the key-value store driver
-// to model skewed key popularity.
-type Zipf struct {
-	r    *Rand
-	n    int64
-	s    float64
-	hInt float64 // integral-based normalizer H(n)
-}
-
-// NewZipf creates a Zipf sampler over [0, n) with exponent s (s != 1 is
-// handled via the generalized harmonic integral approximation).
-func NewZipf(r *Rand, n int64, s float64) *Zipf {
-	z := &Zipf{r: r, n: n, s: s}
-	z.hInt = z.h(float64(n) + 0.5)
-	return z
-}
-
-// h is the antiderivative of x^-s, shifted so h(0.5) == 0.
-func (z *Zipf) h(x float64) float64 {
-	if z.s == 1 {
-		return math.Log(x) - math.Log(0.5)
-	}
-	e := 1 - z.s
-	return (math.Pow(x, e) - math.Pow(0.5, e)) / e
-}
-
-// hInv inverts h.
-func (z *Zipf) hInv(y float64) float64 {
-	if z.s == 1 {
-		return 0.5 * math.Exp(y)
-	}
-	e := 1 - z.s
-	return math.Pow(y*e+math.Pow(0.5, e), 1/e)
-}
-
-// Next draws the next sample in [0, n), where 0 is the most popular rank.
-func (z *Zipf) Next() int64 {
-	u := z.r.Float64() * z.hInt
-	x := int64(z.hInv(u)+0.5) - 1
-	if x < 0 {
-		x = 0
-	}
-	if x >= z.n {
-		x = z.n - 1
-	}
-	return x
 }

@@ -14,91 +14,53 @@ import (
 // 16 worker threads over a warehouse-scaled database whose access pattern
 // is "random with little read and write reuse".
 type DriverConfig struct {
-	// Threads is the worker count (paper: 16).
-	Threads int
 	// Warehouses scales the database; 864 warehouses is the largest
 	// count whose data fits the 192 GB DRAM.
 	Warehouses int
-	// WarehouseBytes is the in-memory footprint per warehouse, including
-	// order growth headroom (192 GB / 864 ≈ 222 MB).
-	WarehouseBytes int64
-	// ComputePerTx is the CPU time per transaction outside memory stalls
-	// (validation, logging, key packing; Silo-class engines run TPC-C in
-	// a few µs of pure compute).
-	ComputePerTx int64
-	// RowsRead/RowsWritten and RowBytes shape per-transaction traffic
-	// (NewOrder reads ~23 rows and writes ~13; Payment 3/4; weighted mix
-	// ≈ 18 reads, 9 writes; index walks add dependent hops).
-	RowsRead    int
-	RowsWritten int
-	RowBytes    int64
-	// IndexDepth is the number of dependent pointer hops per row access.
-	IndexDepth int
 	// Seed scatters the hot rows.
 	Seed uint64
 }
 
-// Validate reports the first invalid field of c. Zero fields mean their
-// defaults (16 threads, 222 MB per warehouse, 4 µs of compute, 18 rows
-// read and 9 written per transaction, 192-byte rows, 3 index hops), so
-// only negative values fail, plus a database of no warehouses and one of
-// more than math.MaxInt32 pages of pageSize bytes (the machine's page
-// size; PageIDs are int32) or of fewer than three.
+// The workload's fixed shape.
+const (
+	// threads is the worker count (paper: 16).
+	threads = 16
+	// warehouseBytes is the in-memory footprint per warehouse, including
+	// order growth headroom (192 GB / 864 ≈ 222 MB).
+	warehouseBytes = 222 * sim.MB
+	// computePerTx is the CPU time per transaction outside memory stalls
+	// (validation, logging, key packing; Silo-class engines run TPC-C in
+	// a few µs of pure compute).
+	computePerTx = 4 * sim.Microsecond
+	// rowsRead, rowsWritten and rowBytes shape per-transaction traffic:
+	// NewOrder reads ~23 rows and writes ~13, Payment 3 and 4, so the
+	// weighted mix is ≈ 18 reads and 9 writes of 192-byte rows.
+	rowsRead    = 18
+	rowsWritten = 9
+	rowBytes    = 192
+	// indexDepth is the number of dependent pointer hops per row access.
+	indexDepth = 3
+)
+
+// Validate reports the first invalid field of c: a database of no
+// warehouses, of more bytes than an int64 counts, of more than
+// math.MaxInt32 pages of pageSize bytes (the machine's page size;
+// PageIDs are int32) or of fewer than three.
 func (c DriverConfig) Validate(pageSize int64) error {
-	switch {
-	case c.Threads < 0:
-		return fmt.Errorf("tpcc: negative Threads %d", c.Threads)
-	case c.Warehouses <= 0:
+	if c.Warehouses <= 0 {
 		return fmt.Errorf("tpcc: Warehouses %d must be positive", c.Warehouses)
-	case c.WarehouseBytes < 0:
-		return fmt.Errorf("tpcc: negative WarehouseBytes %d", c.WarehouseBytes)
-	case c.ComputePerTx < 0:
-		return fmt.Errorf("tpcc: negative ComputePerTx %d", c.ComputePerTx)
-	case c.RowsRead < 0:
-		return fmt.Errorf("tpcc: negative RowsRead %d", c.RowsRead)
-	case c.RowsWritten < 0:
-		return fmt.Errorf("tpcc: negative RowsWritten %d", c.RowsWritten)
-	case c.RowBytes < 0:
-		return fmt.Errorf("tpcc: negative RowBytes %d", c.RowBytes)
-	case c.IndexDepth < 0:
-		return fmt.Errorf("tpcc: negative IndexDepth %d", c.IndexDepth)
 	}
-	wb := c.withDefaults().WarehouseBytes
-	if int64(c.Warehouses) > math.MaxInt64/wb {
-		return fmt.Errorf("tpcc: %d warehouses of %d bytes overflow a byte count", c.Warehouses, wb)
+	if int64(c.Warehouses) > math.MaxInt64/warehouseBytes {
+		return fmt.Errorf("tpcc: %d warehouses of %d bytes overflow a byte count", c.Warehouses, warehouseBytes)
 	}
-	if err := vm.CheckMapping(pageSize, int64(c.Warehouses)*wb); err != nil {
+	size := int64(c.Warehouses) * warehouseBytes
+	if err := vm.CheckMapping(pageSize, size); err != nil {
 		return fmt.Errorf("tpcc: %w", err)
 	}
-	if n := vm.PagesFor(int64(c.Warehouses)*wb, pageSize); n < 3 {
+	if n := vm.PagesFor(size, pageSize); n < 3 {
 		return fmt.Errorf("tpcc: a database of %d pages of %d bytes; the hot, insert and bulk row sets need one page each", n, pageSize)
 	}
 	return nil
-}
-
-func (c DriverConfig) withDefaults() DriverConfig {
-	if c.Threads == 0 {
-		c.Threads = 16
-	}
-	if c.WarehouseBytes == 0 {
-		c.WarehouseBytes = 222 * sim.MB
-	}
-	if c.ComputePerTx == 0 {
-		c.ComputePerTx = 4 * sim.Microsecond
-	}
-	if c.RowsRead == 0 {
-		c.RowsRead = 18
-	}
-	if c.RowsWritten == 0 {
-		c.RowsWritten = 9
-	}
-	if c.RowBytes == 0 {
-		c.RowBytes = 192
-	}
-	if c.IndexDepth == 0 {
-		c.IndexDepth = 3
-	}
-	return c
 }
 
 // Driver is the simulated TPC-C workload instance.
@@ -123,9 +85,8 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	if err := cfg.Validate(m.Cfg.PageSize); err != nil {
 		panic(err.Error())
 	}
-	cfg = cfg.withDefaults()
 	d := &Driver{cfg: cfg}
-	total := int64(cfg.Warehouses) * cfg.WarehouseBytes
+	total := int64(cfg.Warehouses) * warehouseBytes
 	d.dbRegion = m.AS.Map("tpcc-db", total)
 
 	pages := d.dbRegion.ShuffledPages(sim.NewRand(cfg.Seed + 0x7bcc))
@@ -139,16 +100,15 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	d.insertSet = vm.NewPageSet("tpcc-insert", pages[nHot:nHot+nInsert])
 	d.bulkSet = vm.NewPageSet("tpcc-bulk", pages[nHot+nInsert:])
 
-	rb, wb := d.cfg.RowBytes, d.cfg.RowBytes
 	d.comps = []machine.Component{
 		// Warehouse/district header reads+updates, every transaction.
-		{Set: d.hotSet, Share: 2, ReadBytes: rb, WriteBytes: wb,
-			Pattern: mem.Random, Deps: cfg.IndexDepth},
+		{Set: d.hotSet, Share: 2, ReadBytes: rowBytes, WriteBytes: rowBytes,
+			Pattern: mem.Random, Deps: indexDepth},
 		// Bulk row reads (customers, stock, items): random, little reuse.
-		{Set: d.bulkSet, Share: float64(cfg.RowsRead), ReadBytes: rb,
-			Pattern: mem.Random, Deps: cfg.IndexDepth},
+		{Set: d.bulkSet, Share: rowsRead, ReadBytes: rowBytes,
+			Pattern: mem.Random, Deps: indexDepth},
 		// Bulk row updates (stock, customer balances).
-		{Set: d.bulkSet, Share: float64(cfg.RowsWritten), WriteBytes: wb,
+		{Set: d.bulkSet, Share: rowsWritten, WriteBytes: rowBytes,
 			Pattern: mem.Random},
 		// Order/order-line inserts: appends into fresh rows.
 		{Set: d.insertSet, Share: 1, WriteBytes: 600, Pattern: mem.Sequential},
@@ -161,13 +121,13 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 func (d *Driver) Name() string { return "tpcc" }
 
 // Threads implements machine.Workload.
-func (d *Driver) Threads() int { return d.cfg.Threads }
+func (d *Driver) Threads() int { return threads }
 
 // Components implements machine.Workload.
 func (d *Driver) Components() []machine.Component { return d.comps }
 
 // ComputePerOp implements machine.Computes.
-func (d *Driver) ComputePerOp() float64 { return float64(d.cfg.ComputePerTx) }
+func (d *Driver) ComputePerOp() float64 { return float64(computePerTx) }
 
 // OnOps implements machine.Workload.
 func (d *Driver) OnOps(now int64, ops float64, opTime float64) {
@@ -200,5 +160,5 @@ func (d *Driver) Region() *vm.Region { return d.dbRegion }
 func (d *Driver) HotPages() *vm.PageSet { return d.hotSet }
 
 func (d *Driver) String() string {
-	return fmt.Sprintf("tpcc{%d wh, %d thr}", d.cfg.Warehouses, d.cfg.Threads)
+	return fmt.Sprintf("tpcc{%d wh, %d thr}", d.cfg.Warehouses, threads)
 }

@@ -84,11 +84,20 @@ func TestFig13BeyondCapacity(t *testing.T) {
 }
 
 // rejects fails unless cfg fails Validate with a message containing
-// want, and NewDriver panics with that message without mapping anything.
+// want, and NewDriver panics with that message without mapping anything,
+// on a machine of the default page size.
 func rejects(t *testing.T, cfg tpcc.DriverConfig, want string) {
 	t.Helper()
-	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
-	err := cfg.Validate(m.Cfg.PageSize)
+	rejectsAt(t, machine.DefaultConfig().PageSize, cfg, want)
+}
+
+// rejectsAt is rejects on a machine of pageSize-byte pages.
+func rejectsAt(t *testing.T, pageSize int64, cfg tpcc.DriverConfig, want string) {
+	t.Helper()
+	mc := machine.DefaultConfig()
+	mc.PageSize = pageSize
+	m := machine.New(mc, xmem.DRAMFirst())
+	err := cfg.Validate(pageSize)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Validate(%+v) = %v, want an error mentioning %q", cfg, err, want)
 	}
@@ -109,44 +118,30 @@ func TestValidateRejectsNoWarehouses(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsNegativeThreads(t *testing.T) {
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, Threads: -8}, "Threads")
-}
-
-func TestValidateRejectsNegativeRowsRead(t *testing.T) {
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, RowsRead: -5}, "RowsRead")
-}
-
-func TestValidateRejectsNegativeSizes(t *testing.T) {
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, RowsWritten: -1}, "RowsWritten")
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, RowBytes: -192}, "RowBytes")
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, WarehouseBytes: -1}, "WarehouseBytes")
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, ComputePerTx: -1}, "ComputePerTx")
-	rejects(t, tpcc.DriverConfig{Warehouses: 8, IndexDepth: -3}, "IndexDepth")
-}
-
 // A database of more pages than PageIDs can number, or of more bytes
 // than an int64 counts, is refused.
 func TestValidateRejectsPageIDOverflow(t *testing.T) {
-	rejects(t, tpcc.DriverConfig{Warehouses: 1 << 20, WarehouseBytes: 8 * sim.GB}, "PageID")
-	rejects(t, tpcc.DriverConfig{Warehouses: math.MaxInt32, WarehouseBytes: math.MaxInt64 / 2}, "overflow")
+	rejects(t, tpcc.DriverConfig{Warehouses: 1 << 25}, "PageID")
+	rejects(t, tpcc.DriverConfig{Warehouses: int(math.MaxInt64/(222*sim.MB) + 1)}, "overflow")
 }
 
 // The hot, insert and bulk row sets take one page each at least, so a
-// database of fewer than three pages is refused; three are enough.
+// database of fewer than three pages is refused; three are enough. A
+// warehouse is 222 MB, so that takes pages of 111 MB or more.
 func TestValidateRejectsTinyDatabase(t *testing.T) {
-	rejects(t, tpcc.DriverConfig{Warehouses: 2, WarehouseBytes: 2 * sim.MB}, "2 pages")
-	rejects(t, tpcc.DriverConfig{Warehouses: 18, WarehouseBytes: 64 * sim.KB}, "1 pages")
-	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
-	tpcc.NewDriver(m, tpcc.DriverConfig{Warehouses: 3, WarehouseBytes: 2 * sim.MB})
+	rejectsAt(t, 111*sim.MB, tpcc.DriverConfig{Warehouses: 1}, "2 pages")
+	rejectsAt(t, 256*sim.MB, tpcc.DriverConfig{Warehouses: 1}, "1 pages")
+	mc := machine.DefaultConfig()
+	mc.PageSize = 74 * sim.MB
+	m := machine.New(mc, xmem.DRAMFirst())
+	tpcc.NewDriver(m, tpcc.DriverConfig{Warehouses: 1})
 	m.Warm()
 	m.Run(10 * sim.Millisecond)
 }
 
-// Zero fields mean defaults, so a config naming only its warehouses is
-// valid.
+// A config naming only its warehouses is valid.
 func TestValidateAcceptsDefaults(t *testing.T) {
-	for _, c := range []tpcc.DriverConfig{{Warehouses: 1}, {Warehouses: 864, Threads: 16, RowsRead: 18}} {
+	for _, c := range []tpcc.DriverConfig{{Warehouses: 1}, {Warehouses: 864, Seed: 5}} {
 		if err := c.Validate(2 * sim.MB); err != nil {
 			t.Errorf("Validate(%+v) = %v", c, err)
 		}

@@ -2,9 +2,9 @@
 # Prints the size numbers ROADMAP.md tracks: non-test Go lines outside
 # the benchmark/ module, the share of them under internal/, the count of
 # non-test init functions there (0: every table is a literal), and the
-# count of settable knobs (exported fields of the three config structs
-# and of machine.TierDesc, whose fields every tier table row sets, plus
-# the hemem-bench flags).
+# count of settable knobs: exported fields of the three config structs,
+# of machine.TierDesc, whose fields every tier table row sets, and of
+# the five workload drivers' configs, plus the hemem-bench flags.
 # Counts physical lines (comments and blanks included) of tracked and untracked, non-ignored files.
 #
 #   bash scripts/loc.sh
@@ -39,6 +39,13 @@ tierdesc=$(fields internal/machine/machine.go TierDesc)
 core=$(fields internal/core/hemem.go Config)
 opts=$(fields internal/bench/bench.go Opts)
 flags=$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/hemem-bench/main.go)
-echo "settable knobs:                       $((machine + tierdesc + core + opts + flags))" \
+gupscfg=$(fields internal/gups/gups.go Config)
+kvscfg=$(fields internal/kvs/driver.go DriverConfig)
+tpcccfg=$(fields internal/tpcc/driver.go DriverConfig)
+gapcfg=$(fields internal/gap/driver.go DriverConfig)
+diurnalcfg=$(fields internal/diurnal/diurnal.go Config)
+workloads=$((gupscfg + kvscfg + tpcccfg + gapcfg + diurnalcfg))
+echo "settable knobs:                       $((machine + tierdesc + core + opts + flags + workloads))" \
 	"(machine.Config $machine, machine.TierDesc $tierdesc, core.Config $core," \
-	"bench.Opts $opts, hemem-bench flags $flags)"
+	"bench.Opts $opts, hemem-bench flags $flags, workload configs $workloads:" \
+	"gups $gupscfg, kvs $kvscfg, tpcc $tpcccfg, gap $gapcfg, diurnal $diurnalcfg)"
