@@ -111,11 +111,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxThreshold caps HotReadThreshold, HotWriteThreshold and
+// CoolThreshold so that the one-byte sample counters never saturate with
+// cooling on: no count exceeds max(CoolThreshold-1, N)+N, where N, the
+// largest observation a tracker delivers, is at most one hot threshold
+// (see PageInfo.Reads), and 2*127 = 254 < 255.
+const maxThreshold = 127
+
 // Validate reports the first invalid parameter, or nil. Zero values are
 // valid (New falls back to defaults).
 func (c Config) Validate() error {
 	if c.HotReadThreshold < 0 || c.HotWriteThreshold < 0 || c.CoolThreshold < 0 {
 		return fmt.Errorf("core: negative hot/cool threshold")
+	}
+	if max(c.HotReadThreshold, c.HotWriteThreshold, c.CoolThreshold) > maxThreshold {
+		return fmt.Errorf("core: hot read/write and cool thresholds %d/%d/%d: each must be at most %d, so the one-byte sample counters never saturate",
+			c.HotReadThreshold, c.HotWriteThreshold, c.CoolThreshold, maxThreshold)
 	}
 	if !(c.SamplePeriod >= 0) || math.IsInf(c.SamplePeriod, 1) {
 		return fmt.Errorf("core: SamplePeriod %v not a finite non-negative number", c.SamplePeriod)
@@ -201,7 +212,7 @@ type HeMem struct {
 	hot, cold []List
 	swapCold  *List
 
-	clock uint64 // global cooling clock
+	clock uint32 // global cooling clock, modulo 2^32 (see heMemPolicy.cool)
 	// freeTarget is the per-chain-position free-space watermark resolved
 	// from Config.FreeTargets at Attach.
 	freeTarget []int64
@@ -223,7 +234,8 @@ type HeMem struct {
 }
 
 // New creates a HeMem manager with cfg (zero value gets defaults; call
-// Config.Validate to detect invalid parameters beforehand).
+// Config.Validate to detect invalid parameters beforehand). It panics with
+// Validate's message if cfg is invalid once defaulted.
 // Unset (zero) fields fall back to DefaultConfig field-by-field, so a
 // caller that sets only the knobs it cares about keeps them:
 // historically HotReadThreshold == 0 silently replaced the entire config
@@ -254,7 +266,7 @@ func New(cfg Config) *HeMem {
 	if cfg.Policy == "" {
 		cfg.Policy = def.Policy
 	}
-	if err := (Config{Tracker: cfg.Tracker, Policy: cfg.Policy}).Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	h := &HeMem{cfg: cfg, swapTier: vm.TierNone}

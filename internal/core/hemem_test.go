@@ -361,6 +361,42 @@ func TestValidateUnknownTrackerPolicy(t *testing.T) {
 	}
 }
 
+// Each hot/cool threshold is capped at 127 so the one-byte sample
+// counters never saturate with cooling on: Validate rejects 128 in any
+// of the three, naming the cap, and New panics with such a message. The
+// experiments' largest settings (fig11's 32, fig12's 30) and the cap
+// itself pass.
+func TestValidateThresholdCap(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		with func(v int) core.Config
+	}{
+		{"HotReadThreshold", func(v int) core.Config { return core.Config{HotReadThreshold: v} }},
+		{"HotWriteThreshold", func(v int) core.Config { return core.Config{HotWriteThreshold: v} }},
+		{"CoolThreshold", func(v int) core.Config { return core.Config{CoolThreshold: v} }},
+	} {
+		name, with := c.name, c.with
+		for _, v := range []int{1, 30, 32, 127} {
+			if err := with(v).Validate(); err != nil {
+				t.Errorf("%s %d rejected: %v", name, v, err)
+			}
+		}
+		err := with(128).Validate()
+		if err == nil || !strings.Contains(err.Error(), "at most 127") {
+			t.Errorf("%s 128: Validate returned %v, want an error naming the cap 127", name, err)
+			continue
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "at most 127") {
+					t.Errorf("%s 128: New panicked with %q, want a message naming the cap 127", name, msg)
+				}
+			}()
+			core.New(with(128))
+		}()
+	}
+}
+
 // Releasing a region must return its committed bytes: committed DRAM and
 // NVM once only ever grew, so a multi-tenant machine that unmapped a
 // tenant leaked its footprint forever and later tenants were refused

@@ -14,31 +14,32 @@ import (
 // granularity: counters accumulate PEBS samples, and the cooling clock
 // halves them lazily (§3.1).
 //
-// PageInfos live by value in the engine's pageTable, 40 bytes each, so
+// PageInfos live by value in the engine's pageTable, 24 bytes each, so
 // queue links are PageIDs into that table rather than pointers. A
 // *PageInfo stays valid until its page is released (HeMem.Release zeroes
 // the slot and may free its window), so nothing may hold one past that.
 type PageInfo struct {
 	Page *vm.Page
 
-	// CoolClock is the global cooling epoch this page was last cooled
-	// at; a mismatch with the engine clock cools the page lazily before
-	// the next sample is applied.
-	CoolClock uint64
-
 	// prev and next link the page into its queue; noPage ends the queue.
 	prev, next vm.PageID
 
+	// CoolClock is the global cooling epoch this page was last cooled
+	// at; a mismatch with the engine clock cools the page lazily before
+	// the next sample is applied. Epochs count modulo 2^32 (see
+	// heMemPolicy.cool).
+	CoolClock uint32
+
 	// Reads and Writes count samples since the last cooling, saturating
-	// at math.MaxInt32 (addCount). No run reaches the cap: with cooling
-	// on, the observation that lifts a page to CoolThreshold halves it,
-	// so a page's counts stay within a small multiple of CoolThreshold
-	// and the largest observation batch (one hot threshold). Only the
-	// NoCooling ablation, which no experiment runs, lets them grow, and
-	// then by at most pebs.DefaultReaderRate (200,000) samples per
-	// simulated second: over 10,000 simulated seconds of one page taking
-	// every drained sample.
-	Reads, Writes int32
+	// at 255 (addCount). With cooling on they never get there. Let N be
+	// the largest observation any tracker delivers, at most one hot
+	// threshold. Between observations a count is at most
+	// max(CoolThreshold-1, N): an observation either leaves the page's
+	// total below CoolThreshold or halves both counts. So adding n ≤ N
+	// reaches at most max(CoolThreshold-1, N)+N, which the thresholds'
+	// cap (maxThreshold, checked by Config.Validate) keeps at 254. Only
+	// the NoCooling ablation, which no experiment runs, saturates them.
+	Reads, Writes uint8
 
 	// list is the queue holding the page, an index into the page
 	// table's list table, or noList while the page is in flight.
@@ -49,13 +50,13 @@ type PageInfo struct {
 	WriteHeavy bool
 }
 
-// addCount adds n (≥ 0) samples to a counter, saturating at
-// math.MaxInt32 (see PageInfo.Reads).
-func addCount(c int32, n int) int32 {
-	if s := int64(c) + int64(n); s < math.MaxInt32 {
-		return int32(s)
+// addCount adds n (≥ 0) samples to a counter, saturating at 255 (see
+// PageInfo.Reads).
+func addCount(c uint8, n int) uint8 {
+	if n < math.MaxUint8-int(c) {
+		return c + uint8(n)
 	}
-	return math.MaxInt32
+	return math.MaxUint8
 }
 
 // listID indexes a pageTable's list table.
@@ -68,21 +69,23 @@ const (
 	noPage vm.PageID = -1
 )
 
-// piWindow is one window of the page table: the PageInfos of 1024
-// consecutive PageIDs, 40 KiB. That is exactly five 8 KiB runtime pages,
-// so Go serves it as a large object with no size-class slack and no
-// allocation header.
+// piWindow is one window of the page table: the PageInfos of 2048
+// consecutive PageIDs, 48 KiB. That is exactly six 8 KiB runtime pages,
+// and Go serves any object over 32 KiB as a large object with no
+// allocation header, so a window costs exactly its size. (A 1024-record
+// window, 24 KiB, holds pointers: Go would add an 8-byte header and serve
+// it from the 27,264-byte size class, 11% slack.)
 type piWindow [piWindowSize]PageInfo
 
 const (
-	piWindowShift = 10
+	piWindowShift = 11
 	piWindowSize  = 1 << piWindowShift
 	piWindowMask  = piWindowSize - 1
 )
 
 // pageTable stores every tracked page's PageInfo by PageID, plus the
 // table of queues those PageInfos link into. Windows are materialized on
-// the first tracked page of their 1024-ID range and freed when the last
+// the first tracked page of their 2048-ID range and freed when the last
 // one is released, so the table costs O(touched ranges), matching vm's
 // lazy page slabs: a terabyte mapping costs nothing until tracked, and a
 // single tracked page costs a whole window.
@@ -115,7 +118,7 @@ func slot(windows []*piWindow, id vm.PageID) *PageInfo {
 // track starts tracking p, which must be untracked, with cooling epoch
 // clock, materializing its window as needed, and returns its fresh
 // PageInfo (on no queue).
-func (pt *pageTable) track(p *vm.Page, clock uint64) *PageInfo {
+func (pt *pageTable) track(p *vm.Page, clock uint32) *PageInfo {
 	wi := int(p.ID) >> piWindowShift
 	for wi >= len(pt.windows) {
 		pt.windows = append(pt.windows, nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -46,50 +47,77 @@ func walk(t *testing.T, l *List) []*PageInfo {
 	return fwd
 }
 
-// The tracking record is 40 bytes with this field order; a window is
-// 1024 of them, 40 KiB.
+// The tracking record is 24 bytes with this field order; a window is
+// 2048 of them, 48 KiB.
 func TestPageInfoLayout(t *testing.T) {
 	var pi PageInfo
-	if got := unsafe.Sizeof(pi); got != 40 {
-		t.Fatalf("PageInfo is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(pi); got != 24 {
+		t.Fatalf("PageInfo is %d bytes, want 24", got)
 	}
 	for _, f := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"Page", unsafe.Offsetof(pi.Page), 0},
-		{"CoolClock", unsafe.Offsetof(pi.CoolClock), 8},
-		{"prev", unsafe.Offsetof(pi.prev), 16},
-		{"next", unsafe.Offsetof(pi.next), 20},
-		{"Reads", unsafe.Offsetof(pi.Reads), 24},
-		{"Writes", unsafe.Offsetof(pi.Writes), 28},
-		{"list", unsafe.Offsetof(pi.list), 32},
-		{"WriteHeavy", unsafe.Offsetof(pi.WriteHeavy), 33},
+		{"prev", unsafe.Offsetof(pi.prev), 8},
+		{"next", unsafe.Offsetof(pi.next), 12},
+		{"CoolClock", unsafe.Offsetof(pi.CoolClock), 16},
+		{"Reads", unsafe.Offsetof(pi.Reads), 20},
+		{"Writes", unsafe.Offsetof(pi.Writes), 21},
+		{"list", unsafe.Offsetof(pi.list), 22},
+		{"WriteHeavy", unsafe.Offsetof(pi.WriteHeavy), 23},
 	} {
 		if f.got != f.want {
 			t.Errorf("PageInfo.%s at offset %d, want %d", f.name, f.got, f.want)
 		}
 	}
-	if got := unsafe.Sizeof(piWindow{}); got != 40960 {
-		t.Fatalf("piWindow is %d bytes, want 40960", got)
+	if got := unsafe.Sizeof(piWindow{}); got != 49152 {
+		t.Fatalf("piWindow is %d bytes, want 49152", got)
 	}
 }
 
-// Sample counters saturate at math.MaxInt32 instead of wrapping, both in
-// addCount and through the hemem policy's Observe.
+// The allocator charges a window exactly its size: no allocation header
+// and no size-class slack. unsafe.Sizeof cannot see either; a 1024-record
+// window (24,576 bytes with pointers) would be charged 27,264.
+func TestPageInfoWindowAllocation(t *testing.T) {
+	const n = 64
+	size := uint64(unsafe.Sizeof(piWindow{}))
+	windows := make([]*piWindow, n)
+	var charged uint64
+	// Up to three tries, so a stray allocation by the runtime during one
+	// of them cannot fail the test.
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range windows {
+			windows[i] = new(piWindow)
+		}
+		runtime.ReadMemStats(&after)
+		if charged = (after.TotalAlloc - before.TotalAlloc) / n; charged == size {
+			return
+		}
+	}
+	t.Fatalf("a %d-byte window is charged %d bytes", size, charged)
+}
+
+// Sample counters saturate at 255 instead of wrapping, both in addCount
+// and through the hemem policy's Observe under NoCooling, the one
+// configuration that lets a counter get there.
 func TestPageInfoCountersSaturate(t *testing.T) {
 	for _, c := range []struct {
-		c    int32
+		c    uint8
 		n    int
-		want int32
+		want uint8
 	}{
 		{0, 0, 0},
 		{5, 3, 8},
-		{math.MaxInt32 - 3, 2, math.MaxInt32 - 1},
-		{math.MaxInt32 - 3, 3, math.MaxInt32},
-		{math.MaxInt32 - 3, 4, math.MaxInt32},
-		{math.MaxInt32, 1, math.MaxInt32},
-		{0, math.MaxInt, math.MaxInt32},
+		{252, 2, 254},
+		{252, 3, 255},
+		{252, 4, 255},
+		{255, 0, 255},
+		{255, 1, 255},
+		{0, 256, 255},
+		{5, math.MaxInt, 255},
 	} {
 		if got := addCount(c.c, c.n); got != c.want {
 			t.Errorf("addCount(%d, %d) = %d, want %d", c.c, c.n, got, c.want)
@@ -99,18 +127,78 @@ func TestPageInfoCountersSaturate(t *testing.T) {
 	cfg.NoCooling = true
 	_, h, r := smallMachine(cfg)
 	pi := h.info(r.PageAt(40).ID)
-	pi.Reads, pi.Writes = math.MaxInt32-2, math.MaxInt32-1
+	pi.Reads, pi.Writes = 253, 254
 	before := h.Stats().Samples
 	h.pol.Observe(pi, false, 10)
 	h.pol.Observe(pi, true, math.MaxInt32)
-	if pi.Reads != math.MaxInt32 || pi.Writes != math.MaxInt32 {
-		t.Fatalf("counters reads=%d writes=%d, want both %d", pi.Reads, pi.Writes, int32(math.MaxInt32))
+	if pi.Reads != 255 || pi.Writes != 255 {
+		t.Fatalf("counters reads=%d writes=%d, want both 255", pi.Reads, pi.Writes)
 	}
 	if got := h.Stats().Samples - before; got != 10+math.MaxInt32 {
 		t.Fatalf("Samples grew by %d, want every observed sample", got)
 	}
 	if !pi.WriteHeavy || h.hotList(r.PageAt(40).Tier).Front() != pi {
 		t.Fatal("saturated write-heavy page not at the front of its hot list")
+	}
+}
+
+// counterProbe wraps a policy and records, for every observation, the
+// counter value it adds to plus the observed count: an upper bound on
+// what the counter holds before any halving.
+type counterProbe struct {
+	Policy
+	max, maxN int
+}
+
+func (p *counterProbe) Observe(pi *PageInfo, write bool, n int) {
+	c := pi.Reads
+	if write {
+		c = pi.Writes
+	}
+	p.max = max(p.max, int(c)+n)
+	p.maxN = max(p.maxN, n)
+	p.Policy.Observe(pi, write, n)
+}
+
+// With cooling on, no sample counter reaches 255, so saturation never
+// changes a classification: at the threshold caps and at seeded random
+// thresholds, under the PEBS, idlepage and damon feeds, no observation
+// exceeds N, the larger hot threshold, and none lifts a counter above
+// max(CoolThreshold-1, N)+N before halving.
+func TestCountersNeverSaturateWithCooling(t *testing.T) {
+	for _, tracker := range []string{"pebs", "idlepage", "damon"} {
+		for _, seed := range []uint64{1, 2} {
+			rng := sim.NewRand(seed)
+			for _, th := range [][3]int{
+				{maxThreshold, maxThreshold, maxThreshold},
+				{1 + rng.Intn(maxThreshold), 1 + rng.Intn(maxThreshold), 1 + rng.Intn(maxThreshold)},
+			} {
+				h := New(Config{Tracker: tracker, HotReadThreshold: th[0], HotWriteThreshold: th[1], CoolThreshold: th[2],
+					FreeTargets: map[vm.TierID]int64{vm.TierDRAM: 64 * sim.MB}})
+				probe := &counterProbe{Policy: h.pol}
+				h.pol = probe
+				mcfg := machine.DefaultConfig()
+				mcfg.Seed = seed
+				mcfg.Tiers = machine.ClassicTiers(512*sim.MB, 0, 0)
+				m := machine.New(mcfg, h)
+				m.AddWorkload(newSetMixWorkload(m, seed))
+				m.Warm()
+				m.Run(5 * sim.Second)
+
+				nMax := max(th[0], th[1])
+				if probe.maxN > nMax {
+					t.Errorf("%s seed %d thresholds %v: an observation of %d, above the largest hot threshold", tracker, seed, th, probe.maxN)
+				}
+				if bound := max(th[2]-1, nMax) + nMax; probe.max > bound || probe.max >= 255 {
+					t.Errorf("%s seed %d thresholds %v: a counter reached %d before halving, bound %d", tracker, seed, th, probe.max, bound)
+				}
+				if h.Stats().CoolEpochs == 0 {
+					t.Errorf("%s seed %d thresholds %v: the cooling clock never advanced", tracker, seed, th)
+				}
+				t.Logf("%s seed %d thresholds %v: largest count before halving %d, largest observation %d, %d cool epochs",
+					tracker, seed, th, probe.max, probe.maxN, h.Stats().CoolEpochs)
+			}
+		}
 	}
 }
 
@@ -289,12 +377,12 @@ func TestReleaseFreesPageTable(t *testing.T) {
 	mcfg.Tiers = machine.ClassicTiers(1*sim.GB, 0, 0)
 	m := machine.New(mcfg, h)
 	keep1 := m.AS.Map("keep1", 256*sim.MB) // IDs 0..127: window 0
-	victim := m.AS.Map("victim", 4*sim.GB) // IDs 128..2175: windows 0, 1, 2
-	keep2 := m.AS.Map("keep2", 256*sim.MB) // IDs 2176..2303: window 2
+	victim := m.AS.Map("victim", 8*sim.GB) // IDs 128..4223: windows 0, 1, 2
+	keep2 := m.AS.Map("keep2", 256*sim.MB) // IDs 4224..4351: window 2
 	m.Warm()
 	// Put victim and survivor pages on hot lists, a write-heavy one at
 	// the front, so the release unlinks from both ends and the middle.
-	for _, p := range []*vm.Page{victim.PageAt(0), keep1.PageAt(3), victim.PageAt(1500), keep2.PageAt(5), victim.PageAt(2047)} {
+	for _, p := range []*vm.Page{victim.PageAt(0), keep1.PageAt(3), victim.PageAt(3500), keep2.PageAt(5), victim.PageAt(4095)} {
 		feed(m, h, p.ID, pebs.LoadNVM, h.cfg.HotReadThreshold)
 	}
 	feed(m, h, victim.PageAt(400).ID, pebs.Store, h.cfg.HotWriteThreshold)
@@ -321,7 +409,7 @@ func TestReleaseFreesPageTable(t *testing.T) {
 	for _, w := range []int{0, 2} {
 		for s := range h.pages.windows[w] {
 			id := w*piWindowSize + s
-			if id >= 128 && id < 2176 && h.pages.windows[w][s] != (PageInfo{}) {
+			if id >= 128 && id < 4224 && h.pages.windows[w][s] != (PageInfo{}) {
 				t.Fatalf("released slot of page %d not zeroed: %+v", id, h.pages.windows[w][s])
 			}
 		}

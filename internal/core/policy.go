@@ -105,6 +105,10 @@ func (pl *heMemPolicy) PageOut(pi *PageInfo) {}
 // cool halves the page's counters once per elapsed cooling epoch and
 // refreshes its write-heavy status. A write-heavy page that cools below
 // the write threshold gets a second chance on the plain hot list (§3.3).
+// The epoch difference is taken modulo 2^32, which is exact whenever the
+// page was last cooled fewer than 2^32 epochs ago, so for any run under
+// 2^32 cooling epochs (gups-idlepage, the busiest benchmark workload,
+// advances about 2,000 per simulated second).
 func (pl *heMemPolicy) cool(pi *PageInfo) {
 	h := pl.h
 	epochs := h.clock - pi.CoolClock

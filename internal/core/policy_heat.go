@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"github.com/tieredmem/hemem/internal/sim"
-	"github.com/tieredmem/hemem/internal/vm"
 )
 
 const (
@@ -52,7 +51,6 @@ type heatBucket struct {
 
 // regionHeat is one tracked region's heatmap.
 type regionHeat struct {
-	reg     *vm.Region
 	buckets []heatBucket
 	dead    bool
 }
@@ -62,9 +60,10 @@ type heatPolicy struct {
 
 	// regs holds the heatmaps in region-creation order — the decay sweep
 	// and mean computation iterate it so their float arithmetic runs in
-	// a deterministic order; byReg indexes it for the observation path.
+	// a deterministic order; byID indexes it by vm.Region.ID for the
+	// observation path (nil: no heatmap, or the region was released).
 	regs    []*regionHeat
-	byReg   map[*vm.Region]*regionHeat
+	byID    []*regionHeat
 	hasDead bool
 
 	// thresh is the absolute hot threshold derived from the mean bucket
@@ -80,7 +79,6 @@ func (pl *heatPolicy) Name() string { return "heat" }
 // Attach implements Policy.
 func (pl *heatPolicy) Attach(h *HeMem) {
 	pl.h = h
-	pl.byReg = make(map[*vm.Region]*regionHeat)
 	pl.thresh = math.Inf(1)
 	pl.lastDecay = h.m.Clock.Now()
 }
@@ -88,13 +86,15 @@ func (pl *heatPolicy) Attach(h *HeMem) {
 // bucket returns the heatmap cell covering pi's page.
 func (pl *heatPolicy) bucket(pi *PageInfo) *heatBucket {
 	reg := pi.Page.Region
-	rh, ok := pl.byReg[reg]
-	if !ok {
+	if reg.ID >= len(pl.byID) {
+		pl.byID = append(pl.byID, make([]*regionHeat, reg.ID+1-len(pl.byID))...)
+	}
+	rh := pl.byID[reg.ID]
+	if rh == nil {
 		rh = &regionHeat{
-			reg:     reg,
 			buckets: make([]heatBucket, (reg.NumPages()+heatBucketPages-1)/heatBucketPages),
 		}
-		pl.byReg[reg] = rh
+		pl.byID[reg.ID] = rh
 		pl.regs = append(pl.regs, rh)
 	}
 	return &rh.buckets[pi.Page.Index/heatBucketPages]
@@ -144,10 +144,10 @@ func (pl *heatPolicy) PagePlaced(pi *PageInfo) {
 // pages (Release tears down whole regions, so the first PageOut of a
 // region already implies the rest).
 func (pl *heatPolicy) PageOut(pi *PageInfo) {
-	if rh, ok := pl.byReg[pi.Page.Region]; ok {
-		rh.dead = true
+	if id := pi.Page.Region.ID; id < len(pl.byID) && pl.byID[id] != nil {
+		pl.byID[id].dead = true
 		pl.hasDead = true
-		delete(pl.byReg, pi.Page.Region)
+		pl.byID[id] = nil
 	}
 }
 

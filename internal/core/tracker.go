@@ -78,7 +78,7 @@ type pebsTracker struct {
 	// touchSink consumes the resolve pass's PageInfo reads; without a
 	// use, the compiler deletes the loads that pull each PageInfo into
 	// cache ahead of Observe.
-	touchSink uint64
+	touchSink uint32
 
 	// Adaptive-sampling state: buffer counters at the last policy tick
 	// and the current run of overrunning ticks.
@@ -161,7 +161,7 @@ func (t *pebsTracker) observeBatch(recs []pebs.Record) {
 		t.piScratch = make([]*PageInfo, len(recs))
 	}
 	resolved := t.piScratch[:len(recs)]
-	var touch uint64
+	var touch uint32
 	for i := range recs {
 		var pi *PageInfo
 		id := int(recs[i].Page)

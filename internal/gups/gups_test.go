@@ -176,7 +176,8 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 }
 
 // Set-up allocates only what the workload keeps: the working set's page
-// chunks (1,536 bytes per 64 pages) and one member pointer per page in
+// chunks (1,536 bytes per 64 pages, allocated from the 1,792-byte size
+// class because a chunk holds pointers) and one member pointer per page in
 // its sets, cut from one shuffled array (here including the write-only
 // sub-split). A construction that copies the pages into intermediate
 // slices, allocates an index permutation, or keeps set pointers in the

@@ -231,7 +231,8 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 }
 
 // Set-up allocates only what the driver keeps: the log's page chunks
-// (1,536 bytes per 64 pages) and one member pointer per page in its
+// (1,536 bytes per 64 pages, allocated from the 1,792-byte size class
+// because a chunk holds pointers) and one member pointer per page in its
 // hot/cold sets, cut from one shuffled array. A construction that copies
 // the pages into intermediate slices, allocates an index permutation, or
 // keeps set pointers in the page passes 40 bytes per page.

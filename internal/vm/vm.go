@@ -187,7 +187,10 @@ func (c *tierCounts) bump(from, to Tier) {
 // Page metadata is materialized in fixed-size chunks so that terabyte
 // regions cost memory proportional to the pages actually touched, not the
 // mapped size. A chunk is a value array: page pointers handed out by
-// PageAt stay stable for the life of the region.
+// PageAt stay stable for the life of the region. A chunk is 1,536 bytes,
+// but a Page holds a *Region, so Go adds an 8-byte allocation header and
+// serves the chunk from the 1,792-byte size class: 14% slack, which
+// MetadataBytes does not count.
 const (
 	chunkShift = 6
 	chunkPages = 1 << chunkShift

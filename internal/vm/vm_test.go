@@ -265,7 +265,7 @@ func TestPageLayout(t *testing.T) {
 		t.Fatalf("AuditMark at offset %d, want 20 (after the set slot)", got)
 	}
 	if got := unsafe.Sizeof(pageChunk{}); got != 1536 {
-		t.Fatalf("a 64-page chunk is %d bytes, want 1536 (a size class, no slack)", got)
+		t.Fatalf("a 64-page chunk is %d bytes, want 1536", got)
 	}
 }
 
