@@ -97,7 +97,7 @@ func (pl *heatPolicy) bucket(pi *PageInfo) *heatBucket {
 		pl.byID[reg.ID] = rh
 		pl.regs = append(pl.regs, rh)
 	}
-	return &rh.buckets[pi.Page.Index/heatBucketPages]
+	return &rh.buckets[pi.Page.Index()/heatBucketPages]
 }
 
 // isHot classifies pi through its bucket's moving average.

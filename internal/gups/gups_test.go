@@ -104,12 +104,12 @@ func TestHotSetSeedsDiffer(t *testing.T) {
 	_, a := newGUPS(gups.Config{WorkingSet: 16 * sim.GB, HotSet: 4 * sim.GB, Seed: 1})
 	_, b := newGUPS(gups.Config{WorkingSet: 16 * sim.GB, HotSet: 4 * sim.GB, Seed: 2})
 	same := 0
-	inB := map[int32]bool{}
+	inB := map[int]bool{}
 	for _, p := range b.HotPages().Pages() {
-		inB[p.Index] = true
+		inB[p.Index()] = true
 	}
 	for _, p := range a.HotPages().Pages() {
-		if inB[p.Index] {
+		if inB[p.Index()] {
 			same++
 		}
 	}
@@ -176,12 +176,12 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 }
 
 // Set-up allocates only what the workload keeps: the working set's page
-// chunks (1,536 bytes per 64 pages, allocated from the 1,792-byte size
-// class because a chunk holds pointers) and one member pointer per page in
-// its sets, cut from one shuffled array (here including the write-only
-// sub-split). A construction that copies the pages into intermediate
+// chunks (512 bytes per 32 pages, which the allocator serves with no
+// header or slack) and one member pointer per page in its sets, cut from
+// one shuffled array (here including the write-only sub-split): about 24
+// bytes per page. A construction that copies the pages into intermediate
 // slices, allocates an index permutation, or keeps set pointers in the
-// page passes 40 bytes per page.
+// page passes 28 bytes per page.
 func TestNewSetUpAllocation(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
 	cfg := gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 256 * sim.MB, Seed: 3}
@@ -191,7 +191,7 @@ func TestNewSetUpAllocation(t *testing.T) {
 	g := gups.New(m, cfg)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(40*pages) + 32<<10; got > limit {
+	if limit := uint64(28*pages) + 32<<10; got > limit {
 		t.Fatalf("New allocated %d bytes for %d pages (%.1f per page), want ≤ %d",
 			got, pages, float64(got)/float64(pages), limit)
 	}

@@ -13,6 +13,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/tieredmem/hemem/internal/sim"
@@ -106,7 +107,9 @@ func (m *Machine) Audit() []AuditViolation {
 			vs = append(vs, AuditViolation{"migrating-queue",
 				fmt.Sprintf("page %d queued to its current tier %v", p.ID, req.dst)})
 		}
-		p.AuditMark++
+		if p.AuditMark < math.MaxUint8 {
+			p.AuditMark++
+		}
 	}
 
 	// One pass over each region's pages: occupancy recount, the resident
@@ -156,12 +159,17 @@ func (m *Machine) Audit() []AuditViolation {
 
 	// Queue side again: a mark above 1 is a page queued more than once,
 	// reported at its first entry; clearing the mark there leaves every
-	// page unmarked for the next audit.
+	// page unmarked for the next audit. The mark saturates, so a count
+	// of 255 means at least that many.
 	for _, req := range queue {
 		p := req.page
 		if p.AuditMark > 1 {
+			atLeast := ""
+			if p.AuditMark == math.MaxUint8 {
+				atLeast = "at least "
+			}
 			vs = append(vs, AuditViolation{"migrating-queue",
-				fmt.Sprintf("page %d queued %d times", p.ID, p.AuditMark)})
+				fmt.Sprintf("page %d queued %s%d times", p.ID, atLeast, p.AuditMark)})
 		}
 		p.AuditMark = 0
 	}
@@ -327,7 +335,7 @@ func (m *Machine) auditTenantTable(nt int) [][vm.MaxTiers]int {
 const comboSlots = 4
 
 // comboTally counts a region's pages per (slot, tier) combination. Its
-// two halves take alternate pages (a chunk is 64 pages, so they pair up
+// two halves take alternate pages (a chunk is 32 pages, so they pair up
 // exactly), so a run of pages in one combination does not serialize on a
 // single counter: with a combination's two counters adjacent in one word
 // instead, a load waited on the neighbouring store and the walk ran about

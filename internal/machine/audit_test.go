@@ -56,7 +56,7 @@ func newAuditFixture(t *testing.T) *auditFixture {
 	var hot []*vm.Page
 	all := apps[0].comps[0].Set
 	for i := all.Len() - 1; i >= 0; i-- {
-		if all.Page(i).Index < 16 {
+		if all.Page(i).Index() < 16 {
 			hot = append(hot, all.Remove(i))
 		}
 	}
@@ -187,7 +187,7 @@ func TestAuditCatalogue(t *testing.T) {
 			name: "set-counts/lost-back-pointer",
 			corrupt: func(f *auditFixture) {
 				p := f.t1.Peek(3)
-				*p = vm.Page{ID: p.ID, Index: p.Index, Region: p.Region, Tier: p.Tier}
+				*p = vm.Page{Region: p.Region, ID: p.ID, Tier: p.Tier}
 			},
 			rules: []string{"set-counts"},
 			want: []string{
@@ -230,6 +230,19 @@ func TestAuditCatalogue(t *testing.T) {
 			},
 			rules: []string{"migrating-queue", "used-conservation"},
 			want:  []string{fmt.Sprintf("migrating-queue: page %d queued 3 times", ref.promo.ID)},
+		},
+		{
+			// 300 entries for one page: the one-byte mark saturates
+			// instead of wrapping, so the count is reported as a floor
+			// and the page's Migrating flag still finds its entries.
+			name: "migrating-queue/queued-past-the-mark",
+			corrupt: func(f *auditFixture) {
+				for range 299 {
+					f.enqueueRaw(f.promo, vm.TierDRAM)
+				}
+			},
+			rules: []string{"migrating-queue", "used-conservation"},
+			want:  []string{fmt.Sprintf("migrating-queue: page %d queued at least 255 times", ref.promo.ID)},
 		},
 		{
 			name: "migrating-queue/own-tier",
@@ -427,8 +440,8 @@ func TestAuditLeavesNoMark(t *testing.T) {
 // A clean audit of a warmed, tenanted machine with migrations in flight
 // allocates nothing, and the audit stamp costs vm.Page no bytes.
 func TestAuditAllocationFree(t *testing.T) {
-	if got := unsafe.Sizeof(vm.Page{}); got != 24 {
-		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(vm.Page{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 16", got)
 	}
 	f := newAuditFixture(t)
 	if f.m.Migrator.QueueLen() == 0 {

@@ -70,15 +70,16 @@ type PageID int32
 // huge-page (2 MB) granularity; the page size is a property of the
 // AddressSpace.
 //
-// The struct is packed to 24 bytes, the stride of every whole-region
-// walk (auditor, idlepage pass): state that only faulted pages carry
-// (remaps, correctable errors) lives in the AddressSpace's frame-health
-// table instead, and the page's one set membership is a one-byte slot
-// into the region's set table.
+// The struct is packed to 16 bytes, the stride of every whole-region
+// walk (auditor, idlepage pass): the region pointer, the global ID, and
+// four bytes of state. The page's index within its region is derived
+// from its ID (Index); state that only faulted pages carry (remaps,
+// correctable errors) lives in the AddressSpace's frame-health table;
+// and the page's one set membership is a one-byte slot into the region's
+// set table.
 type Page struct {
-	ID     PageID
-	Index  int32 // page index within its region
 	Region *Region
+	ID     PageID
 
 	Tier Tier
 
@@ -93,11 +94,14 @@ type Page struct {
 	slot uint8
 
 	// AuditMark is the invariant auditor's private mark: during an audit,
-	// the number of migration-queue entries for this page; zero at all
-	// other times. Nothing else reads or writes it. It sits after the
-	// slot, in what would otherwise be padding.
-	AuditMark uint32
+	// the number of migration-queue entries for this page, saturating at
+	// 255; zero at all other times. Nothing else reads or writes it. It
+	// sits after the slot, in what would otherwise be padding.
+	AuditMark uint8
 }
+
+// Index returns the page's index within its region.
+func (p *Page) Index() int { return int(p.ID - p.Region.base) }
 
 // MaxRegionSets is how many page sets can hold pages of one region: the
 // rows of its set table that a one-byte slot value can name.
@@ -187,12 +191,13 @@ func (c *tierCounts) bump(from, to Tier) {
 // Page metadata is materialized in fixed-size chunks so that terabyte
 // regions cost memory proportional to the pages actually touched, not the
 // mapped size. A chunk is a value array: page pointers handed out by
-// PageAt stay stable for the life of the region. A chunk is 1,536 bytes,
-// but a Page holds a *Region, so Go adds an 8-byte allocation header and
-// serves the chunk from the 1,792-byte size class: 14% slack, which
-// MetadataBytes does not count.
+// PageAt stay stable for the life of the region. A chunk is 32 pages of
+// 16 bytes, exactly 512 bytes: the largest pointer-holding object Go
+// serves with its heap bits in the span, so the chunk carries no
+// allocation header and fills its size class with no slack
+// (TestPageChunkAllocation pins that the allocator charges 512 bytes).
 const (
-	chunkShift = 6
+	chunkShift = 5
 	chunkPages = 1 << chunkShift
 	chunkMask  = chunkPages - 1
 )
@@ -214,7 +219,7 @@ type Region struct {
 	n    int    // pages in the region
 	base PageID // global ID of page 0
 	// chunks holds the lazily materialized page slabs; a nil entry means
-	// no page in that 64-page window has ever been touched.
+	// no page in that 32-page window has ever been touched.
 	chunks  []*pageChunk
 	touched int
 	space   *AddressSpace
@@ -336,7 +341,7 @@ func (r *Region) PageAt(i int) *Page {
 	}
 	p := &c[i&chunkMask]
 	if p.Region == nil {
-		p.ID, p.Region, p.Index = r.base+PageID(i), r, int32(i)
+		p.ID, p.Region = r.base+PageID(i), r
 		r.touched++
 		r.space.touched++
 	}
@@ -374,11 +379,11 @@ func (r *Region) EachPage(f func(*Page)) {
 	}
 }
 
-// NumChunks returns the number of 64-page metadata windows the region
+// NumChunks returns the number of 32-page metadata windows the region
 // spans; Chunk indexes them.
 func (r *Region) NumChunks() int { return len(r.chunks) }
 
-// Chunk returns the 64 page slots of metadata window ci (pages ci*64
+// Chunk returns the 32 page slots of metadata window ci (pages ci*32
 // onwards), or nil if no page in it has materialized. Slots of untouched
 // pages, including any past the region's end in the last window, have a
 // nil Region. Whole-region observers that visit every materialized page
@@ -645,7 +650,7 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 	r.n = n
 	r.base = PageID(a.numPages)
 	r.space = a
-	// Page metadata materializes lazily in 64-page chunks (see PageAt);
+	// Page metadata materializes lazily in 32-page chunks (see PageAt);
 	// mapping a terabyte costs one pointer per chunk window, not a Page
 	// per 2 MB.
 	r.chunks = make([]*pageChunk, (n+chunkPages-1)/chunkPages)
@@ -781,7 +786,9 @@ func (a *AddressSpace) TouchedPages() int { return a.touched }
 // excluded.
 // It is an accounting figure (what the sparse representation pays for the
 // pages touched so far), not a live heap measurement, so dense-vs-sparse
-// comparisons are reproducible across runs and hosts.
+// comparisons are reproducible across runs and hosts. A materialized
+// chunk counts its 32 pages in full; the allocator charges it exactly
+// that, with no header or size-class slack (see pageChunk).
 func (a *AddressSpace) MetadataBytes() int64 {
 	const pageBytes = int64(unsafe.Sizeof(Page{}))
 	const ptrBytes = int64(unsafe.Sizeof((*pageChunk)(nil)))

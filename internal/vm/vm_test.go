@@ -255,17 +255,94 @@ func TestMapPanicsOnBadPageSize(t *testing.T) {
 }
 
 // Page is the stride of every whole-region walk, so its packed size is
-// pinned: ID and Index share a word, and Tier, Migrating, the set slot
-// and AuditMark share another.
+// pinned: the region pointer, then the ID in one half-word and Tier,
+// Migrating, the set slot and AuditMark in the other. A 32-page chunk is
+// then exactly 512 bytes.
 func TestPageLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Page{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 16", got)
 	}
-	if got := unsafe.Offsetof(Page{}.AuditMark); got != 20 {
-		t.Fatalf("AuditMark at offset %d, want 20 (after the set slot)", got)
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Region", unsafe.Offsetof(Page{}.Region), 0},
+		{"ID", unsafe.Offsetof(Page{}.ID), 8},
+		{"Tier", unsafe.Offsetof(Page{}.Tier), 12},
+		{"Migrating", unsafe.Offsetof(Page{}.Migrating), 13},
+		{"slot", unsafe.Offsetof(Page{}.slot), 14},
+		{"AuditMark", unsafe.Offsetof(Page{}.AuditMark), 15},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s at offset %d, want %d", f.name, f.got, f.want)
+		}
 	}
-	if got := unsafe.Sizeof(pageChunk{}); got != 1536 {
-		t.Fatalf("a 64-page chunk is %d bytes, want 1536", got)
+	if got := unsafe.Sizeof(pageChunk{}); got != 512 {
+		t.Fatalf("a %d-page chunk is %d bytes, want 512", chunkPages, got)
+	}
+}
+
+// The allocator charges a chunk exactly its 512 bytes: Go keeps the heap
+// bits of a pointer-holding object up to 512 bytes in its span, so the
+// chunk carries no allocation header and fills its size class. A layout
+// or toolchain change that brings back a header (or slack) fails here,
+// where unsafe.Sizeof cannot see it. The chunks are allocated the way
+// the simulator allocates them, by PageAt's first touch of each window.
+func TestPageChunkAllocation(t *testing.T) {
+	const n = 256
+	size := uint64(unsafe.Sizeof(pageChunk{}))
+	var charged uint64
+	// Up to three tries, so a stray allocation by the runtime during one
+	// of them cannot fail the test.
+	for try := 0; try < 3; try++ {
+		r := NewAddressSpace(2*sim.MB).Map("chunks", n*chunkPages*2*sim.MB)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for ci := 0; ci < n; ci++ {
+			r.PageAt(ci << chunkShift)
+		}
+		runtime.ReadMemStats(&after)
+		if r.TouchedPages() != n {
+			t.Fatalf("touched %d pages, want one in each of %d chunks", r.TouchedPages(), n)
+		}
+		if charged = (after.TotalAlloc - before.TotalAlloc) / n; charged == size {
+			return
+		}
+	}
+	t.Fatalf("a %d-byte chunk is charged %d bytes", size, charged)
+}
+
+// Index derives a page's position in its region from its global ID, in
+// every region and across chunk boundaries: the second and third regions
+// here start at IDs 5 and 75, neither a multiple of the chunk size.
+func TestPageIndex(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	regions := []*Region{
+		a.Map("first", 5*2*sim.MB),
+		a.Map("second", 70*2*sim.MB),
+		a.Map("third", 100*2*sim.MB),
+	}
+	for _, r := range regions[1:] {
+		if r.base%chunkPages == 0 {
+			t.Fatalf("fixture: %s starts at ID %d, a chunk boundary", r.Name, r.base)
+		}
+	}
+	for _, r := range regions {
+		for i := 0; i < r.NumPages(); i++ {
+			if got := r.PageAt(i).Index(); got != i {
+				t.Fatalf("%s: PageAt(%d).Index() = %d", r.Name, i, got)
+			}
+			if got := a.Page(r.base + PageID(i)).Index(); got != i {
+				t.Fatalf("%s: page of ID %d has Index() %d, want %d", r.Name, r.base+PageID(i), got, i)
+			}
+		}
+		for ci := 0; ci < r.NumChunks(); ci++ {
+			for j, p := range r.Chunk(ci) {
+				if i := ci*chunkPages + j; i < r.NumPages() && p.Index() != i {
+					t.Fatalf("%s: chunk %d slot %d has Index() %d, want %d", r.Name, ci, j, p.Index(), i)
+				}
+			}
+		}
 	}
 }
 
@@ -278,7 +355,7 @@ func checkRegionTable(t *testing.T, r *Region) {
 	r.EachPage(func(p *Page) {
 		if k := p.slot; k != 0 {
 			if int(k) > len(r.sets) || r.sets[k-1].set == nil {
-				t.Fatalf("page %d: slot %d names no row (table of %d)", p.Index, k, len(r.sets))
+				t.Fatalf("page %d: slot %d names no row (table of %d)", p.Index(), k, len(r.sets))
 			}
 			refs[k-1]++
 		}
@@ -704,7 +781,7 @@ func TestShuffledPagesMatchesPerm(t *testing.T) {
 			}
 			for k, i := range perm {
 				if got[k] != all[i] {
-					t.Fatalf("n=%d seed=%d: out[%d] is page %d, want page %d", n, seed, k, got[k].Index, i)
+					t.Fatalf("n=%d seed=%d: out[%d] is page %d, want page %d", n, seed, k, got[k].Index(), i)
 				}
 			}
 			rng := sim.NewRand(seed)
@@ -759,7 +836,7 @@ func TestNewPageSetAdoptsSlice(t *testing.T) {
 		for _, p := range s.Pages() {
 			counts[p.Tier]++
 			if p.Set() != s {
-				t.Fatalf("set %s member %d lacks its back-pointer", s.Name, p.Index)
+				t.Fatalf("set %s member %d lacks its back-pointer", s.Name, p.Index())
 			}
 		}
 		if counts != s.counts {
