@@ -115,11 +115,11 @@ func (a *Arena) Regions() []*vm.Region { return a.regions }
 // pages of the chunks grown since the last one to the same set.
 func (a *Arena) Pages() *vm.PageSet {
 	if a.pages == nil {
-		a.pages = vm.NewPageSet(a.name, nil)
+		a.pages = a.i.m.AS.NewPageSet(a.name, nil)
 	}
 	for _, r := range a.regions[a.covered:] {
 		for i, n := 0, r.NumPages(); i < n; i++ {
-			a.pages.Add(r.PageAt(i))
+			a.pages.Add(r.PageID(i))
 		}
 	}
 	a.covered = len(a.regions)

@@ -114,7 +114,7 @@ func TestAdoptedArenaPagesAreDemotable(t *testing.T) {
 // grown by the chunks allocated since, instead of a second set over the
 // same pages.
 func TestArenaPagesIsOneGrowingSet(t *testing.T) {
-	_, _, i := setup()
+	m, _, i := setup()
 	a := i.NewArena("buffers")
 	a.Grow(64 * sim.MB)
 	a.Grow(64 * sim.MB)
@@ -127,7 +127,7 @@ func TestArenaPagesIsOneGrowingSet(t *testing.T) {
 		t.Fatalf("after a third chunk: set of %d pages, want the same set with 80", s.Len())
 	}
 	for j := 0; j < r.NumPages(); j++ {
-		if r.PageAt(j).Set() != s {
+		if m.AS.SetOf(r.PageAt(j)) != s {
 			t.Fatalf("page %d of the new chunk is not in the arena's set", j)
 		}
 	}

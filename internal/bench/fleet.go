@@ -53,8 +53,8 @@ func startFleetApp(m *machine.Machine, id vm.TenantID, size int64, rng *sim.Rand
 	m.TouchRange(a.region, 0, a.region.NumPages())
 	pages := a.region.ShuffledPages(rng)
 	nHot := max(len(pages)/4, 1)
-	a.hot = vm.NewPageSet(name+"-hot", pages[:nHot])
-	a.cold = vm.NewPageSet(name+"-cold", pages[nHot:])
+	a.hot = m.AS.NewPageSet(name+"-hot", pages[:nHot])
+	a.cold = m.AS.NewPageSet(name+"-cold", pages[nHot:])
 	a.comps = []machine.Component{
 		{Set: a.hot, Share: 0.9, ReadBytes: 8, WriteBytes: 8, Pattern: mem.Random},
 		{Set: a.cold, Share: 0.1, ReadBytes: 8, WriteBytes: 8, Pattern: mem.Random},

@@ -493,24 +493,30 @@ func (h *HeMem) Used(t vm.Tier) int64 { return h.m.Committed(t) }
 // are identical to the historical fixed-chain ones.
 func (h *HeMem) PageIn(p *vm.Page) {
 	ps := h.m.Cfg.PageSize
+	as := h.m.AS
+	r := as.RegionOf(p.ID)
 	fastest := h.chain[h.firstOnline()]
-	if regionFlag(h.pinned, p.Region.ID) {
-		p.SetTier(fastest)
+	if regionFlag(h.pinned, r.ID) {
+		as.SetTier(p, fastest)
 		return
 	}
 	last := h.lastOnline()
-	if p.Region.Size() < h.cfg.LargeAllocThreshold && !regionFlag(h.managed, p.Region.ID) {
+	// First-touch placement on a tier is gated by the owner's hard cap;
+	// the slowest tier still accepts overflow unconditionally, as a page
+	// must land somewhere.
+	o := r.Owner()
+	if r.Size() < h.cfg.LargeAllocThreshold && !regionFlag(h.managed, r.ID) {
 		// Kernel-managed small allocation: keep in fast memory if at
 		// all possible; overflow walks the chain and the slowest online
 		// tier takes the page unconditionally (the kernel path never
 		// swaps).
 		for i := 0; i < last; i++ {
-			if !h.offlineAt(i) && h.free(i) >= ps && h.placeAllowed(p, h.chain[i]) {
-				p.SetTier(h.chain[i])
+			if !h.offlineAt(i) && h.free(i) >= ps && h.capAllows(o, h.chain[i]) {
+				as.SetTier(p, h.chain[i])
 				return
 			}
 		}
-		p.SetTier(h.chain[last])
+		as.SetTier(p, h.chain[last])
 		return
 	}
 	pi := h.track(p)
@@ -526,8 +532,8 @@ func (h *HeMem) PageIn(p *vm.Page) {
 		start = r
 	}
 	for i := start; i < last; i++ {
-		if !h.offlineAt(i) && h.free(i) >= ps && h.placeAllowed(p, h.chain[i]) {
-			p.SetTier(h.chain[i])
+		if !h.offlineAt(i) && h.free(i) >= ps && h.capAllows(o, h.chain[i]) {
+			as.SetTier(p, h.chain[i])
 			h.pol.PagePlaced(pi)
 			h.tracker.PageIn(pi)
 			return
@@ -535,12 +541,12 @@ func (h *HeMem) PageIn(p *vm.Page) {
 	}
 	slowest := h.chain[last]
 	if !h.cfg.EnableSwap || h.swapTier == vm.TierNone || h.free(last) >= ps {
-		p.SetTier(slowest)
+		as.SetTier(p, slowest)
 		h.pol.PagePlaced(pi)
 		h.tracker.PageIn(pi)
 		return
 	}
-	p.SetTier(h.swapTier)
+	as.SetTier(p, h.swapTier)
 	h.pol.PagePlaced(pi)
 	h.tracker.PageIn(pi)
 }
@@ -755,7 +761,7 @@ func (h *HeMem) pickSwapped(si int, set *vm.PageSet) *vm.Page {
 	cur := h.diskCursor[si]
 	for i := 0; i < n; i++ {
 		p := set.Page((cur + i) % n)
-		if p.Tier == h.swapTier && !p.Migrating {
+		if p.Tier == h.swapTier && !p.Migrating() {
 			h.diskCursor[si] = (cur + i + 1) % n
 			return p
 		}
@@ -814,7 +820,7 @@ func (h *HeMem) OnMigrationFailed(p *vm.Page, dst vm.Tier) {
 // on the fastest tier (or outside the chain) have nowhere faster to go.
 func (h *HeMem) OnNVMUncorrectable(p *vm.Page) {
 	pi := h.info(p.ID)
-	if pi == nil || p.Migrating {
+	if pi == nil || p.Migrating() {
 		return
 	}
 	r := h.rankOf(p.Tier)

@@ -418,7 +418,7 @@ func TestReleaseFreesPageTable(t *testing.T) {
 	for k := range h.pages.lists[1:] {
 		l := &h.pages.lists[1+k]
 		for _, pi := range walk(t, l) {
-			if pi.Page.Region == victim {
+			if victim.Contains(pi.Page.ID) {
 				t.Fatalf("list %q still holds released page %d", l.Name, pi.Page.ID)
 			}
 			if h.info(pi.Page.ID) != pi {

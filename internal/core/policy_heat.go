@@ -85,7 +85,8 @@ func (pl *heatPolicy) Attach(h *HeMem) {
 
 // bucket returns the heatmap cell covering pi's page.
 func (pl *heatPolicy) bucket(pi *PageInfo) *heatBucket {
-	reg := pi.Page.Region
+	id := pi.Page.ID
+	reg := pl.h.m.AS.RegionOf(id)
 	if reg.ID >= len(pl.byID) {
 		pl.byID = append(pl.byID, make([]*regionHeat, reg.ID+1-len(pl.byID))...)
 	}
@@ -97,7 +98,7 @@ func (pl *heatPolicy) bucket(pi *PageInfo) *heatBucket {
 		pl.byID[reg.ID] = rh
 		pl.regs = append(pl.regs, rh)
 	}
-	return &rh.buckets[pi.Page.Index()/heatBucketPages]
+	return &rh.buckets[reg.Index(id)/heatBucketPages]
 }
 
 // isHot classifies pi through its bucket's moving average.
@@ -144,7 +145,7 @@ func (pl *heatPolicy) PagePlaced(pi *PageInfo) {
 // pages (Release tears down whole regions, so the first PageOut of a
 // region already implies the rest).
 func (pl *heatPolicy) PageOut(pi *PageInfo) {
-	if id := pi.Page.Region.ID; id < len(pl.byID) && pl.byID[id] != nil {
+	if id := pl.h.m.AS.RegionOf(pi.Page.ID).ID; id < len(pl.byID) && pl.byID[id] != nil {
 		pl.byID[id].dead = true
 		pl.hasDead = true
 		pl.byID[id] = nil

@@ -117,11 +117,10 @@ func (h *HeMem) capAllows(o vm.TenantID, t vm.Tier) bool {
 	return h.tenantUsage(o, t)+h.m.Cfg.PageSize <= spec.Cap[t]
 }
 
-// placeAllowed gates first-touch placement of p on tier t by its
-// owner's hard cap. The slowest tier still accepts overflow
-// unconditionally — a page must land somewhere.
-func (h *HeMem) placeAllowed(p *vm.Page, t vm.Tier) bool {
-	return h.capAllows(p.Region.Owner(), t)
+// owner returns the tenant charged for pi's page (TenantNone for
+// untenanted pages).
+func (h *HeMem) owner(pi *PageInfo) vm.TenantID {
+	return h.m.AS.RegionOf(pi.Page.ID).Owner()
 }
 
 // scanBestFront walks up to limit entries from the list head and
@@ -157,7 +156,7 @@ func scanBestBack(l *List, limit int, score func(pi *PageInfo) (int64, bool)) *P
 func (h *HeMem) popColdVictim(i int) *PageInfo {
 	t := h.chain[i]
 	best := scanBestFront(&h.cold[i], h.scanLimit(), func(pi *PageInfo) (int64, bool) {
-		return h.demoteScore(pi.Page.Region.Owner(), t), true
+		return h.demoteScore(h.owner(pi), t), true
 	})
 	if best != nil {
 		h.cold[i].Remove(best)
@@ -172,7 +171,7 @@ func (h *HeMem) popColdVictim(i int) *PageInfo {
 func (h *HeMem) popHotBackVictim(i int) *PageInfo {
 	t := h.chain[i]
 	best := scanBestBack(&h.hot[i], h.scanLimit(), func(pi *PageInfo) (int64, bool) {
-		return h.demoteScore(pi.Page.Region.Owner(), t), true
+		return h.demoteScore(h.owner(pi), t), true
 	})
 	if best != nil {
 		h.hot[i].Remove(best)
@@ -187,7 +186,7 @@ func (h *HeMem) popHotBackVictim(i int) *PageInfo {
 // page. Nil means nothing (eligible) to promote.
 func (h *HeMem) promoteCandidate(down int, dst vm.Tier) *PageInfo {
 	return scanBestFront(&h.hot[down], h.scanLimit(), func(pi *PageInfo) (int64, bool) {
-		o := pi.Page.Region.Owner()
+		o := h.owner(pi)
 		if !h.capAllows(o, dst) {
 			return 0, false
 		}
@@ -226,7 +225,7 @@ func (h *HeMem) evacRank(o vm.TenantID) int64 {
 // ties, so it is the historical hot-then-cold FIFO pop.
 func (h *HeMem) popEvacVictim(i int) (*PageInfo, bool) {
 	score := func(pi *PageInfo) (int64, bool) {
-		return -h.evacRank(pi.Page.Region.Owner()), true
+		return -h.evacRank(h.owner(pi)), true
 	}
 	limit := h.scanLimit()
 	hotBest := scanBestFront(&h.hot[i], limit, score)
@@ -241,7 +240,7 @@ func (h *HeMem) popEvacVictim(i int) (*PageInfo, bool) {
 		h.cold[i].Remove(coldBest)
 		return coldBest, false
 	}
-	if h.evacRank(coldBest.Page.Region.Owner()) < h.evacRank(hotBest.Page.Region.Owner()) {
+	if h.evacRank(h.owner(coldBest)) < h.evacRank(h.owner(hotBest)) {
 		h.cold[i].Remove(coldBest)
 		return coldBest, false
 	}

@@ -84,7 +84,7 @@ func (t *damonTracker) Attach(h *HeMem) {
 // refines it from there. Pages that have not faulted in yet probe as
 // untouched until they do.
 func (t *damonTracker) PageIn(pi *PageInfo) {
-	reg := pi.Page.Region
+	reg := t.h.m.AS.RegionOf(pi.Page.ID)
 	if regionFlag(t.known, reg.ID) {
 		return
 	}
@@ -95,7 +95,7 @@ func (t *damonTracker) PageIn(pi *PageInfo) {
 // PageOut implements Tracker: mark the region dead; its sampling regions
 // are filtered on the next Poll.
 func (t *damonTracker) PageOut(pi *PageInfo) {
-	setRegionFlag(&t.dead, pi.Page.Region.ID, true)
+	setRegionFlag(&t.dead, t.h.m.AS.RegionOf(pi.Page.ID).ID, true)
 	t.hasDead = true
 }
 
@@ -164,7 +164,7 @@ func (t *damonTracker) samplePass() {
 			continue // not faulted in yet: reads as untouched
 		}
 		var lr, lw float64
-		if s := p.Set(); s != nil {
+		if s, _ := r.reg.SlotSet(p.Slot()); s != nil {
 			d := t.deltas[s]
 			lr, lw = d[0], d[1]
 		}

@@ -156,12 +156,13 @@ func (t *idlePageTracker) completePass() {
 // pass, otherwise freshly computed — into a new table entry while there
 // is room, into uncached when not.
 func (t *idlePageTracker) combo(p *vm.Page) *idleCombo {
-	r, slot := p.Region, p.Slot()
+	slot := p.Slot()
 	for i := 0; i < t.nCombos; i++ {
-		if e := &t.combos[i]; e.r == r && e.slot == slot {
+		if e := &t.combos[i]; e.slot == slot && e.r.Contains(p.ID) {
 			return e
 		}
 	}
+	r := t.h.m.AS.RegionOf(p.ID)
 	c := &t.uncached
 	if t.nCombos < idleComboSlots {
 		c = &t.combos[t.nCombos]
@@ -169,7 +170,7 @@ func (t *idlePageTracker) combo(p *vm.Page) *idleCombo {
 	}
 	c.r, c.slot = r, slot
 	var la, lw float64
-	if s := p.Set(); s != nil {
+	if s, _ := r.SlotSet(slot); s != nil {
 		d := t.lam[s]
 		la, lw = d[0], d[1]
 	}

@@ -41,7 +41,7 @@ func (r refIdlePageTracker) referencePass() {
 				continue
 			}
 			var la, lw float64
-			if s := pi.Page.Set(); s != nil {
+			if s := h.m.AS.SetOf(pi.Page); s != nil {
 				la, lw = t.lam[s][0], t.lam[s][1]
 			}
 			accessed := la > 0 && t.rng.Bernoulli(1-math.Exp(-la))
@@ -77,17 +77,18 @@ const setMixSets = 10
 func newSetMixWorkload(m *machine.Machine, seed uint64) *setMixWorkload {
 	r := m.AS.Map("setmix", 2*sim.GB)
 	rng := sim.NewRand(seed)
-	members := make([][]*vm.Page, setMixSets+1) // the last is in no set
-	for _, p := range r.AllPages() {
+	members := make([][]vm.PageID, setMixSets+1) // the last is in no set
+	for i := 0; i < r.NumPages(); i++ {
+		r.PageAt(i)
 		j := rng.Intn(setMixSets + 1)
-		members[j] = append(members[j], p)
+		members[j] = append(members[j], r.PageID(i))
 	}
 	w := &setMixWorkload{}
 	// Shares span seven decades so per-page λ ranges from saturated to
 	// nearly zero; the last two sets carry no traffic at all.
 	for j := 0; j < setMixSets-2; j++ {
 		c := machine.Component{
-			Set:     vm.NewPageSet("setmix", members[j]),
+			Set:     m.AS.NewPageSet("setmix", members[j]),
 			Share:   math.Pow(10, -float64(j)),
 			Pattern: mem.Random,
 		}
@@ -100,7 +101,7 @@ func newSetMixWorkload(m *machine.Machine, seed uint64) *setMixWorkload {
 		w.comps = append(w.comps, c)
 	}
 	for j := setMixSets - 2; j < setMixSets; j++ {
-		vm.NewPageSet("setmix-idle", members[j])
+		m.AS.NewPageSet("setmix-idle", members[j])
 	}
 	return w
 }
@@ -137,8 +138,8 @@ func TestIdlePagePassMatchesReference(t *testing.T) {
 			if hc.Stats().Samples == 0 || hc.Stats().Promotions == 0 {
 				t.Fatalf("%s seed %d: run too quiet to compare: %+v", policy, seed, hc.Stats())
 			}
-			for i, pc := range mc.AS.Regions[0].AllPages() {
-				pr := mr.AS.Regions[0].PageAt(i)
+			for i, id := range mc.AS.Regions[0].AllPages() {
+				pc, pr := mc.AS.Page(id), mr.AS.Regions[0].PageAt(i)
 				ic, ir := hc.info(pc.ID), hr.info(pr.ID)
 				if ic.Reads != ir.Reads || ic.Writes != ir.Writes || ic.CoolClock != ir.CoolClock ||
 					hc.inHotList(ic) != hr.inHotList(ir) || pc.Tier != pr.Tier {

@@ -224,11 +224,11 @@ func (d *Workload) windowSet(i int) *vm.PageSet {
 		}
 	}
 	d.faulted += d.m.TouchRange(d.region, lo, hi)
-	pages := make([]*vm.Page, 0, hi-lo)
+	ids := make([]vm.PageID, 0, hi-lo)
 	for j := lo; j < hi; j++ {
-		pages = append(pages, d.region.PageAt(j))
+		ids = append(ids, d.region.PageID(j))
 	}
-	set := vm.NewPageSet(fmt.Sprintf("%s-w%d", d.cfg.Name, i), pages)
+	set := d.m.AS.NewPageSet(fmt.Sprintf("%s-w%d", d.cfg.Name, i), ids)
 	d.windows = append(d.windows, window{lo, hi, set})
 	return set
 }

@@ -135,7 +135,7 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 				break
 			}
 		}
-		d.vertexSets[z] = vm.NewPageSet(fmt.Sprintf("gap-vertex-z%d", z), pages[start:idx])
+		d.vertexSets[z] = m.AS.NewPageSet(fmt.Sprintf("gap-vertex-z%d", z), pages[start:idx])
 		d.zoneTraffic[z] = zoneTr
 	}
 

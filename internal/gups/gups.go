@@ -101,14 +101,14 @@ func New(m *machine.Machine, cfg Config) *GUPS {
 		hotPages := pages[:nHot]
 		if cfg.WriteOnlyHot > 0 {
 			nWr := min(int(cfg.WriteOnlyHot/m.Cfg.PageSize), nHot)
-			g.hotWr = vm.NewPageSet("gups-hot-wr", hotPages[:nWr])
-			g.hot = vm.NewPageSet("gups-hot-rd", hotPages[nWr:])
+			g.hotWr = m.AS.NewPageSet("gups-hot-wr", hotPages[:nWr])
+			g.hot = m.AS.NewPageSet("gups-hot-rd", hotPages[nWr:])
 		} else {
-			g.hot = vm.NewPageSet("gups-hot", hotPages)
+			g.hot = m.AS.NewPageSet("gups-hot", hotPages)
 		}
-		g.cold = vm.NewPageSet("gups-cold", pages[nHot:])
+		g.cold = m.AS.NewPageSet("gups-cold", pages[nHot:])
 	} else {
-		g.cold = vm.NewPageSet("gups-all", g.region.AllPages())
+		g.cold = m.AS.NewPageSet("gups-all", g.region.AllPages())
 	}
 	g.rebuild()
 	m.AddWorkload(g)
@@ -171,8 +171,8 @@ func (g *GUPS) ShiftHotSet(bytes int64, seed uint64) {
 	rng := sim.NewRand(seed + 0x51f7)
 	// Remove all swapped pages first so a freshly added page can never be
 	// picked again within the same shift.
-	fromHot := make([]*vm.Page, n)
-	fromCold := make([]*vm.Page, n)
+	fromHot := make([]vm.PageID, n)
+	fromCold := make([]vm.PageID, n)
 	for i := 0; i < n; i++ {
 		fromHot[i] = g.hot.Remove(rng.Intn(g.hot.Len()))
 		fromCold[i] = g.cold.Remove(rng.Intn(g.cold.Len()))

@@ -59,12 +59,12 @@ func TestHotColdDecomposition(t *testing.T) {
 // A shift moves pages between the hot and cold sets without changing
 // their sizes; a non-positive shift, of any size, changes nothing.
 func TestShiftHotSet(t *testing.T) {
-	_, g := newGUPS(gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, Seed: 1})
+	m, g := newGUPS(gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, Seed: 1})
 	hot := g.HotPages()
-	before := slices.Clone(hot.Pages())
+	before := slices.Clone(hot.IDs())
 	for _, b := range []int64{0, -1, -4 * sim.MB, math.MinInt64} {
 		g.ShiftHotSet(b, 1)
-		if !slices.Equal(hot.Pages(), before) {
+		if !slices.Equal(hot.IDs(), before) {
 			t.Fatalf("ShiftHotSet(%d) changed the hot set", b)
 		}
 	}
@@ -73,8 +73,8 @@ func TestShiftHotSet(t *testing.T) {
 		t.Fatalf("hot set holds %d pages after a shift, want %d", hot.Len(), len(before))
 	}
 	moved := 0
-	for _, p := range before {
-		if p.Set() != hot {
+	for _, id := range before {
+		if m.AS.SetOf(m.AS.Page(id)) != hot {
 			moved++
 		}
 	}
@@ -105,11 +105,11 @@ func TestHotSetSeedsDiffer(t *testing.T) {
 	_, b := newGUPS(gups.Config{WorkingSet: 16 * sim.GB, HotSet: 4 * sim.GB, Seed: 2})
 	same := 0
 	inB := map[int]bool{}
-	for _, p := range b.HotPages().Pages() {
-		inB[p.Index()] = true
+	for _, id := range b.HotPages().IDs() {
+		inB[b.Region().Index(id)] = true
 	}
-	for _, p := range a.HotPages().Pages() {
-		if inB[p.Index()] {
+	for _, id := range a.HotPages().IDs() {
+		if inB[a.Region().Index(id)] {
 			same++
 		}
 	}
@@ -176,12 +176,12 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 }
 
 // Set-up allocates only what the workload keeps: the working set's page
-// chunks (512 bytes per 32 pages, which the allocator serves with no
-// header or slack) and one member pointer per page in its sets, cut from
-// one shuffled array (here including the write-only sub-split): about 24
-// bytes per page. A construction that copies the pages into intermediate
-// slices, allocates an index permutation, or keeps set pointers in the
-// page passes 28 bytes per page.
+// chunks (256 bytes per 32 pages, which the allocator serves with no
+// header or slack) and one 4-byte member ID per page in its sets, cut
+// from one shuffled array (here including the write-only sub-split):
+// about 12 bytes per page. A construction that copies the IDs into
+// intermediate slices, allocates an index permutation, keeps page
+// pointers as set members, or widens the page passes 14 bytes per page.
 func TestNewSetUpAllocation(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
 	cfg := gups.Config{WorkingSet: 8 * sim.GB, HotSet: 1 * sim.GB, WriteOnlyHot: 256 * sim.MB, Seed: 3}
@@ -191,7 +191,7 @@ func TestNewSetUpAllocation(t *testing.T) {
 	g := gups.New(m, cfg)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(28*pages) + 32<<10; got > limit {
+	if limit := uint64(14*pages) + 32<<10; got > limit {
 		t.Fatalf("New allocated %d bytes for %d pages (%.1f per page), want ≤ %d",
 			got, pages, float64(got)/float64(pages), limit)
 	}

@@ -130,10 +130,10 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	if cfg.HotKeyFrac > 0 && cfg.HotKeyFrac < 1 {
 		pages := d.logRegion.ShuffledPages(sim.NewRand(cfg.Seed + 0x6b7673))
 		nHot := int(float64(len(pages)) * cfg.HotKeyFrac)
-		d.hotItems = vm.NewPageSet(cfg.Name+"-hot", pages[:nHot])
-		d.coldItems = vm.NewPageSet(cfg.Name+"-cold", pages[nHot:])
+		d.hotItems = m.AS.NewPageSet(cfg.Name+"-hot", pages[:nHot])
+		d.coldItems = m.AS.NewPageSet(cfg.Name+"-cold", pages[nHot:])
 	} else {
-		d.coldItems = vm.NewPageSet(cfg.Name+"-items", d.logRegion.AllPages())
+		d.coldItems = m.AS.NewPageSet(cfg.Name+"-items", d.logRegion.AllPages())
 	}
 	d.rebuild()
 	m.AddWorkload(d)

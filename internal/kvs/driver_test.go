@@ -231,11 +231,12 @@ func TestValidateAcceptsDefaultsAndBounds(t *testing.T) {
 }
 
 // Set-up allocates only what the driver keeps: the log's page chunks
-// (512 bytes per 32 pages, which the allocator serves with no header or
-// slack) and one member pointer per page in its hot/cold sets, cut from
-// one shuffled array: about 24 bytes per page. A construction that copies
-// the pages into intermediate slices, allocates an index permutation, or
-// keeps set pointers in the page passes 28 bytes per page.
+// (256 bytes per 32 pages, which the allocator serves with no header or
+// slack) and one 4-byte member ID per page in its hot/cold sets, cut from
+// one shuffled array: about 12 bytes per page. A construction that copies
+// the IDs into intermediate slices, allocates an index permutation, keeps
+// page pointers as set members, or widens the page passes 14 bytes per
+// page.
 func TestNewDriverSetUpAllocation(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
 	cfg := kvs.DriverConfig{WorkingSet: 8 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9, Seed: 3}
@@ -245,7 +246,7 @@ func TestNewDriverSetUpAllocation(t *testing.T) {
 	d := kvs.NewDriver(m, cfg)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(28*pages) + 32<<10; got > limit {
+	if limit := uint64(14*pages) + 32<<10; got > limit {
 		t.Fatalf("NewDriver allocated %d bytes for %d log pages (%.1f per page), want ≤ %d",
 			got, pages, float64(got)/float64(pages), limit)
 	}

@@ -34,7 +34,7 @@ func newAuditFixture(t *testing.T) *auditFixture {
 		{ID: vm.TierNVM, Capacity: 4 * sim.GB, UEVictim: true},
 	}
 	f := &auditFixture{}
-	f.m = New(cfg, nopManager{})
+	f.m = New(cfg, &nopManager{})
 	tr := f.m.EnableTenants()
 	var apps []*testTenantApp
 	for i := 1; i <= 2; i++ {
@@ -53,21 +53,21 @@ func newAuditFixture(t *testing.T) *auditFixture {
 	f.plain = f.m.AS.Map("plain", 256*sim.MB)
 	f.m.TouchRange(f.plain, 0, 8)
 
-	var hot []*vm.Page
+	var hot []vm.PageID
 	all := apps[0].comps[0].Set
 	for i := all.Len() - 1; i >= 0; i-- {
-		if all.Page(i).Index() < 16 {
+		if f.t1.Index(all.IDs()[i]) < 16 {
 			hot = append(hot, all.Remove(i))
 		}
 	}
-	f.hot = vm.NewPageSet("hot", hot)
+	f.hot = f.m.AS.NewPageSet("hot", hot)
 	f.m.Rates(f.hot)
 
 	for i := 24; i < 32; i++ {
-		f.t1.Peek(i).SetTier(vm.TierNVM)
+		f.m.AS.SetTier(f.t1.Peek(i), vm.TierNVM)
 	}
 	for i := 0; i < 8; i++ {
-		f.t2.Peek(i).SetTier(vm.TierNVM)
+		f.m.AS.SetTier(f.t2.Peek(i), vm.TierNVM)
 	}
 	f.promo, f.dem = f.t1.Peek(30), f.t2.Peek(20)
 	f.m.Migrator.Enqueue(f.promo, vm.TierDRAM)
@@ -180,14 +180,17 @@ func TestAuditCatalogue(t *testing.T) {
 			},
 		},
 		{
-			// A page's record is rebuilt without its set slots while the
-			// set's member list still holds it: the list and the
-			// back-pointers disagree. The recount through the slots
-			// misses the page, and so does the table row's slot count.
+			// A page's record is rebuilt without its set slot (from a
+			// plain page of the same tier, in no set) while the set's
+			// member list still holds it: the list and the slots
+			// disagree. The recount through the slots misses the page,
+			// and so does the table row's slot count.
 			name: "set-counts/lost-back-pointer",
 			corrupt: func(f *auditFixture) {
 				p := f.t1.Peek(3)
-				*p = vm.Page{Region: p.Region, ID: p.ID, Tier: p.Tier}
+				id := p.ID
+				*p = *f.plain.Peek(0)
+				p.ID = id
 			},
 			rules: []string{"set-counts"},
 			want: []string{
@@ -198,13 +201,13 @@ func TestAuditCatalogue(t *testing.T) {
 		},
 		{
 			name:    "migrating-queue/queued-unflagged",
-			corrupt: func(f *auditFixture) { f.promo.Migrating = false },
+			corrupt: func(f *auditFixture) { f.promo.SetMigrating(false) },
 			rules:   []string{"migrating-queue"},
 			want:    []string{fmt.Sprintf("migrating-queue: page %d queued NVM→DRAM without Migrating flag", ref.promo.ID)},
 		},
 		{
 			name:    "migrating-queue/flagged-unqueued",
-			corrupt: func(f *auditFixture) { f.plain.Peek(5).Migrating = true },
+			corrupt: func(f *auditFixture) { f.plain.Peek(5).SetMigrating(true) },
 			rules:   []string{"migrating-queue"},
 			want:    []string{fmt.Sprintf("migrating-queue: page %d has Migrating flag but no queue entry", ref.plain.Peek(5).ID)},
 		},
@@ -248,7 +251,7 @@ func TestAuditCatalogue(t *testing.T) {
 			name: "migrating-queue/own-tier",
 			corrupt: func(f *auditFixture) {
 				p := f.plain.Peek(6)
-				p.Migrating = true
+				p.SetMigrating(true)
 				f.enqueueRaw(p, vm.TierDRAM)
 			},
 			rules: []string{"migrating-queue"},
@@ -384,13 +387,13 @@ func TestAuditCleanMachine(t *testing.T) {
 func TestAuditCleanSlowPath(t *testing.T) {
 	f := newAuditFixture(t)
 	for i := 0; i < comboSlots; i++ {
-		f.m.Rates(vm.NewPageSet(fmt.Sprint("row", i), []*vm.Page{f.plain.Peek(i)}))
+		f.m.Rates(f.m.AS.NewPageSet(fmt.Sprint("row", i), []vm.PageID{f.plain.PageID(i)}))
 	}
 	if f.plain.NumSlots() < comboSlots {
 		t.Fatalf("fixture: %d set-table rows in plain", f.plain.NumSlots())
 	}
-	f.plain.Peek(1).SetTier(vm.TierNVM)
-	f.plain.Peek(3).SetTier(vm.TierNVM)
+	f.m.AS.SetTier(f.plain.Peek(1), vm.TierNVM)
+	f.m.AS.SetTier(f.plain.Peek(3), vm.TierNVM)
 	if vs := f.m.Audit(); vs != nil {
 		t.Fatalf("clean audit through the page-by-page path: %v", vs)
 	}
@@ -440,8 +443,8 @@ func TestAuditLeavesNoMark(t *testing.T) {
 // A clean audit of a warmed, tenanted machine with migrations in flight
 // allocates nothing, and the audit stamp costs vm.Page no bytes.
 func TestAuditAllocationFree(t *testing.T) {
-	if got := unsafe.Sizeof(vm.Page{}); got != 16 {
-		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 16", got)
+	if got := unsafe.Sizeof(vm.Page{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(vm.Page{}) = %d, want 8", got)
 	}
 	f := newAuditFixture(t)
 	if f.m.Migrator.QueueLen() == 0 {
@@ -472,8 +475,8 @@ func TestAuditUnmapResidue(t *testing.T) {
 	f.m.AS.Unmap(f.plain)
 	p := f.plain.Peek(3)
 	p.Tier = vm.TierDRAM
-	p.Migrating = true
-	vm.NewPageSet("ghost", []*vm.Page{p})
+	p.SetMigrating(true)
+	f.m.AS.NewPageSet("ghost", []vm.PageID{p.ID})
 	f.enqueueRaw(p, vm.TierNVM)
 	checkViolations(t, f.m.auditUnmap(f.plain), []string{"unmap-residue"}, []string{
 		fmt.Sprintf("unmap-residue: plain: page %d still resident in DRAM after unmap", p.ID),

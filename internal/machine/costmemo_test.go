@@ -49,7 +49,7 @@ func (a *growApp) grow(size int64) {
 	r := a.m.AS.MapOwned(fmt.Sprintf("%s-%d", a.Name(), len(a.regions)), size, a.id)
 	a.m.TouchRange(r, 0, r.NumPages())
 	for i := 0; i < r.NumPages(); i++ {
-		a.set.Add(r.PageAt(i))
+		a.set.Add(r.PageID(i))
 	}
 	a.regions = append(a.regions, r)
 }
@@ -57,7 +57,7 @@ func (a *growApp) grow(size int64) {
 func (a *growApp) shrink() bool {
 	r := a.regions[0]
 	busy := false
-	r.EachPage(func(p *vm.Page) { busy = busy || p.Migrating })
+	r.EachPage(func(p *vm.Page) { busy = busy || p.Migrating() })
 	if busy {
 		return false
 	}
@@ -67,7 +67,7 @@ func (a *growApp) shrink() bool {
 }
 
 func startGrowApp(m *machine.Machine, id vm.TenantID, size int64) *growApp {
-	a := &growApp{m: m, id: id, set: vm.NewPageSet(fmt.Sprintf("grow%d", id), nil)}
+	a := &growApp{m: m, id: id, set: m.AS.NewPageSet(fmt.Sprintf("grow%d", id), nil)}
 	a.grow(size)
 	a.comps = []machine.Component{{Set: a.set, Share: 1, ReadBytes: 64, WriteBytes: 64, Pattern: mem.Random}}
 	m.AddWorkloadFor(a, id)
@@ -324,22 +324,25 @@ func TestCostMemoManagerSwap(t *testing.T) {
 }
 
 // sliceManager is an NVM-first placement manager of a type == cannot
-// compare (it holds a slice), passed by value.
-type sliceManager struct{ tiers []vm.Tier }
+// compare (it holds a slice), passed by value. Its copies share the
+// slice's one element, the machine it is attached to.
+type sliceManager struct{ m []*machine.Machine }
 
-func (sliceManager) Name() string            { return "slice" }
-func (sliceManager) Attach(*machine.Machine) {}
-func (sliceManager) PageIn(p *vm.Page)       { p.SetTier(vm.TierNVM) }
-func (sliceManager) OnQuantum(now, dt int64) {}
-func (sliceManager) ActiveThreads() float64  { return 0 }
+func newSliceManager() sliceManager { return sliceManager{m: make([]*machine.Machine, 1)} }
+
+func (sliceManager) Name() string                { return "slice" }
+func (s sliceManager) Attach(m *machine.Machine) { s.m[0] = m }
+func (s sliceManager) PageIn(p *vm.Page)         { s.m[0].AS.SetTier(p, vm.TierNVM) }
+func (sliceManager) OnQuantum(now, dt int64)     {}
+func (sliceManager) ActiveThreads() float64      { return 0 }
 
 // A manager that == cannot compare is set and stepped without a panic,
 // and its placement prices are reused like any other manager's.
 func TestCostMemoUncomparableManager(t *testing.T) {
-	m, c := newPricerMachine(sliceManager{tiers: []vm.Tier{vm.TierNVM}})
+	m, c := newPricerMachine(newSliceManager())
 	for i := 0; i < 20; i++ {
 		if i == 10 {
-			m.SetManager(sliceManager{tiers: []vm.Tier{vm.TierNVM}})
+			m.SetManager(newSliceManager())
 		}
 		m.Step(machine.Quantum)
 		m.AppendBranches(nil, c)

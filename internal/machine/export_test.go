@@ -13,17 +13,8 @@ func (m *Machine) FeedSamples(s *pebs.Sampler, c *Component, occ float64) { m.fe
 // FlushSamples runs the step's record build and push.
 func (m *Machine) FlushSamples(buf *pebs.Buffer) { m.flushSamples(buf) }
 
-// PendingRetained counts the pending-sample slots, up to capacity, that
-// still reference a page.
-func (m *Machine) PendingRetained() int {
-	n := 0
-	for _, ps := range m.pending[:cap(m.pending)] {
-		if ps.p != nil {
-			n++
-		}
-	}
-	return n
-}
+// PendingLen returns how many drawn samples await their records.
+func (m *Machine) PendingLen() int { return len(m.pending) }
 
 // CheckCostMemo compares every cached price the machine would reuse right
 // now — each step slot and each branch-memo entry whose key still matches

@@ -22,7 +22,7 @@ type stubMgr struct {
 
 func (s *stubMgr) Name() string              { return "stub" }
 func (s *stubMgr) Attach(m *machine.Machine) { s.m = m }
-func (s *stubMgr) PageIn(p *vm.Page)         { p.SetTier(vm.TierNVM) }
+func (s *stubMgr) PageIn(p *vm.Page)         { s.m.AS.SetTier(p, vm.TierNVM) }
 func (s *stubMgr) OnQuantum(now, dt int64)   {}
 func (s *stubMgr) ActiveThreads() float64    { return 0 }
 func (s *stubMgr) OnMigrationFailed(p *vm.Page, dst vm.Tier) {
@@ -62,7 +62,7 @@ func TestMigrationAbortRollbackAndAbandon(t *testing.T) {
 	if p.Tier != vm.TierNVM {
 		t.Fatalf("page tier = %v after abandon, want NVM", p.Tier)
 	}
-	if p.Migrating {
+	if p.Migrating() {
 		t.Fatal("Migrating still set after abandon")
 	}
 	if r.Count(vm.TierNVM) != 1 || r.Count(vm.TierDRAM) != 0 {
@@ -135,7 +135,8 @@ func TestDMAChannelExhaustionFallsBackToThreads(t *testing.T) {
 		t.Fatalf("fallback copy threads = %d, want 4", n)
 	}
 	// The fallback still moves pages.
-	for _, p := range r.AllPages() {
+	for i := 0; i < r.NumPages(); i++ {
+		p := r.PageAt(i)
 		m.Migrator.Enqueue(p, vm.TierDRAM)
 	}
 	m.Run(100 * sim.Millisecond)
@@ -200,7 +201,8 @@ func TestNVMUncorrectableRetiresFrames(t *testing.T) {
 		t.Fatalf("AS retired frames = %d, want 10", got)
 	}
 	remaps := 0
-	for _, p := range r.AllPages() {
+	for i := 0; i < r.NumPages(); i++ {
+		p := r.PageAt(i)
 		remaps += m.AS.Remaps(p)
 		if p.Tier != vm.TierNVM {
 			t.Fatalf("page %d left NVM under non-FaultHandler manager", p.ID)
@@ -220,7 +222,8 @@ func TestNoFaultsWithoutConfig(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(), xmem.NVMOnly())
 	r := m.AS.Map("data", 64*sim.MB)
 	m.Warm()
-	for _, p := range r.AllPages() {
+	for i := 0; i < r.NumPages(); i++ {
+		p := r.PageAt(i)
 		m.Migrator.Enqueue(p, vm.TierDRAM)
 	}
 	m.Run(100 * sim.Millisecond)

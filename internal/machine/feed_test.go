@@ -18,7 +18,7 @@ import (
 func refFeedSamples(m *machine.Machine, s *pebs.Sampler, c *machine.Component, occ float64) {
 	loadF := m.Injector.PEBSLoadFactor()
 	buf := s.Buffer()
-	pages := c.Set.Pages()
+	ids := c.Set.IDs()
 	scratch := make([]pebs.Record, 256)
 	feed := func(bytes int64, class pebs.Class) {
 		n := occ * math.Ceil(float64(bytes)/64)
@@ -28,7 +28,7 @@ func refFeedSamples(m *machine.Machine, s *pebs.Sampler, c *machine.Component, o
 		for k := s.Take(n, class); k > 0; {
 			batch := min(k, len(scratch))
 			for i := 0; i < batch; i++ {
-				p := pages[m.Rng.Intn(len(pages))]
+				p := m.AS.Page(ids[m.Rng.Intn(len(ids))])
 				kind := pebs.Store
 				if class == pebs.ClassLoad {
 					kind = pebs.LoadDRAM
@@ -114,8 +114,8 @@ func TestFeedSamplesMatchesPerComponentFeed(t *testing.T) {
 				}
 				mn.FlushSamples(bn)
 				maxStep = max(maxStep, int(bn.Pushed()+bn.Dropped()-before))
-				if n := mn.PendingRetained(); n != 0 {
-					t.Fatalf("storm=%v seed %d step %d: %d pending slots still hold a page", storm, seed, step, n)
+				if n := mn.PendingLen(); n != 0 {
+					t.Fatalf("storm=%v seed %d step %d: %d samples still pending after the flush", storm, seed, step, n)
 				}
 				if bn.Pushed() != br.Pushed() || bn.Dropped() != br.Dropped() || bn.Len() != br.Len() {
 					t.Fatalf("storm=%v seed %d step %d: pushed/dropped/len %d/%d/%d, reference %d/%d/%d",

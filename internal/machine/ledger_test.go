@@ -112,7 +112,7 @@ func TestCommittedLedgerUnmapCancelsMoves(t *testing.T) {
 		t.Fatalf("%d moves queued after unmap, want other's 1", m.Migrator.QueueLen())
 	}
 	r.EachPage(func(p *vm.Page) {
-		if p.Migrating {
+		if p.Migrating() {
 			t.Errorf("page %d of the unmapped region still migrating", p.ID)
 		}
 	})

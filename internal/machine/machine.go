@@ -147,7 +147,8 @@ type Manager interface {
 	// Attach wires the manager to the machine before the run starts.
 	Attach(m *Machine)
 	// PageIn places a freshly touched page (the userfaultfd
-	// page-missing path): the manager must call p.SetTier.
+	// page-missing path): the manager must place it with
+	// m.AS.SetTier.
 	PageIn(p *vm.Page)
 	// OnQuantum runs the manager's background work for one quantum.
 	OnQuantum(now, dt int64)
@@ -662,7 +663,7 @@ func (m *Machine) CapacityOf(t vm.TierID) int64 {
 // there, plus queued moves into it, less queued moves out of it (a move is
 // charged to its destination from Enqueue until it ends). It is the one
 // occupancy ledger every manager's placement and watermark decisions read,
-// kept incrementally by Page.SetTier and the Migrator; TierNone and
+// kept incrementally by AddressSpace.SetTier and the Migrator; TierNone and
 // out-of-range tiers read 0.
 func (m *Machine) Committed(t vm.Tier) int64 {
 	if t <= vm.TierNone || t >= vm.MaxTiers {
@@ -764,7 +765,7 @@ func (m *Machine) pageIn(p *vm.Page) {
 	}
 	if m.TierOffline(p.Tier) {
 		if dst, ok := m.nearestOnline(p.Tier); ok {
-			p.SetTier(dst)
+			m.AS.SetTier(p, dst)
 		}
 	}
 }
@@ -1185,19 +1186,19 @@ func (m *Machine) stepBody(now, dt int64) {
 	m.Clock.Advance(dt)
 }
 
-// pendingSample is one drawn PEBS sample awaiting its record: the page
-// the sampled access touched and the counter class that fired.
+// pendingSample is one drawn PEBS sample awaiting its record: the ID of
+// the page the sampled access touched and the counter class that fired.
 type pendingSample struct {
-	p     *vm.Page
+	id    vm.PageID
 	class pebs.Class
 }
 
 // feedSamples converts a component's traffic into PEBS samples: one load
 // event per cache line read and one store event per cache line written,
 // sampled at the manager's configured period. It only draws: each sampled
-// page is appended to m.pending, and flushSamples builds and pushes the
-// records once the commit loop is done. Splitting the draw from the
-// record build keeps the RNG-bound loop free of page dereferences, so the
+// page's ID is appended to m.pending, and flushSamples builds and pushes
+// the records once the commit loop is done. Splitting the draw from the
+// record build keeps the RNG-bound loop free of page lookups, so the
 // build loop can issue its per-page loads back to back. The draws, and so
 // the RNG stream, are exactly those of building each record as it is drawn.
 func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
@@ -1206,8 +1207,8 @@ func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
 	// storms and the multiply is skipped entirely then, keeping fault-free
 	// arithmetic bit-identical.
 	loadF := m.Injector.PEBSLoadFactor()
-	pages := c.Set.Pages()
-	setLen := len(pages)
+	ids := c.Set.IDs()
+	setLen := len(ids)
 	rng := m.Rng
 	pending := m.pending
 	if c.ReadBytes > 0 {
@@ -1217,7 +1218,7 @@ func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
 			n *= loadF
 		}
 		for k := s.Take(n, pebs.ClassLoad); k > 0; k-- {
-			pending = append(pending, pendingSample{pages[rng.Intn(setLen)], pebs.ClassLoad})
+			pending = append(pending, pendingSample{ids[rng.Intn(setLen)], pebs.ClassLoad})
 		}
 	}
 	if c.WriteBytes > 0 {
@@ -1227,7 +1228,7 @@ func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
 			n *= loadF
 		}
 		for k := s.Take(n, pebs.ClassStore); k > 0; k-- {
-			pending = append(pending, pendingSample{pages[rng.Intn(setLen)], pebs.ClassStore})
+			pending = append(pending, pendingSample{ids[rng.Intn(setLen)], pebs.ClassStore})
 		}
 	}
 	m.pending = pending
@@ -1238,13 +1239,16 @@ func (m *Machine) feedSamples(s *pebs.Sampler, c *Component, occ float64) {
 // between the draws and the flush, so pushing the whole sequence here
 // drops exactly the records per-component pushes would have dropped. The
 // records are exact because nothing in the commit loop changes a page's
-// Tier or ID (see Workload.OnOps). The pending slice is cleared so it
-// does not keep unmapped pages alive until the next step.
+// Tier or ID (see Workload.OnOps).
 func (m *Machine) flushSamples(buf *pebs.Buffer) {
 	if m.sampleScratch == nil {
 		m.sampleScratch = make([]pebs.Record, 256)
 	}
 	scratch := m.sampleScratch
+	// Samples come from a few sets, each mostly within one region, so the
+	// region of the last load sample is looked up again only when the next
+	// one falls outside it.
+	var r *vm.Region
 	for rest := m.pending; len(rest) > 0; {
 		batch := min(len(rest), len(scratch))
 		for i, ps := range rest[:batch] {
@@ -1253,16 +1257,18 @@ func (m *Machine) flushSamples(buf *pebs.Buffer) {
 			kind := pebs.Store
 			if ps.class == pebs.ClassLoad {
 				kind = pebs.LoadDRAM
-				if ps.p.Tier != m.fastest {
+				if r == nil || !r.Contains(ps.id) {
+					r = m.AS.RegionOf(ps.id)
+				}
+				if r.Peek(r.Index(ps.id)).Tier != m.fastest {
 					kind = pebs.LoadNVM
 				}
 			}
-			scratch[i] = pebs.Record{Page: ps.p.ID, Kind: kind}
+			scratch[i] = pebs.Record{Page: ps.id, Kind: kind}
 		}
 		buf.PushBatch(scratch[:batch])
 		rest = rest[batch:]
 	}
-	clear(m.pending)
 	m.pending = m.pending[:0]
 }
 

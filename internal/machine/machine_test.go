@@ -152,7 +152,8 @@ func TestMigratorBasics(t *testing.T) {
 
 	m.NVM.ResetWear()
 	m.DRAM.ResetWear()
-	for _, p := range r.AllPages() {
+	for i := 0; i < r.NumPages(); i++ {
+		p := r.PageAt(i)
 		if !m.Migrator.Enqueue(p, vm.TierDRAM) {
 			t.Fatal("enqueue failed")
 		}
@@ -191,7 +192,8 @@ func TestMigratorRateCap(t *testing.T) {
 	r := m.AS.Map("data", 2*sim.GB)
 	m.Warm()
 	m.Migrator.RateCap = sim.GBps(1)
-	for _, p := range r.AllPages() {
+	for i := 0; i < r.NumPages(); i++ {
+		p := r.PageAt(i)
 		m.Migrator.Enqueue(p, vm.TierDRAM)
 	}
 	m.Run(1 * sim.Second)
@@ -208,8 +210,8 @@ func TestGUPSShiftHotSet(t *testing.T) {
 	g := gups.New(m, gups.Config{Threads: 16, WorkingSet: 64 * sim.GB, HotSet: 16 * sim.GB, Seed: 3})
 	m.Warm()
 	before := map[vm.PageID]bool{}
-	for _, p := range g.HotPages().Pages() {
-		before[p.ID] = true
+	for _, id := range g.HotPages().IDs() {
+		before[id] = true
 	}
 	hotLen, coldLen := g.HotPages().Len(), 0
 	g.ShiftHotSet(4*sim.GB, 99)
@@ -218,8 +220,8 @@ func TestGUPSShiftHotSet(t *testing.T) {
 	}
 	_ = coldLen
 	changed := 0
-	for _, p := range g.HotPages().Pages() {
-		if !before[p.ID] {
+	for _, id := range g.HotPages().IDs() {
+		if !before[id] {
 			changed++
 		}
 	}
@@ -325,7 +327,7 @@ func TestPlacementCostTierSplit(t *testing.T) {
 	allNVM := m.PlacementCost(c)
 	// Move half to DRAM: cost drops.
 	for i := 0; i < 2; i++ {
-		r.PageAt(i).SetTier(vm.TierDRAM)
+		m.AS.SetTier(r.PageAt(i), vm.TierDRAM)
 	}
 	half := m.PlacementCost(c)
 	if half.Time >= allNVM.Time {

@@ -114,13 +114,13 @@ func (g *Migrator) shift(from, to vm.Tier) {
 // already in dst are ignored, and so are moves into an offline tier
 // (admission control: a tier being drained takes no pages). The page is
 // write-protected for the duration of the copy (userfaultfd WP), which the
-// simulation marks via p.Migrating. Until the move ends, the page's bytes
+// simulation marks with p.SetMigrating. Until the move ends, the page's bytes
 // are committed to dst.
 func (g *Migrator) Enqueue(p *vm.Page, dst vm.Tier) bool {
 	if !g.admits(p, dst) {
 		return false
 	}
-	p.Migrating = true
+	p.SetMigrating(true)
 	g.shift(p.Tier, dst)
 	g.queue = append(g.queue, g.newReq(p, dst, false))
 	return true
@@ -134,7 +134,7 @@ func (g *Migrator) EnqueueUrgent(p *vm.Page, dst vm.Tier) bool {
 	if !g.admits(p, dst) {
 		return false
 	}
-	p.Migrating = true
+	p.SetMigrating(true)
 	g.shift(p.Tier, dst)
 	g.queue = append(g.queue, nil)
 	copy(g.queue[1:], g.queue)
@@ -145,7 +145,7 @@ func (g *Migrator) EnqueueUrgent(p *vm.Page, dst vm.Tier) bool {
 // admits reports whether p may be queued to move to dst: it is not
 // already migrating or in dst, and dst is a placed tier that is online.
 func (g *Migrator) admits(p *vm.Page, dst vm.Tier) bool {
-	return !p.Migrating && p.Tier != dst && dst != vm.TierNone && !g.m.offline[dst]
+	return !p.Migrating() && p.Tier != dst && dst != vm.TierNone && !g.m.offline[dst]
 }
 
 // Cancel removes any queued migration of p without completing it: the
@@ -158,7 +158,7 @@ func (g *Migrator) Cancel(p *vm.Page) (dst vm.Tier, cancelled bool) {
 		if req.page == p {
 			g.queue = append(g.queue[:i], g.queue[i+1:]...)
 			g.queue = g.queue[:len(g.queue):cap(g.queue)]
-			p.Migrating = false
+			p.SetMigrating(false)
 			dst = req.dst
 			g.release(req)
 			return dst, true
@@ -172,12 +172,12 @@ func (g *Migrator) Cancel(p *vm.Page) (dst vm.Tier, cancelled bool) {
 func (g *Migrator) cancelRegion(r *vm.Region) {
 	w := 0
 	for _, req := range g.queue {
-		if req.page.Region != r {
+		if !r.Contains(req.page.ID) {
 			g.queue[w] = req
 			w++
 			continue
 		}
-		req.page.Migrating = false
+		req.page.SetMigrating(false)
 		g.release(req)
 	}
 	clear(g.queue[w:])
@@ -292,7 +292,7 @@ func (g *Migrator) abort(req *migReq, now int64) {
 			st.MigrationsAbandonedByEdge[src][dst]++
 		}
 		page := req.page
-		page.Migrating = false
+		page.SetMigrating(false)
 		g.release(req)
 		if obs, ok := g.m.mgr.(MigrationFailureObserver); ok {
 			obs.OnMigrationFailed(page, dst)
@@ -325,13 +325,13 @@ func (g *Migrator) complete(req *migReq) {
 	g.stats.Pages++
 	page, dst := req.page, req.dst
 	if tr := g.m.tenants; tr != nil {
-		if o := page.Region.Owner(); o != vm.TenantNone {
+		if o := g.m.AS.RegionOf(page.ID).Owner(); o != vm.TenantNone {
 			tr.noteMigration(o)
 		}
 	}
 	g.release(req)
-	page.SetTier(dst)
-	page.Migrating = false
+	g.m.AS.SetTier(page, dst)
+	page.SetMigrating(false)
 	if obs, ok := g.m.mgr.(MigrationObserver); ok {
 		obs.OnMigrated(page)
 	}

@@ -142,7 +142,7 @@ func (m *Machine) fallbackEvacuate(t vm.TierID) {
 			continue
 		}
 		r.EachPage(func(p *vm.Page) {
-			if p.Tier == t && !p.Migrating {
+			if p.Tier == t && !p.Migrating() {
 				m.Migrator.Enqueue(p, dst)
 			}
 		})

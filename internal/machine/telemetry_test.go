@@ -13,13 +13,13 @@ import (
 
 // nopManager is the minimal Manager for white-box telemetry tests: every
 // page lands in DRAM and no background work runs.
-type nopManager struct{}
+type nopManager struct{ m *Machine }
 
-func (nopManager) Name() string            { return "nop" }
-func (nopManager) Attach(*Machine)         {}
-func (nopManager) PageIn(p *vm.Page)       { p.SetTier(vm.TierDRAM) }
-func (nopManager) OnQuantum(now, dt int64) {}
-func (nopManager) ActiveThreads() float64  { return 0 }
+func (*nopManager) Name() string            { return "nop" }
+func (n *nopManager) Attach(m *Machine)     { n.m = m }
+func (n *nopManager) PageIn(p *vm.Page)     { n.m.AS.SetTier(p, vm.TierDRAM) }
+func (*nopManager) OnQuantum(now, dt int64) {}
+func (*nopManager) ActiveThreads() float64  { return 0 }
 
 // fixedWorkload drives a constant single-component access stream.
 type fixedWorkload struct {
@@ -83,7 +83,7 @@ func TestTelemetrySeriesCoverTierTable(t *testing.T) {
 		{ID: vm.TierNVM, Capacity: 64 * sim.GB, UEVictim: true},
 		{ID: vm.TierDisk, Capacity: 256 * sim.GB, Swap: true},
 	}
-	m := New(cfg, nopManager{})
+	m := New(cfg, &nopManager{})
 	tel := m.EnableTelemetry(100 * sim.Millisecond)
 	r := m.AS.Map("w1-data", 1*sim.GB)
 	m.AddWorkload(&fixedWorkload{name: "w1", comp: []Component{
@@ -211,7 +211,7 @@ func TestWriteCSVMatchesBinarySearchReference(t *testing.T) {
 
 	// Recorded run: a real machine with lazily created series (workload
 	// ops, per-edge migration) layered over the fixed-cadence ones.
-	m := New(DefaultConfig(), nopManager{})
+	m := New(DefaultConfig(), &nopManager{})
 	tel := m.EnableTelemetry(100 * sim.Millisecond)
 	r := m.AS.Map("w1-data", 1*sim.GB)
 	m.AddWorkload(&fixedWorkload{name: "w1", comp: []Component{
@@ -227,7 +227,7 @@ func TestWriteCSVMatchesBinarySearchReference(t *testing.T) {
 // Telemetry records the per-workload cumulative ops series the Series
 // docs promise.
 func TestTelemetryRecordsWorkloadOps(t *testing.T) {
-	m := New(DefaultConfig(), nopManager{})
+	m := New(DefaultConfig(), &nopManager{})
 	tel := m.EnableTelemetry(100 * sim.Millisecond)
 	r := m.AS.Map("w1-data", 1*sim.GB)
 	m.AddWorkload(&fixedWorkload{name: "w1", comp: []Component{

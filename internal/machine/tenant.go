@@ -298,7 +298,7 @@ func (tr *TenantRuntime) pollDrain(id vm.TenantID, now int64) {
 func (tr *TenantRuntime) draining(ts *tenantState) bool {
 	for _, r := range ts.app.Regions() {
 		busy := false
-		r.EachPage(func(p *vm.Page) { busy = busy || p.Migrating })
+		r.EachPage(func(p *vm.Page) { busy = busy || p.Migrating() })
 		if busy {
 			return true
 		}

@@ -46,7 +46,7 @@ func TestAdmissionControlQueueAndReject(t *testing.T) {
 		{ID: vm.TierDRAM, Capacity: 256 * sim.MB},
 		{ID: vm.TierNVM, Capacity: 4 * sim.GB, UEVictim: true},
 	}
-	m := New(cfg, nopManager{})
+	m := New(cfg, &nopManager{})
 	tr := m.EnableTenants()
 
 	var spec TenantSpec
@@ -108,7 +108,7 @@ func TestAdmitRejectsNegativeReserve(t *testing.T) {
 		{ID: vm.TierDRAM, Capacity: 256 * sim.MB},
 		{ID: vm.TierNVM, Capacity: 4 * sim.GB, UEVictim: true},
 	}
-	m := New(cfg, nopManager{})
+	m := New(cfg, &nopManager{})
 	tr := m.EnableTenants()
 
 	var neg TenantSpec
@@ -160,7 +160,7 @@ func TestAdmitRejectsNegativeReserve(t *testing.T) {
 // series' first sample read 0, and no row shears against the columns
 // that existed from the start.
 func TestTenantSeriesCreatedMidRunAlign(t *testing.T) {
-	m := New(DefaultConfig(), nopManager{})
+	m := New(DefaultConfig(), &nopManager{})
 	tel := m.EnableTelemetry(100 * sim.Millisecond)
 	tr := m.EnableTenants()
 

@@ -153,7 +153,7 @@ func (mm *MemoryMode) Attach(m *machine.Machine) {
 
 // PageIn implements machine.Manager: in memory mode everything is backed
 // by NVM; the DRAM cache is invisible to placement.
-func (mm *MemoryMode) PageIn(p *vm.Page) { p.SetTier(vm.TierNVM) }
+func (mm *MemoryMode) PageIn(p *vm.Page) { mm.m.AS.SetTier(p, vm.TierNVM) }
 
 // OnQuantum implements machine.Manager.
 func (mm *MemoryMode) OnQuantum(now, dt int64) {}

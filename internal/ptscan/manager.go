@@ -192,9 +192,9 @@ func (g *Manager) PageIn(p *vm.Page) {
 		want = g.place(p)
 	}
 	if want == vm.TierDRAM && g.dramFree() >= g.m.Cfg.PageSize {
-		p.SetTier(vm.TierDRAM)
+		g.m.AS.SetTier(p, vm.TierDRAM)
 	} else {
-		p.SetTier(vm.TierNVM)
+		g.m.AS.SetTier(p, vm.TierNVM)
 	}
 }
 
@@ -386,7 +386,7 @@ func (g *Manager) pick(set *vm.PageSet, t vm.Tier) *vm.Page {
 	cur := g.cursors[set]
 	for i := 0; i < n; i++ {
 		p := set.Page((cur + i) % n)
-		if p.Tier == t && !p.Migrating {
+		if p.Tier == t && !p.Migrating() {
 			g.cursors[set] = (cur + i + 1) % n
 			return p
 		}

@@ -78,8 +78,8 @@ func TestScanOnlyOverhead(t *testing.T) {
 		boot := machine.New(machine.DefaultConfig(), ptscan.ScanOnly(nil))
 		g := gups.New(boot, gcfg)
 		hot := make(map[vm.PageID]bool)
-		for _, p := range g.HotPages().Pages() {
-			hot[p.ID] = true
+		for _, id := range g.HotPages().IDs() {
+			hot[id] = true
 		}
 		place := func(p *vm.Page) vm.Tier {
 			if hot[p.ID] {
@@ -241,7 +241,7 @@ func TestScanManagerReusesDRAMAfterOffline(t *testing.T) {
 			if p.Tier == vm.TierDRAM {
 				resident++
 			}
-			if (p.Tier == vm.TierDRAM) != p.Migrating {
+			if (p.Tier == vm.TierDRAM) != p.Migrating() {
 				committed++
 			}
 		})

@@ -96,9 +96,9 @@ func NewDriver(m *machine.Machine, cfg DriverConfig) *Driver {
 	// Orders and order lines are appended, not revisited: give the
 	// insert stream its own tail slice (~10%).
 	nInsert := max(len(pages)/10, 1)
-	d.hotSet = vm.NewPageSet("tpcc-hot", pages[:nHot])
-	d.insertSet = vm.NewPageSet("tpcc-insert", pages[nHot:nHot+nInsert])
-	d.bulkSet = vm.NewPageSet("tpcc-bulk", pages[nHot+nInsert:])
+	d.hotSet = m.AS.NewPageSet("tpcc-hot", pages[:nHot])
+	d.insertSet = m.AS.NewPageSet("tpcc-insert", pages[nHot:nHot+nInsert])
+	d.bulkSet = m.AS.NewPageSet("tpcc-bulk", pages[nHot+nInsert:])
 
 	d.comps = []machine.Component{
 		// Warehouse/district header reads+updates, every transaction.

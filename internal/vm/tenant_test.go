@@ -20,11 +20,11 @@ func TestTenantOccupancyCounters(t *testing.T) {
 		t.Fatalf("tenant 2 TierNone = %d, want 4", got)
 	}
 
-	r1.PageAt(0).SetTier(TierDRAM)
-	r1.PageAt(1).SetTier(TierDRAM)
-	r1.PageAt(2).SetTier(TierNVM)
-	r2.PageAt(0).SetTier(TierNVM)
-	plain.PageAt(0).SetTier(TierDRAM)
+	as.SetTier(r1.PageAt(0), TierDRAM)
+	as.SetTier(r1.PageAt(1), TierDRAM)
+	as.SetTier(r1.PageAt(2), TierNVM)
+	as.SetTier(r2.PageAt(0), TierNVM)
+	as.SetTier(plain.PageAt(0), TierDRAM)
 
 	if got := as.TenantPages(1, TierDRAM); got != 2 {
 		t.Fatalf("tenant 1 DRAM = %d, want 2", got)
@@ -44,7 +44,7 @@ func TestTenantOccupancyCounters(t *testing.T) {
 	}
 
 	// Tier moves keep the charge with the owner.
-	r1.PageAt(2).SetTier(TierDRAM)
+	as.SetTier(r1.PageAt(2), TierDRAM)
 	if got := as.TenantPages(1, TierDRAM); got != 3 {
 		t.Fatalf("tenant 1 DRAM after promote = %d, want 3", got)
 	}
@@ -78,7 +78,7 @@ func TestMapOwnedNoneIsPlainMap(t *testing.T) {
 	if as.NumTenants() != 0 {
 		t.Fatalf("NumTenants = %d, want 0", as.NumTenants())
 	}
-	r.PageAt(0).SetTier(TierDRAM)
+	as.SetTier(r.PageAt(0), TierDRAM)
 	if as.NumTenants() != 0 {
 		t.Fatalf("SetTier on untenanted page grew the tenant table")
 	}
@@ -92,7 +92,7 @@ func TestTenantCountsGrowWithRegistry(t *testing.T) {
 	if got := as.NumTenants(); got != 7 {
 		t.Fatalf("NumTenants = %d, want 7", got)
 	}
-	r.PageAt(0).SetTier(TierCXL)
+	as.SetTier(r.PageAt(0), TierCXL)
 	if got := as.TenantPages(7, TierCXL); got != 1 {
 		t.Fatalf("tenant 7 in CXL = %d, want 1", got)
 	}

@@ -70,22 +70,21 @@ type PageID int32
 // huge-page (2 MB) granularity; the page size is a property of the
 // AddressSpace.
 //
-// The struct is packed to 16 bytes, the stride of every whole-region
-// walk (auditor, idlepage pass): the region pointer, the global ID, and
-// four bytes of state. The page's index within its region is derived
-// from its ID (Index); state that only faulted pages carry (remaps,
-// correctable errors) lives in the AddressSpace's frame-health table;
-// and the page's one set membership is a one-byte slot into the region's
-// set table.
+// The struct is packed to 8 bytes, the stride of every whole-region walk
+// (auditor, idlepage pass), and holds no pointer, so the chunks it lives
+// in are noscan: the garbage collector never reads them. Everything else
+// is derived from the ID through the AddressSpace: the page's region
+// (RegionOf), its index within it (Region.Index), and its one set
+// membership, a one-byte slot into the region's set table (SetOf). State
+// that only faulted pages carry (remaps, correctable errors) lives in the
+// AddressSpace's frame-health table.
 type Page struct {
-	Region *Region
-	ID     PageID
+	ID PageID
 
 	Tier Tier
 
-	// Migrating marks a page whose contents are being copied between
-	// tiers; writes to it stall (userfaultfd write-protection, §3.2).
-	Migrating bool
+	// flags holds pageMaterialized and pageMigrating.
+	flags uint8
 
 	// slot names the page set the page belongs to: value k names row k-1
 	// of the region's set table, 0 names no set. A page is in at most one
@@ -95,13 +94,42 @@ type Page struct {
 
 	// AuditMark is the invariant auditor's private mark: during an audit,
 	// the number of migration-queue entries for this page, saturating at
-	// 255; zero at all other times. Nothing else reads or writes it. It
-	// sits after the slot, in what would otherwise be padding.
+	// 255; zero at all other times. Nothing else reads or writes it.
 	AuditMark uint8
 }
 
-// Index returns the page's index within its region.
-func (p *Page) Index() int { return int(p.ID - p.Region.base) }
+// Page flags.
+const (
+	// pageMaterialized marks a slot PageAt has handed out: its ID is set
+	// and it counts toward TouchedPages. Chunk slots without it are
+	// untouched pages (or the last chunk's slots past the region's end).
+	pageMaterialized uint8 = 1 << iota
+	// pageMigrating marks a page whose contents are being copied between
+	// tiers; writes to it stall (userfaultfd write-protection, §3.2).
+	pageMigrating
+)
+
+// Materialized reports whether the page's metadata has been handed out
+// by PageAt. Whole-region observers walking Chunk skip slots without it.
+func (p *Page) Materialized() bool { return p.flags&pageMaterialized != 0 }
+
+// Migrating reports whether the page is write-protected for a copy
+// between tiers.
+func (p *Page) Migrating() bool { return p.flags&pageMigrating != 0 }
+
+// SetMigrating sets or clears the page's migration write protection.
+func (p *Page) SetMigrating(on bool) {
+	if on {
+		p.flags |= pageMigrating
+	} else {
+		p.flags &^= pageMigrating
+	}
+}
+
+// Slot returns the page's set slot: 0 for no set, k for
+// Region.SlotSet(k). Callers that cache per-set results key on
+// (region, Slot()).
+func (p *Page) Slot() uint8 { return p.slot }
 
 // MaxRegionSets is how many page sets can hold pages of one region: the
 // rows of its set table that a one-byte slot value can name.
@@ -115,59 +143,52 @@ type setEntry struct {
 	refs int32
 }
 
-// Slot returns the page's set slot: 0 for no set, k for
-// Region.SlotSet(k). Callers that cache per-set results key on
-// (Region, Slot()).
-func (p *Page) Slot() uint8 { return p.slot }
-
-// Set returns the page set this page belongs to, or nil.
-func (p *Page) Set() *PageSet {
+// checkJoin panics unless p, one of r's pages, may join s: p must be in
+// no set, and r's set table must be able to name s. It changes nothing.
+func (r *Region) checkJoin(p *Page, s *PageSet) {
 	if k := p.slot; k != 0 {
-		return p.Region.sets[k-1].set
+		panic(r.joinTwice(p, r.sets[k-1].set, s))
 	}
-	return nil
-}
-
-// checkJoin panics unless p may join s: p must be in no set, and its
-// region's set table must be able to name s. It changes nothing.
-func (p *Page) checkJoin(s *PageSet) {
-	if q := p.Set(); q != nil {
-		panic(joinTwice(p, q, s))
-	}
-	if r := p.Region; !r.canName(s) {
+	if !r.canName(s) {
 		panic(fmt.Sprintf("vm: set %q cannot join the set table of %s: all %d rows name other sets",
 			s.Name, r.Name, MaxRegionSets))
 	}
 }
 
-// joinTwice is the panic message for page p, a member of q, joining s.
-func joinTwice(p *Page, q, s *PageSet) string {
+// joinTwice is the panic message for r's page p, a member of q, joining
+// s.
+func (r *Region) joinTwice(p *Page, q, s *PageSet) string {
 	return fmt.Sprintf("vm: page %d of %s is in set %q, cannot join set %q (a page is in at most one set)",
-		p.ID, p.Region.Name, q.Name, s.Name)
+		p.ID, r.Name, q.Name, s.Name)
 }
 
-// addSet records p's membership in s; checkJoin has passed.
-func (p *Page) addSet(s *PageSet) {
-	k := p.Region.slotOf(s)
+// addSet records the membership of r's page p in s; checkJoin has
+// passed.
+func (r *Region) addSet(p *Page, s *PageSet) {
+	k := r.slotOf(s)
 	p.slot = k
-	p.Region.sets[k-1].refs++
+	r.sets[k-1].refs++
 }
 
-// removeSet clears p's membership in s.
-func (p *Page) removeSet(s *PageSet) {
-	if k := p.slot; k != 0 && p.Region.sets[k-1].set == s {
+// removeSet clears the membership of r's page p in s.
+func (r *Region) removeSet(p *Page, s *PageSet) {
+	if k := p.slot; k != 0 && r.sets[k-1].set == s {
 		p.slot = 0
-		p.Region.unref(k)
+		r.unref(k)
 	}
 }
 
-// SetTier moves the page to tier t, maintaining the occupancy counters of
-// its region, of its address space and of the page set that contains it.
-func (p *Page) SetTier(t Tier) {
-	if p.Tier == t {
-		return
+// SetTier moves page p to tier t, maintaining the occupancy counters of
+// its region, of the address space, of the page set that contains it and
+// of the tenant charged for it.
+func (a *AddressSpace) SetTier(p *Page, t Tier) {
+	if p.Tier != t {
+		a.RegionOf(p.ID).setTier(p, t)
 	}
-	r := p.Region
+}
+
+// setTier is SetTier for r's page p.
+func (r *Region) setTier(p *Page, t Tier) {
 	r.counts.bump(p.Tier, t)
 	r.space.counts.bump(p.Tier, t)
 	if k := p.slot; k != 0 {
@@ -192,10 +213,10 @@ func (c *tierCounts) bump(from, to Tier) {
 // regions cost memory proportional to the pages actually touched, not the
 // mapped size. A chunk is a value array: page pointers handed out by
 // PageAt stay stable for the life of the region. A chunk is 32 pages of
-// 16 bytes, exactly 512 bytes: the largest pointer-holding object Go
-// serves with its heap bits in the span, so the chunk carries no
-// allocation header and fills its size class with no slack
-// (TestPageChunkAllocation pins that the allocator charges 512 bytes).
+// 8 bytes, exactly 256 bytes: a size class of its own, and, holding no
+// pointer, a noscan object with no allocation header, so the allocator
+// charges it exactly its size (TestPageChunkAllocation) and the garbage
+// collector never scans it.
 const (
 	chunkShift = 5
 	chunkPages = 1 << chunkShift
@@ -326,6 +347,17 @@ func (r *Region) Size() int64 { return int64(r.n) * r.PageSize }
 // NumPages returns the number of pages the region spans (touched or not).
 func (r *Region) NumPages() int { return r.n }
 
+// PageID returns the global ID of the page at index i.
+func (r *Region) PageID(i int) PageID { return r.base + PageID(i) }
+
+// Index returns the index within the region of the page with global ID
+// id; Contains(id) must hold.
+func (r *Region) Index(id PageID) int { return int(id - r.base) }
+
+// Contains reports whether the page with global ID id is one of the
+// region's.
+func (r *Region) Contains(id PageID) bool { return id >= r.base && int(id-r.base) < r.n }
+
 // TouchedPages returns how many of the region's pages have materialized
 // metadata.
 func (r *Region) TouchedPages() int { return r.touched }
@@ -340,8 +372,8 @@ func (r *Region) PageAt(i int) *Page {
 		r.chunks[ci] = c
 	}
 	p := &c[i&chunkMask]
-	if p.Region == nil {
-		p.ID, p.Region = r.base+PageID(i), r
+	if p.flags&pageMaterialized == 0 {
+		p.ID, p.flags = r.base+PageID(i), pageMaterialized
 		r.touched++
 		r.space.touched++
 	}
@@ -357,7 +389,7 @@ func (r *Region) Peek(i int) *Page {
 		return nil
 	}
 	p := &c[i&chunkMask]
-	if p.Region == nil {
+	if p.flags&pageMaterialized == 0 {
 		return nil
 	}
 	return p
@@ -372,7 +404,7 @@ func (r *Region) EachPage(f func(*Page)) {
 			continue
 		}
 		for j := range c {
-			if p := &c[j]; p.Region != nil {
+			if p := &c[j]; p.flags&pageMaterialized != 0 {
 				f(p)
 			}
 		}
@@ -385,8 +417,8 @@ func (r *Region) NumChunks() int { return len(r.chunks) }
 
 // Chunk returns the 32 page slots of metadata window ci (pages ci*32
 // onwards), or nil if no page in it has materialized. Slots of untouched
-// pages, including any past the region's end in the last window, have a
-// nil Region. Whole-region observers that visit every materialized page
+// pages, including any past the region's end in the last window, are not
+// Materialized. Whole-region observers that visit every materialized page
 // use it in place of an EachPage closure.
 func (r *Region) Chunk(ci int) []Page {
 	if c := r.chunks[ci]; c != nil {
@@ -404,15 +436,15 @@ func (r *Region) MaterializeAll() {
 	}
 }
 
-// AllPages returns a fresh slice of every page in index order,
+// AllPages returns a fresh slice of every page's ID in index order,
 // materializing the whole region. Workloads that address their entire
 // mapping in order use this (random splits use ShuffledPages);
 // sparse-friendly workloads should address windows through PageAt
 // instead.
-func (r *Region) AllPages() []*Page {
-	out := make([]*Page, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.PageAt(i)
+func (r *Region) AllPages() []PageID {
+	out := make([]PageID, r.n)
+	for i := range out {
+		out[i] = r.PageAt(i).ID
 	}
 	return out
 }
@@ -431,25 +463,25 @@ func (r *Region) Frac(t Tier) float64 {
 // Bytes returns the bytes of the region resident in tier t.
 func (r *Region) Bytes(t Tier) int64 { return int64(r.counts[t]) * r.PageSize }
 
-// ShuffledPages returns every page of the region in a random order,
-// materializing the whole region in index order as AllPages does. It runs
-// rng.Perm's inside-out shuffle over the pages themselves, so with the
-// same draws out[k] == r.PageAt(perm[k]) for perm = rng.Perm(r.NumPages()),
-// and no index permutation is allocated. Workloads cut their random
-// hot/cold splits as consecutive sub-slices of the result, each handed to
+// ShuffledPages returns every page's ID in a random order, materializing
+// the whole region in index order as AllPages does. It runs rng.Perm's
+// inside-out shuffle over the IDs themselves, so with the same draws
+// out[k] == r.PageID(perm[k]) for perm = rng.Perm(r.NumPages()), and no
+// index permutation is allocated. Workloads cut their random hot/cold
+// splits as consecutive sub-slices of the result, each handed to
 // NewPageSet.
-func (r *Region) ShuffledPages(rng *sim.Rand) []*Page {
-	out := make([]*Page, r.n)
+func (r *Region) ShuffledPages(rng *sim.Rand) []PageID {
+	out := make([]PageID, r.n)
 	for i := range out {
 		j := rng.Intn(i + 1)
 		out[i] = out[j]
-		out[j] = r.PageAt(i)
+		out[j] = r.PageAt(i).ID
 	}
 	return out
 }
 
 // AsSet returns a PageSet covering the whole region (materializing it).
-func (r *Region) AsSet() *PageSet { return NewPageSet(r.Name, r.AllPages()) }
+func (r *Region) AsSet() *PageSet { return r.space.NewPageSet(r.Name, r.AllPages()) }
 
 func (r *Region) String() string {
 	return fmt.Sprintf("%s[%d pages × %d]", r.Name, r.n, r.PageSize)
@@ -458,10 +490,12 @@ func (r *Region) String() string {
 // PageSet is an arbitrary (possibly non-contiguous) set of pages used to
 // describe workload traffic: e.g., GUPS' 16 GB hot set scattered through a
 // 512 GB working set. Sets maintain per-tier occupancy so the machine can
-// split a traffic component across devices in O(1).
+// split a traffic component across devices in O(1). Members are PageIDs,
+// 4 bytes each and no pointer, resolved through the set's address space.
 type PageSet struct {
 	Name    string
-	pages   []*Page
+	space   *AddressSpace
+	ids     []PageID
 	counts  tierCounts // the set's pages per tier
 	version uint64     // see Version
 
@@ -477,60 +511,69 @@ type PageSet struct {
 	slot       uint8
 }
 
-// NewPageSet builds a set over the given pages and registers the
-// membership on each page. The set adopts the slice as its member array,
-// without copying, so the caller must neither use nor mutate it
-// afterwards. Its capacity is clipped to its length: the first Add past
-// the end reallocates instead of writing into whatever follows in the
-// caller's array, so sets cut as consecutive sub-slices of one array
-// (ShuffledPages) stay independent.
+// NewPageSet builds a set over the pages with the given IDs, materializing
+// them, and registers the membership on each page. The set adopts the
+// slice as its member array, without copying, so the caller must neither
+// use nor mutate it afterwards. Its capacity is clipped to its length:
+// the first Add past the end reallocates instead of writing into whatever
+// follows in the caller's array, so sets cut as consecutive sub-slices of
+// one array (ShuffledPages) stay independent.
 //
 // NewPageSet panics, changing nothing, if a page is already in a set or
 // a page's region cannot name one more set (all of its set table's 255
 // rows name other sets). A page listed twice panics too, after its
 // earlier memberships are undone.
-func NewPageSet(name string, pages []*Page) *PageSet {
-	n := len(pages)
-	s := &PageSet{Name: name, pages: pages[:n:n], version: uint64(n)}
-	for _, p := range pages {
-		p.checkJoin(s)
+func (a *AddressSpace) NewPageSet(name string, ids []PageID) *PageSet {
+	n := len(ids)
+	s := &PageSet{Name: name, space: a, ids: ids[:n:n], version: uint64(n)}
+	var r *Region
+	for _, id := range ids {
+		r = a.regionNear(r, id)
+		r.checkJoin(r.pageOf(id), s)
 	}
-	for i, p := range pages {
+	for i, id := range ids {
+		r = a.regionNear(r, id)
+		p := r.pageOf(id)
 		if p.slot != 0 {
-			for _, q := range pages[:i] {
-				q.removeSet(s)
+			msg := r.joinTwice(p, s, s)
+			for _, q := range ids[:i] {
+				r = a.regionNear(r, q)
+				r.removeSet(r.pageOf(q), s)
 			}
-			panic(joinTwice(p, s, s))
+			panic(msg)
 		}
 		s.counts[p.Tier]++
-		p.addSet(s)
+		r.addSet(p, s)
 	}
 	return s
 }
 
-// Add inserts page p into the set. It panics, as NewPageSet does and
-// before changing anything, if p is already in a set or its region's
-// set table cannot name s.
-func (s *PageSet) Add(p *Page) {
-	p.checkJoin(s)
-	s.pages = append(s.pages, p)
+// Add inserts the page with global ID id into the set, materializing it.
+// It panics, as NewPageSet does and before changing anything, if the
+// page is already in a set or its region's set table cannot name s.
+func (s *PageSet) Add(id PageID) {
+	r := s.space.RegionOf(id)
+	p := r.pageOf(id)
+	r.checkJoin(p, s)
+	s.ids = append(s.ids, id)
 	s.counts[p.Tier]++
 	s.version++
-	p.addSet(s)
+	r.addSet(p, s)
 }
 
 // Remove deletes the page at index i (swap-with-last; order is not
-// preserved). It unregisters the set from the page.
-func (s *PageSet) Remove(i int) *Page {
-	p := s.pages[i]
-	last := len(s.pages) - 1
-	s.pages[i] = s.pages[last]
-	s.pages[last] = nil
-	s.pages = s.pages[:last]
+// preserved), unregisters the set from it, and returns its ID.
+func (s *PageSet) Remove(i int) PageID {
+	id := s.ids[i]
+	last := len(s.ids) - 1
+	s.ids[i] = s.ids[last]
+	s.ids = s.ids[:last]
+	r := s.space.RegionOf(id)
+	p := r.pageOf(id)
 	s.counts[p.Tier]--
 	s.version++
-	p.removeSet(s)
-	return p
+	r.removeSet(p, s)
+	return id
 }
 
 // bump moves one member page's occupancy from tier from to tier to.
@@ -545,13 +588,13 @@ func (s *PageSet) bump(from, to Tier) {
 func (s *PageSet) Version() uint64 { return s.version }
 
 // Len returns the number of pages in the set.
-func (s *PageSet) Len() int { return len(s.pages) }
+func (s *PageSet) Len() int { return len(s.ids) }
 
 // Page returns the i-th page.
-func (s *PageSet) Page(i int) *Page { return s.pages[i] }
+func (s *PageSet) Page(i int) *Page { return s.space.Page(s.ids[i]) }
 
-// Pages returns the backing slice (callers must not mutate it).
-func (s *PageSet) Pages() []*Page { return s.pages }
+// IDs returns the member array (callers must not mutate it).
+func (s *PageSet) IDs() []PageID { return s.ids }
 
 // Count returns how many pages of the set are in tier t.
 func (s *PageSet) Count(t Tier) int { return s.counts[t] }
@@ -559,19 +602,15 @@ func (s *PageSet) Count(t Tier) int { return s.counts[t] }
 // Frac returns the fraction of the set's pages in tier t. Pages still in
 // TierNone count toward neither.
 func (s *PageSet) Frac(t Tier) float64 {
-	if len(s.pages) == 0 {
+	if len(s.ids) == 0 {
 		return 0
 	}
-	return float64(s.counts[t]) / float64(len(s.pages))
+	return float64(s.counts[t]) / float64(len(s.ids))
 }
 
-// Bytes returns set bytes, assuming a uniform page size.
-func (s *PageSet) Bytes() int64 {
-	if len(s.pages) == 0 {
-		return 0
-	}
-	return int64(len(s.pages)) * s.pages[0].Region.PageSize
-}
+// Bytes returns the set's bytes: its pages at the address space's page
+// size.
+func (s *PageSet) Bytes() int64 { return int64(len(s.ids)) * s.space.PageSize }
 
 // AddressSpace owns all regions and pages of one simulated process.
 type AddressSpace struct {
@@ -583,11 +622,11 @@ type AddressSpace struct {
 	// read. The TierNone count includes unmaterialized and unmapped pages.
 	counts tierCounts
 
-	// spans maps global PageID ranges back to their regions. Entries are
-	// append-only: an unmapped region keeps its span so stale PageIDs in
-	// flight still resolve (to a TierNone page with no sets), matching the
-	// old dense index's behavior.
-	spans         []pageSpan
+	// spans is every region ever mapped, in PageID order: RegionOf
+	// searches it. It is append-only: an unmapped region keeps its span
+	// so stale PageIDs in flight still resolve (to a TierNone page with
+	// no sets).
+	spans         []*Region
 	numPages      int
 	touched       int
 	nextVA        int64
@@ -614,13 +653,6 @@ type frameHealth struct {
 	// ce counts ECC-corrected media errors absorbed by the frame now
 	// backing the page; RetireFrame zeroes it with the frame.
 	ce int32
-}
-
-// pageSpan is one region's slice of the global PageID space.
-type pageSpan struct {
-	base PageID
-	n    int
-	r    *Region
 }
 
 // NewAddressSpace creates an empty address space with the given page size
@@ -656,7 +688,7 @@ func (a *AddressSpace) Map(name string, size int64) *Region {
 	r.chunks = make([]*pageChunk, (n+chunkPages-1)/chunkPages)
 	r.counts[TierNone] = n
 	a.counts[TierNone] += n
-	a.spans = append(a.spans, pageSpan{base: r.base, n: n, r: r})
+	a.spans = append(a.spans, r)
 	a.numPages += n
 	a.nextVA += int64(n) * a.PageSize
 	a.Regions = append(a.Regions, r)
@@ -710,7 +742,9 @@ func (a *AddressSpace) Unmap(r *Region) {
 	r.sets = nil
 	r.EachPage(func(p *Page) {
 		p.slot = 0
-		p.SetTier(TierNone)
+		if p.Tier != TierNone {
+			r.setTier(p, TierNone)
+		}
 	})
 	if owner != TenantNone {
 		// Every page is back in TierNone now (touched pages just moved
@@ -722,7 +756,7 @@ func (a *AddressSpace) Unmap(r *Region) {
 		r.owner = TenantNone
 	}
 	for id := range a.health {
-		if id >= r.base && id < r.base+PageID(r.n) {
+		if r.Contains(id) {
 			delete(a.health, id)
 		}
 	}
@@ -738,34 +772,56 @@ func (a *AddressSpace) Unmap(r *Region) {
 // the rest, with the counts and Version that removing them one by one
 // would leave. The pages' slots are the caller's to clear.
 func (s *PageSet) dropRegion(r *Region) {
-	kept := s.pages[:0]
-	for _, p := range s.pages {
-		if p.Region == r {
-			s.counts[p.Tier]--
+	kept := s.ids[:0]
+	for _, id := range s.ids {
+		if r.Contains(id) {
+			s.counts[r.pageOf(id).Tier]--
 			s.version++
 		} else {
-			kept = append(kept, p)
+			kept = append(kept, id)
 		}
 	}
-	clear(s.pages[len(kept):])
-	s.pages = kept
+	s.ids = kept
 }
 
-// Page returns the page with the given global ID, materializing its
-// metadata if needed. IDs from unmapped regions still resolve (the page is
-// in TierNone with no sets).
-func (a *AddressSpace) Page(id PageID) *Page {
+// RegionOf returns the region the page with global ID id belongs to. IDs
+// of unmapped regions still resolve, to the unmapped region.
+func (a *AddressSpace) RegionOf(id PageID) *Region {
 	lo, hi := 0, len(a.spans)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s := &a.spans[mid]; id >= s.base+PageID(s.n) {
+		if r := a.spans[mid]; id >= r.base+PageID(r.n) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	s := &a.spans[lo]
-	return s.r.PageAt(int(id - s.base))
+	return a.spans[lo]
+}
+
+// regionNear returns r if it holds id, and RegionOf(id) otherwise: the
+// lookup for a run of IDs that mostly fall in one region.
+func (a *AddressSpace) regionNear(r *Region, id PageID) *Region {
+	if r != nil && r.Contains(id) {
+		return r
+	}
+	return a.RegionOf(id)
+}
+
+// pageOf returns r's page with global ID id, materializing it.
+func (r *Region) pageOf(id PageID) *Page { return r.PageAt(r.Index(id)) }
+
+// Page returns the page with the given global ID, materializing its
+// metadata if needed. IDs from unmapped regions still resolve (the page is
+// in TierNone with no sets).
+func (a *AddressSpace) Page(id PageID) *Page { return a.RegionOf(id).pageOf(id) }
+
+// SetOf returns the page set p belongs to, or nil.
+func (a *AddressSpace) SetOf(p *Page) *PageSet {
+	if k := p.slot; k != 0 {
+		return a.RegionOf(p.ID).sets[k-1].set
+	}
+	return nil
 }
 
 // Count returns how many pages of the address space are resident in tier
@@ -795,9 +851,9 @@ func (a *AddressSpace) MetadataBytes() int64 {
 	const rowBytes = int64(unsafe.Sizeof(setEntry{}))
 	const healthBytes = int64(unsafe.Sizeof(PageID(0)) + unsafe.Sizeof(frameHealth{}))
 	total := int64(len(a.health)) * healthBytes
-	for _, s := range a.spans {
-		total += int64(len(s.r.chunks))*ptrBytes + int64(cap(s.r.sets))*rowBytes
-		for _, c := range s.r.chunks {
+	for _, r := range a.spans {
+		total += int64(len(r.chunks))*ptrBytes + int64(cap(r.sets))*rowBytes
+		for _, c := range r.chunks {
 			if c != nil {
 				total += chunkPages * pageBytes
 			}

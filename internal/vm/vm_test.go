@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -33,8 +34,8 @@ func TestMapCreatesPages(t *testing.T) {
 		t.Fatalf("NumPages = %d, want 7", a.NumPages())
 	}
 	// Global IDs resolve.
-	for _, p := range r2.AllPages() {
-		if a.Page(p.ID) != p {
+	for i, id := range r2.AllPages() {
+		if p := a.Page(id); p != r2.PageAt(i) || p.ID != id {
 			t.Fatal("Page(ID) mismatch")
 		}
 	}
@@ -47,11 +48,11 @@ func TestMapCreatesPages(t *testing.T) {
 func TestSetTierMaintainsCounts(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r := a.Map("heap", 20*sim.MB)
-	hot := NewPageSet("hot", r.AllPages()[:4])
+	hot := a.NewPageSet("hot", r.AllPages()[:4])
 
-	r.PageAt(0).SetTier(TierDRAM)
-	r.PageAt(1).SetTier(TierNVM)
-	r.PageAt(5).SetTier(TierNVM)
+	a.SetTier(r.PageAt(0), TierDRAM)
+	a.SetTier(r.PageAt(1), TierNVM)
+	a.SetTier(r.PageAt(5), TierNVM)
 
 	if r.Count(TierDRAM) != 1 || r.Count(TierNVM) != 2 || r.Count(TierNone) != 7 {
 		t.Fatalf("region counts = %d/%d/%d", r.Count(TierDRAM), r.Count(TierNVM), r.Count(TierNone))
@@ -60,12 +61,12 @@ func TestSetTierMaintainsCounts(t *testing.T) {
 		t.Fatalf("set counts = %d/%d", hot.Count(TierDRAM), hot.Count(TierNVM))
 	}
 	// Idempotent.
-	r.PageAt(0).SetTier(TierDRAM)
+	a.SetTier(r.PageAt(0), TierDRAM)
 	if r.Count(TierDRAM) != 1 {
 		t.Fatal("SetTier not idempotent")
 	}
 	// Move between tiers.
-	r.PageAt(0).SetTier(TierNVM)
+	a.SetTier(r.PageAt(0), TierNVM)
 	if r.Count(TierDRAM) != 0 || r.Count(TierNVM) != 3 {
 		t.Fatal("tier move miscounted")
 	}
@@ -77,24 +78,24 @@ func TestSetTierMaintainsCounts(t *testing.T) {
 func TestPageSetAddRemove(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r := a.Map("heap", 8*sim.MB)
-	for _, p := range r.AllPages() {
-		p.SetTier(TierDRAM)
+	for _, id := range r.AllPages() {
+		a.SetTier(a.Page(id), TierDRAM)
 	}
-	s := NewPageSet("s", r.AllPages())
+	s := a.NewPageSet("s", r.AllPages())
 	if s.Len() != 4 || s.Count(TierDRAM) != 4 {
 		t.Fatalf("set len/count = %d/%d", s.Len(), s.Count(TierDRAM))
 	}
-	p := s.Remove(1)
+	id := s.Remove(1)
 	if s.Len() != 3 || s.Count(TierDRAM) != 3 {
 		t.Fatalf("after remove: len/count = %d/%d", s.Len(), s.Count(TierDRAM))
 	}
 	// The removed page no longer tracks the set.
-	p.SetTier(TierNVM)
+	a.SetTier(a.Page(id), TierNVM)
 	if s.Count(TierNVM) != 0 {
 		t.Fatal("removed page still updates set counts")
 	}
 	// Remaining pages still track it.
-	s.Page(0).SetTier(TierNVM)
+	a.SetTier(s.Page(0), TierNVM)
 	if s.Count(TierNVM) != 1 {
 		t.Fatal("remaining page does not update set counts")
 	}
@@ -109,14 +110,14 @@ func TestSetCountConservation(t *testing.T) {
 	f := func(moves []uint16) bool {
 		a := NewAddressSpace(2 * sim.MB)
 		r := a.Map("heap", 64*sim.MB) // 32 pages
-		s := NewPageSet("s", r.AllPages()[8:24])
+		s := a.NewPageSet("s", r.AllPages()[8:24])
 		for _, mv := range moves {
 			p := r.PageAt(int(mv) % r.NumPages())
-			p.SetTier(Tier(int(mv/64)%3 + 0)) // TierNone..TierNVM
+			a.SetTier(p, Tier(int(mv/64)%3+0)) // TierNone..TierNVM
 		}
 		var want [3]int
-		for _, p := range s.Pages() {
-			want[p.Tier]++
+		for _, id := range s.IDs() {
+			want[a.Page(id).Tier]++
 		}
 		total := 0
 		for tier := TierNone; tier <= TierNVM; tier++ {
@@ -142,7 +143,7 @@ func TestAddressSpaceCountConservation(t *testing.T) {
 		rs := []*Region{a.Map("a", 64*sim.MB), a.Map("b", 32*sim.MB)} // 32 + 16 pages
 		for _, mv := range moves {
 			r := rs[int(mv)%2]
-			r.PageAt(int(mv/2) % r.NumPages()).SetTier(Tier(int(mv/128) % 3)) // TierNone..TierNVM
+			a.SetTier(r.PageAt(int(mv/2)%r.NumPages()), Tier(int(mv/128)%3)) // TierNone..TierNVM
 		}
 		if unmapFirst {
 			a.Unmap(rs[0])
@@ -255,39 +256,37 @@ func TestMapPanicsOnBadPageSize(t *testing.T) {
 }
 
 // Page is the stride of every whole-region walk, so its packed size is
-// pinned: the region pointer, then the ID in one half-word and Tier,
-// Migrating, the set slot and AuditMark in the other. A 32-page chunk is
-// then exactly 512 bytes.
+// pinned: the ID in one half-word and Tier, the flags, the set slot and
+// AuditMark in the other. A 32-page chunk is then exactly 256 bytes.
 func TestPageLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got != 16 {
-		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 16", got)
+	if got := unsafe.Sizeof(Page{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(Page{}) = %d, want 8", got)
 	}
 	for _, f := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"Region", unsafe.Offsetof(Page{}.Region), 0},
-		{"ID", unsafe.Offsetof(Page{}.ID), 8},
-		{"Tier", unsafe.Offsetof(Page{}.Tier), 12},
-		{"Migrating", unsafe.Offsetof(Page{}.Migrating), 13},
-		{"slot", unsafe.Offsetof(Page{}.slot), 14},
-		{"AuditMark", unsafe.Offsetof(Page{}.AuditMark), 15},
+		{"ID", unsafe.Offsetof(Page{}.ID), 0},
+		{"Tier", unsafe.Offsetof(Page{}.Tier), 4},
+		{"flags", unsafe.Offsetof(Page{}.flags), 5},
+		{"slot", unsafe.Offsetof(Page{}.slot), 6},
+		{"AuditMark", unsafe.Offsetof(Page{}.AuditMark), 7},
 	} {
 		if f.got != f.want {
 			t.Errorf("%s at offset %d, want %d", f.name, f.got, f.want)
 		}
 	}
-	if got := unsafe.Sizeof(pageChunk{}); got != 512 {
-		t.Fatalf("a %d-page chunk is %d bytes, want 512", chunkPages, got)
+	if got := unsafe.Sizeof(pageChunk{}); got != 256 {
+		t.Fatalf("a %d-page chunk is %d bytes, want 256", chunkPages, got)
 	}
 }
 
-// The allocator charges a chunk exactly its 512 bytes: Go keeps the heap
-// bits of a pointer-holding object up to 512 bytes in its span, so the
-// chunk carries no allocation header and fills its size class. A layout
-// or toolchain change that brings back a header (or slack) fails here,
-// where unsafe.Sizeof cannot see it. The chunks are allocated the way
-// the simulator allocates them, by PageAt's first touch of each window.
+// The allocator charges a chunk exactly its 256 bytes: a pointer-free
+// object carries no allocation header, and 256 is a size class, so the
+// chunk fills its slot. A layout or toolchain change that brings back a
+// header (or slack) fails here, where unsafe.Sizeof cannot see it. The
+// chunks are allocated the way the simulator allocates them, by PageAt's
+// first touch of each window.
 func TestPageChunkAllocation(t *testing.T) {
 	const n = 256
 	size := uint64(unsafe.Sizeof(pageChunk{}))
@@ -312,6 +311,44 @@ func TestPageChunkAllocation(t *testing.T) {
 	t.Fatalf("a %d-byte chunk is charged %d bytes", size, charged)
 }
 
+// pointerKinds reports the path to the first pointer-holding component
+// of type t (a pointer, slice, map, string, channel, function or
+// interface, at any depth of arrays and struct fields), or "" if t holds
+// none.
+func pointerKinds(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Array:
+		return pointerKinds(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if bad := pointerKinds(f.Type, path+"."+f.Name); bad != "" {
+				return bad
+			}
+		}
+		return ""
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+		reflect.Chan, reflect.Func, reflect.Interface:
+		return fmt.Sprintf("%s (%v)", path, t.Kind())
+	}
+	return ""
+}
+
+// The bulk page metadata holds no pointer, so the garbage collector
+// never scans it: the page, the chunk it lives in, and a set's member
+// element.
+func TestPageMetadataPointerFree(t *testing.T) {
+	member := reflect.TypeOf(PageSet{}.ids).Elem()
+	for _, typ := range []reflect.Type{reflect.TypeOf(Page{}), reflect.TypeOf(pageChunk{}), member} {
+		if bad := pointerKinds(typ, typ.String()); bad != "" {
+			t.Errorf("%v holds a pointer at %s", typ, bad)
+		}
+	}
+	if member != reflect.TypeOf(PageID(0)) {
+		t.Errorf("set members are %v, want PageID", member)
+	}
+}
+
 // Index derives a page's position in its region from its global ID, in
 // every region and across chunk boundaries: the second and third regions
 // here start at IDs 5 and 75, neither a multiple of the chunk size.
@@ -329,18 +366,80 @@ func TestPageIndex(t *testing.T) {
 	}
 	for _, r := range regions {
 		for i := 0; i < r.NumPages(); i++ {
-			if got := r.PageAt(i).Index(); got != i {
-				t.Fatalf("%s: PageAt(%d).Index() = %d", r.Name, i, got)
+			if got := r.Index(r.PageAt(i).ID); got != i {
+				t.Fatalf("%s: PageAt(%d) has Index %d", r.Name, i, got)
 			}
-			if got := a.Page(r.base + PageID(i)).Index(); got != i {
-				t.Fatalf("%s: page of ID %d has Index() %d, want %d", r.Name, r.base+PageID(i), got, i)
+			if got := r.Index(a.Page(r.PageID(i)).ID); got != i {
+				t.Fatalf("%s: page of ID %d has Index %d, want %d", r.Name, r.PageID(i), got, i)
 			}
 		}
 		for ci := 0; ci < r.NumChunks(); ci++ {
 			for j, p := range r.Chunk(ci) {
-				if i := ci*chunkPages + j; i < r.NumPages() && p.Index() != i {
-					t.Fatalf("%s: chunk %d slot %d has Index() %d, want %d", r.Name, ci, j, p.Index(), i)
+				if i := ci*chunkPages + j; i < r.NumPages() && r.Index(p.ID) != i {
+					t.Fatalf("%s: chunk %d slot %d has Index %d, want %d", r.Name, ci, j, r.Index(p.ID), i)
 				}
+			}
+		}
+	}
+}
+
+// RegionOf, Page and SetOf agree, for every ID ever mapped, with a
+// brute-force scan over every region: regions whose bases fall off chunk
+// boundaries, a one-page and an empty region, and an unmapped region
+// whose stale IDs still resolve, to its pages, now in TierNone and in no
+// set.
+func TestLookupByIDMatchesScan(t *testing.T) {
+	a := NewAddressSpace(2 * sim.MB)
+	var regions []*Region
+	for i, n := range []int64{5, 70, 1, 0, 100, 33, 64} {
+		regions = append(regions, a.Map(fmt.Sprint("r", i), n*2*sim.MB))
+	}
+	sets := make([]*PageSet, len(regions))
+	for i, r := range regions {
+		var even []PageID
+		for j := 0; j < r.NumPages(); j += 2 {
+			even = append(even, r.PageID(j))
+		}
+		sets[i] = a.NewPageSet(r.Name, even)
+		for j := 0; j < r.NumPages(); j++ {
+			a.SetTier(r.PageAt(j), Tier(1+j%2))
+		}
+	}
+	dead := 4
+	a.Unmap(regions[dead])
+	for id := PageID(0); int(id) < a.NumPages(); id++ {
+		ri, i := -1, 0
+		for k, r := range regions {
+			if id >= r.base && id < r.base+PageID(r.NumPages()) {
+				ri, i = k, int(id-r.base)
+			}
+		}
+		r := regions[ri]
+		if got := a.RegionOf(id); got != r {
+			t.Fatalf("RegionOf(%d) = %v, want %v", id, got, r)
+		}
+		if !r.Contains(id) || r.Index(id) != i || r.PageID(i) != id {
+			t.Fatalf("ID %d: Contains %v, Index %d, want page %d of %s", id, r.Contains(id), r.Index(id), i, r.Name)
+		}
+		p := a.Page(id)
+		if p != r.PageAt(i) || p.ID != id {
+			t.Fatalf("Page(%d) is not page %d of %s", id, i, r.Name)
+		}
+		var want *PageSet
+		if ri != dead && i%2 == 0 {
+			want = sets[ri]
+		}
+		if got := a.SetOf(p); got != want {
+			t.Fatalf("SetOf(page %d) = %v, want %v", id, got, want)
+		}
+		if ri == dead && p.Tier != TierNone {
+			t.Fatalf("stale page %d in %v, want TierNone", id, p.Tier)
+		}
+	}
+	for _, r := range regions {
+		for _, other := range regions {
+			if other != r && other.NumPages() > 0 && r.Contains(other.base) {
+				t.Fatalf("%s contains %s's first page", r.Name, other.Name)
 			}
 		}
 	}
@@ -355,7 +454,7 @@ func checkRegionTable(t *testing.T, r *Region) {
 	r.EachPage(func(p *Page) {
 		if k := p.slot; k != 0 {
 			if int(k) > len(r.sets) || r.sets[k-1].set == nil {
-				t.Fatalf("page %d: slot %d names no row (table of %d)", p.Index(), k, len(r.sets))
+				t.Fatalf("page %d: slot %d names no row (table of %d)", r.Index(p.ID), k, len(r.sets))
 			}
 			refs[k-1]++
 		}
@@ -388,17 +487,17 @@ func TestPageSlotTableFull(t *testing.T) {
 	pages := r.AllPages()
 	sets := make([]*PageSet, MaxRegionSets)
 	for i := range sets {
-		sets[i] = NewPageSet(fmt.Sprint("s", i), []*Page{pages[i]})
+		sets[i] = a.NewPageSet(fmt.Sprint("s", i), []PageID{pages[i]})
 	}
-	last := pages[MaxRegionSets]
+	last := a.Page(pages[MaxRegionSets])
 	if len(r.sets) != MaxRegionSets || last.slot != 0 {
 		t.Fatalf("table of %d rows, last page slot %d", len(r.sets), last.slot)
 	}
-	if !panics(func() { NewPageSet("extra", []*Page{last}) }) {
+	if !panics(func() { a.NewPageSet("extra", []PageID{last.ID}) }) {
 		t.Fatal("a 256th set joined a full table")
 	}
-	extra := NewPageSet("extra", nil)
-	if !panics(func() { extra.Add(last) }) {
+	extra := a.NewPageSet("extra", nil)
+	if !panics(func() { extra.Add(last.ID) }) {
 		t.Fatal("Add put a 256th set in a full table")
 	}
 	if len(r.sets) != MaxRegionSets || last.slot != 0 || extra.Len() != 0 || extra.Version() != 0 {
@@ -412,10 +511,10 @@ func TestPageSlotTableFull(t *testing.T) {
 	sets[1].Add(pages[2])
 	checkRegionTable(t, r)
 	sets[0].Remove(0)
-	extra.Add(last)
-	last.SetTier(TierNVM)
-	if last.Set() != extra || extra.Count(TierNVM) != 1 || last.Slot() != 1 {
-		t.Fatalf("after a row freed: page in %v (slot %d), extra counts %v", last.Set(), last.Slot(), extra.counts)
+	extra.Add(last.ID)
+	a.SetTier(last, TierNVM)
+	if a.SetOf(last) != extra || extra.Count(TierNVM) != 1 || last.Slot() != 1 {
+		t.Fatalf("after a row freed: page in %v (slot %d), extra counts %v", a.SetOf(last), last.Slot(), extra.counts)
 	}
 	checkRegionTable(t, r)
 	want := a.MetadataBytes()
@@ -435,7 +534,7 @@ type vmState struct {
 	slots    []uint8
 	tiers    []Tier
 	rows     [][]setEntry
-	members  [][]*Page
+	members  [][]PageID
 	counts   []tierCounts
 	versions []uint64
 }
@@ -450,7 +549,7 @@ func snapshot(pages []*Page, regions []*Region, sets []*PageSet) vmState {
 		st.rows = append(st.rows, slices.Clone(r.sets))
 	}
 	for _, s := range sets {
-		st.members = append(st.members, slices.Clone(s.pages))
+		st.members = append(st.members, slices.Clone(s.ids))
 		st.counts = append(st.counts, s.counts)
 		st.versions = append(st.versions, s.version)
 	}
@@ -480,21 +579,23 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 		regions := []*Region{a.Map("r0", 24*2*sim.MB), a.Map("r1", 24*2*sim.MB)}
 		var pages []*Page
 		for _, r := range regions {
-			pages = append(pages, r.AllPages()...)
+			for _, id := range r.AllPages() {
+				pages = append(pages, a.Page(id))
+			}
 		}
 		model := make(map[*Page]*PageSet, len(pages))
 		var sets []*PageSet
 		check := func(step int, what string) {
 			t.Helper()
 			for _, p := range pages {
-				if got, want := p.Set(), model[p]; got != want {
+				if got, want := a.SetOf(p), model[p]; got != want {
 					t.Fatalf("seed %d step %d (%s): page %d in %v, model %v", seed, step, what, p.ID, got, want)
 				}
 			}
 			for _, s := range sets {
 				var c tierCounts
-				for _, p := range s.Pages() {
-					c[p.Tier]++
+				for _, id := range s.IDs() {
+					c[a.Page(id).Tier]++
 				}
 				if c != s.counts {
 					t.Fatalf("seed %d step %d (%s): set %s counts %v, recount %v", seed, step, what, s.Name, s.counts, c)
@@ -528,7 +629,7 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op == 0 || len(sets) == 0:
 				n := rng.Intn(6)
-				members := make([]*Page, n)
+				members := make([]PageID, n)
 				twice := false
 				seen := map[*Page]bool{}
 				for i := range members {
@@ -538,56 +639,56 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 					}
 					twice = twice || seen[p] || model[p] != nil
 					seen[p] = true
-					members[i] = p
+					members[i] = p.ID
 				}
 				name := fmt.Sprint("s", len(sets))
 				if what = "new " + name; twice {
-					refused(step, what, func() { NewPageSet(name, members) })
+					refused(step, what, func() { a.NewPageSet(name, members) })
 					continue
 				}
-				s := NewPageSet(name, members)
-				for _, p := range members {
-					model[p] = s
+				s := a.NewPageSet(name, members)
+				for _, id := range members {
+					model[a.Page(id)] = s
 				}
 				sets = append(sets, s)
 			case op <= 4:
 				s := sets[rng.Intn(len(sets))]
 				p := pages[rng.Intn(len(pages))]
 				if what = "add to " + s.Name; model[p] != nil {
-					refused(step, what, func() { s.Add(p) })
+					refused(step, what, func() { s.Add(p.ID) })
 					continue
 				}
-				s.Add(p)
+				s.Add(p.ID)
 				model[p] = s
 			case op <= 8:
 				s := sets[rng.Intn(len(sets))]
 				if s.Len() == 0 {
 					continue
 				}
-				p := s.Remove(rng.Intn(s.Len()))
+				p := a.Page(s.Remove(rng.Intn(s.Len())))
 				model[p] = nil
 				what = "remove from " + s.Name
 			default:
 				p := pages[rng.Intn(len(pages))]
-				p.SetTier(Tier(1 + rng.Intn(3)))
+				a.SetTier(p, Tier(1+rng.Intn(3)))
 				what = "set tier"
 			}
 			check(step, what)
 		}
-		want := make(map[*PageSet][]*Page)
+		want := make(map[*PageSet][]PageID)
 		for _, s := range sets {
-			for _, p := range s.Pages() {
-				if p.Region == regions[1] {
-					want[s] = append(want[s], p)
+			for _, id := range s.IDs() {
+				if regions[1].Contains(id) {
+					want[s] = append(want[s], id)
 				}
 			}
 		}
 		a.Unmap(regions[0])
-		for _, p := range regions[0].AllPages() {
-			model[p] = nil
+		for _, id := range regions[0].AllPages() {
+			model[a.Page(id)] = nil
 		}
 		for _, s := range sets {
-			if !slices.Equal(s.Pages(), want[s]) {
+			if !slices.Equal(s.IDs(), want[s]) {
 				t.Fatalf("seed %d: set %s holds %d pages after unmap, want its %d in r1", seed, s.Name, s.Len(), len(want[s]))
 			}
 		}
@@ -604,7 +705,7 @@ func TestPageSetSlotsMatchPointerModel(t *testing.T) {
 func TestPageSetSpansRegions(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r0, r1 := a.Map("r0", 8*2*sim.MB), a.Map("r1", 8*2*sim.MB)
-	s := NewPageSet("both", append(r0.AllPages()[:4], r1.AllPages()[:4]...))
+	s := a.NewPageSet("both", append(r0.AllPages()[:4], r1.AllPages()[:4]...))
 	for _, r := range []*Region{r0, r1} {
 		if got, refs := r.SlotSet(1); got != s || refs != 4 || r.NumSlots() != 1 {
 			t.Fatalf("%s: row 1 = %v with %d refs, %d rows", r.Name, got, refs, r.NumSlots())
@@ -613,15 +714,15 @@ func TestPageSetSpansRegions(t *testing.T) {
 			t.Fatalf("%s: page 2 slot %d, want 1", r.Name, k)
 		}
 	}
-	r0.PageAt(1).SetTier(TierDRAM)
-	r1.PageAt(3).SetTier(TierNVM)
-	r1.PageAt(0).SetTier(TierDRAM)
+	a.SetTier(r0.PageAt(1), TierDRAM)
+	a.SetTier(r1.PageAt(3), TierNVM)
+	a.SetTier(r1.PageAt(0), TierDRAM)
 	if s.Count(TierDRAM) != 2 || s.Count(TierNVM) != 1 || s.Count(TierNone) != 5 {
 		t.Fatalf("counts after moves in both regions: %v", s.counts)
 	}
 	before, version := a.MetadataBytes(), s.Version()
 	a.Unmap(r0)
-	if !slices.Equal(s.Pages(), r1.AllPages()[:4]) {
+	if !slices.Equal(s.IDs(), r1.AllPages()[:4]) {
 		t.Fatalf("after unmapping r0 the set holds %d pages, want r1's first 4 in order", s.Len())
 	}
 	if s.Count(TierDRAM) != 1 || s.Count(TierNVM) != 1 || s.Count(TierNone) != 2 {
@@ -636,7 +737,7 @@ func TestPageSetSpansRegions(t *testing.T) {
 	if got, want := before-a.MetadataBytes(), int64(unsafe.Sizeof(setEntry{})); got != want {
 		t.Fatalf("unmap freed %d metadata bytes, want the %d of r0's table row", got, want)
 	}
-	s.Add(r0.PageAt(5)) // a stale page rejoining takes a fresh row
+	s.Add(r0.PageID(5)) // a stale page rejoining takes a fresh row
 	if r0.NumSlots() != 1 || s.Len() != 5 {
 		t.Fatalf("stale page rejoined: %d rows, len %d", r0.NumSlots(), s.Len())
 	}
@@ -754,9 +855,9 @@ func TestFrameHealthMetadataBytes(t *testing.T) {
 func TestFrameHealthEmptyWithoutFaults(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r := a.Map("heap", 64*sim.MB)
-	s := NewPageSet("hot", r.AllPages()[:8])
-	for i, p := range r.AllPages() {
-		p.SetTier(Tier(i%2 + 1))
+	s := a.NewPageSet("hot", r.AllPages()[:8])
+	for i, id := range r.AllPages() {
+		a.SetTier(a.Page(id), Tier(i%2+1))
 	}
 	s.Remove(0)
 	a.Unmap(r)
@@ -766,7 +867,8 @@ func TestFrameHealthEmptyWithoutFaults(t *testing.T) {
 }
 
 // ShuffledPages is rng.Perm applied to AllPages, with the same draws:
-// out[k] == AllPages()[perm[k]], and both generators end in step.
+// out[k] == AllPages()[perm[k]], both generators end in step, and a set
+// built from the result keeps that member order.
 func TestShuffledPagesMatchesPerm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
 		for _, seed := range []uint64{0, 1, 17, 0x9d5} {
@@ -781,7 +883,13 @@ func TestShuffledPagesMatchesPerm(t *testing.T) {
 			}
 			for k, i := range perm {
 				if got[k] != all[i] {
-					t.Fatalf("n=%d seed=%d: out[%d] is page %d, want page %d", n, seed, k, got[k].Index(), i)
+					t.Fatalf("n=%d seed=%d: out[%d] is page %d, want page %d", n, seed, k, got[k], all[i])
+				}
+			}
+			s := a.NewPageSet("shuffled", got)
+			for k, i := range perm {
+				if s.IDs()[k] != all[i] || s.Page(k) != r.PageAt(i) {
+					t.Fatalf("n=%d seed=%d: set member %d is page %d, want page %d", n, seed, k, s.IDs()[k], all[i])
 				}
 			}
 			rng := sim.NewRand(seed)
@@ -796,57 +904,59 @@ func TestShuffledPagesMatchesPerm(t *testing.T) {
 // NewPageSet keeps the caller's array instead of copying it, and clips
 // its capacity: an Add to a set cut from the front of a shared array
 // reallocates rather than overwriting the next set's members. Counts
-// and back-pointers stay right through Remove and Add.
+// and set slots stay right through Remove and Add.
 func TestNewPageSetAdoptsSlice(t *testing.T) {
 	a := NewAddressSpace(2 * sim.MB)
 	r := a.Map("heap", 17*2*sim.MB)
 	pages := r.AllPages()
-	for i, p := range pages {
-		p.SetTier(Tier(i%2 + 1))
+	for i, id := range pages {
+		a.SetTier(a.Page(id), Tier(i%2+1))
 	}
-	front := NewPageSet("front", pages[:6])
-	back := NewPageSet("back", pages[6:16])
-	if &front.Pages()[0] != &pages[0] || &back.Pages()[0] != &pages[6] {
+	front := a.NewPageSet("front", pages[:6])
+	back := a.NewPageSet("back", pages[6:16])
+	if &front.IDs()[0] != &pages[0] || &back.IDs()[0] != &pages[6] {
 		t.Fatal("NewPageSet copied its slice")
 	}
-	if cap(front.Pages()) != 6 {
-		t.Fatalf("front capacity %d, want 6", cap(front.Pages()))
+	if cap(front.IDs()) != 6 {
+		t.Fatalf("front capacity %d, want 6", cap(front.IDs()))
 	}
-	want := append([]*Page(nil), pages[6:16]...)
-	extra := r.PageAt(16)
+	want := append([]PageID(nil), pages[6:16]...)
+	extra := r.PageID(16)
 	front.Add(extra)
-	for i, p := range back.Pages() {
-		if p != want[i] {
+	for i, id := range back.IDs() {
+		if id != want[i] {
 			t.Fatalf("Add to front overwrote back member %d", i)
 		}
 	}
-	if front.Len() != 7 || front.Page(6) != extra {
+	if front.Len() != 7 || front.IDs()[6] != extra {
 		t.Fatalf("front after Add: len %d", front.Len())
 	}
-	// The sets own pages now, so name the pages through the region.
+	// The sets own the ID arrays now, so name the pages through the
+	// region.
 	p0, p9 := r.PageAt(0), r.PageAt(9)
 	front.Remove(0) // p0; extra moves into its slot
 	back.Remove(3)  // p9
-	back.Add(p0)
-	p9.SetTier(TierDRAM)   // in no set now
-	p0.SetTier(TierNVM)    // in back only
-	extra.SetTier(TierNVM) // in front
+	back.Add(p0.ID)
+	a.SetTier(p9, TierDRAM)           // in no set now
+	a.SetTier(p0, TierNVM)            // in back only
+	a.SetTier(a.Page(extra), TierNVM) // in front
 	for _, s := range []*PageSet{front, back} {
 		var counts tierCounts
-		for _, p := range s.Pages() {
+		for _, id := range s.IDs() {
+			p := a.Page(id)
 			counts[p.Tier]++
-			if p.Set() != s {
-				t.Fatalf("set %s member %d lacks its back-pointer", s.Name, p.Index())
+			if a.SetOf(p) != s {
+				t.Fatalf("set %s member %d lacks its set slot", s.Name, r.Index(id))
 			}
 		}
 		if counts != s.counts {
 			t.Fatalf("set %s counts %v, recount %v", s.Name, s.counts, counts)
 		}
 	}
-	if s := p9.Set(); s != nil {
+	if s := a.SetOf(p9); s != nil {
 		t.Fatalf("removed page still in set %s", s.Name)
 	}
-	if s := p0.Set(); s != back {
+	if s := a.SetOf(p0); s != back {
 		t.Fatalf("page moved from front to back is in %v", s)
 	}
 }

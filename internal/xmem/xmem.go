@@ -59,12 +59,12 @@ func Opt(hot *vm.PageSet) *Static {
 // exactly once.
 func OptPlacement(hot *vm.PageSet) func(m *machine.Machine, p *vm.Page) vm.Tier {
 	inHot := make(map[vm.PageID]bool, hot.Len())
-	for _, p := range hot.Pages() {
-		inHot[p.ID] = true
+	for _, id := range hot.IDs() {
+		inHot[id] = true
 	}
 	hotLeft := int64(hot.Len())
 	return func(m *machine.Machine, p *vm.Page) vm.Tier {
-		ps := p.Region.PageSize
+		ps := m.Cfg.PageSize
 		if inHot[p.ID] {
 			hotLeft--
 			return vm.TierDRAM
@@ -80,12 +80,14 @@ func OptPlacement(hot *vm.PageSet) func(m *machine.Machine, p *vm.Page) vm.Tier 
 // threshold go to NVM (large, long-lived ranges), smaller regions stay in
 // DRAM.
 func XMem(threshold int64) *Static {
-	return New("X-Mem", func(p *vm.Page) vm.Tier {
-		if p.Region.Size() >= threshold {
+	s := New("X-Mem", nil)
+	s.place = func(p *vm.Page) vm.Tier {
+		if s.m.AS.RegionOf(p.ID).Size() >= threshold {
 			return vm.TierNVM
 		}
 		return vm.TierDRAM
-	})
+	}
+	return s
 }
 
 // Name implements machine.Manager.
@@ -101,7 +103,7 @@ func (s *Static) PageIn(p *vm.Page) {
 	if t == vm.TierDRAM && s.DRAMUsed()+s.m.Cfg.PageSize > s.m.CapacityOf(vm.TierDRAM) {
 		t = vm.TierNVM
 	}
-	p.SetTier(t)
+	s.m.AS.SetTier(p, t)
 }
 
 // OnQuantum implements machine.Manager; static placement has no background

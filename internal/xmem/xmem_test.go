@@ -54,7 +54,7 @@ func TestOptPinsHotSetAndFillsDRAM(t *testing.T) {
 	r := boot.AS.Map("data", 20*sim.MB) // 10 pages
 	// Hot pages sit at the END of the region: first-touch order sees six
 	// cold pages first and must reserve DRAM for the hot ones.
-	hot := vm.NewPageSet("hot", r.AllPages()[6:])
+	hot := boot.AS.NewPageSet("hot", r.AllPages()[6:])
 	opt := xmem.Opt(hot)
 	boot.SetManager(opt)
 	boot.Warm()
