@@ -22,8 +22,12 @@ race:
 # Bounded chaos soak: the seeded chaos scheduler drives compound fault
 # episodes, correctable-error storms, and CXL offline/online cycles
 # through a GUPS run under the race detector, with the invariant
-# auditor checking conservation every quantum. CHAOS_LOG names the
-# replayable episode-log artifact.
+# auditor checking conservation every quantum. -run Chaos selects
+# TestChaosSoak (the faults experiment's run at -full scale),
+# TestChaosAuditorIsPureObserver (the seed-7 pin) and
+# TestChaosZeroConfigNoOp, plus the tenant and tracker chaos tests.
+# The soak's outcome is pinned by the faults golden row, which the race
+# gate also runs. CHAOS_LOG names the replayable episode-log artifact.
 CHAOS_LOG ?= chaos-episodes.log
 soak:
 	CHAOS_LOG=$(CHAOS_LOG) $(GO) test -race -run Chaos -timeout 10m -v ./internal/bench/

@@ -75,8 +75,8 @@ func TestPublicGraph(t *testing.T) {
 }
 
 func TestPublicExperiments(t *testing.T) {
-	if len(hemem.Experiments()) != 25 {
-		t.Fatalf("experiments = %d, want 25", len(hemem.Experiments()))
+	if len(hemem.Experiments()) != 26 {
+		t.Fatalf("experiments = %d, want 26", len(hemem.Experiments()))
 	}
 	var buf bytes.Buffer
 	if !hemem.RunExperiment("tab1", &buf, hemem.ExperimentOpts{}) {

@@ -125,11 +125,7 @@ func TestAdaptiveSamplingUnderPEBSStorms(t *testing.T) {
 	hcfg.AdaptiveSampling = true
 	mgr := hemem.NewHeMem(hcfg)
 	cfg := hemem.DefaultMachineConfig()
-	cfg.Faults = hemem.FaultConfig{
-		PEBSStormMTBF:     20 * hemem.Millisecond,
-		PEBSStormDuration: 500 * hemem.Millisecond,
-		PEBSStormFactor:   64,
-	}
+	cfg.Faults = hemem.FaultConfig{PEBSStormMTBF: 20 * hemem.Millisecond}
 	m := hemem.NewMachine(cfg, mgr)
 	hemem.NewGUPS(m, hemem.GUPSConfig{
 		Threads: 16, WorkingSet: 64 * hemem.GB, HotSet: 8 * hemem.GB, Seed: 1,

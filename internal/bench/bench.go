@@ -117,6 +117,7 @@ type Experiment struct {
 var experiments = []Experiment{
 	{"chaos", "Extension: graceful tier degradation — CXL offline mid-workload, evacuation MTTR and degraded throughput", runChaos},
 	{"ext-swap", "Extension: three-tier swapping (§3.4), working set beyond DRAM+NVM", runExtSwap},
+	{"faults", "Extension: chaos soak — every fault class at once, per-class counters, evacuation MTTR and the episode log", runFaults},
 	{"fig1", "Figure 1: memory access throughput scalability", runFig1},
 	{"fig10", "Figure 10: PEBS sampling period sensitivity", runFig10},
 	{"fig11", "Figure 11: hot memory read threshold sensitivity", runFig11},

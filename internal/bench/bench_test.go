@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 		"tab1", "fig1", "fig2", "fig3",
 		"fig5", "fig6", "fig7", "tab2", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "tab3", "tab4", "fig14", "fig15", "fig16",
-		"ext-swap", "tiers", "chaos", "trackers", "tbscale", "fleet",
+		"ext-swap", "tiers", "chaos", "faults", "trackers", "tbscale", "fleet",
 	}
 	if len(All()) != len(want) {
 		t.Fatalf("%d experiments, want %d", len(All()), len(want))
@@ -82,9 +82,11 @@ var (
 
 // goldenRows assigns every experiment its knob point. Adaptive rows
 // include the four experiments the CLI used to refuse -adaptive for
-// (chaos, fig8, tab2, ext-swap). Chaos and fleet audit every machine
-// every quantum; TestChaosAuditorIsPureObserver proves the auditor
-// neutral.
+// (chaos, fig8, tab2, ext-swap), and faults, whose injector keeps the
+// adaptive loop at the fixed cadence. Chaos, faults and fleet audit
+// every machine every quantum; TestChaosAuditorIsPureObserver proves the
+// auditor neutral. The faults row also pins the chaos soak's seed and
+// config replay.
 var goldenRows = map[string]goldenRow{
 	"tab1":     {o: jobs8, race: true, shape: contains("paper:")},
 	"fig1":     {o: jobs8, race: true, shape: contains("paper:")},
@@ -108,6 +110,7 @@ var goldenRows = map[string]goldenRow{
 	"ext-swap": {o: adaptive},
 	"tiers":    {o: jobs8, race: true},
 	"chaos":    {o: adaptive, shape: contains("auditor: every quantum, zero violations")},
+	"faults":   {o: adaptive, race: true, shape: everyFaultClassFired},
 	"trackers": {o: jobs8},
 	"tbscale":  {o: jobs8, race: true, shape: contains("digests MATCH")},
 	"fleet":    {o: adaptive, race: true},
@@ -122,6 +125,27 @@ func contains(subs ...string) func(t *testing.T, out string) {
 				t.Errorf("output lacks %q", s)
 			}
 		}
+	}
+}
+
+// everyFaultClassFired checks that the faults table has a row for each
+// of the nine fault classes the injector models and that each counts at
+// least one event.
+func everyFaultClassFired(t *testing.T, out string) {
+	t.Helper()
+	_, table, _ := strings.Cut(out, "class  ")
+	table, _, _ = strings.Cut(table, "emergency promotions")
+	rows := strings.Split(strings.TrimSpace(table), "\n")[1:]
+	if len(rows) != 9 {
+		t.Fatalf("faults table has %d class rows, want 9:\n%s", len(rows), table)
+	}
+	for _, row := range rows {
+		if f := strings.Fields(row); len(f) < 2 || f[1] == "0" {
+			t.Errorf("fault class never fired: %q", row)
+		}
+	}
+	if !strings.Contains(out, "auditor: every quantum, zero violations") {
+		t.Error("output lacks the auditor line")
 	}
 }
 

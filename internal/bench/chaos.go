@@ -56,19 +56,14 @@ func runChaos(w io.Writer, o Opts) {
 		return g.Score()
 	}
 
-	cxlBefore := int64(0)
-	for _, r := range m.AS.Regions {
-		cxlBefore += r.Bytes(vm.TierCXL)
-	}
+	cxlBytes := func() int64 { return int64(m.AS.Count(vm.TierCXL)) * m.AS.PageSize }
+	cxlBefore := cxlBytes()
 	normal := measure(phase)
 	if !m.OfflineTier(vm.TierCXL) {
 		panic("bench: CXL offline refused")
 	}
 	degraded := measure(phase)
-	cxlDuring := int64(0)
-	for _, r := range m.AS.Regions {
-		cxlDuring += r.Bytes(vm.TierCXL)
-	}
+	cxlDuring := cxlBytes()
 	if !m.OnlineTier(vm.TierCXL) {
 		panic("bench: CXL online refused")
 	}

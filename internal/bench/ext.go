@@ -49,10 +49,7 @@ func runExtSwap(w io.Writer, o Opts) {
 	for _, hotGB := range sizes {
 		s.Cell(fmt.Sprintf("hot=%dGB/managed", hotGB), func(CellInfo) any {
 			score, h, g, m := run(hotGB, true)
-			var diskGB int64
-			for _, r := range m.AS.Regions {
-				diskGB += r.Bytes(vm.TierDisk)
-			}
+			diskGB := int64(m.AS.Count(vm.TierDisk)) * m.AS.PageSize
 			st := h.Stats()
 			return managedRes{
 				score:    score,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/tieredmem/hemem/internal/core"
-	"github.com/tieredmem/hemem/internal/gups"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
@@ -133,15 +132,7 @@ func trackersGridCovered(t *testing.T, out string) {
 // fault counters, migrations per edge, episode log and telemetry CSV.
 func chaosTrackerRun(t *testing.T, tracker string, seed uint64) string {
 	t.Helper()
-	m, h := chaosMachine(Opts{Seed: seed}, core.Config{Tracker: tracker}, soakFaults())
-	g := gups.New(m, gups.Config{
-		Threads: 16, WorkingSet: 32 * sim.GB, HotSet: 6 * sim.GB, Seed: seed,
-	})
-	tel := m.EnableTelemetry(100 * sim.Millisecond)
-	m.Warm()
-	m.Run(3 * sim.Second)
-	g.ResetScore()
-	m.Run(5 * sim.Second)
+	m, h, tel, score := soakRun(Opts{Seed: seed}, core.Config{Tracker: tracker}, 3*sim.Second, 5*sim.Second)
 	if m.FaultCounters().Injected() == 0 {
 		t.Fatalf("%s chaos run injected no faults; scenario lost its coverage", tracker)
 	}
@@ -150,7 +141,7 @@ func chaosTrackerRun(t *testing.T, tracker string, seed uint64) string {
 		m.Migrator.Moved(vm.TierCXL, vm.TierNVM),
 		m.Migrator.Moved(vm.TierCXL, vm.TierDRAM),
 	}
-	return outcomeDigest(t, m, tel, g.Score(), m.TotalOps("gups"), h.Stats(), moved)
+	return outcomeDigest(t, m, tel, score, m.TotalOps("gups"), h.Stats(), moved)
 }
 
 // trackerChaosPins holds each scan-based tracker's chaos-run digest at

@@ -1,12 +1,3 @@
-// Chaos scheduler: a seeded timeline that composes the independent
-// injectors into compound episodes and adds the two fault classes PR 1's
-// injectors could not express — whole-tier offline/online events (a CXL
-// expander link going down, a DIMM hot-removed) and correctable-error
-// storms that escalate into predictive page retirement. Like everything
-// else in this package, the scheduler draws from the injector's RNG
-// stream only when configured, so a zero ChaosConfig is a strict no-op
-// and the same seed plus the same Config replays bit-identical episode
-// timelines.
 package fault
 
 import (
@@ -22,10 +13,9 @@ import (
 type ChaosConfig struct {
 	// CompoundMTBF is the mean time between compound episodes: a DMA
 	// degradation, an NVM thermal throttle, and a PEBS storm all starting
-	// together and running for CompoundDuration (default 50 ms). Episodes
-	// already in progress are extended, not restarted.
-	CompoundMTBF     int64
-	CompoundDuration int64
+	// together and running for 50 ms. Episodes already in progress are
+	// extended, not restarted.
+	CompoundMTBF int64
 
 	// TierOfflineMTBF is the mean time between whole-tier offline events.
 	// Each event picks one currently-online tier uniformly from
@@ -56,68 +46,11 @@ func (c ChaosConfig) Enabled() bool {
 	return c.CompoundMTBF > 0 || c.TierOfflineMTBF > 0 || c.CEStormMTBF > 0
 }
 
-// validate reports the first invalid chaos parameter, or nil.
-func (c ChaosConfig) validate() error {
-	for _, m := range []struct {
-		name string
-		v    int64
-	}{
-		{"CompoundMTBF", c.CompoundMTBF},
-		{"CompoundDuration", c.CompoundDuration},
-		{"TierOfflineMTBF", c.TierOfflineMTBF},
-		{"TierOfflineDuration", c.TierOfflineDuration},
-		{"CEStormMTBF", c.CEStormMTBF},
-		{"CEStormDuration", c.CEStormDuration},
-		{"CEInterval", c.CEInterval},
-	} {
-		if m.v < 0 {
-			return fmt.Errorf("fault: negative %s %d", m.name, m.v)
-		}
-	}
-	if c.CERetireThreshold < 0 {
-		return fmt.Errorf("fault: negative CERetireThreshold %d", c.CERetireThreshold)
-	}
-	n := 0
-	for _, t := range c.OfflineTiers {
-		if t == vm.TierNone {
-			continue
-		}
-		if t < vm.TierNone || int(t) >= vm.MaxTiers {
-			return fmt.Errorf("fault: invalid offline tier %d", t)
-		}
-		n++
-	}
-	if c.TierOfflineMTBF > 0 && n == 0 {
-		return fmt.Errorf("fault: TierOfflineMTBF set but OfflineTiers empty")
-	}
-	return nil
-}
-
 // OfflineSet packs tier IDs into a ChaosConfig.OfflineTiers array.
 func OfflineSet(tiers ...vm.TierID) [vm.MaxTiers]vm.TierID {
 	var out [vm.MaxTiers]vm.TierID
 	copy(out[:], tiers)
 	return out
-}
-
-// withDefaults fills unset durations and thresholds.
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.CompoundDuration <= 0 {
-		c.CompoundDuration = 50 * sim.Millisecond
-	}
-	if c.TierOfflineDuration <= 0 {
-		c.TierOfflineDuration = 500 * sim.Millisecond
-	}
-	if c.CEStormDuration <= 0 {
-		c.CEStormDuration = 100 * sim.Millisecond
-	}
-	if c.CEInterval <= 0 {
-		c.CEInterval = sim.Millisecond
-	}
-	if c.CERetireThreshold <= 0 {
-		c.CERetireThreshold = 4
-	}
-	return c
 }
 
 // EpisodeKind identifies a fault episode class in the episode log.
@@ -205,36 +138,18 @@ func WriteEpisodes(w io.Writer, eps []Episode) error {
 // replay bit-identically.
 func (in *Injector) advanceChaos(now, dt int64, ev *Events) {
 	c := in.cfg.Chaos
-	fire := func(mtbf int64) bool {
-		return mtbf > 0 && in.rng.Bernoulli(float64(dt)/float64(mtbf))
-	}
 
 	// Compound episode: all three derate episodes start (or extend)
-	// together. Constituents not already running are announced so the
+	// together. Constituents not already running count as onsets so the
 	// machine's per-class counters see them.
-	if now >= in.compoundUntil && fire(c.CompoundMTBF) {
-		in.compoundUntil = now + c.CompoundDuration
+	if in.episode(ev, EpCompound, &in.compoundUntil, c.CompoundMTBF, compoundDuration, now, dt) {
 		until := in.compoundUntil
-		ev.CompoundStart = true
-		ev.addEpisode(EpisodeStart{Kind: EpCompound, Tier: vm.TierNone, Until: until})
-		if now >= in.dmaDegradedUntil {
-			ev.DMADegradedStart = true
-		}
-		if now >= in.thermalUntil {
-			ev.NVMThermalStart = true
-		}
-		if now >= in.stormUntil {
-			ev.PEBSStormStart = true
-		}
-		if in.dmaDegradedUntil < until {
-			in.dmaDegradedUntil = until
-		}
-		if in.thermalUntil < until {
-			in.thermalUntil = until
-		}
-		if in.stormUntil < until {
-			in.stormUntil = until
-		}
+		ev.DMADegradedStart = ev.DMADegradedStart || now >= in.dmaDegradedUntil
+		ev.NVMThermalStart = ev.NVMThermalStart || now >= in.thermalUntil
+		ev.PEBSStormStart = ev.PEBSStormStart || now >= in.stormUntil
+		in.dmaDegradedUntil = max(in.dmaDegradedUntil, until)
+		in.thermalUntil = max(in.thermalUntil, until)
+		in.stormUntil = max(in.stormUntil, until)
 	}
 
 	// Tier offline/online. Expired schedules come back online first, so
@@ -250,7 +165,7 @@ func (in *Injector) advanceChaos(now, dt int64, ev *Events) {
 				ev.TierOnline[t] = true
 			}
 		}
-		if fire(c.TierOfflineMTBF) {
+		if in.fire(c.TierOfflineMTBF, dt) {
 			in.tierScratch = in.tierScratch[:0]
 			for _, t := range c.OfflineTiers {
 				if t != vm.TierNone && in.offlineUntil[t] == 0 {
@@ -268,11 +183,7 @@ func (in *Injector) advanceChaos(now, dt int64, ev *Events) {
 
 	// Correctable-error storm onset, then the strikes themselves: a
 	// Poisson arrival count with mean dt/CEInterval while in a storm.
-	if now >= in.ceUntil && fire(c.CEStormMTBF) {
-		in.ceUntil = now + c.CEStormDuration
-		ev.CEStormStart = true
-		ev.addEpisode(EpisodeStart{Kind: EpCEStorm, Tier: vm.TierNone, Until: in.ceUntil})
-	}
+	in.episode(ev, EpCEStorm, &in.ceUntil, c.CEStormMTBF, c.CEStormDuration, now, dt)
 	if now < in.ceUntil {
 		ev.CorrectableErrors = in.rng.PoissonCached(in.prepCE(dt))
 	}

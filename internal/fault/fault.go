@@ -15,70 +15,75 @@
 // A zero Config disables injection entirely; every query then returns its
 // neutral value without consulting the RNG, so a disabled injector is a
 // strict no-op.
+//
+// The chaos scheduler (chaos.go, ChaosConfig) composes the independent
+// injectors into compound episodes and adds whole-tier offline/online
+// events (a CXL expander link going down, a DIMM hot-removed) and
+// correctable-error storms that escalate into predictive page
+// retirement. It too draws only when configured, and the same seed and
+// Config replay bit-identical episode timelines.
 package fault
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
 )
 
+// The retry policy and episode shapes are constants: every run injects
+// them at these values.
+const (
+	// An aborted migration's first retry waits retryBackoff; the wait
+	// doubles per subsequent retry, capped at retryBackoffMax.
+	retryBackoff    = 100 * sim.Microsecond
+	retryBackoffMax = 10 * sim.Millisecond
+
+	// Each episode lasts its duration. A DMA-degraded episode runs the
+	// surviving channels at dmaDegradedFactor of their bandwidth, a
+	// thermal throttle runs the NVM device at nvmThermalFactor, a
+	// sampling storm multiplies PEBS sample inflow by pebsStormFactor,
+	// and a compound episode runs all three at once.
+	dmaDegradedDuration         = 50 * sim.Millisecond
+	dmaDegradedFactor   float64 = 0.5
+	nvmThermalDuration          = 100 * sim.Millisecond
+	nvmThermalFactor    float64 = 0.4
+	pebsStormDuration           = 50 * sim.Millisecond
+	pebsStormFactor     float64 = 8
+	compoundDuration            = 50 * sim.Millisecond
+)
+
 // Config selects the faults to inject and their rates. The zero value
-// disables all injection. Event-style faults are parameterized by a mean
-// time between events (MTBF, simulated nanoseconds; 0 disables that
-// fault); episode-style faults additionally carry a duration and a
-// severity factor.
+// disables all injection. Each fault is parameterized by a mean time
+// between events (MTBF, simulated nanoseconds; 0 disables that fault);
+// episode durations and severities are the package's constants.
 type Config struct {
 	// MigrationAbortProb is the probability that one page-copy attempt
 	// fails its verification step (destination pressure, copy verification
-	// mismatch) and rolls back. Aborted migrations retry with capped
-	// exponential backoff and are abandoned after MigrationMaxRetries.
+	// mismatch) and rolls back. The migrator retries an aborted migration
+	// with capped exponential backoff (Backoff) and abandons it after a
+	// fixed number of retries.
 	MigrationAbortProb float64
-	// MigrationMaxRetries is how many retries a migration gets after its
-	// first aborted attempt before it is abandoned and the page stays in
-	// place (default 5).
-	MigrationMaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// subsequent retry (default 100 µs).
-	RetryBackoff int64
-	// RetryBackoffMax caps the exponential backoff (default 10 ms).
-	RetryBackoffMax int64
-
 	// DMAChannelMTBF is the mean time between permanent DMA channel
 	// failures. Each failure removes one I/OAT channel; when none remain
 	// the migrator degrades to the paper's 4-thread software-copy
 	// fallback.
 	DMAChannelMTBF int64
 	// DMADegradedMTBF starts episodes during which the surviving DMA
-	// channels run at DMADegradedFactor of their bandwidth for
-	// DMADegradedDuration (defaults: 50 ms, 0.5).
-	DMADegradedMTBF     int64
-	DMADegradedDuration int64
-	DMADegradedFactor   float64
-
+	// channels run at half their bandwidth for 50 ms.
+	DMADegradedMTBF int64
 	// NVMUncorrectableMTBF is the mean time between uncorrectable media
 	// errors striking a random NVM-resident page. The machine retires the
 	// failing frame, remaps the page, and asks the manager for an
 	// emergency promotion.
 	NVMUncorrectableMTBF int64
-
 	// NVMThermalMTBF starts thermal-throttle episodes during which the NVM
-	// device runs at NVMThermalFactor of its bandwidth for
-	// NVMThermalDuration (defaults: 100 ms, 0.4).
-	NVMThermalMTBF     int64
-	NVMThermalDuration int64
-	NVMThermalFactor   float64
-
+	// device runs at 0.4 of its bandwidth for 100 ms.
+	NVMThermalMTBF int64
 	// PEBSStormMTBF starts sampling storms during which PEBS sample inflow
-	// is multiplied by PEBSStormFactor for PEBSStormDuration (defaults:
-	// 50 ms, 8). Sustained storms overrun the sample buffer; an adaptive
-	// manager responds by raising its sample period.
-	PEBSStormMTBF     int64
-	PEBSStormDuration int64
-	PEBSStormFactor   float64
-
+	// is multiplied by 8 for 50 ms. Sustained storms overrun the sample
+	// buffer; an adaptive manager responds by raising its sample period.
+	PEBSStormMTBF int64
 	// Chaos configures the chaos scheduler: compound episodes, whole-tier
 	// offline/online events, and correctable-error storms (see
 	// ChaosConfig). The zero value disables it.
@@ -99,89 +104,69 @@ func (c Config) Enabled() bool {
 // Validate reports the first invalid parameter, or nil. The zero Config
 // is valid (injection disabled).
 func (c Config) Validate() error {
-	// The float checks are written so that NaN fails them.
+	// Written so that NaN fails it.
 	if !(c.MigrationAbortProb >= 0 && c.MigrationAbortProb <= 1) {
 		return fmt.Errorf("fault: MigrationAbortProb %v outside [0,1]", c.MigrationAbortProb)
 	}
-	if c.MigrationMaxRetries < 0 {
-		return fmt.Errorf("fault: negative MigrationMaxRetries %d", c.MigrationMaxRetries)
-	}
-	if c.RetryBackoff < 0 || c.RetryBackoffMax < 0 {
-		return fmt.Errorf("fault: negative retry backoff")
-	}
+	ch := c.Chaos
 	for _, m := range []struct {
 		name string
 		v    int64
 	}{
 		{"DMAChannelMTBF", c.DMAChannelMTBF},
 		{"DMADegradedMTBF", c.DMADegradedMTBF},
-		{"DMADegradedDuration", c.DMADegradedDuration},
 		{"NVMUncorrectableMTBF", c.NVMUncorrectableMTBF},
 		{"NVMThermalMTBF", c.NVMThermalMTBF},
-		{"NVMThermalDuration", c.NVMThermalDuration},
 		{"PEBSStormMTBF", c.PEBSStormMTBF},
-		{"PEBSStormDuration", c.PEBSStormDuration},
+		{"CompoundMTBF", ch.CompoundMTBF},
+		{"TierOfflineMTBF", ch.TierOfflineMTBF},
+		{"TierOfflineDuration", ch.TierOfflineDuration},
+		{"CEStormMTBF", ch.CEStormMTBF},
+		{"CEStormDuration", ch.CEStormDuration},
+		{"CEInterval", ch.CEInterval},
+		{"CERetireThreshold", int64(ch.CERetireThreshold)},
 	} {
 		if m.v < 0 {
 			return fmt.Errorf("fault: negative %s %d", m.name, m.v)
 		}
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"DMADegradedFactor", c.DMADegradedFactor},
-		{"NVMThermalFactor", c.NVMThermalFactor},
-	} {
-		if !(f.v >= 0 && f.v <= 1) {
-			return fmt.Errorf("fault: %s %v outside [0,1]", f.name, f.v)
+	n := 0
+	for _, t := range ch.OfflineTiers {
+		if t == vm.TierNone {
+			continue
 		}
+		if t < vm.TierNone || int(t) >= vm.MaxTiers {
+			return fmt.Errorf("fault: invalid offline tier %d", t)
+		}
+		n++
 	}
-	if !(c.PEBSStormFactor >= 0) || math.IsInf(c.PEBSStormFactor, 1) {
-		return fmt.Errorf("fault: PEBSStormFactor %v not a finite non-negative number", c.PEBSStormFactor)
+	if ch.TierOfflineMTBF > 0 && n == 0 {
+		return fmt.Errorf("fault: TierOfflineMTBF set but OfflineTiers empty")
 	}
-	return c.Chaos.validate()
+	return nil
 }
 
-// withDefaults fills unset secondary parameters (retry policy, episode
-// durations and severities) with their defaults; a NaN severity counts
-// as unset. Rates are never
-// defaulted: a zero rate means the fault is off.
+// withDefaults clamps an out-of-range abort probability (NaN counts as
+// 0) and fills the chaos scheduler's unset durations and thresholds.
+// Rates are never defaulted: a zero rate means the fault is off.
 func (c Config) withDefaults() Config {
-	if c.MigrationMaxRetries <= 0 {
-		c.MigrationMaxRetries = 5
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * sim.Microsecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 10 * sim.Millisecond
-	}
-	if c.DMADegradedDuration <= 0 {
-		c.DMADegradedDuration = 50 * sim.Millisecond
-	}
-	if !(c.DMADegradedFactor > 0 && c.DMADegradedFactor <= 1) {
-		c.DMADegradedFactor = 0.5
-	}
-	if c.NVMThermalDuration <= 0 {
-		c.NVMThermalDuration = 100 * sim.Millisecond
-	}
-	if !(c.NVMThermalFactor > 0 && c.NVMThermalFactor <= 1) {
-		c.NVMThermalFactor = 0.4
-	}
-	if c.PEBSStormDuration <= 0 {
-		c.PEBSStormDuration = 50 * sim.Millisecond
-	}
-	if !(c.PEBSStormFactor > 1) {
-		c.PEBSStormFactor = 8
-	}
 	if !(c.MigrationAbortProb >= 0) {
 		c.MigrationAbortProb = 0
 	}
-	if c.MigrationAbortProb > 1 {
-		c.MigrationAbortProb = 1
+	c.MigrationAbortProb = min(c.MigrationAbortProb, 1)
+	ch := &c.Chaos
+	if ch.TierOfflineDuration <= 0 {
+		ch.TierOfflineDuration = 500 * sim.Millisecond
 	}
-	c.Chaos = c.Chaos.withDefaults()
+	if ch.CEStormDuration <= 0 {
+		ch.CEStormDuration = 100 * sim.Millisecond
+	}
+	if ch.CEInterval <= 0 {
+		ch.CEInterval = sim.Millisecond
+	}
+	if ch.CERetireThreshold <= 0 {
+		ch.CERetireThreshold = 4
+	}
 	return c
 }
 
@@ -193,14 +178,11 @@ type Events struct {
 	// quantum.
 	NVMUncorrectable int
 	// DMADegradedStart / NVMThermalStart / PEBSStormStart mark episode
-	// onsets (an episode already in progress does not restart).
+	// onsets, a compound episode's constituents included (an episode
+	// already in progress does not restart).
 	DMADegradedStart bool
 	NVMThermalStart  bool
 	PEBSStormStart   bool
-
-	// CompoundStart / CEStormStart mark chaos-scheduler episode onsets.
-	CompoundStart bool
-	CEStormStart  bool
 	// CorrectableErrors is how many correctable media errors strike this
 	// quantum (nonzero only inside a CE storm).
 	CorrectableErrors int
@@ -211,8 +193,9 @@ type Events struct {
 	TierOffline vm.Tier
 	TierOnline  [vm.MaxTiers]bool
 	// Episodes announces episode onsets for the machine's episode log
-	// with their scheduled end times; the first NumEpisodes entries are
-	// valid.
+	// and counters with their scheduled end times; the first NumEpisodes
+	// entries are valid. A compound episode is announced once, as
+	// EpCompound.
 	Episodes    [maxEpisodeStarts]EpisodeStart
 	NumEpisodes int
 }
@@ -249,6 +232,7 @@ type Injector struct {
 	offlineUntil  [vm.MaxTiers]int64
 	tierScratch   []vm.Tier
 	cePrep        sim.PoissonPrep
+	ceDt          int64 // the step length cePrep was built for
 
 	dmaDerate  float64
 	nvmDerate  float64
@@ -270,18 +254,18 @@ func New(cfg Config, rng *sim.Rand) *Injector {
 	}
 }
 
-// prepCE lazily precomputes the Poisson constants for CE arrivals at the
-// machine's quantum dt (the quantum is fixed per machine, so one prep
-// serves the whole run).
+// prepCE returns the Poisson constants for CE arrivals in a step of dt,
+// rebuilding them whenever dt differs from the step they were built for:
+// the fixed loop's quanta share one prep, but a short step (the tail of
+// a Run that is not a whole number of quanta, or a direct Step) must
+// neither use nor leave behind constants for another length.
 func (in *Injector) prepCE(dt int64) sim.PoissonPrep {
-	if in.cePrep.Lambda == 0 && in.cfg.Chaos.CEInterval > 0 {
+	if dt != in.ceDt {
+		in.ceDt = dt
 		in.cePrep = sim.NewPoissonPrep(float64(dt) / float64(in.cfg.Chaos.CEInterval))
 	}
 	return in.cePrep
 }
-
-// Disabled returns an injector that injects nothing.
-func Disabled() *Injector { return New(Config{}, sim.NewRand(0)) }
 
 // Enabled reports whether any fault is configured.
 func (in *Injector) Enabled() bool { return in.on }
@@ -299,44 +283,47 @@ func (in *Injector) Advance(now, dt int64) Events {
 	if !in.on {
 		return ev
 	}
-	fire := func(mtbf int64) bool {
-		return mtbf > 0 && in.rng.Bernoulli(float64(dt)/float64(mtbf))
-	}
-	if fire(in.cfg.DMAChannelMTBF) {
+	if in.fire(in.cfg.DMAChannelMTBF, dt) {
 		ev.DMAChannelFails = 1
 	}
-	if fire(in.cfg.NVMUncorrectableMTBF) {
+	if in.fire(in.cfg.NVMUncorrectableMTBF, dt) {
 		ev.NVMUncorrectable = 1
 	}
-	if now >= in.dmaDegradedUntil && fire(in.cfg.DMADegradedMTBF) {
-		in.dmaDegradedUntil = now + in.cfg.DMADegradedDuration
-		ev.DMADegradedStart = true
-		ev.addEpisode(EpisodeStart{Kind: EpDMADegraded, Tier: vm.TierNone, Until: in.dmaDegradedUntil})
-	}
-	if now >= in.thermalUntil && fire(in.cfg.NVMThermalMTBF) {
-		in.thermalUntil = now + in.cfg.NVMThermalDuration
-		ev.NVMThermalStart = true
-		ev.addEpisode(EpisodeStart{Kind: EpNVMThermal, Tier: vm.TierNone, Until: in.thermalUntil})
-	}
-	if now >= in.stormUntil && fire(in.cfg.PEBSStormMTBF) {
-		in.stormUntil = now + in.cfg.PEBSStormDuration
-		ev.PEBSStormStart = true
-		ev.addEpisode(EpisodeStart{Kind: EpPEBSStorm, Tier: vm.TierNone, Until: in.stormUntil})
-	}
+	ev.DMADegradedStart = in.episode(&ev, EpDMADegraded, &in.dmaDegradedUntil, in.cfg.DMADegradedMTBF, dmaDegradedDuration, now, dt)
+	ev.NVMThermalStart = in.episode(&ev, EpNVMThermal, &in.thermalUntil, in.cfg.NVMThermalMTBF, nvmThermalDuration, now, dt)
+	ev.PEBSStormStart = in.episode(&ev, EpPEBSStorm, &in.stormUntil, in.cfg.PEBSStormMTBF, pebsStormDuration, now, dt)
 	if in.cfg.Chaos.Enabled() {
 		in.advanceChaos(now, dt, &ev)
 	}
 	in.dmaDerate, in.nvmDerate, in.loadFactor = 1, 1, 1
 	if now < in.dmaDegradedUntil {
-		in.dmaDerate = in.cfg.DMADegradedFactor
+		in.dmaDerate = dmaDegradedFactor
 	}
 	if now < in.thermalUntil {
-		in.nvmDerate = in.cfg.NVMThermalFactor
+		in.nvmDerate = nvmThermalFactor
 	}
 	if now < in.stormUntil {
-		in.loadFactor = in.cfg.PEBSStormFactor
+		in.loadFactor = pebsStormFactor
 	}
 	return ev
+}
+
+// fire draws whether an event with the given MTBF occurs in a step of
+// dt; a zero MTBF never fires and draws nothing.
+func (in *Injector) fire(mtbf, dt int64) bool {
+	return mtbf > 0 && in.rng.Bernoulli(float64(dt)/float64(mtbf))
+}
+
+// episode starts an episode of kind lasting d, announcing it in ev and
+// recording its end in *until, if none is running at now and one fires
+// at mtbf. It reports whether one started.
+func (in *Injector) episode(ev *Events, kind EpisodeKind, until *int64, mtbf, d, now, dt int64) bool {
+	if now < *until || !in.fire(mtbf, dt) {
+		return false
+	}
+	*until = now + d
+	ev.addEpisode(EpisodeStart{Kind: kind, Tier: vm.TierNone, Until: *until})
+	return true
 }
 
 // DMADerate returns the bandwidth multiplier for surviving DMA channels
@@ -359,23 +346,14 @@ func (in *Injector) MigrationAbort() bool {
 	return in.rng.Bernoulli(in.cfg.MigrationAbortProb)
 }
 
-// MaxRetries returns the retry cap for aborted migrations.
-func (in *Injector) MaxRetries() int { return in.cfg.MigrationMaxRetries }
-
-// Backoff returns the delay before retry number retry (1-based): the base
-// backoff doubled per subsequent retry, capped.
-func (in *Injector) Backoff(retry int) int64 {
-	b := in.cfg.RetryBackoff
-	for i := 1; i < retry; i++ {
+// Backoff returns the delay before an aborted migration's retry number
+// retry (1-based): the base backoff doubled per subsequent retry, capped.
+func Backoff(retry int) int64 {
+	b := retryBackoff
+	for i := 1; i < retry && b < retryBackoffMax; i++ {
 		b *= 2
-		if b >= in.cfg.RetryBackoffMax {
-			return in.cfg.RetryBackoffMax
-		}
 	}
-	if b > in.cfg.RetryBackoffMax {
-		b = in.cfg.RetryBackoffMax
-	}
-	return b
+	return min(b, retryBackoffMax)
 }
 
 // PickIndex draws a uniform index in [0, n) from the injector's stream

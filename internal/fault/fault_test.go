@@ -8,7 +8,7 @@ import (
 )
 
 func TestDisabledInjectorIsNeutral(t *testing.T) {
-	in := Disabled()
+	in := New(Config{}, sim.NewRand(0))
 	if in.Enabled() {
 		t.Fatal("zero config reported enabled")
 	}
@@ -77,12 +77,7 @@ func TestDeterministicStreams(t *testing.T) {
 
 func TestEpisodeDerates(t *testing.T) {
 	// MTBF equal to dt makes the episode start on the first quantum.
-	cfg := Config{
-		NVMThermalMTBF:     sim.Millisecond,
-		NVMThermalDuration: 10 * sim.Millisecond,
-		NVMThermalFactor:   0.4,
-	}
-	in := New(cfg, sim.NewRand(1))
+	in := New(Config{NVMThermalMTBF: sim.Millisecond}, sim.NewRand(1))
 	ev := in.Advance(0, sim.Millisecond)
 	if !ev.NVMThermalStart {
 		t.Fatal("thermal episode did not start at probability 1")
@@ -99,11 +94,7 @@ func TestEpisodeDerates(t *testing.T) {
 		t.Fatal("derate cleared mid-episode")
 	}
 	// Storm episodes expose their factor the same way.
-	in3 := New(Config{
-		PEBSStormMTBF:     sim.Millisecond,
-		PEBSStormDuration: 2 * sim.Millisecond,
-		PEBSStormFactor:   8,
-	}, sim.NewRand(1))
+	in3 := New(Config{PEBSStormMTBF: sim.Millisecond}, sim.NewRand(1))
 	in3.Advance(0, sim.Millisecond)
 	if in3.PEBSLoadFactor() != 8 {
 		t.Fatalf("storm factor = %v, want 8", in3.PEBSLoadFactor())
@@ -111,21 +102,19 @@ func TestEpisodeDerates(t *testing.T) {
 }
 
 func TestBackoffCappedDoubling(t *testing.T) {
-	in := New(Config{
-		MigrationAbortProb: 0.5,
-		RetryBackoff:       100 * sim.Microsecond,
-		RetryBackoffMax:    1 * sim.Millisecond,
-	}, sim.NewRand(1))
 	want := []int64{
 		100 * sim.Microsecond,
 		200 * sim.Microsecond,
 		400 * sim.Microsecond,
 		800 * sim.Microsecond,
-		1 * sim.Millisecond,
-		1 * sim.Millisecond,
+		1600 * sim.Microsecond,
+		3200 * sim.Microsecond,
+		6400 * sim.Microsecond,
+		10 * sim.Millisecond,
+		10 * sim.Millisecond,
 	}
 	for i, w := range want {
-		if got := in.Backoff(i + 1); got != w {
+		if got := Backoff(i + 1); got != w {
 			t.Fatalf("Backoff(%d) = %d, want %d", i+1, got, w)
 		}
 	}
@@ -138,17 +127,8 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MigrationAbortProb: -0.1},
 		{MigrationAbortProb: 1.5},
-		{MigrationMaxRetries: -1},
-		{RetryBackoff: -1},
 		{DMAChannelMTBF: -5},
-		{DMADegradedFactor: 2},
-		{NVMThermalFactor: -0.5},
-		{PEBSStormFactor: -1},
 		{MigrationAbortProb: math.NaN()},
-		{DMADegradedFactor: math.NaN()},
-		{NVMThermalFactor: math.NaN()},
-		{PEBSStormFactor: math.NaN()},
-		{PEBSStormFactor: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -158,13 +138,13 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	in := New(Config{MigrationAbortProb: 0.1}, sim.NewRand(1))
-	cfg := in.Config()
-	if cfg.MigrationMaxRetries != 5 {
-		t.Fatalf("default MigrationMaxRetries = %d, want 5", cfg.MigrationMaxRetries)
+	in := New(Config{MigrationAbortProb: 0.1, Chaos: ChaosConfig{CEStormMTBF: sim.Second}}, sim.NewRand(1))
+	c := in.Config().Chaos
+	if c.CEStormDuration != 100*sim.Millisecond || c.CEInterval != sim.Millisecond || c.CERetireThreshold != 4 {
+		t.Fatalf("default CE storm = %d ns, interval %d ns, threshold %d", c.CEStormDuration, c.CEInterval, c.CERetireThreshold)
 	}
-	if cfg.RetryBackoff != 100*sim.Microsecond || cfg.RetryBackoffMax != 10*sim.Millisecond {
-		t.Fatalf("default backoff = %d/%d", cfg.RetryBackoff, cfg.RetryBackoffMax)
+	if c.TierOfflineDuration != 500*sim.Millisecond {
+		t.Fatalf("default TierOfflineDuration = %d", c.TierOfflineDuration)
 	}
 	if !in.Enabled() {
 		t.Fatal("abort-only config not enabled")
@@ -177,5 +157,32 @@ func TestMigrationAbortProbabilityOneAlwaysFires(t *testing.T) {
 		if !in.MigrationAbort() {
 			t.Fatal("abort prob 1 did not fire")
 		}
+	}
+}
+
+// A CE storm draws each step's strikes at the step's own length: a short
+// first step does not leave its Poisson mean behind for the full quanta
+// that follow.
+func TestCEStormRateFollowsStep(t *testing.T) {
+	// A 1 ns MTBF starts the storm on the first step; it outlasts the run.
+	in := New(Config{Chaos: ChaosConfig{
+		CEStormMTBF:     1,
+		CEStormDuration: 10 * sim.Second,
+		CEInterval:      100 * sim.Microsecond,
+	}}, sim.NewRand(3))
+	now := int64(250 * sim.Microsecond)
+	if ev := in.Advance(0, now); ev.NumEpisodes != 1 || ev.Episodes[0].Kind != EpCEStorm {
+		t.Fatal("CE storm did not start on the first step")
+	}
+	const steps = 2000
+	total := 0
+	for i := 0; i < steps; i++ {
+		total += in.Advance(now, sim.Millisecond).CorrectableErrors
+		now += sim.Millisecond
+	}
+	// Poisson with mean 10 per 1 ms quantum: the mean over 2,000 quanta
+	// has a standard error of 0.07.
+	if mean := float64(total) / steps; mean < 9.7 || mean > 10.3 {
+		t.Fatalf("mean CEs per 1 ms quantum = %.2f after a 250 µs first step, want 10", mean)
 	}
 }

@@ -133,7 +133,7 @@ var memoScenarios = []struct {
 	{"chaos-thermal-offline", func(t *testing.T) memoRun {
 		cfg := machine.DefaultConfig()
 		cfg.Audit = true
-		cfg.Faults = fault.Config{NVMThermalMTBF: 100 * sim.Millisecond, NVMThermalDuration: 40 * sim.Millisecond}
+		cfg.Faults = fault.Config{NVMThermalMTBF: 100 * sim.Millisecond}
 		cfg.Tiers = []machine.TierDesc{
 			{ID: vm.TierDRAM, Capacity: 2 * sim.GB},
 			{ID: vm.TierCXL, Capacity: 2 * sim.GB},

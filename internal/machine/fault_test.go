@@ -30,15 +30,12 @@ func (s *stubMgr) OnMigrationFailed(p *vm.Page, dst vm.Tier) {
 	s.dsts = append(s.dsts, dst)
 }
 
-// With abort probability 1 and two retries, a migration makes exactly
-// three attempts and is then abandoned with the page left intact in its
+// With abort probability 1, a migration makes exactly six attempts (the
+// migrator's five retries) and is then abandoned with the page left intact in its
 // source tier and every counter consistent.
 func TestMigrationAbortRollbackAndAbandon(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	cfg.Faults = fault.Config{
-		MigrationAbortProb:  1,
-		MigrationMaxRetries: 2,
-	}
+	cfg.Faults = fault.Config{MigrationAbortProb: 1}
 	mgr := &stubMgr{}
 	m := machine.New(cfg, mgr)
 	r := m.AS.Map("data", 2*sim.MB) // one page
@@ -54,8 +51,8 @@ func TestMigrationAbortRollbackAndAbandon(t *testing.T) {
 	m.Run(50 * sim.Millisecond)
 
 	fs := *m.FaultCounters()
-	if fs.MigrationAborts != 3 || fs.MigrationRetries != 2 || fs.MigrationsAbandoned != 1 {
-		t.Fatalf("aborts=%d retries=%d abandoned=%d, want 3/2/1",
+	if fs.MigrationAborts != 6 || fs.MigrationRetries != 5 || fs.MigrationsAbandoned != 1 {
+		t.Fatalf("aborts=%d retries=%d abandoned=%d, want 6/5/1",
 			fs.MigrationAborts, fs.MigrationRetries, fs.MigrationsAbandoned)
 	}
 	// Rollback left the page in place with consistent occupancy.
@@ -74,8 +71,8 @@ func TestMigrationAbortRollbackAndAbandon(t *testing.T) {
 	if m.Migrator.QueueLen() != 0 || m.Migrator.QueuedBytes() != 0 {
 		t.Fatalf("queue not drained: len=%d bytes=%v", m.Migrator.QueueLen(), m.Migrator.QueuedBytes())
 	}
-	// Wear accounts every attempted copy exactly once: 3 attempts × 2 MB.
-	want := float64(3 * 2 * sim.MB)
+	// Wear accounts every attempted copy exactly once: 6 attempts × 2 MB.
+	want := float64(6 * 2 * sim.MB)
 	if got := m.NVM.Wear().ReadBytes; got != want {
 		t.Fatalf("NVM read wear = %v, want %v", got, want)
 	}

@@ -46,18 +46,19 @@ func (m *Machine) applyFaults(now, dt int64) {
 	if ev.PEBSStormStart {
 		m.faultStats.PEBSStorms++
 	}
-	if ev.CompoundStart {
-		m.faultStats.CompoundEpisodes++
-	}
-	if ev.CEStormStart {
-		m.faultStats.CEStorms++
-	}
 	// Episode log. Tier-offline episodes are logged by offlineTier, which
 	// also tracks their evacuation; everything else is recorded here.
+	// Compound episodes and CE storms are counted from their
+	// announcements.
 	for i := 0; i < ev.NumEpisodes; i++ {
 		ep := ev.Episodes[i]
-		if ep.Kind == fault.EpTierOffline {
+		switch ep.Kind {
+		case fault.EpTierOffline:
 			continue
+		case fault.EpCompound:
+			m.faultStats.CompoundEpisodes++
+		case fault.EpCEStorm:
+			m.faultStats.CEStorms++
 		}
 		m.episodes = append(m.episodes, fault.Episode{
 			Kind: ep.Kind, Tier: ep.Tier, Start: now, End: ep.Until,
@@ -110,26 +111,24 @@ func (m *Machine) ueTier(t vm.TierID) bool {
 // single-victim-tier machine draws exactly the sequence the NVM-only
 // implementation did. Returns nil when no candidate page exists.
 func (m *Machine) pickUEVictim() *vm.Page {
-	total := 0
-	for _, r := range m.AS.Regions {
+	ueCount := func(r *vm.Region) (n int) {
 		for _, td := range m.Cfg.Tiers {
 			if td.UEVictim {
-				total += r.Count(td.ID)
+				n += r.Count(td.ID)
 			}
 		}
+		return n
+	}
+	total := 0
+	for _, r := range m.AS.Regions {
+		total += ueCount(r)
 	}
 	if total == 0 {
 		return nil
 	}
 	k := m.Injector.PickIndex(total)
 	for _, r := range m.AS.Regions {
-		n := 0
-		for _, td := range m.Cfg.Tiers {
-			if td.UEVictim {
-				n += r.Count(td.ID)
-			}
-		}
-		if k >= n {
+		if n := ueCount(r); k >= n {
 			k -= n
 			continue
 		}

@@ -59,7 +59,7 @@ func newFeedTwin(seed uint64, storm bool) (*machine.Machine, []machine.Workload,
 	cfg.Seed = seed
 	cfg.Tiers = machine.ClassicTiers(12*sim.GB, 0, 0)
 	if storm {
-		cfg.Faults = fault.Config{PEBSStormMTBF: 1, PEBSStormDuration: sim.Second, PEBSStormFactor: 2.5}
+		cfg.Faults = fault.Config{PEBSStormMTBF: 1}
 	}
 	m := machine.New(cfg, xmem.DRAMFirst())
 	ws := []machine.Workload{

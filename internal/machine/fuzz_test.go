@@ -46,13 +46,15 @@ func fuzzTiers(b []byte) []machine.TierDesc {
 // short run; Validate checks only signs and ranges, which the scaling
 // keeps. The seed corpus is testdata/fuzz/FuzzMachineConfig. The second
 // input, once the machine quantum in milliseconds, is unused: the
-// quantum is the constant machine.Quantum.
+// quantum is the constant machine.Quantum. So are the ten inputs that
+// once set the migration retry policy and the episode durations and
+// severities, which are constants of the fault package and the migrator.
 func FuzzMachineConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tiers []byte, _ int64,
-		abortProb float64, maxRetries int, backoffMS, dmaMTBF, dmaDegMTBF int32, dmaDegFactor float64,
-		ueMTBF, thermMTBF int32, thermFactor float64, stormMTBF, stormDur int32, stormFactor float64,
-		compMTBF, compDur, offMTBF, offDur int32, offTier uint8, ceMTBF, ceDur, ceIntervalUS int32, ceThresh int,
-		backoffMaxMS, dmaDegDur, thermDur int32,
+		abortProb float64, _ int, _, dmaMTBF, dmaDegMTBF int32, _ float64,
+		ueMTBF, thermMTBF int32, _ float64, stormMTBF, _ int32, _ float64,
+		compMTBF, _, offMTBF, offDur int32, offTier uint8, ceMTBF, ceDur, ceIntervalUS int32, ceThresh int,
+		_, _, _ int32,
 	) {
 		ms := func(v int32) int64 { return int64(v) * sim.Millisecond }
 		cfg := machine.DefaultConfig()
@@ -60,23 +62,13 @@ func FuzzMachineConfig(f *testing.F) {
 		cfg.Tiers = fuzzTiers(tiers)
 		cfg.Faults = fault.Config{
 			MigrationAbortProb:   abortProb,
-			MigrationMaxRetries:  maxRetries,
-			RetryBackoff:         ms(backoffMS),
-			RetryBackoffMax:      ms(backoffMaxMS),
 			DMAChannelMTBF:       ms(dmaMTBF),
 			DMADegradedMTBF:      ms(dmaDegMTBF),
-			DMADegradedDuration:  ms(dmaDegDur),
-			DMADegradedFactor:    dmaDegFactor,
 			NVMUncorrectableMTBF: ms(ueMTBF),
 			NVMThermalMTBF:       ms(thermMTBF),
-			NVMThermalDuration:   ms(thermDur),
-			NVMThermalFactor:     thermFactor,
 			PEBSStormMTBF:        ms(stormMTBF),
-			PEBSStormDuration:    ms(stormDur),
-			PEBSStormFactor:      stormFactor,
 			Chaos: fault.ChaosConfig{
 				CompoundMTBF:        ms(compMTBF),
-				CompoundDuration:    ms(compDur),
 				TierOfflineMTBF:     ms(offMTBF),
 				TierOfflineDuration: ms(offDur),
 				OfflineTiers:        fault.OfflineSet(vm.TierID(offTier)),

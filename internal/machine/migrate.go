@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"github.com/tieredmem/hemem/internal/fault"
 	"github.com/tieredmem/hemem/internal/mem"
 	"github.com/tieredmem/hemem/internal/sim"
 	"github.com/tieredmem/hemem/internal/vm"
@@ -32,6 +33,11 @@ type migReq struct {
 	// error); they jump the queue and are never aborted.
 	urgent bool
 }
+
+// migrationMaxRetries is how many retries a migration gets after its
+// first aborted attempt before it is abandoned and the page stays in
+// place.
+const migrationMaxRetries = 5
 
 // moved summarizes the bytes a quantum's migrations put on each device.
 type moved struct {
@@ -286,7 +292,7 @@ func (g *Migrator) abort(req *migReq, now int64) {
 	edgeOK := int(src) >= 0 && int(src) < vm.MaxTiers && int(dst) >= 0 && int(dst) < vm.MaxTiers
 	req.done = 0
 	req.attempts++
-	if req.attempts > g.m.Injector.MaxRetries() {
+	if req.attempts > migrationMaxRetries {
 		st.MigrationsAbandoned++
 		if edgeOK {
 			st.MigrationsAbandonedByEdge[src][dst]++
@@ -303,7 +309,7 @@ func (g *Migrator) abort(req *migReq, now int64) {
 	if edgeOK {
 		st.MigrationRetriesByEdge[src][dst]++
 	}
-	req.notBefore = now + g.m.Injector.Backoff(req.attempts)
+	req.notBefore = now + fault.Backoff(req.attempts)
 	g.queue = append(g.queue, req)
 }
 

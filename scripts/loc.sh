@@ -4,7 +4,8 @@
 # non-test init functions there (0: every table is a literal), and the
 # count of settable knobs: exported fields of the three config structs,
 # of machine.TierDesc, whose fields every tier table row sets, and of
-# the five workload drivers' configs, plus the hemem-bench flags.
+# the five workload drivers' configs, plus the hemem-bench flags; then
+# the same count with the fault injector's two config structs added.
 # Counts physical lines (comments and blanks included) of tracked and untracked, non-ignored files.
 #
 #   bash scripts/loc.sh
@@ -49,3 +50,7 @@ echo "settable knobs:                       $((machine + tierdesc + core + opts 
 	"(machine.Config $machine, machine.TierDesc $tierdesc, core.Config $core," \
 	"bench.Opts $opts, hemem-bench flags $flags, workload configs $workloads:" \
 	"gups $gupscfg, kvs $kvscfg, tpcc $tpcccfg, gap $gapcfg, diurnal $diurnalcfg)"
+faultcfg=$(fields internal/fault/fault.go Config)
+chaoscfg=$(fields internal/fault/chaos.go ChaosConfig)
+echo "settable knobs with fault:            $((machine + tierdesc + core + opts + flags + workloads + faultcfg + chaoscfg))" \
+	"(fault.Config $faultcfg, fault.ChaosConfig $chaoscfg)"
