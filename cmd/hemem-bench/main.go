@@ -13,10 +13,6 @@
 //	hemem-bench -exp all -jobs 8   fan experiment cells out over 8 workers
 //	                               (output is byte-identical to -jobs 1)
 //	hemem-bench -exp all -v        narrate per-cell completion to stderr
-//	hemem-bench -exp tbscale -adaptive
-//	                               run on the event-driven adaptive-
-//	                               quantum loop (output is byte-identical
-//	                               to the fixed loop)
 //	hemem-bench -exp fleet -tenants 24 -qos gold
 //	                               size the fleet's per-machine tenant
 //	                               population and pin its QoS class mix
@@ -49,7 +45,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments, trackers, and policies")
 		tracker    = flag.String("tracker", "", "restrict the trackers experiment to one tracker (see -list)")
 		policy     = flag.String("policy", "", "restrict the trackers experiment to one policy (see -list)")
-		adaptive   = flag.Bool("adaptive", false, "run machines on the event-driven adaptive-quantum loop; output is identical to the fixed loop")
 		tenants    = flag.Int("tenants", 0, "fleet experiment: tenants per machine (0 = scale default)")
 		qos        = flag.String("qos", "", "fleet experiment: pin every tenant to one QoS class (gold, silver, besteffort)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -87,7 +82,7 @@ func main() {
 
 	opts := bench.Opts{
 		Full: *full, Seed: *seed, Jobs: *jobs, Tracker: *tracker, Policy: *policy,
-		Adaptive: *adaptive, Tenants: *tenants, QoS: *qos,
+		Tenants: *tenants, QoS: *qos,
 	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hemem-bench:", err)

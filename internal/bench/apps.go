@@ -22,7 +22,7 @@ func runFig13(w io.Writer, o Opts) {
 	for _, wh := range counts {
 		for _, sys := range systems {
 			s.Cell(fmt.Sprintf("wh=%d/%s", wh, sys.name), func(CellInfo) any {
-				m := machine.New(o.machineConfig(), sys.mk())
+				m := machine.New(machine.DefaultConfig(), sys.mk())
 				d := tpcc.NewDriver(m, tpcc.DriverConfig{Warehouses: wh, Seed: o.seed()})
 				m.Warm()
 				m.Run(warm)
@@ -70,7 +70,7 @@ func runTab3(w io.Writer, o Opts) {
 		ri.lat = -1
 		for j, ws := range sizes {
 			ri.mops[j] = s.Cell(fmt.Sprintf("%s/ws=%dGB", sys.name, ws), func(CellInfo) any {
-				m := machine.New(o.machineConfig(), sys.mk())
+				m := machine.New(machine.DefaultConfig(), sys.mk())
 				d := kvs.NewDriver(m, kvs.DriverConfig{
 					WorkingSet: ws * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9, Seed: o.seed(),
 				})
@@ -85,7 +85,7 @@ func runTab3(w io.Writer, o Opts) {
 		// reports it for MM and HeMem).
 		if sys.name == "MM" || sys.name == "HeMem" {
 			ri.lat = s.Cell(sys.name+"/latency", func(CellInfo) any {
-				m := machine.New(o.machineConfig(), sys.mk())
+				m := machine.New(machine.DefaultConfig(), sys.mk())
 				d := kvs.NewDriver(m, kvs.DriverConfig{
 					WorkingSet: 700 * sim.GB, HotKeyFrac: 0.2, HotTrafficFrac: 0.9,
 					NetBase: kvs.NetBaseTAS, Seed: o.seed(),
@@ -139,7 +139,7 @@ func runTab4(w io.Writer, o Opts) {
 	}
 	run := func(mk func() machine.Manager, pin bool) latPair {
 		mgr := mk()
-		m := machine.New(o.machineConfig(), mgr)
+		m := machine.New(machine.DefaultConfig(), mgr)
 		prioD := kvs.NewDriver(m, kvs.DriverConfig{
 			Name: "priority", WorkingSet: 16 * sim.GB, ServerThreads: 4,
 			NetBase: kvs.NetBaseLinux, Seed: o.seed(),
@@ -184,8 +184,8 @@ func runTab4(w io.Writer, o Opts) {
 }
 
 // bcRun executes the BC driver under mgr and returns it.
-func bcRun(o Opts, mgr machine.Manager, scale, iters int, visitScale float64, seed uint64) *gap.Driver {
-	m := machine.New(o.machineConfig(), mgr)
+func bcRun(mgr machine.Manager, scale, iters int, visitScale float64, seed uint64) *gap.Driver {
+	m := machine.New(machine.DefaultConfig(), mgr)
 	d := gap.NewDriver(m, gap.DriverConfig{
 		Scale: scale, Iterations: iters, EdgeVisitScale: visitScale, Seed: seed,
 	})
@@ -222,7 +222,7 @@ func printIterations(w io.Writer, s *Sweep, scale, iters int, visit float64, sys
 	o := s.o
 	for _, sys := range systems {
 		s.Cell(sys.name, func(CellInfo) any {
-			return bcRun(o, sys.mk(), scale, iters, visit, o.seed()).IterationTimes()
+			return bcRun(sys.mk(), scale, iters, visit, o.seed()).IterationTimes()
 		})
 	}
 	res := s.Gather()
@@ -254,7 +254,7 @@ func runFig16(w io.Writer, o Opts) {
 	s := NewSweep("fig16", o)
 	for _, sys := range systems {
 		s.Cell(sys.name, func(CellInfo) any {
-			return bcRun(o, sys.mk(), 29, iters, visit, o.seed()).IterationNVMWrites()
+			return bcRun(sys.mk(), 29, iters, visit, o.seed()).IterationNVMWrites()
 		})
 	}
 	res := s.Gather()

@@ -45,10 +45,6 @@ type Opts struct {
 	// Other experiments ignore them.
 	Tracker string
 	Policy  string
-	// Adaptive runs machines on the event-driven adaptive-quantum loop.
-	// Output is byte-identical to the fixed loop's (TestExperimentGoldens
-	// runs rows with it on).
-	Adaptive bool
 	// Tenants overrides the fleet experiment's tenants per machine; 0
 	// keeps the scale default. Other experiments ignore it.
 	Tenants int
@@ -71,15 +67,6 @@ func (o Opts) Validate() error {
 		return fmt.Errorf("-tenants must be non-negative")
 	}
 	return nil
-}
-
-// machineConfig is the default machine config with the run's
-// adaptive-loop switch applied. Every experiment machine is built from
-// it, so the switch reaches them all.
-func (o Opts) machineConfig() machine.Config {
-	mc := machine.DefaultConfig()
-	mc.AdaptiveQuantum = o.Adaptive
-	return mc
 }
 
 func (o Opts) seed() uint64 {
@@ -138,7 +125,7 @@ var experiments = []Experiment{
 	{"tab2", "Table 2: GUPS with skewed read/write pattern", runTab2},
 	{"tab3", "Table 3: FlexKVS throughput and latency", runTab3},
 	{"tab4", "Table 4: FlexKVS latency with priority", runTab4},
-	{"tbscale", "Extension: TB-scale diurnal workload — sparse metadata + adaptive quantum vs dense fixed-step", runTBScale},
+	{"tbscale", "Extension: TB-scale diurnal workload — sparse vs dense page metadata", runTBScale},
 	{"tiers", "Extension: tier descriptor table — DRAM+CXL+NVM chain vs. the two-tier baseline", runTiers},
 	{"trackers", "Extension: tracker × policy cross-product — PEBS vs DAMON vs idlepage under the HeMem and heat policies", runTrackers},
 }
@@ -184,8 +171,8 @@ func newScanOnly() machine.Manager { return ptscan.ScanOnly(nil) }
 
 // gupsRun builds a machine+GUPS pair, warms, runs, and returns the
 // steady-window score in GUPS.
-func gupsRun(o Opts, mgr machine.Manager, cfg gups.Config, warm, measure int64) float64 {
-	m := machine.New(o.machineConfig(), mgr)
+func gupsRun(mgr machine.Manager, cfg gups.Config, warm, measure int64) float64 {
+	m := machine.New(machine.DefaultConfig(), mgr)
 	g := gups.New(m, cfg)
 	m.Warm()
 	m.Run(warm)

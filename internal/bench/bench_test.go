@@ -58,13 +58,11 @@ func TestMicroExperimentsProduceOutput(t *testing.T) {
 	}
 }
 
-// goldenRow is one experiment of the golden table and the point of the
-// output-neutral knob space it runs at. testdata/golden-<id>.txt holds
-// the experiment's quick-scale output at the reference point (Jobs 1,
-// the fixed step loop), so one run at the row's point both pins the
-// output and proves the row's knobs change none of it.
+// goldenRow is one experiment of the golden table. testdata/golden-<id>.txt
+// holds the experiment's quick-scale output at the reference point (one
+// sweep worker), and the row runs at jobs8, so one run both pins the
+// output and proves -jobs changes none of it.
 type goldenRow struct {
-	o Opts // Jobs and Adaptive; every other field stays zero
 	// race marks rows that finish in about a second without the race
 	// detector; only they run under -race or -short.
 	race bool
@@ -75,45 +73,40 @@ type goldenRow struct {
 	shape func(t *testing.T, out string)
 }
 
-var (
-	jobs8    = Opts{Jobs: 8}
-	adaptive = Opts{Jobs: 8, Adaptive: true}
-)
+// jobs8 is the point every golden row runs at: eight sweep workers.
+var jobs8 = Opts{Jobs: 8}
 
-// goldenRows assigns every experiment its knob point. Adaptive rows
-// include the four experiments the CLI used to refuse -adaptive for
-// (chaos, fig8, tab2, ext-swap), and faults, whose injector keeps the
-// adaptive loop at the fixed cadence. Chaos, faults and fleet audit
-// every machine every quantum; TestChaosAuditorIsPureObserver proves the
-// auditor neutral. The faults row also pins the chaos soak's seed and
-// config replay.
+// goldenRows lists every experiment's golden row. Chaos, faults and
+// fleet audit every machine every quantum;
+// TestChaosAuditorIsPureObserver proves the auditor neutral. The faults
+// row also pins the chaos soak's seed and config replay.
 var goldenRows = map[string]goldenRow{
-	"tab1":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig1":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig2":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig3":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig5":     {o: jobs8, shape: contains("paper:")},
-	"fig6":     {o: jobs8, shape: contains("paper:")},
-	"fig7":     {o: adaptive, shape: contains("paper:")},
-	"tab2":     {o: adaptive, race: true, shape: contains("paper:")},
-	"fig8":     {o: adaptive, race: true, shape: contains("paper:")},
-	"fig9":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig10":    {o: jobs8, shape: contains("paper:")},
-	"fig11":    {o: adaptive, shape: contains("paper:")},
-	"fig12":    {o: jobs8, shape: contains("paper:")},
-	"fig13":    {o: adaptive, shape: contains("paper:")},
-	"tab3":     {o: jobs8, shape: contains("paper:")},
-	"tab4":     {o: jobs8, race: true, shape: contains("paper:")},
-	"fig14":    {o: adaptive, shape: contains("paper:")},
-	"fig15":    {o: jobs8, race: true, shape: contains("paper:")},
-	"fig16":    {o: adaptive, race: true, shape: contains("paper:")},
-	"ext-swap": {o: adaptive},
-	"tiers":    {o: jobs8, race: true},
-	"chaos":    {o: adaptive, shape: contains("auditor: every quantum, zero violations")},
-	"faults":   {o: adaptive, race: true, shape: everyFaultClassFired},
-	"trackers": {o: jobs8},
-	"tbscale":  {o: jobs8, race: true, shape: contains("digests MATCH")},
-	"fleet":    {o: adaptive, race: true},
+	"tab1":     {race: true, shape: contains("paper:")},
+	"fig1":     {race: true, shape: contains("paper:")},
+	"fig2":     {race: true, shape: contains("paper:")},
+	"fig3":     {race: true, shape: contains("paper:")},
+	"fig5":     {shape: contains("paper:")},
+	"fig6":     {shape: contains("paper:")},
+	"fig7":     {shape: contains("paper:")},
+	"tab2":     {race: true, shape: contains("paper:")},
+	"fig8":     {race: true, shape: contains("paper:")},
+	"fig9":     {race: true, shape: contains("paper:")},
+	"fig10":    {shape: contains("paper:")},
+	"fig11":    {shape: contains("paper:")},
+	"fig12":    {shape: contains("paper:")},
+	"fig13":    {shape: contains("paper:")},
+	"tab3":     {shape: contains("paper:")},
+	"tab4":     {race: true, shape: contains("paper:")},
+	"fig14":    {shape: contains("paper:")},
+	"fig15":    {race: true, shape: contains("paper:")},
+	"fig16":    {race: true, shape: contains("paper:")},
+	"ext-swap": {},
+	"tiers":    {race: true},
+	"chaos":    {shape: contains("auditor: every quantum, zero violations")},
+	"faults":   {race: true, shape: everyFaultClassFired},
+	"trackers": {},
+	"tbscale":  {race: true, shape: contains("digests MATCH")},
+	"fleet":    {race: true},
 }
 
 // contains returns a shape check that every sub appears in the output.
@@ -190,19 +183,17 @@ func runOutput(t *testing.T, id string, o Opts) string {
 	return c.out
 }
 
-// expOutput returns experiment id's output at its golden row's knob
-// point.
+// expOutput returns experiment id's output at the golden rows' point,
+// jobs8.
 func expOutput(t *testing.T, id string) string {
 	t.Helper()
-	row, ok := goldenRows[id]
-	if !ok {
+	if _, ok := goldenRows[id]; !ok {
 		t.Fatalf("experiment %s has no golden row", id)
 	}
-	return runOutput(t, id, row.o)
+	return runOutput(t, id, jobs8)
 }
 
-// reference is the point every golden is recorded at: one sweep worker,
-// the fixed step loop.
+// reference is the point every golden is recorded at: one sweep worker.
 var reference = Opts{Jobs: 1}
 
 // readGolden returns experiment id's committed golden.
@@ -237,15 +228,11 @@ func TestExperimentGoldens(t *testing.T) {
 	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			row, ok := goldenRows[id]
-			if !ok {
-				t.Fatalf("experiment %s has no golden row", id)
-			}
 			want := readGolden(t, id)
 			skipSlow(t, id)
 			if got := expOutput(t, id); got != want {
-				t.Fatalf("%s (jobs %d, adaptive %v) drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s",
-					id, row.o.Jobs, row.o.Adaptive, got, want)
+				t.Fatalf("%s (jobs %d) drifted from its golden:\n--- got ---\n%s\n--- want ---\n%s",
+					id, jobs8.Jobs, got, want)
 			}
 		})
 	}
@@ -262,23 +249,6 @@ func TestExperimentSmoke(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			skipSlow(t, id)
 			row.shape(t, expOutput(t, id))
-		})
-	}
-}
-
-// The golden reference point itself (-jobs 1, fixed step loop) renders
-// the goldens of the classic-testbed experiments: the micro tables,
-// ext-swap, fig8, tab2 (whose TestExperimentGoldens rows run adaptive)
-// and fig10, which pins the PEBS overrun regime (period 250 drops most
-// samples) that no other experiment reaches.
-func TestGoldenOutputsUnchanged(t *testing.T) {
-	for _, id := range []string{"tab1", "fig1", "fig2", "fig3", "ext-swap", "fig8", "fig10", "tab2"} {
-		t.Run(id, func(t *testing.T) {
-			want := readGolden(t, id)
-			skipSlow(t, id)
-			if got := runOutput(t, id, reference); got != want {
-				t.Fatalf("%s output drifted from golden capture:\n--- got ---\n%s\n--- want ---\n%s", id, got, want)
-			}
 		})
 	}
 }

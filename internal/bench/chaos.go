@@ -13,12 +13,12 @@ import (
 )
 
 // chaosMachine builds the three-tier DRAM+CXL+NVM testbed the chaos
-// experiments run on, from o's machine config and seed, managed by HeMem
-// with cfg and audited every quantum: the CXL tier is the one taken
-// offline, sized so it holds a meaningful slice of the working set and
-// drains in well under a scripted outage.
+// experiments run on, seeded from o, managed by HeMem with cfg and
+// audited every quantum: the CXL tier is the one taken offline, sized so
+// it holds a meaningful slice of the working set and drains in well
+// under a scripted outage.
 func chaosMachine(o Opts, cfg core.Config, faults fault.Config) (*machine.Machine, *core.HeMem) {
-	mcfg := o.machineConfig()
+	mcfg := machine.DefaultConfig()
 	mcfg.Audit = true
 	mcfg.Seed = o.seed()
 	mcfg.Faults = faults

@@ -138,17 +138,3 @@ func TestChaosZeroConfigNoOp(t *testing.T) {
 		}
 	}
 }
-
-// TestOptsReachMachines: the run-wide adaptive switch reaches every
-// experiment machine. machineConfig carries it, and chaos builds its
-// testbed from it rather than from the machine defaults.
-func TestOptsReachMachines(t *testing.T) {
-	o := Opts{Adaptive: true}
-	if mc := o.machineConfig(); !mc.AdaptiveQuantum {
-		t.Errorf("machineConfig: AdaptiveQuantum %v, want set", mc.AdaptiveQuantum)
-	}
-	m, _ := chaosMachine(o, core.DefaultConfig(), fault.Config{})
-	if !m.Cfg.AdaptiveQuantum {
-		t.Errorf("chaosMachine: AdaptiveQuantum %v, want set", m.Cfg.AdaptiveQuantum)
-	}
-}

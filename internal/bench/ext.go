@@ -34,7 +34,7 @@ func runExtSwap(w io.Writer, o Opts) {
 		cfg.EnableSwap = true
 		cfg.NoMigration = !migrate
 		h := core.New(cfg)
-		m := machine.New(o.machineConfig(), h)
+		m := machine.New(machine.DefaultConfig(), h)
 		g := gups.New(m, gups.Config{
 			Threads: 16, WorkingSet: 1100 * sim.GB, HotSet: hotGB * sim.GB, Seed: o.seed(),
 		})

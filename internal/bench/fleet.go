@@ -121,7 +121,7 @@ type fleetChurn struct {
 }
 
 // fleetMachine runs one machine of the fleet for span sim-ns.
-func fleetMachine(o Opts, c CellInfo, classes []machine.QoSClass, perMachine int, span int64) fleetMachineResult {
+func fleetMachine(c CellInfo, classes []machine.QoSClass, perMachine int, span int64) fleetMachineResult {
 	rng := sim.NewRand(c.Seed)
 
 	ccfg := core.DefaultConfig()
@@ -132,7 +132,7 @@ func fleetMachine(o Opts, c CellInfo, classes []machine.QoSClass, perMachine int
 	ccfg.FreeTargets = map[vm.TierID]int64{vm.TierDRAM: 64 * sim.MB}
 	h := core.New(ccfg)
 
-	mcfg := o.machineConfig()
+	mcfg := machine.DefaultConfig()
 	mcfg.Seed = c.Seed
 	mcfg.Audit = true
 	mcfg.Tiers = []machine.TierDesc{
@@ -221,7 +221,7 @@ func runFleet(w io.Writer, o Opts) {
 	s := NewSweep("fleet", o)
 	for i := 0; i < machines; i++ {
 		s.Cell(fmt.Sprintf("machine=%d", i), func(c CellInfo) any {
-			return fleetMachine(o, c, classes, perMachine, span)
+			return fleetMachine(c, classes, perMachine, span)
 		})
 	}
 	res := s.Gather()

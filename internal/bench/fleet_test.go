@@ -14,8 +14,7 @@ import (
 
 // The fleet table must be byte-identical at any -jobs: every machine is
 // one sweep cell with a declaration-order seed, and aggregation walks
-// Gather's declaration-order results. The -jobs 8 side also runs the
-// adaptive loop, the point TestExperimentGoldens' fleet row pins.
+// Gather's declaration-order results.
 func TestFleetByteIdenticalAcrossJobs(t *testing.T) {
 	one := runOutput(t, "fleet", reference)
 	eight := expOutput(t, "fleet")

@@ -66,7 +66,7 @@ func runFig5(w io.Writer, o Opts) {
 			if sys.name == "MM-24thr" || sys.name == "HeMem-24thr" {
 				threads = 24
 			}
-			return gupsRun(o, sys.mk(), gups.Config{
+			return gupsRun(sys.mk(), gups.Config{
 				Threads: threads, WorkingSet: sizes[row] * sim.GB, Seed: o.seed(),
 			}, warm, measure)
 		},
@@ -94,7 +94,7 @@ func runFig6(w io.Writer, o Opts) {
 			if sys.name == "MM-24thr" || sys.name == "HeMem-24thr" {
 				threads = 24
 			}
-			return gupsRun(o, sys.mk(), gups.Config{
+			return gupsRun(sys.mk(), gups.Config{
 				Threads: threads, WorkingSet: 512 * sim.GB, HotSet: sizes[row] * sim.GB, Seed: o.seed(),
 			}, warm, measure)
 		},
@@ -123,7 +123,7 @@ func runFig7(w io.Writer, o Opts) {
 		"threads\tMM\tHeMem(DMA)\tHeMem(4 copy thr)",
 		rows, systems,
 		func(row int, sys namedMgr) float64 {
-			m := machine.New(o.machineConfig(), sys.mk())
+			m := machine.New(machine.DefaultConfig(), sys.mk())
 			g := gups.New(m, gups.Config{
 				Threads: counts[row], WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: o.seed(),
 			})
@@ -151,7 +151,7 @@ func runTab2(w io.Writer, o Opts) {
 	systems := []namedMgr{{"Nimble", newNimble}, {"MM", newMM}, {"HeMem", newHeMem}}
 	s := NewSweep("tab2", o)
 	for _, sys := range systems {
-		s.Cell(sys.name, func(CellInfo) any { return gupsRun(o, sys.mk(), cfg, warm, measure) })
+		s.Cell(sys.name, func(CellInfo) any { return gupsRun(sys.mk(), cfg, warm, measure) })
 	}
 	res := s.Gather()
 	he := f64(res[len(res)-1])
@@ -201,7 +201,7 @@ func runFig8(w io.Writer, o Opts) {
 		s.Cell(b.name, func(CellInfo) any {
 			// Two-phase construction: the manager needs the workload's
 			// hot set, which needs the machine.
-			boot := machine.New(o.machineConfig(), xmem.NVMOnly())
+			boot := machine.New(machine.DefaultConfig(), xmem.NVMOnly())
 			g := gups.New(boot, gcfg)
 			boot.SetManager(b.mk(boot, g))
 			boot.Warm()
@@ -237,7 +237,7 @@ func runFig9(w io.Writer, o Opts) {
 	s := NewSweep("fig9", o)
 	for _, sys := range systems {
 		s.Cell(sys.name, func(CellInfo) any {
-			m := machine.New(o.machineConfig(), sys.mk())
+			m := machine.New(machine.DefaultConfig(), sys.mk())
 			g := gups.New(m, gups.Config{
 				Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: o.seed(),
 			})
@@ -285,7 +285,7 @@ func runFig10(w io.Writer, o Opts) {
 			cfg := core.DefaultConfig()
 			cfg.SamplePeriod = period
 			h := core.New(cfg)
-			m := machine.New(o.machineConfig(), h)
+			m := machine.New(machine.DefaultConfig(), h)
 			g := gups.New(m, gups.Config{
 				Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: o.seed(),
 			})
@@ -318,7 +318,7 @@ func runFig11(w io.Writer, o Opts) {
 			cfg := core.DefaultConfig()
 			cfg.HotReadThreshold = th
 			cfg.HotWriteThreshold = (th + 1) / 2
-			return gupsRun(o, core.New(cfg), gups.Config{
+			return gupsRun(core.New(cfg), gups.Config{
 				Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: o.seed(),
 			}, warm, measure)
 		})
@@ -345,7 +345,7 @@ func runFig12(w io.Writer, o Opts) {
 			cfg := core.DefaultConfig()
 			cfg.CoolThreshold = ct
 			h := core.New(cfg)
-			m := machine.New(o.machineConfig(), h)
+			m := machine.New(machine.DefaultConfig(), h)
 			g := gups.New(m, gups.Config{
 				Threads: 16, WorkingSet: 512 * sim.GB, HotSet: 16 * sim.GB, Seed: o.seed(),
 			})

@@ -91,19 +91,17 @@ func perfGAP(seed uint64) uint64 {
 }
 
 // perfTBScale runs the quick diurnal schedule for several simulated
-// cycles, one m.Run per phase. The dense variant is the fixed-quantum
-// baseline with all page metadata materialized up front; the adaptive
-// variant is the event-driven loop over lazily materialized metadata.
-// Their digests must match (same simulated outcome).
-func perfTBScale(adaptive bool) func(seed uint64) uint64 {
+// cycles, one m.Run per phase. The dense variant materializes all page
+// metadata up front; the sparse variant materializes it lazily. Their
+// digests must match (same simulated outcome).
+func perfTBScale(dense bool) func(seed uint64) uint64 {
 	return func(seed uint64) uint64 {
 		mc := machine.DefaultConfig()
 		mc.Seed = seed
-		mc.AdaptiveQuantum = adaptive
 		m := machine.New(mc, newHeMem())
 		cfg, _ := tbscaleConfig(Opts{})
 		d := diurnal.New(m, cfg)
-		if !adaptive {
+		if dense {
 			d.Region().MaterializeAll()
 		}
 		const cycles = 20
@@ -127,7 +125,7 @@ func perfFleet(seed uint64) uint64 {
 	o := Opts{}
 	classes, _ := fleetClasses(o)
 	const span = 8 * sim.Second
-	r := fleetMachine(o, CellInfo{Exp: "perf-fleet", Seed: seed}, classes, 12, span)
+	r := fleetMachine(CellInfo{Exp: "perf-fleet", Seed: seed}, classes, 12, span)
 	dg := uint64(digestSeed)
 	for cl := 0; cl < machine.NumQoSClasses; cl++ {
 		dg = mix(dg, r.hist[cl].Count())
@@ -203,8 +201,8 @@ var perfCases = []perfCase{
 	{"gups", perfGUPS},
 	{"kvs", perfKVS},
 	{"gap-bc", perfGAP},
-	{"tbscale-dense", perfTBScale(false)},
-	{"tbscale-adaptive", perfTBScale(true)},
+	{"tbscale-dense", perfTBScale(true)},
+	{"tbscale-sparse", perfTBScale(false)},
 	{"fleet", perfFleet},
 	{"trackers-idlepage", perfTrackersIdlepage},
 	{"kvs-memmode", perfKVSMemMode},
@@ -212,14 +210,14 @@ var perfCases = []perfCase{
 
 // perfDigests pins each perf case's outcome at seed 17. A change that
 // moves any simulated outcome fails here; one that means to must say why
-// and update the value. tbscale-dense and tbscale-adaptive share a digest
-// because the two stepping loops must agree bit for bit.
+// and update the value. tbscale-dense and tbscale-sparse share a digest
+// because sparse metadata must not change the outcome.
 var perfDigests = map[string]string{
 	"gups":              "70a6e8756f4fb535",
 	"kvs":               "44d49d6c2a71e4e5",
 	"gap-bc":            "dd589f19bfaf2635",
 	"tbscale-dense":     "339abc7a5ddc3c34",
-	"tbscale-adaptive":  "339abc7a5ddc3c34",
+	"tbscale-sparse":    "339abc7a5ddc3c34",
 	"fleet":             "dd090cf83363ceab",
 	"trackers-idlepage": "80639f563669e48e",
 	"kvs-memmode":       "71dc70af69e7a976",

@@ -10,27 +10,23 @@ import (
 	"github.com/tieredmem/hemem/internal/sim"
 )
 
-// This experiment is the showcase for the event-driven simulation core:
-// a huge mapping (64 GB quick, 1 TB full) sees short bursts over small
-// page windows separated by long idle spans — the diurnal shape of a
+// This experiment is the showcase for sparse page metadata: a huge
+// mapping (64 GB quick, 1 TB full) sees short bursts over small page
+// windows separated by long idle spans — the diurnal shape of a
 // provisioned-for-peak big-data machine. Two configurations run the same
 // schedule:
 //
-//   - dense-fixed: every page's metadata materialized up front
-//     (Region.MaterializeAll) and the classic fixed 1 ms quantum;
-//   - sparse-adaptive: metadata materializes lazily as bursts touch
-//     their windows, and the machine runs the adaptive event-driven
-//     loop, stepping idle spans policy-tick to policy-tick.
+//   - dense: every page's metadata materialized up front
+//     (Region.MaterializeAll);
+//   - sparse: metadata materializes lazily as bursts touch their
+//     windows.
 //
 // The simulated outcome — burst ops, faults, migrations — must be
-// identical (the adaptive loop only extends steps when extension cannot
-// change the arithmetic; see DESIGN.md §11); what differs is the cost of
-// simulating it: metadata resident bytes are O(touched pages) instead of
-// O(mapped pages), and the idle spans take one step per policy tick
-// instead of one per millisecond. Wall-clock numbers are deliberately
-// absent from the table (the output is byte-compared across sweep worker
-// counts); the benchmark module's diurnal-idle workload measures the
-// simulator's speed on idle spans.
+// identical; what differs is the cost of simulating it: metadata
+// resident bytes are O(touched pages) instead of O(mapped pages).
+// Wall-clock numbers are deliberately absent from the table (the output
+// is byte-compared across sweep worker counts); the benchmark module's
+// diurnal-idle workload measures the simulator's speed on idle spans.
 func tbscaleConfig(o Opts) (diurnal.Config, int64) {
 	if o.Full {
 		cfg := diurnal.Config{
@@ -75,10 +71,9 @@ type tbRow struct {
 	digest    uint64
 }
 
-// tbscaleRun executes the schedule under one simulator configuration.
-func tbscaleRun(o Opts, adaptive, dense bool) tbRow {
-	mc := o.machineConfig()
-	mc.AdaptiveQuantum = adaptive
+// tbscaleRun executes the schedule with dense or sparse page metadata.
+func tbscaleRun(o Opts, dense bool) tbRow {
+	mc := machine.DefaultConfig()
 	mc.Seed = o.seed()
 	m := machine.New(mc, newHeMem())
 	cfg, span := tbscaleConfig(o)
@@ -105,15 +100,15 @@ func tbscaleRun(o Opts, adaptive, dense bool) tbRow {
 
 func runTBScale(w io.Writer, o Opts) {
 	s := NewSweep("tbscale", o)
-	s.Cell("dense-fixed", func(CellInfo) any { return tbscaleRun(o, false, true) })
-	s.Cell("sparse-adaptive", func(CellInfo) any { return tbscaleRun(o, true, false) })
+	s.Cell("dense", func(CellInfo) any { return tbscaleRun(o, true) })
+	s.Cell("sparse", func(CellInfo) any { return tbscaleRun(o, false) })
 	res := s.Gather()
 	rows := []struct {
 		name string
 		r    tbRow
 	}{
-		{"dense-fixed", res[0].(tbRow)},
-		{"sparse-adaptive", res[1].(tbRow)},
+		{"dense", res[0].(tbRow)},
+		{"sparse", res[1].(tbRow)},
 	}
 	tw := table(w)
 	fmt.Fprintln(tw, "mode\tburst ops\tfaults\tmig pages\ttouched/total pages\tmetadata MiB\tdigest")
@@ -125,8 +120,8 @@ func runTBScale(w io.Writer, o Opts) {
 	}
 	tw.Flush()
 	if rows[0].r.digest == rows[1].r.digest {
-		fmt.Fprintln(w, "outcome digests MATCH: the adaptive sparse run reproduces the dense fixed-step run exactly")
+		fmt.Fprintln(w, "outcome digests MATCH: the sparse run reproduces the dense run exactly")
 	} else {
-		fmt.Fprintln(w, "outcome digests DIFFER: adaptive run diverged from the fixed-step baseline")
+		fmt.Fprintln(w, "outcome digests DIFFER: the sparse run diverged from the dense baseline")
 	}
 }

@@ -3,18 +3,18 @@ package bench
 import "testing"
 
 // TestTBScaleSmoke runs the quick (64 GB) tbscale variant end to end —
-// both the dense fixed-step baseline and the sparse adaptive run — and
-// checks the properties the experiment's table asserts: identical
+// both the dense baseline and the sparse run — and checks the
+// properties the experiment's table asserts: identical
 // simulated outcomes, and metadata resident bytes that scale with the
 // touched pages rather than the mapping. The rendered table is pinned,
 // at -jobs 8, by TestExperimentGoldens' tbscale row.
 func TestTBScaleSmoke(t *testing.T) {
 	o := Opts{}
-	dense := tbscaleRun(o, false, true)
-	sparse := tbscaleRun(o, true, false)
+	dense := tbscaleRun(o, true)
+	sparse := tbscaleRun(o, false)
 
 	if dense.digest != sparse.digest {
-		t.Fatalf("adaptive sparse run diverged from dense fixed baseline: %016x vs %016x",
+		t.Fatalf("sparse run diverged from dense baseline: %016x vs %016x",
 			dense.digest, sparse.digest)
 	}
 	if dense.ops <= 0 || dense.faults <= 0 {

@@ -44,7 +44,7 @@ func runTiers(w io.Writer, o Opts) {
 		}},
 	}
 	mkMachine := func(c tierChain) (*machine.Machine, *core.HeMem) {
-		mcfg := o.machineConfig()
+		mcfg := machine.DefaultConfig()
 		mcfg.Tiers = c.tiers
 		h := core.New(core.DefaultConfig())
 		return machine.New(mcfg, h), h

@@ -48,7 +48,7 @@ func runTrackers(w io.Writer, o Opts) {
 	policies := policyCells(o)
 
 	mkMachine := func(tracker, policy string) (*machine.Machine, *core.HeMem) {
-		mcfg := o.machineConfig()
+		mcfg := machine.DefaultConfig()
 		mcfg.Tiers = machine.ClassicTiers(6*sim.GB, 0, 0)
 		h := core.New(core.Config{Tracker: tracker, Policy: policy})
 		return machine.New(mcfg, h), h

@@ -4,7 +4,7 @@
 // sampling regions, probes ONE random page per region per sampling
 // interval, and adaptively splits and merges regions so their boundaries
 // converge on areas of uniform access frequency — kernel DAMON's design,
-// and the granularity-adaptive management HM-Keeper argues for. Tracking
+// and the granularity-adapting management HM-Keeper argues for. Tracking
 // cost is O(regions) per interval regardless of working-set size; the
 // price is spatial resolution, bounded by the region cap.
 package core

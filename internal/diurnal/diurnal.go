@@ -1,17 +1,13 @@
 // Package diurnal is a phase-scheduled workload for TB-scale machines:
 // traffic alternates between idle spans and bursts over page windows of a
-// huge mapping, on a repeating daily schedule. It is the companion of the
-// machine's adaptive quantum — during the idle phases the contention
-// solver's inputs are constant, so an event-driven run skips from policy
-// tick to policy tick instead of grinding fixed quanta — and of vm's
-// sparse metadata: only the windows a burst touches ever materialize
-// page metadata, so a 1 TB mapping costs memory proportional to the
-// touched fraction.
+// huge mapping, on a repeating daily schedule. It is the companion of
+// vm's sparse metadata: only the windows a burst touches ever
+// materialize page metadata, so a 1 TB mapping costs memory proportional
+// to the touched fraction.
 //
 // The workload faults windows in through Machine.TouchRange on first
-// entry to a phase (the burst's working set pages in on demand, not via
-// a whole-region warm), and implements machine.PhaseHinter so the
-// adaptive horizon never crosses a phase boundary.
+// entry to a phase: the burst's working set pages in on demand, not via
+// a whole-region warm.
 package diurnal
 
 import (
@@ -27,9 +23,9 @@ import (
 // Phase is one span of the repeating schedule. A zero-width window is an
 // idle phase: threads run but move no bytes.
 type Phase struct {
-	// Duration of the phase in sim-ns. Keep it a multiple of the machine
-	// quantum so fixed and adaptive runs cross boundaries on the same
-	// step starts.
+	// Duration of the phase in sim-ns. A phase takes effect on the
+	// first step that starts at or after its boundary, so keep it a
+	// multiple of the machine quantum for phases to start on time.
 	Duration int64
 	// WindowLo and WindowHi bound the page window touched by the phase,
 	// as fractions of the region [0, 1). Lo == Hi means idle. Phases
@@ -241,20 +237,11 @@ func (d *Workload) Threads() int { return d.cfg.Threads }
 
 // Components implements machine.Workload: it rolls the schedule to the
 // current instant first, so phase transitions take effect on the step
-// that starts at the boundary. It is a pure accessor within a step
-// (rollTo is idempotent at a fixed clock), as the adaptive pre-pass
-// requires.
+// that starts at the boundary. rollTo is idempotent at a fixed clock, so
+// repeated calls within a step return the same components.
 func (d *Workload) Components() []machine.Component {
 	d.rollTo(d.m.Clock.Now())
 	return d.comps
-}
-
-// NextPhaseChange implements machine.PhaseHinter. It rolls the schedule
-// first (idempotent at a fixed clock) so a boundary that coincides with
-// now reports the following one.
-func (d *Workload) NextPhaseChange(now int64) (int64, bool) {
-	d.rollTo(now)
-	return d.phaseEnd, true
 }
 
 // OnOps implements machine.Workload: burst ops count toward the score,

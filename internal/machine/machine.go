@@ -201,10 +201,6 @@ type workloadMeta struct {
 	w        Workload
 	series   *sim.Series
 	totalOps float64
-	// hinter caches the PhaseHinter type assertion so the adaptive
-	// horizon scan does not re-assert per step; nil when w gives no
-	// phase hints.
-	hinter PhaseHinter
 	// tenant is the owning tenant when the workload was registered via
 	// AddWorkloadFor; its per-op latencies feed that tenant's SLO
 	// histogram. TenantNone for ordinary workloads.
@@ -280,10 +276,10 @@ type CostBranch struct {
 // manager and copy threads beyond it share the cores.
 const cores = 24
 
-// Quantum is the machine's base step in sim-ns. Run and RunUntilDone
-// advance one quantum at a time (the adaptive loop stretches quiescent
-// steps past it), and background work that polls, such as page-table
-// scans and tenant departure drains, polls at most once per quantum.
+// Quantum is the machine's step in sim-ns. Run and RunUntilDone advance
+// one quantum at a time, cutting the last step short at their end, and
+// background work that polls, such as page-table scans and tenant
+// departure drains, polls at most once per quantum.
 const Quantum = sim.Millisecond
 
 // Config holds the testbed parameters (defaults mirror the paper's
@@ -301,16 +297,6 @@ type Config struct {
 	// violation. A pure observer — it draws no randomness and changes no
 	// behavior, so audited runs are bit-identical to unaudited ones.
 	Audit bool
-	// AdaptiveQuantum switches Run/RunUntilDone to event-driven stepping:
-	// while the machine is quiescent (no traffic occurrences possible, no
-	// queued migrations, no stall residue, no fault injection, no offline
-	// tier), a step stretches from the fixed quantum to the next
-	// interesting instant — the earliest due event (policy ticks, chaos
-	// episodes), throughput-sample or telemetry instant, or hinted
-	// traffic-phase boundary — accumulating ops analytically over the
-	// span. Off by default: the fixed cadence is pinned by the golden
-	// outputs. Direct Step calls are unaffected.
-	AdaptiveQuantum bool
 	// Tiers declares the memory hierarchy, fastest first (e.g. DRAM,
 	// CXL, NVM, disk). It is the only place tier capacities live; nil
 	// means the classic DRAM/NVM/disk testbed at its default capacities
@@ -681,7 +667,6 @@ func (m *Machine) FastestTier() vm.TierID { return m.fastest }
 func (m *Machine) AddWorkload(w Workload) {
 	m.Workloads = append(m.Workloads, w)
 	wm := &workloadMeta{w: w, series: &sim.Series{Name: w.Name()}}
-	wm.hinter, _ = w.(PhaseHinter)
 	m.wmeta = append(m.wmeta, wm)
 }
 
@@ -816,11 +801,12 @@ func (m *Machine) TotalOps(name string) float64 {
 	return 0
 }
 
-// Run advances the machine by duration.
+// Run advances the machine by duration, one Quantum step at a time; the
+// last step is cut short at the end.
 func (m *Machine) Run(duration int64) {
 	end := m.Clock.Now() + duration
 	for m.Clock.Now() < end {
-		m.stepToward(end)
+		m.Step(min(Quantum, end-m.Clock.Now()))
 	}
 }
 
@@ -830,18 +816,8 @@ func (m *Machine) Run(duration int64) {
 func (m *Machine) RunUntilDone(maxDuration int64) {
 	end := m.Clock.Now() + maxDuration
 	for m.Clock.Now() < end && !m.allDone() {
-		m.stepToward(end)
+		m.Step(min(Quantum, end-m.Clock.Now()))
 	}
-}
-
-// stepToward advances one step without passing end: an adaptive step
-// when AdaptiveQuantum is set, otherwise one base quantum, capped at end.
-func (m *Machine) stepToward(end int64) {
-	if m.Cfg.AdaptiveQuantum {
-		m.stepAdaptive(end)
-		return
-	}
-	m.Step(min(Quantum, end-m.Clock.Now()))
 }
 
 // allDone reports whether every workload has finished its run.
@@ -854,116 +830,24 @@ func (m *Machine) allDone() bool {
 	return true
 }
 
-// PhaseHinter is an optional Workload interface consumed by the adaptive
-// stepper: NextPhaseChange returns the next instant the workload's traffic
-// components will change (a phase boundary), ok=false when none is
-// scheduled. The adaptive horizon never crosses a hinted boundary, so a
-// phase-scheduled workload wakes the solver exactly when its traffic
-// turns on. Workloads that change components through event-queue
-// callbacks instead need no hint — due events already bound the horizon.
-type PhaseHinter interface {
-	NextPhaseChange(now int64) (at int64, ok bool)
-}
-
-// quiescent reports whether nothing dt-dependent is in flight: an
-// adaptive step may stretch only when the migration queue is empty, no
-// stall residue is draining, fault injection is off, and no tier is
-// offline (the offline sweep polls evacuation per quantum).
-func (m *Machine) quiescent() bool {
-	return len(m.Migrator.queue) == 0 && m.stall == 0 && !m.Injector.Enabled() && m.numOffline == 0
-}
-
-// trafficIdle reports whether no workload component can generate device
-// traffic this step: every active component either has no share, no
-// pages, or moves no bytes. Zero-byte components still cost op time
-// (TLB walks), but produce no wear, no access integrals, no PEBS
-// records, and no utilization — so the solver's outputs are constant in
-// dt and the span can be integrated analytically. Components must be
-// pure accessors for this pre-pass (every in-repo workload's are).
-func (m *Machine) trafficIdle() bool {
-	for _, w := range m.Workloads {
-		if w.Done() {
-			continue
-		}
-		for _, c := range w.Components() {
-			if c.Share > 0 && c.Set != nil && c.Set.Len() > 0 && (c.ReadBytes > 0 || c.WriteBytes > 0) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// nextEventHorizon returns the earliest upcoming instant at which the
-// solver's inputs may change while the machine is quiescent: the next
-// due event, the next throughput-sample and telemetry instants (their
-// cadences are pinned by goldens, so adaptive steps land on the exact
-// same timestamps), and any workload-hinted phase boundary, all capped
-// at end.
-func (m *Machine) nextEventHorizon(now, end int64) int64 {
-	h := end
-	if at, ok := m.Events.NextDeadline(); ok && at < h {
-		h = at
-	}
-	if t := m.lastSample + m.sampleEach; t > now && t < h {
-		h = t
-	}
-	if m.telemetry != nil {
-		if t := m.telemetry.last + m.telemetry.every; t > now && t < h {
-			h = t
-		}
-	}
-	for _, wm := range m.wmeta {
-		if wm.hinter == nil || wm.w.Done() {
-			continue
-		}
-		if at, ok := wm.hinter.NextPhaseChange(now); ok && at > now && at < h {
-			h = at
-		}
-	}
-	return h
-}
-
-// stepAdaptive advances one event-driven step: due events fire first
-// (they may start migrations, deposit stalls, or flip workload phases),
-// then the step runs over either the fixed quantum or — when the machine
-// is quiescent and no component moves bytes — the stretch to the next
-// event horizon in one analytic span.
-func (m *Machine) stepAdaptive(end int64) {
-	now := m.Clock.Now()
-	m.Events.RunDue(now)
-	dt := min(Quantum, end-now)
-	if m.quiescent() && !m.sampleDue(now) && m.trafficIdle() {
-		if h := m.nextEventHorizon(now, end); h-now > dt {
-			dt = h - now
-		}
-	}
-	m.stepBody(now, dt)
-}
-
-// sampleDue reports whether the step starting at now will record a
-// telemetry row. Telemetry samples cumulative counters — they include
-// the sampling step's own ops — so that step must advance by the base
-// quantum for the recorded values to reproduce the fixed schedule's bit
-// for bit. The throughput series needs no such guard: it records the
-// step's rate, which under quiescence (no stall, no traffic, no
-// migration) is independent of dt, and the event horizon already pins
-// the sample instants themselves.
-func (m *Machine) sampleDue(now int64) bool {
-	return m.telemetry != nil && now-m.telemetry.last >= m.telemetry.every
-}
-
-// Step advances one quantum: fire due events, compute workload rates under
-// the contention model, account traffic (wear, PEBS samples, access-bit
-// integrals), advance migrations, and run manager background work.
+// Step advances the clock by dt sim-ns: fire due events, compute
+// workload rates under the contention model, account traffic (wear, PEBS
+// samples, access-bit integrals), advance migrations, and run manager
+// background work. Run and RunUntilDone step one Quantum at a time. A
+// zero dt is a no-op; a negative dt panics before any state changes.
 func (m *Machine) Step(dt int64) {
+	if dt < 0 {
+		panic(fmt.Sprintf("machine: Step(%d): negative step", dt))
+	}
+	if dt == 0 {
+		return
+	}
 	now := m.Clock.Now()
 	m.Events.RunDue(now)
 	m.stepBody(now, dt)
 }
 
-// stepBody is the quantum body shared by the fixed and adaptive paths;
-// due events have already fired.
+// stepBody is Step's work after the due events have fired.
 func (m *Machine) stepBody(now, dt int64) {
 	m.applyFaults(now, dt)
 

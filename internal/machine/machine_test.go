@@ -425,19 +425,77 @@ func TestZeroCoresKeepsCallerFields(t *testing.T) {
 }
 
 // RunUntilDone never runs past maxDuration, even when maxDuration is not
-// a whole number of quanta, on either stepping loop.
+// a whole number of quanta.
 func TestRunUntilDoneStopsAtMaxDuration(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		cfg := machine.DefaultConfig()
-		cfg.AdaptiveQuantum = adaptive
-		m := machine.New(cfg, xmem.DRAMFirst())
-		gups.New(m, gups.Config{Threads: 4, WorkingSet: 4 * sim.GB})
-		m.Warm()
+	m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+	gups.New(m, gups.Config{Threads: 4, WorkingSet: 4 * sim.GB})
+	m.Warm()
+	start := m.Clock.Now()
+	const limit = 5 * sim.Millisecond / 2
+	m.RunUntilDone(limit)
+	if got := m.Clock.Now() - start; got != limit {
+		t.Errorf("RunUntilDone(%d) advanced the clock %d", limit, got)
+	}
+}
+
+// quantumRecorder places every page in DRAM and records each OnQuantum
+// call's (now, dt).
+type quantumRecorder struct {
+	m     *machine.Machine
+	calls [][2]int64
+}
+
+func (*quantumRecorder) Name() string                { return "recorder" }
+func (r *quantumRecorder) Attach(m *machine.Machine) { r.m = m }
+func (r *quantumRecorder) PageIn(p *vm.Page)         { r.m.AS.SetTier(p, vm.TierDRAM) }
+func (r *quantumRecorder) OnQuantum(now, dt int64)   { r.calls = append(r.calls, [2]int64{now, dt}) }
+func (*quantumRecorder) ActiveThreads() float64      { return 0 }
+
+// Run(d) steps one Quantum at a time, even on an idle machine:
+// ceil(d/Quantum) steps, each a whole quantum starting where the last one
+// ended, except a short last step that lands exactly on the end.
+func TestRunStepsWholeQuanta(t *testing.T) {
+	q := machine.Quantum
+	for _, d := range []int64{q / 3, q, 3 * q, 5*q + q/2} {
+		rec := &quantumRecorder{}
+		m := machine.New(machine.DefaultConfig(), rec)
 		start := m.Clock.Now()
-		const limit = 5 * sim.Millisecond / 2
-		m.RunUntilDone(limit)
-		if got := m.Clock.Now() - start; got != limit {
-			t.Errorf("adaptive %v: RunUntilDone(%d) advanced the clock %d", adaptive, limit, got)
+		m.Run(d)
+		if want := int((d + q - 1) / q); len(rec.calls) != want {
+			t.Fatalf("Run(%d): %d steps, want %d", d, len(rec.calls), want)
+		}
+		for i, c := range rec.calls {
+			now, dt := start+int64(i)*q, min(q, start+d-c[0])
+			if c != [2]int64{now, dt} {
+				t.Errorf("Run(%d): step %d is (now %d, dt %d), want (%d, %d)", d, i, c[0], c[1], now, dt)
+			}
+		}
+		if got := m.Clock.Now() - start; got != d {
+			t.Errorf("Run(%d) advanced the clock %d", d, got)
+		}
+	}
+}
+
+// Step(0) is a no-op and a negative step panics before it changes
+// anything: neither moves the clock, the ops count or the score.
+func TestStepRejectsNonPositive(t *testing.T) {
+	for _, dt := range []int64{0, -1000} {
+		m := machine.New(machine.DefaultConfig(), xmem.DRAMFirst())
+		g := gups.New(m, gups.Config{Threads: 4, WorkingSet: 4 * sim.GB})
+		m.Warm()
+		m.Run(5 * sim.Millisecond)
+		now, ops, score := m.Clock.Now(), m.TotalOps("gups"), g.Score()
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (dt < 0) {
+					t.Errorf("Step(%d) panicked with %v", dt, r)
+				}
+			}()
+			m.Step(dt)
+		}()
+		if m.Clock.Now() != now || m.TotalOps("gups") != ops || g.Score() != score {
+			t.Errorf("Step(%d): clock %d, ops %v, score %v; want %d, %v, %v",
+				dt, m.Clock.Now(), m.TotalOps("gups"), g.Score(), now, ops, score)
 		}
 	}
 }

@@ -254,11 +254,10 @@ func (tr *TenantRuntime) admit(spec TenantSpec, start func(id vm.TenantID) Tenan
 
 // Depart begins tenant id's departure: its app stops generating traffic
 // immediately, and its regions drain through the normal migrator — the
-// runtime polls once per quantum (an event on the sim timeline, so
-// adaptive horizons see it) until no page of the tenant is still
-// write-protected by an in-flight migration, then unmaps the regions,
-// releases the reservation, marks the tenant departed, and retries
-// queued arrivals. Unknown, departed, or still-launching IDs are no-ops.
+// runtime polls once per quantum (an event on the sim timeline) until no
+// page of the tenant is still write-protected by an in-flight migration,
+// then unmaps the regions, releases the reservation, marks the tenant
+// departed, and retries queued arrivals. Unknown, departed, or still-launching IDs are no-ops.
 func (tr *TenantRuntime) Depart(id vm.TenantID) {
 	if id <= 0 || int(id) > len(tr.tenants) {
 		return

@@ -67,15 +67,6 @@ func (q *EventQueue) Schedule(at int64, fn func(now int64)) *Event {
 // Len reports the number of pending events.
 func (q *EventQueue) Len() int { return q.h.Len() }
 
-// NextDeadline returns the deadline of the earliest event, or ok=false if
-// the queue is empty.
-func (q *EventQueue) NextDeadline() (at int64, ok bool) {
-	if q.h.Len() == 0 {
-		return 0, false
-	}
-	return q.h[0].At, true
-}
-
 // RunDue pops and runs every event with deadline <= now, in deadline order.
 // Events scheduled by callbacks are honored if they are also due.
 func (q *EventQueue) RunDue(now int64) {

@@ -40,9 +40,6 @@ func TestEventQueueOrdering(t *testing.T) {
 	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 22 {
 		t.Fatalf("fired = %v, want [1 2 22]", fired)
 	}
-	if at, ok := q.NextDeadline(); !ok || at != 30 {
-		t.Fatalf("NextDeadline = %d,%v want 30,true", at, ok)
-	}
 	q.RunDue(100)
 	if len(fired) != 4 || fired[3] != 3 {
 		t.Fatalf("fired = %v, want trailing 3", fired)
